@@ -10,9 +10,6 @@ Commands
 ``faults``        availability grid: MTTF sweep × technique × redundancy
 ``open-workload`` open-arrival grid: blocking probability and wait
                   percentiles vs offered load (docs/workloads.md)
-``bench``         paired hot-path microbenchmarks (``--pair batch``:
-                  batched kernel on vs off; ``--pair occ-index``:
-                  occupancy index on vs off; see docs/performance.md)
 ``sweep-status``  summarise the on-disk result cache (``--journal``:
                   list sweep journals; ``<sweep_id> --follow``: live
                   progress from the sweep's event stream; ``--json``:
@@ -28,7 +25,7 @@ Commands
 ``obs-top``       live table of every in-flight sweep's progress
 ``obs-diff``      per-metric deltas between two telemetry sources
                   (obs artifacts, sweeps, ``--metrics`` documents,
-                  ``BENCH_*.json``); nonzero exit on threshold breach
+                  JSON row lists); nonzero exit on threshold breach
 
 All simulation commands accept ``--scale`` (1 = the paper's full
 parameters) and ``--output FILE.csv|FILE.json`` to export the rows,
@@ -52,7 +49,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import failpoints
 from repro.analysis.reporting import format_table
-from repro.benchmarks import PAIRS, SUITES
 from repro.errors import ConfigurationError, ReproError, SweepInterrupted
 from repro.exec import (
     ResultCache,
@@ -668,7 +664,7 @@ def cmd_chaos(args) -> int:
     orchestration costs normal invocations nothing).
 
     Exit 0 when every scenario converges; exit 3 (the threshold-breach
-    convention shared with bench/obs-diff) when any invariant fails.
+    convention shared with obs-diff) when any invariant fails.
     """
     from pathlib import Path
 
@@ -698,56 +694,6 @@ def cmd_chaos(args) -> int:
         workdir=Path(args.workdir) if args.workdir else None,
     )
     return 3 if failures else 0
-
-
-def cmd_bench(args) -> int:
-    """Run a microbenchmark suite paired fast-vs-reference.
-
-    ``--pair batch`` (default) toggles the batched kernel (occupancy
-    index on in both modes); ``--pair occ-index`` toggles the occupancy
-    index (batched kernel off in both modes).  Every case must produce
-    byte-identical results in both modes; the speedups are only
-    reported once that holds.  With ``--baseline`` the run also fails
-    (exit 3) when any case's speedup falls more than ``--tolerance``
-    below the committed baseline's — this is the check CI runs on
-    every push.
-    """
-    import json
-
-    from repro.benchmarks import (
-        check_regression,
-        format_report as format_bench_report,
-        run_suite,
-        suite_cases,
-        validate_document,
-    )
-
-    doc = run_suite(
-        args.suite,
-        suite_cases(args.suite, quick=args.quick),
-        pair=args.pair,
-        quick=args.quick,
-        warmup=args.warmup,
-        repeats=args.repeats,
-    )
-    print(format_bench_report(doc))
-    if args.bench_output:
-        with open(args.bench_output, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nwrote {args.bench_output}")
-    if args.baseline:
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        validate_document(baseline)
-        failures = check_regression(doc, baseline, tolerance=args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"bench regression: {failure}", file=sys.stderr)
-            return 3
-        print(f"no regressions vs {args.baseline} "
-              f"(tolerance {args.tolerance:.0%})")
-    return 0
 
 
 def cmd_obs_report(args) -> int:
@@ -865,10 +811,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="What happens inside a run — admission, delivery, "
                "validation — is walked through in docs/architecture.md; "
                "telemetry flags in docs/observability.md; fault flags in "
-               "docs/fault_tolerance.md.  With numpy installed the "
-               "batched kernel is on by default; REPRO_BATCH_KERNEL=off "
-               "(and REPRO_OCC_INDEX=off) fall back to the scalar paths "
-               "with byte-identical output (docs/performance.md).",
+               "docs/fault_tolerance.md; the admission kernel and its "
+               "array layouts in docs/performance.md.",
     )
     _add_common(p_run)
     _add_workload(p_run)
@@ -958,43 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_tab4)
     p_tab4.add_argument("--values", type=int, nargs="*", default=None)
     p_tab4.set_defaults(func=cmd_table4)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="paired microbenchmarks of the simulation hot path",
-        epilog="Each case runs twice along the chosen --pair axis — "
-               "batched kernel on vs off (pair batch, the default) or "
-               "occupancy index on vs off (pair occ-index) — and must "
-               "produce byte-identical results in both modes before any "
-               "speedup is reported.  Suites, methodology, and the "
-               "committed baselines (BENCH_sim_hotpath.json, "
-               "BENCH_sim_batched.json) are documented in "
-               "docs/performance.md.",
-    )
-    p_bench.add_argument("--suite", default="core", choices=list(SUITES),
-                         help="which suite to run (default: core)")
-    p_bench.add_argument("--pair", default="batch", choices=list(PAIRS),
-                         help="which fast path to pair against its "
-                              "reference (default: batch)")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="scaled-down cases for CI smoke runs "
-                              "(seconds instead of minutes)")
-    p_bench.add_argument("--warmup", type=int, default=1, metavar="N",
-                         help="discarded runs per case per mode (default: 1)")
-    p_bench.add_argument("--repeats", type=int, default=3, metavar="N",
-                         help="timed runs per case per mode; the median is "
-                              "reported (default: 3)")
-    p_bench.add_argument("--output", dest="bench_output", default=None,
-                         metavar="FILE.json",
-                         help="write the bench document (schema repro-bench/2)")
-    p_bench.add_argument("--baseline", default=None, metavar="FILE.json",
-                         help="compare speedups against a committed bench "
-                              "document; exit 3 on regression")
-    p_bench.add_argument("--tolerance", type=float, default=0.25,
-                         metavar="FRACTION",
-                         help="allowed fractional speedup drop vs the "
-                              "baseline (default: 0.25)")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_master = sub.add_parser(
         "master",
@@ -1168,8 +1075,8 @@ def build_parser() -> argparse.ArgumentParser:
         "obs-diff",
         help="per-metric deltas between two telemetry sources",
         epilog="A and B may each be an obs artifact "
-               "(objects/<digest>.obs.json), a --metrics document, a "
-               "bench document (BENCH_*.json), any JSON list of rows, or "
+               "(objects/<digest>.obs.json), a --metrics document, any "
+               "JSON list of rows (e.g. BENCH_obs_overhead.json), or "
                "a sweep id resolved through the journal and obs artifact "
                "store beside --cache-dir (B uses --cache-dir-b when "
                "given).  Exit 3 when any delta breaches the threshold — "
@@ -1191,7 +1098,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "value (default: 0)")
     p_diff.add_argument("--only", default=None, metavar="GLOB",
                         help="restrict compared keys to an fnmatch "
-                             "pattern, e.g. 'bench.*.speedup'")
+                             "pattern, e.g. 'row.*.overhead_pct'")
     p_diff.add_argument("--direction", default="both",
                         choices=["both", "increase", "decrease"],
                         help="which delta sign can breach (default: both; "

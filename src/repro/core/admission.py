@@ -123,52 +123,41 @@ class Admitter:
         pool = self.pool
         d = pool.num_disks
         halves = display.lane_halves()
-        if pool.indexed:
-            # The window's slots are distinct (M <= D consecutive
-            # drives), so the capacity buckets give O(1) necessary
-            # conditions: enough fully-free slots for the full-
-            # bandwidth lanes and enough slots with any headroom for
-            # the rest.  A denial also replays for free at any
-            # rotation offset already denied under the current pool
-            # version — identical window, identical occupancy,
-            # identical answer.  Everything here must stay O(1)-per-
-            # probe: this runs once per queued display per interval,
-            # and in churny workloads (version bumping every interval)
-            # the cache misses, so the miss path must cost less than
-            # the window probe it precedes.
-            offset = pool.stride * interval % d
-            denied = self._denied.get(display.display_id)
-            if denied is not None and denied.get(offset) == pool.version:
-                return plan
-            buckets = pool._buckets
-            if (
-                buckets[HALVES_PER_SLOT] < display.full_lane_count()
-                or d - buckets[0] < len(halves)
-            ):
+        # The window's slots are distinct (M <= D consecutive drives),
+        # so the capacity buckets give O(1) necessary conditions:
+        # enough fully-free slots for the full-bandwidth lanes and
+        # enough slots with any headroom for the rest.  A denial also
+        # replays for free at any rotation offset already denied under
+        # the current pool version — identical window, identical
+        # occupancy, identical answer.  Everything here must stay
+        # O(1)-per-probe: this runs once per queued display per
+        # interval, and in churny workloads (version bumping every
+        # interval) the cache misses, so the miss path must cost less
+        # than the window probe it precedes.
+        offset = pool.stride * interval % d
+        denied = self._denied.get(display.display_id)
+        if denied is not None and denied.get(offset) == pool.version:
+            return plan
+        buckets = pool._buckets
+        if (
+            buckets[HALVES_PER_SLOT] < display.full_lane_count()
+            or d - buckets[0] < len(halves)
+        ):
+            self._record_denial(display.display_id, offset)
+            return plan
+        # Inline window probe: direct free-half reads with the rotation
+        # arithmetic hoisted (slot_at(target, t) unrolls to
+        # (start + fragment - k·t) mod D), mirroring the fragmented hot
+        # loop.
+        free = pool._free
+        start = display.start_disk
+        window = []
+        for lane, h in zip(display.lanes, halves):
+            slot = (start + lane.fragment - offset) % d
+            if free[slot] < h:
                 self._record_denial(display.display_id, offset)
                 return plan
-            # Inline window probe: direct free-half reads with the
-            # rotation arithmetic hoisted (slot_at(target, t) unrolls
-            # to (start + fragment - k·t) mod D), mirroring the
-            # fragmented hot loop.
-            free = pool._free
-            start = display.start_disk
-            window = []
-            for lane, h in zip(display.lanes, halves):
-                slot = (start + lane.fragment - offset) % d
-                if free[slot] < h:
-                    self._record_denial(display.display_id, offset)
-                    return plan
-                window.append(slot)
-        else:
-            window = [
-                pool.slot_at((display.start_disk + lane.fragment) % d, interval)
-                for lane in display.lanes
-            ]
-            if not all(
-                pool.is_free(slot, h) for slot, h in zip(window, halves)
-            ):
-                return plan
+            window.append(slot)
         for lane, slot, h in zip(display.lanes, window, halves):
             pool.claim(slot, display.display_id, halves=h)
             lane.slot = slot
@@ -200,8 +189,7 @@ class Admitter:
             plan.complete = True
             self._n_complete += 1
             return plan
-        indexed = pool.indexed
-        if indexed and not pool._free_half_total:
+        if not pool._free_half_total:
             # Saturated pool: no lane can claim anything this interval.
             # At high load this is the dominant case, and it turns the
             # whole per-display probe into one integer comparison.
@@ -209,8 +197,8 @@ class Admitter:
         # The per-lane probe below is the hottest loop in the simulator
         # (one pass per queued display per interval), so the rotation
         # arithmetic is hoisted out (slot_at(target, t) unrolls to
-        # (start + fragment - k·t) mod D) and the indexed path reads
-        # the free-half array directly.
+        # (start + fragment - k·t) mod D) and the free-half array is
+        # read directly.
         d = pool.num_disks
         halves = display.lane_halves()
         start = display.start_disk
@@ -221,7 +209,7 @@ class Admitter:
             if lane.slot is not None:
                 continue
             slot = (start + lane.fragment - offset) % d
-            if free[slot] >= h if indexed else pool.is_free(slot, h):
+            if free[slot] >= h:
                 pool.claim(slot, display.display_id, halves=h)
                 lane.slot = slot
                 lane.ready = interval

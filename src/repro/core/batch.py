@@ -1,12 +1,11 @@
-"""Vectorised batch admission probes (the batched kernel's core).
+"""Vectorised batch admission probes.
 
 One admission pass probes every queued display against the rotating
-slot pool.  The scalar path walks each display's lanes in python —
-the hottest loop in the simulator (BENCH_sim_hotpath.json profiles
-put 93–95% of core-suite time in the admission pass).  The batched
-path evaluates **all** pending lane probes for the interval in one
-numpy pass over the pool's free-half mirror and hands the scalar
-claim path only the displays whose probe can possibly succeed:
+slot pool.  Walking each display's lanes in python is the hottest
+loop in the simulator, so the pass first evaluates **all** pending
+lane probes for the interval in one numpy pass over the pool's
+free-half array and hands the scalar claim path only the displays
+whose probe can possibly succeed:
 
 * the rotation arithmetic ``slot = (start + fragment - k·t) mod D``
   becomes one array expression over every queued lane;
@@ -47,11 +46,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro import fastpath
+import numpy as np
+
 from repro.core.admission import AdmissionMode
 from repro.core.display import Display
 from repro.core.virtual_disks import HALVES_PER_SLOT, SlotPool
-from repro.errors import ConfigurationError
 
 #: Compact only past this many rows (small tables never pay the cost).
 _COMPACT_MIN_ROWS = 512
@@ -60,10 +59,8 @@ _COMPACT_MIN_ROWS = 512
 class BatchAdmissionIndex:
     """Whole-queue claim verdicts over a persistent lane table.
 
-    Built by the scheduler only when its :class:`SlotPool` carries the
-    numpy free-half mirror (``pool.batched``); the scalar pass remains
-    the reference path and the fcfs discipline (whose head-of-line
-    blocking a skip-based walk cannot express) always uses it.
+    Built by the scheduler for every discipline except fcfs, whose
+    head-of-line stop keeps the scalar pass (DESIGN.md decision 9).
 
     Segment *positions* (the index of a display's segment in creation
     order) are stable across :meth:`add_display` and
@@ -73,12 +70,6 @@ class BatchAdmissionIndex:
     """
 
     def __init__(self, pool: SlotPool, mode: AdmissionMode) -> None:
-        np = fastpath.numpy_or_none()
-        if np is None or pool.free_halves_array() is None:
-            raise ConfigurationError(
-                "BatchAdmissionIndex needs numpy and a batched SlotPool"
-            )
-        self.np = np
         self.pool = pool
         self.mode = mode
         #: Bumped by compaction; cached segment positions die with it.
@@ -118,7 +109,6 @@ class BatchAdmissionIndex:
         capacity = len(self._bases)
         if rows <= capacity:
             return
-        np = self.np
         while capacity < rows:
             capacity *= 2
         for name, fill in (("_bases", 0), ("_halves", 1), ("_pending", False)):
@@ -212,7 +202,6 @@ class BatchAdmissionIndex:
         docstring); True only means "worth probing" — the scalar claim
         path re-checks lane by lane.
         """
-        np = self.np
         rows = self._rows
         if rows == 0:
             return np.zeros(0, dtype=bool)

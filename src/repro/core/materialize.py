@@ -109,7 +109,7 @@ class MaterializationJob:
         """
         if self.fully_laned:
             return False
-        if pool.indexed and pool.free_count == 0:
+        if pool.free_count == 0:
             # No fully free slot anywhere: a write lane claims both
             # halves, so nothing can be claimed this interval.
             return False

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.admission import AdmissionMode, Admitter
 from repro.core.batch import BatchAdmissionIndex
 from repro.core.display import Display, Lane
@@ -151,13 +153,12 @@ class StaggeredStripingPolicy(StoragePolicy):
         # Batched admission (repro.core.batch): one numpy pass per
         # interval computes claim verdicts for the whole queue, and
         # displays that provably cannot claim skip their scalar probe.
-        # Bound instance-wise like `advance`, so the scalar class
-        # method stays byte-for-byte the reference path.  fcfs keeps
-        # the scalar pass — its head-of-line blocking on the first
-        # incomplete claim is order-dependent in a way a skip-based
-        # walk cannot express.
+        # Bound instance-wise like `advance`.  fcfs keeps the scalar
+        # pass — its head-of-line stop at the first incomplete claim
+        # ends the walk early, so a whole-queue verdict pass would be
+        # wasted work (DESIGN.md decision 9).
         self._batch_index: Optional[BatchAdmissionIndex] = None
-        if queue_discipline != "fcfs" and disk_manager.pool.batched:
+        if queue_discipline != "fcfs":
             self._batch_index = BatchAdmissionIndex(
                 disk_manager.pool, self.admitter.mode
             )
@@ -700,7 +701,6 @@ class StaggeredStripingPolicy(StoragePolicy):
         """Display ids whose pre-probe verdict is True right now, or
         None when every queued display's verdict is False."""
         index = self._batch_index
-        np = index.np
         verdicts = index.pass_verdicts(interval)
         gather = self._batch_gather_np
         if gather is None:
@@ -856,15 +856,7 @@ class StaggeredStripingPolicy(StoragePolicy):
         """
         if self.admitter.mode is not AdmissionMode.FRAGMENTED:
             return None
-        pool = self.disk_manager.pool
-        if pool.indexed:
-            return pool.free_count - self._queued_pending_lanes
-        reserved = sum(
-            entry.display.pending_lane_count
-            for entry in self._queue
-            if entry.display is not None
-        )
-        return pool.free_count - reserved
+        return self.disk_manager.pool.free_count - self._queued_pending_lanes
 
     def _new_display(
         self, obj: MediaObject, start_disk: int, request: Request

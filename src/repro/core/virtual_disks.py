@@ -30,25 +30,12 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro import fastpath, switches
+import numpy as np
+
 from repro.errors import ConfigurationError, SchedulingError
 
 #: Half-slots per virtual disk.
 HALVES_PER_SLOT = 2
-
-#: Environment switch for the incremental occupancy index (default on).
-#: ``REPRO_OCC_INDEX=off`` falls back to the original linear scans —
-#: kept so `repro bench` can measure indexed-vs-legacy on the same tree
-#: and the paired byte-identity check can prove the index changes
-#: nothing but speed.
-OCC_INDEX_ENV = switches.OCC_INDEX_ENV
-
-
-def occupancy_index_enabled() -> bool:
-    """Occupancy-index default from ``REPRO_OCC_INDEX`` (on unless
-    disabled; invalid values are a one-line configuration error —
-    see :mod:`repro.switches`)."""
-    return switches.env_switch(OCC_INDEX_ENV, default=True)
 
 
 def physical_disk_of_slot(slot: int, interval: int, stride: int, num_disks: int) -> int:
@@ -100,13 +87,7 @@ class SlotPool:
     two half-bandwidth sub-fragments) in one interval.
     """
 
-    def __init__(
-        self,
-        num_disks: int,
-        stride: int,
-        indexed: Optional[bool] = None,
-        batched: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, num_disks: int, stride: int) -> None:
         if num_disks < 1:
             raise ConfigurationError(f"num_disks must be >= 1, got {num_disks}")
         if not 1 <= stride <= num_disks:
@@ -117,29 +98,22 @@ class SlotPool:
         self.stride = stride
         # slot -> {owner: halves}
         self._owners: Dict[int, Dict[Hashable, int]] = {}
-        #: When True, per-slot free-half counts and capacity buckets are
-        #: maintained incrementally so every occupancy query is O(1)
-        #: instead of a scan.  The index is pure acceleration: it holds
-        #: exactly the information derivable from ``_owners``, and the
-        #: sanitizer cross-checks the two on every sweep.
-        self.indexed = occupancy_index_enabled() if indexed is None else indexed
+        # Incremental occupancy index: per-slot free-half counts,
+        # capacity buckets and the free-half total, so every occupancy
+        # query is O(1) instead of a scan.  It holds exactly the
+        # information derivable from ``_owners``, and the sanitizer
+        # recounts it from ownership on every sweep.
         # free halves per slot (dense; slots are 0..D-1)
         self._free: List[int] = [HALVES_PER_SLOT] * num_disks
         # _buckets[h] = number of slots with exactly h free halves
         self._buckets: List[int] = [0] * HALVES_PER_SLOT + [num_disks]
         self._free_half_total = num_disks * HALVES_PER_SLOT
-        # numpy mirror of _free for the batched admission probes
-        # (repro.core.batch).  The python list stays authoritative —
-        # the mirror only feeds vectorised *reads*; every mutation
-        # still flows through _index_adjust, which updates both.
-        if batched is None:
-            batched = self.indexed and fastpath.batch_kernel_enabled()
-        np = fastpath.numpy_or_none()
-        self._free_np = (
-            np.full(num_disks, HALVES_PER_SLOT, dtype=np.int64)
-            if (batched and self.indexed and np is not None)
-            else None
-        )
+        # numpy copy of _free for the whole-queue admission verdicts
+        # (repro.core.batch).  Scalar probes read the list (a list
+        # index is several times cheaper than a numpy scalar index;
+        # DESIGN.md decision 9); every mutation flows through
+        # _index_adjust, which updates both.
+        self._free_np = np.full(num_disks, HALVES_PER_SLOT, dtype=np.int64)
         # Bumped on every successful claim/release; lets callers (the
         # admission negative cache, the sanitize clean-skip memo) detect
         # "nothing changed" in O(1).
@@ -170,28 +144,13 @@ class SlotPool:
         """Monotone counter bumped by every successful claim/release."""
         return self._version
 
-    @property
-    def batched(self) -> bool:
-        """True when the pool maintains the numpy free-half mirror."""
-        return self._free_np is not None
-
-    def free_halves_array(self):
-        """The numpy free-half mirror (None when batching is off).
-
-        Read-only by contract: consumers index it, never assign."""
-        return self._free_np
-
     def claimed_halves(self, slot: int) -> int:
         """Half-slots of ``slot`` currently claimed."""
-        if self.indexed:
-            return HALVES_PER_SLOT - self._free[slot % self.num_disks]
-        return sum(self._owners.get(slot % self.num_disks, {}).values())
+        return HALVES_PER_SLOT - self._free[slot % self.num_disks]
 
     def free_halves(self, slot: int) -> int:
         """Half-slots of ``slot`` still free."""
-        if self.indexed:
-            return self._free[slot % self.num_disks]
-        return HALVES_PER_SLOT - self.claimed_halves(slot)
+        return self._free[slot % self.num_disks]
 
     def is_free(self, slot: int, halves: int = HALVES_PER_SLOT) -> bool:
         """True when ``slot`` has at least ``halves`` free half-slots."""
@@ -200,11 +159,7 @@ class SlotPool:
     @property
     def free_half_total(self) -> int:
         """Free half-slots across the whole pool."""
-        if self.indexed:
-            return self._free_half_total
-        return self.num_disks * HALVES_PER_SLOT - sum(
-            sum(holders.values()) for holders in self._owners.values()
-        )
+        return self._free_half_total
 
     @property
     def has_free_halves(self) -> bool:
@@ -214,11 +169,7 @@ class SlotPool:
 
     def slots_with_headroom(self, halves: int = 1) -> int:
         """Number of slots with at least ``halves`` free half-slots."""
-        if self.indexed:
-            return sum(self._buckets[halves:])
-        return sum(
-            1 for z in range(self.num_disks) if self.free_halves(z) >= halves
-        )
+        return sum(self._buckets[halves:])
 
     def owners_of(self, slot: int) -> Dict[Hashable, int]:
         """Current owners of ``slot`` with their half counts."""
@@ -261,8 +212,7 @@ class SlotPool:
                 f"{owner!r}:{halves}"
             )
         holders[owner] = holders.get(owner, 0) + halves
-        if self.indexed:
-            self._index_adjust(slot, -halves)
+        self._index_adjust(slot, -halves)
 
     def release(self, slot: int, owner: Hashable) -> int:
         """Return all of ``owner``'s halves of ``slot``; returns count."""
@@ -275,8 +225,7 @@ class SlotPool:
         halves = holders.pop(owner)
         if not holders:
             del self._owners[slot]
-        if self.indexed:
-            self._index_adjust(slot, halves)
+        self._index_adjust(slot, halves)
         return halves
 
     def release_all(self, owner: Hashable) -> int:
@@ -287,8 +236,7 @@ class SlotPool:
             halves = holders.pop(owner)
             if not holders:
                 del self._owners[slot]
-            if self.indexed:
-                self._index_adjust(slot, halves)
+            self._index_adjust(slot, halves)
         return len(slots)
 
     def _index_adjust(self, slot: int, delta: int) -> None:
@@ -298,8 +246,7 @@ class SlotPool:
         before = self._free[slot]
         after = before + delta
         self._free[slot] = after
-        if self._free_np is not None:
-            self._free_np[slot] = after
+        self._free_np[slot] = after
         self._buckets[before] -= 1
         self._buckets[after] += 1
         self._free_half_total += delta
@@ -315,18 +262,13 @@ class SlotPool:
         ``HALVES_PER_SLOT`` claimed halves, each owner a positive
         count, and no empty owner map lingers (an empty map would make
         ``busy_count`` overcount and admission under-admit forever).
-        When the occupancy index is on, the sweep also cross-checks the
-        per-slot free counts, capacity buckets, and free-half total
-        against a brute-force recount from ownership — and is skipped
-        entirely while the pool is unchanged since its last clean sweep
-        (same ``version``): re-verifying untouched, known-clean state
-        can only re-tally zero.
+        The sweep also recounts the per-slot free counts (list and numpy
+        copy), capacity buckets, and free-half total from ownership —
+        and is skipped entirely while the pool is unchanged since its
+        last clean sweep (same ``version``): re-verifying untouched,
+        known-clean state can only re-tally zero.
         """
-        if (
-            self.indexed
-            and self._verified_clean_version is not None
-            and self._verified_clean_version == self._version
-        ):
+        if self._verified_clean_version == self._version:
             return
         violations_before = sanitizer.total
         for slot, holders in self._owners.items():
@@ -349,44 +291,40 @@ class SlotPool:
                 f"virtual disk {slot} holds a non-positive claim in "
                 f"interval {interval}: {holders!r}",
             )
-        if self.indexed:
-            expected_free = [HALVES_PER_SLOT] * self.num_disks
-            for slot, holders in self._owners.items():
-                expected_free[slot] -= sum(holders.values())
-            sanitizer.expect(
-                self._free == expected_free,
-                "occ_index",
-                f"free-half index diverged from ownership in interval "
-                f"{interval}",
-            )
-            expected_buckets = [0] * (HALVES_PER_SLOT + 1)
-            for free in expected_free:
-                if 0 <= free <= HALVES_PER_SLOT:
-                    expected_buckets[free] += 1
-            sanitizer.expect(
-                self._buckets == expected_buckets,
-                "occ_index",
-                f"capacity buckets diverged in interval {interval}: "
-                f"{self._buckets} != {expected_buckets}",
-            )
-            sanitizer.expect(
-                self._free_half_total == sum(expected_free),
-                "occ_index",
-                f"free-half total diverged in interval {interval}: "
-                f"{self._free_half_total} != {sum(expected_free)}",
-            )
-            if self._free_np is not None:
-                sanitizer.expect(
-                    self._free_np.tolist() == expected_free,
-                    "occ_index",
-                    f"numpy free-half mirror diverged from ownership "
-                    f"in interval {interval}",
-                )
-            self._verified_clean_version = (
-                self._version
-                if sanitizer.total == violations_before
-                else None
-            )
+        expected_free = [HALVES_PER_SLOT] * self.num_disks
+        for slot, holders in self._owners.items():
+            expected_free[slot] -= sum(holders.values())
+        sanitizer.expect(
+            self._free == expected_free,
+            "occ_index",
+            f"free-half index diverged from ownership in interval "
+            f"{interval}",
+        )
+        expected_buckets = [0] * (HALVES_PER_SLOT + 1)
+        for free in expected_free:
+            if 0 <= free <= HALVES_PER_SLOT:
+                expected_buckets[free] += 1
+        sanitizer.expect(
+            self._buckets == expected_buckets,
+            "occ_index",
+            f"capacity buckets diverged in interval {interval}: "
+            f"{self._buckets} != {expected_buckets}",
+        )
+        sanitizer.expect(
+            self._free_half_total == sum(expected_free),
+            "occ_index",
+            f"free-half total diverged in interval {interval}: "
+            f"{self._free_half_total} != {sum(expected_free)}",
+        )
+        sanitizer.expect(
+            self._free_np.tolist() == expected_free,
+            "occ_index",
+            f"numpy free-half copy diverged from ownership "
+            f"in interval {interval}",
+        )
+        self._verified_clean_version = (
+            self._version if sanitizer.total == violations_before else None
+        )
 
     # ------------------------------------------------------------------
     # Geometry

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro import fastpath
 from repro.errors import CapacityError, ConfigurationError, FaultError, SchedulingError
 from repro.hardware.disk import DiskModel
 
@@ -60,9 +59,7 @@ class DiskArray:
     * utilisation statistics (claimed slots per interval).
     """
 
-    def __init__(
-        self, model: DiskModel, num_disks: int, batched: Optional[bool] = None
-    ) -> None:
+    def __init__(self, model: DiskModel, num_disks: int) -> None:
         if num_disks < 1:
             raise ConfigurationError(f"num_disks must be >= 1, got {num_disks}")
         self.model = model
@@ -78,19 +75,6 @@ class DiskArray:
         self._version = 0
         self._failed_count = 0
         self._verified_clean_version: Optional[int] = None
-        # numpy mirrors of the per-drive claim counts and failure mask,
-        # for vectorised consumers (repro.core.batch, telemetry).  The
-        # DiskState objects stay authoritative; the mirrors only feed
-        # array *reads* and every mutation path updates both.
-        if batched is None:
-            batched = fastpath.batch_kernel_enabled()
-        np = fastpath.numpy_or_none()
-        if batched and np is not None:
-            self._claimed_np = np.zeros(num_disks, dtype=np.int64)
-            self._failed_np = np.zeros(num_disks, dtype=np.int64)
-        else:
-            self._claimed_np = None
-            self._failed_np = None
 
     def __repr__(self) -> str:
         return (
@@ -156,8 +140,6 @@ class DiskArray:
             self._version += 1
             for state in self.disks:
                 state.claims.clear()
-            if self._claimed_np is not None:
-                self._claimed_np[:] = 0
         self._slot_interval_sum += self._claimed_this_interval
         self._claimed_this_interval = 0
         self.intervals_elapsed += 1
@@ -191,8 +173,6 @@ class DiskArray:
                 f"{self.intervals_elapsed}: {state.claims} + {owner}:{slots}"
             )
         state.claims[owner] = state.claims.get(owner, 0) + slots
-        if self._claimed_np is not None:
-            self._claimed_np[disk] += slots
         self._claimed_this_interval += slots
         self._version += 1
 
@@ -201,8 +181,6 @@ class DiskArray:
         state = self.disks[disk]
         slots = state.claims.pop(owner, 0)
         if slots:
-            if self._claimed_np is not None:
-                self._claimed_np[disk] -= slots
             self._claimed_this_interval -= slots
             self._version += 1
 
@@ -226,11 +204,7 @@ class DiskArray:
         if dropped:
             self._claimed_this_interval -= dropped
             state.claims.clear()
-            if self._claimed_np is not None:
-                self._claimed_np[disk] = 0
         state.failed = True
-        if self._failed_np is not None:
-            self._failed_np[disk] = 1
         self._failed_count += 1
         self._version += 1
         return state.used_cylinders
@@ -245,8 +219,6 @@ class DiskArray:
         if not state.failed:
             raise FaultError(f"disk {disk} is not failed")
         state.failed = False
-        if self._failed_np is not None:
-            self._failed_np[disk] = 0
         self._failed_count -= 1
         self._version += 1
 
@@ -268,19 +240,6 @@ class DiskArray:
     def failed_count(self) -> int:
         """Number of currently failed drives."""
         return self._failed_count
-
-    @property
-    def batched(self) -> bool:
-        """True when the array maintains the numpy claim mirrors."""
-        return self._claimed_np is not None
-
-    def free_slots_array(self):
-        """Per-drive free half-slots this interval as a fresh numpy
-        array (None when batching is off).  Failed drives report 0,
-        matching :attr:`DiskState.free_slots`."""
-        if self._claimed_np is None:
-            return None
-        return (SLOTS_PER_DISK - self._claimed_np) * (1 - self._failed_np)
 
     @property
     def free_half_total(self) -> int:
@@ -397,19 +356,6 @@ class DiskArray:
             f"failed-drive count drifted in interval {interval}: running "
             f"count {self._failed_count} != recount {failed_total}",
         )
-        if self._claimed_np is not None:
-            sanitizer.expect(
-                self._claimed_np.tolist()
-                == [state.claimed_slots for state in self.disks],
-                "occ_index",
-                f"numpy claim mirror diverged in interval {interval}",
-            )
-            sanitizer.expect(
-                self._failed_np.tolist()
-                == [int(state.failed) for state in self.disks],
-                "occ_index",
-                f"numpy failure mask diverged in interval {interval}",
-            )
         self._verified_clean_version = (
             self._version if sanitizer.total == violations_before else None
         )

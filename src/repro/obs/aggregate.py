@@ -1,8 +1,8 @@
 """Cross-run metric aggregation and diffing (``repro obs-diff``).
 
 Telemetry is only useful across time: *did the fault grid's
-availability metrics regress against last week's sweep?* — *what has
-the bench trajectory done over the last five PRs?*  This module turns
+availability metrics regress against last week's sweep?* — *did the
+metrics-level overhead grow?*  This module turns
 any two telemetry sources into flat ``{metric key: number}`` maps and
 reports per-metric deltas against configurable thresholds, so those
 questions are one command (and one CI job — breaches exit nonzero).
@@ -13,9 +13,6 @@ Accepted sources (auto-detected):
   schema ``repro-obs-artifact/1``) — one run's stored telemetry;
 * a **metrics document** (``--metrics FILE`` output:
   ``{"level": ..., "runs": [...]}``) — a whole session;
-* a **bench document** (``BENCH_*.json``, schema ``repro-bench/2``;
-  schema-1 files still flatten) — case medians, speedups, and
-  byte-identity flags;
 * an **obs-overhead document** (``BENCH_obs_overhead.json``: a list of
   per-level rows) — and, generically, any JSON list of flat dicts;
 * a **sweep id** (when the argument is not a file): resolved through
@@ -23,8 +20,8 @@ Accepted sources (auto-detected):
   stored artifact from the obs artifact store.
 
 Flattening: every numeric leaf of every run snapshot becomes one key,
-``<run label>/<metric>.<field>`` (bench cases become
-``bench.<case>.<field>``).  Bulky vector fields (series points,
+``<run label>/<metric>.<field>`` (row lists become
+``row.<key>.<field>``).  Bulky vector fields (series points,
 matrix rows, histogram bin counts) and wall-clock ``profile`` blocks
 are excluded by default — deltas over those are either unreadable or
 pure noise; summary statistics (mean/p50/p99/utilization) carry the
@@ -128,31 +125,6 @@ def flatten_runs(
     return out
 
 
-def flatten_bench(document: Dict[str, Any]) -> Dict[str, float]:
-    """Flatten a ``repro-bench/*`` document to ``bench.<case>.<field>``.
-
-    Accepts both the schema-2 ``fast``/``reference`` side names and the
-    schema-1 ``indexed``/``legacy`` names so old committed baselines
-    remain diffable.
-    """
-    out: Dict[str, float] = {}
-    for case in document.get("cases", []):
-        if not isinstance(case, dict):
-            continue
-        name = str(case.get("name", "case"))
-        for field in ("speedup", "byte_identical"):
-            number = _as_number(case.get(field))
-            if number is not None:
-                out[f"bench.{name}.{field}"] = number
-        for side in ("fast", "reference", "indexed", "legacy"):
-            timing = case.get(side)
-            if isinstance(timing, dict):
-                number = _as_number(timing.get("median_s"))
-                if number is not None:
-                    out[f"bench.{name}.{side}.median_s"] = number
-    return out
-
-
 def flatten_rows(rows: List[Any], prefix: str = "row") -> Dict[str, float]:
     """Flatten a generic list of flat dicts (obs-overhead style).
 
@@ -222,8 +194,6 @@ def _document_kind(document: Any) -> str:
         schema = document.get("schema")
         if schema == "repro-obs-artifact/1":
             return "obs-artifact"
-        if isinstance(schema, str) and schema.startswith("repro-bench/"):
-            return "bench"
         if isinstance(document.get("runs"), list):
             return "metrics-document"
     if isinstance(document, list):
@@ -237,13 +207,11 @@ def _flatten_document(
     kind = _document_kind(document)
     if kind in ("obs-artifact", "metrics-document"):
         return flatten_runs(document["runs"], include_profile=include_profile)
-    if kind == "bench":
-        return flatten_bench(document)
     if kind == "rows":
         return flatten_rows(document)
     raise ConfigurationError(
         "unrecognised metrics source: expected an obs artifact, a "
-        "--metrics document, a bench document, or a JSON list of rows"
+        "--metrics document, or a JSON list of rows"
     )
 
 
@@ -295,9 +263,9 @@ def diff_metrics(
     """Compare two loaded sources; returns the diff document.
 
     ``only`` is an ``fnmatch`` glob restricting the compared keys
-    (e.g. ``'bench.*.speedup'``).  ``direction`` limits which sign of
-    delta can breach: ``"both"`` (default), ``"increase"`` (b > a), or
-    ``"decrease"`` (b < a) — a bench-speedup gate breaches only on
+    (e.g. ``'row.*.overhead_pct'``).  ``direction`` limits which sign
+    of delta can breach: ``"both"`` (default), ``"increase"`` (b > a),
+    or ``"decrease"`` (b < a) — a speedup gate breaches only on
     decreases, since a faster machine is not a regression.  See the
     module docstring for the breach rule.
     """

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterator, List, Optional, Set, Tuple
 
-from repro import fastpath
 from repro.errors import SimulationError
 from repro.sim.events import Interrupt, ProcessKilled, SimEvent
 
@@ -223,20 +222,13 @@ class Simulation:
     dispatch and nothing more.
     """
 
-    def __init__(self, tracer=None, sanitizer=None, batched: Optional[bool] = None) -> None:
+    def __init__(self, tracer=None, sanitizer=None) -> None:
         self.now = 0.0
         self.tracer = tracer
         # Optional repro.sim.sanitize.Sanitizer: event-time
         # monotonicity violations are reported to it (tallied in check
         # mode) in addition to the kernel's own hard error below.
         self.sanitizer = sanitizer
-        # Batched settle: run() drains whole same-time cohorts through
-        # step_cohort() instead of re-entering the loop per entry.
-        # Execution order is identical (the heap already orders a
-        # cohort by sequence number), so this removes only loop and
-        # bounds-check overhead; REPRO_BATCH_KERNEL=off restores
-        # per-entry stepping.
-        self._batched = fastpath.batch_kernel_enabled() if batched is None else batched
         self._heap: List[Tuple[float, int, Callable[[Any], None], Any]] = []
         self._sequence = 0
         self._process_count = 0
@@ -378,9 +370,13 @@ class Simulation:
         if self._running:
             raise SimulationError("Simulation.run() is not re-entrant")
         self._running = True
+        # run() drains whole same-time cohorts through step_cohort()
+        # instead of re-entering the loop per entry.  Execution order is
+        # identical (the heap already orders a cohort by sequence
+        # number), so this removes only loop and bounds-check overhead.
         # Cohort draining needs no per-entry budget check, so it only
         # serves the (dominant) unbounded case.
-        use_cohorts = self._batched and max_events is None
+        use_cohorts = max_events is None
         executed = 0
         try:
             while self._heap:

@@ -15,7 +15,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro import fastpath
 from repro.errors import ConfigurationError
 from repro.simulation.policy import Request
 from repro.workload.access import AccessDistribution
@@ -48,14 +47,12 @@ class StationPool(ArrivalProcess):
     (``is_open`` is ``False``, ``deadline_intervals`` is ``None``),
     and a completed station re-issues after its think time.
 
-    Under the batched kernel (:func:`repro.fastpath.
-    batch_kernel_enabled`) the per-interval scan is replaced by a heap
-    of idle stations keyed by ``next_issue_at``, so an interval costs
-    O(ready) instead of O(stations).  The issue order — and with it
-    every draw from the shared access distribution — is unchanged: the
-    scalar scan issues from ready stations in ascending ``station_id``
-    whatever their ready times, and the heap path sorts the due pops
-    the same way.
+    Idle stations sit in a heap keyed by ``next_issue_at``, so an
+    interval costs O(ready) instead of a scan over every station.  The
+    issue order — and with it every draw from the shared access
+    distribution — is the scan's: ready stations issue in ascending
+    ``station_id`` whatever their ready times, so the due pops are
+    sorted before issuing.
     """
 
     def __init__(
@@ -63,7 +60,6 @@ class StationPool(ArrivalProcess):
         num_stations: int,
         access: AccessDistribution,
         think_intervals: int = 0,
-        batched: Optional[bool] = None,
     ) -> None:
         if num_stations < 1:
             raise ConfigurationError(
@@ -79,13 +75,11 @@ class StationPool(ArrivalProcess):
             for i in range(num_stations)
         ]
         self._request_seq = 0
-        if batched is None:
-            batched = fastpath.batch_kernel_enabled()
-        # (next_issue_at, station_id) for every idle station; None keeps
-        # the reference scan.  The initial list is already heap-ordered.
-        self._idle_heap: Optional[List[Tuple[int, int]]] = (
-            [(0, i) for i in range(num_stations)] if batched else None
-        )
+        # (next_issue_at, station_id) for every idle station.  The
+        # initial list is already heap-ordered.
+        self._idle_heap: List[Tuple[int, int]] = [
+            (0, i) for i in range(num_stations)
+        ]
 
     def __repr__(self) -> str:
         busy = sum(1 for s in self.stations if s.busy)
@@ -110,12 +104,6 @@ class StationPool(ArrivalProcess):
         """Issue a request from every idle station whose think time has
         elapsed."""
         heap = self._idle_heap
-        if heap is None:
-            return [
-                self._issue(station, interval)
-                for station in self.stations
-                if not (station.busy or interval < station.next_issue_at)
-            ]
         if not heap or heap[0][0] > interval:
             return []
         due: List[int] = []
@@ -136,10 +124,9 @@ class StationPool(ArrivalProcess):
         station.outstanding = None
         station.displays_completed += 1
         station.next_issue_at = interval + 1 + station.think_intervals
-        if self._idle_heap is not None:
-            heapq.heappush(
-                self._idle_heap, (station.next_issue_at, station.station_id)
-            )
+        heapq.heappush(
+            self._idle_heap, (station.next_issue_at, station.station_id)
+        )
 
     def total_completed(self) -> int:
         """Displays completed across all stations."""

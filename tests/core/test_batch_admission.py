@@ -8,7 +8,7 @@ compactions — a False verdict must mean "the scalar probe would claim
 nothing", a True verdict must mean "the scalar probe claims at least
 one lane" (FRAGMENTED) or "the whole window claim succeeds"
 (CONTIGUOUS).  Hypothesis drives random operation sequences against
-the index, the scalar admitter, and the pool's numpy free-half mirror
+the index, the scalar admitter, and the pool's numpy free-half copy
 and checks all three after every step, mirroring
 ``tests/hardware/test_occupancy_index.py`` for the occupancy indexes.
 """
@@ -19,19 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import fastpath
 from repro.core import batch as batch_module
 from repro.core.admission import AdmissionMode, Admitter
 from repro.core.batch import BatchAdmissionIndex
 from repro.core.display import Display
 from repro.core.virtual_disks import HALVES_PER_SLOT, SlotPool
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import SchedulingError
 from repro.media.objects import MediaObject, MediaType
 from repro.sim.sanitize import Sanitizer
-
-pytestmark = pytest.mark.skipif(
-    not fastpath.numpy_available(), reason="batched kernel needs numpy"
-)
 
 _TYPE = MediaType(name="test-video", display_bandwidth=100.0)
 
@@ -119,9 +114,9 @@ ops = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_batched_verdicts_match_scalar_probe(mode, num_disks, operations):
     """After any claim/release/churn sequence the batched verdicts
-    agree with the scalar oracle, the numpy mirror matches the scalar
-    free array, and the sanitizer sweep stays clean."""
-    pool = SlotPool(num_disks=num_disks, stride=1, indexed=True, batched=True)
+    agree with the scalar oracle, the numpy copy matches the scalar
+    free list, and the sanitizer sweep stays clean."""
+    pool = SlotPool(num_disks=num_disks, stride=1)
     admitter = Admitter(pool, mode=mode)
     index = BatchAdmissionIndex(pool, mode)
     sanitizer = Sanitizer(mode="check")
@@ -179,7 +174,7 @@ def test_batched_verdicts_match_scalar_probe(mode, num_disks, operations):
             index.remove_display(display.display_id)
         elif kind == "tick":
             interval += 1
-        # The numpy mirror must track the scalar free array exactly.
+        # The numpy copy must track the scalar free list exactly.
         assert pool._free_np.tolist() == pool._free
         assert len(index) == len(displays)
         _assert_verdicts_match_oracle(index, interval)
@@ -203,7 +198,7 @@ def test_compaction_preserves_verdicts_and_renumbers(num_disks, operations):
 
 
 def _run_compaction_sequence(num_disks, operations):
-    pool = SlotPool(num_disks=num_disks, stride=1, indexed=True, batched=True)
+    pool = SlotPool(num_disks=num_disks, stride=1)
     index = BatchAdmissionIndex(pool, AdmissionMode.FRAGMENTED)
     displays = {}
     next_id = 0
@@ -242,20 +237,15 @@ def _run_compaction_sequence(num_disks, operations):
 
 
 class TestConstruction:
-    def test_requires_batched_pool(self):
-        pool = SlotPool(num_disks=4, stride=1, indexed=True, batched=False)
-        with pytest.raises(ConfigurationError, match="batched SlotPool"):
-            BatchAdmissionIndex(pool, AdmissionMode.FRAGMENTED)
-
     def test_empty_table_yields_empty_verdicts(self):
-        pool = SlotPool(num_disks=4, stride=1, indexed=True, batched=True)
+        pool = SlotPool(num_disks=4, stride=1)
         index = BatchAdmissionIndex(pool, AdmissionMode.FRAGMENTED)
         assert len(index.pass_verdicts(0)) == 0
         assert len(index) == 0
         assert index.position(99) is None
 
     def test_capacity_growth_preserves_rows(self):
-        pool = SlotPool(num_disks=8, stride=1, indexed=True, batched=True)
+        pool = SlotPool(num_disks=8, stride=1)
         index = BatchAdmissionIndex(pool, AdmissionMode.FRAGMENTED)
         displays = [_display(i + 1, 4, i % 8) for i in range(200)]
         for display in displays:
@@ -269,7 +259,7 @@ class TestConstruction:
 
 class TestSanitizerCatchesDrift:
     def _index(self):
-        pool = SlotPool(num_disks=8, stride=1, indexed=True, batched=True)
+        pool = SlotPool(num_disks=8, stride=1)
         index = BatchAdmissionIndex(pool, AdmissionMode.FRAGMENTED)
         index.add_display(_display(1, 4, 0))
         return index

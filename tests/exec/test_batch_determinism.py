@@ -1,31 +1,20 @@
-"""Executor determinism with the batched kernel on.
+"""Executor determinism on the batched admission path.
 
 The batched admission/settle path must be invisible to the executor
-contract: ``--jobs 1``, ``--jobs 4``, and a warm-cache pass over the
-same sweep produce byte-identical rows with ``REPRO_BATCH_KERNEL=on``,
-and those rows are byte-identical to a scalar (``REPRO_BATCH_KERNEL=
-off``) execution of the same specs — under ``--sanitize strict`` with
-faults armed, so every invariant sweep (including the batch index's
-own) runs on every interval.  The switch propagates to worker
-processes through the environment, which is exactly how a user would
-flip it.
+contract: ``--jobs 1``, ``--jobs N``, and a warm-cache pass over the
+same sweep produce byte-identical rows — under ``--sanitize strict``
+with faults armed, so every invariant sweep (including the batch
+index's own) runs on every interval.
 """
 
 from __future__ import annotations
 
 import os
 
-import pytest
-
-from repro import fastpath, switches
 from repro.exec import ResultCache, canonical_json, execute, experiment_spec
 from repro.simulation.config import ScaledConfig
 
 PARALLEL_JOBS = int(os.environ.get("REPRO_EXEC_JOBS", "4"))
-
-pytestmark = pytest.mark.skipif(
-    not fastpath.numpy_available(), reason="batched kernel needs numpy"
-)
 
 
 def sweep_specs():
@@ -51,9 +40,7 @@ def rows_bytes(records) -> str:
 
 
 class TestBatchedExecutorDeterminism:
-    def test_serial_parallel_and_cache_identical(self, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.setenv(switches.BATCH_KERNEL_ENV, "on")
+    def test_serial_parallel_and_cache_identical(self, tmp_path):
         specs = sweep_specs()
         serial = rows_bytes(execute(specs, jobs=1))
         parallel = rows_bytes(execute(specs, jobs=PARALLEL_JOBS))
@@ -65,27 +52,3 @@ class TestBatchedExecutorDeterminism:
         assert cold == serial
         assert rows_bytes(warm_records) == serial
         assert all(record.cached for record in warm_records)
-
-    def test_batched_rows_equal_scalar_rows(self, monkeypatch):
-        """The whole-sweep cross-check: flipping the kernel switch (the
-        env var workers inherit) must not move a single byte."""
-        specs = sweep_specs()
-        monkeypatch.setenv(switches.BATCH_KERNEL_ENV, "on")
-        batched = rows_bytes(execute(specs, jobs=PARALLEL_JOBS))
-        monkeypatch.setenv(switches.BATCH_KERNEL_ENV, "off")
-        scalar = rows_bytes(execute(specs, jobs=PARALLEL_JOBS))
-        assert batched == scalar
-
-    def test_warm_cache_hits_across_kernel_modes(self, tmp_path,
-                                                 monkeypatch):
-        """The kernel switch is not part of the spec digest — it cannot
-        change results, so scalar-produced cache entries must satisfy
-        batched runs (and vice versa)."""
-        specs = sweep_specs()
-        cache = ResultCache(tmp_path / "cache")
-        monkeypatch.setenv(switches.BATCH_KERNEL_ENV, "off")
-        scalar = rows_bytes(execute(specs, jobs=1, cache=cache))
-        monkeypatch.setenv(switches.BATCH_KERNEL_ENV, "on")
-        warm = execute(specs, jobs=1, cache=cache)
-        assert all(record.cached for record in warm)
-        assert rows_bytes(warm) == scalar

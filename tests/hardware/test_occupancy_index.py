@@ -1,16 +1,17 @@
 """Property tests for the incremental occupancy indexes.
 
 The indexes (:class:`repro.core.virtual_disks.SlotPool`'s free-half
-array, capacity buckets and free-half total; :class:`DiskArray`'s
-claimed/failed running counts) are pure acceleration: after *any*
-sequence of claims, releases, failures and repairs they must answer
-every query exactly as a brute-force rescan of the ownership maps
-would.  Hypothesis drives random operation sequences against both and
-checks equivalence after every step.
+list and its numpy copy, capacity buckets and free-half total;
+:class:`DiskArray`'s claimed/failed running counts) hold nothing but
+what ownership already says: after *any* sequence of claims,
+releases, failures and repairs they must answer every query exactly
+as a brute-force recount of the ownership maps would.  Hypothesis
+drives random operation sequences and checks that after every step.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,8 +36,9 @@ ops = st.lists(
 
 
 def pool_brute_force_free(pool: SlotPool) -> list:
+    """Free halves per slot, recounted from the public ownership map."""
     return [
-        HALVES_PER_SLOT - sum(pool._owners.get(z, {}).values())
+        HALVES_PER_SLOT - sum(pool.owners_of(z).values())
         for z in range(pool.num_disks)
     ]
 
@@ -44,52 +46,53 @@ def pool_brute_force_free(pool: SlotPool) -> list:
 def assert_pool_index_consistent(pool: SlotPool) -> None:
     free = pool_brute_force_free(pool)
     assert pool._free == free
+    assert pool._free_np.tolist() == free
     assert pool._free_half_total == sum(free)
     buckets = [0] * (HALVES_PER_SLOT + 1)
     for h in free:
         buckets[h] += 1
     assert pool._buckets == buckets
-    for halves in range(HALVES_PER_SLOT + 1):
-        assert pool.slots_with_headroom(halves) == sum(
-            1 for h in free if h >= halves
-        )
 
 
 @given(st.integers(min_value=1, max_value=12), ops)
 @settings(max_examples=120, deadline=None)
 def test_slot_pool_index_matches_brute_force(num_disks, operations):
-    """Indexed and legacy pools see identical operations and must agree
-    on every query; the index must match a rescan after every step."""
-    indexed = SlotPool(num_disks=num_disks, stride=1, indexed=True)
-    legacy = SlotPool(num_disks=num_disks, stride=1, indexed=False)
+    """Every pool operation's outcome and every occupancy query must
+    agree with a brute-force recount from ``owners_of()``."""
+    pool = SlotPool(num_disks=num_disks, stride=1)
     for kind, slot, owner, halves in operations:
         slot %= num_disks
         if kind in ("fail", "repair"):
             continue  # DiskArray-only operations
-        outcomes = []
-        for pool in (indexed, legacy):
-            try:
-                if kind == "claim":
+        before = pool_brute_force_free(pool)
+        held = [pool.owners_of(z).get(owner, 0) for z in range(num_disks)]
+        if kind == "claim":
+            if before[slot] >= halves:
+                pool.claim(slot, owner, halves=halves)
+            else:
+                with pytest.raises(SchedulingError):
                     pool.claim(slot, owner, halves=halves)
-                    outcomes.append("ok")
-                elif kind == "release":
-                    outcomes.append(pool.release(slot, owner))
-                else:
-                    outcomes.append(pool.release_all(owner))
-            except SchedulingError:
-                outcomes.append("error")
-        assert outcomes[0] == outcomes[1]
-        assert_pool_index_consistent(indexed)
+        elif kind == "release":
+            if held[slot]:
+                assert pool.release(slot, owner) == held[slot]
+            else:
+                with pytest.raises(SchedulingError):
+                    pool.release(slot, owner)
+        else:
+            assert pool.release_all(owner) == sum(1 for h in held if h)
+        assert_pool_index_consistent(pool)
+        free = pool_brute_force_free(pool)
         for z in range(num_disks):
-            assert indexed.free_halves(z) == legacy.free_halves(z)
-            assert indexed.claimed_halves(z) == legacy.claimed_halves(z)
-        assert indexed.free_half_total == legacy.free_half_total
-        assert indexed.has_free_halves == legacy.has_free_halves
-        assert indexed.free_count == legacy.free_count
-        assert indexed.free_slots() == legacy.free_slots()
-        for halves in range(1, HALVES_PER_SLOT + 1):
-            assert indexed.slots_with_headroom(halves) == (
-                legacy.slots_with_headroom(halves)
+            assert pool.free_halves(z) == free[z]
+            assert pool.claimed_halves(z) == HALVES_PER_SLOT - free[z]
+        assert pool.free_half_total == sum(free)
+        assert pool.has_free_halves == (sum(free) > 0)
+        full = [z for z in range(num_disks) if free[z] == HALVES_PER_SLOT]
+        assert pool.free_count == len(full)
+        assert pool.free_slots() == full
+        for halves in range(HALVES_PER_SLOT + 1):
+            assert pool.slots_with_headroom(halves) == sum(
+                1 for h in free if h >= halves
             )
 
 
@@ -133,7 +136,7 @@ def test_sanitize_sweep_is_clean_after_any_sequence(num_disks, operations):
     """The sanitizer's occ_index cross-check never fires on states
     reached through the public API, and the clean-skip memo never
     suppresses a sweep of changed state."""
-    pool = SlotPool(num_disks=num_disks, stride=1, indexed=True)
+    pool = SlotPool(num_disks=num_disks, stride=1)
     sanitizer = Sanitizer(mode="check")
     for kind, slot, owner, halves in operations:
         slot %= num_disks
@@ -159,7 +162,7 @@ def test_clean_skip_memo_does_not_mask_corruption():
     """Direct corruption after a clean sweep is still caught on the
     next sweep once the pool changes (version bump) — and an unclean
     sweep never arms the memo."""
-    pool = SlotPool(num_disks=4, stride=1, indexed=True)
+    pool = SlotPool(num_disks=4, stride=1)
     sanitizer = Sanitizer(mode="check")
     pool.claim(0, "a")
     pool.verify_invariants(sanitizer, interval=0)

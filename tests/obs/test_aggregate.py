@@ -10,7 +10,6 @@ from repro.errors import ConfigurationError
 from repro.obs.aggregate import (
     DIFF_SCHEMA,
     diff_metrics,
-    flatten_bench,
     flatten_rows,
     flatten_runs,
     load_metrics_source,
@@ -76,44 +75,6 @@ class TestFlattenRuns:
 
 
 class TestFlattenOtherSources:
-    def test_bench(self):
-        doc = {
-            "schema": "repro-bench/1",
-            "cases": [
-                {
-                    "name": "hotpath",
-                    "speedup": 1.8,
-                    "byte_identical": True,
-                    "indexed": {"median_s": 0.5},
-                    "legacy": {"median_s": 0.9},
-                }
-            ],
-        }
-        flat = flatten_bench(doc)
-        assert flat["bench.hotpath.speedup"] == 1.8
-        assert flat["bench.hotpath.byte_identical"] == 1.0
-        assert flat["bench.hotpath.indexed.median_s"] == 0.5
-        assert flat["bench.hotpath.legacy.median_s"] == 0.9
-
-    def test_bench_schema_two(self):
-        doc = {
-            "schema": "repro-bench/2",
-            "pair": "batch",
-            "cases": [
-                {
-                    "name": "batched",
-                    "speedup": 5.4,
-                    "byte_identical": True,
-                    "fast": {"median_s": 0.1},
-                    "reference": {"median_s": 0.54},
-                }
-            ],
-        }
-        flat = flatten_bench(doc)
-        assert flat["bench.batched.speedup"] == 5.4
-        assert flat["bench.batched.fast.median_s"] == 0.1
-        assert flat["bench.batched.reference.median_s"] == 0.54
-
     def test_rows(self):
         rows = [
             {"level": "metrics", "overhead_pct": 1.5, "cpu_seconds": 2.0},
@@ -250,19 +211,6 @@ class TestLoadSource:
         loaded = load_metrics_source(path)
         assert loaded["kind"] == "obs-artifact"
         assert loaded["metrics"]["r/disk.reads.value"] == 4
-
-    def test_bench_document(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(
-            json.dumps(
-                {"schema": "repro-bench/1", "cases": [
-                    {"name": "c", "speedup": 1.5}
-                ]}
-            )
-        )
-        loaded = load_metrics_source(path)
-        assert loaded["kind"] == "bench"
-        assert loaded["metrics"]["bench.c.speedup"] == 1.5
 
     def test_rows_list(self, tmp_path):
         path = tmp_path / "rows.json"

@@ -310,9 +310,9 @@ class TestCancellableTimers:
 
 
 class TestCohortStepping:
-    """``step_cohort`` / batched ``run()`` must execute the calendar in
-    exactly the order repeated ``step()`` calls would — the cohort
-    drain removes loop overhead, never reorders."""
+    """``step_cohort`` / cohort-draining ``run()`` must execute the
+    calendar in exactly the order repeated ``step()`` calls would — the
+    cohort drain removes loop overhead, never reorders."""
 
     def _churn(self, sim, trace):
         """A workload with same-time cohorts, mid-cohort scheduling,
@@ -344,11 +344,15 @@ class TestCohortStepping:
 
     def test_batched_run_matches_scalar_run(self):
         traces = []
-        for batched in (False, True):
-            sim = Simulation(batched=batched)
+        for cohorts in (False, True):
+            sim = Simulation()
             trace = []
             self._churn(sim, trace)
-            sim.run()
+            if cohorts:
+                sim.run()
+            else:
+                while sim.step():
+                    pass
             traces.append((trace, sim.now))
         assert traces[0] == traces[1]
         assert ("cancelled", 2.0) not in traces[0][0]
@@ -377,8 +381,8 @@ class TestCohortStepping:
 
     def test_max_events_disables_cohort_draining(self):
         """A bounded run must honour the per-entry budget even when the
-        kernel is batched (a cohort could overshoot it)."""
-        sim = Simulation(batched=True)
+        kernel drains cohorts (a cohort could overshoot it)."""
+        sim = Simulation()
         seen = []
         for label in ("a", "b", "c"):
             sim.schedule(1.0, seen.append, label)
@@ -386,7 +390,7 @@ class TestCohortStepping:
         assert seen == ["a", "b"]
 
     def test_run_until_stops_before_next_cohort(self):
-        sim = Simulation(batched=True)
+        sim = Simulation()
         seen = []
         sim.schedule(1.0, seen.append, "early")
         sim.schedule(5.0, seen.append, "late")

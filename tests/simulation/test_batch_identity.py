@@ -1,12 +1,22 @@
-"""End-to-end byte-identity of the batched kernel.
+"""End-to-end byte-identity of the production kernel and a scalar oracle.
 
-The acceptance bar for the whole batched path (lane-table admission,
-cohort settle, station heap): running the same configuration with
-``REPRO_BATCH_KERNEL`` on and off must produce **byte-identical**
-serialized results — across admission modes, queue disciplines, and
-fault scenarios, and under ``--sanitize strict`` so every invariant
-sweep runs.  ``REPRO_NO_NUMPY=1`` (the fallback a numpy-less install
-takes) must land on the same bytes too.
+The production path batches three things: whole-queue admission
+verdicts (:mod:`repro.core.batch`), the station idle heap, and
+same-time cohort draining in the DES kernel.  Their scalar references
+live only here and are reached by monkeypatching:
+
+* the scalar :meth:`StaggeredStripingPolicy._admission_pass` (the pass
+  fcfs always runs) stands in for the batched pass of scan, sjf and
+  largest_first;
+* a scan over every station, written as a comprehension below, stands
+  in for the idle heap;
+* one :meth:`Simulation.step` per calendar entry stands in for
+  :meth:`Simulation.step_cohort` (exercised by the traced delivery of
+  :mod:`repro.core.delivery`, whose lanes are kernel processes).
+
+Both sides must produce **byte-identical** serialized results across
+admission modes, queue disciplines, and fault scenarios, under
+``--sanitize strict`` so every invariant sweep runs.
 """
 
 from __future__ import annotations
@@ -15,26 +25,49 @@ import json
 
 import pytest
 
-from repro import fastpath, switches
+from repro.core.delivery import run_fragmented_delivery
+from repro.core.scheduler import StaggeredStripingPolicy
+from repro.core.virtual_disks import SlotPool
+from repro.sim.kernel import Simulation
 from repro.simulation.config import ScaledConfig
 from repro.simulation.runner import build_engine
-
-pytestmark = pytest.mark.skipif(
-    not fastpath.numpy_available(), reason="pairing needs numpy"
-)
+from repro.workload.stations import StationPool
+from tests.conftest import make_object
 
 
-def run_blob(config, batch_on) -> str:
-    original = fastpath.batch_kernel_enabled
-    fastpath.batch_kernel_enabled = lambda: batch_on
-    try:
-        engine = build_engine(config)
-        result = engine.run(
-            warmup_intervals=config.warmup_intervals,
-            measure_intervals=config.measure_intervals,
+def scanned_ready_requests(self, interval):
+    """The station scan the idle heap replaces."""
+    return [
+        self._issue(station, interval)
+        for station in self.stations
+        if not (station.busy or interval < station.next_issue_at)
+    ]
+
+
+def single_entry_cohort(self):
+    """One calendar entry per loop turn instead of a whole cohort."""
+    return int(self.step())
+
+
+@pytest.fixture
+def scalar_oracle(monkeypatch):
+    """Returns a callable that swaps every batched component for its
+    scalar reference for the rest of the test."""
+
+    def arm():
+        monkeypatch.setattr(
+            StaggeredStripingPolicy, "_admission_pass_batched",
+            StaggeredStripingPolicy._admission_pass,
         )
-    finally:
-        fastpath.batch_kernel_enabled = original
+        monkeypatch.setattr(StationPool, "ready_requests", scanned_ready_requests)
+        monkeypatch.setattr(Simulation, "step_cohort", single_entry_cohort)
+
+    return arm
+
+
+def run_blob(config) -> str:
+    engine = build_engine(config)
+    result = engine.run(config.warmup_intervals, config.measure_intervals)
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
@@ -69,34 +102,39 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_batched_run_is_byte_identical_to_scalar(name):
+def test_batched_run_is_byte_identical_to_scalar(name, scalar_oracle):
     config = CASES[name]
-    assert run_blob(config, True) == run_blob(config, False)
+    batched = run_blob(config)
+    scalar_oracle()
+    assert run_blob(config) == batched
 
 
-def test_no_numpy_fallback_is_byte_identical(monkeypatch):
-    """Masking numpy entirely (the ``[fast]``-less install) routes
-    every component to its scalar path and must not move a byte."""
-    config = CASES["staggered_fragmented"]
-    batched = run_blob(config, True)
-    monkeypatch.setenv(switches.NO_NUMPY_ENV, "1")
-    assert fastpath.numpy_or_none() is None
-    engine = build_engine(config)
-    result = engine.run(
-        warmup_intervals=config.warmup_intervals,
-        measure_intervals=config.measure_intervals,
+@pytest.mark.parametrize("start_disk,lane_slots", [(0, [6, 1]), (2, [2, 3, 4])])
+def test_traced_delivery_is_identical_under_per_entry_steps(
+    start_disk, lane_slots, scalar_oracle
+):
+    """Algorithm 1's traced delivery runs one kernel process per lane,
+    so its calendar holds many entries per instant — the case cohort
+    draining must not reorder.  (The engines' calendars hold one
+    process, so their cohorts are single entries.)"""
+
+    def events():
+        trace, offsets = run_fragmented_delivery(
+            make_object(num_subobjects=6, degree=len(lane_slots)),
+            start_disk=start_disk,
+            lane_slots=lane_slots,
+            pool=SlotPool(num_disks=8, stride=1),
+        )
+        return trace.events, offsets
+
+    cohorts = events()
+    scalar_oracle()
+    assert events() == cohorts
+
+
+@pytest.mark.parametrize("discipline", ["scan", "sjf", "largest_first", "fcfs"])
+def test_batch_index_is_built_for_every_discipline_but_fcfs(discipline):
+    engine = build_engine(
+        CASES["staggered_fragmented"].with_(queue_discipline=discipline)
     )
-    assert json.dumps(result.to_dict(), sort_keys=True) == batched
-
-
-def test_kernel_switch_off_disables_batch_state(monkeypatch):
-    monkeypatch.setenv(switches.BATCH_KERNEL_ENV, "off")
-    config = CASES["staggered_fragmented"]
-    engine = build_engine(config)
-    assert engine.policy._batch_index is None
-
-
-def test_kernel_switch_on_builds_batch_state():
-    config = CASES["staggered_fragmented"]
-    engine = build_engine(config)
-    assert engine.policy._batch_index is not None
+    assert (engine.policy._batch_index is None) == (discipline == "fcfs")

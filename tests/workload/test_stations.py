@@ -73,25 +73,33 @@ def test_validation(stream):
         StationPool(num_stations=1, access=access, think_intervals=-1)
 
 
+class ScannedStationPool(StationPool):
+    """Reference oracle: the per-interval scan over every station that
+    the idle heap replaces."""
+
+    def ready_requests(self, interval):
+        return [
+            self._issue(station, interval)
+            for station in self.stations
+            if not (station.busy or interval < station.next_issue_at)
+        ]
+
+
 class TestHeapEquivalence:
-    """The batched pool's idle heap must issue exactly the requests,
-    in exactly the order (hence with exactly the RNG draws), of the
-    scalar station scan — over arbitrary complete/idle interleavings,
+    """The pool's idle heap must issue exactly the requests, in
+    exactly the order (hence with exactly the RNG draws), of the
+    station scan — over arbitrary complete/idle interleavings,
     including non-monotone interval queries."""
 
     def _pools(self, num_stations, think):
-        pools = []
-        for batched in (False, True):
-            access = UniformAccess(list(range(7)), RandomStream(seed=99))
-            pools.append(
-                StationPool(
-                    num_stations=num_stations,
-                    access=access,
-                    think_intervals=think,
-                    batched=batched,
-                )
+        return [
+            kind(
+                num_stations=num_stations,
+                access=UniformAccess(list(range(7)), RandomStream(seed=99)),
+                think_intervals=think,
             )
-        return pools
+            for kind in (ScannedStationPool, StationPool)
+        ]
 
     def _assert_same_requests(self, a, b):
         assert [
