@@ -7,7 +7,7 @@ The paper's rules:
 * per-drive load is perfectly balanced when the subobject count is a
   multiple of ``D / gcd(D, k)`` — in particular ``k = 1`` (or any
   ``k`` relatively prime to ``D``) guarantees no data skew;
-* with small strides an object of ``n`` subobjects touches
+* with strides ``k <= M`` an object of ``n`` subobjects touches
   ``min(D, (n-1)·k + M)`` drives — the paper's example: 100 cylinders
   (``n = 25``, ``M = 4``) over ``D = 100`` drives spans 28 drives at
   ``k = 1`` but all 100 at ``k = M``.
@@ -16,9 +16,10 @@ The paper's rules:
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import ConfigurationError
+from repro.media.layout import stride_fragment_counts
 
 
 def residue_classes(num_disks: int, stride: int) -> int:
@@ -63,11 +64,8 @@ def disks_used_by_object(
     _check(num_disks, stride)
     if num_subobjects < 1 or degree < 1:
         raise ConfigurationError("num_subobjects and degree must be >= 1")
-    span = (num_subobjects - 1) * stride + degree
-    if span < num_disks:
-        return span
-    starts = {(i * stride) % num_disks for i in range(num_subobjects)}
-    return len({(s + j) % num_disks for s in starts for j in range(degree)})
+    counts = stride_fragment_counts(num_disks, stride, num_subobjects, degree, 0)
+    return sum(1 for c in counts if c)
 
 
 def skew_profile(
@@ -79,11 +77,7 @@ def skew_profile(
     relative skew ``(max - min) / mean``.
     """
     _check(num_disks, stride)
-    counts: List[int] = [0] * num_disks
-    for i in range(num_subobjects):
-        start = (i * stride) % num_disks
-        for j in range(degree):
-            counts[(start + j) % num_disks] += 1
+    counts = stride_fragment_counts(num_disks, stride, num_subobjects, degree, 0)
     touched = [c for c in counts if c > 0]
     mean = sum(touched) / len(touched)
     return {

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.core.display import Display
 from repro.core.virtual_disks import SlotPool
-from repro.errors import ConfigurationError, LayoutError
+from repro.errors import CapacityError, ConfigurationError, LayoutError
 from repro.hardware.disk_array import DiskArray
 from repro.media.catalog import Catalog
 from repro.media.layout import StripingLayout
@@ -83,17 +83,25 @@ class DiskManager:
         """Place ``obj`` on the drives; returns its start drive.
 
         Storage is charged per drive using the exact fragment counts
-        of the stride layout.
+        of the stride layout.  Placement is atomic: when any drive
+        lacks the room, :class:`~repro.errors.CapacityError` is raised
+        and the layout, the array and the next start drive are left as
+        they were.
         """
-        if start_disk is None:
+        automatic = start_disk is None
+        if automatic:
             start_disk = self._next_start
+        self.layout.place(obj, start_disk)
+        counts = self.layout.fragment_counts(obj.object_id)
+        try:
+            self.array.store_all([c * self.fragment_cylinders for c in counts])
+        except CapacityError:
+            self.layout.remove(obj.object_id)
+            raise
+        if automatic:
             self._next_start = (
                 self._next_start + self.placement_alignment
             ) % self.array.num_disks
-        self.layout.place(obj, start_disk)
-        for disk, fragments in enumerate(self.layout.fragment_counts(obj.object_id)):
-            if fragments:
-                self.array.store(disk, fragments * self.fragment_cylinders)
         return start_disk % self.array.num_disks
 
     def evict_object(self, object_id: int) -> None:

@@ -182,7 +182,7 @@ class FaultCoordinator(_CoordinatorBase):
                 self._apply_repair(event.disk, interval)
         self._advance_rebuilds(interval)
         self._account_interval(
-            down_disks=len(self.array.failed_disks()),
+            down_disks=self.array.failed_count,
             rebuilding=bool(self._rebuild_debt),
         )
 

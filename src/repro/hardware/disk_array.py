@@ -11,8 +11,9 @@ cumulatively tracks the cylinders occupied by resident fragments.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.errors import CapacityError, ConfigurationError, FaultError, SchedulingError
 from repro.hardware.disk import DiskModel
@@ -70,10 +71,10 @@ class DiskArray:
         self._claimed_this_interval = 0
         # Incrementally maintained aggregates: a version counter bumped
         # by every state change the sanitize sweep inspects, and the
-        # failed-drive count (so fault-free runs answer "any failures?"
-        # without scanning D drives every interval).
+        # sorted failed-drive indices (so "which drives are down?" never
+        # scans D drives).
         self._version = 0
-        self._failed_count = 0
+        self._failed: List[int] = []
         self._verified_clean_version: Optional[int] = None
 
     def __repr__(self) -> str:
@@ -106,14 +107,30 @@ class DiskArray:
 
     def store(self, disk: int, cylinders: float) -> None:
         """Occupy ``cylinders`` on drive ``disk`` (raises on overflow)."""
-        state = self.disks[disk]
-        if state.used_cylinders + cylinders > self.model.num_cylinders + 1e-9:
+        self._check_room(disk, cylinders)
+        self.disks[disk].used_cylinders += cylinders
+        self._version += 1
+
+    def store_all(self, cylinders: Sequence[float]) -> None:
+        """Occupy ``cylinders[d]`` on every drive ``d`` at once.
+
+        Every drive is checked before any is charged, so an overflow
+        raises :class:`CapacityError` with the array unchanged.
+        """
+        charges = [(d, c) for d, c in enumerate(cylinders) if c]
+        for disk, amount in charges:
+            self._check_room(disk, amount)
+        for disk, amount in charges:
+            self.disks[disk].used_cylinders += amount
+        self._version += 1
+
+    def _check_room(self, disk: int, cylinders: float) -> None:
+        used = self.disks[disk].used_cylinders
+        if used + cylinders > self.model.num_cylinders + 1e-9:
             raise CapacityError(
-                f"disk {disk} overflow: {state.used_cylinders:.2f} + "
+                f"disk {disk} overflow: {used:.2f} + "
                 f"{cylinders:.2f} > {self.model.num_cylinders}"
             )
-        state.used_cylinders += cylinders
-        self._version += 1
 
     def evict(self, disk: int, cylinders: float) -> None:
         """Free ``cylinders`` on drive ``disk``."""
@@ -205,7 +222,7 @@ class DiskArray:
             self._claimed_this_interval -= dropped
             state.claims.clear()
         state.failed = True
-        self._failed_count += 1
+        bisect.insort(self._failed, disk)
         self._version += 1
         return state.used_cylinders
 
@@ -219,7 +236,7 @@ class DiskArray:
         if not state.failed:
             raise FaultError(f"disk {disk} is not failed")
         state.failed = False
-        self._failed_count -= 1
+        self._failed.remove(disk)
         self._version += 1
 
     def is_failed(self, disk: int) -> bool:
@@ -234,26 +251,24 @@ class DiskArray:
     @property
     def has_failures(self) -> bool:
         """True while any drive is down — O(1), no drive scan."""
-        return self._failed_count > 0
+        return bool(self._failed)
 
     @property
     def failed_count(self) -> int:
         """Number of currently failed drives."""
-        return self._failed_count
+        return len(self._failed)
 
     @property
     def free_half_total(self) -> int:
         """Free half-slots across healthy drives this interval."""
         return (
-            (self.num_disks - self._failed_count) * SLOTS_PER_DISK
+            (self.num_disks - len(self._failed)) * SLOTS_PER_DISK
             - self._claimed_this_interval
         )
 
     def failed_disks(self) -> List[int]:
-        """Indices of currently failed drives."""
-        if not self._failed_count:
-            return []
-        return [d.index for d in self.disks if d.failed]
+        """Indices of currently failed drives, ascending (a copy)."""
+        return list(self._failed)
 
     def reconstruction_claim(
         self, failed_disk: int, owner: Hashable, survivors: List[int],
@@ -296,9 +311,9 @@ class DiskArray:
         ``[0, capacity]``.  Across the array: the running claim total
         equals the per-drive sum (the pair is updated on separate code
         paths — claim/release/fail — and drifting apart would corrupt
-        the utilisation statistics silently), and the failed-drive
-        count matches a recount.  The O(D) sweep is skipped while the
-        array is unchanged since its last clean sweep (same
+        the utilisation statistics silently), and the sorted
+        failed-drive list matches a recount.  The O(D) sweep is skipped
+        while the array is unchanged since its last clean sweep (same
         ``version``): every mutation path bumps the version, so any new
         state is swept at least once, and re-verifying untouched clean
         state can only re-tally zero.
@@ -310,12 +325,12 @@ class DiskArray:
             return
         violations_before = sanitizer.total
         claimed_total = 0
-        failed_total = 0
+        failed_recount: List[int] = []
         for state in self.disks:
             claimed = state.claimed_slots
             claimed_total += claimed
             if state.failed:
-                failed_total += 1
+                failed_recount.append(state.index)
             sanitizer.expect(
                 claimed <= SLOTS_PER_DISK,
                 "half_slots",
@@ -351,10 +366,10 @@ class DiskArray:
             f"{claimed_total}",
         )
         sanitizer.expect(
-            failed_total == self._failed_count,
+            failed_recount == self._failed,
             "occ_index",
-            f"failed-drive count drifted in interval {interval}: running "
-            f"count {self._failed_count} != recount {failed_total}",
+            f"failed-drive list drifted in interval {interval}: running "
+            f"list {self._failed} != recount {failed_recount}",
         )
         self._verified_clean_version = (
             self._version if sanitizer.total == violations_before else None

@@ -14,7 +14,6 @@ The data model follows Table 2 of the paper:
 
 from repro.media.catalog import Catalog, build_uniform_catalog
 from repro.media.layout import (
-    FragmentPlacement,
     StripingLayout,
     simple_striping_layout,
     staggered_layout,
@@ -26,7 +25,6 @@ from repro.media.tape_layout import TapeLayout, TapeOrder
 __all__ = [
     "Catalog",
     "FragmentAddress",
-    "FragmentPlacement",
     "MediaObject",
     "MediaType",
     "StripingLayout",

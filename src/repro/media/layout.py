@@ -18,24 +18,48 @@ The module also implements the §3.2.2 *data-skew* analysis: the set of
 start-drive residues an object visits is ``{p + i*k mod D}``, which is
 uniform over a coset of size ``D / gcd(D, k)``; relatively prime
 ``D, k`` (in particular ``k = 1``) guarantee no skew.
+
+Per-drive fragment counts come from that residue view in closed form
+(:func:`stride_fragment_counts`): count the subobject starts per drive,
+then take a circular window sum of width ``M`` — ``O(n + D)`` array
+work rather than a walk over all ``n * M`` fragments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 from repro.errors import ConfigurationError, LayoutError
 from repro.media.objects import FragmentAddress, MediaObject
 
 
-@dataclass(frozen=True)
-class FragmentPlacement:
-    """A fragment address bound to the drive that stores it."""
+def stride_fragment_counts(
+    num_disks: int, stride: int, num_subobjects: int, degree: int, start: int
+) -> List[int]:
+    """Fragments per drive of one object placed with stride ``k``.
 
-    address: FragmentAddress
-    disk: int
+    Fragment ``X_{i.j}`` lives on drive ``(p + i*k + j) mod D``, so drive
+    ``d`` holds one fragment for every subobject starting on one of the
+    ``M`` drives ``d - M + 1 .. d`` (circularly).  Count the starts per
+    drive with one ``bincount`` over ``p + i*k mod D``, then sum each
+    circular window of width ``M`` as a difference of two prefix sums.
+    Returns a length-``D`` list of Python ints.
+    """
+    if not 1 <= degree <= num_disks:
+        raise ConfigurationError(
+            f"degree must be in 1..{num_disks}, got {degree}"
+        )
+    starts = np.bincount(
+        (start + np.arange(num_subobjects, dtype=np.int64) * stride) % num_disks,
+        minlength=num_disks,
+    )
+    # Prepend the last M-1 drives so every window is a contiguous slice.
+    wrapped = np.concatenate((starts[num_disks - degree + 1:], starts))
+    prefix = np.concatenate(([0], np.cumsum(wrapped)))
+    return (prefix[degree:] - prefix[:num_disks]).tolist()
 
 
 class StripingLayout:
@@ -125,47 +149,36 @@ class StripingLayout:
         first = self.disk_of(FragmentAddress(object_id, subobject, 0))
         return [(first + j) % self.num_disks for j in range(obj.degree)]
 
-    def placements(self, object_id: int) -> Iterator[FragmentPlacement]:
-        """Every fragment of the object bound to its drive."""
-        obj = self._objects[object_id]
-        for address in obj.fragments():
-            yield FragmentPlacement(address, self.disk_of(address))
-
     # ------------------------------------------------------------------
     # Analysis (§3.2.2)
     # ------------------------------------------------------------------
     def disks_used(self, object_id: int) -> int:
         """Number of distinct drives the object touches.
 
-        For small strides this is ``min(D, (n-1)*k + M)`` — e.g. the
-        paper's D=100, 25-subobject, M=4, k=1 object spans 28 drives.
+        For strides ``k <= M`` this is ``min(D, (n-1)*k + M)`` — e.g.
+        the paper's D=100, 25-subobject, M=4, k=1 object spans 28
+        drives; larger strides leave gaps between subobjects.
         """
-        obj = self._objects[object_id]
-        span = (obj.num_subobjects - 1) * self.stride + obj.degree
-        if span >= self.num_disks:
-            # May wrap; count residues exactly.
-            return len(
-                {
-                    self.disk_of(FragmentAddress(object_id, i, j))
-                    for i in range(obj.num_subobjects)
-                    for j in range(obj.degree)
-                }
-            )
-        return span
+        return sum(1 for c in self.fragment_counts(object_id) if c)
 
     def fragment_counts(self, object_id: int) -> List[int]:
         """Fragments of the object stored per drive (length ``D``)."""
-        counts = [0] * self.num_disks
-        for placement in self.placements(object_id):
-            counts[placement.disk] += 1
-        return counts
+        obj = self._objects[object_id]
+        return stride_fragment_counts(
+            self.num_disks,
+            self.stride,
+            obj.num_subobjects,
+            obj.degree,
+            self._start_disk[object_id],
+        )
 
     def total_fragment_counts(self) -> List[int]:
         """Fragments per drive across all placed objects."""
         counts = [0] * self.num_disks
         for object_id in self._objects:
-            for disk, n in enumerate(self.fragment_counts(object_id)):
-                counts[disk] += n
+            counts = [
+                a + b for a, b in zip(counts, self.fragment_counts(object_id))
+            ]
         return counts
 
     def skew(self, object_id: int) -> float:

@@ -182,3 +182,31 @@ def test_clean_skip_memo_does_not_mask_corruption():
     pool.claim(2, "c")
     pool.verify_invariants(sanitizer, interval=3)
     assert sanitizer.total > before
+
+
+def test_failed_disks_is_a_sorted_copy():
+    array = DiskArray(model=TABLE3_DISK, num_disks=8)
+    for disk in (5, 1, 7, 3):
+        array.fail(disk)
+    array.repair(7)
+    failed = array.failed_disks()
+    assert failed == [1, 3, 5]
+    failed.append(0)
+    assert array.failed_disks() == [1, 3, 5]
+    assert array.failed_count == 3
+
+
+def test_sanitize_sweep_cross_checks_the_failed_list():
+    """A maintained failed-drive list that disagrees with the drives'
+    own flags is an occ_index violation even when its length (the
+    failed count) still matches: here, the right drives out of order."""
+    array = DiskArray(model=TABLE3_DISK, num_disks=6)
+    array.fail(4)
+    array.fail(1)
+    sanitizer = Sanitizer(mode="check")
+    array.verify_invariants(sanitizer, interval=0)
+    assert sanitizer.total == 0
+    array._failed.reverse()
+    array.claim(0, "a")  # a real mutation re-arms the sweep
+    array.verify_invariants(sanitizer, interval=1)
+    assert sanitizer.counts == {"occ_index": 1}

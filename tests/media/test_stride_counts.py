@@ -1,0 +1,203 @@
+"""Differential tests for the closed-form per-drive fragment counts.
+
+:func:`repro.media.layout.stride_fragment_counts` replaces a walk over
+every fragment ``X_{i.j}`` of an object.  The walk survives here as
+the oracle: drive ``(p + i*k + j) mod D`` gains one fragment for every
+``i < n`` and ``j < M``.  The layout queries and the §3.2.2 skew
+analysis built on the kernel are checked against set- and loop-based
+oracles over the same space, including strides with ``gcd(D, k) != 1``
+and the ``k = D`` placement of virtual data replication.
+"""
+
+from __future__ import annotations
+
+from typing import List
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.skew import disks_used_by_object, skew_profile
+from repro.core.disk_manager import DiskManager
+from repro.errors import CapacityError, ConfigurationError
+from repro.hardware.disk import TABLE3_DISK
+from repro.hardware.disk_array import DiskArray
+from repro.media.layout import StripingLayout, stride_fragment_counts
+from repro.simulation.config import ScaledConfig
+from repro.simulation.runner import build_engine
+from tests.conftest import make_object
+
+
+def walk_counts(d: int, k: int, n: int, m: int, p: int) -> List[int]:
+    """Per-fragment walk: the reference the kernel must equal."""
+    counts = [0] * d
+    for i in range(n):
+        for j in range(m):
+            counts[(p + i * k + j) % d] += 1
+    return counts
+
+
+def walk_disks(d: int, k: int, n: int, m: int, p: int) -> set:
+    return {(p + i * k + j) % d for i in range(n) for j in range(m)}
+
+
+@st.composite
+def placements(draw):
+    """(D, k, n, M, p) with D in 1..64, k and M in 1..D, n in 1..300
+    and p in 0..3D-1; k = D and gcd(D, k) > 1 are drawn often."""
+    d = draw(st.integers(min_value=1, max_value=64))
+    k = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=d),
+            st.just(d),
+            st.sampled_from([s for s in range(1, d + 1) if d % s == 0]),
+        )
+    )
+    n = draw(st.integers(min_value=1, max_value=300))
+    m = draw(st.integers(min_value=1, max_value=d))
+    p = draw(st.integers(min_value=0, max_value=3 * d - 1))
+    return d, k, n, m, p
+
+
+class TestKernelAgainstWalk:
+    @given(placements())
+    @example((1, 1, 1, 1, 0))
+    @example((1, 1, 300, 1, 2))
+    @example((12, 12, 7, 4, 30))  # k = D: one fixed drive group
+    @example((12, 4, 25, 3, 5))  # gcd(D, k) = 4
+    @example((10, 3, 300, 10, 29))  # M = D: every drive holds n
+    @settings(max_examples=400, deadline=None)
+    def test_counts_equal_per_fragment_walk(self, params):
+        d, k, n, m, p = params
+        counts = stride_fragment_counts(d, k, n, m, p)
+        assert counts == walk_counts(d, k, n, m, p)
+        assert all(type(c) is int for c in counts)
+
+    def test_degree_outside_one_to_d_rejected(self):
+        with pytest.raises(ConfigurationError):
+            stride_fragment_counts(4, 1, 3, 5, 0)
+        with pytest.raises(ConfigurationError):
+            stride_fragment_counts(4, 1, 3, 0, 0)
+
+
+class TestLayoutQueriesAgainstOracles:
+    @given(placements())
+    @example((12, 12, 7, 4, 30))
+    @example((100, 1, 25, 4, 0))  # the paper's 28-drive example
+    @settings(max_examples=200, deadline=None)
+    def test_layout_counts_disks_used_and_skew(self, params):
+        d, k, n, m, p = params
+        layout = StripingLayout(num_disks=d, stride=k)
+        layout.place(make_object(num_subobjects=n, degree=m), start_disk=p)
+        oracle = walk_counts(d, k, n, m, p)
+        counts = layout.fragment_counts(0)
+        assert counts == oracle
+        assert all(type(c) is int for c in counts)
+        assert layout.disks_used(0) == len(walk_disks(d, k, n, m, p))
+        touched = [c for c in oracle if c]
+        mean = sum(touched) / len(touched)
+        assert layout.skew(0) == (max(touched) - min(touched)) / mean
+
+    @given(placements(), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=100, deadline=None)
+    def test_total_counts_sum_every_object(self, params, objects):
+        d, k, n, m, p = params
+        layout = StripingLayout(num_disks=d, stride=k)
+        expected = [0] * d
+        for object_id in range(objects):
+            start = p + 7 * object_id
+            layout.place(
+                make_object(object_id, num_subobjects=n, degree=m), start
+            )
+            for disk, c in enumerate(walk_counts(d, k, n, m, start)):
+                expected[disk] += c
+        total = layout.total_fragment_counts()
+        assert total == expected
+        assert all(type(c) is int for c in total)
+
+    @given(placements())
+    @example((12, 12, 7, 4, 0))
+    @settings(max_examples=200, deadline=None)
+    def test_analysis_matches_loop_oracles(self, params):
+        d, k, n, m, _ = params
+        oracle = walk_counts(d, k, n, m, 0)
+        touched = [c for c in oracle if c]
+        mean = sum(touched) / len(touched)
+        assert disks_used_by_object(d, k, n, m) == len(walk_disks(d, k, n, m, 0))
+        assert skew_profile(d, k, n, m) == {
+            "min": float(min(touched)),
+            "max": float(max(touched)),
+            "mean": mean,
+            "relative_skew": (max(touched) - min(touched)) / mean,
+            "disks_used": float(len(touched)),
+        }
+
+
+class TestAtomicPlacement:
+    def test_overflow_on_a_middle_drive_changes_nothing(self):
+        array = DiskArray(model=TABLE3_DISK, num_disks=10)
+        manager = DiskManager(array=array, stride=1, fragment_cylinders=2)
+        manager.place_object(make_object(0, num_subobjects=4, degree=2))
+        # Fill drive 5 so the next object's fragments there cannot fit.
+        array.store(5, TABLE3_DISK.num_cylinders - array.used_cylinders(5) - 1)
+        before = manager.used_cylinder_profile()
+        version = array.version
+        obj = make_object(1, num_subobjects=6, degree=3)  # drives 1..8
+        with pytest.raises(CapacityError):
+            manager.place_object(obj)
+        assert not manager.is_placed(1)
+        assert manager.used_cylinder_profile() == before
+        assert array.version == version
+        # The failed placement consumed no start drive.
+        array.evict(5, array.used_cylinders(5))
+        assert manager.place_object(obj) == 1
+
+
+def _storage_oracle(manager: DiskManager) -> List[int]:
+    layout = manager.layout
+    expected = [0] * manager.num_disks
+    for object_id in layout.placed_objects():
+        obj = layout.object(object_id)
+        counts = walk_counts(
+            manager.num_disks,
+            manager.stride,
+            obj.num_subobjects,
+            obj.degree,
+            layout.start_disk(object_id),
+        )
+        for disk, c in enumerate(counts):
+            expected[disk] += c * manager.fragment_cylinders
+    return expected
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"technique": "staggered", "stride": 1},
+        {"technique": "simple"},
+        {"technique": "staggered", "stride": 20},  # k = D
+    ],
+    ids=["staggered", "simple", "k_equals_d"],
+)
+def test_storage_profile_matches_walk_after_evict_and_replace(fields):
+    """Preload, then evict two objects and re-place them on each
+    other's start drives: every drive's used cylinders equal
+    ``fragment_cylinders`` times the walked fragment counts of the
+    objects placed on it."""
+    config = ScaledConfig(scale=50).with_(**fields)
+    assert config.num_disks == 20
+    manager = build_engine(config).policy.disk_manager
+    placed = manager.layout.placed_objects()
+    assert len(placed) >= 2
+    assert manager.used_cylinder_profile() == _storage_oracle(manager)
+
+    a, b = placed[len(placed) // 2], placed[-1]
+    objects = [manager.layout.object(a), manager.layout.object(b)]
+    starts = [manager.start_disk(a), manager.start_disk(b)]
+    manager.evict_object(a)
+    manager.evict_object(b)
+    assert manager.used_cylinder_profile() == _storage_oracle(manager)
+    manager.place_object(objects[0], start_disk=starts[1])
+    manager.place_object(objects[1], start_disk=starts[0])
+    assert manager.start_disk(a) == starts[1]
+    assert manager.used_cylinder_profile() == _storage_oracle(manager)
