@@ -747,8 +747,9 @@ def cmd_obs_top(args) -> int:
 
 
 def cmd_obs_diff(args) -> int:
-    """Per-metric deltas between two telemetry sources; exit 3 on a
-    threshold breach (the CI contract, mirroring ``bench --baseline``)."""
+    """Per-metric deltas between two telemetry sources.  Exit 0 when
+    every delta is within the threshold, 3 when any metric breaches it
+    (the CI gate's contract)."""
     from repro.obs.aggregate import (
         diff_metrics,
         load_metrics_source,

@@ -101,7 +101,6 @@ class StaggeredStripingPolicy(StoragePolicy):
         queue_discipline: str = "scan",
         half_slot_objects: bool = False,
         disk_bandwidth: Optional[float] = None,
-        event_log=None,
         obs=None,
     ) -> None:
         if queue_discipline not in ("scan", "fcfs", "sjf", "largest_first"):
@@ -121,7 +120,6 @@ class StaggeredStripingPolicy(StoragePolicy):
         self.queue_discipline = queue_discipline
         self.half_slot_objects = half_slot_objects
         self.disk_bandwidth = disk_bandwidth
-        self.event_log = event_log
         # Telemetry (None → the advance path is byte-for-byte the
         # uninstrumented one; see repro.obs).
         self.obs = obs
@@ -270,13 +268,6 @@ class StaggeredStripingPolicy(StoragePolicy):
             self._queued_pending_lanes -= display.pending_lane_count
             self._cancel_display(display)
         self.object_manager.unpin(request.object_id)
-        if self.event_log is not None:
-            self.event_log.record(
-                interval,
-                "blocked",
-                request=request.request_id,
-                object=request.object_id,
-            )
         return True
 
     def attach_faults(self, coordinator) -> None:
@@ -527,14 +518,6 @@ class StaggeredStripingPolicy(StoragePolicy):
             current_subobject=current,
             target_subobject=target_subobject,
         )
-        if self.event_log is not None:
-            self.event_log.record(
-                interval,
-                "reposition",
-                display=display.display_id,
-                object=obj.object_id,
-                target=target_subobject,
-            )
         self._cancel_display(display)
         tail = MediaObject(
             object_id=obj.object_id,
@@ -572,8 +555,6 @@ class StaggeredStripingPolicy(StoragePolicy):
         fits, evicted = self.object_manager.make_room(obj.size)
         for victim in evicted:
             self.disk_manager.evict_object(victim)
-            if self.event_log is not None:
-                self.event_log.record(interval, "evict", object=victim)
             if self.obs is not None and self.obs.tracer is not None:
                 self.obs.tracer.instant(
                     "scheduler", "evict", float(interval),
@@ -584,10 +565,6 @@ class StaggeredStripingPolicy(StoragePolicy):
         self.object_manager.reserve(obj.object_id)
         self.disk_manager.place_object(obj)
         self.tertiary_manager.request(obj, interval)
-        if self.event_log is not None:
-            self.event_log.record(
-                interval, "materialize_start", object=obj.object_id
-            )
         self._n_materializations += 1
         return True
 
@@ -611,10 +588,6 @@ class StaggeredStripingPolicy(StoragePolicy):
         )
         for object_id in finished:
             self.object_manager.add_resident(object_id)
-            if self.event_log is not None:
-                self.event_log.record(
-                    interval, "materialize_done", object=object_id
-                )
 
     def _entry_degree(self, entry: _QueueEntry) -> int:
         if entry.degree is None:
@@ -892,14 +865,6 @@ class StaggeredStripingPolicy(StoragePolicy):
             self._completions, (display.finish_interval, display.display_id)
         )
         self.startup_latency.record(display.startup_latency_intervals)
-        if self.event_log is not None:
-            self.event_log.record(
-                display.deliver_start,
-                "admit",
-                display=display.display_id,
-                object=display.obj.object_id,
-                latency=display.startup_latency_intervals,
-            )
         self._n_admitted += 1
         if self.obs is not None and self.obs.tracer is not None:
             self.obs.tracer.instant(
@@ -941,13 +906,6 @@ class StaggeredStripingPolicy(StoragePolicy):
                 0.0, self._staging_memory - display.buffer_demand()
             )
             self.completed += 1
-            if self.event_log is not None:
-                self.event_log.record(
-                    interval,
-                    "complete",
-                    display=display_id,
-                    object=request.object_id,
-                )
             if self.obs is not None and self.obs.tracer is not None:
                 # One complete ("X") span per display: request to
                 # final delivery, on the displays track.

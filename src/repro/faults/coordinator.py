@@ -194,8 +194,6 @@ class FaultCoordinator(_CoordinatorBase):
         self._rebuild_debt.pop(disk, None)
         fragments = math.ceil(lost_cylinders / self.fragment_cylinders - 1e-9)
         self._pending_debt[disk] = 2 * fragments
-        if self.policy.event_log is not None:
-            self.policy.event_log.record(interval, "disk_fail", disk=disk)
 
     def _apply_repair(self, disk: int, interval: int) -> None:
         self.array.repair(disk)
@@ -206,8 +204,6 @@ class FaultCoordinator(_CoordinatorBase):
         else:
             self.rebuilds_completed += 1
             self.rebuild_time.record(interval - self._fail_time.pop(disk, interval))
-        if self.policy.event_log is not None:
-            self.policy.event_log.record(interval, "disk_repair", disk=disk)
 
     def _advance_rebuilds(self, interval: int) -> None:
         """Each rebuilding drive claims up to ``rebuild_rate``
@@ -235,10 +231,6 @@ class FaultCoordinator(_CoordinatorBase):
                 self.rebuild_time.record(
                     interval - self._fail_time.pop(disk, interval)
                 )
-                if self.policy.event_log is not None:
-                    self.policy.event_log.record(
-                        interval, "disk_rebuilt", disk=disk
-                    )
 
     # ------------------------------------------------------------------
     # Pass 2: after admission
@@ -306,11 +298,6 @@ class FaultCoordinator(_CoordinatorBase):
         if request is not None:
             policy._queue.insert(0, _QueueEntry(request=request))
         self.aborts += 1
-        if policy.event_log is not None:
-            policy.event_log.record(
-                interval, "display_abort",
-                display=display.display_id, object=display.obj.object_id,
-            )
 
 
 class ClusterFaultCoordinator(_CoordinatorBase):
@@ -394,10 +381,6 @@ class ClusterFaultCoordinator(_CoordinatorBase):
             self._cancel_incoming_copies(index, interval)
             if cluster.activity == "display" and self.on_fault == "abort":
                 self._abort_display(index, interval)
-        if self.policy.event_log is not None:
-            self.policy.event_log.record(
-                interval, "disk_fail", disk=disk, cluster=index
-            )
 
     def _apply_repair(self, disk: int, interval: int) -> None:
         index = disk // self.clusters.degree
@@ -431,10 +414,6 @@ class ClusterFaultCoordinator(_CoordinatorBase):
                 self.rebuild_time.record(
                     interval - self._fail_time.pop(index, interval)
                 )
-        if self.policy.event_log is not None:
-            self.policy.event_log.record(
-                interval, "disk_repair", disk=disk, cluster=index
-            )
 
     def _advance_rebuilds(self, interval: int) -> None:
         if not self._rebuild_debt:
@@ -451,10 +430,6 @@ class ClusterFaultCoordinator(_CoordinatorBase):
                 self.rebuild_time.record(
                     interval - self._fail_time.pop(index, interval)
                 )
-                if self.policy.event_log is not None:
-                    self.policy.event_log.record(
-                        interval, "cluster_rebuilt", cluster=index
-                    )
 
     # ------------------------------------------------------------------
     # Pass 2: after admission
@@ -502,10 +477,5 @@ class ClusterFaultCoordinator(_CoordinatorBase):
             request, _deliver_start = payload
             policy._queue.insert(0, request)
             self.aborts += 1
-            if policy.event_log is not None:
-                policy.event_log.record(
-                    interval, "display_abort",
-                    object=request.object_id, cluster=index,
-                )
         cluster.finish()
         cluster.busy_until = interval

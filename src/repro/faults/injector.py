@@ -16,9 +16,10 @@ clock.
 
 The injector is policy-agnostic: it only says *when* drives fail and
 recover.  The coordinators (:mod:`repro.faults.coordinator`) decide
-what that does to slots, displays, and rebuilds.  For event-stepped
-runs, :meth:`FaultInjector.schedule_on` drives the same schedule as a
-process on the :class:`~repro.sim.kernel.Simulation` kernel.
+what that does to slots, displays, and rebuilds.  Both engines (the
+interval-stepped loop and the DES kernel driver) reach the schedule
+only through a coordinator, which polls :meth:`FaultInjector.pop_due`
+once per interval.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.sim.kernel import Process, Simulation, hold
 from repro.sim.rng import RandomStream
 
 #: Event kinds.
@@ -135,34 +135,3 @@ class FaultInjector:
                     self._push(when + self._delay(disk, self.mttf), disk, FAIL)
             fired.append(FaultEvent(interval=when, disk=disk, kind=kind))
         return fired
-
-    # ------------------------------------------------------------------
-    # Kernel adapter
-    # ------------------------------------------------------------------
-    def schedule_on(
-        self,
-        sim: Simulation,
-        interval_length: float,
-        on_event: Callable[[FaultEvent], None],
-    ) -> Process:
-        """Drive the schedule as kernel events on ``sim``.
-
-        Spawns a process that sleeps until each pending fault time
-        (interval × ``interval_length`` seconds) and feeds the fired
-        transitions to ``on_event``.  The event sequence is identical
-        to polling :meth:`pop_due` once per interval — the two engines
-        (interval-stepped and event-stepped) see the same faults.
-        """
-
-        def _driver():
-            while True:
-                upcoming = self.peek()
-                if upcoming is None:
-                    return
-                target = upcoming * interval_length
-                if target > sim.now:
-                    yield hold(target - sim.now)
-                for event in self.pop_due(upcoming):
-                    on_event(event)
-
-        return sim.spawn(_driver(), name="fault-injector")

@@ -31,11 +31,8 @@ T = TypeVar("T")
 
 
 class BoundedLog(Generic[T]):
-    """A capacity-bounded FIFO that counts what it dropped.
-
-    Shared by the in-memory trace sink and the scheduler
-    :class:`~repro.simulation.event_log.EventLog`.
-    """
+    """A capacity-bounded FIFO that counts what it dropped: the
+    buffer behind :class:`MemorySink`."""
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:

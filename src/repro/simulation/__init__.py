@@ -10,7 +10,6 @@ baseline (:mod:`repro.vdr.scheduler`).
 from repro.simulation.config import PaperConfig, ScaledConfig, SimulationConfig
 from repro.simulation.des_engine import DESEngine
 from repro.simulation.engine import IntervalEngine
-from repro.simulation.event_log import EventLog
 from repro.simulation.export import read_rows, write_csv, write_json
 from repro.simulation.policy import Completion, Request, StoragePolicy
 from repro.simulation.results import SimulationResult
@@ -19,7 +18,6 @@ from repro.simulation.runner import run_experiment, run_sweep
 __all__ = [
     "Completion",
     "DESEngine",
-    "EventLog",
     "IntervalEngine",
     "PaperConfig",
     "Request",

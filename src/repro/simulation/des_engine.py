@@ -3,11 +3,12 @@
 The production :class:`~repro.simulation.engine.IntervalEngine`
 advances the model with a plain loop.  This module drives exactly the
 same policy and arrival process from the :mod:`repro.sim` kernel
-instead — one *clock process* fires the per-interval work, and each
-completion wakes the issuing station's process through an event.  It
-exists to demonstrate (and test) that the interval-stepped loop is
-behaviourally identical to a process-oriented CSIM-style simulation:
-DESIGN.md's ablation 1.
+instead: one *clock process* does the per-interval work and then
+holds for one interval length.  It exists to demonstrate (and test)
+that the interval-stepped loop is behaviourally identical to a
+process-oriented CSIM-style simulation: DESIGN.md's ablation 1.
+Fault runs are covered too, since faults reach both engines through
+the policy's coordinator.
 
 Open arrival sources (:mod:`repro.workload.arrivals`) run through the
 same clock process with the same deadline/blocking bookkeeping as the

@@ -65,7 +65,6 @@ class VirtualReplicationPolicy(StoragePolicy):
         interval_length: float,
         replication_threshold: int = 1,
         replication_source: str = "stream",
-        event_log=None,
         obs=None,
     ) -> None:
         if interval_length <= 0:
@@ -91,7 +90,6 @@ class VirtualReplicationPolicy(StoragePolicy):
             threshold=replication_threshold,
         )
         self.replication_source = replication_source
-        self.event_log = event_log
         self._queue: List[Request] = []
         # (object_id, is_replica): replica materialisations proceed
         # even though a copy already exists.
@@ -196,13 +194,6 @@ class VirtualReplicationPolicy(StoragePolicy):
             if queued.request_id == request.request_id:
                 del self._queue[index]
                 self._unpin(request.object_id)
-                if self.event_log is not None:
-                    self.event_log.record(
-                        interval,
-                        "blocked",
-                        request=request.request_id,
-                        object=request.object_id,
-                    )
                 return True
         return False
 
@@ -387,11 +378,6 @@ class VirtualReplicationPolicy(StoragePolicy):
                 request, deliver_start = payload  # type: ignore[misc]
                 self._unpin(request.object_id)
                 self.completed += 1
-                if self.event_log is not None:
-                    self.event_log.record(
-                        interval, "complete",
-                        object=request.object_id, cluster=cluster_index,
-                    )
                 completions.append(
                     Completion(
                         request=request,
@@ -439,18 +425,8 @@ class VirtualReplicationPolicy(StoragePolicy):
         self._tertiary_busy_until = interval + duration
         if is_replica:
             self.replication.replicas_created += 1
-            if self.event_log is not None:
-                self.event_log.record(
-                    interval, "replicate",
-                    object=object_id, cluster=victim.index, source="tertiary",
-                )
         else:
             self.materializations += 1
-            if self.event_log is not None:
-                self.event_log.record(
-                    interval, "materialize_start",
-                    object=object_id, cluster=victim.index,
-                )
         self._push_event(interval + duration, "materialize", victim.index, object_id)
 
     def _admission_pass(self, interval: int) -> None:
@@ -475,12 +451,6 @@ class VirtualReplicationPolicy(StoragePolicy):
             n = obj.num_subobjects
             cluster.occupy(interval, n, "display", object_id)
             self.startup_latency.record(interval - request.issued_at)
-            if self.event_log is not None:
-                self.event_log.record(
-                    interval, "admit",
-                    object=object_id, cluster=cluster.index,
-                    latency=interval - request.issued_at,
-                )
             self._push_event(
                 interval + n - 1, "display", cluster.index, (request, interval)
             )
@@ -506,9 +476,4 @@ class VirtualReplicationPolicy(StoragePolicy):
         self.clusters.evict_all(victim.index)
         victim.occupy(interval, duration, "clone", object_id)
         self.replication.replicas_created += 1
-        if self.event_log is not None:
-            self.event_log.record(
-                interval, "replicate",
-                object=object_id, cluster=victim.index, source="stream",
-            )
         self._push_event(interval + duration, "clone", victim.index, object_id)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults import FaultEvent, FaultInjector
-from repro.sim.kernel import Simulation
 from repro.sim.rng import RandomStream
 
 
@@ -100,31 +99,6 @@ class TestDeterminism:
         for t in range(1_000):
             fine_events.extend(fine.pop_due(t))
         assert fine_events == coarse.pop_due(999)
-
-
-class TestKernelAdapter:
-    def test_schedule_on_matches_pop_due(self):
-        """The event-stepped driver fires the identical sequence the
-        interval-stepped polling sees."""
-        polled = drain(make_injector(num_disks=4, mttf=100.0, mttr=10.0), 2_000)
-        assert polled
-
-        injector = make_injector(num_disks=4, mttf=100.0, mttr=10.0)
-        sim = Simulation()
-        fired = []
-        interval_length = 1.5
-        injector.schedule_on(sim, interval_length, fired.append)
-        horizon = (polled[-1].interval + 1) * interval_length
-        sim.run(until=horizon)
-        assert fired == polled
-
-    def test_driver_terminates_when_schedule_exhausts(self):
-        injector = make_injector(num_disks=4, fail_at=((1, 3),))
-        sim = Simulation()
-        fired = []
-        injector.schedule_on(sim, 1.0, fired.append)
-        sim.run(until=100.0)
-        assert fired == [FaultEvent(interval=3, disk=1, kind="fail")]
 
 
 class TestValidation:

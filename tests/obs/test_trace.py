@@ -119,30 +119,31 @@ class TestChromeExport:
 
 
 class TestKernelTracing:
-    def test_simulation_emits_process_spans_and_facility_events(self):
+    def test_simulation_emits_process_spans_and_hold_events(self):
         from repro.sim.kernel import Simulation, hold
-        from repro.sim.resources import Facility
 
         tracer = Tracer(MemorySink())
         sim = Simulation(tracer=tracer)
-        facility = Facility(sim, name="drive")
 
-        def worker():
-            yield facility.request()
-            yield hold(2.0)
-            facility.release()
+        def worker(delay):
+            yield hold(delay)
+            yield hold(1.0)
 
-        sim.spawn(worker(), name="w1")
-        sim.spawn(worker(), name="w2")
+        sim.spawn(worker(2.0), name="w1")
+        sim.spawn(worker(0.5), name="w2")
         sim.run()
-        kinds = {e.kind for e in tracer.sink.events()}
-        assert {"process", "hold", "facility"} <= kinds
-        process = [e for e in tracer.sink.events() if e.kind == "process"]
-        # One B and one E per process.
-        assert sorted(e.ph for e in process) == ["B", "B", "E", "E"]
-        facility_events = [
-            e.name for e in tracer.sink.events() if e.kind == "facility"
+        events = tracer.sink.events()
+        assert {e.kind for e in events} == {"process", "hold"}
+        process = [(e.ph, e.name, e.t) for e in events if e.kind == "process"]
+        # One B at spawn and one E at return, per process.
+        assert sorted(process) == [
+            ("B", "w1", 0.0), ("B", "w2", 0.0),
+            ("E", "w1", 3.0), ("E", "w2", 1.5),
         ]
-        # The second worker queues, then acquires on handoff.
-        assert "drive.queue" in facility_events
-        assert facility_events.count("drive.acquire") == 2
+        holds = [
+            (e.name, e.t, e.args["delay"]) for e in events if e.kind == "hold"
+        ]
+        assert holds == [
+            ("w1", 0.0, 2.0), ("w2", 0.0, 0.5),
+            ("w2", 0.5, 1.0), ("w1", 2.0, 1.0),
+        ]

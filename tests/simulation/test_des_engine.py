@@ -70,6 +70,27 @@ def test_des_and_interval_engines_agree_on_open_arrivals(technique):
     assert des_result.policy_stats == interval_result.policy_stats
 
 
+@pytest.mark.parametrize(
+    "technique,redundancy",
+    [("staggered", "mirror"), ("simple", "parity"), ("vdr", "none")],
+)
+def test_des_and_interval_engines_agree_under_faults(technique, redundancy):
+    """A drive fails mid-run and is repaired: the fault coordinator
+    sits inside the policy, so both drivers see the same failure,
+    degraded service and rebuild."""
+    config = ScaledConfig(
+        technique=technique, redundancy=redundancy, num_stations=8,
+        access_mean=2.0, warmup_intervals=100, measure_intervals=800,
+        fail_at=((3, 150),), mttr=60,
+    )
+    interval_result = build_engine(config).run(100, 800)
+    des_result = build_des_engine(config).run(100, 800)
+    assert interval_result.policy_stats["fault_failures"] == 1
+    assert des_result.completed == interval_result.completed
+    assert des_result.latencies_intervals == interval_result.latencies_intervals
+    assert des_result.policy_stats == interval_result.policy_stats
+
+
 def test_des_engine_advances_simulated_seconds():
     config = ScaledConfig(
         technique="simple", num_stations=2, access_mean=1.0,
