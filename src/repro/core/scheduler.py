@@ -173,6 +173,12 @@ class StaggeredStripingPolicy(StoragePolicy):
             self._batch_gather_np = None
             self._batch_dirty = True
             self._batch_generation = self._batch_index.generation
+            # The anti-hoarding test rejects a display-less entry whose
+            # degree exceeds the budget; once the budget is below every
+            # degree in the catalog, no display-less entry can pass.
+            self._min_degree = min(
+                (obj.degree for obj in catalog), default=1
+            )
 
         # Fault coordinator (attach_faults); None = fault-free hooks
         # are skipped and the run is byte-identical to the seed.
@@ -185,6 +191,14 @@ class StaggeredStripingPolicy(StoragePolicy):
         # a bare request), so nothing else moves the count.  The
         # sanitizer cross-checks it against a recount every interval.
         self._queued_pending_lanes = 0
+        # Queue entries whose placement is deferred (submit could not
+        # evict enough to place the object), so the per-interval retry
+        # walk runs only while there is something to retry.  Changed
+        # only by submit, the retry walk and try_cancel: a deferred
+        # entry never gets a display (its object is not placed, so not
+        # resident), and reposition and fault aborts queue non-deferred
+        # entries.  The sanitizer recounts it every interval.
+        self._n_deferred = 0
         self._queue: List[_QueueEntry] = []
         self._active: Dict[int, Display] = {}
         self._display_request: Dict[int, Request] = {}
@@ -239,9 +253,9 @@ class StaggeredStripingPolicy(StoragePolicy):
         hit = self.object_manager.record_access(request.object_id, interval)
         entry = _QueueEntry(request=request, degree=obj.degree)
         if not hit and not self._materialization_pending(request.object_id):
-            entry.deferred_placement = not self._start_materialization(
-                obj, interval
-            )
+            if not self._start_materialization(obj, interval):
+                entry.deferred_placement = True
+                self._n_deferred += 1
         self._queue.append(entry)
 
     def try_cancel(self, request: Request, interval: int) -> bool:
@@ -263,6 +277,8 @@ class StaggeredStripingPolicy(StoragePolicy):
         else:
             return False
         del self._queue[index]
+        if entry.deferred_placement:
+            self._n_deferred -= 1
         display = entry.display
         if display is not None:
             self._queued_pending_lanes -= display.pending_lane_count
@@ -432,6 +448,13 @@ class StaggeredStripingPolicy(StoragePolicy):
             f"queued pending-lane count drifted in interval {interval}: "
             f"running {self._queued_pending_lanes} != recount {reserved}",
         )
+        deferred = sum(1 for entry in self._queue if entry.deferred_placement)
+        sanitizer.expect(
+            deferred == self._n_deferred,
+            "occ_index",
+            f"deferred-placement count drifted in interval {interval}: "
+            f"running {self._n_deferred} != recount {deferred}",
+        )
         if self._batch_index is not None:
             self._batch_index.verify_invariants(sanitizer, interval)
             if not self._batch_dirty:
@@ -569,15 +592,27 @@ class StaggeredStripingPolicy(StoragePolicy):
         return True
 
     def _retry_deferred_placements(self, interval: int) -> None:
+        """Retry the placements :meth:`submit` deferred, in queue order.
+
+        Returns at once while nothing is deferred, and stops after the
+        last deferred entry instead of walking the rest of the queue.
+        """
+        remaining = self._n_deferred
+        if not remaining:
+            return
         for entry in self._queue:
-            if entry.deferred_placement:
-                obj = self.catalog.get(entry.request.object_id)
-                if self._materialization_pending(obj.object_id):
-                    entry.deferred_placement = False
-                else:
-                    entry.deferred_placement = not self._start_materialization(
-                        obj, interval
-                    )
+            if not entry.deferred_placement:
+                continue
+            obj = self.catalog.get(entry.request.object_id)
+            placed = self._materialization_pending(obj.object_id) or (
+                self._start_materialization(obj, interval)
+            )
+            if placed:
+                entry.deferred_placement = False
+                self._n_deferred -= 1
+            remaining -= 1
+            if not remaining:
+                return
 
     def _process_tertiary(self, interval: int) -> None:
         tm = self.tertiary_manager
@@ -604,11 +639,12 @@ class StaggeredStripingPolicy(StoragePolicy):
         return self._queue
 
     def _admission_pass(self, interval: int) -> None:
-        admitted: Set[int] = set()
+        admitted: List[int] = []
         blocked = False
         attempts = 0
         budget = self._claim_budget()
-        for entry in self._scan_order():
+        order = self._scan_order()
+        for position, entry in enumerate(order):
             if blocked:
                 break
             if not self.object_manager.is_resident(entry.request.object_id):
@@ -636,7 +672,7 @@ class StaggeredStripingPolicy(StoragePolicy):
                 self._queued_pending_lanes -= len(plan.claimed_now)
             if plan.complete:
                 self._activate(entry.display)
-                admitted.add(id(entry))
+                admitted.append(position)
             elif self.queue_discipline == "fcfs":
                 blocked = True
         if attempts and self.obs is not None:
@@ -644,9 +680,21 @@ class StaggeredStripingPolicy(StoragePolicy):
             # claim loop free of per-call instrument traffic.
             self.admitter.count_attempts(attempts)
         if admitted:
-            # The stored queue keeps arrival order regardless of the
-            # walk order the discipline used.
-            self._queue = [e for e in self._queue if id(e) not in admitted]
+            self._drop_admitted(order, admitted)
+
+    def _drop_admitted(
+        self, order: List[_QueueEntry], admitted: List[int]
+    ) -> None:
+        """Remove the entries at ``admitted`` (ascending positions in
+        the walk ``order``) from the stored queue, which keeps arrival
+        order whatever order the discipline walked."""
+        queue = self._queue
+        if order is queue:
+            for position in reversed(admitted):
+                del queue[position]
+            return
+        gone = {id(order[position]) for position in admitted}
+        self._queue = [e for e in queue if id(e) not in gone]
 
     def _batch_rebuild(self) -> None:
         """Re-derive the maintained display-id / segment-position lists
@@ -707,7 +755,15 @@ class StaggeredStripingPolicy(StoragePolicy):
         would deny every display on its one-integer fast-out and the
         claim budget (0 free minus reserved) blocks every creation —
         or (b) every verdict is False and no creation is possible
-        (nothing display-less, or no budget).
+        (nothing display-less, or a budget below the catalog's smallest
+        degree, which fails every display-less entry's anti-hoarding
+        test).
+
+        The same bound ends a walk early.  The budget only falls during
+        a pass, so once it is below the smallest degree and the walk
+        has passed every display-having entry that existed before the
+        pass (entries given a display this pass were already visited),
+        nothing later in the walk can claim.
         """
         index = self._batch_index
         if self._batch_dirty or self._batch_generation != index.generation:
@@ -723,17 +779,20 @@ class StaggeredStripingPolicy(StoragePolicy):
         keep: Optional[Set[int]] = None
         if n_displays:
             keep = self._batch_keep_ids(interval)
+        min_degree = self._min_degree
         if keep is None:
             displayless = len(self._queue) - n_displays
-            if displayless == 0 or (budget is not None and budget <= 0):
+            if displayless == 0 or (budget is not None and budget < min_degree):
                 if n_displays and self.obs is not None:
                     self.admitter.count_attempts(n_displays)
                 return
-        admitted: Set[int] = set()
+        admitted: List[int] = []
         admitted_ids: List[int] = []
         attempts = n_displays
+        displays_left = n_displays
         stale = False
-        for entry in self._scan_order():
+        order = self._scan_order()
+        for position, entry in enumerate(order):
             display = entry.display
             if display is None:
                 # The budget test runs on the cached degree before the
@@ -746,6 +805,8 @@ class StaggeredStripingPolicy(StoragePolicy):
                         degree = self._entry_degree(entry)
                     if degree > budget:
                         # Anti-hoarding rule — see _admission_pass.
+                        if not displays_left and budget < min_degree:
+                            break
                         continue
                 if not self.object_manager.is_resident(
                     entry.request.object_id
@@ -766,6 +827,7 @@ class StaggeredStripingPolicy(StoragePolicy):
                 # A display created this pass is probed directly — it
                 # has no pre-pass verdict.
             else:
+                displays_left -= 1
                 if keep is None or display.display_id not in keep:
                     continue
                 if stale:
@@ -780,12 +842,12 @@ class StaggeredStripingPolicy(StoragePolicy):
                 stale = True
             if plan.complete:
                 self._activate(display)
-                admitted.add(id(entry))
+                admitted.append(position)
                 admitted_ids.append(display.display_id)
         if attempts and self.obs is not None:
             self.admitter.count_attempts(attempts)
         if admitted:
-            self._queue = [e for e in self._queue if id(e) not in admitted]
+            self._drop_admitted(order, admitted)
             # Order of the maintained lists is irrelevant, so admitted
             # displays are swap-removed in place.
             gone = set(admitted_ids)

@@ -15,10 +15,10 @@ same journal.  The journal itself is an **append-only JSONL file** at
   interruption.
 
 Appends are single ``write()`` calls of one ``\\n``-terminated line
-each, flushed + fsynced, so a crash can at worst tear the *final*
-line; :func:`load_journal` tolerates a torn tail (and any other
-unparsable line) by skipping it.  Everything before the tear is intact
-— that is the checkpoint.
+each, made under an exclusive ``flock`` and flushed + fsynced, so a
+crash can at worst tear the *final* line; :func:`load_journal`
+tolerates a torn tail (and any other unparsable line) by skipping it.
+Everything before the tear is intact — that is the checkpoint.
 
 Resume has two entry points: ``repro sweep-resume <sweep-id>`` replays
 the recorded command line, and simply re-running the original command
@@ -29,6 +29,7 @@ would fail identically again) as done and only dispatches the rest.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import time
@@ -177,6 +178,15 @@ class SweepJournal:
                 self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
             )
             try:
+                # The kernel grows a file page by page inside one
+                # write(), so a tail check racing another process's
+                # append can see half a line and add a spurious blank
+                # one.  Appenders serialise on the file; closing the
+                # descriptor drops the lock.
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX)
+                except OSError:
+                    pass  # no lock support here: appends still work
                 self._repair_tail(fd)
                 failpoints.fire(
                     SITE_APPEND_PRE_WRITE,

@@ -150,8 +150,12 @@ class ClusterArray:
     # ------------------------------------------------------------------
     def free_holder(self, object_id: int, interval: int) -> Optional[Cluster]:
         """A free cluster holding the object, lowest index first."""
-        for cluster in sorted(self.holders(object_id), key=lambda c: c.index):
-            if cluster.is_free(interval):
+        clusters = self.clusters
+        for index in sorted(self.copies.get(object_id, ())):
+            cluster = clusters[index]
+            # Cluster.is_free, inlined: this runs per queued request
+            # per interval.
+            if cluster.available and interval >= cluster.busy_until:
                 return cluster
         return None
 

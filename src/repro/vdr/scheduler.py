@@ -430,23 +430,46 @@ class VirtualReplicationPolicy(StoragePolicy):
         self._push_event(interval + duration, "materialize", victim.index, object_id)
 
     def _admission_pass(self, interval: int) -> None:
-        waiting_after: Dict[int, int] = {}
-        for request in self._queue:
-            waiting_after[request.object_id] = (
-                waiting_after.get(request.object_id, 0) + 1
-            )
-        still_waiting: List[Request] = []
-        for request in self._queue:
+        """Walk the queue once, starting every display that has a free
+        copy.
+
+        ``blocked`` memoizes the objects with no free copy this pass:
+        within a pass clusters only get busier (``occupy``) or lose
+        copies (``evict_all`` in :meth:`_maybe_replicate`) — copies
+        land and clusters free up only in :meth:`_retire_events` — so
+        a ``None`` from ``free_holder`` stays ``None`` until the pass
+        ends.  Every blocked request still takes the materialisation
+        check, as in the unmemoized pass.  A pass that admits nothing
+        neither counts the waiters per object nor rebuilds the queue.
+        """
+        queue = self._queue
+        copies = self.clusters.copies
+        free_holder = self.clusters.free_holder
+        mat_pending = self._mat_pending
+        blocked: Set[int] = set()
+        admitted: List[int] = []
+        waiting_after: Optional[Dict[int, int]] = None
+        for position, request in enumerate(queue):
             object_id = request.object_id
-            cluster = self.clusters.free_holder(object_id, interval)
+            if object_id in blocked:
+                cluster = None
+            else:
+                cluster = free_holder(object_id, interval)
+                if cluster is None:
+                    blocked.add(object_id)
             if cluster is None:
-                if (
-                    self.clusters.copy_count(object_id) == 0
-                    and object_id not in self._mat_pending
-                ):
+                # copy_count(object_id) == 0, inlined.
+                if not copies.get(object_id) and object_id not in mat_pending:
                     self._queue_materialization(object_id)
-                still_waiting.append(request)
                 continue
+            if waiting_after is None:
+                # Nothing admitted yet, so these are the pass-start
+                # counts.
+                waiting_after = {}
+                for queued in queue:
+                    waiting_after[queued.object_id] = (
+                        waiting_after.get(queued.object_id, 0) + 1
+                    )
             obj = self.catalog.get(object_id)
             n = obj.num_subobjects
             cluster.occupy(interval, n, "display", object_id)
@@ -454,9 +477,11 @@ class VirtualReplicationPolicy(StoragePolicy):
             self._push_event(
                 interval + n - 1, "display", cluster.index, (request, interval)
             )
+            admitted.append(position)
             waiting_after[object_id] -= 1
             self._maybe_replicate(object_id, waiting_after[object_id], interval, n)
-        self._queue = still_waiting
+        for position in reversed(admitted):
+            del queue[position]
 
     def _maybe_replicate(
         self, object_id: int, still_waiting: int, interval: int, duration: int

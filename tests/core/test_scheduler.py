@@ -9,12 +9,13 @@ from repro.core.disk_manager import DiskManager
 from repro.core.object_manager import ObjectManager
 from repro.core.scheduler import StaggeredStripingPolicy
 from repro.core.tertiary_manager import TertiaryManager
-from repro.errors import SchedulingError
+from repro.errors import SanitizeError, SchedulingError
 from repro.hardware.disk import TABLE3_DISK
 from repro.hardware.disk_array import DiskArray
 from repro.hardware.tertiary import TertiaryDevice
 from repro.media.catalog import Catalog
 from repro.media.tape_layout import TapeLayout, TapeOrder
+from repro.sim.sanitize import Sanitizer
 from repro.simulation.policy import Request
 from tests.conftest import make_object
 
@@ -185,6 +186,67 @@ class TestEvictionFlow:
             if len(completions) == 3:
                 break
         assert len(completions) == 3
+
+
+class TestDeferredPlacement:
+    """A miss that cannot evict (every resident object pinned) defers
+    its placement; the per-interval retry places it once a pin goes."""
+
+    @staticmethod
+    def defer_object_2():
+        """Objects 0 and 1 fill the disks and are pinned by displays;
+        a request for object 2 then defers at submit."""
+        policy = build_policy(num_objects=3, capacity_objects=2,
+                              num_subobjects=8)
+        policy.preload([0, 1])
+        policy.submit(request(1, 0), interval=0)
+        policy.submit(request(2, 1), interval=0)
+        policy.advance(0)
+        policy.submit(request(3, 2), interval=1)
+        assert policy._n_deferred == 1
+        assert not policy.disk_manager.is_placed(2)
+        return policy
+
+    def test_released_pin_starts_materialisation_and_display(self):
+        policy = self.defer_object_2()
+        sanitizer = Sanitizer("strict")
+        completions = []
+        placed_at = None
+        for interval in range(1, 400):
+            completions.extend(policy.advance(interval))
+            sanitizer.check_interval(policy, interval)
+            if placed_at is None and policy._n_deferred == 0:
+                placed_at = interval
+                # The retry ran after the first display unpinned its
+                # object: the eviction made room and tertiary started.
+                assert completions
+                assert policy.tertiary_manager.is_pending(2)
+                assert policy.disk_manager.is_placed(2)
+            if len(completions) == 3:
+                break
+        assert placed_at is not None
+        assert sorted(c.request.object_id for c in completions) == [0, 1, 2]
+        assert policy.object_manager.is_resident(2)
+        assert sanitizer.total == 0
+
+    def test_cancelled_deferred_entry_is_never_placed(self):
+        policy = self.defer_object_2()
+        sanitizer = Sanitizer("strict")
+        assert policy.try_cancel(request(3, 2), interval=1)
+        assert policy._n_deferred == 0
+        assert not policy.object_manager.is_pinned(2)
+        for interval in range(1, 100):
+            policy.advance(interval)
+            sanitizer.check_interval(policy, interval)
+        assert not policy.disk_manager.is_placed(2)
+        assert not policy.tertiary_manager.is_pending(2)
+        assert policy.pending_count() == 0
+
+    def test_drifted_count_is_an_occ_index_violation(self):
+        policy = self.defer_object_2()
+        policy._n_deferred = 0  # the retry walk would now skip the entry
+        with pytest.raises(SanitizeError, match=r"\[sanitize\.occ_index\]"):
+            Sanitizer("strict").check_interval(policy, 1)
 
 
 class TestQueueDisciplines:

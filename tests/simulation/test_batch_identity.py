@@ -28,8 +28,11 @@ import pytest
 from repro.core.delivery import run_fragmented_delivery
 from repro.core.scheduler import StaggeredStripingPolicy
 from repro.core.virtual_disks import SlotPool
+from repro.experiments.mixed_media import build_mixed_system
 from repro.sim.kernel import Simulation
+from repro.sim.sanitize import Sanitizer
 from repro.simulation.config import ScaledConfig
+from repro.simulation.policy import Request
 from repro.simulation.runner import build_engine
 from repro.workload.stations import StationPool
 from tests.conftest import make_object
@@ -86,6 +89,12 @@ CASES = {
         technique="staggered", num_stations=12,
         queue_discipline="largest_first", sanitize="strict",
     ),
+    # D = 20, M = 5: forty stations queue ~36 deep against four display
+    # slots, so the claim budget mostly sits between 0 and M — the
+    # batched pass's widened fast-out and early walk exit both fire.
+    "staggered_deep_queue": ScaledConfig(scale=50).with_(
+        technique="staggered", num_stations=40, sanitize="strict"
+    ),
     "fcfs_head_of_line": ScaledConfig(scale=50).with_(
         technique="staggered", num_stations=12, queue_discipline="fcfs",
         sanitize="strict",
@@ -107,6 +116,41 @@ def test_batched_run_is_byte_identical_to_scalar(name, scalar_oracle):
     batched = run_blob(config)
     scalar_oracle()
     assert run_blob(config) == batched
+
+
+def test_mixed_degree_flood_is_identical_to_scalar(scalar_oracle):
+    """Degrees 2 and 6 in one catalog: the batched walk may stop only
+    once the budget is below the *smallest* degree (a bound on the
+    largest would skip narrow displays the scalar pass admits)."""
+
+    def completion_log():
+        mix = (("narrow", 40.0, 6), ("wide", 120.0, 6))
+        catalog, policy = build_mixed_system(
+            num_disks=36, naive=False, mix=mix, num_subobjects=40
+        )
+        assert sorted({obj.degree for obj in catalog}) == [2, 6]
+        for i, object_id in enumerate(list(catalog.object_ids) * 4):
+            policy.submit(
+                Request(request_id=i + 1, station_id=i, object_id=object_id,
+                        issued_at=0),
+                interval=0,
+            )
+        sanitizer = Sanitizer("strict")
+        log = []
+        for interval in range(3000):
+            log.extend(
+                (done.request.request_id, done.deliver_start, done.finished_at)
+                for done in policy.advance(interval)
+            )
+            sanitizer.check_interval(policy, interval)
+            if policy.pending_count() == 0:
+                break
+        return log
+
+    batched = completion_log()
+    assert len(batched) == 48
+    scalar_oracle()
+    assert completion_log() == batched
 
 
 @pytest.mark.parametrize("start_disk,lane_slots", [(0, [6, 1]), (2, [2, 3, 4])])
