@@ -11,7 +11,9 @@ Quick start::
 
 Layers (see DESIGN.md for the full inventory):
 
-* :mod:`repro.sim` — process-oriented DES kernel (the CSIM stand-in).
+* :mod:`repro.sim` — seeded random streams and the runtime invariant
+  sanitizer (the interval engine plays CSIM's role; its DES
+  cross-check lives in ``tests/oracles/``).
 * :mod:`repro.hardware` — disk / disk-array / tertiary / buffer models.
 * :mod:`repro.media` — objects, subobjects, fragments, striping layouts.
 * :mod:`repro.core` — the staggered-striping scheduler (the paper's

@@ -8,8 +8,10 @@ Sub-modules:
 * :mod:`repro.core.admission` — finding (possibly non-adjacent) idle
   virtual disks for a new display.
 * :mod:`repro.core.display` — the state of one active display.
-* :mod:`repro.core.delivery` — Algorithm 1 (time-fragmented delivery).
-* :mod:`repro.core.coalesce` — Algorithm 2 (dynamic coalescing).
+* :mod:`repro.core.coalesce` — Algorithm 2 (dynamic coalescing) and
+  the delivery trace its lanes record; Algorithm 1's traced replay is
+  a test oracle (``tests/oracles/delivery.py``), and the scheduler
+  uses its closed form (:mod:`repro.core.display`).
 * :mod:`repro.core.lowbw` — low-bandwidth object sharing (§3.2.3).
 * :mod:`repro.core.materialize` — writing objects from tertiary store.
 * :mod:`repro.core.ff_rewind` — rewind / fast-forward (§3.2.5).

@@ -21,17 +21,93 @@ throughout and the display station never observes a hiccup.
 The module provides the closed-form :func:`plan_coalesce` and a
 lane state machine (:class:`CoalescingLane`) whose observable counters
 mirror the paper's ``write_thread`` (``w_offset`` / ``backlog`` /
-``skip_write``), driven one interval at a time.
+``skip_write``), driven one interval at a time.  The lane records its
+reads and outputs in a :class:`DeliveryTrace`, whose validators check
+the paper's delivery order and find hiccups.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
-from repro.core.delivery import DeliveryTrace
 from repro.errors import SchedulingError
 from repro.media.objects import MediaObject
+
+
+@dataclass(frozen=True)
+class TraceEvent:
+    """One read or output action of a lane thread."""
+
+    interval: int
+    action: str  # "read" | "output"
+    lane: int
+    subobject: int
+
+
+@dataclass
+class DeliveryTrace:
+    """Chronological record of lane actions, with validation helpers."""
+
+    events: List[TraceEvent] = field(default_factory=list)
+
+    def record(self, interval: int, action: str, lane: int, subobject: int) -> None:
+        """Append one event."""
+        self.events.append(TraceEvent(interval, action, lane, subobject))
+
+    def reads(self) -> List[TraceEvent]:
+        """All read events in order."""
+        return [e for e in self.events if e.action == "read"]
+
+    def outputs(self) -> List[TraceEvent]:
+        """All output events in order."""
+        return [e for e in self.events if e.action == "output"]
+
+    def outputs_by_interval(self) -> Dict[int, List[TraceEvent]]:
+        """Output events grouped by interval."""
+        grouped: Dict[int, List[TraceEvent]] = {}
+        for event in self.outputs():
+            grouped.setdefault(event.interval, []).append(event)
+        return grouped
+
+    def delivered_subobjects(self) -> List[int]:
+        """Subobjects fully delivered (all lanes output), in completion
+        order.  Raises if lanes of one subobject were output in
+        different intervals (a hiccup)."""
+        by_subobject: Dict[int, List[int]] = {}
+        lanes = {e.lane for e in self.events}
+        for event in self.outputs():
+            by_subobject.setdefault(event.subobject, []).append(event.interval)
+        delivered = []
+        for subobject in sorted(by_subobject):
+            intervals = by_subobject[subobject]
+            if len(set(intervals)) != 1:
+                raise SchedulingError(
+                    f"hiccup: subobject {subobject} lanes output at "
+                    f"different intervals {sorted(set(intervals))}"
+                )
+            if len(intervals) != len(lanes):
+                raise SchedulingError(
+                    f"subobject {subobject} delivered by {len(intervals)} of "
+                    f"{len(lanes)} lanes"
+                )
+            delivered.append(subobject)
+        return delivered
+
+    def buffered_count(self, lane: int, interval: int) -> int:
+        """Fragments lane ``lane`` holds in buffer at end of ``interval``
+        (read but not yet output)."""
+        reads = sum(
+            1
+            for e in self.events
+            if e.lane == lane and e.action == "read" and e.interval <= interval
+        )
+        outputs = sum(
+            1
+            for e in self.events
+            if e.lane == lane and e.action == "output" and e.interval <= interval
+        )
+        return reads - outputs
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from repro.core.tertiary_manager import TertiaryManager
 from repro.errors import ConfigurationError, SchedulingError
 from repro.media.catalog import Catalog
 from repro.media.objects import MediaObject
-from repro.sim.monitor import Tally
+from repro.obs.metrics import Tally
 from repro.simulation.policy import Completion, Request, StoragePolicy
 
 

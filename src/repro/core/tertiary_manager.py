@@ -20,7 +20,7 @@ from repro.errors import ConfigurationError
 from repro.hardware.tertiary import TertiaryDevice
 from repro.media.objects import MediaObject
 from repro.media.tape_layout import TapeLayout, materialization_write_degree
-from repro.sim.monitor import Tally
+from repro.obs.metrics import Tally
 
 
 class TertiaryManager:

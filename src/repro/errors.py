@@ -23,10 +23,11 @@ class ConfigurationError(ReproError):
 
 
 class SimulationError(ReproError):
-    """The simulation kernel was used incorrectly.
+    """A simulation component was driven incorrectly.
 
-    Examples: activating a process twice, holding for a negative
-    duration, or running a simulation whose clock would move backwards.
+    Examples: asking the tertiary device about a request that has not
+    started service, or holding for a negative duration in the DES
+    kernel the tests use as an oracle.
     """
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.exec import execute, experiment_spec, records_to_results
-from repro.sim.monitor import Histogram
+from repro.obs.metrics import Histogram
 from repro.simulation.config import ScaledConfig, SimulationConfig
 from repro.simulation.results import SimulationResult
 

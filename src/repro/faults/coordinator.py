@@ -33,7 +33,7 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.faults.injector import FAIL, FaultInjector
 from repro.faults.redundancy import survivors_of
-from repro.sim.monitor import Tally
+from repro.obs.metrics import Tally
 
 
 class _CoordinatorBase:

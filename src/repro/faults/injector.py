@@ -17,9 +17,9 @@ clock.
 The injector is policy-agnostic: it only says *when* drives fail and
 recover.  The coordinators (:mod:`repro.faults.coordinator`) decide
 what that does to slots, displays, and rebuilds.  Both engines (the
-interval-stepped loop and the DES kernel driver) reach the schedule
-only through a coordinator, which polls :meth:`FaultInjector.pop_due`
-once per interval.
+interval-stepped loop and the DES oracle in ``tests/oracles/``) reach
+the schedule only through a coordinator, which polls
+:meth:`FaultInjector.pop_due` once per interval.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from typing import Deque, Hashable, Optional
 
 from repro import units
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.monitor import Tally
+from repro.obs.metrics import Tally
 
 
 @dataclass
@@ -61,7 +61,7 @@ class TertiaryDevice:
 
     The device is *driven* by the caller (the simulation engine polls
     it with the current time), which keeps it usable from both the
-    interval-stepped engine and the generic DES kernel.
+    interval-stepped engine and the DES oracle in ``tests/oracles/``.
     """
 
     def __init__(

@@ -1,9 +1,9 @@
 """Metric primitives and the :class:`MetricsRegistry`.
 
-This module is the canonical home of the statistics collectors used
-throughout the repository.  :mod:`repro.sim.monitor` re-exports
-:class:`Tally`, :class:`TimeWeighted`, and :class:`Histogram` (with a
-simulation-clock adapter) for backwards compatibility.
+This module is the one home of the statistics collectors used
+throughout the repository: the schedulers, the tertiary device and the
+fault coordinator import :class:`Tally` and :class:`Histogram` from
+here.
 
 Instruments
 -----------

@@ -66,9 +66,8 @@ class BoundedLog(Generic[T]):
 class TraceEvent:
     """One structured trace record.
 
-    ``t`` is *simulated* time (seconds for the DES kernel, interval
-    index for the interval engine) so traces are deterministic under a
-    fixed seed.  ``ph`` is the Chrome phase hint: ``B``/``E`` span
+    ``t`` is *simulated* time, never wall-clock time, so traces are
+    deterministic under a fixed seed.  ``ph`` is the Chrome phase hint: ``B``/``E`` span
     begin/end, ``X`` complete (with ``dur``), ``C`` counter, ``i``
     instant.
     """

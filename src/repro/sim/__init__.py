@@ -1,30 +1,16 @@
-"""Discrete-event simulation support: kernel, statistics, random streams.
+"""Simulation support: seeded random streams and the invariant sanitizer.
 
 The paper implemented its model in CSIM [Sch85], a proprietary
-C-based process-oriented simulation language.  This package keeps
-only the parts of that vocabulary the reproduction uses:
+C-based process-oriented simulation language.  Here the
+interval-stepped :class:`~repro.simulation.engine.IntervalEngine`
+plays that role; a process-oriented DES kernel survives only as a test
+oracle (``tests/oracles/``) that cross-checks it.  This package holds
+what the engine shares with every model component:
 
-* :class:`~repro.sim.kernel.Simulation` — the event calendar and clock.
-  **Processes** are plain generator functions that ``yield``
-  :func:`~repro.sim.kernel.hold` commands; :meth:`Simulation.spawn`
-  starts one and :meth:`Simulation.run` drains the calendar.
-* :class:`~repro.sim.monitor.Tally` / :class:`~repro.sim.monitor.TimeWeighted`
-  — statistics collectors.
 * :class:`~repro.sim.rng.RandomStream` — seeded random variates,
   including the truncated geometric distribution used by the paper's
   workload.
 * :mod:`~repro.sim.sanitize` — opt-in runtime invariant checks.
+
+The statistics collectors live in :mod:`repro.obs.metrics`.
 """
-
-from repro.sim.kernel import Process, Simulation, hold
-from repro.sim.monitor import Tally, TimeWeighted
-from repro.sim.rng import RandomStream
-
-__all__ = [
-    "Process",
-    "RandomStream",
-    "Simulation",
-    "Tally",
-    "TimeWeighted",
-    "hold",
-]

@@ -10,8 +10,9 @@ invariants that no unit test can pin for *every* configuration:
   equals the sum of the buffer demand of its active time-fragmented
   displays (never negative, never leaking on completion);
 * **event-time monotonicity** — no scheduler heap retains an event
-  that should already have fired, and the kernel clock never runs
-  backwards;
+  that should already have fired, and the engine's interval counter
+  never runs backwards (the ``engine.interval`` watermark that
+  :meth:`Sanitizer.check_interval` keeps);
 * **RNG substream non-reuse** — no two subsystems of one run draw
   from the same derived stream (which would silently correlate the
   workload with, say, the fault schedule).
@@ -178,7 +179,7 @@ def build_sanitizer(mode: Optional[str], obs=None) -> Optional[Sanitizer]:
 
 
 # ----------------------------------------------------------------------
-# Module-global activation (RNG + kernel hooks)
+# Module-global activation (RNG hook)
 # ----------------------------------------------------------------------
 #: The sanitizer of the run currently executing in this process, or
 #: None.  Runs are single-threaded per process (the exec layer gives

@@ -8,7 +8,6 @@ baseline (:mod:`repro.vdr.scheduler`).
 """
 
 from repro.simulation.config import PaperConfig, ScaledConfig, SimulationConfig
-from repro.simulation.des_engine import DESEngine
 from repro.simulation.engine import IntervalEngine
 from repro.simulation.export import read_rows, write_csv, write_json
 from repro.simulation.policy import Completion, Request, StoragePolicy
@@ -17,7 +16,6 @@ from repro.simulation.runner import run_experiment, run_sweep
 
 __all__ = [
     "Completion",
-    "DESEngine",
     "IntervalEngine",
     "PaperConfig",
     "Request",

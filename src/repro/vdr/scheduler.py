@@ -24,7 +24,7 @@ from repro.errors import ConfigurationError
 from repro.hardware.tertiary import TertiaryDevice
 from repro.media.catalog import Catalog
 from repro.media.tape_layout import TapeLayout
-from repro.sim.monitor import Tally
+from repro.obs.metrics import Tally
 from repro.simulation.policy import Completion, Request, StoragePolicy
 from repro.vdr.clusters import ClusterArray
 from repro.vdr.replication import MRTReplication

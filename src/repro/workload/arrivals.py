@@ -26,7 +26,8 @@ This module generalises the request source behind
 Arrival times are generated in *continuous* time (seconds) and only
 quantised to intervals when handed to the engine, so interarrival
 statistics are exact (see tests/workload/test_arrival_properties.py)
-and the same source drives both the interval-stepped and DES kernels.
+and the same source drives both the interval-stepped engine and the
+DES oracle in ``tests/oracles/``.
 """
 
 from __future__ import annotations

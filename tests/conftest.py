@@ -6,7 +6,6 @@ import pytest
 
 from repro.hardware.disk import SABRE_DISK, TABLE3_DISK
 from repro.media.objects import MediaObject, MediaType
-from repro.sim.kernel import Simulation
 from repro.sim.rng import RandomStream
 
 
@@ -24,12 +23,6 @@ def pytest_addoption(parser):
 def _isolated_result_cache(tmp_path, monkeypatch):
     """Keep CLI/executor default caching out of the repository tree."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
-
-
-@pytest.fixture
-def sim() -> Simulation:
-    """A fresh simulation kernel."""
-    return Simulation()
 
 
 @pytest.fixture

@@ -1,13 +1,15 @@
-"""Tests for Algorithm 1 (time-fragmented delivery) on the DES kernel."""
+"""Tests for Algorithm 1 (time-fragmented delivery) replayed on the DES
+oracle kernel, and for the delivery-trace validators."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.delivery import run_fragmented_delivery
+from repro.core.coalesce import DeliveryTrace
 from repro.core.virtual_disks import SlotPool
 from repro.errors import SchedulingError
 from tests.conftest import make_object
+from tests.oracles.delivery import run_fragmented_delivery
 
 
 def figure6_pool():
@@ -100,8 +102,6 @@ class TestValidation:
 
 class TestTraceValidators:
     def test_hiccup_detected(self):
-        from repro.core.delivery import DeliveryTrace
-
         trace = DeliveryTrace()
         trace.record(0, "output", 0, 0)
         trace.record(1, "output", 1, 0)  # lanes disagree on interval
@@ -109,8 +109,6 @@ class TestTraceValidators:
             trace.delivered_subobjects()
 
     def test_partial_delivery_detected(self):
-        from repro.core.delivery import DeliveryTrace
-
         trace = DeliveryTrace()
         trace.record(0, "output", 0, 0)
         trace.record(0, "output", 1, 0)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from repro.core.admission import AdmissionMode, Admitter
 from repro.core.coalesce import run_coalescing_lane
-from repro.core.delivery import run_fragmented_delivery
 from repro.core.display import Display
 from repro.core.virtual_disks import SlotPool, first_arrival
 from repro.media.layout import StripingLayout
 from repro.media.objects import FragmentAddress
 from tests.conftest import make_object
+from tests.oracles.delivery import run_fragmented_delivery
 
 # ----------------------------------------------------------------------
 # Layout invariants

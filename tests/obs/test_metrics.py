@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -10,12 +11,14 @@ from repro.errors import ConfigurationError
 from repro.obs.metrics import (
     Counter,
     Gauge,
+    Histogram,
     MetricsRegistry,
     Tally,
     TimeSeries,
     TimeWeighted,
     UtilizationMatrix,
 )
+from tests.oracles.kernel import Simulation
 
 
 class TestCounterAndGauge:
@@ -45,6 +48,40 @@ class TestCounterAndGauge:
         assert snap["min"] == 0.0 and snap["max"] == 0.0
 
 
+class TestTally:
+    def test_mean_and_extremes(self):
+        tally = Tally()
+        for value in (1.0, 2.0, 3.0, 4.0):
+            tally.record(value)
+        assert tally.count == 4
+        assert tally.mean == pytest.approx(2.5)
+        assert tally.minimum == 1.0
+        assert tally.maximum == 4.0
+        assert tally.total == pytest.approx(10.0)
+
+    def test_variance_matches_textbook(self):
+        tally = Tally()
+        values = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
+        for value in values:
+            tally.record(value)
+        mean = sum(values) / len(values)
+        expected = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+        assert tally.variance == pytest.approx(expected)
+        assert tally.stddev == pytest.approx(math.sqrt(expected))
+
+    def test_empty_is_safe(self):
+        tally = Tally()
+        assert tally.mean == 0.0
+        assert tally.variance == 0.0
+
+    def test_reset(self):
+        tally = Tally()
+        tally.record(5.0)
+        tally.reset()
+        assert tally.count == 0
+        assert tally.mean == 0.0
+
+
 class TestTimeWeighted:
     def test_mean_weights_by_duration(self):
         clock = {"now": 0.0}
@@ -55,6 +92,64 @@ class TestTimeWeighted:
         # level 10 for 4s → mean (0*4 + 10*4) / 8 = 5
         assert tw.mean == pytest.approx(5.0)
         assert tw.maximum == 10.0
+
+    def test_mean_weights_by_duration_on_simulation_clock(self):
+        sim = Simulation()
+        tw = TimeWeighted(clock=lambda: sim.now, initial=0.0)
+        sim.schedule(2.0, lambda _: tw.record(10.0))
+        sim.schedule(6.0, lambda _: tw.record(0.0))
+        sim.schedule(10.0, lambda _: None)
+        sim.run()
+        # 0 for 2s, 10 for 4s, 0 for 4s over 10s -> mean 4.0
+        assert tw.mean == pytest.approx(4.0)
+        assert tw.maximum == 10.0
+
+    def test_tracks_current_level(self):
+        tw = TimeWeighted(clock=lambda: 0.0, initial=3.0)
+        assert tw.level == 3.0
+        tw.record(7.0)
+        assert tw.level == 7.0
+
+    def test_reset_restarts_window(self):
+        clock = {"now": 0.0}
+        tw = TimeWeighted(clock=lambda: clock["now"], initial=5.0)
+        clock["now"] = 4.0
+        tw.reset()
+        clock["now"] = 8.0
+        assert tw.mean == pytest.approx(5.0)
+        assert tw.elapsed == pytest.approx(4.0)
+
+
+class TestHistogram:
+    def test_bins_and_quantiles(self):
+        histogram = Histogram(low=0.0, high=10.0, bins=10)
+        for value in range(10):
+            histogram.record(value + 0.5)
+        assert histogram.count == 10
+        assert histogram.underflow == 0
+        assert histogram.overflow == 0
+        assert histogram.counts == [1] * 10
+        assert histogram.quantile(0.5) == pytest.approx(4.5)
+
+    def test_under_and_overflow(self):
+        histogram = Histogram(low=0.0, high=1.0, bins=2)
+        histogram.record(-1.0)
+        histogram.record(2.0)
+        assert histogram.underflow == 1
+        assert histogram.overflow == 1
+
+    def test_quantile_empty_returns_none(self):
+        histogram = Histogram(low=0.0, high=1.0)
+        assert histogram.quantile(0.5) is None
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            Histogram(low=0.0, high=0.0)
+        with pytest.raises(ValueError):
+            Histogram(low=0.0, high=1.0, bins=0)
+        histogram = Histogram(low=0.0, high=1.0)
+        with pytest.raises(ValueError):
+            histogram.quantile(1.5)
 
 
 class TestTimeSeries:
@@ -154,10 +249,3 @@ class TestRegistry:
         second.counter("z", disk=1).inc()
         second.counter("a").inc()
         assert first.snapshot() == second.snapshot()
-
-    def test_reexported_primitives_are_shared(self):
-        # Satellite: repro.sim.monitor must be thin aliases over obs.
-        from repro.sim import monitor
-
-        assert monitor.Tally is Tally
-        assert issubclass(monitor.TimeWeighted, TimeWeighted)

@@ -116,34 +116,3 @@ class TestChromeExport:
         path = write_chrome_trace(TestJsonlRoundTrip.EVENTS, tmp_path / "c.json")
         document = json.loads(path.read_text())
         assert document["displayTimeUnit"] == "ms"
-
-
-class TestKernelTracing:
-    def test_simulation_emits_process_spans_and_hold_events(self):
-        from repro.sim.kernel import Simulation, hold
-
-        tracer = Tracer(MemorySink())
-        sim = Simulation(tracer=tracer)
-
-        def worker(delay):
-            yield hold(delay)
-            yield hold(1.0)
-
-        sim.spawn(worker(2.0), name="w1")
-        sim.spawn(worker(0.5), name="w2")
-        sim.run()
-        events = tracer.sink.events()
-        assert {e.kind for e in events} == {"process", "hold"}
-        process = [(e.ph, e.name, e.t) for e in events if e.kind == "process"]
-        # One B at spawn and one E at return, per process.
-        assert sorted(process) == [
-            ("B", "w1", 0.0), ("B", "w2", 0.0),
-            ("E", "w1", 3.0), ("E", "w2", 1.5),
-        ]
-        holds = [
-            (e.name, e.t, e.args["delay"]) for e in events if e.kind == "hold"
-        ]
-        assert holds == [
-            ("w1", 0.0, 2.0), ("w2", 0.0, 0.5),
-            ("w2", 0.5, 1.0), ("w1", 2.0, 1.0),
-        ]

@@ -8,99 +8,23 @@ physical drive holding its first fragment, then for
 ``t >= w_offset``), where ``w_offset`` is how many intervals this
 lane runs ahead of the display's slowest lane.
 
-This module ports that algorithm faithfully onto the
-:mod:`repro.sim` kernel (one generator process per lane) and records
-a :class:`DeliveryTrace` that tests compare against the paper's
-Figure 6 timeline.  The production engine
-(:mod:`repro.simulation.engine`) uses the closed-form equivalent
-(:class:`repro.core.display.Display`); the property tests assert the
-two agree.
+This oracle ports that algorithm faithfully onto the
+:mod:`tests.oracles.kernel` (one generator process per lane) and
+records a :class:`~repro.core.coalesce.DeliveryTrace` that tests
+compare against the paper's Figure 6 timeline.  The package uses the
+closed-form equivalent (:class:`repro.core.display.Display`); the
+property tests assert the two agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
+from repro.core.coalesce import DeliveryTrace
 from repro.core.virtual_disks import SlotPool
 from repro.errors import SchedulingError
 from repro.media.objects import MediaObject
-from repro.sim.kernel import Simulation, hold
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One read or output action of a lane thread."""
-
-    interval: int
-    action: str  # "read" | "output"
-    lane: int
-    subobject: int
-
-
-@dataclass
-class DeliveryTrace:
-    """Chronological record of lane actions, with validation helpers."""
-
-    events: List[TraceEvent] = field(default_factory=list)
-
-    def record(self, interval: int, action: str, lane: int, subobject: int) -> None:
-        """Append one event."""
-        self.events.append(TraceEvent(interval, action, lane, subobject))
-
-    def reads(self) -> List[TraceEvent]:
-        """All read events in order."""
-        return [e for e in self.events if e.action == "read"]
-
-    def outputs(self) -> List[TraceEvent]:
-        """All output events in order."""
-        return [e for e in self.events if e.action == "output"]
-
-    def outputs_by_interval(self) -> Dict[int, List[TraceEvent]]:
-        """Output events grouped by interval."""
-        grouped: Dict[int, List[TraceEvent]] = {}
-        for event in self.outputs():
-            grouped.setdefault(event.interval, []).append(event)
-        return grouped
-
-    def delivered_subobjects(self) -> List[int]:
-        """Subobjects fully delivered (all lanes output), in completion
-        order.  Raises if lanes of one subobject were output in
-        different intervals (a hiccup)."""
-        by_subobject: Dict[int, List[int]] = {}
-        lanes = {e.lane for e in self.events}
-        for event in self.outputs():
-            by_subobject.setdefault(event.subobject, []).append(event.interval)
-        delivered = []
-        for subobject in sorted(by_subobject):
-            intervals = by_subobject[subobject]
-            if len(set(intervals)) != 1:
-                raise SchedulingError(
-                    f"hiccup: subobject {subobject} lanes output at "
-                    f"different intervals {sorted(set(intervals))}"
-                )
-            if len(intervals) != len(lanes):
-                raise SchedulingError(
-                    f"subobject {subobject} delivered by {len(intervals)} of "
-                    f"{len(lanes)} lanes"
-                )
-            delivered.append(subobject)
-        return delivered
-
-    def buffered_count(self, lane: int, interval: int) -> int:
-        """Fragments lane ``lane`` holds in buffer at end of ``interval``
-        (read but not yet output)."""
-        reads = sum(
-            1
-            for e in self.events
-            if e.lane == lane and e.action == "read" and e.interval <= interval
-        )
-        outputs = sum(
-            1
-            for e in self.events
-            if e.lane == lane and e.action == "output" and e.interval <= interval
-        )
-        return reads - outputs
+from tests.oracles.kernel import Simulation, hold
 
 
 class IntervalEnvironment:
@@ -166,9 +90,9 @@ def run_fragmented_delivery(
     start_disk: int,
     lane_slots: Sequence[int],
     pool: SlotPool,
-    start_interval: int = 0,
 ) -> Tuple[DeliveryTrace, List[int]]:
-    """Run Algorithm 1 for a whole display on the DES kernel.
+    """Run Algorithm 1 for a whole display on the DES kernel,
+    requested at interval 0.
 
     ``lane_slots[j]`` is the virtual disk assigned to lane ``j``; each
     must eventually pass over drive ``start_disk + j``.  Returns the
@@ -184,7 +108,7 @@ def run_fragmented_delivery(
     arrivals: List[int] = []
     for j, slot in enumerate(lane_slots):
         target = (start_disk + j) % pool.num_disks
-        arrival = pool.arrival(slot, target, start_interval)
+        arrival = pool.arrival(slot, target, 0)
         if arrival is None:
             raise SchedulingError(
                 f"slot {slot} can never reach drive {target} with "

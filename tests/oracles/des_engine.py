@@ -1,31 +1,26 @@
-"""A DES-kernel-driven engine, for cross-validation.
+"""A DES-kernel-driven engine: the per-interval reference.
 
 The production :class:`~repro.simulation.engine.IntervalEngine`
-advances the model with a plain loop.  This module drives exactly the
-same policy and arrival process from the :mod:`repro.sim` kernel
-instead: one *clock process* does the per-interval work and then
-holds for one interval length.  It exists to demonstrate (and test)
-that the interval-stepped loop is behaviourally identical to a
-process-oriented CSIM-style simulation: DESIGN.md's ablation 1.
-Fault runs are covered too, since faults reach both engines through
+advances the model with a plain loop.  This oracle drives exactly the
+same policy and arrival process from the :mod:`tests.oracles.kernel`
+instead: one *clock process* does the per-interval work and then holds
+for one interval length, the way a process-oriented CSIM model would.
+tests/simulation/test_des_engine.py demands that both produce the same
+serialized result, byte for byte (DESIGN.md's ablation 1), for closed
+and open workloads and under faults, which reach both engines through
 the policy's coordinator.
-
-Open arrival sources (:mod:`repro.workload.arrivals`) run through the
-same clock process with the same deadline/blocking bookkeeping as the
-interval engine, so the equivalence claim covers the open workload
-too (tests/simulation/test_des_engine.py).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.sim.kernel import Simulation, hold
 from repro.simulation.policy import Completion, StoragePolicy
 from repro.simulation.results import SimulationResult
 from repro.workload.arrivals import ArrivalProcess
+from tests.oracles.kernel import Simulation, hold
 
 
 class DESEngine:
@@ -38,7 +33,6 @@ class DESEngine:
         interval_length: float,
         technique: str = "",
         access_mean: Optional[float] = None,
-        obs=None,
     ) -> None:
         if interval_length <= 0:
             raise ConfigurationError(
@@ -49,15 +43,11 @@ class DESEngine:
         self.interval_length = interval_length
         self.technique = technique
         self.access_mean = access_mean
-        self.obs = obs
-        self.sim = Simulation(tracer=obs.tracer if obs is not None else None)
+        self.sim = Simulation()
         self.interval = 0
-        self._completions_this_interval: List[Completion] = []
         # Open-workload deadline bookkeeping, mirroring IntervalEngine.
         self._is_open = bool(getattr(stations, "is_open", False))
         self._deadline = getattr(stations, "deadline_intervals", None)
-        self.offered_total = 0
-        self.blocked_total = 0
         self._waiting: dict = {}
         self._expiries: deque = deque()
 
@@ -73,8 +63,8 @@ class DESEngine:
             in_window = interval >= first_measured
             for request in self.stations.ready_requests(interval):
                 self.policy.submit(request, interval)
-                self.offered_total += 1
-                if in_window:
+                # Closed runs report zero offered (results.py).
+                if in_window and self._is_open:
                     result.offered += 1
                 if deadline is not None:
                     waiting[request.request_id] = request
@@ -91,7 +81,6 @@ class DESEngine:
                     if request is None:
                         continue  # completed in time
                     if self.policy.try_cancel(request, interval):
-                        self.blocked_total += 1
                         self.stations.record_blocked(request, interval)
                         # Attributed to the *arrival* interval so the
                         # windowed blocked/offered counts cover the

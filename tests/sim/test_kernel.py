@@ -1,11 +1,17 @@
-"""Tests for the simulation kernel: clock, calendar, processes."""
+"""Tests for the DES oracle kernel: clock, calendar, processes."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.kernel import Simulation, hold
+from tests.oracles.kernel import Simulation, hold
+
+
+@pytest.fixture
+def sim() -> Simulation:
+    """A fresh simulation kernel."""
+    return Simulation()
 
 
 def test_clock_starts_at_zero(sim):
@@ -108,77 +114,3 @@ def test_many_processes_interleave_deterministically(sim):
     sim.run()
     assert log == sorted(log, key=lambda entry: entry[0])
     assert len(log) == 6
-
-
-def test_peek_reports_next_event_time(sim):
-    assert sim.peek() == float("inf")
-    sim.schedule(4.0, lambda _: None)
-    assert sim.peek() == 4.0
-
-
-class TestCohortStepping:
-    """``step_cohort`` / cohort-draining ``run()`` must execute the
-    calendar in exactly the order repeated ``step()`` calls would — the
-    cohort drain removes loop overhead, never reorders."""
-
-    def _churn(self, sim, trace):
-        """A workload with same-time cohorts, mid-cohort scheduling,
-        and holds."""
-
-        def worker(name, delay):
-            yield hold(delay)
-            trace.append((name, sim.now))
-            yield hold(1.0)
-            trace.append((name + "-again", sim.now))
-
-        for i in range(4):
-            sim.spawn(worker(f"w{i}", 2.0), name=f"w{i}")
-        # Same-instant callbacks, one of which schedules another at the
-        # same instant (joins the cohort) and one at a later instant.
-        sim.schedule(2.0, lambda _: trace.append(("cb", sim.now)), None)
-        sim.schedule(
-            2.0,
-            lambda _: sim.schedule(
-                0.0, lambda __: trace.append(("nested", sim.now)), None
-            ),
-            None,
-        )
-        # Scheduled at t=0.5 for t=2.0: joins the t=2.0 cohort behind
-        # every entry that was already waiting for it.
-        sim.schedule(
-            0.5,
-            lambda _: sim.schedule(
-                1.5, lambda __: trace.append(("late-joiner", sim.now)), None
-            ),
-            None,
-        )
-
-    def test_batched_run_matches_scalar_run(self):
-        traces = []
-        for cohorts in (False, True):
-            sim = Simulation()
-            trace = []
-            self._churn(sim, trace)
-            if cohorts:
-                sim.run()
-            else:
-                while sim.step():
-                    pass
-            traces.append((trace, sim.now))
-        assert traces[0] == traces[1]
-        trace = traces[0][0]
-        assert ("nested", 2.0) in trace
-        assert trace.index(("cb", 2.0)) < trace.index(("late-joiner", 2.0))
-        assert trace.index(("late-joiner", 2.0)) < trace.index(("nested", 2.0))
-
-    def test_step_cohort_counts_and_advances(self, sim):
-        seen = []
-        for label in ("a", "b", "c"):
-            sim.schedule(1.0, seen.append, label)
-        sim.schedule(2.0, seen.append, "late")
-        assert sim.step_cohort() == 3
-        assert seen == ["a", "b", "c"]
-        assert sim.now == 1.0
-        assert sim.step_cohort() == 1
-        assert sim.now == 2.0
-        assert sim.step_cohort() == 0  # empty calendar

@@ -1,18 +1,14 @@
 """End-to-end byte-identity of the production kernel and a scalar oracle.
 
-The production path batches three things: whole-queue admission
-verdicts (:mod:`repro.core.batch`), the station idle heap, and
-same-time cohort draining in the DES kernel.  Their scalar references
-live only here and are reached by monkeypatching:
+The production path batches two things: whole-queue admission
+verdicts (:mod:`repro.core.batch`) and the station idle heap.  Their
+scalar references live only here and are reached by monkeypatching:
 
 * the scalar :meth:`StaggeredStripingPolicy._admission_pass` (the pass
   fcfs always runs) stands in for the batched pass of scan, sjf and
   largest_first;
 * a scan over every station, written as a comprehension below, stands
-  in for the idle heap;
-* one :meth:`Simulation.step` per calendar entry stands in for
-  :meth:`Simulation.step_cohort` (exercised by the traced delivery of
-  :mod:`repro.core.delivery`, whose lanes are kernel processes).
+  in for the idle heap.
 
 Both sides must produce **byte-identical** serialized results across
 admission modes, queue disciplines, and fault scenarios, under
@@ -25,17 +21,13 @@ import json
 
 import pytest
 
-from repro.core.delivery import run_fragmented_delivery
 from repro.core.scheduler import StaggeredStripingPolicy
-from repro.core.virtual_disks import SlotPool
 from repro.experiments.mixed_media import build_mixed_system
-from repro.sim.kernel import Simulation
 from repro.sim.sanitize import Sanitizer
 from repro.simulation.config import ScaledConfig
 from repro.simulation.policy import Request
 from repro.simulation.runner import build_engine
 from repro.workload.stations import StationPool
-from tests.conftest import make_object
 
 
 def scanned_ready_requests(self, interval):
@@ -45,11 +37,6 @@ def scanned_ready_requests(self, interval):
         for station in self.stations
         if not (station.busy or interval < station.next_issue_at)
     ]
-
-
-def single_entry_cohort(self):
-    """One calendar entry per loop turn instead of a whole cohort."""
-    return int(self.step())
 
 
 @pytest.fixture
@@ -63,7 +50,6 @@ def scalar_oracle(monkeypatch):
             StaggeredStripingPolicy._admission_pass,
         )
         monkeypatch.setattr(StationPool, "ready_requests", scanned_ready_requests)
-        monkeypatch.setattr(Simulation, "step_cohort", single_entry_cohort)
 
     return arm
 
@@ -151,29 +137,6 @@ def test_mixed_degree_flood_is_identical_to_scalar(scalar_oracle):
     assert len(batched) == 48
     scalar_oracle()
     assert completion_log() == batched
-
-
-@pytest.mark.parametrize("start_disk,lane_slots", [(0, [6, 1]), (2, [2, 3, 4])])
-def test_traced_delivery_is_identical_under_per_entry_steps(
-    start_disk, lane_slots, scalar_oracle
-):
-    """Algorithm 1's traced delivery runs one kernel process per lane,
-    so its calendar holds many entries per instant — the case cohort
-    draining must not reorder.  (The engines' calendars hold one
-    process, so their cohorts are single entries.)"""
-
-    def events():
-        trace, offsets = run_fragmented_delivery(
-            make_object(num_subobjects=6, degree=len(lane_slots)),
-            start_disk=start_disk,
-            lane_slots=lane_slots,
-            pool=SlotPool(num_disks=8, stride=1),
-        )
-        return trace.events, offsets
-
-    cohorts = events()
-    scalar_oracle()
-    assert events() == cohorts
 
 
 @pytest.mark.parametrize("discipline", ["scan", "sjf", "largest_first", "fcfs"])

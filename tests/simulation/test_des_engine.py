@@ -1,21 +1,29 @@
-"""Cross-validation: DES-driven engine == interval-stepped engine."""
+"""Cross-validation: DES-driven engine == interval-stepped engine.
+
+Both engines must produce the same serialized result, byte for byte.
+The interval side runs through :func:`run_experiment`, so under
+``REPRO_SANITIZE=strict`` every interval also passes the invariant
+sweep.
+"""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.simulation.config import ScaledConfig
-from repro.simulation.des_engine import DESEngine
 from repro.simulation.runner import (
     build_access,
     build_arrivals,
     build_catalog,
     build_policy,
-    build_engine,
     preload_ids,
+    run_experiment,
 )
 from repro.sim.rng import RandomStream
+from tests.oracles.des_engine import DESEngine
 
 
 def build_des_engine(config):
@@ -35,6 +43,20 @@ def build_des_engine(config):
     )
 
 
+def serialized(result) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
+def assert_engines_agree(config):
+    """Run ``config`` on both engines; return the interval result."""
+    interval_result = run_experiment(config)
+    des_result = build_des_engine(config).run(
+        config.warmup_intervals, config.measure_intervals
+    )
+    assert serialized(des_result) == serialized(interval_result)
+    return interval_result
+
+
 @pytest.mark.parametrize("technique", ["simple", "staggered", "vdr"])
 def test_des_and_interval_engines_agree_exactly(technique):
     """Same seed, same policy, different drivers -> identical results."""
@@ -42,11 +64,9 @@ def test_des_and_interval_engines_agree_exactly(technique):
         technique=technique, num_stations=8, access_mean=2.0,
         warmup_intervals=200, measure_intervals=1200,
     )
-    interval_result = build_engine(config).run(200, 1200)
-    des_result = build_des_engine(config).run(200, 1200)
-    assert des_result.completed == interval_result.completed
-    assert des_result.latencies_intervals == interval_result.latencies_intervals
-    assert des_result.policy_stats == interval_result.policy_stats
+    result = assert_engines_agree(config)
+    assert result.completed > 0
+    assert result.offered == 0  # closed runs offer nothing (results.py)
 
 
 @pytest.mark.parametrize("technique", ["simple", "staggered", "vdr"])
@@ -60,14 +80,7 @@ def test_des_and_interval_engines_agree_on_open_arrivals(technique):
         arrival="poisson", arrival_rate=0.05,
         zipf_s=0.8, deadline_intervals=25,
     )
-    interval_result = build_engine(config).run(100, 1000)
-    des_result = build_des_engine(config).run(100, 1000)
-    assert interval_result.offered > 0
-    assert des_result.completed == interval_result.completed
-    assert des_result.latencies_intervals == interval_result.latencies_intervals
-    assert des_result.offered == interval_result.offered
-    assert des_result.blocked == interval_result.blocked
-    assert des_result.policy_stats == interval_result.policy_stats
+    assert assert_engines_agree(config).offered > 0
 
 
 @pytest.mark.parametrize(
@@ -83,12 +96,8 @@ def test_des_and_interval_engines_agree_under_faults(technique, redundancy):
         access_mean=2.0, warmup_intervals=100, measure_intervals=800,
         fail_at=((3, 150),), mttr=60,
     )
-    interval_result = build_engine(config).run(100, 800)
-    des_result = build_des_engine(config).run(100, 800)
-    assert interval_result.policy_stats["fault_failures"] == 1
-    assert des_result.completed == interval_result.completed
-    assert des_result.latencies_intervals == interval_result.latencies_intervals
-    assert des_result.policy_stats == interval_result.policy_stats
+    result = assert_engines_agree(config)
+    assert result.policy_stats["fault_failures"] == 1
 
 
 def test_des_engine_advances_simulated_seconds():
