@@ -44,6 +44,7 @@ ops and **zero** per-display python.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -51,9 +52,14 @@ import numpy as np
 from repro.core.admission import AdmissionMode
 from repro.core.display import Display
 from repro.core.virtual_disks import HALVES_PER_SLOT, SlotPool
+from repro.simulation.policy import NEVER
 
 #: Compact only past this many rows (small tables never pay the cost).
 _COMPACT_MIN_ROWS = 512
+
+#: Rotation offsets :meth:`BatchAdmissionIndex.first_admissible` tests
+#: per call; past them the caller wakes early and asks again.
+LOOKAHEAD_OFFSETS = 32
 
 
 class BatchAdmissionIndex:
@@ -193,6 +199,63 @@ class BatchAdmissionIndex:
         for display in survivors:
             self.add_display(display)
 
+    def _metadata_arrays(self) -> None:
+        """Rebuild the numpy mirrors of the segment metadata lists."""
+        if self._starts_np is None:
+            self._starts_np = np.array(self._starts, dtype=np.intp)
+            if self.mode is AdmissionMode.CONTIGUOUS:
+                self._full_np = np.array(self._full, dtype=np.int64)
+                self._nlanes_np = np.array(self._nlanes, dtype=np.int64)
+
+    def first_admissible(self, gather, after: int) -> int:
+        """CONTIGUOUS lookahead over an unchanging pool: the first
+        interval ``>= after`` at which a segment in ``gather`` (segment
+        positions, numpy) has a True :meth:`pass_verdicts` verdict.
+
+        Between events the free-half array and capacity buckets are
+        fixed and only the rotation offset ``k·t mod D`` moves, with
+        period ``D / gcd(D, k)``.  Tests at most
+        :data:`LOOKAHEAD_OFFSETS` intervals in one numpy pass; when all
+        fail it returns the first untested interval (an early wake-up
+        is safe), or ``NEVER`` once a whole period has been tested or
+        no segment passes the bucket bounds.
+        """
+        if not len(gather):
+            return NEVER
+        self._metadata_arrays()
+        pool = self.pool
+        d = pool.num_disks
+        buckets = pool._buckets
+        candidates = gather[
+            (self._full_np[gather] <= buckets[HALVES_PER_SLOT])
+            & (self._nlanes_np[gather] <= d - buckets[0])
+        ]
+        if not len(candidates):
+            return NEVER
+        period = d // math.gcd(d, pool.stride)
+        span = min(LOOKAHEAD_OFFSETS, period)
+        offsets = pool.stride * np.arange(after, after + span) % d
+        # The candidates' lane rows, packed: segment i occupies
+        # packed[i] .. packed[i] + lanes[i] - 1.
+        lanes = self._nlanes_np[candidates]
+        packed = np.zeros(len(candidates), dtype=np.intp)
+        np.cumsum(lanes[:-1], out=packed[1:])
+        rows = np.repeat(self._starts_np[candidates] - packed, lanes)
+        rows += np.arange(len(rows))
+        fits = (
+            pool._free_np[(self._bases[rows, None] - offsets) % d]
+            >= self._halves[rows, None]
+        )
+        verdicts = np.logical_and.reduceat(fits, packed, axis=0)
+        # A segment with no pending lane is always True (pass_verdicts).
+        verdicts |= ~np.logical_or.reduceat(self._pending[rows], packed)[
+            :, None
+        ]
+        hits = np.flatnonzero(verdicts.any(axis=0))
+        if len(hits):
+            return after + int(hits[0])
+        return after + span if span < period else NEVER
+
     def pass_verdicts(self, interval: int):
         """Per-segment claim verdicts for ``interval`` (creation-order
         numpy bool array, live and dead segments alike).
@@ -205,11 +268,7 @@ class BatchAdmissionIndex:
         rows = self._rows
         if rows == 0:
             return np.zeros(0, dtype=bool)
-        if self._starts_np is None:
-            self._starts_np = np.array(self._starts, dtype=np.intp)
-            if self.mode is AdmissionMode.CONTIGUOUS:
-                self._full_np = np.array(self._full, dtype=np.int64)
-                self._nlanes_np = np.array(self._nlanes, dtype=np.int64)
+        self._metadata_arrays()
         starts = self._starts_np
         pool = self.pool
         d = pool.num_disks

@@ -38,7 +38,7 @@ from repro.errors import ConfigurationError, SchedulingError
 from repro.media.catalog import Catalog
 from repro.media.objects import MediaObject
 from repro.obs.metrics import Tally
-from repro.simulation.policy import Completion, Request, StoragePolicy
+from repro.simulation.policy import NEVER, Completion, Request, StoragePolicy
 
 
 @dataclass
@@ -117,6 +117,7 @@ class StaggeredStripingPolicy(StoragePolicy):
         self.object_manager = object_manager
         self.tertiary_manager = tertiary_manager
         self.admitter = Admitter(disk_manager.pool, mode=admission_mode, obs=obs)
+        self._fragmented = admission_mode is AdmissionMode.FRAGMENTED
         self.queue_discipline = queue_discipline
         self.half_slot_objects = half_slot_objects
         self.disk_bandwidth = disk_bandwidth
@@ -305,6 +306,87 @@ class StaggeredStripingPolicy(StoragePolicy):
         completions = self._process_completions(interval)
         self.queue_length_sum += len(self._queue)
         return completions
+
+    def next_activity(self, interval: int) -> int:
+        """The earliest of the lane-release and completion heaps'
+        tops, the tertiary writer's next change and, for CONTIGUOUS
+        admission, the first interval at which a queued display's
+        aligned window rotates onto free slots.
+
+        Steps every interval (returns ``interval + 1``) while the
+        model cannot predict its next change cheaply: under fcfs, with
+        a fault coordinator attached, while a placement is deferred,
+        and under FRAGMENTED admission while a queued display still
+        claims lanes (each lane's chance comes at its own rotation
+        offset).
+        """
+        step = interval + 1
+        if (
+            self._batch_index is None
+            or (self._queued_pending_lanes and self._fragmented)
+            or self.faults is not None
+            or self._n_deferred
+        ):
+            return step
+        wake = NEVER
+        if self.tertiary_manager is not None:
+            wake = self.tertiary_manager.next_activity(interval)
+        if self._queue:
+            if self._displayless_admissible():
+                return step
+            if not self._fragmented:
+                wake = min(wake, self._next_contiguous_admission(interval))
+        if self._lane_releases and self._lane_releases[0][0] < wake:
+            wake = self._lane_releases[0][0]
+        if self._completions and self._completions[0][0] < wake:
+            wake = self._completions[0][0]
+        return max(wake, step)
+
+    def _displayless_admissible(self) -> bool:
+        """Would the next pass give a display-less entry its display?
+
+        It does once the entry's object is resident and (FRAGMENTED)
+        its degree fits the claim budget; residency and the budget
+        change only at events, or when a cancel returns a partial
+        display's lanes after the pass.
+        """
+        budget = self._claim_budget()
+        if budget is not None and budget < self._min_degree:
+            return False
+        is_resident = self.object_manager.is_resident
+        for entry in self._queue:
+            if (
+                entry.display is None
+                and (budget is None or self._entry_degree(entry) <= budget)
+                and is_resident(entry.request.object_id)
+            ):
+                return True
+        return False
+
+    def _next_contiguous_admission(self, interval: int) -> int:
+        """CONTIGUOUS: the first interval at which a queued display's
+        aligned window rotates onto free slots
+        (:meth:`BatchAdmissionIndex.first_admissible`)."""
+        index = self._batch_index
+        if self._batch_dirty or self._batch_generation != index.generation:
+            self._batch_rebuild()
+        return index.first_admissible(self._batch_gather(), interval + 1)
+
+    def skip_span(self, start: int, stop: int) -> None:
+        """Book a quiet span (see :meth:`next_activity`): the queue
+        waits, a running writer stays busy, and every queued display
+        counts one claim attempt per interval."""
+        n = stop - start
+        self.intervals_advanced += n
+        self.queue_length_sum += len(self._queue) * n
+        if self.tertiary_manager is not None:
+            self.tertiary_manager.skip(n)
+        if self.obs is not None:
+            displays = sum(
+                1 for entry in self._queue if entry.display is not None
+            )
+            if displays:
+                self.admitter.count_attempts(displays * n)
 
     def _advance_observed(self, interval: int) -> List[Completion]:
         """The same interval pipeline with phase timers and metric
@@ -510,6 +592,73 @@ class StaggeredStripingPolicy(StoragePolicy):
                 "event_time",
                 f"completion due at {self._completions[0][0]} still "
                 f"queued after interval {interval}",
+            )
+
+    def verify_skip(self, sanitizer, start: int, stop: int) -> None:
+        """Nothing scheduled and nothing admissible in ``start ..
+        stop - 1``: no heap top, writer change or must-step condition
+        falls inside, and at every skipped interval each queued
+        display's verdict is False and no display-less entry could
+        get a display."""
+        span = f"skipped intervals {start}..{stop - 1}"
+        sanitizer.expect(
+            self.faults is None and not self._n_deferred,
+            "skip",
+            f"fault coordinator or deferred placement active in {span}",
+        )
+        for name, heap in (
+            ("lane release", self._lane_releases),
+            ("completion", self._completions),
+        ):
+            if heap:
+                sanitizer.expect(
+                    heap[0][0] >= stop,
+                    "skip",
+                    f"{name} due at {heap[0][0]} in {span}",
+                )
+        tm = self.tertiary_manager
+        job = tm._current if tm is not None else None
+        if job is not None:
+            sanitizer.expect(
+                job.finish_interval is not None
+                and job.finish_interval >= stop,
+                "skip",
+                f"tertiary writer claims lanes or finishes in {span}",
+            )
+        elif tm is not None:
+            sanitizer.expect(
+                not tm._queue, "skip", f"a materialisation starts in {span}"
+            )
+        displays = [e.display for e in self._queue if e.display is not None]
+        budget = self._claim_budget()
+        for entry in self._queue:
+            if entry.display is None and self.object_manager.is_resident(
+                entry.request.object_id
+            ):
+                sanitizer.expect(
+                    budget is not None
+                    and self._entry_degree(entry) > budget,
+                    "skip",
+                    f"{entry.request} could get a display in {span}",
+                )
+        if not displays:
+            return
+        index = self._batch_index
+        positions = (
+            [index.position(d.display_id) for d in displays]
+            if index is not None else [None]
+        )
+        if None in positions:
+            sanitizer.violation(
+                "skip", f"queued displays have no claim verdicts in {span}"
+            )
+            return
+        for interval in range(start, stop):
+            verdicts = index.pass_verdicts(interval)[positions]
+            sanitizer.expect(
+                not verdicts.any(),
+                "skip",
+                f"a queued display could claim at {interval} in {span}",
             )
 
     # ------------------------------------------------------------------
@@ -718,17 +867,19 @@ class StaggeredStripingPolicy(StoragePolicy):
         self._batch_dirty = False
         self._batch_generation = index.generation
 
-    def _batch_keep_ids(self, interval: int) -> Optional[Set[int]]:
-        """Display ids whose pre-probe verdict is True right now, or
-        None when every queued display's verdict is False."""
-        index = self._batch_index
-        verdicts = index.pass_verdicts(interval)
+    def _batch_gather(self):
+        """The maintained segment positions as a numpy index array."""
         gather = self._batch_gather_np
         if gather is None:
             gather = self._batch_gather_np = np.array(
                 self._batch_positions, dtype=np.intp
             )
-        ok = verdicts[gather]
+        return gather
+
+    def _batch_keep_ids(self, interval: int) -> Optional[Set[int]]:
+        """Display ids whose pre-probe verdict is True right now, or
+        None when every queued display's verdict is False."""
+        ok = self._batch_index.pass_verdicts(interval)[self._batch_gather()]
         if not ok.any():
             return None
         ids = self._batch_ids

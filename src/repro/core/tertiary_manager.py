@@ -21,6 +21,7 @@ from repro.hardware.tertiary import TertiaryDevice
 from repro.media.objects import MediaObject
 from repro.media.tape_layout import TapeLayout, materialization_write_degree
 from repro.obs.metrics import Tally
+from repro.simulation.policy import NEVER
 
 
 class TertiaryManager:
@@ -172,6 +173,24 @@ class TertiaryManager:
                         track="tertiary",
                     )
         return finished
+
+    def next_activity(self, interval: int) -> int:
+        """First interval after ``interval`` at which :meth:`advance`
+        can change state: the running writer's finish, the next
+        interval while a job waits to start or a writer still claims
+        lanes, ``NEVER`` while the device idles with nothing queued."""
+        job = self._current
+        if job is None:
+            return interval + 1 if self._queue else NEVER
+        if job.finish_interval is None:
+            return interval + 1  # partially laned: claims as slots pass
+        return job.finish_interval
+
+    def skip(self, intervals: int) -> None:
+        """Book ``intervals`` quiet intervals (see :meth:`next_activity`):
+        a running writer stays busy through them."""
+        if self._current is not None:
+            self.busy_intervals += intervals
 
     def observe_sample(self, interval: int) -> None:
         """Record the queue-depth sample (called by the scheduler on

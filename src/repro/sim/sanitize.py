@@ -13,6 +13,10 @@ invariants that no unit test can pin for *every* configuration:
   that should already have fired, and the engine's interval counter
   never runs backwards (the ``engine.interval`` watermark that
   :meth:`Sanitizer.check_interval` keeps);
+* **quiet skips** — the engine jumps over intervals its sources
+  promise are quiet; no scheduled event may fall inside a skipped
+  span and no queued request may be admissible in it (heaps pop with
+  ``<=``, so a late wake-up would silently process events late);
 * **RNG substream non-reuse** — no two subsystems of one run draw
   from the same derived stream (which would silently correlate the
   workload with, say, the fault schedule).
@@ -35,7 +39,8 @@ Components expose ``verify_invariants(sanitizer, interval)`` hooks
 (:class:`~repro.hardware.disk_array.DiskArray`,
 :class:`~repro.core.virtual_disks.SlotPool`, both storage policies);
 the :class:`~repro.simulation.engine.IntervalEngine` drives them once
-per interval.  The RNG hook is module-global (streams are forked deep
+per stepped interval, and their ``verify_skip`` hooks once per skipped
+span.  The RNG hook is module-global (streams are forked deep
 inside builders that have no sanitizer parameter): the active run
 registers its sanitizer with :func:`activation` and
 :class:`~repro.sim.rng.RandomStream` reports every derived seed
@@ -160,6 +165,20 @@ class Sanitizer:
         verify = getattr(policy, "verify_invariants", None)
         if verify is not None:
             verify(self, interval)
+
+    def check_skip(self, start: int, stop: int, *components) -> None:
+        """Assert that intervals ``start .. stop - 1`` are quiet.
+
+        Dispatches to each component's ``verify_skip`` hook (both
+        storage policies, both arrival sources and the engine's
+        deadline queue implement it), which recomputes from raw state
+        that nothing is scheduled in the span and nothing queued could
+        be admitted in it.  Violations are reported as ``skip``.
+        """
+        for component in components:
+            verify = getattr(component, "verify_skip", None)
+            if verify is not None:
+                verify(self, start, stop)
 
     def summary(self) -> Dict[str, int]:
         """The violation tallies (empty when the run was clean)."""

@@ -1,6 +1,7 @@
-"""The interval-stepped simulation engine.
+"""The simulation engine: interval semantics, next-event advance.
 
-The engine advances the model one ``S(C_i)`` interval at a time:
+The model's clock ticks in ``S(C_i)`` intervals, and a stepped
+interval runs four stages:
 
 1. the arrival process issues requests — idle closed-loop stations
    (the paper's §4.1 workload) or open Poisson/MMPP arrivals
@@ -13,9 +14,18 @@ The engine advances the model one ``S(C_i)`` interval at a time:
    waiting past it are withdrawn from the policy and counted as
    **blocked** — the loss semantics of an unbounded user population.
 
-Displays deliver on a fixed closed-form schedule once admitted, so an
-interval costs ``O(queued requests)`` — the engine comfortably runs
-the paper's full-scale configuration (D = 1000, 15 000-interval runs).
+Most intervals are quiet: nothing is submitted, claimed, released or
+completed.  After each stepped interval the engine asks every source
+when it can next change state — the policy's
+:meth:`~repro.simulation.policy.StoragePolicy.next_activity`, the
+arrival process's ``next_ready``, the deadline-expiry head and, with
+telemetry on, the next sampled interval — and jumps straight to the
+earliest.  The policy books the skipped span's counters
+(:meth:`~repro.simulation.policy.StoragePolicy.skip_span`) and the
+engine records the load sample once per skipped interval, so the
+result is byte-identical to stepping every interval (the DES oracle in
+``tests/oracles/`` still does).  A stepped interval costs
+``O(queued requests)``; a skipped one costs one load sample.
 """
 
 from __future__ import annotations
@@ -63,9 +73,13 @@ class IntervalEngine:
         self.access_mean = access_mean
         self.interval = 0
         self.obs = obs
-        # Optional repro.sim.sanitize.Sanitizer; checked once per
-        # interval in run() so the step path stays untouched.
+        # Optional repro.sim.sanitize.Sanitizer; run() checks every
+        # stepped interval and every skipped span, so the step path
+        # stays untouched.
         self.sanitizer = sanitizer
+        # Telemetry samples every sample_stride-th interval, so those
+        # intervals are always stepped.
+        self._obs_stride = obs.sample_stride if obs is not None else 0
         # Open-workload state.  `is_open`/`deadline_intervals` default
         # to False/None on closed sources, so the closed path below is
         # byte-for-byte the seed path.
@@ -91,7 +105,6 @@ class IntervalEngine:
                 self._c_completed = registry.counter("workload.completed")
                 obs.add_flusher(self._flush_workload_counters)
         elif obs is not None:
-            self._obs_stride = obs.sample_stride
             # Instance-bound dispatch: the uninstrumented `step` stays
             # byte-for-byte the seed path and pays nothing when off.
             self.step = self._step_observed
@@ -183,6 +196,17 @@ class IntervalEngine:
         self.interval += 1
         return completions
 
+    def verify_skip(self, sanitizer, start: int, stop: int) -> None:
+        """No admission deadline expires in the skipped intervals."""
+        if self._expiries:
+            due = self._expiries[0][0]
+            sanitizer.expect(
+                due >= stop,
+                "skip",
+                f"admission deadline at {due} falls in skipped intervals "
+                f"{start}..{stop - 1}",
+            )
+
     def _flush_workload_counters(self) -> None:
         self._c_offered.value = float(self.offered_total)
         self._c_blocked.value = float(self.blocked_total)
@@ -214,6 +238,7 @@ class IntervalEngine:
         end_of_run = end_of_warmup + measure_intervals
         sanitizer = self.sanitizer
         is_open = self._is_open
+        policy = self.policy
         while self.interval < end_of_run:
             in_window = self.interval >= end_of_warmup
             t = self.interval
@@ -234,11 +259,57 @@ class IntervalEngine:
                 )
                 self._blocked_issued.clear()
             if sanitizer is not None:
-                sanitizer.check_interval(self.policy, t)
+                sanitizer.check_interval(policy, t)
             if in_window:
-                sample = self.policy.utilization_sample()
+                sample = policy.utilization_sample()
                 result.record_utilization(
                     sample.active_displays, sample.busy_fraction
                 )
-        result.policy_stats = self.policy.stats()
+            # The policy answers first: while it must step, nothing
+            # else is asked.
+            wake = policy.next_activity(t)
+            if wake > t + 1:
+                wake = self._next_wake(t, wake, end_of_run)
+                if wake > t + 1:
+                    self._skip(t + 1, wake, end_of_warmup, result)
+        result.policy_stats = policy.stats()
         return result
+
+    def _next_wake(self, interval: int, wake: int, end_of_run: int) -> int:
+        """The first interval after ``interval`` at which any source
+        can change state, given the policy's ``wake`` (capped at
+        ``end_of_run``)."""
+        ready = self.stations.next_ready(interval)
+        if ready < wake:
+            wake = ready
+        if self._expiries and self._expiries[0][0] < wake:
+            wake = self._expiries[0][0]
+        if self._obs_stride:
+            sampled = (interval // self._obs_stride + 1) * self._obs_stride
+            if sampled < wake:
+                wake = sampled
+        return min(wake, end_of_run)
+
+    def _skip(
+        self, start: int, stop: int, end_of_warmup: int,
+        result: SimulationResult,
+    ) -> None:
+        """Jump over the quiet intervals ``start .. stop - 1``.
+
+        Nothing changes state in them, so each in the measurement
+        window records the load sample the last stepped interval left
+        behind (:meth:`SimulationResult.record_utilization_span`).
+        """
+        sanitizer = self.sanitizer
+        if sanitizer is not None:
+            sanitizer.check_skip(
+                start, stop, self.policy, self.stations, self
+            )
+        self.policy.skip_span(start, stop)
+        if stop > end_of_warmup:
+            sample = self.policy.utilization_sample()
+            result.record_utilization_span(
+                sample.active_displays, sample.busy_fraction,
+                stop - max(start, end_of_warmup),
+            )
+        self.interval = stop

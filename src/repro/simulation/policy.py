@@ -3,15 +3,24 @@
 A policy owns everything below the request queue: residency,
 placement, admission, the tertiary device, and active displays.  The
 engine owns the clock and the (closed-loop) display stations; per
-interval it calls :meth:`StoragePolicy.advance` and feeds each
-returned :class:`Completion` back into its stations.
+stepped interval it calls :meth:`StoragePolicy.advance` and feeds each
+returned :class:`Completion` back into its stations, and it hands the
+quiet intervals :meth:`StoragePolicy.next_activity` lets it jump over
+to :meth:`StoragePolicy.skip_span`.
 """
 
 from __future__ import annotations
 
 import abc
+import sys
 from dataclasses import dataclass
 from typing import Dict, List
+
+#: What :meth:`StoragePolicy.next_activity` and
+#: :meth:`~repro.workload.arrivals.ArrivalProcess.next_ready` return
+#: when nothing is scheduled: only another source's event can change
+#: the state.
+NEVER = sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,25 @@ class StoragePolicy(abc.ABC):
         completion.  The default (closed-workload policies never
         cancel) refuses."""
         return False
+
+    def next_activity(self, interval: int) -> int:
+        """First interval after ``interval`` at which :meth:`advance`
+        could change state, assuming no request is submitted or
+        cancelled before then (``NEVER`` when nothing is scheduled).
+
+        The engine calls this right after stepping ``interval`` and
+        hands the quiet intervals in between to :meth:`skip_span`
+        instead of :meth:`advance`.  Waking early is always safe;
+        waking late is never.  The default steps every interval.
+        """
+        return interval + 1
+
+    def skip_span(self, start: int, stop: int) -> None:
+        """Book intervals ``start .. stop - 1``, in which
+        :meth:`next_activity` promised nothing happens, exactly as
+        :meth:`advance` would have (a policy that skips implements
+        both)."""
+        raise NotImplementedError
 
     def utilization_sample(self) -> "UtilizationSample":
         """Instantaneous load snapshot (active displays, fraction of

@@ -87,6 +87,25 @@ class SimulationResult:
         if active_displays > self.concurrency_max:
             self.concurrency_max = active_displays
 
+    def record_utilization_span(
+        self, active_displays: int, busy_fraction: float, intervals: int
+    ) -> None:
+        """Add the same load sample for ``intervals`` quiet intervals.
+
+        Byte-identical to ``intervals`` :meth:`record_utilization`
+        calls: ``busy_fraction_sum`` is a float sum, so the sample is
+        still added once per interval, in order (``n × value`` would
+        round differently).
+        """
+        self.samples += intervals
+        self.concurrency_sum += active_displays * intervals
+        total = self.busy_fraction_sum
+        for _ in range(intervals):
+            total += busy_fraction
+        self.busy_fraction_sum = total
+        if intervals and active_displays > self.concurrency_max:
+            self.concurrency_max = active_displays
+
     @property
     def mean_concurrent_displays(self) -> float:
         """Average simultaneously active displays in the window."""

@@ -25,7 +25,7 @@ from repro.hardware.tertiary import TertiaryDevice
 from repro.media.catalog import Catalog
 from repro.media.tape_layout import TapeLayout
 from repro.obs.metrics import Tally
-from repro.simulation.policy import Completion, Request, StoragePolicy
+from repro.simulation.policy import NEVER, Completion, Request, StoragePolicy
 from repro.vdr.clusters import ClusterArray
 from repro.vdr.replication import MRTReplication
 
@@ -96,6 +96,10 @@ class VirtualReplicationPolicy(StoragePolicy):
         self._mat_queue: Deque[Tuple[int, bool]] = deque()
         self._mat_pending: Set[int] = set()
         self._tertiary_busy_until = 0
+        # Last interval at which the tertiary head waited for a victim
+        # cluster: it retries only once a cluster frees or a copy,
+        # pin or frequency changes, all of which are events.
+        self._tertiary_blocked_at = -1
         # Event heap: (interval, seq, kind, cluster_index, payload)
         self._events: List[Tuple[int, int, str, int, object]] = []
         self._event_seq = 0
@@ -217,6 +221,92 @@ class VirtualReplicationPolicy(StoragePolicy):
         if self.obs is not None and interval % self._obs_stride == 0:
             self._observe_interval(interval)
         return completions
+
+    def next_activity(self, interval: int) -> int:
+        """The earliest of: the event heap's top, a cluster freeing
+        (one interval after its display event retires) and, while
+        materialisations wait, the tertiary device freeing.
+
+        A queued request is admitted only onto a free cluster holding
+        its object, and clusters free and copies land only at those
+        times, so the admission pass cannot succeed in between.
+        """
+        step = interval + 1
+        if self.faults is not None:
+            return step
+        wake = self._events[0][0] if self._events else NEVER
+        for cluster in self.clusters.clusters:
+            busy_until = cluster.busy_until
+            if interval < busy_until < wake:
+                wake = busy_until
+        if self._mat_queue:
+            if self._tertiary_busy_until > interval:
+                wake = min(wake, self._tertiary_busy_until)
+            elif self._tertiary_blocked_at != interval:
+                # The head was dropped this interval or queued after
+                # the device was driven: try the next one.
+                return step
+        return wake
+
+    def skip_span(self, start: int, stop: int) -> None:
+        """Book a quiet span (see :meth:`next_activity`)."""
+        n = stop - start
+        self.intervals_advanced += n
+        self.queue_length_sum += len(self._queue) * n
+        busy = min(stop, self._tertiary_busy_until) - start
+        if busy > 0:
+            self.tertiary_busy_intervals += busy
+
+    def verify_skip(self, sanitizer, start: int, stop: int) -> None:
+        """Nothing scheduled and nothing admissible in ``start ..
+        stop - 1``, recomputed from the clusters and heaps."""
+        span = f"skipped intervals {start}..{stop - 1}"
+        sanitizer.expect(
+            self.faults is None, "skip", f"fault coordinator active in {span}"
+        )
+        if self._events:
+            sanitizer.expect(
+                self._events[0][0] >= stop,
+                "skip",
+                f"{self._events[0][2]} event due at {self._events[0][0]} "
+                f"in {span}",
+            )
+        for cluster in self.clusters.clusters:
+            sanitizer.expect(
+                not start <= cluster.busy_until < stop,
+                "skip",
+                f"cluster {cluster.index} frees at {cluster.busy_until} "
+                f"in {span}",
+            )
+        if self._mat_queue and self._tertiary_busy_until < stop:
+            object_id, is_replica = self._mat_queue[0]
+            at = max(start, self._tertiary_busy_until)
+            sanitizer.expect(
+                (is_replica or not self.clusters.copy_count(object_id))
+                and self.replication.choose_victim(
+                    at, protect_object=object_id
+                ) is None,
+                "skip",
+                f"materialisation of object {object_id} could start at "
+                f"{at} in {span}",
+            )
+        free_holder = self.clusters.free_holder
+        for object_id in {request.object_id for request in self._queue}:
+            sanitizer.expect(
+                self.clusters.copy_count(object_id) > 0
+                or object_id in self._mat_pending,
+                "skip",
+                f"queued object {object_id} has no copy and no "
+                f"materialisation in {span}",
+            )
+            for interval in range(start, stop):
+                if free_holder(object_id, interval) is not None:
+                    sanitizer.violation(
+                        "skip",
+                        f"object {object_id} has a free copy at "
+                        f"{interval} in {span}",
+                    )
+                    break
 
     def _observe_interval(self, interval: int) -> None:
         """Sampled-interval telemetry (obs enabled only).
@@ -415,6 +505,7 @@ class VirtualReplicationPolicy(StoragePolicy):
             return
         victim = self.replication.choose_victim(interval, protect_object=object_id)
         if victim is None:
+            self._tertiary_blocked_at = interval
             return  # retry next interval
         self._mat_queue.popleft()
         obj = self.catalog.get(object_id)

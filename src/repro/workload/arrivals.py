@@ -73,6 +73,12 @@ class ArrivalProcess:
         """Requests entering the system during ``interval``."""
         raise NotImplementedError
 
+    def next_ready(self, interval: int) -> int:
+        """First interval after ``interval`` whose :meth:`ready_requests`
+        may be non-empty (the engine skips the ones before it).  Waking
+        early is always safe; the default never skips."""
+        return interval + 1
+
     def complete(self, request: Request, interval: int) -> None:
         """A previously issued request finished service."""
         raise NotImplementedError
@@ -373,6 +379,28 @@ class OpenArrivals(ArrivalProcess):
                 self._hot_object = self.access.popularity_ranking()[0]
             return self._hot_object
         return self.access.sample()
+
+    def next_ready(self, interval: int) -> int:
+        """The interval of the pre-drawn next arrival, thinned or not
+        (a thinned arrival still draws from the modulation stream in
+        its own interval)."""
+        arrival = self._next_arrival
+        length = self.interval_length
+        index = int(arrival // length)
+        # ready_requests(i) takes arrivals before (i + 1) * length;
+        # step back past any rounding that would make this late.
+        while index > 0 and arrival < index * length:
+            index -= 1
+        return index
+
+    def verify_skip(self, sanitizer, start: int, stop: int) -> None:
+        """The next arrival lands after the skipped intervals."""
+        sanitizer.expect(
+            self._next_arrival >= stop * self.interval_length,
+            "skip",
+            f"arrival at {self._next_arrival:.6f} s falls in skipped "
+            f"intervals {start}..{stop - 1}",
+        )
 
     def ready_requests(self, interval: int) -> List[Request]:
         """Arrivals whose (continuous) time lands in ``interval``."""

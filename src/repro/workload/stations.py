@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.simulation.policy import Request
+from repro.simulation.policy import NEVER, Request
 from repro.workload.access import AccessDistribution
 from repro.workload.arrivals import ArrivalProcess
 
@@ -111,6 +111,24 @@ class StationPool(ArrivalProcess):
             due.append(heapq.heappop(heap)[1])
         due.sort()
         return [self._issue(self.stations[i], interval) for i in due]
+
+    def next_ready(self, interval: int) -> int:
+        """When the next idle station's think time has elapsed."""
+        heap = self._idle_heap
+        return heap[0][0] if heap else NEVER
+
+    def verify_skip(self, sanitizer, start: int, stop: int) -> None:
+        """No idle station becomes ready in the skipped intervals."""
+        ready = min(
+            (s.next_issue_at for s in self.stations if not s.busy),
+            default=NEVER,
+        )
+        sanitizer.expect(
+            ready >= stop,
+            "skip",
+            f"a station re-issues at {ready}, inside skipped intervals "
+            f"{start}..{stop - 1}",
+        )
 
     def complete(self, request: Request, interval: int) -> None:
         """A station's display finished; it thinks, then re-issues."""

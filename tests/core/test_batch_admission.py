@@ -15,18 +15,22 @@ and checks all three after every step, mirroring
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import batch as batch_module
 from repro.core.admission import AdmissionMode, Admitter
-from repro.core.batch import BatchAdmissionIndex
+from repro.core.batch import LOOKAHEAD_OFFSETS, BatchAdmissionIndex
 from repro.core.display import Display
 from repro.core.virtual_disks import HALVES_PER_SLOT, SlotPool
 from repro.errors import SchedulingError
 from repro.media.objects import MediaObject, MediaType
 from repro.sim.sanitize import Sanitizer
+from repro.simulation.policy import NEVER
 
 _TYPE = MediaType(name="test-video", display_bandwidth=100.0)
 
@@ -234,6 +238,56 @@ def _run_compaction_sequence(num_disks, operations):
     sanitizer = Sanitizer(mode="check")
     index.verify_invariants(sanitizer, 0)
     assert sanitizer.total == 0
+
+
+@given(
+    num_disks=st.integers(min_value=2, max_value=80),
+    stride=st.integers(min_value=1, max_value=80),
+    displays=st.lists(
+        st.tuples(st.integers(1, 4), st.integers(0, 79), st.booleans()),
+        min_size=1, max_size=6,
+    ),
+    background=st.lists(st.integers(0, 79), max_size=60),
+    after=st.integers(min_value=0, max_value=500),
+)
+@settings(max_examples=150, deadline=None)
+def test_first_admissible_matches_a_scalar_scan(
+    num_disks, stride, displays, background, after
+):
+    """The CONTIGUOUS lookahead names the first interval at which the
+    scalar oracle admits a gathered display; past LOOKAHEAD_OFFSETS
+    untested intervals it wakes early, and it answers NEVER only when
+    no interval of a whole rotation period admits one."""
+    stride = 1 + (stride - 1) % num_disks
+    pool = SlotPool(num_disks=num_disks, stride=stride)
+    for slot in background:
+        if pool.free_halves(slot % num_disks) == HALVES_PER_SLOT:
+            pool.claim(slot % num_disks, "bg")
+    index = BatchAdmissionIndex(pool, AdmissionMode.CONTIGUOUS)
+    gathered, positions = [], []
+    for display_id, (degree, start, queued) in enumerate(displays, 1):
+        display = _display(display_id, min(degree, num_disks), start % num_disks)
+        position = index.add_display(display)
+        if queued:
+            gathered.append(display)
+            positions.append(position)
+    period = num_disks // math.gcd(num_disks, stride)
+    span = min(LOOKAHEAD_OFFSETS, period)
+    first = next(
+        (
+            interval
+            for interval in range(after, after + period)
+            if any(_scalar_verdict(index, d, interval) for d in gathered)
+        ),
+        None,
+    )
+    found = index.first_admissible(np.array(positions, dtype=np.intp), after)
+    if first is None:
+        # No alignment in a whole period: NEVER, or an early wake-up
+        # when the period is longer than one lookahead.
+        assert found in (NEVER, after + span if span < period else NEVER)
+    else:
+        assert found == min(first, after + span)
 
 
 class TestConstruction:

@@ -328,3 +328,36 @@ class TestStats:
         assert stats["hit_rate"] == 1.0
         assert "tertiary_utilization" in stats
         assert stats["resident_objects"] == 1.0
+
+
+class TestNextActivity:
+    def test_quiet_until_the_display_finishes(self):
+        policy = build_policy(num_disks=6, with_tertiary=False)
+        policy.preload([0, 1, 2, 3])
+        policy.submit(request(1, 0), 0)
+        policy.advance(0)
+        # Six subobjects from interval 0: the last delivery is at 5.
+        assert policy.next_activity(0) == 5
+
+    def test_cancel_that_returns_lanes_wakes_the_next_interval(self):
+        """A deadline cancel runs after the pass.  Returning a partial
+        display's lanes can lift the claim budget over a display-less
+        entry's degree, which then starts claiming next interval."""
+        policy = build_policy(num_disks=6, with_tertiary=False)
+        policy.preload([0, 1, 2, 3])
+        policy.submit(request(1, 0), 0)
+        policy.advance(0)  # display 1 holds virtual disks 0-2
+        policy.submit(request(2, 3, issued_at=1), 1)
+        policy.submit(request(3, 1, issued_at=1, station=1), 1)
+        policy.advance(1)
+        partial, waiting = policy._queue
+        assert partial.display.pending_lane_count == 1
+        assert waiting.display is None  # the budget is spent on request 2
+        assert policy.try_cancel(partial.request, 1)
+        assert policy.next_activity(1) == 2
+        policy.advance(2)
+        assert policy._queue[0].display is not None
+
+    def test_fcfs_steps_every_interval(self):
+        policy = build_policy(num_disks=6, queue_discipline="fcfs")
+        assert policy.next_activity(7) == 8

@@ -20,6 +20,7 @@ from repro.errors import FaultError, SchedulingError
 from repro.hardware.disk import TABLE3_DISK
 from repro.hardware.disk_array import SLOTS_PER_DISK, DiskArray
 from repro.sim.sanitize import Sanitizer
+from tests.oracles.scalar import pool_brute_force_free
 
 # One operation: (kind, slot/disk selector, owner selector, halves).
 # Selectors are reduced modulo the current domain inside the test so
@@ -33,14 +34,6 @@ ops = st.lists(
     ),
     max_size=60,
 )
-
-
-def pool_brute_force_free(pool: SlotPool) -> list:
-    """Free halves per slot, recounted from the public ownership map."""
-    return [
-        HALVES_PER_SLOT - sum(pool.owners_of(z).values())
-        for z in range(pool.num_disks)
-    ]
 
 
 def assert_pool_index_consistent(pool: SlotPool) -> None:

@@ -6,6 +6,8 @@
   interval-stepped engine's work driven from one kernel clock process.
 * :mod:`tests.oracles.delivery` — Algorithm 1 replayed with one kernel
   process per lane.
+* :mod:`tests.oracles.scalar` — the scalar versions of the batched,
+  memoized and incremental admission and occupancy paths.
 
 Nothing under ``src/`` imports these modules
 (tests/test_src_imports.py).

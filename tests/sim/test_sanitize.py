@@ -179,3 +179,24 @@ class TestEndToEnd:
         )
         result = run_experiment(config)
         assert result.completed >= 0  # and no SanitizeError escaped
+
+    @pytest.mark.parametrize(
+        "technique,policy_class",
+        [
+            ("simple", "repro.core.scheduler.StaggeredStripingPolicy"),
+            ("vdr", "repro.vdr.scheduler.VirtualReplicationPolicy"),
+        ],
+    )
+    def test_skip_check_catches_a_late_wake_up(
+        self, technique, policy_class, monkeypatch
+    ):
+        """A ``next_activity`` that promises quiet it cannot keep
+        would have the engine process due events late; strict mode
+        reports the skipped span instead."""
+        monkeypatch.setattr(
+            f"{policy_class}.next_activity",
+            lambda self, interval: interval + 5,
+        )
+        config = self.config(technique).with_(sanitize="strict")
+        with pytest.raises(SanitizeError, match=r"\[sanitize\.skip\]"):
+            run_experiment(config)

@@ -2,13 +2,13 @@
 
 The production path batches two things: whole-queue admission
 verdicts (:mod:`repro.core.batch`) and the station idle heap.  Their
-scalar references live only here and are reached by monkeypatching:
+scalar references live in :mod:`tests.oracles.scalar` and are reached
+by monkeypatching:
 
 * the scalar :meth:`StaggeredStripingPolicy._admission_pass` (the pass
   fcfs always runs) stands in for the batched pass of scan, sjf and
-  largest_first;
-* a scan over every station, written as a comprehension below, stands
-  in for the idle heap.
+  largest_first, and the engine steps every interval;
+* a scan over every station stands in for the idle heap.
 
 Both sides must produce **byte-identical** serialized results across
 admission modes, queue disciplines, and fault scenarios, under
@@ -21,37 +21,23 @@ import json
 
 import pytest
 
-from repro.core.scheduler import StaggeredStripingPolicy
 from repro.experiments.mixed_media import build_mixed_system
 from repro.sim.sanitize import Sanitizer
 from repro.simulation.config import ScaledConfig
 from repro.simulation.policy import Request
 from repro.simulation.runner import build_engine
-from repro.workload.stations import StationPool
-
-
-def scanned_ready_requests(self, interval):
-    """The station scan the idle heap replaces."""
-    return [
-        self._issue(station, interval)
-        for station in self.stations
-        if not (station.busy or interval < station.next_issue_at)
-    ]
+from tests.oracles.scalar import arm_scalar_admission
 
 
 @pytest.fixture
 def scalar_oracle(monkeypatch):
     """Returns a callable that swaps every batched component for its
-    scalar reference for the rest of the test."""
-
-    def arm():
-        monkeypatch.setattr(
-            StaggeredStripingPolicy, "_admission_pass_batched",
-            StaggeredStripingPolicy._admission_pass,
-        )
-        monkeypatch.setattr(StationPool, "ready_requests", scanned_ready_requests)
-
-    return arm
+    scalar reference for the rest of the test, and makes the engine
+    step every interval: the scalar pass maintains neither the
+    queued-display lists nor the verdict index, so a CONTIGUOUS
+    lookahead would read stale lanes.  The reference is "scalar
+    pass, every interval"."""
+    return lambda: arm_scalar_admission(monkeypatch)
 
 
 def run_blob(config) -> str:

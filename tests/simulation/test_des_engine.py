@@ -1,9 +1,12 @@
-"""Cross-validation: DES-driven engine == interval-stepped engine.
+"""Cross-validation: DES-driven engine == next-event interval engine.
 
-Both engines must produce the same serialized result, byte for byte.
-The interval side runs through :func:`run_experiment`, so under
-``REPRO_SANITIZE=strict`` every interval also passes the invariant
-sweep.
+The DES oracle steps every interval; the interval engine jumps over
+the intervals its sources promise are quiet.  Both must produce the
+same serialized result, byte for byte, so every case here is also a
+skip ≡ step check.  The interval side runs through
+:func:`run_experiment`, so under ``REPRO_SANITIZE=strict`` every
+stepped interval also passes the invariant sweep and every skipped
+span the ``skip`` check.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ import json
 
 import pytest
 
+from repro.core.scheduler import StaggeredStripingPolicy
 from repro.errors import ConfigurationError
+from repro.obs import Observability
 from repro.simulation.config import ScaledConfig
 from repro.simulation.runner import (
     build_access,
@@ -23,7 +28,9 @@ from repro.simulation.runner import (
     run_experiment,
 )
 from repro.sim.rng import RandomStream
+from repro.vdr.scheduler import VirtualReplicationPolicy
 from tests.oracles.des_engine import DESEngine
+from tests.oracles.scalar import step_every_interval
 
 
 def build_des_engine(config):
@@ -98,6 +105,78 @@ def test_des_and_interval_engines_agree_under_faults(technique, redundancy):
     )
     result = assert_engines_agree(config)
     assert result.policy_stats["fault_failures"] == 1
+
+
+CLOSED = ScaledConfig(
+    num_stations=8, access_mean=2.0,
+    warmup_intervals=200, measure_intervals=1200,
+)
+OPEN = ScaledConfig(
+    access_mean=2.0, warmup_intervals=100, measure_intervals=1000,
+    arrival="poisson", arrival_rate=0.05, zipf_s=0.8,
+)
+
+#: The paths the next-event advance takes beyond the cases above (which
+#: include Poisson arrivals with a 25-interval deadline): the VDR
+#: tertiary queue, station think time (a cluster frees a step before
+#: its station re-issues), the non-FIFO walks, a pure loss system and
+#: thinned, burst-shaped MMPP arrivals.
+SKIP_CASES = {
+    "vdr_tertiary_replicas": CLOSED.with_(
+        technique="vdr", replication_source="tertiary"
+    ),
+    "simple_think_time": CLOSED.with_(technique="simple", think_intervals=3),
+    "vdr_think_time": CLOSED.with_(technique="vdr", think_intervals=3),
+    "staggered_sjf": CLOSED.with_(
+        technique="staggered", queue_discipline="sjf"
+    ),
+    "staggered_largest_first": CLOSED.with_(
+        technique="staggered", queue_discipline="largest_first"
+    ),
+    "poisson_loss_system": OPEN.with_(
+        technique="simple", deadline_intervals=0
+    ),
+    "mmpp_diurnal_burst": OPEN.with_(
+        technique="simple", arrival="mmpp", arrival_rate=None,
+        mmpp_rates=(0.02, 0.08), mmpp_sojourn=(150.0, 50.0),
+        diurnal_period=400.0, diurnal_amplitude=0.6,
+        burst_at=300, burst_duration=200, burst_factor=3.0,
+        burst_hotspot=0.5, deadline_intervals=25,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKIP_CASES))
+def test_des_and_interval_engines_agree_on_skip_paths(name):
+    result = assert_engines_agree(SKIP_CASES[name])
+    assert result.completed > 0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        CLOSED.with_(technique="simple"),
+        CLOSED.with_(technique="vdr", replication_source="tertiary"),
+        OPEN.with_(technique="staggered", deadline_intervals=25),
+    ],
+    ids=["simple", "vdr", "open_staggered"],
+)
+def test_forced_stepping_matches_next_event_advance(config, monkeypatch):
+    """Skipped spans book their counters exactly as stepping would:
+    results and the ``--obs-level metrics`` snapshot (counters, and
+    the series sampled every ``sample_stride`` intervals) match a run
+    forced to step every interval."""
+
+    def run():
+        session = Observability(level="metrics")
+        result = run_experiment(config, obs=session)
+        return serialized(result), result.observation["metrics"]
+
+    blob, metrics = run()
+    for policy in (StaggeredStripingPolicy, VirtualReplicationPolicy):
+        monkeypatch.setattr(policy, "next_activity", step_every_interval)
+    assert run() == (blob, metrics)
+    assert any(entry["type"] == "counter" for entry in metrics.values())
 
 
 def test_des_engine_advances_simulated_seconds():

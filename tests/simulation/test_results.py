@@ -48,6 +48,20 @@ class TestMetrics:
         assert result.mean_startup_latency_seconds == 0.0
         assert result.max_startup_latency_seconds == 0.0
 
+    def test_span_samples_match_one_sample_per_interval(self):
+        """A skipped span books the bytes stepping would: 0.1 added
+        37 times is not 37 × 0.1 in floating point."""
+        stepped, skipped = make_result(), make_result()
+        for result in (stepped, skipped):
+            result.record_utilization(2, 0.3)
+        for _ in range(37):
+            stepped.record_utilization(3, 0.1)
+        skipped.record_utilization_span(3, 0.1, 37)
+        assert skipped.to_dict() == stepped.to_dict()
+        assert stepped.busy_fraction_sum != 0.3 + 37 * 0.1
+        skipped.record_utilization_span(9, 0.5, 0)
+        assert skipped.to_dict() == stepped.to_dict()
+
     def test_summary_includes_policy_stats(self):
         result = make_result(completed=10)
         result.policy_stats = {"hit_rate": 0.97}

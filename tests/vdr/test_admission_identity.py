@@ -3,64 +3,24 @@
 The production pass (:meth:`VirtualReplicationPolicy._admission_pass`)
 memoizes, per pass, the objects with no free copy, admits without
 rebuilding the queue, and looks holders up without building and
-sorting a cluster list.  The references below are the straightforward
+sorting a cluster list.  The references are the straightforward
 versions it replaced: ``free_holder`` over the sorted holder list and
-one full lookup per queued request.  Monkeypatched in, they must give
-byte-identical results under ``--sanitize strict``.
+one full lookup per queued request (:mod:`tests.oracles.scalar`).
+Monkeypatched in, they must give byte-identical results under
+``--sanitize strict``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List
 
 import pytest
 
 from repro.simulation.config import ScaledConfig
-from repro.simulation.policy import Request
 from repro.simulation.runner import build_engine
 from repro.vdr.clusters import ClusterArray
 from repro.vdr.scheduler import VirtualReplicationPolicy
-
-
-def reference_free_holder(self, object_id, interval):
-    """A free cluster holding the object, lowest index first."""
-    for cluster in sorted(self.holders(object_id), key=lambda c: c.index):
-        if cluster.is_free(interval):
-            return cluster
-    return None
-
-
-def reference_admission_pass(self, interval):
-    """One ``free_holder`` lookup per queued request, no memo."""
-    waiting_after: Dict[int, int] = {}
-    for request in self._queue:
-        waiting_after[request.object_id] = (
-            waiting_after.get(request.object_id, 0) + 1
-        )
-    still_waiting: List[Request] = []
-    for request in self._queue:
-        object_id = request.object_id
-        cluster = self.clusters.free_holder(object_id, interval)
-        if cluster is None:
-            if (
-                self.clusters.copy_count(object_id) == 0
-                and object_id not in self._mat_pending
-            ):
-                self._queue_materialization(object_id)
-            still_waiting.append(request)
-            continue
-        obj = self.catalog.get(object_id)
-        n = obj.num_subobjects
-        cluster.occupy(interval, n, "display", object_id)
-        self.startup_latency.record(interval - request.issued_at)
-        self._push_event(
-            interval + n - 1, "display", cluster.index, (request, interval)
-        )
-        waiting_after[object_id] -= 1
-        self._maybe_replicate(object_id, waiting_after[object_id], interval, n)
-    self._queue = still_waiting
-
+from tests.oracles.scalar import reference_admission_pass, reference_free_holder
 
 # Scale 20: D = 50, ten one-object clusters, 100 objects.  Forty
 # stations keep a queue of several requests per object, so the memo and
