@@ -25,9 +25,9 @@ scheduler to *re-tighten* verdicts mid-pass: after any successful
 claim the verdict array is recomputed, so the surviving True verdicts
 are exact and every remaining probe claims something.  The admission
 counters are preserved because the caller counts one attempt per
-probed display, skipped or not.  (The CONTIGUOUS negative cache in
-:class:`~repro.core.admission.Admitter` sees fewer probes — that
-cache is pure acceleration state and never observable.)
+display its walk reaches, skipped or not.  (The CONTIGUOUS negative
+cache in :class:`~repro.core.admission.Admitter` sees fewer probes —
+that cache is pure acceleration state and never observable.)
 
 Data layout — a persistent **lane table** rather than per-pass
 concatenation: three grow-only parallel arrays (``bases``, half
@@ -45,7 +45,7 @@ ops and **zero** per-display python.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -65,21 +65,16 @@ LOOKAHEAD_OFFSETS = 32
 class BatchAdmissionIndex:
     """Whole-queue claim verdicts over a persistent lane table.
 
-    Built by the scheduler for every discipline except fcfs, whose
-    head-of-line stop keeps the scalar pass (DESIGN.md decision 9).
-
-    Segment *positions* (the index of a display's segment in creation
-    order) are stable across :meth:`add_display` and
-    :meth:`remove_display`, but compaction renumbers them; callers
-    caching positions must compare :attr:`generation` and re-resolve
-    on a mismatch.
+    The index is also the registry of queued displays: the scheduler
+    adds a display when it creates (or a reposition requeues) it and
+    removes it on admission or cancel, so the live segments are
+    exactly the queued displays.  Queries answer by display id;
+    segment positions are internal, and compaction renumbers them.
     """
 
     def __init__(self, pool: SlotPool, mode: AdmissionMode) -> None:
         self.pool = pool
         self.mode = mode
-        #: Bumped by compaction; cached segment positions die with it.
-        self.generation = 0
         capacity = 256
         # Row r describes one lane: _bases[r] is the lane's virtual
         # disk at interval 0, _halves[r] its half-slot demand,
@@ -96,20 +91,17 @@ class BatchAdmissionIndex:
         self._displays: Dict[int, Display] = {}
         # Per-segment metadata in creation order (live and dead).
         self._starts: List[int] = []
+        self._ids: List[int] = []  # display id; -1 once the segment dies
         self._full: List[int] = []  # CONTIGUOUS: full-slot lane count
         self._nlanes: List[int] = []  # CONTIGUOUS: lane count
         # numpy mirrors of the metadata lists, rebuilt lazily.
         self._starts_np = None
+        self._ids_np = None
         self._full_np = None
         self._nlanes_np = None
 
     def __len__(self) -> int:
         return len(self._segments)
-
-    def position(self, display_id: int) -> Optional[int]:
-        """Current segment position of ``display_id`` (None if absent)."""
-        segment = self._segments.get(display_id)
-        return None if segment is None else segment[0]
 
     def _ensure_capacity(self, rows: int) -> None:
         capacity = len(self._bases)
@@ -123,8 +115,8 @@ class BatchAdmissionIndex:
             grown[: self._rows] = old[: self._rows]
             setattr(self, name, grown)
 
-    def add_display(self, display: Display) -> int:
-        """Register ``display``'s lanes; returns its segment position."""
+    def add_display(self, display: Display) -> None:
+        """Register ``display``'s lanes (it joined the queue)."""
         lanes = display.lanes
         n = len(lanes)
         row = self._rows
@@ -139,6 +131,7 @@ class BatchAdmissionIndex:
         self._pending[row : row + n] = [lane.slot is None for lane in lanes]
         position = len(self._starts)
         self._starts.append(row)
+        self._ids.append(display.display_id)
         if self.mode is AdmissionMode.CONTIGUOUS:
             self._full.append(
                 sum(1 for h in halves if h == HALVES_PER_SLOT)
@@ -148,8 +141,8 @@ class BatchAdmissionIndex:
         self._displays[display.display_id] = display
         self._rows = row + n
         self._live_rows += n
-        self._starts_np = self._full_np = self._nlanes_np = None
-        return position
+        self._starts_np = self._ids_np = None
+        self._full_np = self._nlanes_np = None
 
     def on_claim(self, display: Display) -> None:
         """Refresh ``display``'s pending rows (it just claimed lanes)."""
@@ -172,15 +165,18 @@ class BatchAdmissionIndex:
         if segment is None:
             return
         del self._displays[display_id]
-        _position, row, n = segment
+        position, row, n = segment
         self._pending[row : row + n] = False
+        self._ids[position] = -1
+        if self._ids_np is not None:
+            self._ids_np[position] = -1
         self._live_rows -= n
         if self._rows > _COMPACT_MIN_ROWS and 2 * self._live_rows < self._rows:
             self._compact()
 
     def _compact(self) -> None:
-        """Rewrite the table with live segments only (renumbers
-        positions — bumps :attr:`generation`)."""
+        """Rewrite the table with live segments only, in creation
+        order (renumbers the segment positions)."""
         survivors = [
             self._displays[display_id]
             for display_id, _segment in sorted(
@@ -190,12 +186,13 @@ class BatchAdmissionIndex:
         self._segments.clear()
         self._displays.clear()
         self._starts = []
+        self._ids = []
         self._full = []
         self._nlanes = []
         self._rows = 0
         self._live_rows = 0
-        self._starts_np = self._full_np = self._nlanes_np = None
-        self.generation += 1
+        self._starts_np = self._ids_np = None
+        self._full_np = self._nlanes_np = None
         for display in survivors:
             self.add_display(display)
 
@@ -203,14 +200,28 @@ class BatchAdmissionIndex:
         """Rebuild the numpy mirrors of the segment metadata lists."""
         if self._starts_np is None:
             self._starts_np = np.array(self._starts, dtype=np.intp)
+            self._ids_np = np.array(self._ids, dtype=np.int64)
             if self.mode is AdmissionMode.CONTIGUOUS:
                 self._full_np = np.array(self._full, dtype=np.int64)
                 self._nlanes_np = np.array(self._nlanes, dtype=np.int64)
 
-    def first_admissible(self, gather, after: int) -> int:
+    def claimable(self, interval: int) -> Set[int]:
+        """Ids of the queued displays whose :meth:`pass_verdicts`
+        verdict is True at ``interval``.
+
+        A display left out claims nothing at ``interval``, and cannot
+        for the rest of the pass (see the module docstring).
+        """
+        verdicts = self.pass_verdicts(interval)
+        if not len(verdicts):
+            return set()
+        ids = self._ids_np[verdicts]
+        return set(ids[ids >= 0].tolist())
+
+    def first_admissible(self, after: int) -> int:
         """CONTIGUOUS lookahead over an unchanging pool: the first
-        interval ``>= after`` at which a segment in ``gather`` (segment
-        positions, numpy) has a True :meth:`pass_verdicts` verdict.
+        interval ``>= after`` at which a queued display is
+        :meth:`claimable`.
 
         Between events the free-half array and capacity buckets are
         fixed and only the rotation offset ``k·t mod D`` moves, with
@@ -218,14 +229,15 @@ class BatchAdmissionIndex:
         :data:`LOOKAHEAD_OFFSETS` intervals in one numpy pass; when all
         fail it returns the first untested interval (an early wake-up
         is safe), or ``NEVER`` once a whole period has been tested or
-        no segment passes the bucket bounds.
+        no display passes the bucket bounds.
         """
-        if not len(gather):
+        if not self._segments:
             return NEVER
         self._metadata_arrays()
         pool = self.pool
         d = pool.num_disks
         buckets = pool._buckets
+        gather = np.flatnonzero(self._ids_np >= 0)
         candidates = gather[
             (self._full_np[gather] <= buckets[HALVES_PER_SLOT])
             & (self._nlanes_np[gather] <= d - buckets[0])
@@ -291,26 +303,44 @@ class BatchAdmissionIndex:
         # verdicts True.  (The scheduler's queue discipline makes this
         # unreachable — a display leaves the queue the pass its last
         # lane claims — but correctness must not rest on that.  Dead
-        # segments also surface True here; they are never gathered.)
+        # segments also surface True here; claimable drops them.)
         verdicts |= ~np.logical_or.reduceat(pending, starts)
         return verdicts
 
     # ------------------------------------------------------------------
     # Runtime invariant checks (repro.sim.sanitize)
     # ------------------------------------------------------------------
-    def verify_invariants(self, sanitizer, interval: int) -> None:
-        """Every registered segment mirrors its live lane state.
+    def verify_invariants(
+        self, sanitizer, interval: int, queued: List[Display]
+    ) -> None:
+        """The registry holds exactly the ``queued`` displays, and
+        every registered segment mirrors its live lane state.
 
         A stale pending row is what would make a batched skip unsound,
         so the whole table is rechecked against the display objects.
         """
+        sanitizer.expect(
+            sorted(self._segments) == sorted(d.display_id for d in queued)
+            and all(self._displays.get(d.display_id) is d for d in queued),
+            "batch_index",
+            f"registered displays differ from the queued ones in interval "
+            f"{interval}",
+        )
+        sanitizer.expect(
+            sorted(i for i in self._ids if i >= 0) == sorted(self._segments)
+            and (self._ids_np is None or self._ids_np.tolist() == self._ids),
+            "batch_index",
+            f"segment ids drifted from the registry in interval {interval}",
+        )
         d = self.pool.num_disks
         live_rows = 0
         for display_id, (position, row, n) in self._segments.items():
             display = self._displays[display_id]
             live_rows += n
             sanitizer.expect(
-                self._starts[position] == row and len(display.lanes) == n,
+                self._starts[position] == row
+                and self._ids[position] == display_id
+                and len(display.lanes) == n,
                 "batch_index",
                 f"segment registry drifted for display {display_id} "
                 f"in interval {interval}",

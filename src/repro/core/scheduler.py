@@ -20,11 +20,9 @@ stride 1 is classic staggered striping; any other stride is accepted
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
 
 from repro.core.admission import AdmissionMode, Admitter
 from repro.core.batch import BatchAdmissionIndex
@@ -46,12 +44,11 @@ class _QueueEntry:
     """One waiting (or partially admitted) request."""
 
     request: Request
+    #: The object's degree (it never changes): the budget test and the
+    #: sjf/largest_first sort keys read it without a catalog lookup.
+    degree: int
     display: Optional[Display] = None
     deferred_placement: bool = False
-    #: Cached object degree for the sjf/largest_first sort keys (an
-    #: object's degree never changes; saves a catalog lookup per entry
-    #: per interval while queued).
-    degree: Optional[int] = None
 
 
 class StaggeredStripingPolicy(StoragePolicy):
@@ -149,37 +146,18 @@ class StaggeredStripingPolicy(StoragePolicy):
             self.advance = self._advance_observed
         self._n_admitted = 0
         self._n_materializations = 0
-        # Batched admission (repro.core.batch): one numpy pass per
-        # interval computes claim verdicts for the whole queue, and
-        # displays that provably cannot claim skip their scalar probe.
-        # Bound instance-wise like `advance`.  fcfs keeps the scalar
-        # pass — its head-of-line stop at the first incomplete claim
-        # ends the walk early, so a whole-queue verdict pass would be
-        # wasted work (DESIGN.md decision 9).
-        self._batch_index: Optional[BatchAdmissionIndex] = None
-        if queue_discipline != "fcfs":
-            self._batch_index = BatchAdmissionIndex(
-                disk_manager.pool, self.admitter.mode
-            )
-            self._admission_pass = self._admission_pass_batched
-            # The display-having queue entries, maintained between
-            # passes as parallel display-id / segment-position lists
-            # (order is irrelevant — they only feed attempt counts and
-            # the verdict gather).  _batch_dirty forces a rebuild after
-            # any mutation the pass itself did not make (cancellation,
-            # reposition, fault abort — all route through
-            # _cancel_display) or after the index compacts.
-            self._batch_ids: List[int] = []
-            self._batch_positions: List[int] = []
-            self._batch_gather_np = None
-            self._batch_dirty = True
-            self._batch_generation = self._batch_index.generation
-            # The anti-hoarding test rejects a display-less entry whose
-            # degree exceeds the budget; once the budget is below every
-            # degree in the catalog, no display-less entry can pass.
-            self._min_degree = min(
-                (obj.degree for obj in catalog), default=1
-            )
+        # Batched admission (repro.core.batch): the verdict index is
+        # the registry of queued displays (added at creation and by a
+        # reposition, removed on admission and cancel), and one numpy
+        # pass per interval tells the walk which of them can claim.
+        self._batch_index = BatchAdmissionIndex(
+            disk_manager.pool, self.admitter.mode
+        )
+        self._fcfs = queue_discipline == "fcfs"
+        # The anti-hoarding test rejects a display-less entry whose
+        # degree exceeds the budget; once the budget is below every
+        # degree in the catalog, no display-less entry can pass.
+        self._min_degree = min((obj.degree for obj in catalog), default=1)
 
         # Fault coordinator (attach_faults); None = fault-free hooks
         # are skipped and the run is byte-identical to the seed.
@@ -314,16 +292,14 @@ class StaggeredStripingPolicy(StoragePolicy):
         aligned window rotates onto free slots.
 
         Steps every interval (returns ``interval + 1``) while the
-        model cannot predict its next change cheaply: under fcfs, with
-        a fault coordinator attached, while a placement is deferred,
-        and under FRAGMENTED admission while a queued display still
-        claims lanes (each lane's chance comes at its own rotation
-        offset).
+        model cannot predict its next change cheaply: with a fault
+        coordinator attached, while a placement is deferred, and under
+        FRAGMENTED admission while a queued display still claims lanes
+        (each lane's chance comes at its own rotation offset).
         """
         step = interval + 1
         if (
-            self._batch_index is None
-            or (self._queued_pending_lanes and self._fragmented)
+            (self._queued_pending_lanes and self._fragmented)
             or self.faults is not None
             or self._n_deferred
         ):
@@ -335,7 +311,9 @@ class StaggeredStripingPolicy(StoragePolicy):
             if self._displayless_admissible():
                 return step
             if not self._fragmented:
-                wake = min(wake, self._next_contiguous_admission(interval))
+                wake = min(
+                    wake, self._batch_index.first_admissible(interval + 1)
+                )
         if self._lane_releases and self._lane_releases[0][0] < wake:
             wake = self._lane_releases[0][0]
         if self._completions and self._completions[0][0] < wake:
@@ -348,68 +326,63 @@ class StaggeredStripingPolicy(StoragePolicy):
         It does once the entry's object is resident and (FRAGMENTED)
         its degree fits the claim budget; residency and the budget
         change only at events, or when a cancel returns a partial
-        display's lanes after the pass.
+        display's lanes after the pass.  Under fcfs the walk reaches a
+        display-less entry only at the head.
         """
         budget = self._claim_budget()
         if budget is not None and budget < self._min_degree:
             return False
         is_resident = self.object_manager.is_resident
-        for entry in self._queue:
+        for entry in self._reachable():
             if (
                 entry.display is None
-                and (budget is None or self._entry_degree(entry) <= budget)
+                and (budget is None or entry.degree <= budget)
                 and is_resident(entry.request.object_id)
             ):
                 return True
         return False
 
-    def _next_contiguous_admission(self, interval: int) -> int:
-        """CONTIGUOUS: the first interval at which a queued display's
-        aligned window rotates onto free slots
-        (:meth:`BatchAdmissionIndex.first_admissible`)."""
-        index = self._batch_index
-        if self._batch_dirty or self._batch_generation != index.generation:
-            self._batch_rebuild()
-        return index.first_admissible(self._batch_gather(), interval + 1)
+    def _reachable(self) -> List[_QueueEntry]:
+        """The entries a pass that changes nothing walks: under fcfs
+        the head (a head that cannot progress stops the walk), else
+        the whole queue."""
+        return self._queue[:1] if self._fcfs else self._queue
+
+    def _idle_attempts(self) -> int:
+        """Claim attempts a pass that changes nothing books: one per
+        queued display, or under fcfs one if the head has a display."""
+        if self._fcfs:
+            queue = self._queue
+            return int(bool(queue) and queue[0].display is not None)
+        return len(self._batch_index)
 
     def skip_span(self, start: int, stop: int) -> None:
         """Book a quiet span (see :meth:`next_activity`): the queue
-        waits, a running writer stays busy, and every queued display
-        counts one claim attempt per interval."""
+        waits, a running writer stays busy, and each interval books
+        the claim attempts of a pass that changes nothing."""
         n = stop - start
         self.intervals_advanced += n
         self.queue_length_sum += len(self._queue) * n
         if self.tertiary_manager is not None:
             self.tertiary_manager.skip(n)
         if self.obs is not None:
-            displays = sum(
-                1 for entry in self._queue if entry.display is not None
-            )
-            if displays:
-                self.admitter.count_attempts(displays * n)
+            attempts = self._idle_attempts()
+            if attempts:
+                self.admitter.count_attempts(attempts * n)
 
     def _advance_observed(self, interval: int) -> List[Completion]:
         """The same interval pipeline with phase timers and metric
         samples around each stage.
 
         Scans and timers run on every ``sample_stride``-th interval
-        only; other intervals take the plain pipeline (event counters
-        stay exact — they live in the per-event hooks, not here).
+        only; other intervals take the plain :meth:`advance` (event
+        counters stay exact — they live in the per-event hooks, not
+        here).
         """
+        if interval % self._obs_stride:
+            return StaggeredStripingPolicy.advance(self, interval)
         obs = self.obs
         self.intervals_advanced += 1
-        if interval % self._obs_stride:
-            if self.faults is not None:
-                self.faults.begin_interval(interval)
-            self._process_lane_releases(interval)
-            self._process_tertiary(interval)
-            self._retry_deferred_placements(interval)
-            self._admission_pass(interval)
-            if self.faults is not None:
-                self.faults.settle(interval)
-            completions = self._process_completions(interval)
-            self.queue_length_sum += len(self._queue)
-            return completions
         profiler = obs.profiler
         t0 = perf_counter()
         if self.faults is not None:
@@ -537,33 +510,11 @@ class StaggeredStripingPolicy(StoragePolicy):
             f"deferred-placement count drifted in interval {interval}: "
             f"running {self._n_deferred} != recount {deferred}",
         )
-        if self._batch_index is not None:
-            self._batch_index.verify_invariants(sanitizer, interval)
-            if not self._batch_dirty:
-                queued_ids = sorted(
-                    entry.display.display_id
-                    for entry in self._queue
-                    if entry.display is not None
-                )
-                sanitizer.expect(
-                    sorted(self._batch_ids) == queued_ids,
-                    "batch_index",
-                    f"maintained display-id list drifted in interval "
-                    f"{interval}",
-                )
-                index = self._batch_index
-                sanitizer.expect(
-                    self._batch_generation == index.generation
-                    and all(
-                        index.position(display_id) == position
-                        for display_id, position in zip(
-                            self._batch_ids, self._batch_positions
-                        )
-                    ),
-                    "batch_index",
-                    f"maintained segment positions drifted in interval "
-                    f"{interval}",
-                )
+        self._batch_index.verify_invariants(
+            sanitizer,
+            interval,
+            [entry.display for entry in self._queue if entry.display],
+        )
         # Heap-min bounds every entry, so a whole-heap scan is needed
         # only when something is actually due — O(1) on the common
         # clean interval instead of O(pending lanes).
@@ -597,8 +548,8 @@ class StaggeredStripingPolicy(StoragePolicy):
     def verify_skip(self, sanitizer, start: int, stop: int) -> None:
         """Nothing scheduled and nothing admissible in ``start ..
         stop - 1``: no heap top, writer change or must-step condition
-        falls inside, and at every skipped interval each queued
-        display's verdict is False and no display-less entry could
+        falls inside, and at every skipped interval no display the walk
+        reaches is claimable and no display-less entry it reaches could
         get a display."""
         span = f"skipped intervals {start}..{stop - 1}"
         sanitizer.expect(
@@ -629,34 +580,23 @@ class StaggeredStripingPolicy(StoragePolicy):
             sanitizer.expect(
                 not tm._queue, "skip", f"a materialisation starts in {span}"
             )
-        displays = [e.display for e in self._queue if e.display is not None]
         budget = self._claim_budget()
-        for entry in self._queue:
+        reachable = self._reachable()
+        for entry in reachable:
             if entry.display is None and self.object_manager.is_resident(
                 entry.request.object_id
             ):
                 sanitizer.expect(
-                    budget is not None
-                    and self._entry_degree(entry) > budget,
+                    budget is not None and entry.degree > budget,
                     "skip",
                     f"{entry.request} could get a display in {span}",
                 )
+        displays = [e.display.display_id for e in reachable if e.display]
         if not displays:
             return
-        index = self._batch_index
-        positions = (
-            [index.position(d.display_id) for d in displays]
-            if index is not None else [None]
-        )
-        if None in positions:
-            sanitizer.violation(
-                "skip", f"queued displays have no claim verdicts in {span}"
-            )
-            return
         for interval in range(start, stop):
-            verdicts = index.pass_verdicts(interval)[positions]
             sanitizer.expect(
-                not verdicts.any(),
+                self._batch_index.claimable(interval).isdisjoint(displays),
                 "skip",
                 f"a queued display could claim at {interval} in {span}",
             )
@@ -699,9 +639,25 @@ class StaggeredStripingPolicy(StoragePolicy):
             fragment_size=obj.fragment_size,
         )
         replacement = self._new_display(tail, plan.target_start_disk, original)
-        self._queue.insert(0, _QueueEntry(request=original, display=replacement))
+        self._queue.insert(
+            0,
+            _QueueEntry(
+                request=original, degree=obj.degree, display=replacement
+            ),
+        )
         self._queued_pending_lanes += len(replacement.lanes)
+        self._batch_index.add_display(replacement)
         return replacement
+
+    def abort_display(self, display: Display) -> None:
+        """Cancel ``display`` and requeue its request at the head (a
+        fault abort: the station still waits on the request, and the
+        redisplay restarts once re-admitted)."""
+        request = self._display_request.get(display.display_id)
+        self._cancel_display(display)
+        if request is not None:
+            degree = self.catalog.get(request.object_id).degree
+            self._queue.insert(0, _QueueEntry(request=request, degree=degree))
 
     # ------------------------------------------------------------------
     # Internals
@@ -773,57 +729,126 @@ class StaggeredStripingPolicy(StoragePolicy):
         for object_id in finished:
             self.object_manager.add_resident(object_id)
 
-    def _entry_degree(self, entry: _QueueEntry) -> int:
-        if entry.degree is None:
-            entry.degree = self.catalog.get(entry.request.object_id).degree
-        return entry.degree
-
     def _scan_order(self) -> List[_QueueEntry]:
         """The queue in the configured walk order (the stored queue
         itself always stays in arrival order)."""
         if self.queue_discipline == "sjf":
-            return sorted(self._queue, key=self._entry_degree)
+            return sorted(self._queue, key=lambda e: e.degree)
         if self.queue_discipline == "largest_first":
-            return sorted(self._queue, key=lambda e: -self._entry_degree(e))
+            return sorted(self._queue, key=lambda e: -e.degree)
         return self._queue
 
     def _admission_pass(self, interval: int) -> None:
-        admitted: List[int] = []
-        blocked = False
-        attempts = 0
+        """Walk the queue in the discipline's order, giving display-less
+        entries their display and probing each display's claim.
+
+        Every display-having entry's object is pinned (submit pins,
+        completion and cancel unpin) and the object manager never
+        evicts a pinned object, so only a display-less entry can be
+        non-resident.  A display-less entry whose degree exceeds the
+        FRAGMENTED claim budget is passed over (the anti-hoarding rule,
+        see :meth:`_claim_budget`).  fcfs stops the walk at the first
+        entry that cannot finish claiming: a non-resident entry, a
+        display-less entry over budget, a False verdict, or an
+        incomplete claim.  One claim attempt is counted per display the
+        walk reaches, probed or not.
+
+        With at least two queued displays, the walk first asks the
+        verdict index which of them can claim
+        (:meth:`BatchAdmissionIndex.claimable`).  A display left out
+        would claim nothing this pass (see :mod:`repro.core.batch`), so
+        its probe is skipped; after any successful claim the verdicts
+        are recomputed before the next probe.  With one queued display
+        a verdict saves at most one probe, which costs less than the
+        numpy pass.  A display created during the pass is probed
+        directly.
+
+        Two whole-pass fast-outs need no walk at all, when (a) a
+        FRAGMENTED pool is saturated — every probe claims nothing and
+        the budget (0 free minus reserved) blocks every creation — or
+        (b) no queued display can claim and no creation is possible
+        (nothing display-less, or a budget below the catalog's smallest
+        degree).  The same bound ends a walk early: the budget only
+        falls during a pass, so once it is below the smallest degree
+        and the walk has passed every display that existed before the
+        pass, nothing later in the walk can claim.
+        """
+        index = self._batch_index
+        n_displays = len(index)
+        fcfs = self._fcfs
+        if self._fragmented and not self.disk_manager.pool._free_half_total:
+            if self.obs is not None:
+                self.admitter.count_attempts(self._idle_attempts())
+            return
         budget = self._claim_budget()
+        min_degree = self._min_degree
+        keep: Optional[Set[int]] = None
+        if n_displays >= 2:
+            keep = index.claimable(interval)
+            quiet = not keep
+        else:
+            quiet = not n_displays
+        if quiet and (
+            len(self._queue) == n_displays
+            or (budget is not None and budget < min_degree)
+        ):
+            if self.obs is not None:
+                self.admitter.count_attempts(self._idle_attempts())
+            return
+        admitted: List[int] = []
+        attempts = 0
+        displays_left = n_displays
+        stale = False
         order = self._scan_order()
         for position, entry in enumerate(order):
-            if blocked:
-                break
-            if not self.object_manager.is_resident(entry.request.object_id):
-                if self.queue_discipline == "fcfs":
-                    blocked = True
-                continue
-            if entry.display is None:
-                obj = self.catalog.get(entry.request.object_id)
+            display = entry.display
+            if display is None:
+                # The budget test runs before the residency lookup —
+                # both are pure checks, so their order is unobservable,
+                # and it makes the common budget-blocked entry one int
+                # compare.
+                degree = entry.degree
+                if budget is not None and degree > budget:
+                    if fcfs or (not displays_left and budget < min_degree):
+                        break
+                    continue
+                object_id = entry.request.object_id
+                if not self.object_manager.is_resident(object_id):
+                    if fcfs:
+                        break
+                    continue
                 if budget is not None:
-                    if obj.degree > budget:
-                        # Anti-hoarding rule: beginning to claim now
-                        # could leave partially-laned displays holding
-                        # virtual disks that can never all be
-                        # completed — a deadlock (see DESIGN.md §4).
-                        if self.queue_discipline == "fcfs":
-                            blocked = True
+                    budget -= degree
+                display = entry.display = self._new_display(
+                    self.catalog.get(object_id),
+                    self.disk_manager.start_disk(object_id),
+                    entry.request,
+                )
+                self._queued_pending_lanes += len(display.lanes)
+                index.add_display(display)
+                attempts += 1
+            else:
+                displays_left -= 1
+                attempts += 1
+                if keep is not None:
+                    if stale and display.display_id in keep:
+                        keep = index.claimable(interval)
+                        stale = False
+                    if display.display_id not in keep:
+                        if fcfs:
+                            break
                         continue
-                    budget -= obj.degree
-                start = self.disk_manager.start_disk(entry.request.object_id)
-                entry.display = self._new_display(obj, start, entry.request)
-                self._queued_pending_lanes += len(entry.display.lanes)
-            attempts += 1
-            plan = self.admitter.try_claim(entry.display, interval)
+            plan = self.admitter.try_claim(display, interval)
             if plan.claimed_now:
                 self._queued_pending_lanes -= len(plan.claimed_now)
+                index.on_claim(display)
+                stale = True
             if plan.complete:
-                self._activate(entry.display)
+                self._activate(display)
+                index.remove_display(display.display_id)
                 admitted.append(position)
-            elif self.queue_discipline == "fcfs":
-                blocked = True
+            elif fcfs:
+                break
         if attempts and self.obs is not None:
             # Batched once per pass; a local add per attempt keeps the
             # claim loop free of per-call instrument traffic.
@@ -844,185 +869,6 @@ class StaggeredStripingPolicy(StoragePolicy):
             return
         gone = {id(order[position]) for position in admitted}
         self._queue = [e for e in queue if id(e) not in gone]
-
-    def _batch_rebuild(self) -> None:
-        """Re-derive the maintained display-id / segment-position lists
-        from the stored queue (after a cancel, reposition, fault
-        abort, or index compaction)."""
-        index = self._batch_index
-        ids: List[int] = []
-        positions: List[int] = []
-        for entry in self._queue:
-            display = entry.display
-            if display is None:
-                continue
-            position = index.position(display.display_id)
-            if position is None:
-                position = index.add_display(display)
-            ids.append(display.display_id)
-            positions.append(position)
-        self._batch_ids = ids
-        self._batch_positions = positions
-        self._batch_gather_np = None
-        self._batch_dirty = False
-        self._batch_generation = index.generation
-
-    def _batch_gather(self):
-        """The maintained segment positions as a numpy index array."""
-        gather = self._batch_gather_np
-        if gather is None:
-            gather = self._batch_gather_np = np.array(
-                self._batch_positions, dtype=np.intp
-            )
-        return gather
-
-    def _batch_keep_ids(self, interval: int) -> Optional[Set[int]]:
-        """Display ids whose pre-probe verdict is True right now, or
-        None when every queued display's verdict is False."""
-        ok = self._batch_index.pass_verdicts(interval)[self._batch_gather()]
-        if not ok.any():
-            return None
-        ids = self._batch_ids
-        return {ids[i] for i in np.flatnonzero(ok).tolist()}
-
-    def _admission_pass_batched(self, interval: int) -> None:
-        """:meth:`_admission_pass` with vectorised claim verdicts.
-
-        Byte-identical to the scalar pass (see the equivalence
-        argument in :mod:`repro.core.batch`): a False verdict proves
-        the display's scalar probe would claim nothing this pass, so
-        it is skipped — but still counted as an attempt; a True
-        verdict (and any display created during this pass) takes the
-        scalar claim path unchanged.  After any successful claim the
-        verdicts are recomputed before the next probe, so stale True
-        verdicts never trigger doomed probes.
-
-        Two whole-pass fast-outs need no walk at all.  Every
-        display-having queue entry's object is pinned (submit pins,
-        completion/cancel unpin) and the object manager never evicts a
-        pinned object, so the scalar pass's per-entry residency check
-        is True for all of them and the pass reduces to attempt
-        accounting when (a) the pool is saturated — the scalar pass
-        would deny every display on its one-integer fast-out and the
-        claim budget (0 free minus reserved) blocks every creation —
-        or (b) every verdict is False and no creation is possible
-        (nothing display-less, or a budget below the catalog's smallest
-        degree, which fails every display-less entry's anti-hoarding
-        test).
-
-        The same bound ends a walk early.  The budget only falls during
-        a pass, so once it is below the smallest degree and the walk
-        has passed every display-having entry that existed before the
-        pass (entries given a display this pass were already visited),
-        nothing later in the walk can claim.
-        """
-        index = self._batch_index
-        if self._batch_dirty or self._batch_generation != index.generation:
-            self._batch_rebuild()
-        n_displays = len(self._batch_ids)
-        pool = self.disk_manager.pool
-        fragmented = self.admitter.mode is AdmissionMode.FRAGMENTED
-        if fragmented and not pool._free_half_total:
-            if n_displays and self.obs is not None:
-                self.admitter.count_attempts(n_displays)
-            return
-        budget = self._claim_budget()
-        keep: Optional[Set[int]] = None
-        if n_displays:
-            keep = self._batch_keep_ids(interval)
-        min_degree = self._min_degree
-        if keep is None:
-            displayless = len(self._queue) - n_displays
-            if displayless == 0 or (budget is not None and budget < min_degree):
-                if n_displays and self.obs is not None:
-                    self.admitter.count_attempts(n_displays)
-                return
-        admitted: List[int] = []
-        admitted_ids: List[int] = []
-        attempts = n_displays
-        displays_left = n_displays
-        stale = False
-        order = self._scan_order()
-        for position, entry in enumerate(order):
-            display = entry.display
-            if display is None:
-                # The budget test runs on the cached degree before the
-                # residency lookup — both are pure checks, so the swap
-                # (vs the scalar pass) is unobservable, and it makes
-                # the common budget-blocked entry one int compare.
-                if budget is not None:
-                    degree = entry.degree
-                    if degree is None:
-                        degree = self._entry_degree(entry)
-                    if degree > budget:
-                        # Anti-hoarding rule — see _admission_pass.
-                        if not displays_left and budget < min_degree:
-                            break
-                        continue
-                if not self.object_manager.is_resident(
-                    entry.request.object_id
-                ):
-                    continue
-                obj = self.catalog.get(entry.request.object_id)
-                if budget is not None:
-                    budget -= obj.degree
-                start = self.disk_manager.start_disk(entry.request.object_id)
-                display = entry.display = self._new_display(
-                    obj, start, entry.request
-                )
-                self._queued_pending_lanes += len(display.lanes)
-                self._batch_ids.append(display.display_id)
-                self._batch_positions.append(index.add_display(display))
-                self._batch_gather_np = None
-                attempts += 1
-                # A display created this pass is probed directly — it
-                # has no pre-pass verdict.
-            else:
-                displays_left -= 1
-                if keep is None or display.display_id not in keep:
-                    continue
-                if stale:
-                    keep = self._batch_keep_ids(interval)
-                    stale = False
-                    if keep is None or display.display_id not in keep:
-                        continue
-            plan = self.admitter.try_claim(display, interval)
-            if plan.claimed_now:
-                self._queued_pending_lanes -= len(plan.claimed_now)
-                index.on_claim(display)
-                stale = True
-            if plan.complete:
-                self._activate(display)
-                admitted.append(position)
-                admitted_ids.append(display.display_id)
-        if attempts and self.obs is not None:
-            self.admitter.count_attempts(attempts)
-        if admitted:
-            self._drop_admitted(order, admitted)
-            # Order of the maintained lists is irrelevant, so admitted
-            # displays are swap-removed in place.
-            gone = set(admitted_ids)
-            ids = self._batch_ids
-            positions = self._batch_positions
-            i = 0
-            remaining = len(gone)
-            while remaining and i < len(ids):
-                if ids[i] in gone:
-                    gone.discard(ids[i])
-                    remaining -= 1
-                    ids[i] = ids[-1]
-                    positions[i] = positions[-1]
-                    ids.pop()
-                    positions.pop()
-                else:
-                    i += 1
-            self._batch_gather_np = None
-            for display_id in admitted_ids:
-                index.remove_display(display_id)
-            if index.generation != self._batch_generation:
-                # Compaction renumbered the segments; the cached
-                # positions die with the old generation.
-                self._batch_dirty = True
 
     def _claim_budget(self) -> Optional[int]:
         """Virtual disks available for *new* claimants (FRAGMENTED only).
@@ -1140,14 +986,8 @@ class StaggeredStripingPolicy(StoragePolicy):
         return completions
 
     def _cancel_display(self, display: Display) -> None:
-        if self._batch_index is not None:
-            # Covers every out-of-pass queue mutation that can touch a
-            # display-having entry: try_cancel, reposition, and fault
-            # aborts all come through here.  Cancels of active displays
-            # dirty the lists needlessly — they are rare, and the
-            # rebuild is one queue walk.
-            self._batch_index.remove_display(display.display_id)
-            self._batch_dirty = True
+        # A no-op for an active display (the index holds queued ones).
+        self._batch_index.remove_display(display.display_id)
         self.admitter.abort(display)
         self._active.pop(display.display_id, None)
         self._cancelled.add(display.display_id)

@@ -290,13 +290,7 @@ class FaultCoordinator(_CoordinatorBase):
         dropping it would stall the station forever — the redisplay
         starts from the beginning once re-admitted (the viewer sees a
         restart, not a freeze)."""
-        from repro.core.scheduler import _QueueEntry
-
-        policy = self.policy
-        request = policy._display_request.get(display.display_id)
-        policy._cancel_display(display)
-        if request is not None:
-            policy._queue.insert(0, _QueueEntry(request=request))
+        self.policy.abort_display(display)
         self.aborts += 1
 
 

@@ -128,17 +128,12 @@ class IntervalEngine:
 
         Timers run on every ``sample_stride``-th interval only, so the
         profile is a uniform sample: per-entry means are unbiased and
-        the cost amortises to near zero on long runs.
+        the cost amortises to near zero on long runs.  Other intervals
+        take the plain :meth:`step`.
         """
         t = self.interval
         if t % self._obs_stride:
-            for request in self.stations.ready_requests(t):
-                self.policy.submit(request, t)
-            completions = self.policy.advance(t)
-            for completion in completions:
-                self.stations.complete(completion.request, t)
-            self.interval += 1
-            return completions
+            return IntervalEngine.step(self)
         profiler = self.obs.profiler
         t0 = perf_counter()
         for request in self.stations.ready_requests(t):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,13 +86,15 @@ def _scalar_verdict(index: BatchAdmissionIndex, display: Display,
 
 
 def _assert_verdicts_match_oracle(index: BatchAdmissionIndex,
-                                  interval: int) -> None:
-    verdicts = index.pass_verdicts(interval)
-    for display_id, (position, _row, _n) in index._segments.items():
-        display = index._displays[display_id]
-        assert bool(verdicts[position]) == _scalar_verdict(
-            index, display, interval
-        ), f"display {display_id} at interval {interval}"
+                                  displays, interval: int) -> None:
+    """``claimable`` names exactly the registered ``displays`` (a dict
+    by id) whose oracle verdict is True."""
+    expected = {
+        display_id
+        for display_id, display in displays.items()
+        if _scalar_verdict(index, display, interval)
+    }
+    assert index.claimable(interval) == expected, f"interval {interval}"
 
 
 # One operation: (kind, selector a, selector b, halves-ish small int).
@@ -142,9 +143,7 @@ def test_batched_verdicts_match_scalar_probe(mode, num_disks, operations):
         elif kind == "claim" and displays:
             keys = sorted(displays)
             display = displays[keys[a % len(keys)]]
-            verdict = bool(
-                index.pass_verdicts(interval)[index.position(display.display_id)]
-            )
+            verdict = display.display_id in index.claimable(interval)
             plan = admitter.try_claim(display, interval)
             index.on_claim(display)
             # Soundness: a False verdict promised the scalar probe
@@ -181,8 +180,8 @@ def test_batched_verdicts_match_scalar_probe(mode, num_disks, operations):
         # The numpy copy must track the scalar free list exactly.
         assert pool._free_np.tolist() == pool._free
         assert len(index) == len(displays)
-        _assert_verdicts_match_oracle(index, interval)
-        index.verify_invariants(sanitizer, interval)
+        _assert_verdicts_match_oracle(index, displays, interval)
+        index.verify_invariants(sanitizer, interval, list(displays.values()))
         assert sanitizer.total == 0
 
 
@@ -191,8 +190,9 @@ def test_batched_verdicts_match_scalar_probe(mode, num_disks, operations):
 @settings(max_examples=40, deadline=None)
 def test_compaction_preserves_verdicts_and_renumbers(num_disks, operations):
     """With the compaction threshold forced low, heavy add/remove churn
-    compacts repeatedly; every compaction must bump the generation,
-    keep creation order, and leave verdicts equal to the oracle."""
+    compacts (and renumbers the segments) repeatedly; verdicts are
+    keyed by display id, so every survivor keeps its verdict across a
+    compaction and all of them stay equal to the oracle."""
     original = batch_module._COMPACT_MIN_ROWS
     batch_module._COMPACT_MIN_ROWS = 4
     try:
@@ -203,40 +203,30 @@ def test_compaction_preserves_verdicts_and_renumbers(num_disks, operations):
 
 def _run_compaction_sequence(num_disks, operations):
     pool = SlotPool(num_disks=num_disks, stride=1)
+    # Every other slot busy, so the verdicts are a mix of True and False.
+    for slot in range(0, num_disks, 2):
+        pool.claim(slot, "bg")
     index = BatchAdmissionIndex(pool, AdmissionMode.FRAGMENTED)
     displays = {}
     next_id = 0
-    positions = {}
     for kind, a, b, _halves in operations:
-        generation_before = index.generation
+        before = index.claimable(0)
         if kind in ("add", "add_half", "claim", "tick"):
             next_id += 1
             display = _display(next_id, 1 + a % num_disks, b % num_disks)
             displays[next_id] = display
-            positions[next_id] = index.add_display(display)
+            index.add_display(display)
+            assert index.claimable(0) - {next_id} == before
         elif displays:  # remove / background / release_bg all remove here
             keys = sorted(displays)
             victim = keys[a % len(keys)]
             del displays[victim]
-            positions.pop(victim)
             index.remove_display(victim)
-        if index.generation == generation_before:
-            # No compaction: cached positions must still resolve.
-            for display_id, position in positions.items():
-                assert index.position(display_id) == position
-        else:
-            # Compaction renumbered: re-resolve, creation order intact.
-            assert index.generation > generation_before
-            positions = {
-                display_id: index.position(display_id)
-                for display_id in displays
-            }
-            ordered = sorted(positions, key=positions.__getitem__)
-            assert ordered == sorted(displays)
+            assert index.claimable(0) == before - {victim}
         assert len(index) == len(displays)
-        _assert_verdicts_match_oracle(index, 0)
+        _assert_verdicts_match_oracle(index, displays, 0)
     sanitizer = Sanitizer(mode="check")
-    index.verify_invariants(sanitizer, 0)
+    index.verify_invariants(sanitizer, 0, list(displays.values()))
     assert sanitizer.total == 0
 
 
@@ -255,33 +245,35 @@ def test_first_admissible_matches_a_scalar_scan(
     num_disks, stride, displays, background, after
 ):
     """The CONTIGUOUS lookahead names the first interval at which the
-    scalar oracle admits a gathered display; past LOOKAHEAD_OFFSETS
+    scalar oracle admits a queued display; past LOOKAHEAD_OFFSETS
     untested intervals it wakes early, and it answers NEVER only when
-    no interval of a whole rotation period admits one."""
+    no interval of a whole rotation period admits one.  Displays that
+    left the queue (removed, their rows dead) never count."""
     stride = 1 + (stride - 1) % num_disks
     pool = SlotPool(num_disks=num_disks, stride=stride)
     for slot in background:
         if pool.free_halves(slot % num_disks) == HALVES_PER_SLOT:
             pool.claim(slot % num_disks, "bg")
     index = BatchAdmissionIndex(pool, AdmissionMode.CONTIGUOUS)
-    gathered, positions = [], []
-    for display_id, (degree, start, queued) in enumerate(displays, 1):
+    queued = []
+    for display_id, (degree, start, stays) in enumerate(displays, 1):
         display = _display(display_id, min(degree, num_disks), start % num_disks)
-        position = index.add_display(display)
-        if queued:
-            gathered.append(display)
-            positions.append(position)
+        index.add_display(display)
+        if stays:
+            queued.append(display)
+        else:
+            index.remove_display(display_id)
     period = num_disks // math.gcd(num_disks, stride)
     span = min(LOOKAHEAD_OFFSETS, period)
     first = next(
         (
             interval
             for interval in range(after, after + period)
-            if any(_scalar_verdict(index, d, interval) for d in gathered)
+            if any(_scalar_verdict(index, d, interval) for d in queued)
         ),
         None,
     )
-    found = index.first_admissible(np.array(positions, dtype=np.intp), after)
+    found = index.first_admissible(after)
     if first is None:
         # No alignment in a whole period: NEVER, or an early wake-up
         # when the period is longer than one lookahead.
@@ -296,45 +288,55 @@ class TestConstruction:
         index = BatchAdmissionIndex(pool, AdmissionMode.FRAGMENTED)
         assert len(index.pass_verdicts(0)) == 0
         assert len(index) == 0
-        assert index.position(99) is None
+        assert index.claimable(0) == set()
+        assert index.first_admissible(0) == NEVER
+        index.remove_display(99)  # an unknown id is a no-op
+        assert len(index) == 0
 
     def test_capacity_growth_preserves_rows(self):
         pool = SlotPool(num_disks=8, stride=1)
         index = BatchAdmissionIndex(pool, AdmissionMode.FRAGMENTED)
-        displays = [_display(i + 1, 4, i % 8) for i in range(200)]
-        for display in displays:
+        displays = {i + 1: _display(i + 1, 4, i % 8) for i in range(200)}
+        for display in displays.values():
             index.add_display(display)
         assert index._rows == 800  # past the initial 256 capacity
         sanitizer = Sanitizer(mode="check")
-        index.verify_invariants(sanitizer, 0)
+        index.verify_invariants(sanitizer, 0, list(displays.values()))
         assert sanitizer.total == 0
-        _assert_verdicts_match_oracle(index, 0)
+        _assert_verdicts_match_oracle(index, displays, 0)
 
 
 class TestSanitizerCatchesDrift:
     def _index(self):
         pool = SlotPool(num_disks=8, stride=1)
         index = BatchAdmissionIndex(pool, AdmissionMode.FRAGMENTED)
-        index.add_display(_display(1, 4, 0))
+        self.display = _display(1, 4, 0)
+        index.add_display(self.display)
         return index
 
     def test_stale_pending_row_fires(self):
         index = self._index()
         index._pending[2] = False  # display 1 lane 2 is actually pending
         sanitizer = Sanitizer(mode="check")
-        index.verify_invariants(sanitizer, interval=5)
+        index.verify_invariants(sanitizer, interval=5, queued=[self.display])
         assert sanitizer.total > 0
 
     def test_corrupt_geometry_fires(self):
         index = self._index()
         index._bases[0] += 1
         sanitizer = Sanitizer(mode="check")
-        index.verify_invariants(sanitizer, interval=5)
+        index.verify_invariants(sanitizer, interval=5, queued=[self.display])
         assert sanitizer.total > 0
 
     def test_live_row_count_drift_fires(self):
         index = self._index()
         index._live_rows += 1
         sanitizer = Sanitizer(mode="check")
-        index.verify_invariants(sanitizer, interval=5)
+        index.verify_invariants(sanitizer, interval=5, queued=[self.display])
+        assert sanitizer.total > 0
+
+    def test_registry_that_differs_from_the_queue_fires(self):
+        index = self._index()
+        sanitizer = Sanitizer(mode="check")
+        index.verify_invariants(sanitizer, interval=5, queued=[])
         assert sanitizer.total > 0

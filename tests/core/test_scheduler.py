@@ -15,8 +15,9 @@ from repro.hardware.disk_array import DiskArray
 from repro.hardware.tertiary import TertiaryDevice
 from repro.media.catalog import Catalog
 from repro.media.tape_layout import TapeLayout, TapeOrder
+from repro.obs import Observability
 from repro.sim.sanitize import Sanitizer
-from repro.simulation.policy import Request
+from repro.simulation.policy import NEVER, Request
 from tests.conftest import make_object
 
 
@@ -31,6 +32,7 @@ def build_policy(
     with_tertiary=True,
     queue_discipline="scan",
     placement_alignment=1,
+    obs=None,
 ):
     objects = [
         make_object(i, num_subobjects=num_subobjects, degree=degree)
@@ -59,6 +61,7 @@ def build_policy(
         tertiary_manager=tertiary,
         admission_mode=mode,
         queue_discipline=queue_discipline,
+        obs=obs,
     )
 
 
@@ -358,6 +361,72 @@ class TestNextActivity:
         policy.advance(2)
         assert policy._queue[0].display is not None
 
-    def test_fcfs_steps_every_interval(self):
-        policy = build_policy(num_disks=6, queue_discipline="fcfs")
-        assert policy.next_activity(7) == 8
+    def test_fcfs_wakes_at_the_heads_first_alignment(self):
+        """An empty fcfs queue waits for nothing.  A CONTIGUOUS head
+        wakes the policy at its first admissible rotation offset, and a
+        resident display-less entry behind it does not: the walk stops
+        at the head."""
+        policy = build_policy(
+            num_disks=6, num_subobjects=12, mode=AdmissionMode.CONTIGUOUS,
+            with_tertiary=False, queue_discipline="fcfs",
+        )
+        policy.preload([0, 1, 2, 3])
+        assert policy.next_activity(7) == NEVER
+        policy.submit(request(1, 0), 0)
+        policy.advance(0)  # display 1 holds virtual disks 0-2
+        policy.submit(request(2, 0, issued_at=1), 1)
+        policy.submit(request(3, 1, issued_at=1, station=1), 1)
+        policy.advance(1)
+        head, waiting = policy._queue
+        assert head.display is not None and waiting.display is None
+        # The head's window (0 - t .. 2 - t) mod 6 is first clear of
+        # virtual disks 0-2 at t = 3.
+        assert policy.next_activity(1) == 3
+        policy.advance(2)
+        assert policy._queue[0] is head
+        policy.advance(3)
+        assert policy._queue[0] is waiting
+
+    def test_fcfs_skip_books_the_attempts_stepping_counts(self):
+        """A reposition queues its display at the head, in front of a
+        blocked fcfs head.  A pass that changes nothing reaches only the
+        head, so a skipped span must book one claim attempt per
+        interval, as stepping it does, not one per queued display."""
+
+        def two_displays_queued():
+            obs = Observability(level="metrics").begin_run()
+            policy = build_policy(
+                num_disks=12, num_objects=4, num_subobjects=60,
+                mode=AdmissionMode.CONTIGUOUS, with_tertiary=False,
+                queue_discipline="fcfs", obs=obs,
+            )
+            policy.preload([0, 1, 2, 3])
+            for i in range(4):
+                policy.submit(request(i + 1, i, station=i), 0)
+            t = 0
+            while policy._queue:  # four displays fill the twelve disks
+                policy.advance(t)
+                t += 1
+            policy.submit(request(9, 1, issued_at=t, station=9), t)
+            policy.advance(t)
+            policy.reposition(1, target_subobject=1, interval=t + 1)
+            policy.advance(t + 1)
+            assert [e.display is not None for e in policy._queue] == [
+                True, True,
+            ]
+            # Both displays are in the verdict index's registry.
+            Sanitizer("strict").check_interval(policy, t + 1)
+            return policy, obs, t + 1
+
+        def claim_attempts(obs):
+            return obs.snapshot()["metrics"]["admission.claim_attempts"]
+
+        skipped, skipped_obs, t = two_displays_queued()
+        stepped, stepped_obs, _t = two_displays_queued()
+        wake = skipped.next_activity(t)
+        assert wake > t + 2
+        skipped.skip_span(t + 1, wake)
+        for interval in range(t + 1, wake):
+            assert stepped.advance(interval) == []
+        assert stepped.next_activity(wake - 1) == wake
+        assert claim_attempts(skipped_obs) == claim_attempts(stepped_obs)

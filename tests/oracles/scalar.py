@@ -9,9 +9,10 @@ in and demand byte-identical results:
   the VDR holder lookup over a sorted cluster list and the admission
   pass with one full lookup per queued request, no per-pass memo
   (tests/vdr/test_admission_identity.py);
-* :func:`arm_scalar_admission` — the scalar staggered admission pass
-  (the one fcfs always runs) and a scan over every station, stepped
-  every interval (tests/simulation/test_batch_identity.py);
+* :func:`scalar_admission_pass` / :func:`arm_scalar_admission` — the
+  staggered admission pass with one probe per display and no claim
+  verdicts, and a scan over every station, stepped every interval
+  (tests/simulation/test_batch_identity.py);
 * :func:`pool_brute_force_free` — a slot pool's free halves recounted
   from its ownership map (tests/hardware/test_occupancy_index.py).
 """
@@ -79,18 +80,71 @@ def step_every_interval(self, interval):
     return interval + 1
 
 
+def scalar_admission_pass(self, interval):
+    """The staggered admission pass without claim verdicts: every
+    display the walk reaches is probed.
+
+    It keeps the verdict index's registry of queued displays (add on
+    creation, refresh on claim, remove on admission), which the strict
+    sanitizer checks against the queue; it never asks the index for a
+    verdict.
+    """
+    admitted: List[int] = []
+    blocked = False
+    attempts = 0
+    budget = self._claim_budget()
+    order = self._scan_order()
+    for position, entry in enumerate(order):
+        if blocked:
+            break
+        if not self.object_manager.is_resident(entry.request.object_id):
+            if self.queue_discipline == "fcfs":
+                blocked = True
+            continue
+        if entry.display is None:
+            obj = self.catalog.get(entry.request.object_id)
+            if budget is not None:
+                if obj.degree > budget:
+                    # Anti-hoarding rule: beginning to claim now
+                    # could leave partially-laned displays holding
+                    # virtual disks that can never all be
+                    # completed — a deadlock (see DESIGN.md §4).
+                    if self.queue_discipline == "fcfs":
+                        blocked = True
+                    continue
+                budget -= obj.degree
+            start = self.disk_manager.start_disk(entry.request.object_id)
+            entry.display = self._new_display(obj, start, entry.request)
+            self._queued_pending_lanes += len(entry.display.lanes)
+            self._batch_index.add_display(entry.display)
+        attempts += 1
+        plan = self.admitter.try_claim(entry.display, interval)
+        if plan.claimed_now:
+            self._queued_pending_lanes -= len(plan.claimed_now)
+            self._batch_index.on_claim(entry.display)
+        if plan.complete:
+            self._activate(entry.display)
+            self._batch_index.remove_display(entry.display.display_id)
+            admitted.append(position)
+        elif self.queue_discipline == "fcfs":
+            blocked = True
+    if attempts and self.obs is not None:
+        # Batched once per pass; a local add per attempt keeps the
+        # claim loop free of per-call instrument traffic.
+        self.admitter.count_attempts(attempts)
+    if admitted:
+        self._drop_admitted(order, admitted)
+
+
 def arm_scalar_admission(monkeypatch) -> None:
-    """Swap the batched staggered admission and the station heap for
+    """Swap the staggered admission pass and the station heap for
     their scalar references, stepping every interval.
 
-    The scalar pass maintains neither the policy's queued-display
-    lists nor the verdict index's pending rows, so a CONTIGUOUS
-    lookahead would read lanes that are no longer current: the
-    reference is "scalar pass, every interval".
+    The reference is "scalar pass, every interval", so the production
+    run's skipped spans are checked against stepped ones as well.
     """
     monkeypatch.setattr(
-        StaggeredStripingPolicy, "_admission_pass_batched",
-        StaggeredStripingPolicy._admission_pass,
+        StaggeredStripingPolicy, "_admission_pass", scalar_admission_pass
     )
     monkeypatch.setattr(
         StaggeredStripingPolicy, "next_activity", step_every_interval

@@ -5,9 +5,10 @@ verdicts (:mod:`repro.core.batch`) and the station idle heap.  Their
 scalar references live in :mod:`tests.oracles.scalar` and are reached
 by monkeypatching:
 
-* the scalar :meth:`StaggeredStripingPolicy._admission_pass` (the pass
-  fcfs always runs) stands in for the batched pass of scan, sjf and
-  largest_first, and the engine steps every interval;
+* the scalar admission pass (one probe per display the walk reaches,
+  no verdicts) stands in for
+  :meth:`StaggeredStripingPolicy._admission_pass` under every queue
+  discipline, and the engine steps every interval;
 * a scan over every station stands in for the idle heap.
 
 Both sides must produce **byte-identical** serialized results across
@@ -22,10 +23,11 @@ import json
 import pytest
 
 from repro.experiments.mixed_media import build_mixed_system
+from repro.obs import Observability
 from repro.sim.sanitize import Sanitizer
 from repro.simulation.config import ScaledConfig
 from repro.simulation.policy import Request
-from repro.simulation.runner import build_engine
+from repro.simulation.runner import build_engine, run_experiment
 from tests.oracles.scalar import arm_scalar_admission
 
 
@@ -33,10 +35,8 @@ from tests.oracles.scalar import arm_scalar_admission
 def scalar_oracle(monkeypatch):
     """Returns a callable that swaps every batched component for its
     scalar reference for the rest of the test, and makes the engine
-    step every interval: the scalar pass maintains neither the
-    queued-display lists nor the verdict index, so a CONTIGUOUS
-    lookahead would read stale lanes.  The reference is "scalar
-    pass, every interval"."""
+    step every interval.  The reference is "scalar pass, every
+    interval"."""
     return lambda: arm_scalar_admission(monkeypatch)
 
 
@@ -71,6 +71,14 @@ CASES = {
         technique="staggered", num_stations=12, queue_discipline="fcfs",
         sanitize="strict",
     ),
+    # Fault aborts requeue a bare request at the head, in front of a
+    # partially claimed one: fcfs then queues two displays and takes
+    # the verdicts, stopping at a False one.
+    "fcfs_faulted_abort": ScaledConfig(scale=50).with_(
+        technique="staggered", num_stations=8, queue_discipline="fcfs",
+        mttf=40.0, mttr=6.0, redundancy="none", on_fault="abort",
+        sanitize="strict",
+    ),
     "faulted_mirror": ScaledConfig(scale=50).with_(
         technique="staggered", num_stations=8, mttf=60.0, mttr=8.0,
         redundancy="mirror", sanitize="strict",
@@ -88,6 +96,22 @@ def test_batched_run_is_byte_identical_to_scalar(name, scalar_oracle):
     batched = run_blob(config)
     scalar_oracle()
     assert run_blob(config) == batched
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_claim_counters_match_scalar(name, scalar_oracle):
+    """The pass counts one claim attempt per display its walk reaches,
+    probed or skipped, so the ``--obs-level metrics`` snapshot equals
+    the scalar walk's, which probes every display it reaches."""
+
+    def metrics():
+        session = Observability(level="metrics")
+        return run_experiment(CASES[name], obs=session).observation["metrics"]
+
+    batched = metrics()
+    assert batched["admission.claim_attempts"]["value"] > 0
+    scalar_oracle()
+    assert metrics() == batched
 
 
 def test_mixed_degree_flood_is_identical_to_scalar(scalar_oracle):
@@ -123,11 +147,3 @@ def test_mixed_degree_flood_is_identical_to_scalar(scalar_oracle):
     assert len(batched) == 48
     scalar_oracle()
     assert completion_log() == batched
-
-
-@pytest.mark.parametrize("discipline", ["scan", "sjf", "largest_first", "fcfs"])
-def test_batch_index_is_built_for_every_discipline_but_fcfs(discipline):
-    engine = build_engine(
-        CASES["staggered_fragmented"].with_(queue_discipline=discipline)
-    )
-    assert (engine.policy._batch_index is None) == (discipline == "fcfs")

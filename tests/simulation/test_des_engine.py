@@ -119,8 +119,10 @@ OPEN = ScaledConfig(
 #: The paths the next-event advance takes beyond the cases above (which
 #: include Poisson arrivals with a 25-interval deadline): the VDR
 #: tertiary queue, station think time (a cluster frees a step before
-#: its station re-issues), the non-FIFO walks, a pure loss system and
-#: thinned, burst-shaped MMPP arrivals.
+#: its station re-issues), the non-FIFO walks, fcfs's head-of-line
+#: stop (CONTIGUOUS simple striping wakes at the head's alignment; the
+#: open FRAGMENTED case also cancels at deadlines), a pure loss system
+#: and thinned, burst-shaped MMPP arrivals.
 SKIP_CASES = {
     "vdr_tertiary_replicas": CLOSED.with_(
         technique="vdr", replication_source="tertiary"
@@ -132,6 +134,11 @@ SKIP_CASES = {
     ),
     "staggered_largest_first": CLOSED.with_(
         technique="staggered", queue_discipline="largest_first"
+    ),
+    "simple_fcfs": CLOSED.with_(technique="simple", queue_discipline="fcfs"),
+    "open_staggered_fcfs": OPEN.with_(
+        technique="staggered", queue_discipline="fcfs",
+        deadline_intervals=25,
     ),
     "poisson_loss_system": OPEN.with_(
         technique="simple", deadline_intervals=0
@@ -158,8 +165,9 @@ def test_des_and_interval_engines_agree_on_skip_paths(name):
         CLOSED.with_(technique="simple"),
         CLOSED.with_(technique="vdr", replication_source="tertiary"),
         OPEN.with_(technique="staggered", deadline_intervals=25),
+        CLOSED.with_(technique="simple", queue_discipline="fcfs"),
     ],
-    ids=["simple", "vdr", "open_staggered"],
+    ids=["simple", "vdr", "open_staggered", "simple_fcfs"],
 )
 def test_forced_stepping_matches_next_event_advance(config, monkeypatch):
     """Skipped spans book their counters exactly as stepping would:
