@@ -11,10 +11,10 @@ master is the single authority, which is what makes results
 byte-identical regardless of which agent (or how many) ran a row.
 
 Telemetry: when the sweep was submitted with ``--obs-level`` above
-``off``, the agent captures each run's obs artifact into a private
-scratch :class:`~repro.obs.store.ObsArtifactStore` and ships
-``runs``/``trace`` along with the result push, so the master's store
-ends up byte-identical to a local observed sweep's.
+``off``, each run is captured exactly as in a local sweep, and the
+outcome's ``artifact`` (``runs``/``trace``) rides the result push; the
+master persists it through the same ``persist_outcome`` a local
+sweep uses, so its store matches a local observed sweep's.
 
 Robustness: network calls retry with bounded backoff (a master
 restart mid-sweep costs nothing — leases re-expire and requeue);
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 import socket
-import tempfile
 import threading
 import time
 import uuid
@@ -40,8 +39,8 @@ from repro.exec.supervisor import (
     SupervisedPool,
     Supervision,
     attempt_serial,
+    pool_context,
 )
-from repro.obs.store import ObsArtifactStore
 from repro.cluster.protocol import MasterClient, spec_from_wire
 
 
@@ -121,9 +120,9 @@ class ClusterAgent:
     # -- execution -----------------------------------------------------
     def _execute_rows(
         self, rows: List[Dict[str, Any]], obs_level: str
-    ) -> List[Tuple[int, str, Dict[str, Any], Optional[Dict[str, Any]]]]:
-        """Run one leased batch; returns (index, digest, outcome,
-        artifact) per row, settle order."""
+    ) -> List[Tuple[int, str, Dict[str, Any]]]:
+        """Run one leased batch; returns (index, digest, outcome) per
+        row, settle order."""
         specs: Dict[int, RunSpec] = {
             int(row["index"]): spec_from_wire(row["spec"]) for row in rows
         }
@@ -142,87 +141,43 @@ class ClusterAgent:
                     f"{digests[index][:12]}…, local spec hashes to "
                     f"{computed[:12]}… (code-version skew?)"
                 )
-        store: Optional[ObsArtifactStore] = None
-        scratch: Optional[tempfile.TemporaryDirectory] = None
-        if obs_level != "off":
-            scratch = tempfile.TemporaryDirectory(prefix="repro-agent-obs-")
-            store = ObsArtifactStore(scratch.name, level=obs_level)
         results = []
-        try:
-            if self.jobs == 1 or len(rows) <= 1:
-                for index in sorted(specs):
-                    if self._stop.is_set():
-                        break
-                    outcome = attempt_serial(
-                        specs[index], self.options, store=store
-                    )
-                    outcome["attempt"] += base_attempt[index]
-                    results.append(
-                        (
-                            index,
-                            digests[index],
-                            outcome,
-                            self._artifact(store, digests[index], outcome),
-                        )
-                    )
-            else:
-                tasks = [(index, specs[index]) for index in sorted(specs)]
-                pool = SupervisedPool(
-                    tasks,
-                    self.jobs,
-                    self.options,
-                    _pool_context(),
-                    obs_capture=(
-                        (str(store.root), store.level.value)
-                        if store is not None
-                        else None
-                    ),
-                    digests=digests,
+        if self.jobs == 1 or len(rows) <= 1:
+            for index in sorted(specs):
+                if self._stop.is_set():
+                    break
+                outcome = attempt_serial(
+                    specs[index], self.options, obs_level=obs_level
                 )
-                for outcome in pool.run():
-                    index = outcome["index"]
-                    outcome["attempt"] += base_attempt[index]
-                    results.append(
-                        (
-                            index,
-                            digests[index],
-                            outcome,
-                            self._artifact(store, digests[index], outcome),
-                        )
-                    )
-                    if self._stop.is_set():
-                        pool.request_stop()
-        finally:
-            if scratch is not None:
-                scratch.cleanup()
+                outcome["attempt"] += base_attempt[index]
+                results.append((index, digests[index], outcome))
+        else:
+            tasks = [(index, specs[index]) for index in sorted(specs)]
+            pool = SupervisedPool(
+                tasks,
+                self.jobs,
+                self.options,
+                pool_context(),
+                obs_level=obs_level,
+                digests=digests,
+            )
+            for outcome in pool.run():
+                index = outcome["index"]
+                outcome["attempt"] += base_attempt[index]
+                results.append((index, digests[index], outcome))
+                if self._stop.is_set():
+                    pool.request_stop()
         return results
-
-    @staticmethod
-    def _artifact(
-        store: Optional[ObsArtifactStore],
-        digest: str,
-        outcome: Dict[str, Any],
-    ) -> Optional[Dict[str, Any]]:
-        """The pushable obs artifact for one settled row, if any."""
-        if store is None or outcome.get("status") != "ok":
-            return None
-        artifact = store.get(digest)
-        if artifact is None:
-            return None
-        return {
-            "runs": artifact.get("runs", []),
-            "trace": store.get_trace(digest) if store.tracing else None,
-        }
 
     def _push(
         self,
         sweep_id: str,
-        settled: List[
-            Tuple[int, str, Dict[str, Any], Optional[Dict[str, Any]]]
-        ],
+        settled: List[Tuple[int, str, Dict[str, Any]]],
     ) -> None:
-        for index, digest, outcome, artifact in settled:
+        for index, digest, outcome in settled:
             failpoints.fire(SITE_RESULT_PRE_PUSH)
+            # The artifact travels beside the outcome on the wire.
+            artifact = outcome.pop("artifact", None)
             self.client.push_result(
                 self.agent_id, sweep_id, index, digest, outcome, artifact
             )
@@ -298,12 +253,3 @@ class ClusterAgent:
                 self._beat_thread.join(timeout=2.0)
         return self.executed
 
-
-def _pool_context():
-    """Fork where available (cheap, inherits imports), else spawn."""
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )

@@ -8,6 +8,9 @@ interrupted sweep resumes it — then polls the sweep's state until it
 completes and fetches the settled :class:`RunRecord` rows, in spec
 order, exactly as a local ``execute`` would have returned them.
 
+An observed session adopts the artifacts the records reply carries,
+under a ``sweep-exec`` run of its own, exactly as a local collect.
+
 Ctrl-C mid-poll raises :class:`~repro.errors.SweepInterrupted` with
 the master-side sweep id: the sweep keeps running on the cluster, and
 re-running the same command (or ``repro sweep-resume`` against the
@@ -42,7 +45,8 @@ def execute_via_master(
     obs=None,
 ) -> List[Any]:
     """Run ``specs`` on the cluster behind ``supervision.master_url``."""
-    from repro.exec.executor import RunRecord  # circular at module level
+    # Imported here: circular at module level.
+    from repro.exec.executor import RunRecord, adopt_artifacts
 
     client = MasterClient(supervision.master_url)
     wires = [spec_to_wire(spec) for spec in specs]
@@ -77,27 +81,20 @@ def execute_via_master(
             f"master returned {len(rows)} records for a "
             f"{len(specs)}-spec sweep (incomplete collect?)"
         )
-    records: List[RunRecord] = []
-    for row in rows:
-        records.append(
-            RunRecord(
-                index=int(row["index"]),
-                kind=str(row["kind"]),
-                label=str(row.get("label", "")),
-                digest=str(row["digest"]),
-                status=str(row["status"]),
-                payload=row.get("payload") or {},
-                error=row.get("error"),
-                duration_s=float(row.get("duration_s", 0.0)),
-                cached=bool(row.get("cached", False)),
-                attempts=int(row.get("attempts", 1)),
-                poisoned=bool(row.get("poisoned", False)),
-                resumed=bool(row.get("resumed", False)),
-                sweep_id=str(row.get("sweep_id", sweep_id)),
-                journal_path=str(row.get("journal_path", "")),
-            )
+    artifacts = {
+        row["digest"]: row.pop("artifact") for row in rows if "artifact" in row
+    }
+    records = sorted(
+        (RunRecord(**row) for row in rows), key=lambda record: record.index
+    )
+    if obs_level != "off" and len(specs) > 1:
+        exec_obs = obs.begin_run(f"sweep-exec[{len(specs)} runs]")
+        registry = exec_obs.registry
+        registry.counter("exec.runs").inc(len(specs))
+        registry.counter("exec.obs_artifacts").inc(
+            adopt_artifacts(obs, records, artifacts)
         )
-    records.sort(key=lambda record: record.index)
+        obs.finish_run(exec_obs)
     return records
 
 

@@ -9,9 +9,11 @@ master plans them with the executor's own
 :func:`~repro.exec.executor.plan_rows` (cache probe, journal resume,
 artifact hit/miss — identical semantics), queues the pending rows,
 and leases them in batches to registered agents.  Every pushed result
-lands through :func:`~repro.exec.executor.persist_outcome`, the same
-single write path the local executor flushes through, so journals and
-caches merge cleanly no matter who settled a row.
+(with its obs artifact, when observed) lands through
+:func:`~repro.exec.executor.persist_outcome`, the same single write
+path the local executor flushes through, so journals, caches and
+artifact stores merge cleanly no matter who settled a row; the records
+reply hands each ok row's artifact back to the client.
 
 Failure attribution (see docs/distributed_execution.md): an agent
 silent past ``heartbeat_timeout`` is dead; its leases expire and
@@ -118,7 +120,7 @@ class MasterSweep:
             argv=list(argv or []),
         )
         settled_prior = prior.settled_runs() if prior is not None else {}
-        self.records, self.pending = plan_rows(
+        self.records, self.pending, self.artifacts = plan_rows(
             specs,
             digests,
             cache,
@@ -234,10 +236,13 @@ class MasterSweep:
         # Before any state mutates: an error injected here turns into
         # a 500, and the agent's retried push must land cleanly.
         failpoints.fire(SITE_RESULT_PRE_PERSIST)
-        if self.store is not None and artifact is not None:
-            runs = artifact.get("runs")
-            if isinstance(runs, list) and outcome.get("status") == "ok":
-                self.store.put(digest, runs, artifact.get("trace"))
+        if not (
+            isinstance(artifact, dict) and isinstance(artifact.get("runs"), list)
+        ):
+            artifact = None
+        outcome["artifact"] = artifact
+        if artifact is not None and outcome.get("status") == "ok":
+            self.artifacts[digest] = artifact
         self.outcomes[index] = outcome
         persist_outcome(
             self.specs[index],
@@ -247,6 +252,7 @@ class MasterSweep:
             self.cache,
             self.journal,
             self.bus,
+            self.store,
         )
         self.bus.emit(
             "result_pushed",
@@ -326,7 +332,9 @@ class MasterSweep:
 
     # -- results -------------------------------------------------------
     def record_rows(self) -> List[Dict[str, Any]]:
-        """Every spec's RunRecord as a JSON-able row, in spec order."""
+        """Every spec's RunRecord as a JSON-able row, in spec order;
+        an ok row whose telemetry the master holds carries it as
+        ``artifact``."""
         rows: List[Dict[str, Any]] = []
         journal_file = str(self.journal.path)
         for index, spec in enumerate(self.specs):
@@ -337,39 +345,19 @@ class MasterSweep:
                 outcome = self.outcomes.get(lead)
                 if outcome is None:
                     continue  # still in flight
-                record = RunRecord(
-                    index=index,
-                    kind=spec.kind,
-                    label=spec.describe(),
-                    digest=digest,
-                    status=outcome["status"],
-                    payload=outcome["payload"],
-                    error=outcome.get("error"),
-                    duration_s=outcome["duration_s"],
+                record = RunRecord.from_outcome(
+                    index,
+                    spec,
+                    digest,
+                    outcome,
                     cached=index != lead,
-                    attempts=outcome.get("attempt", 1),
-                    poisoned=outcome.get("poison", False),
                     sweep_id=self.sweep_id,
                     journal_path=journal_file,
                 )
-            rows.append(
-                {
-                    "index": record.index,
-                    "kind": record.kind,
-                    "label": record.label,
-                    "digest": record.digest,
-                    "status": record.status,
-                    "payload": record.payload,
-                    "error": record.error,
-                    "duration_s": record.duration_s,
-                    "cached": record.cached,
-                    "attempts": record.attempts,
-                    "poisoned": record.poisoned,
-                    "resumed": record.resumed,
-                    "sweep_id": record.sweep_id,
-                    "journal_path": record.journal_path,
-                }
-            )
+            row = dict(vars(record))
+            if record.ok and digest in self.artifacts:
+                row["artifact"] = self.artifacts[digest]
+            rows.append(row)
         return rows
 
     def state_document(self) -> Dict[str, Any]:

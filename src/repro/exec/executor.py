@@ -29,19 +29,17 @@ Telemetry: with an :class:`~repro.obs.Observability` session, the
 executor opens one run-observation of its own whose
 :class:`~repro.obs.PhaseProfiler` splits plan / execute / collect and
 whose registry tallies per-run wall-clock and counts runs, cache
-hits, retries, and failures.  At ``jobs == 1`` the session is
-additionally threaded into each run (per-run engine metrics, exactly
-as before this layer existed); worker processes always run unobserved
-— the telemetry contract (PR 1) guarantees that cannot change their
-rows.
+hits, retries, and failures.  Every run of an observed sweep is
+captured where it executes (in-process or in a worker); its outcome
+carries the artifact, :func:`persist_outcome` stores it, and collect
+adopts it from memory (warm hits: the artifact :func:`plan_rows`
+read), so per-run snapshots do not depend on ``jobs`` or the cache.
+A single-spec ``execute`` threads the session into the run instead.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
-import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -55,12 +53,13 @@ from repro.exec.journal import (
     load_journal,
     sweep_id_for,
 )
-from repro.exec.spec import RunSpec, run_spec, spec_digest
+from repro.exec.spec import RunSpec, spec_digest
 from repro.exec.supervisor import (
     GracefulSignals,
     SupervisedPool,
     Supervision,
     attempt_serial,
+    pool_context,
 )
 from repro.obs.events import EVENTS_VERSION, SweepEventBus
 from repro.obs.store import ObsArtifactStore
@@ -134,30 +133,40 @@ class RunRecord:
     def ok(self) -> bool:
         return self.status == "ok"
 
+    @classmethod
+    def from_outcome(
+        cls,
+        index: int,
+        spec: RunSpec,
+        digest: str,
+        outcome: Dict[str, Any],
+        cached: bool = False,
+        sweep_id: str = "",
+        journal_path: str = "",
+    ) -> "RunRecord":
+        """The record of a settled outcome; ``cached`` marks a duplicate
+        spec filled from its lead's run."""
+        return cls(
+            index=index,
+            kind=spec.kind,
+            label=spec.describe(),
+            digest=digest,
+            status=outcome["status"],
+            payload=outcome["payload"],
+            error=outcome.get("error"),
+            duration_s=outcome["duration_s"],
+            cached=cached,
+            attempts=outcome.get("attempt", 1),
+            poisoned=outcome.get("poison", False),
+            sweep_id=sweep_id,
+            journal_path=journal_path,
+        )
+
     def result(self) -> SimulationResult:
         """The payload as a :class:`SimulationResult` (experiment kinds)."""
         if not self.ok:
             raise SweepFailure([self])
         return SimulationResult.from_dict(self.payload)
-
-
-def _execute_payload(spec: RunSpec, obs=None) -> Tuple[str, Dict, Optional[str], float]:
-    """Run one spec, capturing any failure; returns (status, payload,
-    error, duration)."""
-    start = time.perf_counter()
-    try:
-        payload = run_spec(spec, obs=obs)
-        return "ok", payload, None, time.perf_counter() - start
-    except Exception:  # noqa: BLE001 — failure capture is the point
-        return "error", {}, traceback.format_exc(), time.perf_counter() - start
-
-
-def _pool_context():
-    """Fork where available (cheap, inherits imports), else spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
 
 
 def plan_rows(
@@ -169,18 +178,23 @@ def plan_rows(
     bus: Optional[SweepEventBus],
     sweep_id: str = "",
     journal_file: str = "",
-) -> Tuple[Dict[int, RunRecord], Dict[str, List[int]]]:
+) -> Tuple[
+    Dict[int, RunRecord], Dict[str, List[int]], Dict[str, Dict[str, Any]]
+]:
     """The lease-aware sweep planner: split specs into settled records
     and pending work.
 
     Probes the result cache, the obs artifact store, and the prior
     journal rows for every spec, emitting the plan-time events
     (``cache_hit``/``journal_hit``/``artifact_hit``/``artifact_miss``)
-    on ``bus``.  Returns ``(records, pending)`` where ``records`` maps
-    already-settled indices to their :class:`RunRecord` and ``pending``
-    maps each digest still owed to the spec indices wanting it (the
-    first index of each group is the *lead* — the one actually
-    dispatched; duplicates are filled at collect time).
+    on ``bus``.  Returns ``(records, pending, artifacts)`` where
+    ``records`` maps already-settled indices to their
+    :class:`RunRecord`, ``pending`` maps each digest still owed to the
+    spec indices wanting it (the first index of each group is the
+    *lead* — the one actually dispatched; duplicates are filled at
+    collect time), and ``artifacts`` maps each settled digest whose
+    telemetry the store held to ``{"runs", "trace"}`` — read once,
+    here, and adopted from memory at collect.
 
     This is the single planning path for both the local executor and
     the cluster master (:mod:`repro.cluster.master`), so a sweep
@@ -188,6 +202,7 @@ def plan_rows(
     """
     records: Dict[int, RunRecord] = {}
     pending: Dict[str, List[int]] = {}
+    artifacts: Dict[str, Dict[str, Any]] = {}
     emitted: set = set()  # digests already announced on the bus
     for index, (spec, digest) in enumerate(zip(specs, digests)):
         stored = cache.get(digest) if cache is not None else None
@@ -201,7 +216,8 @@ def plan_rows(
             or (journal_row is not None
                 and journal_row.get("status") == "ok")
         ):
-            if store.get(digest) is None:
+            artifact = store.get(digest)
+            if artifact is None:
                 # The result is cached (or journaled ok) but its
                 # telemetry is not — a pre-store run, or a
                 # corrupt/torn artifact.  Treat the pair as a miss
@@ -214,6 +230,9 @@ def plan_rows(
                 stored = None
             else:
                 reusable_journal_row = journal_row is not None
+                artifacts[digest] = {
+                    "runs": artifact["runs"], "trace": artifact.get("trace")
+                }
                 if bus is not None and digest not in emitted:
                     emitted.add(digest)
                     bus.emit("artifact_hit", digest=digest, index=index)
@@ -265,7 +284,7 @@ def plan_rows(
         else:
             # Identical specs (same digest) simulate once.
             pending.setdefault(digest, []).append(index)
-    return records, pending
+    return records, pending, artifacts
 
 
 def persist_outcome(
@@ -276,15 +295,22 @@ def persist_outcome(
     cache: Optional[ResultCache],
     journal: Optional[SweepJournal],
     bus: Optional[SweepEventBus],
+    store: Optional[ObsArtifactStore] = None,
 ) -> None:
-    """Flush one settled outcome to the cache, journal, and event bus.
+    """Flush one settled outcome to the obs store, cache, journal, and
+    event bus.
 
     The single write path shared by the local executor and the cluster
     master: whoever settles a run — an in-process worker or a remote
     agent pushing its result — the row lands in the same stores with
-    the same shape, so caches and journals merge cleanly.
+    the same shape, so caches and journals merge cleanly.  It is the
+    only obs artifact writer: an ok outcome's ``artifact`` is stored
+    before its result is cached.
     """
     failpoints.fire(SITE_PERSIST_PRE)
+    artifact = outcome.get("artifact")
+    if store is not None and artifact is not None and outcome["status"] == "ok":
+        store.put(digest, artifact["runs"], artifact.get("trace"))
     if cache is not None and outcome["status"] == "ok":
         cache.put(
             digest,
@@ -321,6 +347,26 @@ def persist_outcome(
             poisoned=outcome.get("poison", False),
         )
     failpoints.fire(SITE_PERSIST_POST)
+
+
+def adopt_artifacts(
+    obs, records: Sequence[RunRecord], artifacts: Dict[str, Dict[str, Any]]
+) -> int:
+    """Fold each ok digest's artifact into ``obs`` once, in record
+    order; returns how many were adopted.
+
+    The one adoption step for a local sweep's collect and a
+    ``--master-url`` client alike, so a sweep's metrics document is
+    the same however its runs executed.
+    """
+    adopted: set = set()
+    for record in records:
+        artifact = artifacts.get(record.digest)
+        if not record.ok or artifact is None or record.digest in adopted:
+            continue
+        adopted.add(record.digest)
+        obs.adopt_runs(artifact["runs"], artifact.get("trace"))
+    return len(adopted)
 
 
 def _open_journal(
@@ -398,11 +444,13 @@ def execute(
             return exec_obs.profiler.phase(name)
         return contextlib.nullcontext()
 
-    # Obs artifacts ride the result cache: active only for observed,
-    # cached sweeps (single runs keep their original telemetry path).
+    # An observed sweep captures every run; its artifacts ride the
+    # result cache when there is one.  A single spec keeps threading
+    # the session through (no capture, no store).
+    obs_level = obs.level.value if exec_obs is not None else "off"
     store: Optional[ObsArtifactStore] = None
-    if cache is not None and obs is not None and obs.enabled and len(specs) > 1:
-        store = ObsArtifactStore(cache.root, level=obs.level.value)
+    if cache is not None and exec_obs is not None:
+        store = ObsArtifactStore(cache.root, level=obs_level)
 
     with phase("plan"):
         digests = [spec_digest(spec) for spec in specs]
@@ -424,7 +472,7 @@ def execute(
                 argv=list(supervision.argv or []),
             )
         settled_prior = prior.settled_runs() if prior is not None else {}
-        records, pending = plan_rows(
+        records, pending, artifacts = plan_rows(
             specs, digests, cache, store, settled_prior, bus,
             sweep_id=sweep_id, journal_file=journal_file,
         )
@@ -438,7 +486,7 @@ def execute(
         outcomes[index] = outcome
         digest = index_digest[index]
         persist_outcome(
-            specs[index], index, digest, outcome, cache, journal, bus
+            specs[index], index, digest, outcome, cache, journal, bus, store
         )
 
     retries = 0
@@ -453,7 +501,7 @@ def execute(
                     spec,
                     supervision,
                     obs=obs,
-                    store=store,
+                    obs_level=obs_level,
                     bus=bus,
                     index=index,
                     digest=index_digest[index],
@@ -465,13 +513,9 @@ def execute(
                 tasks,
                 jobs,
                 supervision,
-                _pool_context(),
+                pool_context(),
                 bus=bus,
-                obs_capture=(
-                    (str(store.root), store.level.value)
-                    if store is not None
-                    else None
-                ),
+                obs_level=obs_level,
                 digests=index_digest,
             )
             for outcome in pool.run():
@@ -490,45 +534,26 @@ def execute(
             if outcome is None:
                 continue  # interrupted before this task settled
             for index in indices:
-                spec = specs[index]
-                records[index] = RunRecord(
-                    index=index,
-                    kind=spec.kind,
-                    label=spec.describe(),
-                    digest=digest,
-                    status=outcome["status"],
-                    payload=outcome["payload"],
-                    error=outcome["error"],
-                    duration_s=outcome["duration_s"],
+                records[index] = RunRecord.from_outcome(
+                    index,
+                    specs[index],
+                    digest,
+                    outcome,
                     cached=index != indices[0],
-                    attempts=outcome.get("attempt", 1),
-                    poisoned=outcome.get("poison", False),
                     sweep_id=sweep_id,
                     journal_path=journal_file,
                 )
 
-        # Fold persisted per-run telemetry into the session, in spec
-        # order: warm hits replay their stored artifact, fresh
-        # executes (serial or worker-side) just wrote theirs.  This is
-        # what gives parallel sweeps per-run engine metrics at all —
-        # worker processes share no session with the parent.
-        adopted: set = set()
-        if store is not None:
-            for index in range(len(specs)):
-                record = records.get(index)
-                digest = digests[index]
-                if record is None or not record.ok or digest in adopted:
-                    continue
-                artifact = store.get(digest)
-                if artifact is None:
-                    continue
-                adopted.add(digest)
-                obs.adopt_runs(
-                    artifact.get("runs", []),
-                    store.get_trace(digest) if store.tracing else None,
-                )
-
         if exec_obs is not None:
+            # Fold per-run telemetry into the session, in spec order:
+            # warm hits adopt what the plan read, fresh runs what they
+            # carried.
+            for index, outcome in outcomes.items():
+                if outcome.get("artifact") is not None:
+                    artifacts[index_digest[index]] = outcome["artifact"]
+            adopted = adopt_artifacts(
+                obs, [records[index] for index in sorted(records)], artifacts
+            )
             registry = exec_obs.registry
             registry.counter("exec.runs").inc(len(specs))
             registry.counter("exec.cache_hits").inc(
@@ -546,8 +571,7 @@ def execute(
                 sum(1 for record in records.values() if record.poisoned)
             )
             registry.gauge("exec.jobs").set(jobs)
-            if store is not None:
-                registry.counter("exec.obs_artifacts").inc(len(adopted))
+            registry.counter("exec.obs_artifacts").inc(adopted)
             run_seconds = registry.tally("exec.run_seconds")
             for outcome in outcomes.values():
                 run_seconds.record(outcome["duration_s"])

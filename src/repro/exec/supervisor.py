@@ -31,6 +31,11 @@ The bare ``Pool.imap_unordered`` executor had three blind spots:
 Outcomes are yielded *as they settle*, so the executor can flush each
 row to the cache and journal the moment it exists — the crash-safety
 window is one row, not one sweep.
+
+Telemetry: above ``obs_level="off"`` every run, in a worker or
+in-process, is captured under its own session and its outcome carries
+``artifact = {"runs": [...], "trace": [...] | None}``; the caller
+persists and adopts it (nothing here writes a store).
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import tempfile
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -175,7 +180,7 @@ def _supervised_worker(
     results,
     heartbeat_path: str,
     heartbeat_interval: float,
-    obs_capture: Optional[Tuple[str, str]] = None,
+    obs_level: str = "off",
 ) -> None:
     """Worker main loop (module-level: must be picklable for spawn).
 
@@ -183,12 +188,10 @@ def _supervised_worker(
     process group) interrupts only the parent, which then drains the
     in-flight runs gracefully.
 
-    ``obs_capture`` is ``(store_root, level)`` when the sweep persists
-    obs artifacts: the worker runs each spec under a fresh single-run
-    telemetry session and writes the artifact into the shared
-    content-addressed store itself (writes are atomic, so concurrent
-    workers cannot tear an entry).  The telemetry contract guarantees
-    the observed payload is byte-identical to an unobserved one.
+    Above ``off``, each run is captured (see :func:`_run_captured`) and
+    its artifact rides the outcome back to the parent.  The telemetry
+    contract guarantees the observed payload is byte-identical to an
+    unobserved one.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -206,11 +209,6 @@ def _supervised_worker(
     threading.Thread(
         target=_beat, name=f"heartbeat-{worker_id}", daemon=True
     ).start()
-    store = None
-    if obs_capture is not None:
-        from repro.obs.store import ObsArtifactStore
-
-        store = ObsArtifactStore(obs_capture[0], level=obs_capture[1])
     while True:
         task = mailbox.get()
         if task is None:
@@ -219,7 +217,7 @@ def _supervised_worker(
         state["task"] = index
         start = time.perf_counter()
         try:
-            payload = _run_captured(spec, store)
+            payload, artifact = _run_captured(spec, obs_level)
             outcome = {
                 "index": index,
                 "status": "ok",
@@ -228,6 +226,7 @@ def _supervised_worker(
                 "poison": False,
                 "duration_s": time.perf_counter() - start,
                 "attempt": attempt,
+                "artifact": artifact,
             }
         except Exception as error:  # noqa: BLE001 — failure capture is the point
             outcome = {
@@ -245,27 +244,39 @@ def _supervised_worker(
     stop_beating.set()
 
 
-def _run_captured(spec: RunSpec, store, obs=None) -> Dict[str, Any]:
-    """Run one spec, persisting its obs artifact when a store is given.
+def _run_captured(
+    spec: RunSpec, obs_level: str, obs=None
+) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
+    """Run one spec; returns ``(payload, artifact)``.
 
-    With a store, the run executes under its own telemetry session via
-    :func:`repro.obs.store.capture_run` and the snapshot/trace land in
-    the store under the spec's digest; without one, this is a plain
-    :func:`run_spec` (threading ``obs`` through, for the serial path).
+    Above ``off`` the run executes under its own telemetry session via
+    :func:`repro.obs.store.capture_run` and ``artifact`` holds its
+    snapshots and (at trace level) its trace events; at ``off`` this
+    is a plain :func:`run_spec` threading ``obs`` through (a
+    single-spec execute, which streams straight into the caller's
+    session) and ``artifact`` is ``None``.
     """
-    if store is None:
-        return run_spec(spec, obs=obs)
-    from repro.exec.spec import spec_digest
+    if obs_level == "off":
+        return run_spec(spec, obs=obs), None
     from repro.obs.store import capture_run
 
-    payload, runs, trace_events = capture_run(spec, store.level.value)
-    store.put(spec_digest(spec), runs, trace_events)
-    return payload
+    payload, runs, trace_events = capture_run(spec, obs_level)
+    return payload, {"runs": runs, "trace": trace_events or None}
 
 
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
+def pool_context():
+    """Fork where available (cheap, inherits imports), else spawn."""
+    import multiprocessing
+
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn"
+    )
+
+
 @dataclass
 class _PendingTask:
     """One dispatchable unit: a spec, its attempt count, and the
@@ -315,13 +326,13 @@ class SupervisedPool:
         options: Supervision,
         context,
         bus=None,
-        obs_capture: Optional[Tuple[str, str]] = None,
+        obs_level: str = "off",
         digests: Optional[Dict[int, str]] = None,
     ) -> None:
         self.options = options
         self.context = context
         self.bus = bus
-        self.obs_capture = obs_capture
+        self.obs_level = obs_level
         self.digests = digests or {}
         self._last_heartbeat = 0.0
         self.pending: List[_PendingTask] = [
@@ -362,7 +373,7 @@ class SupervisedPool:
                 self.results,
                 str(heartbeat_path),
                 self.options.heartbeat_interval,
-                self.obs_capture,
+                self.obs_level,
             ),
             name=f"repro-worker-{worker_id}",
             daemon=True,
@@ -627,7 +638,7 @@ def attempt_serial(
     spec: RunSpec,
     options: Supervision,
     obs=None,
-    store=None,
+    obs_level: str = "off",
     bus=None,
     index: Optional[int] = None,
     digest: Optional[str] = None,
@@ -636,11 +647,11 @@ def attempt_serial(
     poison semantics, no preemption (a hung run hangs; use workers for
     timeout enforcement).
 
-    With an obs artifact ``store``, the run is captured under its own
-    telemetry session (and ``obs`` is ignored for the run itself — the
-    executor adopts the stored artifact into the session afterwards,
-    so snapshots are never taken twice).  ``bus``/``index``/``digest``
-    add progress events for the serial path.
+    Above ``off``, ``obs_level`` captures the run exactly as a worker
+    does (``obs`` is then unused: the caller adopts the outcome's
+    artifact, so snapshots are never taken twice); at ``off`` the run
+    threads ``obs`` through.  ``bus``/``index``/``digest`` add progress
+    events for the serial path.
     """
     attempt = 0
     while True:
@@ -656,7 +667,7 @@ def attempt_serial(
                 attempt=attempt,
             )
         try:
-            payload = _run_captured(spec, store, obs=obs)
+            payload, artifact = _run_captured(spec, obs_level, obs=obs)
             return {
                 "status": "ok",
                 "payload": payload,
@@ -664,6 +675,7 @@ def attempt_serial(
                 "poison": False,
                 "duration_s": time.perf_counter() - start,
                 "attempt": attempt,
+                "artifact": artifact,
             }
         except Exception as error:  # noqa: BLE001 — failure capture is the point
             poison = classify_failure(error)

@@ -231,15 +231,17 @@ class Observability:
         """Fold externally captured run snapshots into this session.
 
         Used by the executor to merge telemetry captured elsewhere —
-        in a worker process, or reloaded from the obs artifact store
-        on a warm cache hit — so the session's metrics document and
-        trace stream cover every run regardless of where (or when) it
-        actually executed.  Snapshots are re-indexed into this
-        session's run numbering; trace events are forwarded to the
-        session sink when tracing.
+        by a sweep run's own capture session, or reloaded from the obs
+        artifact store on a warm cache hit — so the session's metrics
+        document and trace stream cover every run regardless of where
+        (or when) it actually executed.  Snapshots are re-indexed into
+        this session's run numbering; trace events are forwarded to
+        the session sink when tracing, with each ``run`` instant's
+        ``run`` argument re-indexed the same way.
         """
         if not self.enabled:
             return
+        base = self._run_count
         for snapshot in runs:
             adopted = dict(snapshot)
             adopted["index"] = self._run_count
@@ -248,7 +250,10 @@ class Observability:
         if self.tracer is not None and trace_events:
             for record in trace_events:
                 try:
-                    self.tracer.sink.write(TraceEvent.from_json(record))
+                    event = TraceEvent.from_json(record)
+                    if event.kind == "run" and "run" in event.args:
+                        event.args["run"] = base + int(event.args["run"])
+                    self.tracer.sink.write(event)
                 except (KeyError, ValueError, TypeError):
                     continue
 

@@ -20,11 +20,13 @@ writes are atomic (temp file + rename), and a corrupt or missing
 artifact is **a miss** — the executor re-executes the run (results are
 deterministic, so the payload is unchanged) and rewrites both halves.
 
-:func:`capture_run` is how artifacts come to exist: it executes one
-spec under a fresh single-run :class:`~repro.obs.Observability`
-session (memory trace sink), so worker processes — which share no
-session with the parent — can produce exactly the same artifact a
-serial run would.
+:func:`capture_run` is how artifacts come to exist: every run of an
+observed sweep executes under a fresh single-run
+:class:`~repro.obs.Observability` session (memory trace sink, 100k
+events), wherever it runs — in-process, in a worker, or on an agent.
+The outcome carries the capture, and
+:func:`~repro.exec.executor.persist_outcome` is the only caller of
+:meth:`ObsArtifactStore.put`.
 """
 
 from __future__ import annotations
@@ -98,7 +100,9 @@ class ObsArtifactStore:
 
         At ``trace`` level the trace sidecar must be present and
         readable too — a half-written pair is a miss, mirroring
-        :meth:`ResultCache.get`'s corrupt→miss semantics.
+        :meth:`ResultCache.get`'s corrupt→miss semantics — and its
+        events come back under the artifact's ``trace`` key, so one
+        ``get`` reads the sidecar once.
         """
         path = self.artifact_path(digest)
         try:
@@ -130,10 +134,15 @@ class ObsArtifactStore:
                 quarantine_file(self.root, trace)
             return None
         if self.tracing:
-            stored_level = str(artifact.get("level", ""))
-            if stored_level != "trace" or self.get_trace(digest) is None:
+            trace = (
+                self.get_trace(digest)
+                if artifact.get("level") == "trace"
+                else None
+            )
+            if trace is None:
                 self.misses += 1
                 return None
+            artifact["trace"] = trace
         self.hits += 1
         return artifact
 
@@ -226,8 +235,8 @@ def capture_run(
     Returns ``(payload, run_snapshots, trace_events)``.  The payload is
     byte-identical to an unobserved execution (the PR 1 telemetry
     contract, pinned by tests), so capture is safe anywhere a plain
-    :func:`~repro.exec.spec.run_spec` call would be — including worker
-    processes, which is exactly where the executor uses it.
+    :func:`~repro.exec.spec.run_spec` call would be — in-process, in
+    worker processes, and on cluster agents alike.
     """
     from repro.exec.spec import run_spec
     from repro.obs import Observability

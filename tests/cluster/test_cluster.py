@@ -20,18 +20,22 @@ from repro.errors import ClusterError, ConfigurationError
 from repro.exec.cache import ResultCache
 from repro.exec.executor import execute
 from repro.exec.journal import journal_path, journal_root, load_journal
-from repro.exec.spec import RunSpec, register_kind, spec_digest
+from repro.exec.spec import RunSpec, experiment_spec, register_kind, spec_digest
 from repro.exec.supervisor import Supervision
+from repro.obs import Observability
+from repro.obs.aggregate import diff_metrics, load_metrics_source
 from repro.obs.events import (
     events_path,
     load_events,
     replay_events,
     settled_events_digest,
 )
+from repro.obs.store import ObsArtifactStore
 from repro.cluster.agent import ClusterAgent
 from repro.cluster.client import execute_via_master
 from repro.cluster.master import ClusterMaster
 from repro.cluster.protocol import MasterClient, spec_to_wire
+from repro.simulation.config import ScaledConfig
 
 
 @register_kind("cluster_echo")
@@ -173,6 +177,62 @@ class TestLoopbackDeterminism:
         finally:
             master.stop()
 
+    @pytest.mark.parametrize("level", ["metrics", "trace"])
+    def test_observed_sweep_matches_local_telemetry(self, tmp_path, level):
+        """A --master-url sweep adopts the per-run telemetry a local
+        jobs=1 sweep records, and the master's artifact store diffs to
+        zero against a local jobs=2 sweep's."""
+        specs = [
+            experiment_spec(
+                ScaledConfig(scale=50).with_(num_stations=n, access_mean=0.2)
+            )
+            for n in (1, 2, 3)
+        ]
+        local = Observability(level=level)
+        execute(specs, jobs=1, obs=local, supervision=fast_options())
+        local_cache = ResultCache(tmp_path / "local-cache")
+        records = execute(
+            specs,
+            jobs=2,
+            cache=local_cache,
+            obs=Observability(level=level),
+            supervision=fast_options(),
+        )
+
+        master = start_master(tmp_path)
+        try:
+            thread = agent_thread(master, "agent-a", jobs=2)
+            remote = Observability(level=level)
+            execute(
+                specs,
+                obs=remote,
+                supervision=fast_options(master_url=master.url),
+            )
+            thread.join(timeout=10.0)
+        finally:
+            master.stop()
+
+        def per_run(obs):
+            return [
+                {key: value for key, value in run.items() if key != "profile"}
+                for run in obs.runs
+                if "sweep-exec" not in run["label"]
+            ]
+
+        assert len(per_run(remote)) == len(specs)
+        assert per_run(remote) == per_run(local)
+        assert [event.to_json() for event in remote.memory_events()] == [
+            event.to_json() for event in local.memory_events()
+        ]
+        sweep_id = records[0].sweep_id
+        diff = diff_metrics(
+            load_metrics_source(sweep_id, cache_root=local_cache.root),
+            load_metrics_source(sweep_id, cache_root=master.cache.root),
+        )
+        assert diff["compared"] > 0
+        assert diff["changed"] == 0
+        assert diff["added"] == diff["removed"] == []
+
     def test_resubmission_is_resume(self, tmp_path):
         specs = echo_specs(3)
         wires = [spec_to_wire(spec) for spec in specs]
@@ -306,6 +366,33 @@ class TestProtocolGuards:
         try:
             with pytest.raises(ClusterError, match="unknown sweep"):
                 MasterClient(master.url).sweep_state("nope")
+        finally:
+            master.stop()
+
+    def test_malformed_artifact_is_dropped(self, tmp_path):
+        """A pushed artifact whose ``runs`` is not a list is not stored
+        or handed back; the row itself still settles."""
+        spec = echo_specs(1)[0]
+        master = start_master(tmp_path)
+        try:
+            client = MasterClient(master.url)
+            state = client.submit_sweep([spec_to_wire(spec)], ["t"], "metrics")
+            outcome = {
+                "status": "ok",
+                "payload": {"doubled": 0},
+                "error": None,
+                "poison": False,
+                "duration_s": 0.0,
+                "attempt": 1,
+            }
+            client.push_result(
+                "a", state["sweep_id"], 0, spec_digest(spec), outcome,
+                {"runs": "not-a-list"},
+            )
+            rows = client.sweep_records(state["sweep_id"])["records"]
+            assert [row["status"] for row in rows] == ["ok"]
+            assert "artifact" not in rows[0]
+            assert len(ObsArtifactStore(master.cache.root)) == 0
         finally:
             master.stop()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from repro.exec import (
 )
 from repro.exec.spec import register_kind
 from repro.obs import Observability
+from repro.obs.store import ObsArtifactStore
 from repro.simulation.config import ScaledConfig
 
 
@@ -160,6 +162,41 @@ class TestExecute:
         assert "unknown run kind" in records[0].error
 
 
+#: A small observed sweep, three distinct experiment specs.
+OBSERVED_SPECS = [
+    experiment_spec(small_config(num_stations=n)) for n in (1, 2, 3)
+]
+
+
+def per_run_snapshots(obs):
+    """The session's run snapshots without wall-clock profiles, the
+    executor's own ``sweep-exec`` run left out."""
+    return [
+        {key: value for key, value in run.items() if key != "profile"}
+        for run in obs.runs
+        if "sweep-exec" not in run["label"]
+    ]
+
+
+def observed_sweep(level, jobs, cache_mode, tmp_path):
+    """One observed run of OBSERVED_SPECS; ``warm`` replays a cache an
+    identical sweep has just filled."""
+    cache = None if cache_mode == "none" else ResultCache(tmp_path / "cache")
+    if cache_mode == "warm":
+        execute(OBSERVED_SPECS, jobs=jobs, cache=cache,
+                obs=Observability(level=level))
+    obs = Observability(level=level)
+    execute(OBSERVED_SPECS, jobs=jobs, cache=cache, obs=obs)
+    return obs
+
+
+@pytest.fixture(scope="module")
+def reference_runs():
+    obs = Observability(level="metrics")
+    execute(OBSERVED_SPECS, obs=obs)
+    return per_run_snapshots(obs)
+
+
 class TestObsRollup:
     def test_exec_metrics_rolled_up(self, tmp_path):
         obs = Observability(level="metrics")
@@ -190,12 +227,68 @@ class TestObsRollup:
         execute([_touch_spec(tmp_path, 1)], obs=obs)
         assert all("sweep-exec" not in run["label"] for run in obs.runs)
 
-    def test_serial_experiment_runs_still_observed(self):
-        obs = Observability(level="metrics")
-        specs = [experiment_spec(small_config(num_stations=n))
-                 for n in (1, 2)]
-        execute(specs, obs=obs)
+    @pytest.mark.parametrize("cache_mode", ["none", "cold", "warm"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_serial_experiment_runs_still_observed(
+        self, jobs, cache_mode, tmp_path, reference_runs
+    ):
+        """A sweep's per-run telemetry takes one path: the snapshots
+        are the same at any jobs, with or without a (warm) cache."""
+        obs = observed_sweep("metrics", jobs, cache_mode, tmp_path)
         labels = [run["label"] for run in obs.runs]
         assert sum("stations=1" in label for label in labels) == 1
         assert sum("stations=2" in label for label in labels) == 1
         assert sum("sweep-exec" in label for label in labels) == 1
+        assert per_run_snapshots(obs) == reference_runs
+
+    @pytest.mark.parametrize("cache_mode", ["cold", "warm"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_adopted_trace_run_instants_reindexed(
+        self, jobs, cache_mode, tmp_path
+    ):
+        obs = observed_sweep("trace", jobs, cache_mode, tmp_path)
+        instants = [
+            event.args["run"]
+            for event in obs.memory_events()
+            if event.kind == "run"
+        ]
+        assert instants == list(range(len(OBSERVED_SPECS) + 1))
+        # The stored sidecars are per digest: they keep the capture's 0.
+        store = ObsArtifactStore(tmp_path / "cache", level="trace")
+        for spec in OBSERVED_SPECS:
+            trace = store.get(spec_digest(spec))["trace"]
+            assert [e["args"]["run"] for e in trace if e["kind"] == "run"] == [0]
+
+
+class TestObsStoreIO:
+    """``persist_outcome`` is the artifact store's only writer and
+    ``plan_rows`` its only reader: a fresh row is written once and never
+    read back, a warm row is read once."""
+
+    @pytest.mark.parametrize("level", ["metrics", "trace"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_store_io_counts(self, jobs, level, tmp_path, monkeypatch):
+        calls = Counter()
+        for name in ("put", "get", "get_trace"):
+            original = getattr(ObsArtifactStore, name)
+
+            def spy(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(ObsArtifactStore, name, spy)
+        cache = ResultCache(tmp_path / "cache")
+        count = len(OBSERVED_SPECS)
+
+        execute(OBSERVED_SPECS, jobs=jobs, cache=cache,
+                obs=Observability(level=level))
+        assert dict(calls) == {"put": count}
+
+        calls.clear()
+        obs = Observability(level=level)
+        execute(OBSERVED_SPECS, jobs=jobs, cache=cache, obs=obs)
+        expected = {"get": count}
+        if level == "trace":
+            expected["get_trace"] = count  # one sidecar read per row
+        assert dict(calls) == expected
+        assert len(per_run_snapshots(obs)) == count

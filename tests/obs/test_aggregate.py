@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigurationError
+from repro.exec.journal import journal_root, journal_status_rows
+from repro.integrity import record_checksum
 from repro.obs.aggregate import (
     DIFF_SCHEMA,
     diff_metrics,
@@ -232,3 +236,58 @@ class TestLoadSource:
         path.write_text('{"hello": 1}')
         with pytest.raises(ConfigurationError, match="unrecognised"):
             load_metrics_source(path)
+
+
+@pytest.fixture(scope="module")
+def two_sweeps(tmp_path_factory):
+    """The same small metrics sweep run into two separate caches."""
+    root = tmp_path_factory.mktemp("obs-diff")
+    for side in ("a", "b"):
+        assert main([
+            "sweep", "--scale", "20", "--values", "4", "8", "12",
+            "--obs-level", "metrics",
+            "--cache-dir", str(root / f"cache-{side}"),
+            "--output", str(root / f"rows-{side}.json"),
+        ]) == 0
+    sweep_id = journal_status_rows(journal_root(root / "cache-a"))[0]["sweep_id"]
+    return root, sweep_id
+
+
+def obs_diff(sweep_id, cache_a, cache_b):
+    return main([
+        "obs-diff", sweep_id, sweep_id,
+        "--cache-dir", str(cache_a), "--cache-dir-b", str(cache_b),
+    ])
+
+
+class TestObsDiffCli:
+    """The telemetry determinism gate through ``repro obs-diff``."""
+
+    def test_rows_identical_across_caches(self, two_sweeps):
+        root, _ = two_sweeps
+        assert (root / "rows-a.json").read_bytes() == (
+            root / "rows-b.json"
+        ).read_bytes()
+
+    def test_same_sweep_across_caches_diffs_to_zero(self, two_sweeps, capsys):
+        root, sweep_id = two_sweeps
+        assert obs_diff(sweep_id, root / "cache-a", root / "cache-b") == 0
+        assert "0 changed, 0 breach(es)" in capsys.readouterr().out
+
+    def test_perturbed_artifact_exits_3(self, two_sweeps, tmp_path):
+        root, sweep_id = two_sweeps
+        perturbed = tmp_path / "cache-b"
+        shutil.copytree(root / "cache-b", perturbed)
+        path = next((perturbed / "objects").glob("*/*.obs.json"))
+        document = json.loads(path.read_text())
+        metric = next(
+            metric
+            for metric in document["runs"][0]["metrics"].values()
+            if "value" in metric
+        )
+        metric["value"] += 7
+        # Re-seal: an artifact failing its checksum is quarantined as a
+        # miss, not diffed.
+        document["checksum"] = record_checksum(document)
+        path.write_text(json.dumps(document))
+        assert obs_diff(sweep_id, root / "cache-a", perturbed) == 3
