@@ -122,7 +122,6 @@ class Admitter:
             return plan
         pool = self.pool
         d = pool.num_disks
-        halves = display.lane_halves()
         # The window's slots are distinct (M <= D consecutive drives),
         # so the capacity buckets give O(1) necessary conditions:
         # enough fully-free slots for the full-bandwidth lanes and
@@ -141,28 +140,28 @@ class Admitter:
         buckets = pool._buckets
         if (
             buckets[HALVES_PER_SLOT] < display.full_lane_count()
-            or d - buckets[0] < len(halves)
+            or d - buckets[0] < len(display.lanes)
         ):
             self._record_denial(display.display_id, offset)
             return plan
-        # Inline window probe: direct free-half reads with the rotation
-        # arithmetic hoisted (slot_at(target, t) unrolls to
-        # (start + fragment - k·t) mod D), mirroring the fragmented hot
-        # loop.
+        # Inline window probe over the waiting lanes (all of them: a
+        # CONTIGUOUS claim is all-or-nothing), mirroring the fragmented
+        # hot loop below.
         free = pool._free
-        start = display.start_disk
+        waiting = display.waiting
         window = []
-        for lane, h in zip(display.lanes, halves):
-            slot = (start + lane.fragment - offset) % d
+        for _lane, target, h in waiting:
+            slot = (target - offset) % d
             if free[slot] < h:
                 self._record_denial(display.display_id, offset)
                 return plan
             window.append(slot)
-        for lane, slot, h in zip(display.lanes, window, halves):
+        for (lane, _target, h), slot in zip(waiting, window):
             pool.claim(slot, display.display_id, halves=h)
             lane.slot = slot
             lane.ready = interval
-            plan.claimed_now.append(slot)
+        plan.claimed_now = window
+        waiting.clear()
         self._denied.pop(display.display_id, None)
         plan.complete = True
         # Cold path (a successful whole-window claim): counting here
@@ -195,32 +194,29 @@ class Admitter:
             # whole per-display probe into one integer comparison.
             return plan
         # The per-lane probe below is the hottest loop in the simulator
-        # (one pass per queued display per interval), so the rotation
+        # (one pass per queued display the verdicts let through), so
+        # it walks only the display's waiting lanes, the rotation
         # arithmetic is hoisted out (slot_at(target, t) unrolls to
-        # (start + fragment - k·t) mod D) and the free-half array is
-        # read directly.
+        # (target - k·t) mod D) and the free-half list is read
+        # directly.
         d = pool.num_disks
-        halves = display.lane_halves()
-        start = display.start_disk
         offset = pool.stride * interval % d
         free = pool._free
-        remaining = 0
-        for lane, h in zip(display.lanes, halves):
-            if lane.slot is not None:
-                continue
-            slot = (start + lane.fragment - offset) % d
+        claimed = plan.claimed_now
+        waiting = display.waiting
+        for lane, target, h in waiting:
+            slot = (target - offset) % d
             if free[slot] >= h:
                 pool.claim(slot, display.display_id, halves=h)
                 lane.slot = slot
                 lane.ready = interval
-                plan.claimed_now.append(slot)
-            else:
-                remaining += 1
-        if plan.claimed_now:
-            self._n_lanes += len(plan.claimed_now)
-        if not remaining:
-            plan.complete = True
-            self._n_complete += 1
+                claimed.append(slot)
+        if claimed:
+            self._n_lanes += len(claimed)
+            waiting[:] = [entry for entry in waiting if entry[0].slot is None]
+            if not waiting:
+                plan.complete = True
+                self._n_complete += 1
         return plan
 
     # ------------------------------------------------------------------

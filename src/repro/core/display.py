@@ -13,7 +13,7 @@ operational content of the paper's Algorithm 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.media.objects import MediaObject
@@ -57,6 +57,10 @@ class Lane:
         return self.ready + num_subobjects
 
 
+#: One entry of :attr:`Display.waiting`: ``(lane, target, halves)``.
+WaitingLane = Tuple[Lane, int, int]
+
+
 @dataclass
 class Display:
     """An admitted (possibly still partially-laned) display.
@@ -88,6 +92,7 @@ class Display:
         # one-way latch and the derived quantities below are immutable
         # once it flips — cache them instead of recomputing per interval.
         self._fully_laned = False
+        self._waiting: Optional[List[WaitingLane]] = None
         self._lane_halves: Optional[List[int]] = None
         self._full_lanes: Optional[int] = None
         self._deliver_start: Optional[int] = None
@@ -126,11 +131,35 @@ class Display:
     # Lane state
     # ------------------------------------------------------------------
     @property
+    def waiting(self) -> List[WaitingLane]:
+        """The lanes still waiting for a virtual disk, in fragment
+        order, as ``(lane, target, halves)``.
+
+        ``target = start_disk + fragment`` is the lane's target drive
+        (below ``2·D``; a probe at rotation offset ``k·t`` looks at
+        slot ``(target − k·t) mod D``) and ``halves`` its half-slot
+        demand.  The list is built from the lanes' claim state on
+        first use; from then on the admission probe is its only writer
+        and trims each lane it claims *in place* (the verdict index
+        keeps a reference to it), so it is the one record of what a
+        queued display still needs (the sanitizer's ``batch_index``
+        sweep checks it against the lanes).
+        """
+        if self._waiting is None:
+            start = self.start_disk
+            self._waiting = [
+                (lane, start + lane.fragment, halves)
+                for lane, halves in zip(self.lanes, self.lane_halves())
+                if lane.slot is None
+            ]
+        return self._waiting
+
+    @property
     def fully_laned(self) -> bool:
         """True once every lane owns a virtual disk."""
         if self._fully_laned:
             return True
-        if all(lane.claimed for lane in self.lanes):
+        if not self.waiting:
             self._fully_laned = True
             return True
         return False
@@ -138,15 +167,12 @@ class Display:
     @property
     def pending_lanes(self) -> List[Lane]:
         """Lanes still waiting for a virtual disk."""
-        return [lane for lane in self.lanes if not lane.claimed]
+        return [lane for lane, _target, _halves in self.waiting]
 
     @property
     def pending_lane_count(self) -> int:
-        """Lanes still waiting for a virtual disk, without building the
-        list — the admission budget check runs this per queue entry."""
-        if self._fully_laned:
-            return 0
-        return sum(1 for lane in self.lanes if not lane.claimed)
+        """Lanes still waiting for a virtual disk."""
+        return len(self.waiting)
 
     @property
     def deliver_start(self) -> int:

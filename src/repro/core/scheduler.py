@@ -148,8 +148,9 @@ class StaggeredStripingPolicy(StoragePolicy):
         self._n_materializations = 0
         # Batched admission (repro.core.batch): the verdict index is
         # the registry of queued displays (added at creation and by a
-        # reposition, removed on admission and cancel), and one numpy
-        # pass per interval tells the walk which of them can claim.
+        # reposition, removed on admission and cancel), and one pass
+        # over their waiting lanes per interval tells the walk which
+        # of them can claim.
         self._batch_index = BatchAdmissionIndex(
             disk_manager.pool, self.admitter.mode
         )
@@ -753,15 +754,13 @@ class StaggeredStripingPolicy(StoragePolicy):
         incomplete claim.  One claim attempt is counted per display the
         walk reaches, probed or not.
 
-        With at least two queued displays, the walk first asks the
-        verdict index which of them can claim
-        (:meth:`BatchAdmissionIndex.claimable`).  A display left out
-        would claim nothing this pass (see :mod:`repro.core.batch`), so
-        its probe is skipped; after any successful claim the verdicts
-        are recomputed before the next probe.  With one queued display
-        a verdict saves at most one probe, which costs less than the
-        numpy pass.  A display created during the pass is probed
-        directly.
+        With any display queued, the walk first takes every queued
+        display's claim verdict
+        (:meth:`BatchAdmissionIndex.pass_verdicts`).  A display with a
+        False verdict would claim nothing this pass (see
+        :mod:`repro.core.batch`), so its probe is skipped; after any
+        successful claim the verdicts are recomputed before the next
+        probe.  A display created during the pass is probed directly.
 
         Two whole-pass fast-outs need no walk at all, when (a) a
         FRAGMENTED pool is saturated — every probe claims nothing and
@@ -782,13 +781,8 @@ class StaggeredStripingPolicy(StoragePolicy):
             return
         budget = self._claim_budget()
         min_degree = self._min_degree
-        keep: Optional[Set[int]] = None
-        if n_displays >= 2:
-            keep = index.claimable(interval)
-            quiet = not keep
-        else:
-            quiet = not n_displays
-        if quiet and (
+        verdicts = index.pass_verdicts(interval) if n_displays else {}
+        if True not in verdicts.values() and (
             len(self._queue) == n_displays
             or (budget is not None and budget < min_degree)
         ):
@@ -830,18 +824,16 @@ class StaggeredStripingPolicy(StoragePolicy):
             else:
                 displays_left -= 1
                 attempts += 1
-                if keep is not None:
-                    if stale and display.display_id in keep:
-                        keep = index.claimable(interval)
-                        stale = False
-                    if display.display_id not in keep:
-                        if fcfs:
-                            break
-                        continue
+                if stale and verdicts[display.display_id]:
+                    verdicts = index.pass_verdicts(interval)
+                    stale = False
+                if not verdicts[display.display_id]:
+                    if fcfs:
+                        break
+                    continue
             plan = self.admitter.try_claim(display, interval)
             if plan.claimed_now:
                 self._queued_pending_lanes -= len(plan.claimed_now)
-                index.on_claim(display)
                 stale = True
             if plan.complete:
                 self._activate(display)

@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError, SchedulingError
 
 #: Half-slots per virtual disk.
@@ -108,12 +106,6 @@ class SlotPool:
         # _buckets[h] = number of slots with exactly h free halves
         self._buckets: List[int] = [0] * HALVES_PER_SLOT + [num_disks]
         self._free_half_total = num_disks * HALVES_PER_SLOT
-        # numpy copy of _free for the whole-queue admission verdicts
-        # (repro.core.batch).  Scalar probes read the list (a list
-        # index is several times cheaper than a numpy scalar index;
-        # DESIGN.md decision 9); every mutation flows through
-        # _index_adjust, which updates both.
-        self._free_np = np.full(num_disks, HALVES_PER_SLOT, dtype=np.int64)
         # Bumped on every successful claim/release; lets callers (the
         # admission negative cache, the sanitize clean-skip memo) detect
         # "nothing changed" in O(1).
@@ -246,7 +238,6 @@ class SlotPool:
         before = self._free[slot]
         after = before + delta
         self._free[slot] = after
-        self._free_np[slot] = after
         self._buckets[before] -= 1
         self._buckets[after] += 1
         self._free_half_total += delta
@@ -262,8 +253,8 @@ class SlotPool:
         ``HALVES_PER_SLOT`` claimed halves, each owner a positive
         count, and no empty owner map lingers (an empty map would make
         ``busy_count`` overcount and admission under-admit forever).
-        The sweep also recounts the per-slot free counts (list and numpy
-        copy), capacity buckets, and free-half total from ownership —
+        The sweep also recounts the per-slot free counts, capacity
+        buckets, and free-half total from ownership —
         and is skipped entirely while the pool is unchanged since its
         last clean sweep (same ``version``): re-verifying untouched,
         known-clean state can only re-tally zero.
@@ -315,12 +306,6 @@ class SlotPool:
             "occ_index",
             f"free-half total diverged in interval {interval}: "
             f"{self._free_half_total} != {sum(expected_free)}",
-        )
-        sanitizer.expect(
-            self._free_np.tolist() == expected_free,
-            "occ_index",
-            f"numpy free-half copy diverged from ownership "
-            f"in interval {interval}",
         )
         self._verified_clean_version = (
             self._version if sanitizer.total == violations_before else None

@@ -1,16 +1,16 @@
-"""Property tests for the batched admission kernel.
+"""Property tests for the waiting-lane admission verdicts.
 
 :class:`repro.core.batch.BatchAdmissionIndex` is pure acceleration:
 its per-pass verdicts must agree with the scalar
-:class:`~repro.core.admission.Admitter` probe for **every** display
-after *any* sequence of adds, scalar claims, pool churn, removals and
-compactions — a False verdict must mean "the scalar probe would claim
-nothing", a True verdict must mean "the scalar probe claims at least
-one lane" (FRAGMENTED) or "the whole window claim succeeds"
-(CONTIGUOUS).  Hypothesis drives random operation sequences against
-the index, the scalar admitter, and the pool's numpy free-half copy
-and checks all three after every step, mirroring
-``tests/hardware/test_occupancy_index.py`` for the occupancy indexes.
+:class:`~repro.core.admission.Admitter` probe for **every** queued
+display after *any* sequence of adds, claims, pool churn and cancels
+— a False verdict must mean "the scalar probe would claim nothing", a
+True verdict must mean "the scalar probe claims at least one lane"
+(FRAGMENTED) or "the whole window claim succeeds" (CONTIGUOUS).
+Hypothesis drives random operation sequences against the index, the
+scalar admitter and the displays' waiting lists and checks them after
+every step, mirroring ``tests/hardware/test_occupancy_index.py`` for
+the occupancy indexes.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import batch as batch_module
 from repro.core.admission import AdmissionMode, Admitter
 from repro.core.batch import LOOKAHEAD_OFFSETS, BatchAdmissionIndex
-from repro.core.display import Display
+from repro.core.display import Display, Lane
 from repro.core.virtual_disks import HALVES_PER_SLOT, SlotPool
 from repro.errors import SchedulingError
 from repro.media.objects import MediaObject, MediaType
@@ -45,9 +44,7 @@ def _display(display_id: int, degree: int, start_disk: int,
     )
     lanes = None
     if degree_halves is not None:
-        # __post_init__ derives the lane count from degree_halves.
-        from repro.core.display import Lane
-
+        # __post_init__ checks the lane count against degree_halves.
         lanes = [Lane(fragment=j) for j in range((degree_halves + 1) // 2)]
     return Display(
         display_id=display_id,
@@ -87,14 +84,20 @@ def _scalar_verdict(index: BatchAdmissionIndex, display: Display,
 
 def _assert_verdicts_match_oracle(index: BatchAdmissionIndex,
                                   displays, interval: int) -> None:
-    """``claimable`` names exactly the registered ``displays`` (a dict
-    by id) whose oracle verdict is True."""
+    """``pass_verdicts`` holds one verdict per registered display (a
+    dict by id), each equal to the oracle's, and ``claimable`` names
+    exactly the True ones."""
     expected = {
-        display_id
+        display_id: _scalar_verdict(index, display, interval)
         for display_id, display in displays.items()
-        if _scalar_verdict(index, display, interval)
     }
-    assert index.claimable(interval) == expected, f"interval {interval}"
+    verdicts = index.pass_verdicts(interval)
+    assert dict(verdicts) == expected, f"interval {interval}"
+    assert len(verdicts) == len(displays)
+    assert int(verdicts.sum()) == sum(expected.values())
+    assert index.claimable(interval) == {
+        display_id for display_id, verdict in expected.items() if verdict
+    }
 
 
 # One operation: (kind, selector a, selector b, halves-ish small int).
@@ -118,9 +121,9 @@ ops = st.lists(
 @given(num_disks=st.integers(min_value=2, max_value=12), operations=ops)
 @settings(max_examples=60, deadline=None)
 def test_batched_verdicts_match_scalar_probe(mode, num_disks, operations):
-    """After any claim/release/churn sequence the batched verdicts
-    agree with the scalar oracle, the numpy copy matches the scalar
-    free list, and the sanitizer sweep stays clean."""
+    """After any claim/churn/cancel sequence the verdicts agree with
+    the scalar oracle, every display's waiting list names exactly its
+    unclaimed lanes, and the sanitizer sweep stays clean."""
     pool = SlotPool(num_disks=num_disks, stride=1)
     admitter = Admitter(pool, mode=mode)
     index = BatchAdmissionIndex(pool, mode)
@@ -145,7 +148,6 @@ def test_batched_verdicts_match_scalar_probe(mode, num_disks, operations):
             display = displays[keys[a % len(keys)]]
             verdict = display.display_id in index.claimable(interval)
             plan = admitter.try_claim(display, interval)
-            index.on_claim(display)
             # Soundness: a False verdict promised the scalar probe
             # would do nothing.  Exactness: a True verdict promised at
             # least one claim (FRAGMENTED) / the whole window
@@ -177,57 +179,14 @@ def test_batched_verdicts_match_scalar_probe(mode, num_disks, operations):
             index.remove_display(display.display_id)
         elif kind == "tick":
             interval += 1
-        # The numpy copy must track the scalar free list exactly.
-        assert pool._free_np.tolist() == pool._free
         assert len(index) == len(displays)
+        for display in displays.values():
+            assert [lane for lane, _t, _h in display.waiting] == [
+                lane for lane in display.lanes if lane.slot is None
+            ]
         _assert_verdicts_match_oracle(index, displays, interval)
         index.verify_invariants(sanitizer, interval, list(displays.values()))
         assert sanitizer.total == 0
-
-
-@given(num_disks=st.integers(min_value=2, max_value=8),
-       operations=ops)
-@settings(max_examples=40, deadline=None)
-def test_compaction_preserves_verdicts_and_renumbers(num_disks, operations):
-    """With the compaction threshold forced low, heavy add/remove churn
-    compacts (and renumbers the segments) repeatedly; verdicts are
-    keyed by display id, so every survivor keeps its verdict across a
-    compaction and all of them stay equal to the oracle."""
-    original = batch_module._COMPACT_MIN_ROWS
-    batch_module._COMPACT_MIN_ROWS = 4
-    try:
-        _run_compaction_sequence(num_disks, operations)
-    finally:
-        batch_module._COMPACT_MIN_ROWS = original
-
-
-def _run_compaction_sequence(num_disks, operations):
-    pool = SlotPool(num_disks=num_disks, stride=1)
-    # Every other slot busy, so the verdicts are a mix of True and False.
-    for slot in range(0, num_disks, 2):
-        pool.claim(slot, "bg")
-    index = BatchAdmissionIndex(pool, AdmissionMode.FRAGMENTED)
-    displays = {}
-    next_id = 0
-    for kind, a, b, _halves in operations:
-        before = index.claimable(0)
-        if kind in ("add", "add_half", "claim", "tick"):
-            next_id += 1
-            display = _display(next_id, 1 + a % num_disks, b % num_disks)
-            displays[next_id] = display
-            index.add_display(display)
-            assert index.claimable(0) - {next_id} == before
-        elif displays:  # remove / background / release_bg all remove here
-            keys = sorted(displays)
-            victim = keys[a % len(keys)]
-            del displays[victim]
-            index.remove_display(victim)
-            assert index.claimable(0) == before - {victim}
-        assert len(index) == len(displays)
-        _assert_verdicts_match_oracle(index, displays, 0)
-    sanitizer = Sanitizer(mode="check")
-    index.verify_invariants(sanitizer, 0, list(displays.values()))
-    assert sanitizer.total == 0
 
 
 @given(
@@ -248,7 +207,7 @@ def test_first_admissible_matches_a_scalar_scan(
     scalar oracle admits a queued display; past LOOKAHEAD_OFFSETS
     untested intervals it wakes early, and it answers NEVER only when
     no interval of a whole rotation period admits one.  Displays that
-    left the queue (removed, their rows dead) never count."""
+    left the queue never count."""
     stride = 1 + (stride - 1) % num_disks
     pool = SlotPool(num_disks=num_disks, stride=stride)
     for slot in background:
@@ -287,56 +246,70 @@ class TestConstruction:
         pool = SlotPool(num_disks=4, stride=1)
         index = BatchAdmissionIndex(pool, AdmissionMode.FRAGMENTED)
         assert len(index.pass_verdicts(0)) == 0
+        assert int(index.pass_verdicts(0).sum()) == 0
         assert len(index) == 0
         assert index.claimable(0) == set()
         assert index.first_admissible(0) == NEVER
         index.remove_display(99)  # an unknown id is a no-op
         assert len(index) == 0
 
-    def test_capacity_growth_preserves_rows(self):
+    def test_probe_trims_the_waiting_list(self):
+        """The FRAGMENTED probe drops exactly the lanes it claims, and a
+        display with nothing left waiting is fully laned."""
         pool = SlotPool(num_disks=8, stride=1)
-        index = BatchAdmissionIndex(pool, AdmissionMode.FRAGMENTED)
-        displays = {i + 1: _display(i + 1, 4, i % 8) for i in range(200)}
-        for display in displays.values():
-            index.add_display(display)
-        assert index._rows == 800  # past the initial 256 capacity
-        sanitizer = Sanitizer(mode="check")
-        index.verify_invariants(sanitizer, 0, list(displays.values()))
-        assert sanitizer.total == 0
-        _assert_verdicts_match_oracle(index, displays, 0)
+        pool.claim(1, "bg")
+        display = _display(1, 3, 0)
+        assert [t for _lane, t, _h in display.waiting] == [0, 1, 2]
+        admitter = Admitter(pool, AdmissionMode.FRAGMENTED)
+        plan = admitter.try_claim(display, 0)
+        assert plan.claimed_now == [0, 2] and not plan.complete
+        assert [lane.fragment for lane, _t, _h in display.waiting] == [1]
+        assert display.pending_lane_count == 1
+        pool.release(1, "bg")
+        assert admitter.try_claim(display, 0).complete
+        assert display.waiting == [] and display.fully_laned
 
 
 class TestSanitizerCatchesDrift:
-    def _index(self):
+    def _index(self, degree_halves=None):
         pool = SlotPool(num_disks=8, stride=1)
         index = BatchAdmissionIndex(pool, AdmissionMode.FRAGMENTED)
-        self.display = _display(1, 4, 0)
+        self.display = _display(1, 4, 0, degree_halves=degree_halves)
         index.add_display(self.display)
         return index
 
-    def test_stale_pending_row_fires(self):
-        index = self._index()
-        index._pending[2] = False  # display 1 lane 2 is actually pending
+    def _fires(self, index, queued) -> bool:
         sanitizer = Sanitizer(mode="check")
-        index.verify_invariants(sanitizer, interval=5, queued=[self.display])
-        assert sanitizer.total > 0
+        index.verify_invariants(sanitizer, interval=5, queued=queued)
+        return sanitizer.total > 0
+
+    def test_clean_index_does_not_fire(self):
+        index = self._index(degree_halves=7)
+        assert not self._fires(index, [self.display])
+
+    def test_stale_waiting_list_fires(self):
+        """A claimed lane left on the list, or an unclaimed one dropped
+        from it, is a stale list."""
+        index = self._index()
+        lane, _target, _halves = self.display.waiting[2]
+        lane.slot, lane.ready = 2, 0  # claimed behind the list's back
+        assert self._fires(index, [self.display])
+        index = self._index()
+        del self.display.waiting[1]  # lane 1 is actually unclaimed
+        assert self._fires(index, [self.display])
 
     def test_corrupt_geometry_fires(self):
         index = self._index()
-        index._bases[0] += 1
-        sanitizer = Sanitizer(mode="check")
-        index.verify_invariants(sanitizer, interval=5, queued=[self.display])
-        assert sanitizer.total > 0
-
-    def test_live_row_count_drift_fires(self):
-        index = self._index()
-        index._live_rows += 1
-        sanitizer = Sanitizer(mode="check")
-        index.verify_invariants(sanitizer, interval=5, queued=[self.display])
-        assert sanitizer.total > 0
+        lane, target, halves = self.display.waiting[0]
+        self.display.waiting[0] = (lane, target + 1, halves)
+        assert self._fires(index, [self.display])
+        index = self._index(degree_halves=7)
+        lane, target, _halves = self.display.waiting[3]
+        self.display.waiting[3] = (lane, target, HALVES_PER_SLOT)
+        assert self._fires(index, [self.display])
 
     def test_registry_that_differs_from_the_queue_fires(self):
         index = self._index()
-        sanitizer = Sanitizer(mode="check")
-        index.verify_invariants(sanitizer, interval=5, queued=[])
-        assert sanitizer.total > 0
+        assert self._fires(index, [])
+        other = _display(1, 4, 0)  # same id, another display object
+        assert self._fires(index, [other])

@@ -1,7 +1,7 @@
 """Property tests for the incremental occupancy indexes.
 
 The indexes (:class:`repro.core.virtual_disks.SlotPool`'s free-half
-list and its numpy copy, capacity buckets and free-half total;
+list, capacity buckets and free-half total;
 :class:`DiskArray`'s claimed/failed running counts) hold nothing but
 what ownership already says: after *any* sequence of claims,
 releases, failures and repairs they must answer every query exactly
@@ -39,7 +39,6 @@ ops = st.lists(
 def assert_pool_index_consistent(pool: SlotPool) -> None:
     free = pool_brute_force_free(pool)
     assert pool._free == free
-    assert pool._free_np.tolist() == free
     assert pool._free_half_total == sum(free)
     buckets = [0] * (HALVES_PER_SLOT + 1)
     for h in free:

@@ -85,7 +85,7 @@ def scalar_admission_pass(self, interval):
     display the walk reaches is probed.
 
     It keeps the verdict index's registry of queued displays (add on
-    creation, refresh on claim, remove on admission), which the strict
+    creation, remove on admission), which the strict
     sanitizer checks against the queue; it never asks the index for a
     verdict.
     """
@@ -121,7 +121,6 @@ def scalar_admission_pass(self, interval):
         plan = self.admitter.try_claim(entry.display, interval)
         if plan.claimed_now:
             self._queued_pending_lanes -= len(plan.claimed_now)
-            self._batch_index.on_claim(entry.display)
         if plan.complete:
             self._activate(entry.display)
             self._batch_index.remove_display(entry.display.display_id)

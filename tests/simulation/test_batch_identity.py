@@ -22,12 +22,20 @@ import json
 
 import pytest
 
+from repro.core.admission import AdmissionMode
+from repro.core.disk_manager import DiskManager
+from repro.core.object_manager import ObjectManager
+from repro.core.scheduler import StaggeredStripingPolicy
 from repro.experiments.mixed_media import build_mixed_system
+from repro.hardware.disk import TABLE3_DISK
+from repro.hardware.disk_array import DiskArray
+from repro.media.catalog import Catalog
 from repro.obs import Observability
 from repro.sim.sanitize import Sanitizer
 from repro.simulation.config import ScaledConfig
 from repro.simulation.policy import Request
 from repro.simulation.runner import build_engine, run_experiment
+from tests.conftest import make_object
 from tests.oracles.scalar import arm_scalar_admission
 
 
@@ -114,6 +122,30 @@ def test_claim_counters_match_scalar(name, scalar_oracle):
     assert metrics() == batched
 
 
+def flood_log(policy, requests: int, horizon: int = 3000):
+    """Submit ``requests`` requests cycling over the catalog at interval
+    0, then advance under the strict sanitizer until the queue drains;
+    returns every completion as (request, deliver_start, finished_at)."""
+    object_ids = list(policy.catalog.object_ids)
+    for i in range(requests):
+        policy.submit(
+            Request(request_id=i + 1, station_id=i,
+                    object_id=object_ids[i % len(object_ids)], issued_at=0),
+            interval=0,
+        )
+    sanitizer = Sanitizer("strict")
+    log = []
+    for interval in range(horizon):
+        log.extend(
+            (done.request.request_id, done.deliver_start, done.finished_at)
+            for done in policy.advance(interval)
+        )
+        sanitizer.check_interval(policy, interval)
+        if policy.pending_count() == 0:
+            break
+    return log
+
+
 def test_mixed_degree_flood_is_identical_to_scalar(scalar_oracle):
     """Degrees 2 and 6 in one catalog: the batched walk may stop only
     once the budget is below the *smallest* degree (a bound on the
@@ -125,25 +157,45 @@ def test_mixed_degree_flood_is_identical_to_scalar(scalar_oracle):
             num_disks=36, naive=False, mix=mix, num_subobjects=40
         )
         assert sorted({obj.degree for obj in catalog}) == [2, 6]
-        for i, object_id in enumerate(list(catalog.object_ids) * 4):
-            policy.submit(
-                Request(request_id=i + 1, station_id=i, object_id=object_id,
-                        issued_at=0),
-                interval=0,
-            )
-        sanitizer = Sanitizer("strict")
-        log = []
-        for interval in range(3000):
-            log.extend(
-                (done.request.request_id, done.deliver_start, done.finished_at)
-                for done in policy.advance(interval)
-            )
-            sanitizer.check_interval(policy, interval)
-            if policy.pending_count() == 0:
-                break
-        return log
+        return flood_log(policy, requests=4 * len(catalog.object_ids))
 
     batched = completion_log()
     assert len(batched) == 48
     scalar_oracle()
     assert completion_log() == batched
+
+
+@pytest.mark.parametrize("discipline", ["scan", "fcfs", "sjf"])
+def test_half_slot_flood_is_identical_to_scalar(discipline, scalar_oracle):
+    """Low-bandwidth displays (§3.2.3): with half-slot objects on, an
+    odd number of logical half-disks leaves a one-half last lane, so
+    the waiting lists carry lanes of 1 and 2 halves side by side, and
+    two one-half lanes can share a virtual disk."""
+
+    def completion_log():
+        # B_disk = 20: 10 -> 1 half, 30 -> [2, 1], 50 -> [2, 2, 1],
+        # 40 -> [2, 2] (full bandwidth).
+        objects = [
+            make_object(i, bandwidth=bandwidth, num_subobjects=30,
+                        degree=-(-int(bandwidth) // 20))
+            for i, bandwidth in enumerate((10.0, 30.0, 50.0, 40.0, 10.0, 30.0))
+        ]
+        catalog = Catalog(objects)
+        policy = StaggeredStripingPolicy(
+            catalog=catalog,
+            disk_manager=DiskManager(
+                array=DiskArray(model=TABLE3_DISK, num_disks=14), stride=1
+            ),
+            object_manager=ObjectManager(catalog, capacity=catalog.total_size),
+            admission_mode=AdmissionMode.FRAGMENTED,
+            queue_discipline=discipline,
+            half_slot_objects=True,
+            disk_bandwidth=20.0,
+        )
+        policy.preload(catalog.object_ids)
+        return flood_log(policy, requests=60)
+
+    production = completion_log()
+    assert len(production) == 60
+    scalar_oracle()
+    assert completion_log() == production
