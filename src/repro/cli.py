@@ -310,12 +310,19 @@ def _add_faults(parser: argparse.ArgumentParser) -> None:
                        help="scripted failures, e.g. --fail-at 3:100 7:250")
 
 
+def _base_config(args) -> SimulationConfig:
+    """The configuration every subcommand starts from: the scaled
+    base with ``--seed``.  The experiment grids vary their cells on
+    top of it; ``run``/``sweep``/``info`` add their overrides."""
+    return base_config(args.scale).with_(seed=args.seed)
+
+
 def _config(args) -> SimulationConfig:
     # Overrides are collected and applied in ONE with_() call:
     # validation runs on the complete combination, not on partially
     # assembled ones (e.g. --arrival poisson is only valid together
     # with its --rate).
-    changes: Dict = {"seed": args.seed}
+    changes: Dict = {}
     if getattr(args, "technique", None):
         changes["technique"] = args.technique
     if getattr(args, "stride", None) is not None:
@@ -352,7 +359,7 @@ def _config(args) -> SimulationConfig:
             if field in ("fail_at", "mmpp_rates", "mmpp_sojourn"):
                 value = tuple(value)
             changes[field] = value
-    return base_config(args.scale).with_(**changes)
+    return _base_config(args).with_(**changes)
 
 
 def _emit(rows: List[Dict], output: Optional[str]) -> None:
@@ -425,6 +432,7 @@ def cmd_figure8(args) -> int:
     obs = _observability(args)
     curves = run_figure8(
         scale=args.scale, stations=stations, means=scaled_means(args.scale),
+        config=_base_config(args),
         obs=obs, jobs=args.jobs, cache=_cache(args),
         supervision=_supervision(args),
     )
@@ -439,6 +447,7 @@ def cmd_table4(args) -> int:
         scale=args.scale,
         stations=args.values or scaled_table4_stations(args.scale),
         means=scaled_means(args.scale),
+        config=_base_config(args),
         obs=obs, jobs=args.jobs, cache=_cache(args),
         supervision=_supervision(args),
     )
@@ -457,6 +466,7 @@ def cmd_open_workload(args) -> int:
         deadline=args.deadline if args.deadline is not None
         else DEFAULT_DEADLINE,
         zipf_s=args.zipf_s if args.zipf_s is not None else DEFAULT_ZIPF_S,
+        config=_base_config(args),
         obs=obs, jobs=args.jobs, cache=_cache(args),
         supervision=_supervision(args),
     )
@@ -471,6 +481,7 @@ def cmd_faults(args) -> int:
         scale=args.scale,
         mttf_values=args.values or None,
         mttr=args.mttr,
+        config=_base_config(args),
         obs=obs, jobs=args.jobs, cache=_cache(args),
         supervision=_supervision(args),
     )

@@ -29,9 +29,10 @@ lane of this display fits at this interval's rotation offset"
 therefore stays false for the whole pass, and skipping the display is
 observably identical to running its probe (which would claim nothing
 and change nothing).  The same monotonicity licenses the scheduler to
-*re-tighten* verdicts mid-pass: after any successful claim the
-verdicts are recomputed, so the surviving True verdicts are exact and
-every remaining probe claims something.  The admission counters are
+*re-tighten* verdicts mid-pass: once a claim has landed, the walk
+recomputes the True verdict of each display it reaches
+(:meth:`BatchAdmissionIndex.verdict`) before probing it, so every
+remaining probe claims something.  The admission counters are
 preserved because the caller counts one attempt per display its walk
 reaches, skipped or not.  (The CONTIGUOUS negative cache in
 :class:`~repro.core.admission.Admitter` sees fewer probes — that cache
@@ -41,7 +42,7 @@ is pure acceleration state and never observable.)
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.core.admission import AdmissionMode
 from repro.core.display import Display, WaitingLane
@@ -111,13 +112,33 @@ class BatchAdmissionIndex:
         True only means "worth probing" — the claim path re-checks
         lane by lane.
         """
+        return self._verdicts(self._queued.items(), interval)
+
+    def verdict(self, display_id: int, interval: int) -> bool:
+        """One queued display's :meth:`pass_verdicts` verdict for
+        ``interval``, against the pool as it stands now.
+
+        The admission walk refreshes a True verdict with it after a
+        claim earlier in the pass, instead of recomputing the whole
+        queue's.
+        """
+        entry = ((display_id, self._queued[display_id]),)
+        return self._verdicts(entry, interval)[display_id]
+
+    def _verdicts(
+        self,
+        queued: Iterable[Tuple[int, Tuple[Display, List[WaitingLane]]]],
+        interval: int,
+    ) -> Verdicts:
+        """The verdict of each registry entry in ``queued``: the one
+        lane test behind :meth:`pass_verdicts` and :meth:`verdict`."""
         pool = self.pool
         d = pool.num_disks
         offset = pool.stride * interval % d
         free = pool._free
         verdicts = Verdicts()
         if self.mode is AdmissionMode.FRAGMENTED:
-            for display_id, (_display, waiting) in self._queued.items():
+            for display_id, (_display, waiting) in queued:
                 verdict = not waiting
                 for _lane, target, h in waiting:
                     if free[(target - offset) % d] >= h:
@@ -128,7 +149,7 @@ class BatchAdmissionIndex:
         buckets = pool._buckets
         full_free = buckets[HALVES_PER_SLOT]
         headroom = d - buckets[0]
-        for display_id, (display, waiting) in self._queued.items():
+        for display_id, (display, waiting) in queued:
             verdict = not waiting or (
                 display.full_lane_count() <= full_free
                 and len(display.lanes) <= headroom

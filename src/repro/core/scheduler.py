@@ -36,7 +36,13 @@ from repro.errors import ConfigurationError, SchedulingError
 from repro.media.catalog import Catalog
 from repro.media.objects import MediaObject
 from repro.obs.metrics import Tally
-from repro.simulation.policy import NEVER, Completion, Request, StoragePolicy
+from repro.simulation.policy import (
+    NEVER,
+    Completion,
+    Request,
+    StoragePolicy,
+    UtilizationSample,
+)
 
 
 @dataclass
@@ -114,6 +120,7 @@ class StaggeredStripingPolicy(StoragePolicy):
         self.object_manager = object_manager
         self.tertiary_manager = tertiary_manager
         self.admitter = Admitter(disk_manager.pool, mode=admission_mode, obs=obs)
+        self._pool = disk_manager.pool
         self._fragmented = admission_mode is AdmissionMode.FRAGMENTED
         self.queue_discipline = queue_discipline
         self.half_slot_objects = half_slot_objects
@@ -272,19 +279,38 @@ class StaggeredStripingPolicy(StoragePolicy):
 
     def advance(self, interval: int) -> List[Completion]:
         """One interval: releases, tertiary progress, admission,
-        completions."""
+        completions.
+
+        Each stage runs only when it has work, tested inline on the
+        state it would read: a lane release or completion due at the
+        heap's top, a tertiary writer running or a job waiting, a
+        deferred placement, a queued request.  A stage without work
+        changes nothing (the sampled :meth:`_advance_observed` still
+        runs every one), so the interval is the same either way.
+        """
         self.intervals_advanced += 1
-        if self.faults is not None:
-            self.faults.begin_interval(interval)
-        self._process_lane_releases(interval)
-        self._process_tertiary(interval)
-        self._retry_deferred_placements(interval)
-        self._admission_pass(interval)
-        if self.faults is not None:
-            self.faults.settle(interval)
-        completions = self._process_completions(interval)
+        faults = self.faults
+        if faults is not None:
+            faults.begin_interval(interval)
+        releases = self._lane_releases
+        if releases and releases[0][0] <= interval:
+            self._process_lane_releases(interval)
+        tm = self.tertiary_manager
+        if tm is not None and (tm._current is not None or tm._queue):
+            self._process_tertiary(interval)
+        if self._n_deferred:
+            self._retry_deferred_placements(interval)
+        if self._queue:
+            self._admission_pass(interval)
+        if faults is not None:
+            faults.settle(interval)
+        completions = self._completions
+        if completions and completions[0][0] <= interval:
+            finished = self._process_completions(interval)
+        else:
+            finished = []
         self.queue_length_sum += len(self._queue)
-        return completions
+        return finished
 
     def next_activity(self, interval: int) -> int:
         """The earliest of the lane-release and completion heaps'
@@ -423,15 +449,10 @@ class StaggeredStripingPolicy(StoragePolicy):
         """Queued plus active (not yet completed) requests."""
         return len(self._queue) + len(self._active)
 
-    def utilization_sample(self):
+    def utilization_sample(self) -> UtilizationSample:
         """Active displays and fraction of virtual disks in use."""
-        from repro.simulation.policy import UtilizationSample
-
-        pool = self.disk_manager.pool
-        return UtilizationSample(
-            active_displays=len(self._active),
-            busy_fraction=pool.busy_count / pool.num_disks,
-        )
+        pool = self._pool
+        return len(self._active), len(pool._owners) / pool.num_disks
 
     def stats(self) -> Dict[str, float]:
         """Policy statistics for the result report."""
@@ -758,9 +779,12 @@ class StaggeredStripingPolicy(StoragePolicy):
         display's claim verdict
         (:meth:`BatchAdmissionIndex.pass_verdicts`).  A display with a
         False verdict would claim nothing this pass (see
-        :mod:`repro.core.batch`), so its probe is skipped; after any
-        successful claim the verdicts are recomputed before the next
-        probe.  A display created during the pass is probed directly.
+        :mod:`repro.core.batch`), so its probe is skipped.  Once any
+        claim has landed, a True verdict may be stale, so the walk
+        refreshes the verdict of each display it reaches
+        (:meth:`BatchAdmissionIndex.verdict`) before probing it; a
+        False one stays valid, as free halves only fall during the
+        pass.  A display created during the pass is probed directly.
 
         Two whole-pass fast-outs need no walk at all, when (a) a
         FRAGMENTED pool is saturated — every probe claims nothing and
@@ -792,7 +816,7 @@ class StaggeredStripingPolicy(StoragePolicy):
         admitted: List[int] = []
         attempts = 0
         displays_left = n_displays
-        stale = False
+        claimed = False
         order = self._scan_order()
         for position, entry in enumerate(order):
             display = entry.display
@@ -824,17 +848,17 @@ class StaggeredStripingPolicy(StoragePolicy):
             else:
                 displays_left -= 1
                 attempts += 1
-                if stale and verdicts[display.display_id]:
-                    verdicts = index.pass_verdicts(interval)
-                    stale = False
-                if not verdicts[display.display_id]:
+                display_id = display.display_id
+                if not verdicts[display_id] or (
+                    claimed and not index.verdict(display_id, interval)
+                ):
                     if fcfs:
                         break
                     continue
             plan = self.admitter.try_claim(display, interval)
             if plan.claimed_now:
                 self._queued_pending_lanes -= len(plan.claimed_now)
-                stale = True
+                claimed = True
             if plan.complete:
                 self._activate(display)
                 index.remove_display(display.display_id)
@@ -878,9 +902,12 @@ class StaggeredStripingPolicy(StoragePolicy):
         CONTIGUOUS claims are all-or-nothing and never hoard, so no
         budget applies (``None``).
         """
-        if self.admitter.mode is not AdmissionMode.FRAGMENTED:
+        if not self._fragmented:
             return None
-        return self.disk_manager.pool.free_count - self._queued_pending_lanes
+        pool = self._pool
+        return (
+            pool.num_disks - len(pool._owners) - self._queued_pending_lanes
+        )
 
     def _new_display(
         self, obj: MediaObject, start_disk: int, request: Request

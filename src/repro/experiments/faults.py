@@ -96,13 +96,15 @@ def run_faults_grid(
     techniques: Sequence[str] = TECHNIQUES,
     redundancies: Sequence[str] = REDUNDANCY_SCHEMES,
     mttr: Optional[float] = None,
+    config: Optional[SimulationConfig] = None,
     obs=None,
     jobs: int = 1,
     cache=None,
     supervision=None,
 ) -> List[FaultsPoint]:
-    """The full availability grid, in cell order."""
-    config = base_config(scale)
+    """The full availability grid, in cell order.  Every cell varies
+    ``config`` (default: :func:`base_config` at ``scale``)."""
+    config = config if config is not None else base_config(scale)
     values = list(mttf_values) if mttf_values else list(DEFAULT_MTTF_VALUES)
     cells = [
         (technique, redundancy, mttf)

@@ -97,6 +97,7 @@ def run_figure8(
     stations: Optional[Sequence[int]] = None,
     means: Optional[Sequence[float]] = None,
     techniques: Sequence[str] = ("simple", "vdr"),
+    config: Optional[SimulationConfig] = None,
     obs=None,
     jobs: int = 1,
     cache=None,
@@ -107,9 +108,10 @@ def run_figure8(
     The grid's runs are independent, so they fan through
     :func:`repro.exec.execute` — ``jobs`` workers, optional result
     ``cache``, optional :class:`repro.exec.Supervision` — and come
-    back in grid order regardless of scheduling.
+    back in grid order regardless of scheduling.  Every cell varies
+    ``config`` (default: :func:`base_config` at ``scale``).
     """
-    config = base_config(scale)
+    config = config if config is not None else base_config(scale)
     stations = list(stations) if stations else scaled_stations(scale)
     means = list(means) if means else scaled_means(scale)
     cells = [

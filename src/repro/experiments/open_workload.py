@@ -117,6 +117,7 @@ def run_open_workload(
     techniques: Sequence[str] = ("simple", "staggered"),
     deadline: int = DEFAULT_DEADLINE,
     zipf_s: Optional[float] = DEFAULT_ZIPF_S,
+    config: Optional[SimulationConfig] = None,
     obs=None,
     jobs: int = 1,
     cache=None,
@@ -127,9 +128,10 @@ def run_open_workload(
     ``rates`` (arrivals/second) wins when given; otherwise the rates
     are derived from ``utilisations`` of nominal capacity.  The cells
     fan through :func:`repro.exec.execute` and come back in grid
-    order regardless of scheduling.
+    order regardless of scheduling.  Every cell varies ``config``
+    (default: :func:`base_config` at ``scale``).
     """
-    config = base_config(scale)
+    config = config if config is not None else base_config(scale)
     rates = list(rates) if rates else grid_rates(config, utilisations)
     cells = [
         (technique, rate) for technique in techniques for rate in rates

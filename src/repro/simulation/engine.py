@@ -24,8 +24,17 @@ earliest.  The policy books the skipped span's counters
 (:meth:`~repro.simulation.policy.StoragePolicy.skip_span`) and the
 engine records the load sample once per skipped interval, so the
 result is byte-identical to stepping every interval (the DES oracle in
-``tests/oracles/`` still does).  A stepped interval costs
-``O(queued requests)``; a skipped one costs one load sample.
+``tests/oracles/`` still does).  A skipped span costs one load sample.
+
+A stepped interval costs one ``step``: the arrival source's ready
+check, one :meth:`~repro.simulation.policy.StoragePolicy.advance` and,
+in the measurement window, one load sample (a plain tuple).  Inside
+``advance`` the staggered policy runs only the stages with due work —
+a lane release or completion at its heap's top, a busy or queued
+tertiary writer, a deferred placement, a queued request — so an
+interval with nothing due costs a handful of attribute tests, and one
+with a queue costs its admission pass, ``O(waiting lanes)`` for the
+verdicts plus the walk.
 """
 
 from __future__ import annotations
@@ -232,41 +241,44 @@ class IntervalEngine:
         end_of_warmup = self.interval + warmup_intervals
         end_of_run = end_of_warmup + measure_intervals
         sanitizer = self.sanitizer
-        is_open = self._is_open
         policy = self.policy
+        step = self.step
+        record = result.record
+        record_utilization = result.record_utilization
+        utilization_sample = policy.utilization_sample
+        next_activity = policy.next_activity
+        # Requests are offered only on stepped intervals, so the window's
+        # offered count is the total after the last warmup step subtracted
+        # from the total at the end.
+        offered_before = self.offered_total
         while self.interval < end_of_run:
-            in_window = self.interval >= end_of_warmup
             t = self.interval
-            if is_open and in_window:
+            completions = step()
+            if t >= end_of_warmup:
+                for completion in completions:
+                    record(completion)
+                record_utilization(*utilization_sample())
+            else:
                 offered_before = self.offered_total
-            for completion in self.step():
-                if in_window:
-                    result.record(completion)
-            if is_open and in_window:
-                result.offered += self.offered_total - offered_before
-            if is_open and self._blocked_issued:
-                # A blocked request counts toward the window iff it
-                # *arrived* in the window (same cohort as `offered`,
-                # so blocking_probability can never exceed 1).
-                result.blocked += sum(
-                    1 for issued in self._blocked_issued
-                    if issued >= end_of_warmup
-                )
-                self._blocked_issued.clear()
             if sanitizer is not None:
                 sanitizer.check_interval(policy, t)
-            if in_window:
-                sample = policy.utilization_sample()
-                result.record_utilization(
-                    sample.active_displays, sample.busy_fraction
-                )
             # The policy answers first: while it must step, nothing
             # else is asked.
-            wake = policy.next_activity(t)
+            wake = next_activity(t)
             if wake > t + 1:
                 wake = self._next_wake(t, wake, end_of_run)
                 if wake > t + 1:
                     self._skip(t + 1, wake, end_of_warmup, result)
+        result.offered += self.offered_total - offered_before
+        if self._blocked_issued:
+            # A blocked request counts toward the window iff it
+            # *arrived* in the window (same cohort as `offered`, so
+            # blocking_probability can never exceed 1).
+            result.blocked += sum(
+                1 for issued in self._blocked_issued
+                if issued >= end_of_warmup
+            )
+            self._blocked_issued.clear()
         result.policy_stats = policy.stats()
         return result
 
@@ -302,9 +314,8 @@ class IntervalEngine:
             )
         self.policy.skip_span(start, stop)
         if stop > end_of_warmup:
-            sample = self.policy.utilization_sample()
             result.record_utilization_span(
-                sample.active_displays, sample.busy_fraction,
+                *self.policy.utilization_sample(),
                 stop - max(start, end_of_warmup),
             )
         self.interval = stop

@@ -14,13 +14,19 @@ from __future__ import annotations
 import abc
 import sys
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 #: What :meth:`StoragePolicy.next_activity` and
 #: :meth:`~repro.workload.arrivals.ArrivalProcess.next_ready` return
 #: when nothing is scheduled: only another source's event can change
 #: the state.
 NEVER = sys.maxsize
+
+#: One per-interval load observation, ``(active displays, fraction of
+#: the array's bandwidth in use)``.  A plain tuple: the engine takes one
+#: on every measured interval and records it as
+#: ``result.record_utilization(*sample)``.
+UtilizationSample = Tuple[int, float]
 
 
 @dataclass(frozen=True)
@@ -113,16 +119,8 @@ class StoragePolicy(abc.ABC):
         both)."""
         raise NotImplementedError
 
-    def utilization_sample(self) -> "UtilizationSample":
+    def utilization_sample(self) -> UtilizationSample:
         """Instantaneous load snapshot (active displays, fraction of
         the array's bandwidth in use).  Policies may override; the
         default reports nothing."""
-        return UtilizationSample(active_displays=0, busy_fraction=0.0)
-
-
-@dataclass(frozen=True)
-class UtilizationSample:
-    """One per-interval load observation."""
-
-    active_displays: int
-    busy_fraction: float
+        return 0, 0.0

@@ -25,7 +25,13 @@ from repro.hardware.tertiary import TertiaryDevice
 from repro.media.catalog import Catalog
 from repro.media.tape_layout import TapeLayout
 from repro.obs.metrics import Tally
-from repro.simulation.policy import NEVER, Completion, Request, StoragePolicy
+from repro.simulation.policy import (
+    NEVER,
+    Completion,
+    Request,
+    StoragePolicy,
+    UtilizationSample,
+)
 from repro.vdr.clusters import ClusterArray
 from repro.vdr.replication import MRTReplication
 
@@ -398,10 +404,8 @@ class VirtualReplicationPolicy(StoragePolicy):
         )
         return len(self._queue) + active
 
-    def utilization_sample(self):
+    def utilization_sample(self) -> UtilizationSample:
         """Active displays and fraction of clusters busy right now."""
-        from repro.simulation.policy import UtilizationSample
-
         active = 0
         busy = 0
         for cluster in self.clusters.clusters:
@@ -409,10 +413,7 @@ class VirtualReplicationPolicy(StoragePolicy):
                 busy += 1
                 if cluster.activity == "display":
                     active += 1
-        return UtilizationSample(
-            active_displays=active,
-            busy_fraction=busy / len(self.clusters.clusters),
-        )
+        return active, busy / len(self.clusters.clusters)
 
     def stats(self) -> Dict[str, float]:
         """Policy statistics for the result report."""

@@ -159,10 +159,7 @@ class _ServerBankPolicy(StoragePolicy):
         }
 
     def utilization_sample(self) -> UtilizationSample:
-        return UtilizationSample(
-            active_displays=self.busy,
-            busy_fraction=self.busy / self.servers,
-        )
+        return self.busy, self.busy / self.servers
 
 
 class LossServerPolicy(_ServerBankPolicy):

@@ -85,7 +85,8 @@ def _scalar_verdict(index: BatchAdmissionIndex, display: Display,
 def _assert_verdicts_match_oracle(index: BatchAdmissionIndex,
                                   displays, interval: int) -> None:
     """``pass_verdicts`` holds one verdict per registered display (a
-    dict by id), each equal to the oracle's, and ``claimable`` names
+    dict by id), each equal to the oracle's and to the display's own
+    ``verdict`` (the walk's mid-pass refresh), and ``claimable`` names
     exactly the True ones."""
     expected = {
         display_id: _scalar_verdict(index, display, interval)
@@ -93,6 +94,8 @@ def _assert_verdicts_match_oracle(index: BatchAdmissionIndex,
     }
     verdicts = index.pass_verdicts(interval)
     assert dict(verdicts) == expected, f"interval {interval}"
+    for display_id in displays:
+        assert index.verdict(display_id, interval) == verdicts[display_id]
     assert len(verdicts) == len(displays)
     assert int(verdicts.sum()) == sum(expected.values())
     assert index.claimable(interval) == {
@@ -121,9 +124,10 @@ ops = st.lists(
 @given(num_disks=st.integers(min_value=2, max_value=12), operations=ops)
 @settings(max_examples=60, deadline=None)
 def test_batched_verdicts_match_scalar_probe(mode, num_disks, operations):
-    """After any claim/churn/cancel sequence the verdicts agree with
-    the scalar oracle, every display's waiting list names exactly its
-    unclaimed lanes, and the sanitizer sweep stays clean."""
+    """After any claim/churn/cancel sequence the verdicts, whole-queue
+    and per display, agree with the scalar oracle, every display's
+    waiting list names exactly its unclaimed lanes, and the sanitizer
+    sweep stays clean."""
     pool = SlotPool(num_disks=num_disks, stride=1)
     admitter = Admitter(pool, mode=mode)
     index = BatchAdmissionIndex(pool, mode)

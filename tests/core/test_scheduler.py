@@ -53,6 +53,7 @@ def build_policy(
             tape_layout=TapeLayout(TapeOrder.FRAGMENT_ORDERED),
             interval_length=0.6048,
             disk_bandwidth=20.0,
+            obs=obs,
         )
     return StaggeredStripingPolicy(
         catalog=catalog,
@@ -430,3 +431,97 @@ class TestNextActivity:
             assert stepped.advance(interval) == []
         assert stepped.next_activity(wake - 1) == wake
         assert claim_attempts(skipped_obs) == claim_attempts(stepped_obs)
+
+
+class TestFusedAdvance:
+    """A stepped interval calls only the stages that have due work."""
+
+    STAGES = (
+        "_process_lane_releases",
+        "_retry_deferred_placements",
+        "_admission_pass",
+        "_process_completions",
+    )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Stage name -> the intervals it was called for."""
+        seen = {name: [] for name in self.STAGES + ("tertiary",)}
+
+        def spy(cls, name, key):
+            real = getattr(cls, name)
+
+            def wrapper(self, interval, *args):
+                seen[key].append(interval)
+                return real(self, interval, *args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for name in self.STAGES:
+            spy(StaggeredStripingPolicy, name, name)
+        spy(TertiaryManager, "advance", "tertiary")
+        return seen
+
+    @staticmethod
+    def one_display(obs=None):
+        """A preloaded policy whose one display was admitted at 0 and
+        completes at 5; its lanes come back at 6."""
+        policy = build_policy(num_disks=6, obs=obs)
+        policy.preload([0, 1, 2, 3])
+        policy.submit(request(1, 0), 0)
+        policy.advance(0)
+        assert not policy._queue
+        assert policy._completions[0][0] == 5
+        assert policy._lane_releases[0][0] == 6
+        return policy
+
+    def test_quiet_interval_calls_no_stage(self, calls):
+        policy = self.one_display()
+        for stage in calls.values():
+            stage.clear()
+        assert policy.advance(1) == []
+        assert calls == {name: [] for name in calls}
+        assert policy.intervals_advanced == 2
+        assert policy.queue_length_sum == 0
+
+    def test_due_lane_release_calls_only_that_stage(self, calls):
+        policy = self.one_display()
+        for interval in range(1, 6):
+            policy.advance(interval)
+        assert calls["_process_completions"] == [5]
+        for stage in calls.values():
+            stage.clear()
+        assert policy.advance(6) == []
+        assert calls["_process_lane_releases"] == [6]
+        assert all(
+            not intervals
+            for name, intervals in calls.items()
+            if name != "_process_lane_releases"
+        )
+        assert policy.disk_manager.pool.free_count == 6
+
+    def test_queued_request_and_running_writer_call_their_stages(
+        self, calls
+    ):
+        policy = build_policy(num_disks=6)
+        policy.submit(request(1, 0), 0)  # a miss: the writer starts
+        policy.advance(0)
+        assert calls["tertiary"] == [0]
+        assert calls["_admission_pass"] == [0]
+        assert calls["_retry_deferred_placements"] == []
+        assert calls["_process_lane_releases"] == []
+        assert calls["_process_completions"] == []
+
+    def test_unsampled_observed_interval_takes_the_fused_path(self, calls):
+        obs = Observability(level="metrics").begin_run(
+            expected_intervals=32 * 8
+        )
+        assert obs.sample_stride == 8
+        policy = self.one_display(obs=obs)
+        for stage in calls.values():
+            stage.clear()
+        assert policy.advance(1) == []
+        assert calls == {name: [] for name in calls}
+        # A sampled interval runs every stage under its timers.
+        policy.advance(8)
+        assert all(intervals == [8] for intervals in calls.values())

@@ -88,10 +88,7 @@ class DESEngine:
                         if request.issued_at >= first_measured:
                             result.blocked += 1
             if in_window:
-                sample = self.policy.utilization_sample()
-                result.record_utilization(
-                    sample.active_displays, sample.busy_fraction
-                )
+                result.record_utilization(*self.policy.utilization_sample())
             self.interval += 1
             yield hold(self.interval_length)
 

@@ -87,6 +87,48 @@ class TestCLI:
         rows = read_rows(tmp_path / "t4.csv")
         assert rows[0]["stations"] == "2"
 
+    def test_table4_honours_seed(self, capsys, tmp_path):
+        """``--seed`` reaches the grid: another seed gives other rows,
+        and the default (42) is the same as no flag."""
+
+        def rows(*seed):
+            output = tmp_path / f"t4{'-'.join(seed)}.json"
+            assert main([
+                "table4", "--scale", "50", *seed, "--no-cache",
+                "--output", str(output),
+            ]) == 0
+            return output.read_bytes()
+
+        default = rows()
+        assert rows("--seed", "42") == default
+        assert rows("--seed", "2") != default
+
+    @pytest.mark.parametrize("module, argv", [
+        ("figure8", ["figure8", "--values", "2"]),
+        ("table4", ["table4", "--values", "2"]),
+        ("open_workload", ["open-workload", "--utilisation", "0.5"]),
+        ("faults", ["faults", "--values", "300"]),
+    ])
+    def test_every_grid_subcommand_takes_the_seed(
+        self, monkeypatch, module, argv
+    ):
+        """Each experiment grid builds its cells from the ``--seed``
+        base (the specs are caught before anything runs)."""
+        import importlib
+
+        class Planned(Exception):
+            pass
+
+        def capture(specs, **_options):
+            raise Planned([spec.config for spec in specs])
+
+        experiment = importlib.import_module(f"repro.experiments.{module}")
+        monkeypatch.setattr(experiment, "execute", capture)
+        with pytest.raises(Planned) as planned:
+            main([*argv, "--scale", "50", "--seed", "7", "--no-cache"])
+        [configs] = planned.value.args
+        assert configs and {config.seed for config in configs} == {7}
+
     def test_parser_rejects_unknown_technique(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
