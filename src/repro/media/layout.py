@@ -20,20 +20,39 @@ uniform over a coset of size ``D / gcd(D, k)``; relatively prime
 ``D, k`` (in particular ``k = 1``) guarantee no skew.
 
 Per-drive fragment counts come from that residue view in closed form
-(:func:`stride_fragment_counts`): count the subobject starts per drive,
-then take a circular window sum of width ``M`` — ``O(n + D)`` array
-work rather than a walk over all ``n * M`` fragments.
+(:func:`stride_fragment_counts`): the start drive ``p`` only rotates
+the counts, so the ``p = 0`` counts are computed once per
+``(D, k, n, M)`` and every placement returns a rotated copy of them
+rather than walking all ``n * M`` fragments.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import Dict, List, Sequence
-
-import numpy as np
 
 from repro.errors import ConfigurationError, LayoutError
 from repro.media.objects import FragmentAddress, MediaObject
+
+
+@lru_cache(maxsize=64)
+def _origin_counts(
+    num_disks: int, stride: int, num_subobjects: int, degree: int
+) -> List[int]:
+    """Fragments per drive of an object starting on drive 0.
+
+    The memoised list is shared by every caller of the key: it is only
+    ever sliced, never handed out or written.
+    """
+    starts = [0] * num_disks
+    for i in range(num_subobjects):
+        starts[i * stride % num_disks] += 1
+    # Prepend the last M-1 drives so every window is a contiguous run.
+    prefix = [0, *accumulate(starts[num_disks - degree + 1:] + starts)]
+    return list(map(sub, prefix[degree:], prefix))
 
 
 def stride_fragment_counts(
@@ -43,23 +62,20 @@ def stride_fragment_counts(
 
     Fragment ``X_{i.j}`` lives on drive ``(p + i*k + j) mod D``, so drive
     ``d`` holds one fragment for every subobject starting on one of the
-    ``M`` drives ``d - M + 1 .. d`` (circularly).  Count the starts per
-    drive with one ``bincount`` over ``p + i*k mod D``, then sum each
-    circular window of width ``M`` as a difference of two prefix sums.
-    Returns a length-``D`` list of Python ints.
+    ``M`` drives ``d - M + 1 .. d`` (circularly).  For ``p = 0`` count
+    the starts per drive over ``i*k mod D`` and sum each circular window
+    of width ``M``; those counts are memoised per ``(D, k, n, M)``.  A
+    start ``p`` shifts every fragment ``p mod D`` drives to the right,
+    so the result is the ``p = 0`` counts rotated right by that much.
+    Returns a fresh length-``D`` list of Python ints.
     """
     if not 1 <= degree <= num_disks:
         raise ConfigurationError(
             f"degree must be in 1..{num_disks}, got {degree}"
         )
-    starts = np.bincount(
-        (start + np.arange(num_subobjects, dtype=np.int64) * stride) % num_disks,
-        minlength=num_disks,
-    )
-    # Prepend the last M-1 drives so every window is a contiguous slice.
-    wrapped = np.concatenate((starts[num_disks - degree + 1:], starts))
-    prefix = np.concatenate(([0], np.cumsum(wrapped)))
-    return (prefix[degree:] - prefix[:num_disks]).tolist()
+    origin = _origin_counts(num_disks, stride, num_subobjects, degree)
+    cut = num_disks - start % num_disks
+    return origin[cut:] + origin[:cut]
 
 
 class StripingLayout:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.hardware.disk import SABRE_DISK, TABLE3_DISK
 from repro.media.objects import MediaObject, MediaType
 from repro.sim.rng import RandomStream
+from repro.sim.sanitize import SANITIZE_ENV
 
 
 def pytest_addoption(parser):
@@ -23,6 +26,21 @@ def pytest_addoption(parser):
 def _isolated_result_cache(tmp_path, monkeypatch):
     """Keep CLI/executor default caching out of the repository tree."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+
+
+@pytest.fixture(autouse=True)
+def _restore_sanitize_mode():
+    """``--sanitize`` sets the mode for the whole process through the
+    environment; put back the mode the test started with, so a test
+    that passes the flag does not run every later test under it.
+    (``monkeypatch.delenv`` of an unset variable records nothing to
+    undo, so it cannot do this.)"""
+    saved = os.environ.get(SANITIZE_ENV)
+    yield
+    if saved is None:
+        os.environ.pop(SANITIZE_ENV, None)
+    else:
+        os.environ[SANITIZE_ENV] = saved
 
 
 @pytest.fixture

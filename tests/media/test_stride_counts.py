@@ -73,6 +73,36 @@ class TestKernelAgainstWalk:
         assert counts == walk_counts(d, k, n, m, p)
         assert all(type(c) is int for c in counts)
 
+    @given(placements())
+    @example((12, 4, 25, 3, 0))
+    @example((12, 4, 25, 3, 12))  # p = D: no rotation
+    @example((12, 4, 25, 3, 35))  # p > 2D
+    @settings(max_examples=200, deadline=None)
+    def test_start_drive_rotates_the_origin_counts(self, params):
+        """§3.2.2: the start drive ``p`` moves every fragment ``p mod D``
+        drives to the right and changes nothing else."""
+        d, k, n, m, p = params
+        origin = stride_fragment_counts(d, k, n, m, 0)
+        shift = p % d
+        assert stride_fragment_counts(d, k, n, m, p) == (
+            origin[d - shift:] + origin[:d - shift]
+        )
+
+    @pytest.mark.parametrize("start", [0, 3, 10])
+    def test_returned_list_is_the_callers_own(self, start):
+        """Counts are memoised per (D, k, n, M): writing to one result
+        must not reach the next call's."""
+        expected = walk_counts(10, 3, 7, 2, start)
+        first = stride_fragment_counts(10, 3, 7, 2, start)
+        first[0] += 100
+        first.append(1)
+        second = stride_fragment_counts(10, 3, 7, 2, start)
+        assert second == expected
+        second.clear()
+        assert stride_fragment_counts(10, 3, 7, 2, 0) == walk_counts(
+            10, 3, 7, 2, 0
+        )
+
     def test_degree_outside_one_to_d_rejected(self):
         with pytest.raises(ConfigurationError):
             stride_fragment_counts(4, 1, 3, 5, 0)

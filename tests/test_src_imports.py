@@ -2,13 +2,18 @@
 
 The package stands alone: nothing imports the tests.  An installed
 package does not ship ``tests/``, so an import of the test oracles from
-the package would work in a checkout and break on install.  And no
-module imports another module's underscore-prefixed names.
+the package would work in a checkout and break on install.  It needs
+nothing beyond the standard library, so it declares no runtime
+dependency.  And no module imports another module's underscore-prefixed
+names.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -33,6 +38,36 @@ def test_no_package_module_imports_tests():
         if module.split(".")[0] == "tests"
     ]
     assert offenders == []
+
+
+def test_package_imports_only_the_standard_library():
+    """Lazy imports inside functions count too."""
+    offenders = [
+        f"{path.relative_to(PACKAGE_ROOT.parent)}: {module}"
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        for module in imported_modules(path)
+        if module.split(".")[0] not in sys.stdlib_module_names | {"repro"}
+    ]
+    assert offenders == []
+
+
+def test_entry_points_load_without_numpy():
+    """The CLI, the cluster roles and the executor leave numpy unloaded,
+    so no process pays for importing it."""
+    code = (
+        "import sys\n"
+        "import repro.cli, repro.cluster.agent, repro.cluster.master, repro.exec\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def imported_private_names(path: Path):

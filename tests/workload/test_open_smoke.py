@@ -12,16 +12,7 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.cli import main
-from repro.sim.sanitize import SANITIZE_ENV
-
-
-@pytest.fixture(autouse=True)
-def _restore_sanitize_mode(monkeypatch):
-    """``--sanitize`` sets the mode for the whole process; put it back."""
-    monkeypatch.delenv(SANITIZE_ENV, raising=False)
 
 
 def test_shaped_poisson_run_reports_an_open_row(tmp_path):
