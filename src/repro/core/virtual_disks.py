@@ -192,56 +192,61 @@ class SlotPool:
         return [z for z, owners in self._owners.items() if owner in owners]
 
     def claim(self, slot: int, owner: Hashable, halves: int = HALVES_PER_SLOT) -> None:
-        """Give ``halves`` half-slots of ``slot`` to ``owner``."""
+        """Give ``halves`` half-slots of ``slot`` to ``owner``.
+
+        A rejected claim raises :class:`SchedulingError` and changes
+        nothing.  Capacity is read from the free-half index, which the
+        sanitizer recounts from ownership."""
         if not 1 <= halves <= HALVES_PER_SLOT:
             raise SchedulingError(f"claim of {halves} half-slots is invalid")
         slot %= self.num_disks
-        holders = self._owners.setdefault(slot, {})
-        used = sum(holders.values())
-        if used + halves > HALVES_PER_SLOT:
+        before = self._free[slot]
+        if halves > before:
             raise SchedulingError(
-                f"virtual disk {slot} oversubscribed: {holders!r} + "
-                f"{owner!r}:{halves}"
+                f"virtual disk {slot} oversubscribed: "
+                f"{self._owners.get(slot, {})!r} + {owner!r}:{halves}"
             )
-        holders[owner] = holders.get(owner, 0) + halves
-        self._index_adjust(slot, -halves)
+        holders = self._owners.get(slot)
+        if holders is None:
+            self._owners[slot] = {owner: halves}
+        else:
+            holders[owner] = holders.get(owner, 0) + halves
+        after = before - halves
+        self._free[slot] = after
+        self._buckets[before] -= 1
+        self._buckets[after] += 1
+        self._free_half_total -= halves
+        self._version += 1
 
     def release(self, slot: int, owner: Hashable) -> int:
-        """Return all of ``owner``'s halves of ``slot``; returns count."""
+        """Return all of ``owner``'s halves of ``slot``; returns count.
+
+        Releasing an owner that holds nothing there raises
+        :class:`SchedulingError` and changes nothing."""
         slot %= self.num_disks
         holders = self._owners.get(slot)
-        if not holders or owner not in holders:
+        if holders is None or owner not in holders:
             raise SchedulingError(
                 f"virtual disk {slot} holds nothing for {owner!r}"
             )
         halves = holders.pop(owner)
         if not holders:
             del self._owners[slot]
-        self._index_adjust(slot, halves)
+        before = self._free[slot]
+        after = before + halves
+        self._free[slot] = after
+        self._buckets[before] -= 1
+        self._buckets[after] += 1
+        self._free_half_total += halves
+        self._version += 1
         return halves
 
     def release_all(self, owner: Hashable) -> int:
         """Return every half-slot of ``owner``; returns slots touched."""
         slots = self.slots_of(owner)
         for slot in slots:
-            holders = self._owners[slot]
-            halves = holders.pop(owner)
-            if not holders:
-                del self._owners[slot]
-            self._index_adjust(slot, halves)
+            self.release(slot, owner)
         return len(slots)
-
-    def _index_adjust(self, slot: int, delta: int) -> None:
-        """Move ``slot`` between capacity buckets after a claim
-        (``delta < 0``) or release (``delta > 0``) of ``|delta|``
-        halves, and bump the pool version."""
-        before = self._free[slot]
-        after = before + delta
-        self._free[slot] = after
-        self._buckets[before] -= 1
-        self._buckets[after] += 1
-        self._free_half_total += delta
-        self._version += 1
 
     # ------------------------------------------------------------------
     # Runtime invariant checks (repro.sim.sanitize)

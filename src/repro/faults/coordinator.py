@@ -24,6 +24,15 @@ attached, keeping fault-free runs byte-identical to the seed.
 Failure/rebuild bookkeeping is measured in the protocol's own units:
 a drive's lost content is ``2 × fragments`` half-slot·intervals of
 rebuild work (a fragment write occupies a full slot for one interval).
+
+A faulty run steps every interval, and most of them are degraded, so
+both passes cost only the drives that are actually degraded: the
+injector is polled only when its next event is due, the rebuild runs
+only while a drive owes work, and the slot over a drive is computed
+from one rotation offset per pass, against the pool's free-half index
+and ownership map.  The one-interval claims still go through
+:meth:`~repro.core.virtual_disks.SlotPool.claim` and ``release``, so
+the pool stays the one occupancy implementation.
 """
 
 from __future__ import annotations
@@ -89,13 +98,6 @@ class _CoordinatorBase:
         self._c_degraded.value = float(self.degraded_intervals)
         self._c_rebuilds.value = float(self.rebuilds_completed)
 
-    def _account_interval(self, down_disks: int, rebuilding: bool) -> None:
-        """Per-interval availability bookkeeping."""
-        self._intervals += 1
-        self._healthy_disk_sum += self.num_disks - down_disks
-        if down_disks or rebuilding:
-            self.degraded_intervals += 1
-
     def stats(self) -> Dict[str, float]:
         """Availability metrics, merged into the policy's stats()."""
         return {
@@ -155,7 +157,11 @@ class FaultCoordinator(_CoordinatorBase):
         self.pool = policy.disk_manager.pool
         self.fragment_cylinders = fragment_cylinders
         # One-interval slot claims, released at the next begin_interval.
-        self._transient_claims: Set[Tuple[int, Hashable]] = set()
+        # No (slot, owner) pair repeats within an interval: a rebuild
+        # claims once per drive, and one display's reconstructions
+        # read disjoint survivor sets (mirror pairs and parity groups
+        # partition the drives), so each pair is released once.
+        self._transient_claims: List[Tuple[int, Hashable]] = []
         # disk -> half-slot·intervals of rebuild work left / queued.
         self._rebuild_debt: Dict[int, int] = {}
         self._pending_debt: Dict[int, int] = {}
@@ -172,19 +178,26 @@ class FaultCoordinator(_CoordinatorBase):
     def begin_interval(self, interval: int) -> None:
         """Release last interval's fault claims, apply transitions,
         and advance rebuilds."""
-        for slot, owner in self._transient_claims:
-            self.pool.release(slot, owner)
-        self._transient_claims.clear()
-        for event in self.injector.pop_due(interval):
-            if event.kind == FAIL:
-                self._apply_failure(event.disk, interval)
-            else:
-                self._apply_repair(event.disk, interval)
-        self._advance_rebuilds(interval)
-        self._account_interval(
-            down_disks=self.array.failed_count,
-            rebuilding=bool(self._rebuild_debt),
-        )
+        claims = self._transient_claims
+        if claims:
+            release = self.pool.release
+            for slot, owner in claims:
+                release(slot, owner)
+            claims.clear()
+        due = self.injector.peek()
+        if due is not None and due <= interval:
+            for event in self.injector.pop_due(interval):
+                if event.kind == FAIL:
+                    self._apply_failure(event.disk, interval)
+                else:
+                    self._apply_repair(event.disk, interval)
+        if self._rebuild_debt:
+            self._advance_rebuilds(interval)
+        down = self.array.failed_count
+        self._intervals += 1
+        self._healthy_disk_sum += self.num_disks - down
+        if down or self._rebuild_debt:
+            self.degraded_intervals += 1
 
     def _apply_failure(self, disk: int, interval: int) -> None:
         lost_cylinders = self.array.fail(disk)
@@ -209,24 +222,30 @@ class FaultCoordinator(_CoordinatorBase):
         """Each rebuilding drive claims up to ``rebuild_rate``
         half-slots of the virtual disk currently over it (the write
         side of the restore); leftover debt carries to the next
-        interval."""
-        if not self._rebuild_debt:
-            return
+        interval.  Drives claim in ascending order."""
         self.rebuild_intervals += 1
-        for disk in sorted(self._rebuild_debt):
-            slot = self.pool.slot_at(disk, interval)
-            halves = min(
-                self.rebuild_rate,
-                self.pool.free_halves(slot),
-                self._rebuild_debt[disk],
-            )
+        pool = self.pool
+        free = pool._free
+        num_disks = self.num_disks
+        offset = pool.stride * interval
+        rate = self.rebuild_rate
+        debts = self._rebuild_debt
+        for disk in sorted(debts):
+            debt = debts[disk]
+            slot = (disk - offset) % num_disks
+            halves = free[slot]
+            if halves > rate:
+                halves = rate
+            if halves > debt:
+                halves = debt
             if halves > 0:
                 owner = ("rebuild", disk)
-                self.pool.claim(slot, owner, halves)
-                self._transient_claims.add((slot, owner))
-                self._rebuild_debt[disk] -= halves
-            if self._rebuild_debt[disk] <= 0:
-                del self._rebuild_debt[disk]
+                pool.claim(slot, owner, halves)
+                self._transient_claims.append((slot, owner))
+                debt -= halves
+                debts[disk] = debt
+            if debt <= 0:
+                del debts[disk]
                 self.rebuilds_completed += 1
                 self.rebuild_time.record(
                     interval - self._fail_time.pop(disk, interval)
@@ -237,31 +256,35 @@ class FaultCoordinator(_CoordinatorBase):
     # ------------------------------------------------------------------
     def settle(self, interval: int) -> None:
         """Resolve every read that landed on a failed drive."""
-        failed = self.array.failed_disks()
+        failed = self.array._failed
         if not failed:
             return
+        owners_by_slot = self.pool._owners
+        active = self.policy._active
+        num_disks = self.num_disks
+        offset = self.pool.stride * interval
         for disk in failed:
-            slot = self.pool.slot_at(disk, interval)
-            owners = self.pool.owners_of(slot)
-            for owner, halves in sorted(
-                owners.items(), key=lambda item: repr(item[0])
-            ):
-                display = (
-                    self.policy._active.get(owner)
-                    if isinstance(owner, int)
-                    else None
-                )
+            holders = owners_by_slot.get((disk - offset) % num_disks)
+            if holders is None:
+                continue
+            # A snapshot: an abort below releases the display's claims.
+            # Several owners compete in a fixed (repr) order.
+            owners = list(holders.items())
+            if len(owners) > 1:
+                owners.sort(key=lambda item: repr(item[0]))
+            survivors = survivors_of(
+                disk, self.redundancy, num_disks,
+                self.parity_group, self.array.is_failed,
+            )
+            for owner, halves in owners:
+                display = active.get(owner) if isinstance(owner, int) else None
                 if display is None:
                     # Background work (a materialisation write): the
                     # transfer retries implicitly; tally, don't hiccup.
                     self.background_disruptions += 1
                     continue
-                survivors = survivors_of(
-                    disk, self.redundancy, self.num_disks,
-                    self.parity_group, self.array.is_failed,
-                )
                 if survivors is not None and self._claim_reconstruction(
-                    display.display_id, survivors, halves, interval
+                    display.display_id, survivors, halves, offset
                 ):
                     self.reconstructions += 1
                 elif self.on_fault == "abort":
@@ -270,17 +293,22 @@ class FaultCoordinator(_CoordinatorBase):
                     self.hiccups += 1
 
     def _claim_reconstruction(
-        self, display_id: int, survivors: List[int], halves: int, interval: int
+        self, display_id: int, survivors: List[int], halves: int, offset: int
     ) -> bool:
         """All-or-nothing claim of ``halves`` half-slots on the slot
-        over every survivor."""
-        slots = [self.pool.slot_at(s, interval) for s in survivors]
-        if any(self.pool.free_halves(z) < halves for z in slots):
-            return False
+        over every survivor (``offset`` is the frame's rotation,
+        ``stride × interval``)."""
+        pool = self.pool
+        free = pool._free
+        num_disks = self.num_disks
+        slots = [(s - offset) % num_disks for s in survivors]
+        for z in slots:
+            if free[z] < halves:
+                return False
         owner = ("reconstruct", display_id)
         for z in slots:
-            self.pool.claim(z, owner, halves)
-            self._transient_claims.add((z, owner))
+            pool.claim(z, owner, halves)
+            self._transient_claims.append((z, owner))
         return True
 
     def _abort(self, display, interval: int) -> None:
@@ -344,16 +372,20 @@ class ClusterFaultCoordinator(_CoordinatorBase):
     # Pass 1: before event retirement / admission
     # ------------------------------------------------------------------
     def begin_interval(self, interval: int) -> None:
-        for event in self.injector.pop_due(interval):
-            if event.kind == FAIL:
-                self._apply_failure(event.disk, interval)
-            else:
-                self._apply_repair(event.disk, interval)
-        self._advance_rebuilds(interval)
-        self._account_interval(
-            down_disks=self._total_down,
-            rebuilding=bool(self._rebuild_debt),
-        )
+        due = self.injector.peek()
+        if due is not None and due <= interval:
+            for event in self.injector.pop_due(interval):
+                if event.kind == FAIL:
+                    self._apply_failure(event.disk, interval)
+                else:
+                    self._apply_repair(event.disk, interval)
+        if self._rebuild_debt:
+            self._advance_rebuilds(interval)
+        down = self._total_down
+        self._intervals += 1
+        self._healthy_disk_sum += self.num_disks - down
+        if down or self._rebuild_debt:
+            self.degraded_intervals += 1
 
     def _apply_failure(self, disk: int, interval: int) -> None:
         index = disk // self.clusters.degree
@@ -410,8 +442,6 @@ class ClusterFaultCoordinator(_CoordinatorBase):
                 )
 
     def _advance_rebuilds(self, interval: int) -> None:
-        if not self._rebuild_debt:
-            return
         self.rebuild_intervals += 1
         for index in sorted(self._rebuild_debt):
             cluster = self.clusters.clusters[index]

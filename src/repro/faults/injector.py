@@ -18,8 +18,9 @@ The injector is policy-agnostic: it only says *when* drives fail and
 recover.  The coordinators (:mod:`repro.faults.coordinator`) decide
 what that does to slots, displays, and rebuilds.  Both engines (the
 interval-stepped loop and the DES oracle in ``tests/oracles/``) reach
-the schedule only through a coordinator, which polls
-:meth:`FaultInjector.pop_due` once per interval.
+the schedule only through a coordinator, which reads
+:meth:`FaultInjector.peek` once per interval and calls
+:meth:`FaultInjector.pop_due` when an event is due.
 """
 
 from __future__ import annotations

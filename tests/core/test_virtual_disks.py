@@ -114,6 +114,42 @@ class TestSlotPoolOwnership:
         with pytest.raises(SchedulingError):
             pool.claim(0, "a", halves=3)
 
+    @staticmethod
+    def _state(pool):
+        return (
+            {z: dict(holders) for z, holders in pool._owners.items()},
+            list(pool._free),
+            list(pool._buckets),
+            pool.free_half_total,
+            pool.version,
+        )
+
+    @pytest.mark.parametrize("bad_call", [
+        lambda pool: pool.claim(3, "c", halves=1),  # slot 3 is full
+        lambda pool: pool.claim(5, "c", halves=2),  # slot 5 has one free
+        lambda pool: pool.claim(0, "c", halves=0),
+        lambda pool: pool.claim(0, "c", halves=3),
+        lambda pool: pool.release(5, "b"),  # b holds nothing on 5
+        lambda pool: pool.release(0, "a"),  # nobody holds slot 0
+    ])
+    def test_rejected_call_changes_nothing(self, pool, bad_call):
+        pool.claim(3, "a", halves=1)
+        pool.claim(3, "b", halves=1)
+        pool.claim(5, "a", halves=1)
+        before = self._state(pool)
+        with pytest.raises(SchedulingError):
+            bad_call(pool)
+        assert self._state(pool) == before
+
+    def test_oversubscription_error_names_the_holders(self, pool):
+        pool.claim(3, "a", halves=1)
+        pool.claim(3, "b", halves=1)
+        with pytest.raises(SchedulingError) as info:
+            pool.claim(3, "c", halves=1)
+        assert str(info.value) == (
+            "virtual disk 3 oversubscribed: {'a': 1, 'b': 1} + 'c':1"
+        )
+
 
 class TestFreeRuns:
     def test_empty_pool_is_one_run(self):

@@ -1,5 +1,4 @@
-"""The fault-injection smoke run, driven through the ``repro run``
-entry point.
+"""The fault-injection smoke runs, driven through the CLI.
 
 One scripted drive failure on a small staggered array with mirrored
 redundancy and an online rebuild: the run must report the failure,
@@ -7,6 +6,10 @@ serve degraded reads from the mirror while the drive is down, and
 repair and fully rebuild the drive before it ends.  It runs under the
 strict sanitizer, and the staggered scan pass takes the claim verdicts
 (:mod:`repro.core.batch`) around the failure.
+
+The availability grid (``repro faults``) runs on two workers into a
+result cache, then again from that warm cache: both must succeed and
+print the same rows.
 """
 
 from __future__ import annotations
@@ -31,3 +34,19 @@ def test_scripted_failure_is_repaired_and_rebuilt_online(tmp_path):
     # data fully restored during the run.
     assert row["fault_repairs"] == 1, row
     assert row["fault_rebuilds_completed"] == 1, row
+
+
+def test_warm_faults_grid_rows_equal_the_cold_ones(tmp_path):
+    cache = tmp_path / "faults-cache"
+
+    def grid(name):
+        output = tmp_path / name
+        assert main([
+            "faults", "--scale", "50", "--values", "300", "--jobs", "2",
+            "--cache-dir", str(cache), "--output", str(output),
+        ]) == 0
+        return output.read_bytes()
+
+    cold = grid("faults-cold.csv")
+    assert cold.count(b"\n") == 10  # header + 3 techniques x 3 schemes
+    assert grid("faults-warm.csv") == cold
