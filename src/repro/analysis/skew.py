@@ -34,12 +34,6 @@ def stride_is_skew_free(num_disks: int, stride: int) -> bool:
     return math.gcd(num_disks, stride) == 1
 
 
-def balanced_subobject_multiple(num_disks: int, stride: int) -> int:
-    """Subobject counts that balance load exactly must be multiples of
-    this (each start residue visited equally often)."""
-    return residue_classes(num_disks, stride)
-
-
 def is_perfectly_balanced(
     num_disks: int, stride: int, num_subobjects: int, degree: int
 ) -> bool:

@@ -93,6 +93,7 @@ from repro.obs.events import (
     replay_events,
 )
 from repro.obs.report import format_report, load_metrics
+from repro.obs.store import ObsArtifactStore
 from repro.simulation.config import SimulationConfig
 from repro.sim import sanitize
 from repro.simulation.export import write_csv, write_json
@@ -590,8 +591,9 @@ def cmd_sweep_status(args) -> int:
     if entries:
         print(format_table(cache_status_rows(cache)))
     if args.clear:
+        artifacts = len(ObsArtifactStore(cache.root))
         removed = cache.clear()
-        print(f"cleared {removed} entries")
+        print(f"cleared {removed} entries and {artifacts} obs artifacts")
     return 0
 
 
@@ -1013,7 +1015,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="cache directory (default: $REPRO_CACHE_DIR "
                                "or .repro-cache)")
     p_status.add_argument("--clear", action="store_true",
-                          help="delete every cached entry after reporting")
+                          help="delete every cached entry, and the obs "
+                               "artifacts stored beside it, after reporting")
     p_status.add_argument("--journal", action="store_true",
                           help="list sweep journals instead: completed / "
                                "pending / poisoned counts per sweep")

@@ -323,13 +323,6 @@ class MasterSweep:
         if self.complete:
             self._end()
 
-    def leased_by(self, agent_id: str) -> List[int]:
-        return [
-            index
-            for index, (_row, holder) in self.leased.items()
-            if holder == agent_id
-        ]
-
     # -- results -------------------------------------------------------
     def record_rows(self) -> List[Dict[str, Any]]:
         """Every spec's RunRecord as a JSON-able row, in spec order;

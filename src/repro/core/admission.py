@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.core.display import Display
 from repro.core.virtual_disks import HALVES_PER_SLOT, SlotPool
@@ -69,16 +69,6 @@ class Admitter:
         self._n_attempts = 0
         self._n_lanes = 0
         self._n_complete = 0
-        # Negative cache for CONTIGUOUS claims: display_id ->
-        # {rotation offset: pool version at denial}.  A retry at an
-        # offset already denied under the current pool version sees the
-        # *same* window slots in the *same* pool state, so the denial
-        # replays without rebuilding and probing the window.  The
-        # offset cycles with period D/gcd(D, k), so a display stuck in
-        # the queue over a stable pool probes each window once and then
-        # replays every interval.  Stale versions are overwritten on
-        # re-probe; entries are dropped on success/abort.
-        self._denied: Dict[int, Dict[int, int]] = {}
         if obs is not None:
             registry = obs.registry
             self._c_attempts = registry.counter("admission.claim_attempts")
@@ -125,24 +115,13 @@ class Admitter:
         # The window's slots are distinct (M <= D consecutive drives),
         # so the capacity buckets give O(1) necessary conditions:
         # enough fully-free slots for the full-bandwidth lanes and
-        # enough slots with any headroom for the rest.  A denial also
-        # replays for free at any rotation offset already denied under
-        # the current pool version — identical window, identical
-        # occupancy, identical answer.  Everything here must stay
-        # O(1)-per-probe: this runs once per queued display per
-        # interval, and in churny workloads (version bumping every
-        # interval) the cache misses, so the miss path must cost less
-        # than the window probe it precedes.
+        # enough slots with any headroom for the rest.
         offset = pool.stride * interval % d
-        denied = self._denied.get(display.display_id)
-        if denied is not None and denied.get(offset) == pool.version:
-            return plan
         buckets = pool._buckets
         if (
             buckets[HALVES_PER_SLOT] < display.full_lane_count()
             or d - buckets[0] < len(display.lanes)
         ):
-            self._record_denial(display.display_id, offset)
             return plan
         # Inline window probe over the waiting lanes (all of them: a
         # CONTIGUOUS claim is all-or-nothing), mirroring the fragmented
@@ -153,7 +132,6 @@ class Admitter:
         for _lane, target, h in waiting:
             slot = (target - offset) % d
             if free[slot] < h:
-                self._record_denial(display.display_id, offset)
                 return plan
             window.append(slot)
         for (lane, _target, h), slot in zip(waiting, window):
@@ -162,19 +140,12 @@ class Admitter:
             lane.ready = interval
         plan.claimed_now = window
         waiting.clear()
-        self._denied.pop(display.display_id, None)
         plan.complete = True
         # Cold path (a successful whole-window claim): counting here
         # keeps the try_claim hot path to a single accumulator add.
         self._n_lanes += len(plan.claimed_now)
         self._n_complete += 1
         return plan
-
-    def _record_denial(self, display_id: int, offset: int) -> None:
-        cache = self._denied.get(display_id)
-        if cache is None:
-            cache = self._denied[display_id] = {}
-        cache[offset] = self.pool.version
 
     # ------------------------------------------------------------------
     # FRAGMENTED: lazy incremental claims (§3.2.1)
@@ -233,7 +204,6 @@ class Admitter:
 
     def abort(self, display: Display) -> int:
         """Return every slot of an aborted display; returns the count."""
-        self._denied.pop(display.display_id, None)
         return self.pool.release_all(display.display_id)
 
 

@@ -34,9 +34,7 @@ recomputes the True verdict of each display it reaches
 (:meth:`BatchAdmissionIndex.verdict`) before probing it, so every
 remaining probe claims something.  The admission counters are
 preserved because the caller counts one attempt per display its walk
-reaches, skipped or not.  (The CONTIGUOUS negative cache in
-:class:`~repro.core.admission.Admitter` sees fewer probes — that cache
-is pure acceleration state and never observable.)
+reaches, skipped or not.
 """
 
 from __future__ import annotations

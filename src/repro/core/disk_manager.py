@@ -4,23 +4,20 @@
 (busy or idle) for each time interval."
 
 This module combines the rotating-frame allocator
-(:class:`~repro.core.virtual_disks.SlotPool`) with physical placement
-and storage accounting on a :class:`~repro.hardware.disk_array.DiskArray`.
-It also provides the *validation mode* used by integration tests: the
-closed-form schedule of every active display is replayed against the
-physical array interval by interval, asserting that no drive is ever
-asked for two full-bandwidth fragments at once.
+(:class:`~repro.core.virtual_disks.SlotPool`, which holds that
+per-interval busy/idle state) with physical placement and storage
+accounting on a :class:`~repro.hardware.disk_array.DiskArray`.  The
+physical replay that checks the pool's schedules drive by drive is a
+test oracle (``tests/oracles/physical.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
-from repro.core.display import Display
 from repro.core.virtual_disks import SlotPool
 from repro.errors import CapacityError, ConfigurationError, LayoutError
 from repro.hardware.disk_array import DiskArray
-from repro.media.catalog import Catalog
 from repro.media.layout import StripingLayout
 from repro.media.objects import MediaObject
 
@@ -122,44 +119,6 @@ class DiskManager:
         return self.layout.is_placed(object_id)
 
     # ------------------------------------------------------------------
-    # Validation mode
-    # ------------------------------------------------------------------
-    def validate_interval(self, displays: Iterable[Display], interval: int) -> None:
-        """Replay one interval's reads against the physical array.
-
-        Claims each active lane's physical drive in the
-        :class:`DiskArray` (which raises on oversubscription) and
-        cross-checks the lane's drive against the striping layout.
-        Used by integration tests; the production engine relies on the
-        slot-pool invariant instead.
-        """
-        self.array.begin_interval()
-        for display in displays:
-            halves = display.lane_halves()
-            for lane in display.reads_at(interval):
-                subobject = interval - lane.ready  # type: ignore[operator]
-                physical = self.pool.physical_of(lane.slot, interval)  # type: ignore[arg-type]
-                if self.layout.is_placed(display.obj.object_id):
-                    from repro.media.objects import FragmentAddress
-
-                    expected = self.layout.disk_of(
-                        FragmentAddress(
-                            display.obj.object_id, subobject, lane.fragment
-                        )
-                    )
-                    if expected != physical:
-                        raise LayoutError(
-                            f"display {display.display_id} lane {lane.fragment} "
-                            f"reads drive {physical} but fragment lives on "
-                            f"{expected}"
-                        )
-                self.array.claim(
-                    physical,
-                    owner=(display.display_id, lane.fragment),
-                    slots=halves[lane.fragment],
-                )
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def observe_interval(self, matrix, interval: int) -> None:
@@ -186,7 +145,3 @@ class DiskManager:
             "max_cylinders": max(used),
             "mean_cylinders": sum(used) / len(used),
         }
-
-    def idle_slot_count(self) -> int:
-        """Fully free virtual disks right now."""
-        return self.pool.free_count

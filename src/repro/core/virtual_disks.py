@@ -20,15 +20,17 @@ fragment read claims both, while the low-bandwidth objects of §3.2.3
 claim one each, the drive behaving as two logical disks of half the
 bandwidth.
 
-:class:`SlotPool` is the allocator: it tracks (half-)slot ownership,
-finds free runs, and answers the modular-arithmetic question "when
-does slot ``z`` next pass over physical drive ``d``?".
+:class:`SlotPool` is the allocator and the simulator's one
+per-interval occupancy record (the Disk Manager's busy/idle state of
+§4.1): it tracks (half-)slot ownership and answers the
+modular-arithmetic question "when does slot ``z`` next pass over
+physical drive ``d``?".
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 from repro.errors import ConfigurationError, SchedulingError
 
@@ -106,9 +108,8 @@ class SlotPool:
         # _buckets[h] = number of slots with exactly h free halves
         self._buckets: List[int] = [0] * HALVES_PER_SLOT + [num_disks]
         self._free_half_total = num_disks * HALVES_PER_SLOT
-        # Bumped on every successful claim/release; lets callers (the
-        # admission negative cache, the sanitize clean-skip memo) detect
-        # "nothing changed" in O(1).
+        # Bumped on every successful claim/release; lets the sanitize
+        # clean-skip memo detect "nothing changed" in O(1).
         self._version = 0
         self._verified_clean_version: Optional[int] = None
 
@@ -153,16 +154,6 @@ class SlotPool:
         """Free half-slots across the whole pool."""
         return self._free_half_total
 
-    @property
-    def has_free_halves(self) -> bool:
-        """True when any half-slot anywhere is still free — the O(1)
-        saturation fast-out the admission loop leans on."""
-        return self.free_half_total > 0
-
-    def slots_with_headroom(self, halves: int = 1) -> int:
-        """Number of slots with at least ``halves`` free half-slots."""
-        return sum(self._buckets[halves:])
-
     def owners_of(self, slot: int) -> Dict[Hashable, int]:
         """Current owners of ``slot`` with their half counts."""
         return dict(self._owners.get(slot % self.num_disks, {}))
@@ -171,17 +162,12 @@ class SlotPool:
         """All fully free slots, ascending."""
         return [z for z in range(self.num_disks) if z not in self._owners]
 
-    def busy_slots(self) -> List[int]:
-        """Slots with at least one claimed half (unsorted)."""
-        return list(self._owners)
-
     def busy_physical_disks(self, interval: int) -> List[int]:
         """Physical drives under the busy slots at ``interval``.
 
-        Equivalent to ``[self.physical_of(z, interval) for z in
-        self.busy_slots()]`` with the rotation arithmetic hoisted out
-        of the loop — this sits on the telemetry hot path (once per
-        interval per busy slot).
+        ``physical_of(z, interval)`` over every busy slot ``z``, with
+        the rotation arithmetic hoisted out of the loop — this sits on
+        the telemetry hot path (once per interval per busy slot).
         """
         d = self.num_disks
         offset = (self.stride * interval) % d
@@ -333,31 +319,3 @@ class SlotPool:
         return first_arrival(
             slot, target_disk, self.stride, self.num_disks, not_before
         )
-
-    def free_runs(self) -> List[Tuple[int, int]]:
-        """Maximal circular runs of *fully free* slots as
-        ``(start, length)``.  A fully free pool reports ``[(0, D)]``."""
-        free = [self.is_free(z) for z in range(self.num_disks)]
-        if all(free):
-            return [(0, self.num_disks)]
-        if not any(free):
-            return []
-        runs: List[Tuple[int, int]] = []
-        # Start scanning just after an owned slot so circular runs are whole.
-        start_scan = next(z for z in range(self.num_disks) if not free[z])
-        run_start: Optional[int] = None
-        for step in range(1, self.num_disks + 1):
-            z = (start_scan + step) % self.num_disks
-            if free[z]:
-                if run_start is None:
-                    run_start = z
-            else:
-                if run_start is not None:
-                    runs.append((run_start, (z - run_start) % self.num_disks))
-                    run_start = None
-        return runs
-
-    def longest_free_run(self) -> int:
-        """Length of the longest circular free run (0 when none)."""
-        runs = self.free_runs()
-        return max((length for _, length in runs), default=0)

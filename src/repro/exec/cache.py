@@ -81,18 +81,24 @@ class ResultCache:
         return f"<ResultCache root={str(self.root)!r} entries={len(self)}>"
 
     def __len__(self) -> int:
+        return sum(1 for _ in self._record_paths())
+
+    def _record_paths(self) -> Iterator[Path]:
+        """The run records under ``objects/``, in digest order.  Obs
+        artifacts (``<digest>.obs.*``) share the directories but are
+        not records."""
         objects = self.root / "objects"
         if not objects.is_dir():
-            return 0
-        return sum(1 for _ in objects.glob("*/*.json"))
+            return iter(())
+        return (
+            path for path in sorted(objects.glob("*/*.json"))
+            if "." not in path.stem
+        )
 
     def size_bytes(self) -> int:
-        """Total on-disk size of all entries, in bytes."""
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return 0
+        """Total on-disk size of all records, in bytes."""
         total = 0
-        for path in objects.glob("*/*.json"):
+        for path in self._record_paths():
             try:
                 total += path.stat().st_size
             except OSError:
@@ -176,10 +182,7 @@ class ResultCache:
 
     def entries(self) -> Iterator[Dict[str, Any]]:
         """All readable records, in digest order."""
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return
-        for path in sorted(objects.glob("*/*.json")):
+        for path in self._record_paths():
             try:
                 with path.open() as handle:
                     record = json.load(handle)
@@ -189,17 +192,21 @@ class ResultCache:
                 yield record
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every record, and the obs artifacts stored beside the
+        records with them; returns how many records were removed."""
         removed = 0
         objects = self.root / "objects"
         if not objects.is_dir():
             return 0
-        for path in objects.glob("*/*.json"):
+        for path in objects.glob("*/*"):
+            if path.name.startswith("."):
+                continue  # an in-flight temp file
             try:
                 path.unlink()
-                removed += 1
             except OSError:
                 continue
+            if "." not in path.stem:
+                removed += 1
         return removed
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from repro.errors import ConfigurationError
 from repro.hardware.tertiary import TertiaryDevice
@@ -37,16 +37,6 @@ class TapeLayout:
     """The recording order of one object on tertiary store."""
 
     order: TapeOrder
-
-    def fragment_sequence(self, obj: MediaObject) -> Iterator[FragmentAddress]:
-        """Fragments in tape order.
-
-        Both orders enumerate subobject-major (the display order);
-        what differs is the *cost model* — sequential recordings force
-        a reposition at every subobject boundary because the data for
-        the next disk-write position is not adjacent on the medium.
-        """
-        yield from obj.fragments()
 
     def repositions(self, obj: MediaObject) -> int:
         """Head repositions incurred while materialising ``obj``."""

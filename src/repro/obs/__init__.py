@@ -94,7 +94,6 @@ class RunObservation:
         self.registry = MetricsRegistry(name=label or f"run-{index}")
         self.tracer = tracer
         self.profiler = PhaseProfiler()
-        self.expected_intervals = expected_intervals
         # Per-interval scans (busy-disk walks, depth samples) run every
         # ``sample_stride`` intervals — about 32 samples per run — so
         # observation cost amortises to near zero on long runs; event
@@ -119,12 +118,6 @@ class RunObservation:
             f"<RunObservation {self.label!r} tracing="
             f"{self.tracer is not None}>"
         )
-
-    def matrix_window(self, target_rows: int = 256) -> int:
-        """Sampling window that keeps time-series rows near ``target_rows``."""
-        if not self.expected_intervals:
-            return 1
-        return max(1, self.expected_intervals // target_rows)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-serialisable record of this run's telemetry."""

@@ -3,9 +3,11 @@
 The simulator's correctness rests on a handful of conservation
 invariants that no unit test can pin for *every* configuration:
 
-* **half-slot accounting** — a drive's claims never exceed its two
-  half-slots per interval, a failed drive holds zero claims, and the
-  array's running claim total equals the per-drive sum;
+* **half-slot accounting** — no virtual disk's claims exceed its two
+  half-slots, and the slot pool's free-half index, capacity buckets
+  and free-half total match a recount from ownership;
+* **array state** — every drive's storage stays within its capacity
+  and the array's sorted failed-drive list matches the drives' flags;
 * **buffer conservation** — the scheduler's staging-memory gauge
   equals the sum of the buffer demand of its active time-fragmented
   displays (never negative, never leaking on completion);

@@ -1,7 +1,7 @@
-"""The admission fast paths must be invisible: the denial-replay cache,
-the bucket fast-rejects and the inlined window probes of
-:meth:`Admitter.try_claim` must claim exactly what a plain window probe
-over the pool's ownership map would, on every operation sequence."""
+"""The admission fast paths must be invisible: the bucket fast-rejects
+and the inlined window probes of :meth:`Admitter.try_claim` must claim
+exactly what a plain window probe over the pool's ownership map would,
+on every operation sequence."""
 
 from __future__ import annotations
 
@@ -158,8 +158,7 @@ def test_try_claim_matches_ownership_oracle(params):
 )
 @settings(max_examples=60, deadline=None)
 def test_denial_replay_never_outlives_a_pool_change(params):
-    """CONTIGUOUS denials replay from a per-offset cache keyed by pool
-    version; every replayed verdict must still match a fresh window
-    probe of the current ownership — the cache can never replay a
-    stale verdict after the pool moved."""
+    """A denied CONTIGUOUS display re-probed after the pool moved must
+    get the verdict of a fresh window probe of the current ownership:
+    a denial never outlives the occupancy that caused it."""
     _replay(params, AdmissionMode.CONTIGUOUS)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.virtual_disks import (
+    HALVES_PER_SLOT,
     SlotPool,
     first_arrival,
     physical_disk_of_slot,
@@ -152,33 +153,28 @@ class TestSlotPoolOwnership:
 
 
 class TestFreeRuns:
+    """Fully free virtual disks, read from the capacity buckets and
+    the ascending free-slot list."""
+
     def test_empty_pool_is_one_run(self):
         pool = SlotPool(num_disks=8, stride=1)
-        assert pool.free_runs() == [(0, 8)]
-        assert pool.longest_free_run() == 8
+        assert pool.free_slots() == list(range(8))
+        assert pool._buckets[HALVES_PER_SLOT] == 8
 
     def test_full_pool_has_no_runs(self):
         pool = SlotPool(num_disks=4, stride=1)
         for z in range(4):
             pool.claim(z, f"d{z}")
-        assert pool.free_runs() == []
-        assert pool.longest_free_run() == 0
-
-    def test_circular_run_detected(self):
-        pool = SlotPool(num_disks=8, stride=1)
-        pool.claim(3, "a")
-        pool.claim(4, "b")
-        runs = dict(pool.free_runs())
-        # Free: 5,6,7,0,1,2 as one circular run of 6.
-        assert runs == {5: 6}
+        assert pool.free_slots() == []
+        assert pool._buckets[HALVES_PER_SLOT] == 0
 
     def test_figure6_pattern(self):
         """Fig. 6: free slots at 1 and 6, two intervening busy pairs."""
         pool = SlotPool(num_disks=8, stride=1)
         for z in (0, 7, 2, 3, 4, 5):
             pool.claim(z, f"other{z}")
-        runs = sorted(pool.free_runs())
-        assert runs == [(1, 1), (6, 1)]
+        assert pool.free_slots() == [1, 6]
+        assert pool._free == [0, 2, 0, 0, 0, 0, 2, 0]
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -70,6 +70,28 @@ class TestResultCache:
         assert cache.clear() == 1
         assert len(cache) == 0
 
+    def test_obs_artifacts_are_not_records(self, tmp_path):
+        """Telemetry stored beside a record (``<digest>.obs.json`` and
+        its trace sidecar) is neither counted, sized nor listed as a
+        run, but ``clear`` removes it with the records."""
+        cache = ResultCache(tmp_path)
+        for digest in (DIGEST_A, DIGEST_B):
+            cache.put(digest, {"kind": "experiment", "payload": {}})
+        record_bytes = cache.size_bytes()
+        shard = cache.path_for(DIGEST_A).parent
+        (shard / f"{DIGEST_A}.obs.json").write_text('{"runs": []}\n')
+        (shard / f"{DIGEST_A}.obs.trace.jsonl").write_text("{}\n")
+        assert len(cache) == 2
+        assert cache.size_bytes() == record_bytes
+        assert [record["digest"] for record in cache.entries()] == [
+            DIGEST_A, DIGEST_B,
+        ]
+        assert [row["kind"] for row in cache_status_rows(cache)] == [
+            "experiment"
+        ]
+        assert cache.clear() == 2
+        assert list((tmp_path / "objects").rglob("*.*")) == []
+
     def test_status_rows(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(DIGEST_A, {"kind": "experiment", "payload": {},

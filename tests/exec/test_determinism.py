@@ -13,6 +13,7 @@ import json
 import os
 import random
 
+from repro.cli import main
 from repro.exec import (
     ResultCache,
     canonical_json,
@@ -126,3 +127,33 @@ class TestDerivedSeeds:
         first = rows_bytes(execute(specs, jobs=1))
         second = rows_bytes(execute(specs, jobs=PARALLEL_JOBS))
         assert first == second
+
+
+class TestCliWarmCache:
+    def test_figure8_warm_pass_matches_cold_and_status_counts_runs(
+        self, tmp_path, capsys
+    ):
+        """``repro figure8`` cold and then warm at the parallel width
+        writes byte-identical CSVs, and ``sweep-status`` reports one
+        cache entry per run, not counting the obs artifacts stored
+        beside the records."""
+        cache_dir = str(tmp_path / "cache")
+        outputs = []
+        for name in ("cold", "warm"):
+            output = tmp_path / f"figure8-{name}.csv"
+            assert main([
+                "figure8", "--scale", "50", "--jobs", str(PARALLEL_JOBS),
+                "--cache-dir", cache_dir, "--obs-level", "metrics",
+                "--output", str(output),
+            ]) == 0
+            outputs.append(output.read_bytes())
+        assert outputs[0] == outputs[1]
+        runs = len(outputs[0].decode().splitlines()) - 1
+        assert runs > 0
+        capsys.readouterr()
+        assert main(["sweep-status", "--cache-dir", cache_dir]) == 0
+        out = capsys.readouterr().out
+        assert f"({runs} entries," in out
+        # Below the header and its rule: one row per kind, "kind runs ...".
+        rows = [line.split()[:2] for line in out.splitlines()[3:]]
+        assert rows == [["experiment", str(runs)]]

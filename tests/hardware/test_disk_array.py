@@ -1,17 +1,12 @@
-"""Tests for the disk array: storage accounting and interval claims."""
+"""Tests for the disk array: storage accounting and failure state."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import (
-    CapacityError,
-    ConfigurationError,
-    FaultError,
-    SchedulingError,
-)
+from repro.errors import CapacityError, ConfigurationError, FaultError
 from repro.hardware.disk import TABLE3_DISK
-from repro.hardware.disk_array import DiskArray, SLOTS_PER_DISK
+from repro.hardware.disk_array import DiskArray
 
 
 @pytest.fixture
@@ -49,74 +44,16 @@ class TestStorage:
         assert high == 30.0
 
 
-class TestIntervalClaims:
-    def test_full_claim_marks_disk_busy(self, array):
-        array.begin_interval()
-        array.claim(3, owner="d1")
-        assert not array.is_idle(3)
-        assert array.free_slots(3) == 0
-
-    def test_half_claims_share_a_disk(self, array):
-        array.begin_interval()
-        array.claim(1, owner="a", slots=1)
-        array.claim(1, owner="b", slots=1)
-        assert array.free_slots(1) == 0
-
-    def test_oversubscription_raises(self, array):
-        array.begin_interval()
-        array.claim(0, owner="a")
-        with pytest.raises(SchedulingError):
-            array.claim(0, owner="b", slots=1)
-
-    def test_invalid_slot_count_raises(self, array):
-        array.begin_interval()
-        with pytest.raises(SchedulingError):
-            array.claim(0, owner="a", slots=3)
-
-    def test_begin_interval_clears_claims(self, array):
-        array.begin_interval()
-        array.claim(0, owner="a")
-        array.begin_interval()
-        assert array.is_idle(0)
-        array.claim(0, owner="b")  # no conflict with the stale claim
-
-    def test_release_frees_slots_within_interval(self, array):
-        array.begin_interval()
-        array.claim(0, owner="a")
-        array.release(0, owner="a")
-        array.claim(0, owner="b")
-
-    def test_idle_and_busy_lists(self, array):
-        array.begin_interval()
-        array.claim(0, owner="a")
-        array.claim(4, owner="b", slots=1)
-        assert array.busy_disks() == [0, 4]
-        assert 0 not in array.idle_disks()
-        assert 1 in array.idle_disks()
-
-
 class TestFailures:
-    def test_failed_drive_rejects_claims(self, array):
-        array.begin_interval()
+    def test_fail_marks_the_drive_down(self, array):
         array.fail(2)
-        assert array.free_slots(2) == 0
         assert array.is_failed(2)
         assert array.failed_disks() == [2]
-        with pytest.raises(FaultError):
-            array.claim(2, owner="a", slots=1)
+        assert array.has_failures
 
     def test_fail_reports_the_rebuild_work(self, array):
         array.store(2, 100.0)
         assert array.fail(2) == pytest.approx(100.0)
-
-    def test_fail_drops_in_flight_claims(self, array):
-        array.begin_interval()
-        array.claim(2, owner="a")
-        array.claim(3, owner="b", slots=1)
-        array.fail(2)
-        assert array.is_idle(2)
-        # The surviving drive's claim is untouched.
-        assert array.free_slots(3) == 1
 
     def test_double_fail_and_stray_repair_rejected(self, array):
         array.fail(2)
@@ -125,63 +62,14 @@ class TestFailures:
         with pytest.raises(FaultError):
             array.repair(0)
 
-    def test_repair_restores_claimability(self, array):
-        array.begin_interval()
+    def test_repair_brings_the_drive_back(self, array):
+        array.store(2, 100.0)
         array.fail(2)
         array.repair(2)
         assert not array.is_failed(2)
-        assert array.free_slots(2) == SLOTS_PER_DISK
-        array.claim(2, owner="a")
-
-
-class TestReconstructionClaims:
-    def test_charges_every_survivor(self, array):
-        array.begin_interval()
-        array.fail(2)
-        array.reconstruction_claim(2, owner="r", survivors=[0, 1, 3], halves=1)
-        for survivor in (0, 1, 3):
-            assert array.free_slots(survivor) == SLOTS_PER_DISK - 1
-
-    def test_rejected_for_a_healthy_drive(self, array):
-        array.begin_interval()
-        with pytest.raises(FaultError):
-            array.reconstruction_claim(2, owner="r", survivors=[3])
-
-    def test_rejected_without_survivors(self, array):
-        array.begin_interval()
-        array.fail(2)
-        with pytest.raises(FaultError):
-            array.reconstruction_claim(2, owner="r", survivors=[])
-
-    def test_atomic_when_a_survivor_is_saturated(self, array):
-        array.begin_interval()
-        array.fail(2)
-        array.claim(3, owner="display")  # both half-slots taken
-        with pytest.raises(SchedulingError):
-            array.reconstruction_claim(2, owner="r", survivors=[0, 1, 3])
-        # Nothing was charged to the drives checked before the full one.
-        assert array.free_slots(0) == SLOTS_PER_DISK
-        assert array.free_slots(1) == SLOTS_PER_DISK
-
-    def test_rejected_when_a_survivor_is_failed(self, array):
-        array.begin_interval()
-        array.fail(2)
-        array.fail(3)
-        with pytest.raises(SchedulingError):
-            array.reconstruction_claim(2, owner="r", survivors=[3])
-
-
-class TestUtilization:
-    def test_zero_before_any_interval(self, array):
-        assert array.utilization() == 0.0
-
-    def test_counts_claimed_slot_fraction(self, array):
-        array.begin_interval()
-        for disk in range(3):
-            array.claim(disk, owner=f"d{disk}")  # 6 of 12 half-slots
-        array.begin_interval()  # closes the first interval
-        # 6 of 24 half-slot-intervals claimed across the two intervals.
-        assert array.utilization() == pytest.approx(0.25)
+        assert not array.has_failures
+        # Storage accounting is untouched by the failure and repair.
+        assert array.used_cylinders(2) == pytest.approx(100.0)
 
 
 def test_rejects_empty_array():

@@ -1,11 +1,11 @@
 """Property tests for the incremental occupancy indexes.
 
 The indexes (:class:`repro.core.virtual_disks.SlotPool`'s free-half
-list, capacity buckets and free-half total;
-:class:`DiskArray`'s claimed/failed running counts) hold nothing but
-what ownership already says: after *any* sequence of claims,
+list, capacity buckets and free-half total; :class:`DiskArray`'s
+sorted failed-drive list) hold nothing but what ownership and the
+drives' own flags already say: after *any* sequence of claims,
 releases, failures and repairs they must answer every query exactly
-as a brute-force recount of the ownership maps would.  Hypothesis
+as a brute-force recount would.  Hypothesis
 drives random operation sequences and checks that after every step.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.virtual_disks import HALVES_PER_SLOT, SlotPool
 from repro.errors import FaultError, SchedulingError
 from repro.hardware.disk import TABLE3_DISK
-from repro.hardware.disk_array import SLOTS_PER_DISK, DiskArray
+from repro.hardware.disk_array import DiskArray
 from repro.sim.sanitize import Sanitizer
 from tests.oracles.scalar import pool_brute_force_free
 
@@ -78,48 +78,30 @@ def test_slot_pool_index_matches_brute_force(num_disks, operations):
             assert pool.free_halves(z) == free[z]
             assert pool.claimed_halves(z) == HALVES_PER_SLOT - free[z]
         assert pool.free_half_total == sum(free)
-        assert pool.has_free_halves == (sum(free) > 0)
         full = [z for z in range(num_disks) if free[z] == HALVES_PER_SLOT]
         assert pool.free_count == len(full)
         assert pool.free_slots() == full
-        for halves in range(HALVES_PER_SLOT + 1):
-            assert pool.slots_with_headroom(halves) == sum(
-                1 for h in free if h >= halves
-            )
 
 
 @given(st.integers(min_value=1, max_value=10), ops)
 @settings(max_examples=120, deadline=None)
 def test_disk_array_counts_match_brute_force(num_disks, operations):
-    """The array's running claim/failure counts must match a rescan
-    after arbitrary claim/release/fail/repair (rebuild) sequences."""
+    """The array's sorted failed-drive list must match a rescan of the
+    drives' flags after arbitrary fail/repair (rebuild) sequences."""
     array = DiskArray(model=TABLE3_DISK, num_disks=num_disks)
-    interval = 0
-    for kind, disk, owner, slots in operations:
+    for kind, disk, _owner, _halves in operations:
         disk %= num_disks
         try:
-            if kind == "claim":
-                array.claim(disk, owner, slots=slots)
-            elif kind == "release":
-                array.release(disk, owner)
-            elif kind == "fail":
+            if kind == "fail":
                 array.fail(disk)
             elif kind == "repair":
                 array.repair(disk)
-            else:  # "release_all" doubles as an interval boundary here
-                array.begin_interval()
-                interval += 1
-        except (SchedulingError, FaultError):
+        except FaultError:
             pass
-        claimed = sum(state.claimed_slots for state in array.disks)
         failed = [state.index for state in array.disks if state.failed]
-        assert array._claimed_this_interval == claimed
         assert array.failed_count == len(failed)
         assert array.has_failures == bool(failed)
         assert array.failed_disks() == failed
-        assert array.free_half_total == (
-            (array.num_disks - len(failed)) * SLOTS_PER_DISK - claimed
-        )
 
 
 @given(st.integers(min_value=1, max_value=12), ops)
@@ -199,6 +181,6 @@ def test_sanitize_sweep_cross_checks_the_failed_list():
     array.verify_invariants(sanitizer, interval=0)
     assert sanitizer.total == 0
     array._failed.reverse()
-    array.claim(0, "a")  # a real mutation re-arms the sweep
+    array.store(0, 1.0)  # a real mutation re-arms the sweep
     array.verify_invariants(sanitizer, interval=1)
     assert sanitizer.counts == {"occ_index": 1}

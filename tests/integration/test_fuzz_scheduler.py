@@ -20,6 +20,7 @@ from repro.hardware.disk_array import DiskArray
 from repro.media.catalog import Catalog
 from repro.simulation.policy import Request
 from tests.conftest import make_object
+from tests.oracles.physical import replay_interval
 
 systems = st.fixed_dictionaries(
     {
@@ -90,7 +91,7 @@ def test_random_workloads_conserve_everything(params):
                 )
                 submitted += 1
         completions.extend(policy.advance(interval))
-        policy.disk_manager.validate_interval(policy._active.values(), interval)
+        replay_interval(policy.disk_manager, policy._active.values(), interval)
         if submitted == len(arrivals) and policy.pending_count() == 0:
             break
 

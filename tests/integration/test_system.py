@@ -18,6 +18,7 @@ from repro.simulation.config import ScaledConfig
 from repro.simulation.policy import Request
 from repro.simulation.runner import build_engine
 from tests.conftest import make_object
+from tests.oracles.physical import replay_interval
 
 
 def build_validated_policy(num_disks=12, stride=1, mode=AdmissionMode.FRAGMENTED):
@@ -42,8 +43,9 @@ def build_validated_policy(num_disks=12, stride=1, mode=AdmissionMode.FRAGMENTED
 
 
 class TestPhysicalValidation:
-    """Replay the scheduler's closed-form schedules against the
-    physical array: no drive oversubscription, correct fragment homes."""
+    """Replay the scheduler's closed-form schedules drive by drive
+    (tests/oracles/physical.py): no drive oversubscription, correct
+    fragment homes."""
 
     @pytest.mark.parametrize("mode", list(AdmissionMode))
     def test_concurrent_displays_validate_every_interval(self, mode):
@@ -56,8 +58,8 @@ class TestPhysicalValidation:
             )
         for interval in range(40):
             policy.advance(interval)
-            policy.disk_manager.validate_interval(
-                policy._active.values(), interval
+            replay_interval(
+                policy.disk_manager, policy._active.values(), interval
             )
             if policy.pending_count() == 0:
                 break
@@ -73,8 +75,8 @@ class TestPhysicalValidation:
             )
         for interval in range(60):
             policy.advance(interval)
-            policy.disk_manager.validate_interval(
-                policy._active.values(), interval
+            replay_interval(
+                policy.disk_manager, policy._active.values(), interval
             )
             if policy.pending_count() == 0:
                 break

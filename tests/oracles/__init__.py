@@ -8,6 +8,9 @@
   process per lane.
 * :mod:`tests.oracles.scalar` — the scalar versions of the batched,
   memoized and incremental admission and occupancy paths.
+* :mod:`tests.oracles.physical` — the slot pool's schedules replayed
+  drive by drive: no drive oversubscribed, every read at its
+  fragment's home.
 
 Nothing under ``src/`` imports these modules
 (tests/test_src_imports.py).

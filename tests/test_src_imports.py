@@ -89,3 +89,19 @@ def test_no_package_module_imports_a_private_name():
         for name in imported_private_names(path)
     ]
     assert offenders == []
+
+
+def test_physical_replay_is_only_a_test_oracle():
+    """The drive-by-drive replay of the pool's schedules lives in
+    ``tests/oracles/physical.py``; the package keeps one half-slot
+    accountant (the slot pool) and defines no replay of its own."""
+    oracle_only = {"validate_interval", "replay_interval"}
+    offenders = [
+        f"{path.relative_to(PACKAGE_ROOT.parent)}:{node.lineno}: {node.name}"
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        for node in ast.walk(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        )
+        if isinstance(node, ast.FunctionDef) and node.name in oracle_only
+    ]
+    assert offenders == []
