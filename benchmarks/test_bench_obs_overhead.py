@@ -17,13 +17,16 @@ machine:
    (same config, same seed, so identical workloads) are advanced
    *interleaved, one interval at a time*, with the leader alternating
    every interval.  Both see the same machine conditions within
-   microseconds of each other, so drift cancels in the ratio.
+   microseconds of each other, so drift cancels in the ratio.  The
+   instrumented engine is charged what ``IntervalEngine.run`` adds to
+   a stepped interval (:func:`_observed_step`): the timed step and the
+   sample booking.
 2. **Trimmed per-interval sums.**  Timer interrupts land on a few
    percent of intervals and add heavy-tailed spikes that dominate a
    plain sum.  Per-interval times are kept as arrays and the top
    ``TRIM`` fraction of each side is dropped before summing; the
-   ~64 sampled intervals (where the instrumented engine runs its
-   periodic scans) are charged via a trimmed mean of their paired
+   ~32 sampled intervals (where the instrumented engine times its step
+   and books a sample) are charged via a trimmed mean of their paired
    deltas, and one-time costs (storage observation, run snapshot,
    session finish) are added to the instrumented side.
 
@@ -76,13 +79,28 @@ def _trimmed_sum(values):
     return sum(values[: len(values) - drop]) if drop else sum(values)
 
 
+def _observed_step(engine, interval: int, stride: int) -> None:
+    """What ``IntervalEngine.run`` does for an observed engine at a
+    stepped interval, through the same engine code: every
+    ``stride``-th stepped interval's step is timed (here every interval
+    steps), and each sample point is booked.  ``run`` books a sample
+    once the clock has passed it; booking it right after its step
+    reads the same state at the same cost, and keeps all of the
+    telemetry work on the sampled intervals."""
+    if interval % stride:
+        engine.step()
+    else:
+        engine._timed_step()
+        engine._book_samples(interval, interval + 1)
+
+
 def _paired_run(level: str):
     """One interleaved run; returns (t_off, t_obs) robust estimates.
 
     Per-interval times are collected into arrays; the instrumented
-    engine's sampled intervals are estimated separately (their extra
-    scan work is real cost, not spike noise) and one-time costs are
-    charged to the instrumented side.
+    engine's sampled intervals are estimated separately (their timer
+    and sample work is real cost, not spike noise) and one-time costs
+    are charged to the instrumented side.
     """
     config = _config()
     total = config.warmup_intervals + config.measure_intervals
@@ -101,13 +119,13 @@ def _paired_run(level: str):
                 start = perf_counter()
                 engine_off.step()
                 mid = perf_counter()
-                engine_obs.step()
+                _observed_step(engine_obs, interval, stride)
                 end = perf_counter()
                 off_times.append(mid - start)
                 obs_times.append(end - mid)
             else:
                 start = perf_counter()
-                engine_obs.step()
+                _observed_step(engine_obs, interval, stride)
                 mid = perf_counter()
                 engine_off.step()
                 end = perf_counter()

@@ -13,7 +13,7 @@ test oracle (``tests/oracles/physical.py``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.virtual_disks import SlotPool
 from repro.errors import CapacityError, ConfigurationError, LayoutError
@@ -136,12 +136,3 @@ class DiskManager:
         return [
             self.array.used_cylinders(d) for d in range(self.array.num_disks)
         ]
-
-    def storage_report(self) -> Dict[str, float]:
-        """Min/max/mean used cylinders across drives."""
-        used = [self.array.used_cylinders(d) for d in range(self.array.num_disks)]
-        return {
-            "min_cylinders": min(used),
-            "max_cylinders": max(used),
-            "mean_cylinders": sum(used) / len(used),
-        }

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.admission import AdmissionMode, Admitter
@@ -125,12 +124,11 @@ class StaggeredStripingPolicy(StoragePolicy):
         self.queue_discipline = queue_discipline
         self.half_slot_objects = half_slot_objects
         self.disk_bandwidth = disk_bandwidth
-        # Telemetry (None → the advance path is byte-for-byte the
-        # uninstrumented one; see repro.obs).
+        # Telemetry (None → nothing is recorded; the engine books the
+        # per-interval samples through observe_sample; see repro.obs).
         self.obs = obs
         if obs is not None:
             registry = obs.registry
-            self._obs_stride = obs.sample_stride
             self._m_disk_busy = registry.utilization_matrix(
                 "disk.busy", disk_manager.num_disks,
             )
@@ -148,9 +146,6 @@ class StaggeredStripingPolicy(StoragePolicy):
             # All four mirror plain ints kept on the event paths;
             # published to the registry at snapshot time.
             obs.add_flusher(self._flush_counters)
-            # Instance-bound dispatch: the uninstrumented `advance`
-            # stays byte-for-byte the seed path and pays nothing off.
-            self.advance = self._advance_observed
         self._n_admitted = 0
         self._n_materializations = 0
         # Batched admission (repro.core.batch): the verdict index is
@@ -285,8 +280,8 @@ class StaggeredStripingPolicy(StoragePolicy):
         state it would read: a lane release or completion due at the
         heap's top, a tertiary writer running or a job waiting, a
         deferred placement, a queued request.  A stage without work
-        changes nothing (the sampled :meth:`_advance_observed` still
-        runs every one), so the interval is the same either way.
+        would change nothing, so the interval is the same as running
+        every stage.
         """
         self.intervals_advanced += 1
         faults = self.faults
@@ -397,39 +392,11 @@ class StaggeredStripingPolicy(StoragePolicy):
             if attempts:
                 self.admitter.count_attempts(attempts * n)
 
-    def _advance_observed(self, interval: int) -> List[Completion]:
-        """The same interval pipeline with phase timers and metric
-        samples around each stage.
-
-        Scans and timers run on every ``sample_stride``-th interval
-        only; other intervals take the plain :meth:`advance` (event
-        counters stay exact — they live in the per-event hooks, not
-        here).
-        """
-        if interval % self._obs_stride:
-            return StaggeredStripingPolicy.advance(self, interval)
-        obs = self.obs
-        self.intervals_advanced += 1
-        profiler = obs.profiler
-        t0 = perf_counter()
-        if self.faults is not None:
-            self.faults.begin_interval(interval)
-        self._process_lane_releases(interval)
-        t1 = perf_counter()
-        profiler.add("scheduler.lane_releases", t1 - t0)
-        self._process_tertiary(interval)
-        t2 = perf_counter()
-        profiler.add("scheduler.tertiary", t2 - t1)
-        self._retry_deferred_placements(interval)
-        self._admission_pass(interval)
-        if self.faults is not None:
-            self.faults.settle(interval)
-        t3 = perf_counter()
-        profiler.add("scheduler.admission", t3 - t2)
-        completions = self._process_completions(interval)
-        t4 = perf_counter()
-        profiler.add("scheduler.completions", t4 - t3)
-        self.queue_length_sum += len(self._queue)
+    def observe_sample(self, interval: int) -> None:
+        """Telemetry sample: queue depth, active displays, staging
+        memory, per-drive busy state, the tertiary queue and the load
+        counter (obs enabled only; see
+        :meth:`~repro.simulation.policy.StoragePolicy.observe_sample`)."""
         t = float(interval)
         self._m_queue_depth.record(t, float(len(self._queue)))
         self._m_active.record(t, float(len(self._active)))
@@ -437,13 +404,12 @@ class StaggeredStripingPolicy(StoragePolicy):
         self.disk_manager.observe_interval(self._m_disk_busy, interval)
         if self.tertiary_manager is not None:
             self.tertiary_manager.observe_sample(interval)
-        if obs.tracer is not None:
-            obs.tracer.counter(
+        tracer = self.obs.tracer
+        if tracer is not None:
+            tracer.counter(
                 "scheduler.load", t,
                 queued=len(self._queue), active=len(self._active),
             )
-        profiler.add("scheduler.observe", perf_counter() - t4)
-        return completions
 
     def pending_count(self) -> int:
         """Queued plus active (not yet completed) requests."""

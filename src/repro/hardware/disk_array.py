@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import CapacityError, ConfigurationError, FaultError
 from repro.hardware.disk import DiskModel
@@ -60,11 +60,6 @@ class DiskArray:
     # ------------------------------------------------------------------
     # Storage accounting
     # ------------------------------------------------------------------
-    @property
-    def total_capacity(self) -> float:
-        """Aggregate capacity of the array in megabits."""
-        return self.num_disks * self.model.capacity
-
     def used_cylinders(self, disk: int) -> float:
         """Cylinders currently occupied on drive ``disk``."""
         return self.disks[disk].used_cylinders
@@ -74,10 +69,6 @@ class DiskArray:
         :class:`repro.obs.metrics.MetricsRegistry` gauge family."""
         for disk in self.disks:
             registry.gauge(prefix, disk=disk.index).set(disk.used_cylinders)
-
-    def free_cylinders(self, disk: int) -> float:
-        """Cylinders still free on drive ``disk``."""
-        return self.model.num_cylinders - self.disks[disk].used_cylinders
 
     def store(self, disk: int, cylinders: float) -> None:
         """Occupy ``cylinders`` on drive ``disk`` (raises on overflow)."""
@@ -116,11 +107,6 @@ class DiskArray:
             )
         state.used_cylinders = max(0.0, state.used_cylinders - cylinders)
         self._version += 1
-
-    def storage_skew(self) -> Tuple[float, float]:
-        """Return ``(min, max)`` used cylinders across drives."""
-        used = [d.used_cylinders for d in self.disks]
-        return min(used), max(used)
 
     # ------------------------------------------------------------------
     # Failure / repair (degraded mode; see repro.faults)
@@ -161,11 +147,6 @@ class DiskArray:
     def version(self) -> int:
         """Monotone counter bumped by every inspected-state change."""
         return self._version
-
-    @property
-    def has_failures(self) -> bool:
-        """True while any drive is down — O(1), no drive scan."""
-        return bool(self._failed)
 
     @property
     def failed_count(self) -> int:

@@ -18,11 +18,10 @@ Most intervals are quiet: nothing is submitted, claimed, released or
 completed.  After each stepped interval the engine asks every source
 when it can next change state — the policy's
 :meth:`~repro.simulation.policy.StoragePolicy.next_activity`, the
-arrival process's ``next_ready``, the deadline-expiry head and, with
-telemetry on, the next sampled interval — and jumps straight to the
-earliest.  The policy books the skipped span's counters
-(:meth:`~repro.simulation.policy.StoragePolicy.skip_span`) and the
-engine records the load sample once per skipped interval, so the
+arrival process's ``next_ready`` and the deadline-expiry head — and
+jumps straight to the earliest.  The policy books the skipped span's
+counters (:meth:`~repro.simulation.policy.StoragePolicy.skip_span`)
+and the engine records the load sample once per skipped interval, so the
 result is byte-identical to stepping every interval (the DES oracle in
 ``tests/oracles/`` still does).  A skipped span costs one load sample.
 
@@ -35,6 +34,15 @@ tertiary writer, a deferred placement, a queued request — so an
 interval with nothing due costs a handful of attribute tests, and one
 with a queue costs its admission pass, ``O(waiting lanes)`` for the
 verdicts plus the walk.
+
+Telemetry rides the same clock and forces no step.  ``run`` books a
+sample (:meth:`~repro.simulation.policy.StoragePolicy.observe_sample`)
+at every ``sample_stride`` multiple from the state its interval left:
+the state after its step when the multiple is stepped, else the
+skipped span's, which is the state a step would have read (the span is
+quiet).  It also times every ``sample_stride``-th stepped interval's
+``step`` for the phase profile.  With telemetry off the loop pays one
+test per stepped interval.
 """
 
 from __future__ import annotations
@@ -57,8 +65,8 @@ class IntervalEngine:
     ArrivalProcess` — the closed :class:`~repro.workload.stations.
     StationPool` or open :class:`~repro.workload.arrivals.
     OpenArrivals`.  ``obs`` (a :class:`repro.obs.RunObservation`)
-    enables wall-clock phase profiling of each step; the default
-    ``None`` keeps the step path untouched.
+    enables the telemetry samples and the phase profile that
+    :meth:`run` books; the default ``None`` books nothing.
     """
 
     def __init__(
@@ -86,9 +94,6 @@ class IntervalEngine:
         # stepped interval and every skipped span, so the step path
         # stays untouched.
         self.sanitizer = sanitizer
-        # Telemetry samples every sample_stride-th interval, so those
-        # intervals are always stepped.
-        self._obs_stride = obs.sample_stride if obs is not None else 0
         # Open-workload state.  `is_open`/`deadline_intervals` default
         # to False/None on closed sources, so the closed path below is
         # byte-for-byte the seed path.
@@ -103,9 +108,8 @@ class IntervalEngine:
         # so windowed blocked/offered counts cover the same cohort.
         self._blocked_issued: List[int] = []
         if self._is_open:
-            # Instance-bound dispatch, as with `_step_observed`: the
-            # open step carries deadline bookkeeping the closed hot
-            # path must not pay for.
+            # Instance-bound dispatch: the open step carries deadline
+            # bookkeeping the closed hot path must not pay for.
             self.step = self._step_open
             if obs is not None:
                 registry = obs.registry
@@ -113,10 +117,6 @@ class IntervalEngine:
                 self._c_blocked = registry.counter("workload.blocked")
                 self._c_completed = registry.counter("workload.completed")
                 obs.add_flusher(self._flush_workload_counters)
-        elif obs is not None:
-            # Instance-bound dispatch: the uninstrumented `step` stays
-            # byte-for-byte the seed path and pays nothing when off.
-            self.step = self._step_observed
 
     def __repr__(self) -> str:
         return f"<IntervalEngine t={self.interval} {self.policy!r}>"
@@ -129,32 +129,6 @@ class IntervalEngine:
         completions = self.policy.advance(t)
         for completion in completions:
             self.stations.complete(completion.request, t)
-        self.interval += 1
-        return completions
-
-    def _step_observed(self) -> List[Completion]:
-        """`step` with wall-clock phase timing (behaviour identical).
-
-        Timers run on every ``sample_stride``-th interval only, so the
-        profile is a uniform sample: per-entry means are unbiased and
-        the cost amortises to near zero on long runs.  Other intervals
-        take the plain :meth:`step`.
-        """
-        t = self.interval
-        if t % self._obs_stride:
-            return IntervalEngine.step(self)
-        profiler = self.obs.profiler
-        t0 = perf_counter()
-        for request in self.stations.ready_requests(t):
-            self.policy.submit(request, t)
-        t1 = perf_counter()
-        profiler.add("engine.submit", t1 - t0)
-        completions = self.policy.advance(t)
-        t2 = perf_counter()
-        profiler.add("engine.advance", t2 - t1)
-        for completion in completions:
-            self.stations.complete(completion.request, t)
-        profiler.add("engine.complete", perf_counter() - t2)
         self.interval += 1
         return completions
 
@@ -222,7 +196,10 @@ class IntervalEngine:
         """Run warmup then a measurement window; return the result.
 
         Completions during warmup keep the closed loop moving but are
-        not counted.
+        not counted.  An observed run books each sample point once the
+        clock has passed it (:meth:`_book_samples`): nothing changes
+        state between one step and the next, so the policy is as the
+        point's interval left it.
         """
         if warmup_intervals < 0 or measure_intervals < 1:
             raise ConfigurationError(
@@ -247,13 +224,28 @@ class IntervalEngine:
         record_utilization = result.record_utilization
         utilization_sample = policy.utilization_sample
         next_activity = policy.next_activity
+        obs = self.obs
+        if obs is not None:
+            stride = obs.sample_stride
+            next_sample = self.interval  # sample points before it are booked
+            until_timed = 1  # stepped intervals until the next timed one
         # Requests are offered only on stepped intervals, so the window's
         # offered count is the total after the last warmup step subtracted
         # from the total at the end.
         offered_before = self.offered_total
         while self.interval < end_of_run:
             t = self.interval
-            completions = step()
+            if obs is None:
+                completions = step()
+            else:
+                if next_sample < t:
+                    next_sample = self._book_samples(next_sample, t)
+                until_timed -= 1
+                if until_timed:
+                    completions = step()
+                else:
+                    until_timed = stride
+                    completions = self._timed_step()
             if t >= end_of_warmup:
                 for completion in completions:
                     record(completion)
@@ -269,6 +261,8 @@ class IntervalEngine:
                 wake = self._next_wake(t, wake, end_of_run)
                 if wake > t + 1:
                     self._skip(t + 1, wake, end_of_warmup, result)
+        if obs is not None:
+            self._book_samples(next_sample, end_of_run)
         result.offered += self.offered_total - offered_before
         if self._blocked_issued:
             # A blocked request counts toward the window iff it
@@ -282,6 +276,29 @@ class IntervalEngine:
         result.policy_stats = policy.stats()
         return result
 
+    def _timed_step(self) -> List[Completion]:
+        """One :meth:`step`, charged to the ``engine.step`` phase."""
+        start = perf_counter()
+        completions = self.step()
+        self.obs.profiler.add("engine.step", perf_counter() - start)
+        return completions
+
+    def _book_samples(self, start: int, stop: int) -> int:
+        """Book the telemetry sample of each ``sample_stride`` multiple
+        in ``start .. stop - 1``
+        (:meth:`~repro.simulation.policy.StoragePolicy.observe_sample`,
+        each charged to the ``engine.observe`` phase); return the first
+        multiple at or after ``stop``."""
+        stride = self.obs.sample_stride
+        profiler = self.obs.profiler
+        observe_sample = self.policy.observe_sample
+        first = -(-start // stride) * stride
+        for interval in range(first, stop, stride):
+            begin = perf_counter()
+            observe_sample(interval)
+            profiler.add("engine.observe", perf_counter() - begin)
+        return -(-stop // stride) * stride
+
     def _next_wake(self, interval: int, wake: int, end_of_run: int) -> int:
         """The first interval after ``interval`` at which any source
         can change state, given the policy's ``wake`` (capped at
@@ -291,10 +308,6 @@ class IntervalEngine:
             wake = ready
         if self._expiries and self._expiries[0][0] < wake:
             wake = self._expiries[0][0]
-        if self._obs_stride:
-            sampled = (interval // self._obs_stride + 1) * self._obs_stride
-            if sampled < wake:
-                wake = sampled
         return min(wake, end_of_run)
 
     def _skip(

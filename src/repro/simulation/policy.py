@@ -119,6 +119,13 @@ class StoragePolicy(abc.ABC):
         both)."""
         raise NotImplementedError
 
+    def observe_sample(self, interval: int) -> None:
+        """Record the telemetry sample of ``interval`` from the current
+        state, which is the state that interval left (observed runs
+        only; the engine calls it at every ``sample_stride`` multiple,
+        stepped or skipped).  Reads state, changes none; the default
+        records nothing."""
+
     def utilization_sample(self) -> UtilizationSample:
         """Instantaneous load snapshot (active displays, fraction of
         the array's bandwidth in use).  Policies may override; the

@@ -130,7 +130,6 @@ class VirtualReplicationPolicy(StoragePolicy):
         self.obs = obs
         if obs is not None:
             registry = obs.registry
-            self._obs_stride = obs.sample_stride
             self._m_disk_busy = registry.utilization_matrix(
                 "disk.busy", clusters.num_disks
             )
@@ -224,8 +223,6 @@ class VirtualReplicationPolicy(StoragePolicy):
         if interval < self._tertiary_busy_until:
             self.tertiary_busy_intervals += 1
         self.queue_length_sum += len(self._queue)
-        if self.obs is not None and interval % self._obs_stride == 0:
-            self._observe_interval(interval)
         return completions
 
     def next_activity(self, interval: int) -> int:
@@ -314,12 +311,15 @@ class VirtualReplicationPolicy(StoragePolicy):
                     )
                     break
 
-    def _observe_interval(self, interval: int) -> None:
-        """Sampled-interval telemetry (obs enabled only).
+    def observe_sample(self, interval: int) -> None:
+        """Telemetry sample: busy clusters' drives, queue depth, active
+        displays, the tertiary queue and the load counter (obs enabled
+        only; see
+        :meth:`~repro.simulation.policy.StoragePolicy.observe_sample`).
 
-        Runs every ``sample_stride`` intervals so the cluster scan and
-        depth samples amortise on long runs; counters stay exact via
-        the snapshot-time flusher.
+        Called at every ``sample_stride`` multiple only, so the
+        cluster scan and depth samples amortise on long runs; counters
+        stay exact via the snapshot-time flusher.
         """
         obs = self.obs
         t = float(interval)

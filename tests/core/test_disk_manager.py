@@ -56,11 +56,6 @@ class TestPlacement:
         with pytest.raises(LayoutError):
             manager.evict_object(42)
 
-    def test_storage_report(self, manager):
-        manager.place_object(make_object(0, num_subobjects=10, degree=1), 0)
-        report = manager.storage_report()
-        assert report["mean_cylinders"] == pytest.approx(1.0)
-
     def test_alignment_validation(self):
         array = DiskArray(model=TABLE3_DISK, num_disks=4)
         with pytest.raises(ConfigurationError):

@@ -463,10 +463,10 @@ class TestFusedAdvance:
         return seen
 
     @staticmethod
-    def one_display(obs=None):
+    def one_display():
         """A preloaded policy whose one display was admitted at 0 and
         completes at 5; its lanes come back at 6."""
-        policy = build_policy(num_disks=6, obs=obs)
+        policy = build_policy(num_disks=6)
         policy.preload([0, 1, 2, 3])
         policy.submit(request(1, 0), 0)
         policy.advance(0)
@@ -511,17 +511,3 @@ class TestFusedAdvance:
         assert calls["_retry_deferred_placements"] == []
         assert calls["_process_lane_releases"] == []
         assert calls["_process_completions"] == []
-
-    def test_unsampled_observed_interval_takes_the_fused_path(self, calls):
-        obs = Observability(level="metrics").begin_run(
-            expected_intervals=32 * 8
-        )
-        assert obs.sample_stride == 8
-        policy = self.one_display(obs=obs)
-        for stage in calls.values():
-            stage.clear()
-        assert policy.advance(1) == []
-        assert calls == {name: [] for name in calls}
-        # A sampled interval runs every stage under its timers.
-        policy.advance(8)
-        assert all(intervals == [8] for intervals in calls.values())

@@ -15,17 +15,11 @@ def array():
 
 
 class TestStorage:
-    def test_total_capacity(self, array):
-        assert array.total_capacity == pytest.approx(6 * TABLE3_DISK.capacity)
-
     def test_store_and_evict_roundtrip(self, array):
         array.store(2, 100.0)
         assert array.used_cylinders(2) == 100.0
         array.evict(2, 60.0)
         assert array.used_cylinders(2) == pytest.approx(40.0)
-        assert array.free_cylinders(2) == pytest.approx(
-            TABLE3_DISK.num_cylinders - 40.0
-        )
 
     def test_overflow_rejected(self, array):
         with pytest.raises(CapacityError):
@@ -36,20 +30,13 @@ class TestStorage:
         with pytest.raises(CapacityError):
             array.evict(0, 6.0)
 
-    def test_storage_skew(self, array):
-        array.store(0, 10.0)
-        array.store(1, 30.0)
-        low, high = array.storage_skew()
-        assert low == 0.0
-        assert high == 30.0
-
 
 class TestFailures:
     def test_fail_marks_the_drive_down(self, array):
         array.fail(2)
         assert array.is_failed(2)
         assert array.failed_disks() == [2]
-        assert array.has_failures
+        assert array.failed_count == 1
 
     def test_fail_reports_the_rebuild_work(self, array):
         array.store(2, 100.0)
@@ -67,7 +54,8 @@ class TestFailures:
         array.fail(2)
         array.repair(2)
         assert not array.is_failed(2)
-        assert not array.has_failures
+        assert array.failed_disks() == []
+        assert array.failed_count == 0
         # Storage accounting is untouched by the failure and repair.
         assert array.used_cylinders(2) == pytest.approx(100.0)
 

@@ -100,7 +100,6 @@ def test_disk_array_counts_match_brute_force(num_disks, operations):
             pass
         failed = [state.index for state in array.disks if state.failed]
         assert array.failed_count == len(failed)
-        assert array.has_failures == bool(failed)
         assert array.failed_disks() == failed
 
 

@@ -17,7 +17,8 @@ from repro.obs.report import (
     utilization_heat_rows,
 )
 from repro.simulation.config import ScaledConfig
-from repro.simulation.runner import run_experiment
+from repro.simulation.runner import build_engine, run_experiment
+from tests.golden.test_golden_faults import fault_cells
 
 
 def small_config(technique: str = "simple"):
@@ -60,7 +61,7 @@ class TestRunnerIntegration:
         obs = Observability(level="metrics")
         result = run_experiment(small_config(), obs=obs)
         assert result.profile  # wall-clock phase totals
-        assert "engine.advance" in result.profile
+        assert "engine.step" in result.profile
         metrics = result.observation["metrics"]
         # Per-disk utilization for every disk in the array.
         assert len(metrics["disk.busy"]["utilization"]) == 20
@@ -99,6 +100,82 @@ class TestRunnerIntegration:
         assert events
         kinds = {event.kind for event in events}
         assert {"run", "scheduler", "display", "counter"} <= kinds
+
+
+ENGINE_CLOCK = ScaledConfig(
+    num_stations=8, access_mean=2.0,
+    warmup_intervals=100, measure_intervals=900,
+)
+OPEN_DEADLINE = ENGINE_CLOCK.with_(
+    technique="staggered", arrival="poisson", arrival_rate=0.05,
+    zipf_s=0.8, deadline_intervals=25,
+)
+SCRIPTED_FAILURE = dict(fault_cells())["staggered/mirror/scripted"]
+
+
+def stepped_run(config, level):
+    """Run ``config`` at ``level``; return the intervals it stepped,
+    its serialised result and its observation (``None`` when off)."""
+    session = Observability(level=level)
+    run_obs = session.begin_run(
+        expected_intervals=config.warmup_intervals + config.measure_intervals
+    )
+    engine = build_engine(config, obs=run_obs)
+    stepped = []
+    step = engine.step
+
+    def spy():
+        stepped.append(engine.interval)
+        return step()
+
+    engine.step = spy
+    result = engine.run(config.warmup_intervals, config.measure_intervals)
+    session.finish_run(run_obs, result)
+    return stepped, json.dumps(result.to_dict(), sort_keys=True), run_obs
+
+
+class TestSamplesOnTheEngineClock:
+    """Telemetry samples ride the engine's clock and force no step."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ENGINE_CLOCK.with_(technique="simple"),
+            ENGINE_CLOCK.with_(technique="staggered"),
+            ENGINE_CLOCK.with_(technique="vdr"),
+            OPEN_DEADLINE,
+            SCRIPTED_FAILURE,
+        ],
+        ids=["simple", "staggered", "vdr", "open_deadline", "scripted_failure"],
+    )
+    def test_observed_run_steps_the_intervals_of_the_off_run(self, config):
+        stepped, blob, _ = stepped_run(config, "off")
+        for level in ("metrics", "trace"):
+            observed_stepped, observed_blob, run_obs = stepped_run(
+                config, level
+            )
+            assert observed_stepped == stepped
+            assert observed_blob == blob
+            # Every sample point is booked, stepped or skipped.
+            total = config.warmup_intervals + config.measure_intervals
+            series = run_obs.registry.snapshot()["displays.active"]
+            assert [t for t, _ in series["points"]] == list(
+                range(0, total, run_obs.sample_stride)
+            )
+
+    @pytest.mark.parametrize(
+        "config", [ENGINE_CLOCK.with_(technique="simple"), OPEN_DEADLINE],
+        ids=["closed", "open"],
+    )
+    def test_profile_times_steps_and_samples(self, config):
+        stepped, _, run_obs = stepped_run(config, "metrics")
+        stride = run_obs.sample_stride
+        total = config.warmup_intervals + config.measure_intervals
+        profile = run_obs.snapshot()["profile"]
+        # Every stride-th stepped interval's step, and every sample point.
+        assert profile["engine.step"]["entries"] == -(-len(stepped) // stride)
+        assert profile["engine.observe"]["entries"] == -(-total // stride)
+        assert set(profile) == {"engine.step", "engine.observe"}
 
 
 class TestReport:
@@ -174,6 +251,31 @@ class TestCliObservability:
         assert "per-disk utilization" in out
         document = json.loads(chrome.read_text())
         assert document["traceEvents"]
+
+    def test_staggered_trace_and_metrics_report(self, tmp_path, capsys):
+        """Staggered striping through ``run --trace --metrics`` and
+        ``obs-report --chrome`` (the simple-striping run above is the
+        CLI's default technique)."""
+        metrics = tmp_path / "m.json"
+        trace = tmp_path / "t.jsonl"
+        run = ["run", "--scale", "50", "--technique", "staggered",
+               "--stations", "2", "--mean", "0.2"]
+        assert main(run + ["--trace", str(trace),
+                           "--metrics", str(metrics)]) == 0
+        document = json.loads(metrics.read_text())
+        assert document["runs"][0]["label"].startswith("staggered")
+        capsys.readouterr()
+        chrome = tmp_path / "chrome.json"
+        assert main(["obs-report", str(metrics), "--trace", str(trace),
+                     "--chrome", str(chrome)]) == 0
+        assert "per-disk utilization" in capsys.readouterr().out
+        assert json.loads(chrome.read_text())["traceEvents"]
+
+    def test_trace_level_prints_inline_report(self, capsys):
+        assert main(["run", "--scale", "20", "--obs-level", "trace"]) == 0
+        out = capsys.readouterr().out
+        assert "per-disk utilization" in out
+        assert "wall-clock profile" in out
 
     def test_obs_report_requires_an_input(self, capsys):
         assert main(["obs-report"]) == 2
