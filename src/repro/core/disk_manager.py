@@ -130,9 +130,3 @@ class DiskManager:
         """
         matrix.mark_many(self.pool.busy_physical_disks(interval))
         matrix.tick(float(interval))
-
-    def used_cylinder_profile(self) -> List[int]:
-        """Used cylinders per drive (index = drive number)."""
-        return [
-            self.array.used_cylinders(d) for d in range(self.array.num_disks)
-        ]

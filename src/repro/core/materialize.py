@@ -89,6 +89,9 @@ class MaterializationJob:
         ]
         self.started_at: Optional[int] = None
         self.finish_interval: Optional[int] = None
+        # Lanes are claimed and never given back before release, so
+        # "fully laned" is a one-way latch.
+        self._fully_laned = False
 
     def __repr__(self) -> str:
         claimed = sum(1 for lane in self.lanes if lane.claimed)
@@ -100,7 +103,9 @@ class MaterializationJob:
     @property
     def fully_laned(self) -> bool:
         """True once every write lane owns a virtual disk."""
-        return all(lane.claimed for lane in self.lanes)
+        if not self._fully_laned:
+            self._fully_laned = all(lane.claimed for lane in self.lanes)
+        return self._fully_laned
 
     def try_claim(self, pool: SlotPool, interval: int) -> bool:
         """Claim free virtual disks currently over the write targets.

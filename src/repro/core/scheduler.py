@@ -31,6 +31,7 @@ from repro.core.ff_rewind import plan_reposition
 from repro.core.lowbw import degree_in_halves
 from repro.core.object_manager import ObjectManager
 from repro.core.tertiary_manager import TertiaryManager
+from repro.core.virtual_disks import HALVES_PER_SLOT
 from repro.errors import ConfigurationError, SchedulingError
 from repro.media.catalog import Catalog
 from repro.media.objects import MediaObject
@@ -309,26 +310,31 @@ class StaggeredStripingPolicy(StoragePolicy):
 
     def next_activity(self, interval: int) -> int:
         """The earliest of the lane-release and completion heaps'
-        tops, the tertiary writer's next change and, for CONTIGUOUS
-        admission, the first interval at which a queued display's
-        aligned window rotates onto free slots.
+        tops, the tertiary writer's next change, the fault
+        coordinator's next change (:meth:`~repro.faults.coordinator.
+        FaultCoordinator.next_change`) and, for CONTIGUOUS admission,
+        the first interval at which a queued display's aligned window
+        rotates onto free slots.
 
         Steps every interval (returns ``interval + 1``) while the
-        model cannot predict its next change cheaply: with a fault
-        coordinator attached, while a placement is deferred, and under
-        FRAGMENTED admission while a queued display still claims lanes
-        (each lane's chance comes at its own rotation offset).
+        model cannot predict its next change cheaply: while a fault
+        coordinator is degraded, while a placement is deferred, and
+        under FRAGMENTED admission while a queued display still claims
+        lanes (each lane's chance comes at its own rotation offset).
         """
         step = interval + 1
         if (
             (self._queued_pending_lanes and self._fragmented)
-            or self.faults is not None
             or self._n_deferred
         ):
             return step
         wake = NEVER
+        if self.faults is not None:
+            wake = self.faults.next_change(interval)
+            if wake == step:
+                return step
         if self.tertiary_manager is not None:
-            wake = self.tertiary_manager.next_activity(interval)
+            wake = min(wake, self.tertiary_manager.next_activity(interval))
         if self._queue:
             if self._displayless_admissible():
                 return step
@@ -380,13 +386,16 @@ class StaggeredStripingPolicy(StoragePolicy):
 
     def skip_span(self, start: int, stop: int) -> None:
         """Book a quiet span (see :meth:`next_activity`): the queue
-        waits, a running writer stays busy, and each interval books
-        the claim attempts of a pass that changes nothing."""
+        waits, a running writer stays busy, a fault coordinator counts
+        healthy intervals, and each interval books the claim attempts
+        of a pass that changes nothing."""
         n = stop - start
         self.intervals_advanced += n
         self.queue_length_sum += len(self._queue) * n
         if self.tertiary_manager is not None:
             self.tertiary_manager.skip(n)
+        if self.faults is not None:
+            self.faults.skip(n)
         if self.obs is not None:
             attempts = self._idle_attempts()
             if attempts:
@@ -418,7 +427,9 @@ class StaggeredStripingPolicy(StoragePolicy):
     def utilization_sample(self) -> UtilizationSample:
         """Active displays and fraction of virtual disks in use."""
         pool = self._pool
-        return len(self._active), len(pool._owners) / pool.num_disks
+        # Busy slots (owned or held): those not fully free.
+        busy = pool.num_disks - pool._buckets[HALVES_PER_SLOT]
+        return len(self._active), busy / pool.num_disks
 
     def stats(self) -> Dict[str, float]:
         """Policy statistics for the result report."""
@@ -536,15 +547,17 @@ class StaggeredStripingPolicy(StoragePolicy):
     def verify_skip(self, sanitizer, start: int, stop: int) -> None:
         """Nothing scheduled and nothing admissible in ``start ..
         stop - 1``: no heap top, writer change or must-step condition
-        falls inside, and at every skipped interval no display the walk
-        reaches is claimable and no display-less entry it reaches could
-        get a display."""
+        falls inside, a fault coordinator stays quiet, and at every
+        skipped interval no display the walk reaches is claimable and
+        no display-less entry it reaches could get a display."""
         span = f"skipped intervals {start}..{stop - 1}"
         sanitizer.expect(
-            self.faults is None and not self._n_deferred,
+            not self._n_deferred,
             "skip",
-            f"fault coordinator or deferred placement active in {span}",
+            f"deferred placement active in {span}",
         )
+        if self.faults is not None:
+            self.faults.verify_skip(sanitizer, start, stop)
         for name, heap in (
             ("lane release", self._lane_releases),
             ("completion", self._completions),
@@ -765,19 +778,23 @@ class StaggeredStripingPolicy(StoragePolicy):
         index = self._batch_index
         n_displays = len(index)
         fcfs = self._fcfs
-        if self._fragmented and not self.disk_manager.pool._free_half_total:
+        idle = self._fragmented and not self.disk_manager.pool._free_half_total
+        if not idle:
+            budget = self._claim_budget()
+            min_degree = self._min_degree
+            verdicts = index.pass_verdicts(interval) if n_displays else {}
+            idle = True not in verdicts.values() and (
+                len(self._queue) == n_displays
+                or (budget is not None and budget < min_degree)
+            )
+        if idle:
             if self.obs is not None:
-                self.admitter.count_attempts(self._idle_attempts())
-            return
-        budget = self._claim_budget()
-        min_degree = self._min_degree
-        verdicts = index.pass_verdicts(interval) if n_displays else {}
-        if True not in verdicts.values() and (
-            len(self._queue) == n_displays
-            or (budget is not None and budget < min_degree)
-        ):
-            if self.obs is not None:
-                self.admitter.count_attempts(self._idle_attempts())
+                # The attempts of a pass that changes nothing
+                # (:meth:`_idle_attempts`), booked with one add.
+                self.admitter._n_attempts += (
+                    self._queue[0].display is not None if fcfs
+                    else n_displays
+                )
             return
         admitted: List[int] = []
         attempts = 0
@@ -870,9 +887,9 @@ class StaggeredStripingPolicy(StoragePolicy):
         """
         if not self._fragmented:
             return None
-        pool = self._pool
+        # Fully free slots minus the lanes promised to the queue.
         return (
-            pool.num_disks - len(pool._owners) - self._queued_pending_lanes
+            self._pool._buckets[HALVES_PER_SLOT] - self._queued_pending_lanes
         )
 
     def _new_display(

@@ -24,13 +24,17 @@ bandwidth.
 per-interval occupancy record (the Disk Manager's busy/idle state of
 §4.1): it tracks (half-)slot ownership and answers the
 modular-arithmetic question "when does slot ``z`` next pass over
-physical drive ``d``?".
+physical drive ``d``?".  Work that lasts exactly one interval — the
+fault path's rebuild writes and degraded-mode reconstructions — takes
+owner-less *holds* (:meth:`SlotPool.hold`), which count against the
+same free-half index and are all returned at once by
+:meth:`SlotPool.drop_holds`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SchedulingError
 
@@ -81,10 +85,12 @@ class SlotPool:
     """Ownership of the ``D`` virtual disks at half-slot granularity.
 
     Owners are opaque hashables (display ids, materialisation ids).
-    The pool enforces that a slot's two half-slots are never
-    oversubscribed — that invariant is what guarantees no physical
-    drive is ever asked for more than one full-bandwidth fragment (or
-    two half-bandwidth sub-fragments) in one interval.
+    Holds (:meth:`hold`) take half-slots with no owner until
+    :meth:`drop_holds`.  The pool enforces that a slot's two half-slots
+    are never oversubscribed, owned and held halves together — that
+    invariant is what guarantees no physical drive is ever asked for
+    more than one full-bandwidth fragment (or two half-bandwidth
+    sub-fragments) in one interval.
     """
 
     def __init__(self, num_disks: int, stride: int) -> None:
@@ -98,25 +104,29 @@ class SlotPool:
         self.stride = stride
         # slot -> {owner: halves}
         self._owners: Dict[int, Dict[Hashable, int]] = {}
+        # Owner-less holds, (slot, halves), until drop_holds.  A slot
+        # may appear more than once.
+        self._held: List[Tuple[int, int]] = []
         # Incremental occupancy index: per-slot free-half counts,
         # capacity buckets and the free-half total, so every occupancy
         # query is O(1) instead of a scan.  It holds exactly the
-        # information derivable from ``_owners``, and the sanitizer
-        # recounts it from ownership on every sweep.
+        # information derivable from ``_owners`` and ``_held``, and the
+        # sanitizer recounts it from them on every sweep.
         # free halves per slot (dense; slots are 0..D-1)
         self._free: List[int] = [HALVES_PER_SLOT] * num_disks
         # _buckets[h] = number of slots with exactly h free halves
         self._buckets: List[int] = [0] * HALVES_PER_SLOT + [num_disks]
         self._free_half_total = num_disks * HALVES_PER_SLOT
-        # Bumped on every successful claim/release; lets the sanitize
-        # clean-skip memo detect "nothing changed" in O(1).
+        # Bumped on every successful claim, release, hold and drop;
+        # lets the sanitize clean-skip memo detect "nothing changed"
+        # in O(1).
         self._version = 0
         self._verified_clean_version: Optional[int] = None
 
     def __repr__(self) -> str:
         return (
             f"<SlotPool D={self.num_disks} k={self.stride} "
-            f"occupied={len(self._owners)}>"
+            f"occupied={self.busy_count}>"
         )
 
     # ------------------------------------------------------------------
@@ -124,21 +134,22 @@ class SlotPool:
     # ------------------------------------------------------------------
     @property
     def busy_count(self) -> int:
-        """Slots with at least one claimed half."""
-        return len(self._owners)
+        """Slots with at least one claimed or held half."""
+        return self.num_disks - self._buckets[HALVES_PER_SLOT]
 
     @property
     def free_count(self) -> int:
         """Fully free slots."""
-        return self.num_disks - self.busy_count
+        return self._buckets[HALVES_PER_SLOT]
 
     @property
     def version(self) -> int:
-        """Monotone counter bumped by every successful claim/release."""
+        """Monotone counter bumped by every successful claim, release,
+        hold and drop."""
         return self._version
 
     def claimed_halves(self, slot: int) -> int:
-        """Half-slots of ``slot`` currently claimed."""
+        """Half-slots of ``slot`` currently claimed or held."""
         return HALVES_PER_SLOT - self._free[slot % self.num_disks]
 
     def free_halves(self, slot: int) -> int:
@@ -160,18 +171,25 @@ class SlotPool:
 
     def free_slots(self) -> List[int]:
         """All fully free slots, ascending."""
-        return [z for z in range(self.num_disks) if z not in self._owners]
+        return [
+            z for z, free in enumerate(self._free) if free == HALVES_PER_SLOT
+        ]
 
     def busy_physical_disks(self, interval: int) -> List[int]:
-        """Physical drives under the busy slots at ``interval``.
+        """Physical drives under the busy (owned or held) slots at
+        ``interval``, in no particular order.
 
         ``physical_of(z, interval)`` over every busy slot ``z``, with
         the rotation arithmetic hoisted out of the loop — this sits on
-        the telemetry hot path (once per interval per busy slot).
+        the telemetry hot path (once per sample per busy slot).
         """
         d = self.num_disks
         offset = (self.stride * interval) % d
-        return [(slot + offset) % d for slot in self._owners]
+        owners = self._owners
+        slots = list(owners)
+        if self._held:
+            slots += {slot for slot, _ in self._held if slot not in owners}
+        return [(slot + offset) % d for slot in slots]
 
     def slots_of(self, owner: Hashable) -> List[int]:
         """Slots in which ``owner`` holds at least one half."""
@@ -235,17 +253,58 @@ class SlotPool:
         return len(slots)
 
     # ------------------------------------------------------------------
+    # Owner-less holds (one-interval work)
+    # ------------------------------------------------------------------
+    def hold(self, slot: int, halves: int) -> None:
+        """Hold ``halves`` half-slots of ``slot`` until
+        :meth:`drop_holds`, with no owner.
+
+        Capacity is checked as :meth:`claim` checks it: a rejected hold
+        raises :class:`SchedulingError` and changes nothing."""
+        if not 1 <= halves <= HALVES_PER_SLOT:
+            raise SchedulingError(f"hold of {halves} half-slots is invalid")
+        slot %= self.num_disks
+        before = self._free[slot]
+        if halves > before:
+            raise SchedulingError(
+                f"virtual disk {slot} oversubscribed: "
+                f"{self._owners.get(slot, {})!r} + hold:{halves}"
+            )
+        after = before - halves
+        self._free[slot] = after
+        self._buckets[before] -= 1
+        self._buckets[after] += 1
+        self._free_half_total -= halves
+        self._held.append((slot, halves))
+        self._version += 1
+
+    def drop_holds(self) -> None:
+        """Return every held half-slot."""
+        free = self._free
+        buckets = self._buckets
+        total = 0
+        for slot, halves in self._held:
+            before = free[slot]
+            after = before + halves
+            free[slot] = after
+            buckets[before] -= 1
+            buckets[after] += 1
+            total += halves
+        self._held.clear()
+        self._free_half_total += total
+        self._version += 1
+
+    # ------------------------------------------------------------------
     # Runtime invariant checks (repro.sim.sanitize)
     # ------------------------------------------------------------------
     def verify_invariants(self, sanitizer, interval: int) -> None:
         """Half-slot accounting over the rotating frame.
 
         Every occupied virtual disk holds between 1 and
-        ``HALVES_PER_SLOT`` claimed halves, each owner a positive
-        count, and no empty owner map lingers (an empty map would make
-        ``busy_count`` overcount and admission under-admit forever).
+        ``HALVES_PER_SLOT`` claimed and held halves, each owner and
+        each hold a positive count, and no empty owner map lingers.
         The sweep also recounts the per-slot free counts, capacity
-        buckets, and free-half total from ownership —
+        buckets, and free-half total from ownership and holds —
         and is skipped entirely while the pool is unchanged since its
         last clean sweep (same ``version``): re-verifying untouched,
         known-clean state can only re-tally zero.
@@ -253,6 +312,15 @@ class SlotPool:
         if self._verified_clean_version == self._version:
             return
         violations_before = sanitizer.total
+        held_on: Dict[int, int] = {}
+        for slot, halves in self._held:
+            sanitizer.expect(
+                0 < halves <= HALVES_PER_SLOT,
+                "half_slots",
+                f"virtual disk {slot} holds {halves} half-slots in "
+                f"interval {interval}",
+            )
+            held_on[slot] = held_on.get(slot, 0) + halves
         for slot, holders in self._owners.items():
             sanitizer.expect(
                 bool(holders),
@@ -260,12 +328,12 @@ class SlotPool:
                 f"virtual disk {slot} has an empty owner map in "
                 f"interval {interval}",
             )
-            used = sum(holders.values())
+            used = sum(holders.values()) + held_on.get(slot, 0)
             sanitizer.expect(
                 0 < used <= HALVES_PER_SLOT,
                 "half_slots",
                 f"virtual disk {slot} oversubscribed in interval "
-                f"{interval}: {holders!r}",
+                f"{interval}: {holders!r} + held {held_on.get(slot, 0)}",
             )
             sanitizer.expect(
                 all(halves > 0 for halves in holders.values()),
@@ -273,14 +341,24 @@ class SlotPool:
                 f"virtual disk {slot} holds a non-positive claim in "
                 f"interval {interval}: {holders!r}",
             )
+        for slot, halves in held_on.items():
+            if slot not in self._owners:
+                sanitizer.expect(
+                    halves <= HALVES_PER_SLOT,
+                    "half_slots",
+                    f"virtual disk {slot} oversubscribed in interval "
+                    f"{interval}: held {halves}",
+                )
         expected_free = [HALVES_PER_SLOT] * self.num_disks
         for slot, holders in self._owners.items():
             expected_free[slot] -= sum(holders.values())
+        for slot, halves in held_on.items():
+            expected_free[slot] -= halves
         sanitizer.expect(
             self._free == expected_free,
             "occ_index",
-            f"free-half index diverged from ownership in interval "
-            f"{interval}",
+            f"free-half index diverged from ownership and holds in "
+            f"interval {interval}",
         )
         expected_buckets = [0] * (HALVES_PER_SLOT + 1)
         for free in expected_free:

@@ -4,45 +4,60 @@ The coordinators sit between the :class:`~repro.faults.injector.
 FaultInjector` and a storage policy.  Each simulated interval they run
 twice:
 
-* :meth:`begin_interval` — *before* admission: release the previous
-  interval's reconstruction/rebuild slot claims, apply the fail/repair
-  transitions due this interval, and let every rebuilding drive claim
+* :meth:`begin_interval` — *before* admission: drop the previous
+  interval's reconstruction/rebuild holds, apply the fail/repair
+  transitions due this interval, and let every rebuilding drive hold
   up to ``rebuild_rate`` half-slots of bandwidth.
 * :meth:`settle` — *after* admission: find the reads that landed on a
   failed drive this interval and resolve each one — reconstruct from
-  the redundancy scheme by claiming extra half-slots on the survivors,
-  or tally a hiccup (the viewer sees a glitch) / abort the display
-  (its request re-enters the queue) per the ``on_fault`` policy.
+  the redundancy scheme by holding extra half-slots on the survivors
+  (a mirrored survivor serves its own reads plus its failed partner's,
+  Thomasian's RAID1 read-around), or tally a hiccup (the viewer sees a
+  glitch) / abort the display (its request re-enters the queue) per
+  the ``on_fault`` policy.
 
-Running the settle *after* admission gives user streams priority over
-nothing — admission has already claimed its slots — while
-reconstruction and rebuild compete for whatever bandwidth is left,
-which is exactly the "online rebuild competes for interval bandwidth"
-model.  Both passes are skipped entirely when no coordinator is
-attached, keeping fault-free runs byte-identical to the seed.
+Reconstruction runs in the settle, *after* admission, so it competes
+only for the bandwidth admission left.  Rebuild writes take theirs in
+:meth:`begin_interval`, from what the active displays leave, before
+this interval's admissions — the "online rebuild competes for interval
+bandwidth" model.  Both passes are skipped entirely when no
+coordinator is attached, keeping fault-free runs byte-identical to the
+seed.
 
 Failure/rebuild bookkeeping is measured in the protocol's own units:
 a drive's lost content is ``2 × fragments`` half-slot·intervals of
 rebuild work (a fragment write occupies a full slot for one interval).
 
-A faulty run steps every interval, and most of them are degraded, so
-both passes cost only the drives that are actually degraded: the
+Rebuild writes and reconstruction reads last exactly one interval, so
+they are owner-less holds in the slot pool
+(:meth:`~repro.core.virtual_disks.SlotPool.hold`), all returned by one
+:meth:`~repro.core.virtual_disks.SlotPool.drop_holds` at the next
+:meth:`begin_interval`; the pool stays the one half-slot accountant.
+Both passes cost only the drives that are actually degraded: the
 injector is polled only when its next event is due, the rebuild runs
-only while a drive owes work, and the slot over a drive is computed
-from one rotation offset per pass, against the pool's free-half index
-and ownership map.  The one-interval claims still go through
-:meth:`~repro.core.virtual_disks.SlotPool.claim` and ``release``, so
-the pool stays the one occupancy implementation.
+only while a drive owes work (in ascending drive order, kept across
+intervals), each failed drive's survivors are computed once per
+fail/repair transition, and the slot over a drive is computed from one
+rotation offset per pass.
+
+A coordinator is *quiet* while no drive is down, none owes rebuild
+work and nothing is held: its passes then only count healthy
+intervals.  :meth:`next_change` reports the injector's next event as
+its next change, the policies skip to it on the next-event clock, and
+:meth:`skip` books the skipped intervals in bulk (:meth:`verify_skip`
+proves the span quiet under ``--sanitize``).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.faults.injector import FAIL, FaultInjector
 from repro.faults.redundancy import survivors_of
 from repro.obs.metrics import Tally
+from repro.simulation.policy import NEVER
 
 
 class _CoordinatorBase:
@@ -98,6 +113,33 @@ class _CoordinatorBase:
         self._c_degraded.value = float(self.degraded_intervals)
         self._c_rebuilds.value = float(self.rebuilds_completed)
 
+    def _next_event(self) -> int:
+        """The injector's next event (``NEVER`` when exhausted)."""
+        due = self.injector.peek()
+        return NEVER if due is None else due
+
+    def skip(self, intervals: int) -> None:
+        """Book ``intervals`` quiet intervals (see ``next_change``):
+        each is a healthy interval of every drive."""
+        self._intervals += intervals
+        self._healthy_disk_sum += self.num_disks * intervals
+
+    def _verify_quiet(
+        self, sanitizer, start: int, stop: int, quiet: bool
+    ) -> None:
+        """Shared ``verify_skip`` half: ``quiet`` (recomputed by the
+        subclass) holds and no injector event falls in the span."""
+        span = f"skipped intervals {start}..{stop - 1}"
+        sanitizer.expect(
+            quiet, "skip",
+            f"a drive is down, owes rebuild work or holds slots in {span}",
+        )
+        due = self.injector.peek()
+        sanitizer.expect(
+            due is None or due >= stop, "skip",
+            f"fault event due at {due} in {span}",
+        )
+
     def stats(self) -> Dict[str, float]:
         """Availability metrics, merged into the policy's stats()."""
         return {
@@ -130,9 +172,9 @@ class FaultCoordinator(_CoordinatorBase):
     The rotating frame makes the degraded-read geometry simple: at
     interval ``t`` exactly one virtual disk sits over a failed drive
     ``d`` — ``pool.slot_at(d, t)`` — so its owners are precisely the
-    reads that failed this interval.  Reconstruction claims ``halves``
-    half-slots on the slot over each survivor; the claims (like the
-    rebuild's) last one interval and are released at the next
+    reads that failed this interval.  Reconstruction holds ``halves``
+    half-slots on the slot over each survivor; the holds (like the
+    rebuild's) last one interval and are dropped at the next
     :meth:`begin_interval`.
     """
 
@@ -156,15 +198,14 @@ class FaultCoordinator(_CoordinatorBase):
         self.array = array
         self.pool = policy.disk_manager.pool
         self.fragment_cylinders = fragment_cylinders
-        # One-interval slot claims, released at the next begin_interval.
-        # No (slot, owner) pair repeats within an interval: a rebuild
-        # claims once per drive, and one display's reconstructions
-        # read disjoint survivor sets (mirror pairs and parity groups
-        # partition the drives), so each pair is released once.
-        self._transient_claims: List[Tuple[int, Hashable]] = []
         # disk -> half-slot·intervals of rebuild work left / queued.
         self._rebuild_debt: Dict[int, int] = {}
         self._pending_debt: Dict[int, int] = {}
+        # The keys of _rebuild_debt, ascending: the rebuild order.
+        self._rebuild_order: List[int] = []
+        # (failed drive, its survivors or None), in failed-drive order;
+        # recomputed at each fail/repair transition.
+        self._degraded: List[Tuple[int, Optional[List[int]]]] = []
 
     def __repr__(self) -> str:
         return (
@@ -176,14 +217,11 @@ class FaultCoordinator(_CoordinatorBase):
     # Pass 1: before admission
     # ------------------------------------------------------------------
     def begin_interval(self, interval: int) -> None:
-        """Release last interval's fault claims, apply transitions,
-        and advance rebuilds."""
-        claims = self._transient_claims
-        if claims:
-            release = self.pool.release
-            for slot, owner in claims:
-                release(slot, owner)
-            claims.clear()
+        """Drop last interval's fault holds, apply transitions, and
+        advance rebuilds."""
+        pool = self.pool
+        if pool._held:
+            pool.drop_holds()
         due = self.injector.peek()
         if due is not None and due <= interval:
             for event in self.injector.pop_due(interval):
@@ -191,20 +229,48 @@ class FaultCoordinator(_CoordinatorBase):
                     self._apply_failure(event.disk, interval)
                 else:
                     self._apply_repair(event.disk, interval)
-        if self._rebuild_debt:
+            self._degraded = [
+                (disk, survivors_of(
+                    disk, self.redundancy, self.num_disks,
+                    self.parity_group, self.array.is_failed,
+                ))
+                for disk in self.array._failed
+            ]
+        if self._rebuild_order:
             self._advance_rebuilds(interval)
         down = self.array.failed_count
         self._intervals += 1
         self._healthy_disk_sum += self.num_disks - down
-        if down or self._rebuild_debt:
+        if down or self._rebuild_order:
             self.degraded_intervals += 1
+
+    def next_change(self, interval: int) -> int:
+        """First interval after ``interval`` at which the passes do
+        more than count a healthy interval: the next one while a drive
+        is down, owes rebuild work or holds slots, else the injector's
+        next event."""
+        if self.array._failed or self._rebuild_order or self.pool._held:
+            return interval + 1
+        return self._next_event()
+
+    def verify_skip(self, sanitizer, start: int, stop: int) -> None:
+        """The coordinator is quiet through ``start .. stop - 1``,
+        recomputed from the drives' own flags, the debts and the
+        pool's holds."""
+        quiet = (
+            not any(state.failed for state in self.array.disks)
+            and not self._rebuild_debt
+            and not self.pool._held
+        )
+        self._verify_quiet(sanitizer, start, stop, quiet)
 
     def _apply_failure(self, disk: int, interval: int) -> None:
         lost_cylinders = self.array.fail(disk)
         self.failures += 1
         self._fail_time[disk] = interval
         # A failure mid-rebuild re-loses whatever was restored.
-        self._rebuild_debt.pop(disk, None)
+        if self._rebuild_debt.pop(disk, None) is not None:
+            self._rebuild_order.remove(disk)
         fragments = math.ceil(lost_cylinders / self.fragment_cylinders - 1e-9)
         self._pending_debt[disk] = 2 * fragments
 
@@ -214,15 +280,16 @@ class FaultCoordinator(_CoordinatorBase):
         debt = self._pending_debt.pop(disk, 0)
         if debt > 0:
             self._rebuild_debt[disk] = debt
+            bisect.insort(self._rebuild_order, disk)
         else:
             self.rebuilds_completed += 1
             self.rebuild_time.record(interval - self._fail_time.pop(disk, interval))
 
     def _advance_rebuilds(self, interval: int) -> None:
-        """Each rebuilding drive claims up to ``rebuild_rate``
+        """Each rebuilding drive holds up to ``rebuild_rate``
         half-slots of the virtual disk currently over it (the write
         side of the restore); leftover debt carries to the next
-        interval.  Drives claim in ascending order."""
+        interval.  Drives hold in ascending order."""
         self.rebuild_intervals += 1
         pool = self.pool
         free = pool._free
@@ -230,7 +297,9 @@ class FaultCoordinator(_CoordinatorBase):
         offset = pool.stride * interval
         rate = self.rebuild_rate
         debts = self._rebuild_debt
-        for disk in sorted(debts):
+        order = self._rebuild_order
+        completed = False
+        for disk in order:
             debt = debts[disk]
             slot = (disk - offset) % num_disks
             halves = free[slot]
@@ -239,31 +308,32 @@ class FaultCoordinator(_CoordinatorBase):
             if halves > debt:
                 halves = debt
             if halves > 0:
-                owner = ("rebuild", disk)
-                pool.claim(slot, owner, halves)
-                self._transient_claims.append((slot, owner))
+                pool.hold(slot, halves)
                 debt -= halves
                 debts[disk] = debt
             if debt <= 0:
                 del debts[disk]
+                completed = True
                 self.rebuilds_completed += 1
                 self.rebuild_time.record(
                     interval - self._fail_time.pop(disk, interval)
                 )
+        if completed:
+            order[:] = [disk for disk in order if disk in debts]
 
     # ------------------------------------------------------------------
     # Pass 2: after admission
     # ------------------------------------------------------------------
     def settle(self, interval: int) -> None:
         """Resolve every read that landed on a failed drive."""
-        failed = self.array._failed
-        if not failed:
+        degraded = self._degraded
+        if not degraded:
             return
         owners_by_slot = self.pool._owners
         active = self.policy._active
         num_disks = self.num_disks
         offset = self.pool.stride * interval
-        for disk in failed:
+        for disk, survivors in degraded:
             holders = owners_by_slot.get((disk - offset) % num_disks)
             if holders is None:
                 continue
@@ -272,10 +342,6 @@ class FaultCoordinator(_CoordinatorBase):
             owners = list(holders.items())
             if len(owners) > 1:
                 owners.sort(key=lambda item: repr(item[0]))
-            survivors = survivors_of(
-                disk, self.redundancy, num_disks,
-                self.parity_group, self.array.is_failed,
-            )
             for owner, halves in owners:
                 display = active.get(owner) if isinstance(owner, int) else None
                 if display is None:
@@ -283,8 +349,8 @@ class FaultCoordinator(_CoordinatorBase):
                     # transfer retries implicitly; tally, don't hiccup.
                     self.background_disruptions += 1
                     continue
-                if survivors is not None and self._claim_reconstruction(
-                    display.display_id, survivors, halves, offset
+                if survivors is not None and self._hold_reconstruction(
+                    survivors, halves, offset
                 ):
                     self.reconstructions += 1
                 elif self.on_fault == "abort":
@@ -292,10 +358,10 @@ class FaultCoordinator(_CoordinatorBase):
                 else:
                     self.hiccups += 1
 
-    def _claim_reconstruction(
-        self, display_id: int, survivors: List[int], halves: int, offset: int
+    def _hold_reconstruction(
+        self, survivors: List[int], halves: int, offset: int
     ) -> bool:
-        """All-or-nothing claim of ``halves`` half-slots on the slot
+        """All-or-nothing hold of ``halves`` half-slots on the slot
         over every survivor (``offset`` is the frame's rotation,
         ``stride × interval``)."""
         pool = self.pool
@@ -305,10 +371,8 @@ class FaultCoordinator(_CoordinatorBase):
         for z in slots:
             if free[z] < halves:
                 return False
-        owner = ("reconstruct", display_id)
         for z in slots:
-            pool.claim(z, owner, halves)
-            self._transient_claims.append((z, owner))
+            pool.hold(z, halves)
         return True
 
     def _abort(self, display, interval: int) -> None:
@@ -386,6 +450,25 @@ class ClusterFaultCoordinator(_CoordinatorBase):
         self._healthy_disk_sum += self.num_disks - down
         if down or self._rebuild_debt:
             self.degraded_intervals += 1
+
+    def next_change(self, interval: int) -> int:
+        """First interval after ``interval`` at which the passes do
+        more than count a healthy interval: the next one while a drive
+        is down or a cluster owes rebuild work, else the injector's
+        next event."""
+        if self._total_down or self._rebuild_debt:
+            return interval + 1
+        return self._next_event()
+
+    def verify_skip(self, sanitizer, start: int, stop: int) -> None:
+        """The coordinator is quiet through ``start .. stop - 1``,
+        recomputed from the per-cluster down sets and the debts."""
+        quiet = (
+            not any(self._down_members.values())
+            and not self._rebuild_debt
+            and all(cluster.available for cluster in self.clusters.clusters)
+        )
+        self._verify_quiet(sanitizer, start, stop, quiet)
 
     def _apply_failure(self, disk: int, interval: int) -> None:
         index = disk // self.clusters.degree

@@ -227,17 +227,22 @@ class VirtualReplicationPolicy(StoragePolicy):
 
     def next_activity(self, interval: int) -> int:
         """The earliest of: the event heap's top, a cluster freeing
-        (one interval after its display event retires) and, while
-        materialisations wait, the tertiary device freeing.
+        (one interval after its display event retires), the fault
+        coordinator's next change (every interval while it is
+        degraded) and, while materialisations wait, the tertiary
+        device freeing.
 
         A queued request is admitted only onto a free cluster holding
         its object, and clusters free and copies land only at those
         times, so the admission pass cannot succeed in between.
         """
         step = interval + 1
-        if self.faults is not None:
-            return step
         wake = self._events[0][0] if self._events else NEVER
+        if self.faults is not None:
+            change = self.faults.next_change(interval)
+            if change == step:
+                return step
+            wake = min(wake, change)
         for cluster in self.clusters.clusters:
             busy_until = cluster.busy_until
             if interval < busy_until < wake:
@@ -259,14 +264,15 @@ class VirtualReplicationPolicy(StoragePolicy):
         busy = min(stop, self._tertiary_busy_until) - start
         if busy > 0:
             self.tertiary_busy_intervals += busy
+        if self.faults is not None:
+            self.faults.skip(n)
 
     def verify_skip(self, sanitizer, start: int, stop: int) -> None:
         """Nothing scheduled and nothing admissible in ``start ..
         stop - 1``, recomputed from the clusters and heaps."""
         span = f"skipped intervals {start}..{stop - 1}"
-        sanitizer.expect(
-            self.faults is None, "skip", f"fault coordinator active in {span}"
-        )
+        if self.faults is not None:
+            self.faults.verify_skip(sanitizer, start, stop)
         if self._events:
             sanitizer.expect(
                 self._events[0][0] >= stop,

@@ -108,6 +108,33 @@ class TestFiring:
         assert failpoints.fire("cache.write.pre_rename") is None
         assert failpoints.fire("never.registered.site") is None
 
+    def test_armed_delay_changes_no_sweep_byte(self, monkeypatch, tmp_path):
+        """A benign delay failpoint armed on a real sweep changes no
+        output byte versus the same sweep with failpoints unset — the
+        same contract ``--sanitize`` and ``--obs-level`` carry
+        (docs/chaos_testing.md)."""
+        from repro.cli import main
+
+        # ``--failpoints`` arms through the environment; this pair makes
+        # the test's teardown unset it again.
+        monkeypatch.setenv(failpoints.FAILPOINTS_ENV, "")
+        monkeypatch.delenv(failpoints.FAILPOINTS_ENV)
+        sweep = ["sweep", "--scale", "20", "--values", "4", "8", "12"]
+        assert main(sweep + [
+            "--cache-dir", str(tmp_path / "off-cache"),
+            "--output", str(tmp_path / "rows-off.json"),
+        ]) == 0
+        assert not failpoints.active()
+        assert main(sweep + [
+            "--cache-dir", str(tmp_path / "on-cache"),
+            "--output", str(tmp_path / "rows-on.json"),
+            "--failpoints", "journal.append.pre_write=delay:1",
+        ]) == 0
+        assert failpoints.active()
+        assert (tmp_path / "rows-on.json").read_bytes() == (
+            tmp_path / "rows-off.json"
+        ).read_bytes()
+
     def test_hit_count_fires_exactly_once(self):
         failpoints.install("s=error:io@2")
         failpoints.fire("s")  # evaluation 1: armed but not yet due

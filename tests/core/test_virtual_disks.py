@@ -12,6 +12,7 @@ from repro.core.virtual_disks import (
     slot_at_physical,
 )
 from repro.errors import ConfigurationError, SchedulingError
+from repro.sim.sanitize import Sanitizer
 
 
 class TestGeometry:
@@ -150,6 +151,85 @@ class TestSlotPoolOwnership:
         assert str(info.value) == (
             "virtual disk 3 oversubscribed: {'a': 1, 'b': 1} + 'c':1"
         )
+
+
+class TestHolds:
+    """Owner-less one-interval holds share the free-half index with
+    claims and all return at once with ``drop_holds``."""
+
+    @pytest.fixture
+    def pool(self):
+        pool = SlotPool(num_disks=8, stride=1)
+        pool.claim(3, "a", halves=1)
+        pool.claim(5, "b")
+        return pool
+
+    @staticmethod
+    def _state(pool):
+        return TestSlotPoolOwnership._state(pool) + (list(pool._held),)
+
+    def test_hold_takes_halves_without_an_owner(self, pool):
+        pool.hold(3, 1)
+        pool.hold(6, 2)
+        assert pool.owners_of(3) == {"a": 1}
+        assert pool.owners_of(6) == {}
+        assert pool.free_halves(3) == pool.free_halves(6) == 0
+        assert pool.claimed_halves(6) == 2
+        assert pool.busy_count == 3
+        assert pool.free_count == 5
+        assert pool.free_slots() == [0, 1, 2, 4, 7]
+        assert sorted(pool.busy_physical_disks(2)) == [0, 5, 7]
+        assert pool.slots_of("a") == [3]
+
+    @pytest.mark.parametrize("slot, halves", [
+        (5, 1),  # slot 5 is full
+        (3, 2),  # slot 3 has one free
+        (0, 0),
+        (0, 3),
+    ])
+    def test_rejected_hold_changes_nothing(self, pool, slot, halves):
+        pool.hold(0, 1)
+        before = self._state(pool)
+        with pytest.raises(SchedulingError):
+            pool.hold(slot, halves)
+        assert self._state(pool) == before
+
+    def test_oversubscription_error_names_the_holders(self, pool):
+        with pytest.raises(SchedulingError) as info:
+            pool.hold(3, 2)
+        assert str(info.value) == (
+            "virtual disk 3 oversubscribed: {'a': 1} + hold:2"
+        )
+
+    def test_drop_holds_restores_the_index_exactly(self, pool):
+        owners, free, buckets, total, version, held = self._state(pool)
+        pool.hold(3, 1)
+        pool.hold(0, 1)
+        pool.hold(0, 1)  # a slot may be held twice
+        pool.hold(7, 2)
+        assert pool.free_half_total == total - 5
+        pool.drop_holds()
+        assert self._state(pool)[:4] == (owners, free, buckets, total)
+        assert pool._held == held == []
+        assert pool.version > version + 4
+
+    def test_sanitizer_recounts_holds(self, pool):
+        sanitizer = Sanitizer(mode="check")
+        pool.hold(3, 1)
+        pool.hold(0, 2)
+        pool.verify_invariants(sanitizer, interval=0)
+        assert sanitizer.total == 0
+        pool._held[1] = (0, 1)  # a hold that lost half its count
+        pool.hold(1, 1)  # a real mutation re-arms the sweep
+        pool.verify_invariants(sanitizer, interval=1)
+        assert set(sanitizer.counts) == {"occ_index"}
+
+    def test_sanitizer_flags_a_hold_over_a_full_slot(self, pool):
+        sanitizer = Sanitizer(mode="check")
+        pool._held.append((5, 1))  # slot 5 is owned in full
+        pool.hold(1, 1)
+        pool.verify_invariants(sanitizer, interval=0)
+        assert sanitizer.counts["half_slots"] == 1
 
 
 class TestFreeRuns:

@@ -14,17 +14,19 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.virtual_disks import SlotPool
+from repro.core.virtual_disks import HALVES_PER_SLOT, SlotPool
 from repro.experiments.faults import faults_rows, run_faults_grid
 from repro.faults.coordinator import FaultCoordinator
 from repro.faults.injector import FaultInjector
-from repro.faults.redundancy import survivors_of
+from repro.faults.redundancy import mirror_partner, survivors_of
 from repro.hardware.disk import TABLE3_DISK
 from repro.hardware.disk_array import DiskArray
 from repro.obs import Observability
 from repro.sim.rng import RandomStream
+from repro.sim.sanitize import Sanitizer
 from repro.simulation.config import ScaledConfig
-from repro.simulation.runner import run_experiment
+from repro.simulation.policy import NEVER
+from repro.simulation.runner import build_engine, run_experiment
 
 
 SCENARIO = dict(
@@ -107,30 +109,190 @@ class TestStripingDegradedMode:
 
 
 class TestCompetingReads:
-    def test_owners_of_a_failed_slot_compete_in_repr_order(self):
-        """Two half-bandwidth reads share the slot over failed drive 0
-        and its mirror has one spare half: the owner whose ``repr``
-        sorts first (``"10"`` before ``"9"``) reconstructs, the other
-        hiccups, whatever order they claimed in."""
+    @staticmethod
+    def _two_readers_on_failed_drive_0(on_fault):
+        """Two half-bandwidth reads share the slot over failed drive 0,
+        and its mirror (drive 1, slot 1) has one spare half."""
         pool = SlotPool(num_disks=4, stride=1)
+        aborted = []
         policy = SimpleNamespace(
             disk_manager=SimpleNamespace(
                 array=DiskArray(model=TABLE3_DISK, num_disks=4), pool=pool,
             ),
             _active={9: SimpleNamespace(display_id=9),
                      10: SimpleNamespace(display_id=10)},
+            abort_display=aborted.append,
         )
         injector = FaultInjector(
             num_disks=4, stream=RandomStream(seed=1), fail_at=((0, 0),),
         )
-        faults = FaultCoordinator(policy, injector, redundancy="mirror")
+        faults = FaultCoordinator(
+            policy, injector, redundancy="mirror", on_fault=on_fault,
+        )
         faults.begin_interval(0)
         pool.claim(0, 9, halves=1)
         pool.claim(0, 10, halves=1)
         pool.claim(1, "other", halves=1)
         faults.settle(0)
+        return pool, faults, aborted
+
+    def test_owners_of_a_failed_slot_compete_in_repr_order(self):
+        """The owner whose ``repr`` sorts first (``"10"`` before
+        ``"9"``) reconstructs, the other hiccups, whatever order they
+        claimed in."""
+        pool, faults, _ = self._two_readers_on_failed_drive_0("hiccup")
         assert (faults.reconstructions, faults.hiccups) == (1, 1)
-        assert pool.owners_of(1) == {"other": 1, ("reconstruct", 10): 1}
+        # The reconstruction is an owner-less one-interval hold.
+        assert pool.owners_of(1) == {"other": 1}
+        assert pool.free_halves(1) == 0
+        assert pool.claimed_halves(1) - sum(pool.owners_of(1).values()) == 1
+        faults.begin_interval(1)
+        assert pool.owners_of(1) == {"other": 1}
+        assert pool.free_halves(1) == 1
+
+    def test_the_repr_first_owner_is_the_one_reconstructed(self):
+        """Under ``on_fault="abort"`` the loser is named: display 9."""
+        _, faults, aborted = self._two_readers_on_failed_drive_0("abort")
+        assert (faults.reconstructions, faults.aborts) == (1, 1)
+        assert [display.display_id for display in aborted] == [9]
+
+
+class TestMirrorReadAround:
+    """Conservation on the scripted mirror scenario: every display read
+    that lands on the failed drive ends as exactly one reconstruction,
+    hiccup or abort, and a reconstruction is the read's half-slots held
+    on the mirror partner's slot that interval — the surviving partner
+    serves its own reads plus its failed partner's (Thomasian's RAID1
+    read-around)."""
+
+    @pytest.mark.parametrize("on_fault", ["hiccup", "abort"])
+    def test_every_failed_read_resolves_exactly_once(
+        self, monkeypatch, on_fault
+    ):
+        totals = dict(reads=0, reconstructions=0, other=0)
+        settle = FaultCoordinator.settle
+
+        def audited_settle(self, interval):
+            pool = self.pool
+            active = self.policy._active
+            reads = [
+                (disk, halves)
+                for disk in self.array.failed_disks()
+                for owner, halves in pool.owners_of(
+                    pool.slot_at(disk, interval)
+                ).items()
+                if isinstance(owner, int) and owner in active
+            ]
+            before = (self.reconstructions, self.hiccups, self.aborts)
+            held_before = len(pool._held)
+            settle(self, interval)
+            reconstructed, hiccuped, aborted = (
+                after - was for after, was in zip(
+                    (self.reconstructions, self.hiccups, self.aborts), before
+                )
+            )
+            assert reconstructed + hiccuped + aborted == len(reads)
+            read_arounds = [
+                (pool.slot_at(mirror_partner(disk), interval), halves)
+                for disk, halves in reads
+            ]
+            new_holds = pool._held[held_before:]
+            assert len(new_holds) == reconstructed
+            for hold in new_holds:
+                read_arounds.remove(hold)  # ValueError: not a read-around
+            for disk, _ in reads:
+                slot = pool.slot_at(mirror_partner(disk), interval)
+                own = sum(pool.owners_of(slot).values())
+                held = sum(h for z, h in pool._held if z == slot)
+                assert pool.claimed_halves(slot) == own + held
+                assert own + held <= HALVES_PER_SLOT
+            totals["reads"] += len(reads)
+            totals["reconstructions"] += reconstructed
+            totals["other"] += hiccuped + aborted
+
+        monkeypatch.setattr(FaultCoordinator, "settle", audited_settle)
+        _, stats = fault_stats(scenario_config(
+            technique="staggered", redundancy="mirror", on_fault=on_fault,
+        ))
+        assert totals["reconstructions"] == stats["fault_reconstructions"]
+        assert totals["other"] == (
+            stats["fault_hiccups"] + stats["fault_aborts"]
+        )
+        assert totals["reads"] == (
+            totals["reconstructions"] + totals["other"]
+        ) > 0
+        if on_fault == "hiccup":
+            assert totals["reconstructions"] > 0
+
+
+class TestQuietSpans:
+    """A coordinator with no drive down, no rebuild owed and nothing
+    held is quiet: it names the injector's next event as its next
+    change, and the engine skips to it."""
+
+    def test_quiet_until_the_next_event_then_degraded(self):
+        array = DiskArray(model=TABLE3_DISK, num_disks=4)
+        array.store(2, 3.0)  # drive 2's loss is 6 half-slot writes
+        pool = SlotPool(num_disks=4, stride=1)
+        policy = SimpleNamespace(
+            disk_manager=SimpleNamespace(array=array, pool=pool), _active={},
+        )
+        injector = FaultInjector(
+            num_disks=4, stream=RandomStream(seed=1),
+            fail_at=((2, 10),), mttr=5.0,
+        )
+        faults = FaultCoordinator(
+            policy, injector, redundancy="mirror", rebuild_rate=2,
+        )
+        sanitizer = Sanitizer(mode="check")
+        assert faults.next_change(0) == 10
+        faults.verify_skip(sanitizer, 1, 10)
+        assert sanitizer.total == 0
+        faults.verify_skip(sanitizer, 1, 11)  # the failure falls inside
+        assert sanitizer.counts == {"skip": 1}
+        faults.skip(10)
+        assert (faults._intervals, faults._healthy_disk_sum) == (10, 40)
+        t = 10
+        faults.begin_interval(t)
+        assert faults.degraded_intervals == 1
+        while not faults.rebuilds_completed:
+            # Down, then rebuilding: every interval is stepped.
+            assert faults.next_change(t) == t + 1
+            before = sanitizer.total
+            faults.verify_skip(sanitizer, t + 1, t + 2)
+            assert sanitizer.total > before
+            t += 1
+            faults.begin_interval(t)
+        assert faults.rebuild_intervals == 3
+        # The last rebuild write holds its slot through this interval.
+        assert pool._held and faults.next_change(t) == t + 1
+        faults.begin_interval(t + 1)
+        assert not pool._held
+        assert faults.next_change(t + 1) == NEVER
+        before = sanitizer.total
+        faults.verify_skip(sanitizer, t + 2, t + 100)
+        assert sanitizer.total == before
+
+    @pytest.mark.parametrize("technique, most", [
+        ("staggered", 250),  # degraded in 147 of 720 intervals
+        ("vdr", 719),        # degraded in 620
+    ])
+    def test_scripted_scenario_skips_its_healthy_spans(self, technique, most):
+        config = scenario_config(technique=technique, redundancy="mirror")
+        engine = build_engine(config)
+        stepped = []
+        step = engine.step
+
+        def spy():
+            stepped.append(engine.interval)
+            return step()
+
+        engine.step = spy
+        result = engine.run(config.warmup_intervals, config.measure_intervals)
+        total = config.warmup_intervals + config.measure_intervals
+        assert total == 720
+        assert result.policy_stats["fault_degraded_intervals"] < len(stepped)
+        assert len(stepped) <= most
 
 
 class TestSimpleStripingSurvivors:

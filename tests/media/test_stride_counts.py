@@ -170,17 +170,22 @@ class TestAtomicPlacement:
         manager.place_object(make_object(0, num_subobjects=4, degree=2))
         # Fill drive 5 so the next object's fragments there cannot fit.
         array.store(5, TABLE3_DISK.num_cylinders - array.used_cylinders(5) - 1)
-        before = manager.used_cylinder_profile()
+        before = used_cylinders(array)
         version = array.version
         obj = make_object(1, num_subobjects=6, degree=3)  # drives 1..8
         with pytest.raises(CapacityError):
             manager.place_object(obj)
         assert not manager.is_placed(1)
-        assert manager.used_cylinder_profile() == before
+        assert used_cylinders(array) == before
         assert array.version == version
         # The failed placement consumed no start drive.
         array.evict(5, array.used_cylinders(5))
         assert manager.place_object(obj) == 1
+
+
+def used_cylinders(array: DiskArray) -> List[int]:
+    """Used cylinders per drive (index = drive number)."""
+    return [array.used_cylinders(d) for d in range(array.num_disks)]
 
 
 def _storage_oracle(manager: DiskManager) -> List[int]:
@@ -219,15 +224,15 @@ def test_storage_profile_matches_walk_after_evict_and_replace(fields):
     manager = build_engine(config).policy.disk_manager
     placed = manager.layout.placed_objects()
     assert len(placed) >= 2
-    assert manager.used_cylinder_profile() == _storage_oracle(manager)
+    assert used_cylinders(manager.array) == _storage_oracle(manager)
 
     a, b = placed[len(placed) // 2], placed[-1]
     objects = [manager.layout.object(a), manager.layout.object(b)]
     starts = [manager.start_disk(a), manager.start_disk(b)]
     manager.evict_object(a)
     manager.evict_object(b)
-    assert manager.used_cylinder_profile() == _storage_oracle(manager)
+    assert used_cylinders(manager.array) == _storage_oracle(manager)
     manager.place_object(objects[0], start_disk=starts[1])
     manager.place_object(objects[1], start_disk=starts[0])
     assert manager.start_disk(a) == starts[1]
-    assert manager.used_cylinder_profile() == _storage_oracle(manager)
+    assert used_cylinders(manager.array) == _storage_oracle(manager)

@@ -166,14 +166,25 @@ def test_des_and_interval_engines_agree_on_skip_paths(name):
         CLOSED.with_(technique="vdr", replication_source="tertiary"),
         OPEN.with_(technique="staggered", deadline_intervals=25),
         CLOSED.with_(technique="simple", queue_discipline="fcfs"),
+        CLOSED.with_(
+            technique="staggered", redundancy="mirror",
+            fail_at=((3, 300),), mttr=60, rebuild_rate=2,
+        ),
+        CLOSED.with_(
+            technique="vdr", redundancy="parity", mttf=40000.0, mttr=60,
+        ),
     ],
-    ids=["simple", "vdr", "open_staggered", "simple_fcfs"],
+    ids=[
+        "simple", "vdr", "open_staggered", "simple_fcfs",
+        "staggered_scripted_fault", "vdr_faults",
+    ],
 )
 def test_forced_stepping_matches_next_event_advance(config, monkeypatch):
     """Skipped spans book their counters exactly as stepping would:
     results and the ``--obs-level metrics`` snapshot (counters, and
     the series sampled every ``sample_stride`` intervals) match a run
-    forced to step every interval."""
+    forced to step every interval.  With faults, the skipped spans are
+    the coordinator's quiet (healthy) ones."""
 
     def run():
         session = Observability(level="metrics")
