@@ -101,8 +101,3 @@ def execute_via_master(
 def sweep_state(master_url: str, sweep_id: str) -> Dict[str, Any]:
     """One sweep's master-side state (for status tooling)."""
     return MasterClient(master_url).sweep_state(sweep_id)
-
-
-def master_status(master_url: str) -> Dict[str, Any]:
-    """The master's full status document (agents + sweeps)."""
-    return MasterClient(master_url).status()

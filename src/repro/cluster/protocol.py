@@ -283,8 +283,5 @@ class MasterClient:
     def sweep_records(self, sweep_id: str) -> Dict[str, Any]:
         return self.call(f"sweeps/{sweep_id}/records")
 
-    def status(self) -> Dict[str, Any]:
-        return self.call("status")
-
     def shutdown(self) -> Dict[str, Any]:
         return self.call("shutdown", {})

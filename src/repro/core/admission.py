@@ -26,7 +26,6 @@ from typing import List
 
 from repro.core.display import Display
 from repro.core.virtual_disks import HALVES_PER_SLOT, SlotPool
-from repro.errors import AdmissionError
 
 
 class AdmissionMode(enum.Enum):
@@ -193,29 +192,6 @@ class Admitter:
     # ------------------------------------------------------------------
     # Release
     # ------------------------------------------------------------------
-    def release_lane(self, display: Display, fragment: int) -> None:
-        """Return one lane's slot to the pool (end of its read sweep)."""
-        lane = display.lanes[fragment]
-        if lane.slot is None:
-            raise AdmissionError(
-                f"display {display.display_id} lane {fragment} holds no slot"
-            )
-        self.pool.release(lane.slot, display.display_id)
-
     def abort(self, display: Display) -> int:
         """Return every slot of an aborted display; returns the count."""
         return self.pool.release_all(display.display_id)
-
-
-def worst_case_contiguous_wait(num_disks: int, stride: int) -> int:
-    """Upper bound on intervals a CONTIGUOUS claim can wait for its
-    aligned window, assuming some window of free slots exists.
-
-    A given free window realigns with the start drive every
-    ``D / gcd(D, k)`` intervals; with simple striping (``k = M``,
-    cluster-aligned placements) this is the paper's ``R`` clusters, so
-    the worst-case initiation delay is ``(R-1) × S(C_i)`` (§3.1).
-    """
-    import math
-
-    return num_disks // math.gcd(num_disks, stride) - 1

@@ -44,12 +44,6 @@ class Lane:
         """True once the lane owns a virtual disk."""
         return self.slot is not None
 
-    def read_interval(self, subobject: int) -> int:
-        """Interval at which this lane reads fragment ``X_{i.j}``."""
-        if self.ready is None:
-            raise SchedulingError(f"lane {self.fragment} not yet claimed")
-        return self.ready + subobject
-
     def release_interval(self, num_subobjects: int) -> int:
         """First interval at which the lane's slot is free again."""
         if self.ready is None:
@@ -165,11 +159,6 @@ class Display:
         return False
 
     @property
-    def pending_lanes(self) -> List[Lane]:
-        """Lanes still waiting for a virtual disk."""
-        return [lane for lane, _target, _halves in self.waiting]
-
-    @property
     def pending_lane_count(self) -> int:
         """Lanes still waiting for a virtual disk."""
         return len(self.waiting)
@@ -196,14 +185,6 @@ class Display:
     def startup_latency_intervals(self) -> int:
         """Intervals from request arrival to first delivery."""
         return self.deliver_start - self.requested_at
-
-    def lane_target_disk(self, fragment: int) -> int:
-        """Physical drive holding ``X_{0.j}`` for lane ``fragment``."""
-        return self.start_disk + fragment  # caller reduces mod D
-
-    def display_bandwidth_per_lane(self) -> float:
-        """Network share each lane transmits: ``B_display / M``."""
-        return self.obj.display_bandwidth / len(self.lanes)
 
     # ------------------------------------------------------------------
     # Buffering (Algorithm 1 accounting)

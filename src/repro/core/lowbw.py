@@ -13,18 +13,16 @@ This module provides:
 
 * the rounding-waste arithmetic (:func:`whole_disk_waste`,
   :func:`half_disk_waste`) behind the §3.2.3 examples;
-* the Figure 7 schedule generator (:func:`figure7_schedule`) and its
-  continuity validator;
 * :func:`degree_in_halves` used by the scheduler to admit
   low-bandwidth displays onto half-slots.
+
+Figure 7's schedule generator and its continuity validator are a test
+oracle (``tests/oracles/lowbw.py``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List
-
 from repro.errors import ConfigurationError
 
 
@@ -61,103 +59,3 @@ def degree_in_halves(display_bandwidth: float, disk_bandwidth: float) -> int:
     if display_bandwidth <= 0 or disk_bandwidth <= 0:
         raise ConfigurationError("bandwidths must be > 0")
     return max(1, math.ceil(display_bandwidth / (disk_bandwidth / 2.0) - 1e-9))
-
-
-@dataclass(frozen=True)
-class HalfIntervalAction:
-    """One half-interval of a shared drive's schedule (Figure 7).
-
-    ``half`` counts half-intervals from 0; drive index is implied by
-    the staggered shift (interval ``t`` uses drive ``t·k`` offset).
-    """
-
-    half: int
-    reads: tuple  # fragment labels read this half-interval
-    transmits: tuple  # half-fragment labels transmitted
-
-
-def figure7_schedule(num_subobjects: int) -> List[HalfIntervalAction]:
-    """Generate the Figure 7 schedule for two half-bandwidth objects.
-
-    Two objects ``X`` and ``Y``, each with ``B_display = B_disk / 2``,
-    share one drive per interval.  Per interval ``t``:
-
-    * first half: read ``X_t`` in full; transmit ``Xta`` (pipelined)
-      and ``Y(t-1)b`` (from buffer);
-    * second half: read ``Y_t`` in full; transmit ``Xtb`` (from
-      buffer) and ``Yta`` (pipelined).
-
-    Labels follow the paper: ``X0a`` is the first half of subobject
-    ``X_0``.  The very first half-interval transmits only ``X0a``
-    (nothing of ``Y`` is buffered yet) and trailing half-intervals
-    drain the last buffers.
-    """
-    if num_subobjects < 1:
-        raise ConfigurationError(
-            f"num_subobjects must be >= 1, got {num_subobjects}"
-        )
-    actions: List[HalfIntervalAction] = []
-    n = num_subobjects
-    for t in range(n):
-        first_xmit = [f"X{t}a"]
-        if t > 0:
-            first_xmit.append(f"Y{t - 1}b")
-        actions.append(
-            HalfIntervalAction(
-                half=2 * t, reads=(f"X{t}",), transmits=tuple(first_xmit)
-            )
-        )
-        actions.append(
-            HalfIntervalAction(
-                half=2 * t + 1, reads=(f"Y{t}",), transmits=(f"X{t}b", f"Y{t}a")
-            )
-        )
-    # Drain the final buffered half of Y.
-    actions.append(
-        HalfIntervalAction(half=2 * n, reads=(), transmits=(f"Y{n - 1}b",))
-    )
-    return actions
-
-
-def validate_figure7_schedule(actions: List[HalfIntervalAction]) -> None:
-    """Assert the schedule delivers both streams continuously.
-
-    Checks: every half-fragment of each stream is transmitted exactly
-    once, in order, in consecutive half-intervals (offset by one
-    half-interval between the streams), and no half-interval reads
-    more than one full subobject or transmits more than two
-    half-fragments (the drive + one buffer).
-    """
-    transmissions = {}
-    for action in actions:
-        if len(action.reads) > 1:
-            raise ConfigurationError(
-                f"half-interval {action.half} reads {len(action.reads)} subobjects"
-            )
-        if len(action.transmits) > 2:
-            raise ConfigurationError(
-                f"half-interval {action.half} transmits {len(action.transmits)} halves"
-            )
-        for label in action.transmits:
-            if label in transmissions:
-                raise ConfigurationError(f"{label} transmitted twice")
-            transmissions[label] = action.half
-    for stream, offset in (("X", 0), ("Y", 1)):
-        halves = sorted(
-            (half for label, half in transmissions.items() if label[0] == stream),
-        )
-        expected = list(range(offset, offset + len(halves)))
-        if halves != expected:
-            raise ConfigurationError(
-                f"stream {stream} is not continuous: {halves[:6]}..."
-            )
-
-
-def buffer_demand_halves(display_bandwidth: float, disk_bandwidth: float) -> int:
-    """Extra half-fragment buffers a low-bandwidth display needs.
-
-    One buffer per claimed half-slot that is not drive-aligned: a
-    display on ``h`` half-slots needs ``h`` half-fragment buffers in
-    the worst case (each half-slot's data waits up to half an interval).
-    """
-    return degree_in_halves(display_bandwidth, disk_bandwidth)

@@ -154,13 +154,6 @@ class ObjectManager:
         state.reserved = True
         self.used += size
 
-    def cancel_reservation(self, object_id: int) -> None:
-        """Release a reservation (aborted materialisation)."""
-        state = self._state[object_id]
-        if state.reserved:
-            state.reserved = False
-            self.used -= self.catalog.get(object_id).size
-
     def add_resident(self, object_id: int) -> None:
         """Mark the object resident, charging its size against capacity
         (a prior reservation converts without a second charge)."""

@@ -432,7 +432,14 @@ class StaggeredStripingPolicy(StoragePolicy):
         return len(self._active), busy / pool.num_disks
 
     def stats(self) -> Dict[str, float]:
-        """Policy statistics for the result report."""
+        """Policy statistics for the result report.
+
+        ``peak_staging_memory_mbit`` is the no-coalescing upper bound:
+        the scheduler never runs Algorithm 2, so a time-fragmented
+        display holds its steady-state buffers
+        (:meth:`~repro.core.display.Display.buffer_demand`) until it
+        ends.  Coalescing would release them early.
+        """
         om = self.object_manager
         report = {
             "completed_displays": float(self.completed),

@@ -40,14 +40,6 @@ class SchedulingError(ReproError):
     """
 
 
-class AdmissionError(ReproError):
-    """A display request could not be admitted.
-
-    Carries enough context for callers to decide whether to queue the
-    request or report failure to the display station.
-    """
-
-
 class CapacityError(ReproError):
     """Storage capacity was exceeded and could not be reclaimed."""
 

@@ -420,6 +420,8 @@ class ClusterFaultCoordinator(_CoordinatorBase):
         self._down_members: Dict[int, Set[int]] = {}
         # cluster index -> half-slot·intervals of rebuild work left.
         self._rebuild_debt: Dict[int, int] = {}
+        # The keys of _rebuild_debt, ascending: the rebuild order.
+        self._rebuild_order: List[int] = []
         self._total_down = 0
 
     def __repr__(self) -> str:
@@ -477,7 +479,8 @@ class ClusterFaultCoordinator(_CoordinatorBase):
         self._total_down += 1
         self._fail_time.setdefault(index, interval)
         self._down_members.setdefault(index, set()).add(disk)
-        self._rebuild_debt.pop(index, None)  # re-lost mid-rebuild
+        if self._rebuild_debt.pop(index, None) is not None:
+            self._rebuild_order.remove(index)  # re-lost mid-rebuild
         survivors = survivors_of(
             disk, self.redundancy, self.num_disks,
             self.parity_group, self._is_failed_disk,
@@ -518,6 +521,7 @@ class ClusterFaultCoordinator(_CoordinatorBase):
             )
             if debt > 0:
                 self._rebuild_debt[index] = debt
+                bisect.insort(self._rebuild_order, index)
             else:
                 self.rebuilds_completed += 1
                 self.rebuild_time.record(
@@ -525,18 +529,26 @@ class ClusterFaultCoordinator(_CoordinatorBase):
                 )
 
     def _advance_rebuilds(self, interval: int) -> None:
+        """Each rebuilding cluster that is free this interval works off
+        ``rebuild_rate`` of its debt, in ascending cluster order."""
         self.rebuild_intervals += 1
-        for index in sorted(self._rebuild_debt):
-            cluster = self.clusters.clusters[index]
-            if not cluster.is_free(interval):
+        clusters = self.clusters.clusters
+        debts = self._rebuild_debt
+        order = self._rebuild_order
+        completed = False
+        for index in order:
+            if not clusters[index].is_free(interval):
                 continue  # rebuild yields to the active display
-            self._rebuild_debt[index] -= self.rebuild_rate
-            if self._rebuild_debt[index] <= 0:
-                del self._rebuild_debt[index]
+            debts[index] -= self.rebuild_rate
+            if debts[index] <= 0:
+                del debts[index]
+                completed = True
                 self.rebuilds_completed += 1
                 self.rebuild_time.record(
                     interval - self._fail_time.pop(index, interval)
                 )
+        if completed:
+            order[:] = [index for index in order if index in debts]
 
     # ------------------------------------------------------------------
     # Pass 2: after admission
@@ -545,7 +557,8 @@ class ClusterFaultCoordinator(_CoordinatorBase):
         """Charge each degraded cluster's active display interval."""
         if not self._down_members:
             return
-        for index in sorted(self._down_members):
+        # Only counts: the walk order does not matter.
+        for index in self._down_members:
             cluster = self.clusters.clusters[index]
             if cluster.activity != "display":
                 continue

@@ -1,5 +1,6 @@
-"""Hardware models: magnetic disks, the disk array, tertiary storage,
-buffer memory, and the (assumed-sufficient) delivery network.
+"""Hardware models: magnetic disks, the disk array, tertiary storage
+and buffer memory.  The delivery network is assumed sufficient, as in
+the paper, and is not modelled.
 
 All devices are parameterised analytic models — the paper itself only
 characterises hardware through bandwidths, seek/latency bounds, and
@@ -9,22 +10,16 @@ the quantities the paper's simulation depends on.
 
 from repro.hardware.disk import DiskModel, SABRE_DISK, TABLE3_DISK
 from repro.hardware.disk_array import DiskArray, DiskState
-from repro.hardware.memory import BufferPool, minimum_display_memory
-from repro.hardware.network import NetworkModel
-from repro.hardware.station import equation1_buffer, simulate_switch
+from repro.hardware.memory import minimum_display_memory
 from repro.hardware.tertiary import TertiaryDevice, TertiaryRequest
 
 __all__ = [
-    "BufferPool",
     "DiskArray",
     "DiskModel",
     "DiskState",
-    "NetworkModel",
     "SABRE_DISK",
     "TABLE3_DISK",
     "TertiaryDevice",
     "TertiaryRequest",
-    "equation1_buffer",
     "minimum_display_memory",
-    "simulate_switch",
 ]

@@ -5,19 +5,15 @@ mask cluster-switch repositioning:
 
     ``B_disk × (T_switch + T_sector)``
 
-Beyond that minimum, the time-fragmentation machinery of §3.2.1 and
-the low-bandwidth sharing of §3.2.3 hold whole fragments in buffers
-for one or more intervals.  :class:`BufferPool` tracks those
-per-node (per-disk) staging buffers so the simulation can report peak
-memory demand and detect leaks (a buffer that is never drained).
+Beyond that minimum, the time-fragmentation machinery of §3.2.1 holds
+whole fragments in buffers for one or more intervals; the scheduler
+sizes those from each display's steady-state buffers
+(:meth:`repro.core.display.Display.buffer_demand`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, List, Tuple
-
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError
 
 
 def minimum_display_memory(
@@ -32,122 +28,3 @@ def minimum_display_memory(
     if t_switch < 0 or t_sector < 0:
         raise ConfigurationError("T_switch and T_sector must be >= 0")
     return effective_bandwidth * (t_switch + t_sector)
-
-
-@dataclass(frozen=True)
-class BufferedFragment:
-    """One fragment staged in a node's memory awaiting delivery."""
-
-    owner: Hashable
-    subobject: int
-    fragment: int
-    size: float
-    staged_at_interval: int
-
-
-class BufferPool:
-    """Per-node staging buffers for time-fragmented delivery.
-
-    Nodes are identified by disk index (the paper assumes one
-    processor node per drive).  The pool enforces an optional per-node
-    capacity and records the peak occupancy reached, which the
-    §3.2.1 discussion trades against network capacity.
-    """
-
-    def __init__(self, num_nodes: int, capacity_per_node: float = float("inf")) -> None:
-        if num_nodes < 1:
-            raise ConfigurationError(f"num_nodes must be >= 1, got {num_nodes}")
-        if capacity_per_node <= 0:
-            raise ConfigurationError(
-                f"capacity_per_node must be > 0, got {capacity_per_node}"
-            )
-        self.num_nodes = num_nodes
-        self.capacity_per_node = capacity_per_node
-        self._buffers: List[List[BufferedFragment]] = [[] for _ in range(num_nodes)]
-        self._occupancy: List[float] = [0.0] * num_nodes
-        self.peak_occupancy = 0.0
-        self.total_staged = 0
-        self.total_drained = 0
-
-    def __repr__(self) -> str:
-        held = sum(len(b) for b in self._buffers)
-        return f"<BufferPool nodes={self.num_nodes} held={held} peak={self.peak_occupancy:.3g}>"
-
-    def occupancy(self, node: int) -> float:
-        """Megabits currently buffered at ``node``."""
-        return self._occupancy[node]
-
-    def held(self, node: int) -> List[BufferedFragment]:
-        """Fragments currently staged at ``node`` (oldest first)."""
-        return list(self._buffers[node])
-
-    def stage(self, node: int, fragment: BufferedFragment) -> None:
-        """Place a fragment read this interval into ``node``'s memory."""
-        if self._occupancy[node] + fragment.size > self.capacity_per_node + 1e-9:
-            raise SchedulingError(
-                f"node {node} buffer overflow: "
-                f"{self._occupancy[node]:.3g} + {fragment.size:.3g} "
-                f"> {self.capacity_per_node:.3g}"
-            )
-        self._buffers[node].append(fragment)
-        self._occupancy[node] += fragment.size
-        self.total_staged += 1
-        if self._occupancy[node] > self.peak_occupancy:
-            self.peak_occupancy = self._occupancy[node]
-
-    def drain(self, node: int, owner: Hashable, subobject: int) -> BufferedFragment:
-        """Remove and return the staged fragment of ``owner`` for
-        ``subobject`` from ``node`` (raises if absent)."""
-        buffers = self._buffers[node]
-        for i, staged in enumerate(buffers):
-            if staged.owner == owner and staged.subobject == subobject:
-                del buffers[i]
-                self._occupancy[node] -= staged.size
-                self.total_drained += 1
-                return staged
-        raise SchedulingError(
-            f"buffer underflow: node {node} holds no fragment of "
-            f"{owner!r} subobject {subobject}"
-        )
-
-    def drain_oldest(self, node: int, owner: Hashable) -> BufferedFragment:
-        """Remove and return ``owner``'s oldest staged fragment at ``node``."""
-        buffers = self._buffers[node]
-        for i, staged in enumerate(buffers):
-            if staged.owner == owner:
-                del buffers[i]
-                self._occupancy[node] -= staged.size
-                self.total_drained += 1
-                return staged
-        raise SchedulingError(
-            f"buffer underflow: node {node} holds no fragment of {owner!r}"
-        )
-
-    def release_owner(self, owner: Hashable) -> int:
-        """Discard every staged fragment of ``owner`` (display aborted).
-
-        Returns the number of fragments discarded.
-        """
-        discarded = 0
-        for node, buffers in enumerate(self._buffers):
-            kept = []
-            for staged in buffers:
-                if staged.owner == owner:
-                    self._occupancy[node] -= staged.size
-                    discarded += 1
-                else:
-                    kept.append(staged)
-            self._buffers[node] = kept
-        return discarded
-
-    def outstanding(self) -> int:
-        """Fragments staged but not yet drained (leak detector)."""
-        return sum(len(b) for b in self._buffers)
-
-    def snapshot(self) -> Dict[int, Tuple[int, float]]:
-        """Map node -> (fragment count, megabits) for non-empty nodes."""
-        return {
-            node: (len(buffers), self._occupancy[node])
-            for node, buffers in enumerate(self._buffers)
-            if buffers
-        }

@@ -17,7 +17,6 @@ from repro.media.layout import (
     StripingLayout,
     simple_striping_layout,
     staggered_layout,
-    virtual_replication_layout,
 )
 from repro.media.objects import FragmentAddress, MediaObject, MediaType
 from repro.media.tape_layout import TapeLayout, TapeOrder
@@ -33,5 +32,4 @@ __all__ = [
     "build_uniform_catalog",
     "simple_striping_layout",
     "staggered_layout",
-    "virtual_replication_layout",
 ]

@@ -57,13 +57,6 @@ class Catalog:
         """Largest degree of declustering in the database."""
         return max(obj.degree for obj in self._objects.values())
 
-    def media_types(self) -> List[MediaType]:
-        """Distinct media types present, in first-seen order."""
-        seen: Dict[str, MediaType] = {}
-        for obj in self._objects.values():
-            seen.setdefault(obj.media_type.name, obj.media_type)
-        return list(seen.values())
-
 
 def build_uniform_catalog(
     num_objects: int,

@@ -234,12 +234,6 @@ def staggered_layout(num_disks: int, stride: int = 1) -> StripingLayout:
     return StripingLayout(num_disks=num_disks, stride=stride)
 
 
-def virtual_replication_layout(num_disks: int) -> StripingLayout:
-    """The degenerate ``k = D`` placement: every subobject of an object
-    occupies the same ``M`` drives — one physical cluster."""
-    return StripingLayout(num_disks=num_disks, stride=num_disks)
-
-
 def render_layout(
     layout: StripingLayout,
     object_ids: Sequence[int],

@@ -35,21 +35,6 @@ class MediaType:
             )
         return max(1, math.ceil(self.display_bandwidth / disk_bandwidth - 1e-9))
 
-    def logical_degree(self, disk_bandwidth: float) -> int:
-        """Degree of declustering in *logical half-disks* (§3.2.3).
-
-        Each physical drive behaves as two logical disks of half the
-        bandwidth; rounding to an integral number of half-disks wastes
-        less bandwidth for fractional requirements (e.g. an object at
-        ``3/2 B_disk`` fits exactly in 3 half-disks).
-        """
-        if disk_bandwidth <= 0:
-            raise ConfigurationError(
-                f"disk_bandwidth must be > 0, got {disk_bandwidth}"
-            )
-        half = disk_bandwidth / 2.0
-        return max(1, math.ceil(self.display_bandwidth / half - 1e-9))
-
 
 @dataclass(frozen=True)
 class MediaObject:
@@ -103,11 +88,6 @@ class MediaObject:
     def size(self) -> float:
         """Total object size in megabits."""
         return self.num_subobjects * self.subobject_size
-
-    @property
-    def num_fragments(self) -> int:
-        """Total fragments ``n × M``."""
-        return self.num_subobjects * self.degree
 
     @property
     def display_time(self) -> float:

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List
 
 from repro.errors import ConfigurationError
 from repro.hardware.tertiary import TertiaryDevice
-from repro.media.objects import FragmentAddress, MediaObject
+from repro.media.objects import MediaObject
 
 
 class TapeOrder(enum.Enum):
@@ -76,28 +75,3 @@ def materialization_write_degree(
     import math
 
     return max(1, math.ceil(tertiary_bandwidth / disk_bandwidth - 1e-9))
-
-
-def recording_schedule(
-    obj: MediaObject, write_degree: int
-) -> List[List[FragmentAddress]]:
-    """Group tape fragments into per-interval write batches.
-
-    With the fragment-ordered layout the device writes ``write_degree``
-    consecutive fragments per time interval, shifting ``k`` drives to
-    the right between intervals exactly like a display (§3.2.4's
-    example: ``X_{0.0}, X_{0.1}`` in interval one, ``X_{1.0}, X_{1.1}``
-    in interval two for an 80 mbps object over a 40 mbps tertiary).
-    """
-    if write_degree < 1:
-        raise ConfigurationError(f"write_degree must be >= 1, got {write_degree}")
-    batches: List[List[FragmentAddress]] = []
-    current: List[FragmentAddress] = []
-    for address in obj.fragments():
-        current.append(address)
-        if len(current) == write_degree:
-            batches.append(current)
-            current = []
-    if current:
-        batches.append(current)
-    return batches

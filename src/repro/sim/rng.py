@@ -79,30 +79,6 @@ class RandomStream:
             raise ValueError(f"exponential mean must be > 0, got {mean}")
         return self._rng.expovariate(1.0 / mean)
 
-    def poisson(self, mean: float) -> int:
-        """Poisson variate with the given mean.
-
-        Counts arrivals in a window of integrated rate ``mean`` (see
-        :mod:`repro.workload.arrivals`).  Uses Knuth's product method
-        in chunks of ≤ 32 so ``exp(-mean)`` never underflows; the
-        chunked sum is exact because Poisson counts over disjoint
-        sub-windows are independent and add.
-        """
-        if mean < 0:
-            raise ValueError(f"poisson mean must be >= 0, got {mean}")
-        total = 0
-        remaining = mean
-        rng = self._rng
-        while remaining > 0:
-            chunk = remaining if remaining <= 32.0 else 32.0
-            remaining -= chunk
-            threshold = math.exp(-chunk)
-            product = rng.random()
-            while product > threshold:
-                total += 1
-                product *= rng.random()
-        return total
-
     def choice(self, seq: Sequence) -> object:
         """Uniform choice from a non-empty sequence."""
         return self._rng.choice(seq)
@@ -110,21 +86,6 @@ class RandomStream:
     def shuffle(self, items: List) -> None:
         """In-place Fisher-Yates shuffle."""
         self._rng.shuffle(items)
-
-    def truncated_geometric(self, mean: float, limit: int) -> int:
-        """Sample ``i`` in ``[0, limit)`` with ``P(i) ∝ (1-p)^i``.
-
-        ``p`` is chosen so the *untruncated* geometric has the given
-        mean (``mean = (1-p)/p``), matching the paper's
-        parameterisation: means 10 / 20 / 43.5 concentrate roughly
-        100 / 200 / 400 objects of a 2000-object database.
-        """
-        p = geometric_success_probability(mean)
-        u = self._rng.random()
-        # Inverse CDF of the geometric truncated to [0, limit).
-        truncation_mass = 1.0 - (1.0 - p) ** limit
-        value = math.floor(math.log1p(-u * truncation_mass) / math.log1p(-p))
-        return min(int(value), limit - 1)
 
 
 def geometric_success_probability(mean: float) -> float:
@@ -146,24 +107,6 @@ def truncated_geometric_pmf(mean: float, limit: int) -> List[float]:
     weights = [(1.0 - p) ** i for i in range(limit)]
     total = sum(weights)
     return [w / total for w in weights]
-
-
-def effective_working_set(mean: float, limit: int, mass: float = 0.99) -> int:
-    """Smallest prefix of objects covering ``mass`` of the access mass.
-
-    The paper reports that means 10/20/43.5 produce roughly
-    100/200/400 "unique objects referenced"; this helper quantifies
-    that working-set notion analytically.
-    """
-    if not 0.0 < mass < 1.0:
-        raise ValueError(f"mass must be in (0, 1), got {mass}")
-    pmf = truncated_geometric_pmf(mean, limit)
-    cumulative = 0.0
-    for i, prob in enumerate(pmf):
-        cumulative += prob
-        if cumulative >= mass:
-            return i + 1
-    return limit
 
 
 class DiscreteSampler:

@@ -117,7 +117,7 @@ class SimulationResult:
 
         The quality-of-service metric of a loss system — what
         Erlang-B predicts for a memoryless single resource (see
-        :mod:`repro.workload.analytic`)."""
+        ``tests/oracles/analytic.py``)."""
         return self.blocked / self.offered if self.offered else 0.0
 
     @property

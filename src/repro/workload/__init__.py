@@ -10,9 +10,9 @@ Beyond the paper, :mod:`repro.workload.arrivals` opens the system:
 Poisson/MMPP request streams with Zipf catalog skew, diurnal shaping,
 flash-crowd bursts, and deadline-based blocking —
 :class:`StationPool` is simply the closed implementation of the same
-:class:`ArrivalProcess` contract.  :mod:`repro.workload.analytic`
-holds the Erlang-B / M/M/c closed forms and harness server policies
-the open engine is validated against (docs/workloads.md).
+:class:`ArrivalProcess` contract.  The Erlang-B / M/M/c closed forms
+and server-bank policies the open engine is validated against are a
+test oracle, ``tests/oracles/analytic.py`` (docs/workloads.md).
 """
 
 from repro.workload.access import (
@@ -20,13 +20,6 @@ from repro.workload.access import (
     GeometricAccess,
     UniformAccess,
     ZipfAccess,
-)
-from repro.workload.analytic import (
-    LossServerPolicy,
-    QueueServerPolicy,
-    erlang_b,
-    erlang_c,
-    mmc_mean_wait,
 )
 from repro.workload.arrivals import (
     ArrivalProcess,
@@ -36,25 +29,17 @@ from repro.workload.arrivals import (
     RateModulation,
 )
 from repro.workload.stations import DisplayStation, StationPool
-from repro.workload.trace import RecordingAccess, TraceAccess
 
 __all__ = [
     "AccessDistribution",
     "ArrivalProcess",
     "DisplayStation",
     "GeometricAccess",
-    "LossServerPolicy",
     "MMPPSource",
     "OpenArrivals",
     "PoissonSource",
-    "QueueServerPolicy",
     "RateModulation",
-    "RecordingAccess",
     "StationPool",
-    "TraceAccess",
     "UniformAccess",
     "ZipfAccess",
-    "erlang_b",
-    "erlang_c",
-    "mmc_mean_wait",
 ]

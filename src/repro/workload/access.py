@@ -15,7 +15,6 @@ from repro.errors import ConfigurationError
 from repro.sim.rng import (
     DiscreteSampler,
     RandomStream,
-    effective_working_set,
     truncated_geometric_pmf,
 )
 
@@ -60,10 +59,6 @@ class GeometricAccess(AccessDistribution):
     def popularity_ranking(self) -> List[int]:
         """Most-popular-first ordering (the catalog order itself)."""
         return list(self.object_ids)
-
-    def working_set(self, mass: float = 0.99) -> int:
-        """Objects covering ``mass`` of the access probability."""
-        return effective_working_set(self.mean, len(self.object_ids), mass)
 
 
 def zipf_pmf(exponent: float, limit: int) -> List[float]:

@@ -178,11 +178,6 @@ class MMPPSource:
             f"rates={self.rates}>"
         )
 
-    def stationary_distribution(self) -> List[float]:
-        """Long-run fraction of time in each phase."""
-        total = sum(self.sojourns)
-        return [s / total for s in self.sojourns]
-
     def _advance_phase(self) -> None:
         self.time_in_phase[self.phase] += self._phase_end - self._time
         self._time = self._phase_end

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.admission import (
-    AdmissionMode,
-    Admitter,
-    worst_case_contiguous_wait,
-)
+from repro.core.admission import AdmissionMode, Admitter
 from repro.core.display import Display
 from repro.core.virtual_disks import SlotPool
 from tests.conftest import make_object
@@ -44,7 +40,7 @@ class TestContiguous:
         plan = admitter.try_claim(display, interval=0)
         assert not plan.complete
         assert plan.claimed_now == []
-        assert display.pending_lanes == display.lanes
+        assert [lane for lane, _t, _h in display.waiting] == display.lanes
 
     def test_waits_for_rotation(self):
         """With k=M the aligned window returns every R intervals."""
@@ -101,7 +97,7 @@ class TestFragmented:
         admitter = Admitter(pool, AdmissionMode.FRAGMENTED)
         display = make_display(degree=3)
         admitter.try_claim(display, 0)
-        admitter.release_lane(display, 1)
+        pool.release(display.lanes[1].slot, display.display_id)
         assert pool.is_free(display.lanes[1].slot)
         assert admitter.abort(display) == 2
 
@@ -116,11 +112,3 @@ class TestFragmented:
         owned = {tuple(sorted(pool.slots_of(1))), tuple(sorted(pool.slots_of(2)))}
         assert owned == {(0, 1, 2), (3, 4, 5)}
 
-
-class TestWorstCaseWait:
-    def test_simple_striping_matches_r_minus_1(self):
-        # D=90, M=3 -> R=30 clusters -> 29 intervals worst case.
-        assert worst_case_contiguous_wait(90, 3) == 29
-
-    def test_stride_one_is_d_minus_1(self):
-        assert worst_case_contiguous_wait(8, 1) == 7

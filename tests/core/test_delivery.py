@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.coalesce import DeliveryTrace
 from repro.core.virtual_disks import SlotPool
 from repro.errors import SchedulingError
 from tests.conftest import make_object
+from tests.oracles.coalesce import DeliveryTrace
 from tests.oracles.delivery import run_fragmented_delivery
 
 

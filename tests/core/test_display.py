@@ -23,15 +23,13 @@ def make_display(ready=(0, 0, 0), requested_at=0):
 class TestLane:
     def test_read_and_release_intervals(self):
         lane = Lane(fragment=1, slot=5, ready=3)
-        assert lane.read_interval(0) == 3
-        assert lane.read_interval(4) == 7
         assert lane.release_interval(6) == 9
 
     def test_unclaimed_lane_raises(self):
         lane = Lane(fragment=0)
         assert not lane.claimed
         with pytest.raises(SchedulingError):
-            lane.read_interval(0)
+            lane.release_interval(6)
 
 
 class TestAlignedDisplay:
@@ -85,7 +83,7 @@ class TestPartialDisplay:
         display.lanes[0].slot = 3
         display.lanes[0].ready = 0
         assert not display.fully_laned
-        assert [l.fragment for l in display.pending_lanes] == [1, 2]
+        assert [l.fragment for l, _t, _h in display.waiting] == [1, 2]
         with pytest.raises(SchedulingError):
             _ = display.deliver_start
 

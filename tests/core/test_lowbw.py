@@ -4,15 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.lowbw import (
-    buffer_demand_halves,
-    degree_in_halves,
-    figure7_schedule,
-    half_disk_waste,
-    validate_figure7_schedule,
-    whole_disk_waste,
-)
+from repro.core.lowbw import degree_in_halves, half_disk_waste, whole_disk_waste
 from repro.errors import ConfigurationError
+from tests.oracles.lowbw import figure7_schedule, validate_figure7_schedule
 
 
 class TestRoundingWaste:
@@ -47,9 +41,6 @@ class TestDegreeInHalves:
         assert degree_in_halves(20.0, 20.0) == 2
         assert degree_in_halves(30.0, 20.0) == 3
         assert degree_in_halves(100.0, 20.0) == 10
-
-    def test_buffer_demand_matches_halves(self):
-        assert buffer_demand_halves(30.0, 20.0) == 3
 
 
 class TestFigure7:

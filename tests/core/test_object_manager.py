@@ -51,12 +51,6 @@ class TestResidency:
         assert manager.used == pytest.approx(72.0)
         assert manager.is_resident(0)
 
-    def test_cancel_reservation(self, manager):
-        manager.reserve(0)
-        manager.cancel_reservation(0)
-        assert manager.used == 0.0
-
-
 class TestAccessAccounting:
     def test_hit_and_miss_counters(self, manager):
         manager.add_resident(0)

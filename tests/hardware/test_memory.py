@@ -1,11 +1,11 @@
-"""Tests for buffer memory accounting (Equation 1 + staging buffers)."""
+"""Tests for buffer memory accounting (Equation 1)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError, SchedulingError
-from repro.hardware.memory import BufferPool, BufferedFragment, minimum_display_memory
+from repro.errors import ConfigurationError
+from repro.hardware.memory import minimum_display_memory
 
 
 class TestEquationOne:
@@ -21,72 +21,3 @@ class TestEquationOne:
         with pytest.raises(ConfigurationError):
             minimum_display_memory(20.0, -0.05, 0.001)
 
-
-def fragment(owner="d1", subobject=0, frag=0, size=12.0, interval=0):
-    return BufferedFragment(
-        owner=owner,
-        subobject=subobject,
-        fragment=frag,
-        size=size,
-        staged_at_interval=interval,
-    )
-
-
-class TestBufferPool:
-    def test_stage_and_drain_roundtrip(self):
-        pool = BufferPool(num_nodes=4)
-        pool.stage(1, fragment(subobject=3))
-        assert pool.occupancy(1) == pytest.approx(12.0)
-        staged = pool.drain(1, "d1", 3)
-        assert staged.subobject == 3
-        assert pool.occupancy(1) == 0.0
-        assert pool.outstanding() == 0
-
-    def test_drain_missing_raises(self):
-        pool = BufferPool(num_nodes=2)
-        with pytest.raises(SchedulingError):
-            pool.drain(0, "nobody", 0)
-
-    def test_drain_oldest_respects_fifo(self):
-        pool = BufferPool(num_nodes=1)
-        pool.stage(0, fragment(subobject=0, interval=0))
-        pool.stage(0, fragment(subobject=1, interval=1))
-        assert pool.drain_oldest(0, "d1").subobject == 0
-        assert pool.drain_oldest(0, "d1").subobject == 1
-
-    def test_capacity_enforced(self):
-        pool = BufferPool(num_nodes=1, capacity_per_node=20.0)
-        pool.stage(0, fragment(size=12.0))
-        with pytest.raises(SchedulingError):
-            pool.stage(0, fragment(subobject=1, size=12.0))
-
-    def test_peak_occupancy_tracked(self):
-        pool = BufferPool(num_nodes=1)
-        pool.stage(0, fragment(subobject=0))
-        pool.stage(0, fragment(subobject=1))
-        pool.drain(0, "d1", 0)
-        assert pool.peak_occupancy == pytest.approx(24.0)
-
-    def test_release_owner_discards_everything(self):
-        pool = BufferPool(num_nodes=2)
-        pool.stage(0, fragment(owner="a", subobject=0))
-        pool.stage(1, fragment(owner="a", subobject=1))
-        pool.stage(1, fragment(owner="b", subobject=0))
-        assert pool.release_owner("a") == 2
-        assert pool.outstanding() == 1
-        assert pool.occupancy(1) == pytest.approx(12.0)
-
-    def test_snapshot_lists_nonempty_nodes(self):
-        pool = BufferPool(num_nodes=3)
-        pool.stage(2, fragment())
-        snapshot = pool.snapshot()
-        assert list(snapshot) == [2]
-        count, megabits = snapshot[2]
-        assert count == 1
-        assert megabits == pytest.approx(12.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            BufferPool(num_nodes=0)
-        with pytest.raises(ConfigurationError):
-            BufferPool(num_nodes=1, capacity_per_node=0.0)

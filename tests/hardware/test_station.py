@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hardware.station import (
+from repro.sim.rng import RandomStream
+from tests.oracles.station import (
     equation1_buffer,
     hiccup_rate_over_switches,
     sectors_per_fragment,
     simulate_switch,
     worst_case_switch,
 )
-from repro.sim.rng import RandomStream
 
 #: One 512-byte-ish sector in megabits (4 KB for round numbers).
 SECTOR = 0.032768

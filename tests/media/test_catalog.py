@@ -27,10 +27,6 @@ class TestCatalog:
                                        fragment_size=10.0)])
         assert catalog.total_size == pytest.approx(40.0)
 
-    def test_media_types_deduplicated(self):
-        catalog = Catalog([make_object(0), make_object(1)])
-        assert len(catalog.media_types()) == 1
-
     def test_iteration_order(self):
         catalog = Catalog([make_object(3), make_object(1)])
         assert [o.object_id for o in catalog] == [3, 1]

@@ -12,7 +12,6 @@ from repro.media.layout import (
     render_layout,
     simple_striping_layout,
     staggered_layout,
-    virtual_replication_layout,
 )
 from repro.media.objects import FragmentAddress
 from tests.conftest import make_object
@@ -98,13 +97,13 @@ class TestFigure5MixedMedia:
 
 class TestVirtualReplicationPlacement:
     def test_all_subobjects_on_same_disks(self):
-        layout = virtual_replication_layout(num_disks=10)
+        layout = StripingLayout(num_disks=10, stride=10)
         layout.place(make_object(num_subobjects=8, degree=4), start_disk=2)
         for i in range(8):
             assert layout.subobject_disks(0, i) == [2, 3, 4, 5]
 
     def test_disks_used_equals_degree(self):
-        layout = virtual_replication_layout(num_disks=10)
+        layout = StripingLayout(num_disks=10, stride=10)
         layout.place(make_object(num_subobjects=8, degree=4), start_disk=0)
         assert layout.disks_used(0) == 4
 

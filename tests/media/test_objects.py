@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.lowbw import degree_in_halves
 from repro.errors import ConfigurationError
 from repro.media.objects import FragmentAddress, MediaObject, MediaType
 from tests.conftest import make_object
@@ -24,9 +25,12 @@ class TestMediaType:
         assert MediaType("audio", 1.5).degree_of_declustering(20.0) == 1
 
     def test_logical_degree_in_half_disks(self):
-        assert MediaType("half", 10.0).logical_degree(20.0) == 1
-        assert MediaType("x15", 30.0).logical_degree(20.0) == 3
-        assert MediaType("full", 100.0).logical_degree(20.0) == 10
+        for media, halves in (
+            (MediaType("half", 10.0), 1),
+            (MediaType("x15", 30.0), 3),
+            (MediaType("full", 100.0), 10),
+        ):
+            assert degree_in_halves(media.display_bandwidth, 20.0) == halves
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -40,7 +44,7 @@ class TestMediaObject:
         obj = make_object(num_subobjects=10, degree=4, fragment_size=12.0)
         assert obj.subobject_size == pytest.approx(48.0)
         assert obj.size == pytest.approx(480.0)
-        assert obj.num_fragments == 40
+        assert len(list(obj.fragments())) == 40
 
     def test_display_time(self):
         obj = make_object(bandwidth=60.0, num_subobjects=10, degree=3,

@@ -6,13 +6,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware.tertiary import TertiaryDevice
-from repro.media.tape_layout import (
-    TapeLayout,
-    TapeOrder,
-    materialization_write_degree,
-    recording_schedule,
-)
+from repro.media.tape_layout import TapeLayout, TapeOrder, materialization_write_degree
 from tests.conftest import make_object
+from tests.oracles.tape import recording_schedule
 
 
 @pytest.fixture
@@ -85,7 +81,7 @@ class TestRecordingSchedule:
         obj = make_object(num_subobjects=4, degree=3, fragment_size=10.0)
         batches = recording_schedule(obj, write_degree=2)
         written = [address for batch in batches for address in batch]
-        assert len(written) == len(set(written)) == obj.num_fragments
+        assert len(written) == len(set(written)) == obj.num_subobjects * obj.degree
 
     def test_validation(self):
         obj = make_object()

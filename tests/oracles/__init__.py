@@ -6,6 +6,18 @@
   interval-stepped engine's work driven from one kernel clock process.
 * :mod:`tests.oracles.delivery` — Algorithm 1 replayed with one kernel
   process per lane.
+* :mod:`tests.oracles.coalesce` — Algorithm 2 (dynamic coalescing) and
+  the delivery trace both algorithms record, checked against Fig. 6.
+* :mod:`tests.oracles.lowbw` — Figure 7's low-bandwidth sharing
+  schedule and its validator (§3.2.3).
+* :mod:`tests.oracles.station` — a station's buffer through one
+  cluster switch, checking Equation 1 (§3.1).
+* :mod:`tests.oracles.analytic` — Erlang-B/C and M/M/c closed forms
+  with server-bank policies the open engine is checked against.
+* :mod:`tests.oracles.access` — an inverse-CDF truncated-geometric
+  sampler and the working-set ladder of §4.1.
+* :mod:`tests.oracles.tape` — §3.2.4's fragment-ordered tape write
+  batches.
 * :mod:`tests.oracles.scalar` — the scalar versions of the batched,
   memoized and incremental admission and occupancy paths.
 * :mod:`tests.oracles.physical` — the slot pool's schedules replayed

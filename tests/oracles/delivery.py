@@ -10,7 +10,7 @@ lane runs ahead of the display's slowest lane.
 
 This oracle ports that algorithm faithfully onto the
 :mod:`tests.oracles.kernel` (one generator process per lane) and
-records a :class:`~repro.core.coalesce.DeliveryTrace` that tests
+records a :class:`~tests.oracles.coalesce.DeliveryTrace` that tests
 compare against the paper's Figure 6 timeline.  The package uses the
 closed-form equivalent (:class:`repro.core.display.Display`); the
 property tests assert the two agree.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.core.coalesce import DeliveryTrace
+from tests.oracles.coalesce import DeliveryTrace
 from repro.core.virtual_disks import SlotPool
 from repro.errors import SchedulingError
 from repro.media.objects import MediaObject

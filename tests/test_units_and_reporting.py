@@ -37,7 +37,6 @@ class TestErrors:
             errors.ConfigurationError,
             errors.SimulationError,
             errors.SchedulingError,
-            errors.AdmissionError,
             errors.CapacityError,
             errors.LayoutError,
         ):

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sim.rng import RandomStream
 from repro.workload.access import GeometricAccess, UniformAccess
+from tests.oracles.access import effective_working_set
 
 
 class TestGeometricAccess:
@@ -29,9 +30,11 @@ class TestGeometricAccess:
         assert access.popularity_ranking() == ids
 
     def test_working_set_grows_with_mean(self, stream):
-        small = GeometricAccess(list(range(2000)), 10.0, stream).working_set()
-        large = GeometricAccess(list(range(2000)), 43.5, stream).working_set()
-        assert small < large
+        small = GeometricAccess(list(range(2000)), 10.0, stream)
+        large = GeometricAccess(list(range(2000)), 43.5, stream)
+        assert effective_working_set(small.mean, 2000) < effective_working_set(
+            large.mean, 2000
+        )
 
     def test_empty_ids_rejected(self, stream):
         with pytest.raises(ConfigurationError):

@@ -3,7 +3,7 @@
 These tests drive the *real* machinery end to end — `OpenArrivals`
 feeding `IntervalEngine`, deadline expiry, `try_cancel` blocking —
 with the minimal server-bank policies of
-:mod:`repro.workload.analytic`, and check the simulated statistics
+:mod:`tests.oracles.analytic`, and check the simulated statistics
 against classical teletraffic closed forms:
 
 * blocking probability of a pure loss system vs **Erlang-B** at three
@@ -28,14 +28,14 @@ from repro.errors import ConfigurationError
 from repro.sim.rng import RandomStream
 from repro.simulation.engine import IntervalEngine
 from repro.workload.access import UniformAccess
-from repro.workload.analytic import (
+from repro.workload.arrivals import OpenArrivals, PoissonSource
+from tests.oracles.analytic import (
     LossServerPolicy,
     QueueServerPolicy,
     erlang_b,
     erlang_c,
     mmc_mean_wait,
 )
-from repro.workload.arrivals import OpenArrivals, PoissonSource
 
 SEEDS = (11, 23, 37, 51, 73)
 

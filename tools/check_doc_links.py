@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Check that documentation cross-references resolve.
 
-Two audits, both stdlib-only and runnable anywhere the repo is
-checked out (``python tools/check_doc_links.py``):
+Three audits, all stdlib-only and runnable anywhere the repo is
+checked out (``python tools/check_doc_links.py``; the tier-1 test
+``tests/test_doc_links.py`` runs it):
 
 1. **Markdown links.**  Scans ``docs/*.md``, ``README.md``, and
    ``DESIGN.md`` for inline markdown links ``[text](target)``, skips
@@ -14,6 +15,13 @@ checked out (``python tools/check_doc_links.py``):
    ``DESIGN.md``), each of which must exist — so ``repro <cmd>
    --help`` always points at live documentation and a renamed doc
    page cannot silently orphan a command's help text.
+3. **Module references.**  In the same documents (outside fenced code
+   blocks), every backticked dotted name ``repro.<a>.<b>…`` must name
+   a module under ``src/``, optionally followed by attributes; after a
+   package the next name must be a submodule or a name its
+   ``__init__`` defines.  Every ``repro/…/*.py`` path must be a file
+   under ``src/``.  A moved or deleted module cannot leave the docs
+   pointing at it.
 
 Exits non-zero listing every broken reference.
 """
@@ -39,16 +47,21 @@ def iter_doc_files(root: Path):
     yield from sorted((root / "docs").glob("*.md"))
 
 
-def check_file(path: Path, root: Path) -> list[str]:
-    errors = []
-    text = path.read_text(encoding="utf-8")
+def prose_lines(path: Path):
+    """``(lineno, line)`` for each line outside fenced code blocks."""
     in_code = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(
+        path.read_text(encoding="utf-8").splitlines(), start=1
+    ):
         if line.lstrip().startswith("```"):
             in_code = not in_code
-            continue
-        if in_code:
-            continue
+        elif not in_code:
+            yield lineno, line
+
+
+def check_file(path: Path, root: Path) -> list[str]:
+    errors = []
+    for lineno, line in prose_lines(path):
         for match in LINK.finditer(line):
             target = match.group(1)
             if target.startswith(SKIP_PREFIXES):
@@ -115,6 +128,59 @@ def check_cli_epilogs(root: Path) -> tuple[int, list[str]]:
     return audited, errors
 
 
+BACKTICKED = re.compile(r"`+([^`]+)`+")
+DOTTED = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
+SOURCE_PATH = re.compile(r"(?<![\w.])(?:src/)?(repro/[\w/]+\.py)\b")
+
+
+def defined_names(path: Path) -> set[str]:
+    """Top-level names a module binds (defs, classes, assignments and
+    imports)."""
+    names: set[str] = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(
+                (alias.asname or alias.name).split(".")[0] for alias in node.names
+            )
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def resolve_dotted(name: str, src: Path) -> bool:
+    """True when ``name`` is a module under ``src`` followed by zero or
+    more attributes, the first of which a package's ``__init__``
+    defines."""
+    parts = name.split(".")
+    path = src / parts[0]
+    for part in parts[1:]:
+        if (path / part / "__init__.py").exists():
+            path = path / part
+        elif (path / f"{part}.py").exists():
+            return True  # a module: anything after it is an attribute
+        else:
+            return part in defined_names(path / "__init__.py")
+    return True
+
+
+def check_module_references(path: Path, root: Path) -> list[str]:
+    src = root / "src"
+    rel = path.relative_to(root)
+    errors = []
+    for lineno, line in prose_lines(path):
+        for span in BACKTICKED.finditer(line):
+            for match in DOTTED.finditer(span.group(1)):
+                if not resolve_dotted(match.group(0), src):
+                    errors.append(f"{rel}:{lineno}: unknown module -> {match.group(0)}")
+        for match in SOURCE_PATH.finditer(line):
+            if not (src / match.group(1)).is_file():
+                errors.append(f"{rel}:{lineno}: missing source file -> {match.group(0)}")
+    return errors
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
     errors = []
@@ -125,6 +191,7 @@ def main() -> int:
             continue
         checked += 1
         errors.extend(check_file(path, root))
+        errors.extend(check_module_references(path, root))
     commands, epilog_errors = check_cli_epilogs(root)
     errors.extend(epilog_errors)
     if errors:
@@ -133,8 +200,8 @@ def main() -> int:
         for err in errors:
             print(f"  {err}")
         return 1
-    print(f"ok: {checked} doc files, all relative links resolve; "
-          f"{commands} CLI epilogs name existing doc pages")
+    print(f"ok: {checked} doc files, all relative links and module "
+          f"references resolve; {commands} CLI epilogs name existing doc pages")
     return 0
 
 
