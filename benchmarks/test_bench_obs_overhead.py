@@ -52,7 +52,7 @@ import json
 from pathlib import Path
 from time import perf_counter
 
-from benchmarks.conftest import emit
+from repro.analysis.reporting import format_table
 from repro.exec import ResultCache, Supervision, canonical_json, execute
 from repro.exec.spec import experiment_spec
 from repro.obs import Observability
@@ -233,13 +233,9 @@ def _summaries():
     return out
 
 
-def test_obs_overhead(benchmark, tmp_path):
-    def measure():
-        return _measure(), _sweep_measure(tmp_path)
-
-    timings, (sweep_best, sweep_rows) = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
+def test_obs_overhead(tmp_path):
+    timings = _measure()
+    sweep_best, sweep_rows = _sweep_measure(tmp_path)
     summaries = _summaries()
 
     rows = [
@@ -267,7 +263,8 @@ def test_obs_overhead(benchmark, tmp_path):
             "overhead_pct": round(100.0 * (sweep_met / sweep_off - 1.0), 2),
         }
     )
-    emit("Telemetry overhead by --obs-level (paired interleaved)", rows)
+    print("\n=== Telemetry overhead by --obs-level (paired interleaved) ===")
+    print(format_table(rows))
     RESULT_PATH.write_text(json.dumps(rows, indent=2) + "\n")
 
     # Telemetry must never change what the simulation computes.

@@ -762,7 +762,8 @@ def cmd_obs_top(args) -> int:
 def cmd_obs_diff(args) -> int:
     """Per-metric deltas between two telemetry sources.  Exit 0 when
     every delta is within the threshold, 3 when any metric breaches it
-    (the CI gate's contract)."""
+    or a sweep side lacks a run's stored artifact (the CI gate's
+    contract)."""
     from repro.obs.aggregate import (
         diff_metrics,
         load_metrics_source,
@@ -791,9 +792,10 @@ def cmd_obs_diff(args) -> int:
     )
     print(render_diff(diff, fmt=args.format, all_rows=args.all))
     if diff["breaches"]:
+        missing = sum(diff["missing_artifacts"].values())
         print(
-            f"obs-diff: {diff['breaches']} metric(s) beyond threshold "
-            f"{args.threshold:g}",
+            f"obs-diff: {diff['breaches'] - missing} metric(s) beyond "
+            f"threshold {args.threshold:g}, {missing} missing artifact(s)",
             file=sys.stderr,
         )
         return 3

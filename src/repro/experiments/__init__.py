@@ -1,8 +1,9 @@
 """Experiment scripts: one module per paper artifact.
 
 Each module exposes plain functions returning data structures (rows,
-grids, series) so the same code drives the unit tests, the pytest
-benchmarks, and the runnable examples.  See DESIGN.md §3 for the
+grids, series) so the same code drives the tier-1 tests that assert
+each artifact's shape (``tests/integration/``) and the runnable
+examples.  See DESIGN.md §3 for the
 experiment index.
 """
 

@@ -11,7 +11,7 @@ the quantities the paper's simulation depends on.
 from repro.hardware.disk import DiskModel, SABRE_DISK, TABLE3_DISK
 from repro.hardware.disk_array import DiskArray, DiskState
 from repro.hardware.memory import minimum_display_memory
-from repro.hardware.tertiary import TertiaryDevice, TertiaryRequest
+from repro.hardware.tertiary import TertiaryDevice
 
 __all__ = [
     "DiskArray",
@@ -20,6 +20,5 @@ __all__ = [
     "SABRE_DISK",
     "TABLE3_DISK",
     "TertiaryDevice",
-    "TertiaryRequest",
     "minimum_display_memory",
 ]

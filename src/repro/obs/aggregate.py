@@ -35,7 +35,10 @@ exceeds ``threshold`` *and* its absolute delta exceeds ``min_abs``.
 The defaults (both 0) make any difference a breach — the right
 setting for comparing deterministic sweeps, where the expected delta
 is exactly zero.  Keys present on only one side are reported
-(added/removed) but breach only under ``strict_keys``.
+(added/removed) but do not breach.  A sweep side whose settled runs
+lack a stored artifact (lost, or quarantined by its checksum) breaches
+once per missing artifact: its runs' keys would otherwise only show up
+as removed, and a zero-delta gate would pass.
 """
 
 from __future__ import annotations
@@ -281,7 +284,11 @@ def diff_metrics(
         keys_a = {key for key in keys_a if fnmatch.fnmatch(key, only)}
         keys_b = {key for key in keys_b if fnmatch.fnmatch(key, only)}
     rows: List[Dict[str, Any]] = []
-    breaches = 0
+    missing = {
+        "a": a.get("missing_artifacts", 0),
+        "b": b.get("missing_artifacts", 0),
+    }
+    breaches = missing["a"] + missing["b"]
     for key in sorted(keys_a & keys_b):
         value_a = metrics_a[key]
         value_b = metrics_b[key]
@@ -319,6 +326,7 @@ def diff_metrics(
         "compared": len(rows),
         "changed": sum(1 for row in rows if row["delta"] != 0.0),
         "breaches": breaches,
+        "missing_artifacts": missing,
         "added": sorted(keys_b - keys_a),
         "removed": sorted(keys_a - keys_b),
         "rows": rows,
@@ -390,6 +398,9 @@ def render_diff(
         summary += f", {len(diff['added'])} only in B"
     if diff["removed"]:
         summary += f", {len(diff['removed'])} only in A"
+    for side, count in diff["missing_artifacts"].items():
+        if count:
+            summary += f", {count} artifact(s) missing in {side.upper()}"
     lines.append("")
     lines.append(
         f"{diff['a']['label']} -> {diff['b']['label']}: {summary}"

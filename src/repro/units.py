@@ -27,16 +27,6 @@ def megabytes(mb: float) -> float:
     return mb * MEGABITS_PER_MEGABYTE
 
 
-def megabits(mbit: float) -> float:
-    """Identity helper so call sites can state their unit explicitly."""
-    return float(mbit)
-
-
-def gigabytes(gb: float) -> float:
-    """Convert gigabytes to canonical megabits."""
-    return gb * 1000.0 * MEGABITS_PER_MEGABYTE
-
-
 def msec(milliseconds: float) -> float:
     """Convert milliseconds to canonical seconds."""
     return milliseconds * SECONDS_PER_MSEC
@@ -50,16 +40,6 @@ def seconds(s: float) -> float:
 def mbps(rate: float) -> float:
     """Identity helper for megabit-per-second bandwidths."""
     return float(rate)
-
-
-def as_megabytes(mbit: float) -> float:
-    """Convert canonical megabits back to megabytes (for reporting)."""
-    return mbit / MEGABITS_PER_MEGABYTE
-
-
-def as_msec(s: float) -> float:
-    """Convert canonical seconds back to milliseconds (for reporting)."""
-    return s / SECONDS_PER_MSEC
 
 
 def per_hour(per_second: float) -> float:

@@ -4,19 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.hardware.tertiary import TertiaryDevice, TertiaryRequest
+from repro.errors import ConfigurationError
+from repro.hardware.tertiary import TertiaryDevice
 
 
 @pytest.fixture
 def device():
     return TertiaryDevice(bandwidth=40.0, reposition_time=5.0)
-
-
-def make_request(object_id=1, size=400.0, service=15.0, at=0.0):
-    return TertiaryRequest(
-        object_id=object_id, size=size, service_time=service, enqueued_at=at
-    )
 
 
 class TestServiceTimes:
@@ -32,59 +26,6 @@ class TestServiceTimes:
     def test_sequential_validates_subobjects(self, device):
         with pytest.raises(ConfigurationError):
             device.service_time_sequential(400.0, 0)
-
-
-class TestQueueDiscipline:
-    def test_idle_device_starts_immediately(self, device):
-        device.enqueue(make_request(), now=0.0)
-        assert device.busy
-        assert device.next_completion() == pytest.approx(15.0)
-
-    def test_poll_before_completion_returns_none(self, device):
-        device.enqueue(make_request(), now=0.0)
-        assert device.poll(10.0) is None
-
-    def test_poll_returns_completed_request(self, device):
-        request = make_request()
-        device.enqueue(request, now=0.0)
-        finished = device.poll(15.0)
-        assert finished is request
-        assert finished.finished_at == pytest.approx(15.0)
-        assert device.completed == 1
-        assert not device.busy
-
-    def test_fifo_order(self, device):
-        first = make_request(object_id=1)
-        second = make_request(object_id=2)
-        device.enqueue(first, now=0.0)
-        device.enqueue(second, now=0.0)
-        assert device.queue_length == 1
-        assert device.poll(15.0).object_id == 1
-        assert device.busy  # second started automatically
-        assert device.poll(30.0).object_id == 2
-
-    def test_queueing_delay_recorded(self, device):
-        device.enqueue(make_request(object_id=1), now=0.0)
-        device.enqueue(make_request(object_id=2), now=0.0)
-        device.poll(15.0)
-        assert device.queueing_delay.maximum == pytest.approx(15.0)
-
-    def test_is_pending(self, device):
-        device.enqueue(make_request(object_id=1), now=0.0)
-        device.enqueue(make_request(object_id=2), now=0.0)
-        assert device.is_pending(1)
-        assert device.is_pending(2)
-        assert not device.is_pending(3)
-
-    def test_utilization(self, device):
-        device.enqueue(make_request(service=10.0), now=0.0)
-        device.poll(10.0)
-        assert device.utilization(20.0) == pytest.approx(0.5)
-
-    def test_queueing_delay_requires_started(self):
-        request = make_request()
-        with pytest.raises(SimulationError):
-            _ = request.queueing_delay
 
 
 class TestValidation:

@@ -48,13 +48,15 @@ class TestBuildMixedSystem:
 class TestMixedMediaComparison:
     @pytest.fixture(scope="class")
     def rows(self):
-        return run_mixed_media(num_stations=12, measure_intervals=1500)
+        return run_mixed_media(num_stations=16, measure_intervals=1500)
 
     def test_staggered_outperforms_naive(self, rows):
+        """The naive design wastes 37.5 % of claimed bandwidth on this
+        mix; staggered striping converts that into throughput."""
         by_design = {row["design"]: row for row in rows}
         assert (
             by_design["staggered"]["displays_per_hour"]
-            > by_design["naive-Mmax-clusters"]["displays_per_hour"]
+            > 1.15 * by_design["naive-Mmax-clusters"]["displays_per_hour"]
         )
 
     def test_staggered_latency_lower_for_every_class(self, rows):

@@ -101,6 +101,8 @@ class TestBufferingStudy:
             ceiling - worst
         )
         assert recovered > 0.6
+        assert one_cylinder.gain_over_worst_case_pct > 5.0
+        assert one_cylinder.effective_bandwidth_mbps < ceiling
 
     def test_bandwidth_stays_below_average_ceiling(self, table, sabre):
         ceiling = average_overhead_bandwidth(sabre)

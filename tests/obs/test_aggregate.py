@@ -291,3 +291,13 @@ class TestObsDiffCli:
         document["checksum"] = record_checksum(document)
         path.write_text(json.dumps(document))
         assert obs_diff(sweep_id, root / "cache-a", perturbed) == 3
+
+    def test_missing_artifact_exits_3(self, two_sweeps, tmp_path, capsys):
+        root, sweep_id = two_sweeps
+        pruned = tmp_path / "cache-b"
+        shutil.copytree(root / "cache-b", pruned)
+        next((pruned / "objects").glob("*/*.obs.json")).unlink()
+        assert obs_diff(sweep_id, root / "cache-a", pruned) == 3
+        out = capsys.readouterr().out
+        assert "1 breach(es)" in out
+        assert "1 artifact(s) missing in B" in out

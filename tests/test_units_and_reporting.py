@@ -12,22 +12,14 @@ class TestUnits:
     def test_megabytes_to_megabits(self):
         assert units.megabytes(1.512) == pytest.approx(12.096)
 
-    def test_gigabytes(self):
-        assert units.gigabytes(1.2) == pytest.approx(9600.0)
-
     def test_msec_roundtrip(self):
         assert units.msec(35.0) == pytest.approx(0.035)
-        assert units.as_msec(units.msec(35.0)) == pytest.approx(35.0)
-
-    def test_as_megabytes_roundtrip(self):
-        assert units.as_megabytes(units.megabytes(7.0)) == pytest.approx(7.0)
 
     def test_per_hour(self):
         assert units.per_hour(1.0) == 3600.0
 
     def test_identity_helpers(self):
         assert units.mbps(20) == 20.0
-        assert units.megabits(5) == 5.0
         assert units.seconds(2) == 2.0
 
 

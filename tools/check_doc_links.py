@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Check that documentation cross-references resolve.
 
-Three audits, all stdlib-only and runnable anywhere the repo is
+Four audits, all stdlib-only and runnable anywhere the repo is
 checked out (``python tools/check_doc_links.py``; the tier-1 test
 ``tests/test_doc_links.py`` runs it):
 
-1. **Markdown links.**  Scans ``docs/*.md``, ``README.md``, and
-   ``DESIGN.md`` for inline markdown links ``[text](target)``, skips
+1. **Markdown links.**  Scans ``docs/*.md``, ``README.md``,
+   ``DESIGN.md`` and ``EXPERIMENTS.md`` for inline markdown links ``[text](target)``, skips
    absolute URLs and pure anchors, and resolves each remaining target
    (anchor stripped) relative to the file containing it.
 2. **CLI epilogs.**  Parses ``src/repro/cli.py`` and requires every
@@ -22,6 +22,12 @@ checked out (``python tools/check_doc_links.py``; the tier-1 test
    ``__init__`` defines.  Every ``repro/…/*.py`` path must be a file
    under ``src/``.  A moved or deleted module cannot leave the docs
    pointing at it.
+4. **Test and script paths.**  In the same documents (outside fenced
+   code blocks), every backticked ``tests/``, ``benchmarks/``,
+   ``bench/``, ``tools/`` or ``examples/`` path ending in ``.py`` must
+   be a file, and a ``::Class::test`` suffix must name a class or
+   function in it (then a member of that class), found by parsing the
+   file.  A deleted or renamed test cannot leave the docs citing it.
 
 Exits non-zero listing every broken reference.
 """
@@ -44,6 +50,7 @@ SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
 def iter_doc_files(root: Path):
     yield root / "README.md"
     yield root / "DESIGN.md"
+    yield root / "EXPERIMENTS.md"
     yield from sorted((root / "docs").glob("*.md"))
 
 
@@ -181,10 +188,58 @@ def check_module_references(path: Path, root: Path) -> list[str]:
     return errors
 
 
+REPO_PATH = re.compile(
+    r"(?<![\w./-])((?:tests|benchmarks|bench|tools|examples)/[\w/.-]*\.py)"
+    r"((?:::\w+)*)"
+)
+
+
+def resolve_node_id(path: Path, names: list[str]) -> bool:
+    """True when ``names`` walks from ``path``'s top level down through
+    class bodies to a defined class or function."""
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    for name in names:
+        node = next(
+            (
+                node
+                for node in body
+                if isinstance(
+                    node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+                )
+                and node.name == name
+            ),
+            None,
+        )
+        if node is None:
+            return False
+        body = node.body
+    return True
+
+
+def check_repo_paths(path: Path, root: Path) -> tuple[int, list[str]]:
+    rel = path.relative_to(root)
+    audited = 0
+    errors = []
+    for lineno, line in prose_lines(path):
+        for span in BACKTICKED.finditer(line):
+            for match in REPO_PATH.finditer(span.group(1)):
+                audited += 1
+                target = root / match.group(1)
+                names = [name for name in match.group(2).split("::") if name]
+                if not target.is_file():
+                    errors.append(f"{rel}:{lineno}: missing file -> {match.group(0)}")
+                elif names and not resolve_node_id(target, names):
+                    errors.append(
+                        f"{rel}:{lineno}: no such test or class -> {match.group(0)}"
+                    )
+    return audited, errors
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
     errors = []
     checked = 0
+    paths = 0
     for path in iter_doc_files(root):
         if not path.exists():
             errors.append(f"missing expected doc file: {path.relative_to(root)}")
@@ -192,6 +247,9 @@ def main() -> int:
         checked += 1
         errors.extend(check_file(path, root))
         errors.extend(check_module_references(path, root))
+        audited, path_errors = check_repo_paths(path, root)
+        paths += audited
+        errors.extend(path_errors)
     commands, epilog_errors = check_cli_epilogs(root)
     errors.extend(epilog_errors)
     if errors:
@@ -200,8 +258,9 @@ def main() -> int:
         for err in errors:
             print(f"  {err}")
         return 1
-    print(f"ok: {checked} doc files, all relative links and module "
-          f"references resolve; {commands} CLI epilogs name existing doc pages")
+    print(f"ok: {checked} doc files, all relative links, module "
+          f"references and {paths} test/script paths resolve; "
+          f"{commands} CLI epilogs name existing doc pages")
     return 0
 
 
