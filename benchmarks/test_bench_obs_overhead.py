@@ -1,7 +1,8 @@
 """Bench for the telemetry layer's overhead (docs/observability.md).
 
-Runs the same scaled experiment at every ``--obs-level`` and records
-the cost of each into ``BENCH_obs_overhead.json``.  The contract
+Runs the same scaled experiment at every ``--obs-level``, prints the
+cost of each and writes the rows to ``obs_overhead.json`` under the
+test's temporary directory (the checkout stays clean).  The contract
 asserted here:
 
 * ``off`` and every other level produce **byte-identical** result
@@ -35,11 +36,11 @@ where naive whole-run ratios swing by ten.
 
 The sweep-scope rows (``sweep-off`` / ``sweep-metrics``) extend the
 same contract to the executor's observability: a journaled sweep at
-``--obs-level metrics`` carries the event bus *and* the obs artifact
+``--obs-level metrics`` carries the sweep journal *and* the obs artifact
 store (per-run capture + content-addressed write,
 docs/sweep_observability.md) and must stay within the same < 5 %
 budget over the identical sweep at ``off`` (which already pays for
-the journal and the bus).  Whole sweeps cannot be interleaved
+the journal).  Whole sweeps cannot be interleaved
 interval-by-interval, so the pairing runs both sweeps back to back
 with the leader alternating every trial, keeping the
 least-interfered ratio.
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import gc
 import json
-from pathlib import Path
 from time import perf_counter
 
 from repro.analysis.reporting import format_table
@@ -59,7 +59,6 @@ from repro.obs import Observability
 from repro.simulation.config import ScaledConfig
 from repro.simulation.runner import build_engine, run_experiment
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs_overhead.json"
 
 TRIALS = 4
 TRIM = 0.05  # fraction of the spikiest intervals dropped from each side
@@ -200,7 +199,7 @@ def _sweep_measure(tmp_path):
     """Summed paired (t_off, t_metrics) over alternating-order trials.
 
     Every run gets a cold cache so both sides simulate every row;
-    ``off`` still journals and feeds the event bus, so the ratio
+    ``off`` still journals every progress event, so the ratio
     isolates what ``--obs-level metrics`` adds on top: per-run
     telemetry capture plus the artifact-store writes.  Single sweeps
     are far too short to ratio individually (frequency scaling swings
@@ -265,7 +264,9 @@ def test_obs_overhead(tmp_path):
     )
     print("\n=== Telemetry overhead by --obs-level (paired interleaved) ===")
     print(format_table(rows))
-    RESULT_PATH.write_text(json.dumps(rows, indent=2) + "\n")
+    result_path = tmp_path / "obs_overhead.json"
+    result_path.write_text(json.dumps(rows, indent=2) + "\n")
+    print(f"rows written to {result_path}")
 
     # Telemetry must never change what the simulation computes.
     assert summaries["metrics"] == summaries["off"]
@@ -277,7 +278,7 @@ def test_obs_overhead(tmp_path):
         f"metrics level costs {100 * (t_met / t_off - 1):.1f}% "
         f"(contract: < 5%)"
     )
-    # And so is sweep-scope observability (bus + artifact store).
+    # And so is sweep-scope observability (artifact store).
     assert sweep_met < sweep_off * 1.05, (
         f"sweep at metrics costs {100 * (sweep_met / sweep_off - 1):.1f}% "
         f"over off (contract: < 5%)"

@@ -11,9 +11,10 @@ Commands
 ``open-workload`` open-arrival grid: blocking probability and wait
                   percentiles vs offered load (docs/workloads.md)
 ``sweep-status``  summarise the on-disk result cache (``--journal``:
-                  list sweep journals; ``<sweep_id> --follow``: live
-                  progress from the sweep's event stream; ``--json``:
-                  the same snapshot for scripts)
+                  every sweep journal; ``<sweep_id> --follow``: live
+                  progress replayed from the sweep's journal, without
+                  an id every in-flight sweep; ``--json``: the same
+                  snapshot for scripts)
 ``sweep-resume``  resume an interrupted sweep from its journal
 ``master``        run the distributed-sweep control plane (leases rows
                   to agents over HTTP; docs/distributed_execution.md)
@@ -22,7 +23,6 @@ Commands
                   site, resume, demand byte-identical convergence
                   (docs/chaos_testing.md)
 ``obs-report``    summarise a ``--metrics`` file (or convert a trace)
-``obs-top``       live table of every in-flight sweep's progress
 ``obs-diff``      per-metric deltas between two telemetry sources
                   (obs artifacts, sweeps, ``--metrics`` documents,
                   JSON row lists); nonzero exit on threshold breach
@@ -60,6 +60,7 @@ from repro.exec import (
     format_bytes,
     journal_root,
     journal_status_rows,
+    list_journals,
     records_to_results,
     resolve_cache_dir,
 )
@@ -84,14 +85,7 @@ from repro.experiments.open_workload import (
 )
 from repro.experiments.table4 import run_table4, scaled_table4_stations
 from repro.obs import Observability, convert_jsonl_to_chrome
-from repro.obs.events import (
-    EVENTS_SUFFIX,
-    events_path,
-    list_event_streams,
-    load_events,
-    render_progress,
-    replay_events,
-)
+from repro.obs.events import render_progress
 from repro.obs.report import format_report, load_metrics
 from repro.obs.store import ObsArtifactStore
 from repro.simulation.config import SimulationConfig
@@ -491,40 +485,6 @@ def cmd_faults(args) -> int:
     return 0
 
 
-def _sweep_progress(root, sweep_id: Optional[str]):
-    """Replay one sweep's event stream (exact or unique-prefix id;
-    ``None`` picks the most recently active stream)."""
-    streams = list_event_streams(root)
-    if sweep_id is None:
-        if not streams:
-            raise ConfigurationError(
-                f"no sweep event streams under {root} (sweeps emit them "
-                "whenever they are journaled)"
-            )
-        path = max(streams, key=lambda p: p.stat().st_mtime)
-    else:
-        path = events_path(root, sweep_id)
-        if not path.is_file():
-            matches = [p for p in streams if p.name.startswith(sweep_id)]
-            if not matches:
-                raise ConfigurationError(
-                    f"no sweep event stream matches {sweep_id!r} under "
-                    f"{root} (see `repro sweep-status --journal`)"
-                )
-            if len(matches) > 1:
-                ids = ", ".join(
-                    p.name[: -len(EVENTS_SUFFIX)] for p in matches
-                )
-                raise ConfigurationError(
-                    f"sweep id {sweep_id!r} is ambiguous: matches {ids}"
-                )
-            path = matches[0]
-    progress = replay_events(load_events(path))
-    if not progress.sweep_id:
-        progress.sweep_id = path.name[: -len(EVENTS_SUFFIX)]
-    return progress
-
-
 def _print_frame(text: str, previous: Optional[str]) -> None:
     """One live-view frame: clear-and-redraw on a TTY, append-only
     (and deduplicated) when piped."""
@@ -535,26 +495,60 @@ def _print_frame(text: str, previous: Optional[str]) -> None:
         print(flush=True)
 
 
-def _follow_sweep(root, sweep_id: Optional[str], interval: float) -> int:
-    """Re-render a sweep's progress until it completes (Ctrl-C stops)."""
+def _follow(root, sweep_id: Optional[str], interval: float) -> int:
+    """Re-render until the followed sweep ends (Ctrl-C stops).
+
+    With an id, one sweep: it ends on ``complete``, or on
+    ``interrupted`` once it has moved since the first frame (following
+    an interrupted sweep waits for its resume).  Without an id, every
+    in-flight sweep, each to its last frame; returns once none is in
+    flight.
+    """
     previous: Optional[str] = None
+    first_seen: Optional[float] = None
+    watched: set = set()
     try:
         while True:
-            try:
-                snapshot = _sweep_progress(root, sweep_id).to_dict()
-            except ConfigurationError:
-                # The sweep may not have started yet (e.g. following a
-                # resume the moment it is launched): keep waiting.
-                _print_frame(
-                    f"waiting for sweep events under {root} ...", previous
+            if sweep_id is None:
+                states = sorted(
+                    (
+                        state for state in list_journals(root)
+                        if state.status == "in-flight"
+                        or state.sweep_id in watched
+                    ),
+                    key=lambda state: state.sweep_id,
                 )
-                previous = None
-                time.sleep(interval)
-                continue
-            text = render_progress(snapshot)
+                watched = {
+                    state.sweep_id for state in states
+                    if state.status == "in-flight"
+                }
+                text = "\n\n".join(
+                    render_progress(state.to_dict()) for state in states
+                ) or f"no in-flight sweeps under {root}"
+                done = not watched
+            else:
+                try:
+                    state = find_journal(root, sweep_id)
+                except ConfigurationError:
+                    # The sweep may not have started yet (e.g. following
+                    # a sweep the moment it is launched): keep waiting.
+                    _print_frame(
+                        f"waiting for sweep {sweep_id} under {root} ...",
+                        previous,
+                    )
+                    previous = None
+                    time.sleep(interval)
+                    continue
+                if first_seen is None:
+                    first_seen = state.updated_at
+                text = render_progress(state.to_dict())
+                done = state.status == "complete" or (
+                    state.status == "interrupted"
+                    and state.updated_at > first_seen
+                )
             _print_frame(text, previous)
             previous = text
-            if snapshot["status"] in ("complete", "interrupted"):
+            if done:
                 return 0
             time.sleep(interval)
     except KeyboardInterrupt:
@@ -565,18 +559,18 @@ def cmd_sweep_status(args) -> int:
     cache = ResultCache(resolve_cache_dir(args.cache_dir))
     root = journal_root(cache.root)
     if args.follow:
-        return _follow_sweep(root, args.sweep_id, args.interval)
+        return _follow(root, args.sweep_id, args.interval)
     if args.json_out or args.sweep_id:
-        progress = _sweep_progress(root, args.sweep_id)
+        snapshot = find_journal(root, args.sweep_id).to_dict()
         if args.json_out:
-            print(json.dumps(progress.to_dict(), indent=2, sort_keys=True))
+            print(json.dumps(snapshot, indent=2, sort_keys=True))
         else:
-            print(render_progress(progress.to_dict()))
+            print(render_progress(snapshot))
         return 0
     if args.journal:
-        rows = journal_status_rows(journal_root(cache.root))
+        rows = journal_status_rows(root)
         if not rows:
-            print(f"no sweep journals under {journal_root(cache.root)}")
+            print(f"no sweep journals under {root}")
             return 0
         print(format_table(rows))
         interrupted = [row for row in rows if row["status"] == "interrupted"]
@@ -614,7 +608,7 @@ def cmd_sweep_resume(args) -> int:
         return 2
     print(
         f"resuming sweep {state.sweep_id}: {state.completed}/{state.total} "
-        f"rows done, {state.pending} pending, {state.poisoned} poisoned"
+        f"rows done, {state.outstanding} pending, {state.poisoned} poisoned"
     )
     print(f"replaying: repro {' '.join(state.argv)}")
     return main(state.argv)
@@ -725,38 +719,6 @@ def cmd_obs_report(args) -> int:
               "--trace/--chrome)", file=sys.stderr)
         return 2
     return 0
-
-
-def cmd_obs_top(args) -> int:
-    """Live table of every sweep's progress (in-flight by default)."""
-    root = journal_root(resolve_cache_dir(args.cache_dir))
-    previous: Optional[str] = None
-    try:
-        while True:
-            blocks: List[str] = []
-            for path in list_event_streams(root):
-                progress = replay_events(load_events(path))
-                if not progress.sweep_id:
-                    progress.sweep_id = path.name[: -len(EVENTS_SUFFIX)]
-                snapshot = progress.to_dict()
-                if args.all or snapshot["status"] == "in-flight":
-                    blocks.append(render_progress(snapshot))
-            if blocks:
-                body = "\n\n".join(blocks)
-            elif args.all:
-                body = f"no sweep event streams under {root}"
-            else:
-                body = (
-                    f"no in-flight sweeps under {root} "
-                    "(--all shows finished ones)"
-                )
-            _print_frame(body, previous)
-            previous = body
-            if args.once:
-                return 0
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 130
 
 
 def cmd_obs_diff(args) -> int:
@@ -989,7 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
                "docs/distributed_execution.md.",
     )
     p_chaos.add_argument("--quick", action="store_true",
-                         help="CI-smoke subset: cache, journal, events, "
+                         help="CI-smoke subset: cache, journal, "
                               "one cluster RPC")
     p_chaos.add_argument("--list", action="store_true",
                          help="print the scenario table and exit")
@@ -1006,13 +968,15 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="The result cache and sweep journals are documented in "
                "docs/parallel_execution.md (cache layout, content "
                "addressing) and docs/resilient_execution.md (journals, "
-               "poisoned rows, sweep-resume); the progress event stream "
-               "behind --follow/--json is in docs/sweep_observability.md.",
+               "poisoned rows, sweep-resume); the progress events "
+               "behind --follow/--json are in docs/sweep_observability.md.",
     )
     p_status.add_argument("sweep_id", nargs="?", default=None,
                           help="sweep id (or unique prefix) to report "
                                "progress for (from `--journal`; omit to "
-                               "pick the most recently active sweep)")
+                               "pick the most recently active sweep, or "
+                               "with --follow to watch every in-flight "
+                               "sweep)")
     p_status.add_argument("--cache-dir", default=None, metavar="DIR",
                           help="cache directory (default: $REPRO_CACHE_DIR "
                                "or .repro-cache)")
@@ -1023,8 +987,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="list sweep journals instead: completed / "
                                "pending / poisoned counts per sweep")
     p_status.add_argument("--follow", action="store_true",
-                          help="live progress view of the sweep's event "
-                               "stream; re-renders until it completes")
+                          help="live progress view replayed from the "
+                               "sweep's journal; re-renders until it ends "
+                               "(without an id: every in-flight sweep, "
+                               "until none is in flight)")
     p_status.add_argument("--json", dest="json_out", action="store_true",
                           help="emit the progress snapshot as JSON (schema "
                                "repro-sweep-progress/2 — the exact document "
@@ -1066,34 +1032,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a chrome://tracing JSON file from --trace")
     p_obs.set_defaults(func=cmd_obs_report)
 
-    p_top = sub.add_parser(
-        "obs-top",
-        help="live table of every in-flight sweep's progress",
-        epilog="Each journaled sweep appends progress events to "
-               "<sweep_id>.events.jsonl beside its journal; obs-top "
-               "replays every stream and re-renders, like top(1) for "
-               "sweeps.  The event schema is in "
-               "docs/sweep_observability.md.",
-    )
-    p_top.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="cache directory whose journals to watch "
-                            "(default: $REPRO_CACHE_DIR or .repro-cache)")
-    p_top.add_argument("--interval", type=float, default=2.0,
-                       metavar="SECONDS",
-                       help="refresh interval (default: 2)")
-    p_top.add_argument("--once", action="store_true",
-                       help="render a single frame and exit (for scripts)")
-    p_top.add_argument("--all", action="store_true",
-                       help="include completed/interrupted sweeps, not "
-                            "just in-flight ones")
-    p_top.set_defaults(func=cmd_obs_top)
-
     p_diff = sub.add_parser(
         "obs-diff",
         help="per-metric deltas between two telemetry sources",
         epilog="A and B may each be an obs artifact "
                "(objects/<digest>.obs.json), a --metrics document, any "
-               "JSON list of rows (e.g. BENCH_obs_overhead.json), or "
+               "JSON list of rows (e.g. the rows the telemetry overhead "
+               "check prints; its < 5 % contract currently fails), or "
                "a sweep id resolved through the journal and obs artifact "
                "store beside --cache-dir (B uses --cache-dir-b when "
                "given).  Exit 3 when any delta breaches the threshold — "

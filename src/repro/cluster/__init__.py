@@ -2,8 +2,8 @@
 
 ``repro.cluster`` lifts the sweep executor across machines without
 changing what a sweep *means*: the master owns the same
-content-addressed result cache, append-only journal, and progress
-event bus a local sweep uses, and agents run leased rows through the
+content-addressed result cache and append-only sweep journal a local
+sweep uses, and agents run leased rows through the
 same supervised retry/poison machinery a local pool would.  The
 network is a transport, never a semantic: a sweep executed by one
 local worker, two loopback agents, or agents joining and dying

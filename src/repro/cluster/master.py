@@ -1,9 +1,9 @@
 """``repro master``: the sweep control plane.
 
 The master is the *authority* side of a distributed sweep: it owns
-the result cache, the sweep journal, the obs artifact store, and the
-progress event bus — the exact same four stores a local sweep uses,
-rooted at the same ``--cache-dir``.  Sweeps arrive over HTTP from
+the result cache, the sweep journal and the obs artifact store — the
+exact same three stores a local sweep uses, rooted at the same
+``--cache-dir``.  Sweeps arrive over HTTP from
 ``--master-url`` clients as lists of canonical spec documents; the
 master plans them with the executor's own
 :func:`~repro.exec.executor.plan_rows` (cache probe, journal resume,
@@ -48,7 +48,6 @@ from repro.exec.journal import (
 )
 from repro.exec.spec import spec_digest
 from repro.exec.supervisor import Supervision
-from repro.obs.events import EVENTS_VERSION, SweepEventBus
 from repro.obs.store import ObsArtifactStore
 from repro.cluster.protocol import (
     API_PREFIX,
@@ -100,33 +99,22 @@ class MasterSweep:
         self.options = options
         self.cache = cache
         self.obs_level = obs_level
-        root = journal_root(cache.root)
-        self.journal = SweepJournal(root, sweep_id)
+        self.journal = SweepJournal(journal_root(cache.root), sweep_id)
         prior = load_journal(self.journal.path)
-        self.journal.begin(argv, digests)
-        self.bus = SweepEventBus(root, sweep_id)
+        # jobs=0: in a distributed sweep the worker count is the agents'.
+        self.journal.begin(argv, digests, jobs=0, obs_level=obs_level)
         self.store: Optional[ObsArtifactStore] = (
             ObsArtifactStore(cache.root, level=obs_level)
             if obs_level != "off"
             else None
         )
-        self.bus.emit(
-            "sweep_begin",
-            version=EVENTS_VERSION,
-            sweep_id=sweep_id,
-            total=len(set(digests)),
-            jobs=0,  # distributed: worker count is the agents' affair
-            obs_level=obs_level,
-            argv=list(argv or []),
-        )
-        settled_prior = prior.settled_runs() if prior is not None else {}
         self.records, self.pending, self.artifacts = plan_rows(
             specs,
             digests,
             cache,
             self.store,
-            settled_prior,
-            self.bus,
+            prior.resumable() if prior is not None else {},
+            self.journal,
             sweep_id=sweep_id,
             journal_file=str(self.journal.path),
         )
@@ -174,12 +162,7 @@ class MasterSweep:
         if self.ended:
             return
         self.ended = True
-        if self.outcomes:
-            self.journal.end("complete")
-        self.bus.emit(
-            "sweep_end", status="complete", settled=self.settled
-        )
-        self.bus.close()
+        self.journal.end("complete", settled=self.settled)
 
     # -- leasing -------------------------------------------------------
     def lease_batch(
@@ -201,7 +184,7 @@ class MasterSweep:
                 }
             )
         if rows:
-            self.bus.emit(
+            self.journal.emit(
                 "lease_granted",
                 agent=agent_id,
                 indexes=[row["index"] for row in rows],
@@ -251,10 +234,9 @@ class MasterSweep:
             outcome,
             self.cache,
             self.journal,
-            self.bus,
             self.store,
         )
-        self.bus.emit(
+        self.journal.emit(
             "result_pushed",
             agent=agent_id,
             index=index,
@@ -282,7 +264,7 @@ class MasterSweep:
                         attempt=row.attempt + 1,
                     )
                 )
-                self.bus.emit(
+                self.journal.emit(
                     "run_retried",
                     index=row.index,
                     digest=row.digest,
@@ -311,10 +293,9 @@ class MasterSweep:
                     outcome,
                     self.cache,
                     self.journal,
-                    self.bus,
                 )
         if expired:
-            self.bus.emit(
+            self.journal.emit(
                 "lease_expired",
                 agent=agent_id,
                 indexes=expired,
@@ -420,9 +401,6 @@ class ClusterMaster:
         self.server.server_close()
         for thread in self._threads:
             thread.join(timeout=2.0)
-        with self._lock:
-            for sweep in self.sweeps.values():
-                sweep.bus.close()
 
     def serve_until_stopped(self) -> None:
         """Foreground mode for the ``repro master`` CLI."""
@@ -464,7 +442,7 @@ class ClusterMaster:
                     by_sweep.setdefault(sweep_id, []).append(index)
                 for sweep in self.sweeps.values():
                     if not sweep.ended:
-                        sweep.bus.emit(
+                        sweep.journal.emit(
                             "agent_died", agent=info.agent_id, reason=reason
                         )
                 for sweep_id, indexes in by_sweep.items():
@@ -490,7 +468,7 @@ class ClusterMaster:
         with self._lock:
             for sweep in self.sweeps.values():
                 if not sweep.ended:
-                    sweep.bus.emit(
+                    sweep.journal.emit(
                         "agent_registered",
                         agent=info.agent_id,
                         cores=info.cores,
@@ -510,7 +488,7 @@ class ClusterMaster:
         with self._lock:
             for sweep in self.sweeps.values():
                 if not sweep.ended and alive:
-                    sweep.bus.emit("heartbeat", agent=agent_id)
+                    sweep.journal.emit("heartbeat", agent=agent_id)
         return {"ok": alive}
 
     def api_lease(self, doc: Dict[str, Any]) -> Dict[str, Any]:
@@ -594,7 +572,7 @@ class ClusterMaster:
                 )
                 for info in self.registry.agents():
                     if info.alive and not sweep.ended:
-                        sweep.bus.emit(
+                        sweep.journal.emit(
                             "agent_registered",
                             agent=info.agent_id,
                             cores=info.cores,
@@ -656,7 +634,7 @@ def _make_handler(master: ClusterMaster):
         protocol_version = "HTTP/1.1"
 
         def log_message(self, format, *args):  # noqa: A002 — stdlib name
-            pass  # the event bus is the log; stderr chatter helps no one
+            pass  # the sweep journal is the log; stderr chatter helps no one
 
         def _reply(self, code: int, document: Dict[str, Any]) -> None:
             body = json.dumps(document).encode("utf-8")

@@ -31,7 +31,6 @@ from repro.exec.executor import (
 )
 from repro.exec.hashing import canonical, canonical_json, code_salt
 from repro.exec.journal import (
-    JournalState,
     SweepJournal,
     find_journal,
     journal_root,
@@ -46,7 +45,6 @@ from repro.exec.supervisor import Supervision, SupervisedPool
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
-    "JournalState",
     "ResultCache",
     "RetryPolicy",
     "RunRecord",

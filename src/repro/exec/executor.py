@@ -47,7 +47,6 @@ from repro import failpoints
 from repro.errors import ConfigurationError, ReproError, SweepInterrupted
 from repro.exec.cache import ResultCache
 from repro.exec.journal import (
-    JournalState,
     SweepJournal,
     journal_root,
     load_journal,
@@ -61,18 +60,17 @@ from repro.exec.supervisor import (
     attempt_serial,
     pool_context,
 )
-from repro.obs.events import EVENTS_VERSION, SweepEventBus
 from repro.obs.store import ObsArtifactStore
 from repro.simulation.results import SimulationResult
 
 #: Failpoint sites bracketing the shared settle/persist path.
 SITE_PERSIST_PRE = failpoints.register_site(
     "executor.persist.pre",
-    "a run settled, nothing flushed yet (cache/journal/bus pending)",
+    "a run settled, nothing flushed yet (cache/journal pending)",
 )
 SITE_PERSIST_POST = failpoints.register_site(
     "executor.persist.post",
-    "one settled row fully flushed to cache, journal, and bus",
+    "one settled row fully flushed to cache and journal",
 )
 
 #: Failure summaries embedded in a SweepFailure message (the full
@@ -175,7 +173,7 @@ def plan_rows(
     cache: Optional[ResultCache],
     store: Optional[ObsArtifactStore],
     settled_prior: Dict[str, Dict[str, Any]],
-    bus: Optional[SweepEventBus],
+    journal: Optional[SweepJournal],
     sweep_id: str = "",
     journal_file: str = "",
 ) -> Tuple[
@@ -185,9 +183,9 @@ def plan_rows(
     and pending work.
 
     Probes the result cache, the obs artifact store, and the prior
-    journal rows for every spec, emitting the plan-time events
-    (``cache_hit``/``journal_hit``/``artifact_hit``/``artifact_miss``)
-    on ``bus``.  Returns ``(records, pending, artifacts)`` where
+    journal rows for every spec, journaling the plan-time events
+    (``cache_hit``/``journal_hit``/``artifact_hit``/``artifact_miss``).
+    Returns ``(records, pending, artifacts)`` where
     ``records`` maps already-settled indices to their
     :class:`RunRecord`, ``pending`` maps each digest still owed to the
     spec indices wanting it (the first index of each group is the
@@ -203,7 +201,7 @@ def plan_rows(
     records: Dict[int, RunRecord] = {}
     pending: Dict[str, List[int]] = {}
     artifacts: Dict[str, Dict[str, Any]] = {}
-    emitted: set = set()  # digests already announced on the bus
+    emitted: set = set()  # digests whose artifact was already journaled
     for index, (spec, digest) in enumerate(zip(specs, digests)):
         stored = cache.get(digest) if cache is not None else None
         journal_row = settled_prior.get(digest)
@@ -224,18 +222,18 @@ def plan_rows(
                 # and re-execute: runs are deterministic, so the
                 # payload cannot change, and the fresh execute
                 # backfills the artifact.
-                if bus is not None and digest not in emitted:
+                if journal is not None and digest not in emitted:
                     emitted.add(digest)
-                    bus.emit("artifact_miss", digest=digest, index=index)
+                    journal.emit("artifact_miss", digest=digest, index=index)
                 stored = None
             else:
                 reusable_journal_row = journal_row is not None
                 artifacts[digest] = {
                     "runs": artifact["runs"], "trace": artifact.get("trace")
                 }
-                if bus is not None and digest not in emitted:
+                if journal is not None and digest not in emitted:
                     emitted.add(digest)
-                    bus.emit("artifact_hit", digest=digest, index=index)
+                    journal.emit("artifact_hit", digest=digest, index=index)
         if stored is not None:
             records[index] = RunRecord(
                 index=index,
@@ -249,8 +247,8 @@ def plan_rows(
                 sweep_id=sweep_id,
                 journal_path=journal_file,
             )
-            if bus is not None:
-                bus.emit(
+            if journal is not None:
+                journal.emit(
                     "cache_hit",
                     digest=digest,
                     index=index,
@@ -273,8 +271,8 @@ def plan_rows(
                 sweep_id=sweep_id,
                 journal_path=journal_file,
             )
-            if bus is not None:
-                bus.emit(
+            if journal is not None:
+                journal.emit(
                     "journal_hit",
                     digest=digest,
                     index=index,
@@ -294,11 +292,9 @@ def persist_outcome(
     outcome: Dict[str, Any],
     cache: Optional[ResultCache],
     journal: Optional[SweepJournal],
-    bus: Optional[SweepEventBus],
     store: Optional[ObsArtifactStore] = None,
 ) -> None:
-    """Flush one settled outcome to the obs store, cache, journal, and
-    event bus.
+    """Flush one settled outcome to the obs store, cache and journal.
 
     The single write path shared by the local executor and the cluster
     master: whoever settles a run — an in-process worker or a remote
@@ -325,23 +321,12 @@ def persist_outcome(
     if journal is not None:
         journal.record_run(
             digest,
+            index=index,
             kind=spec.kind,
             label=spec.describe(),
             status=outcome["status"],
             payload=outcome["payload"],
             error=outcome.get("error"),
-            duration_s=outcome["duration_s"],
-            attempts=outcome.get("attempt", 1),
-            poisoned=outcome.get("poison", False),
-        )
-    if bus is not None:
-        bus.emit(
-            "run_settled",
-            index=index,
-            digest=digest,
-            kind=spec.kind,
-            label=spec.describe(),
-            status=outcome["status"],
             duration_s=outcome["duration_s"],
             attempts=outcome.get("attempt", 1),
             poisoned=outcome.get("poison", False),
@@ -373,34 +358,29 @@ def _open_journal(
     supervision: Supervision,
     cache: Optional[ResultCache],
     digests: Sequence[str],
-) -> Tuple[
-    Optional[SweepJournal], Optional[JournalState], Optional[SweepEventBus]
-]:
-    """The sweep's journal (plus prior state and its progress event
-    bus), or ``(None, None, None)``.
+    jobs: int,
+    obs_level: str,
+) -> Tuple[Optional[SweepJournal], Dict[str, Dict[str, Any]]]:
+    """The sweep's journal, opened with this session's ``sweep_begin``,
+    plus the rows a prior session settled; ``(None, {})`` without one.
 
-    Journaling defaults to on exactly when a cache is present: the
-    journal lives beside it, and ``--no-cache`` runs are explicitly
-    ephemeral.  ``supervision.journal``/``journal_dir`` override both
-    halves of that default.  The event bus shares the journal
-    directory (``<sweep_id>.events.jsonl``) and the journal's
-    lifetime: every journaled sweep is followable, at any obs level.
+    Journaling is on exactly when there is a cache (the journal lives
+    beside it) or a ``supervision.journal_dir``: ``--no-cache`` runs
+    are explicitly ephemeral.  Every journaled sweep is followable, at
+    any obs level.
     """
-    enabled = supervision.journal
-    if enabled is None:
-        enabled = cache is not None or supervision.journal_dir is not None
-    if not enabled:
-        return None, None, None
     if supervision.journal_dir is not None:
         root = supervision.journal_dir
     elif cache is not None:
         root = journal_root(cache.root)
     else:
-        return None, None, None
+        return None, {}
     journal = SweepJournal(root, sweep_id_for(digests))
     prior = load_journal(journal.path)
-    journal.begin(supervision.argv, list(digests))
-    return journal, prior, SweepEventBus(root, journal.sweep_id)
+    journal.begin(
+        supervision.argv, list(digests), jobs=jobs, obs_level=obs_level
+    )
+    return journal, prior.resumable() if prior is not None else {}
 
 
 def execute(
@@ -454,26 +434,18 @@ def execute(
 
     with phase("plan"):
         digests = [spec_digest(spec) for spec in specs]
-        journal, prior, bus = (
-            _open_journal(supervision, cache, digests)
+        journal, settled_prior = (
+            _open_journal(
+                supervision, cache, digests, jobs,
+                obs.level.value if obs is not None else "off",
+            )
             if len(specs) > 1
-            else (None, None, None)
+            else (None, {})
         )
         sweep_id = journal.sweep_id if journal is not None else ""
         journal_file = str(journal.path) if journal is not None else ""
-        if bus is not None:
-            bus.emit(
-                "sweep_begin",
-                version=EVENTS_VERSION,
-                sweep_id=sweep_id,
-                total=len(set(digests)),
-                jobs=jobs,
-                obs_level=obs.level.value if obs is not None else "off",
-                argv=list(supervision.argv or []),
-            )
-        settled_prior = prior.settled_runs() if prior is not None else {}
         records, pending, artifacts = plan_rows(
-            specs, digests, cache, store, settled_prior, bus,
+            specs, digests, cache, store, settled_prior, journal,
             sweep_id=sweep_id, journal_file=journal_file,
         )
 
@@ -486,7 +458,7 @@ def execute(
         outcomes[index] = outcome
         digest = index_digest[index]
         persist_outcome(
-            specs[index], index, digest, outcome, cache, journal, bus, store
+            specs[index], index, digest, outcome, cache, journal, store
         )
 
     retries = 0
@@ -502,7 +474,7 @@ def execute(
                     supervision,
                     obs=obs,
                     obs_level=obs_level,
-                    bus=bus,
+                    journal=journal,
                     index=index,
                     digest=index_digest[index],
                 )
@@ -514,7 +486,7 @@ def execute(
                 jobs,
                 supervision,
                 pool_context(),
-                bus=bus,
+                journal=journal,
                 obs_level=obs_level,
                 digests=index_digest,
             )
@@ -576,14 +548,12 @@ def execute(
             for outcome in outcomes.values():
                 run_seconds.record(outcome["duration_s"])
 
+    if journal is not None:
+        journal.end(
+            "interrupted" if interrupted is not None else "complete",
+            settled=len(records),
+        )
     if interrupted is not None:
-        if journal is not None:
-            journal.end("interrupted")
-        if bus is not None:
-            bus.emit(
-                "sweep_end", status="interrupted", settled=len(records)
-            )
-            bus.close()
         if exec_obs is not None:
             obs.finish_run(exec_obs)
         done = len(records)
@@ -595,11 +565,6 @@ def execute(
             signal_name=interrupted,
         )
 
-    if journal is not None and outcomes:
-        journal.end("complete")
-    if bus is not None:
-        bus.emit("sweep_end", status="complete", settled=len(records))
-        bus.close()
     if exec_obs is not None:
         obs.finish_run(exec_obs)
     return [records[index] for index in range(len(specs))]

@@ -1,30 +1,43 @@
-"""Durable sweep journal: crash-safe checkpoint/resume for sweeps.
+"""The sweep journal: the one crash-safe record of a sweep.
 
 A sweep's identity is the content of its work, not the time it ran:
 :func:`sweep_id_for` hashes the sorted spec digests, so re-running the
 same command after a crash computes the same sweep id and finds the
-same journal.  The journal itself is an **append-only JSONL file** at
-``<journal_root>/<sweep_id>.jsonl``:
+same journal.  The journal is an **append-only JSONL file** at
+``<journal_root>/<sweep_id>.jsonl`` holding every record of the sweep
+in the order it happened (the vocabulary is the table in
+:mod:`repro.obs.events`).  Records come in two strengths:
 
-* a ``begin`` record with the command line, total row count, and the
-  spec digests (written once, the first time the sweep starts);
-* one ``run`` record per finished digest, carrying the full payload —
-  the journal is self-contained, so resume works even with
-  ``--no-cache``;
-* an ``end`` record marking a clean completion or a graceful
-  interruption.
+* **durable** — ``sweep_begin`` (command line, row count; one per
+  session), ``run_settled`` (one per finished digest, carrying the full
+  payload, so resume works even with ``--no-cache``) and ``sweep_end``
+  (clean completion or graceful interruption, one per session).  Each
+  is fsynced before the append returns, and an I/O error raises;
+* **advisory** — every other progress event (cache and journal hits,
+  leases, retries, workers, heartbeats, cluster agents).  Written the
+  same way but not fsynced, and an error is swallowed: progress
+  telemetry must never fail a sweep.
 
-Appends are single ``write()`` calls of one ``\\n``-terminated line
-each, made under an exclusive ``flock`` and flushed + fsynced, so a
-crash can at worst tear the *final* line; :func:`load_journal`
-tolerates a torn tail (and any other unparsable line) by skipping it.
-Everything before the tear is intact — that is the checkpoint.
+Every append is a single ``os.write`` of one ``\\n``-terminated line on
+an ``O_APPEND`` descriptor, under an exclusive ``flock``, so concurrent
+writers (the executor, a cluster master's handler threads) never
+interleave bytes and a crash can at worst tear the *final* line;
+:func:`read_records` skips a torn line and everything before it
+stands.  A disk-full error (ENOSPC/EDQUOT) darkens the whole journal
+with one warning: the sweep continues and a resume relies on the
+result cache.
 
-Resume has two entry points: ``repro sweep-resume <sweep-id>`` replays
-the recorded command line, and simply re-running the original command
-hits the same journal automatically.  Either way the executor treats
-journaled ``ok`` rows (and poisoned rows — deterministic failures that
-would fail identically again) as done and only dispatches the rest.
+:func:`load_journal` folds a journal with
+:func:`~repro.obs.events.replay_events` into the one
+:class:`~repro.obs.events.SweepProgress` state every reader uses:
+resume, ``repro sweep-status`` (``--journal``, ``--json``,
+``--follow``), ``repro sweep-resume``, ``repro obs-diff`` and the chaos
+harness.  Resume has two entry points: ``repro sweep-resume
+<sweep-id>`` replays the recorded command line, and simply re-running
+the original command hits the same journal automatically.  Either way
+the executor treats journaled ``ok`` rows (and poisoned rows —
+deterministic failures that would fail identically again) as done and
+only dispatches the rest.
 """
 
 from __future__ import annotations
@@ -33,25 +46,29 @@ import fcntl
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro import failpoints
 from repro.errors import ConfigurationError
 from repro.exec.hashing import digest_document
 from repro.integrity import out_of_space, warn_degraded
+from repro.obs.events import (
+    SweepProgress,
+    compact_heartbeat_lines,
+    replay_events,
+)
 
 PathLike = Union[str, Path]
 
-#: Failpoint sites bracketing the single-write append.
+#: Failpoint sites bracketing the single-write append (every record).
 SITE_APPEND_PRE_WRITE = failpoints.register_site(
     "journal.append.pre_write",
-    "journal fd open, record not yet written (torn-capable)",
+    "journal fd open and locked, record not yet written (torn-capable)",
 )
 SITE_APPEND_POST_WRITE = failpoints.register_site(
     "journal.append.post_write",
-    "journal record written and fsynced",
+    "journal record written (and fsynced, if durable)",
 )
 
 #: Journal format version (bumped on incompatible record changes).
@@ -60,8 +77,11 @@ JOURNAL_VERSION = 1
 #: Subdirectory of the cache root where journals live.
 JOURNAL_SUBDIR = "journals"
 
+#: Records a resume depends on: fsynced, and their I/O errors raise.
+DURABLE_EVENTS = frozenset({"sweep_begin", "run_settled", "sweep_end"})
 
-def sweep_id_for(digests: Iterable[str]) -> str:
+
+def sweep_id_for(digests) -> str:
     """Deterministic sweep identity: a digest of the sorted digests.
 
     Spec digests already include the code-version salt, so a code
@@ -82,156 +102,157 @@ def journal_path(root: PathLike, sweep_id: str) -> Path:
     return Path(root) / f"{sweep_id}.jsonl"
 
 
-@dataclass
-class JournalState:
-    """Everything :func:`load_journal` recovers from one journal."""
+def _flock(fd: int, operation: int) -> None:
+    try:
+        fcntl.flock(fd, operation)
+    except OSError:
+        pass  # no lock support here: single-write appends still work
 
-    sweep_id: str = ""
-    path: Optional[Path] = None
-    argv: List[str] = field(default_factory=list)
-    total: int = 0
-    digests: List[str] = field(default_factory=list)
-    #: digest -> last ``run`` record seen for it.
-    runs: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: "in-progress" | "complete" | "interrupted"
-    status: str = "in-progress"
-    created_at: float = 0.0
-    updated_at: float = 0.0
 
-    @property
-    def completed(self) -> int:
-        """Rows finished successfully."""
-        return sum(1 for row in self.runs.values() if row.get("status") == "ok")
+def _names_path(fd: int, path: Path) -> bool:
+    """Whether ``fd`` is still the file at ``path`` (a compaction
+    replaces the file, leaving older descriptors on the old inode)."""
+    try:
+        return os.fstat(fd).st_ino == os.stat(path).st_ino
+    except FileNotFoundError:
+        return False
 
-    @property
-    def poisoned(self) -> int:
-        """Rows quarantined by a deterministic failure."""
-        return sum(1 for row in self.runs.values() if row.get("poisoned"))
 
-    @property
-    def pending(self) -> int:
-        """Rows the sweep still owes (retryable errors count as pending)."""
-        return max(0, self.total - self.completed - self.poisoned)
+def _open_locked(path: Path):
+    """``path`` opened for append and exclusively locked, reopened until
+    the locked descriptor still names ``path``."""
+    while True:
+        handle = open(path, "a+b", buffering=0)
+        _flock(handle.fileno(), fcntl.LOCK_EX)
+        if _names_path(handle.fileno(), path):
+            return handle
+        handle.close()
 
-    def settled_runs(self) -> Dict[str, Dict[str, Any]]:
-        """Records a resume may reuse: successes and poisoned rows.
 
-        Transient errors (retries exhausted, worker killed, timeout)
-        are deliberately *not* settled — a resume retries them.
-        """
-        return {
-            digest: row
-            for digest, row in self.runs.items()
-            if row.get("status") == "ok" or row.get("poisoned")
-        }
+def _compact_locked(path: Path) -> bool:
+    """Drop superseded heartbeats from ``path``; True if it was replaced.
 
-    @property
-    def resume_command(self) -> str:
-        return f"repro sweep-resume {self.sweep_id}" if self.sweep_id else ""
+    The caller holds the appenders' lock on ``path``'s current file.
+    The rewrite goes through an fsynced temp file and ``os.replace``,
+    so the journal is never half-written, and bytes it keeps (a torn
+    tail included) are kept exactly.  Appenders blocked on the old file
+    see that it no longer names the path and reopen (see
+    :class:`SweepJournal`), so no concurrent record is lost.  Any I/O
+    error leaves the journal as it was.
+    """
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        text = path.read_bytes().decode("utf-8", "surrogateescape")
+        lines = text.splitlines(keepends=True)
+        compacted = compact_heartbeat_lines(lines)
+        if len(compacted) == len(lines):
+            return False
+        with open(tmp, "wb") as handle:
+            handle.write("".join(compacted).encode("utf-8", "surrogateescape"))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        return False
+    return True
+
+
+def compact_journal(path: PathLike) -> bool:
+    """Compact one journal's heartbeats in place; True if it shrank.
+
+    Safe against concurrent appenders (it takes their lock).  Never
+    raises: any I/O error leaves the journal as it was.
+    """
+    path = Path(path)
+    if not path.is_file():
+        return False
+    try:
+        with _open_locked(path):
+            return _compact_locked(path)
+    except OSError:
+        return False
 
 
 class SweepJournal:
-    """Append-only writer for one sweep's journal file."""
+    """Append-only writer for one sweep's journal file.
+
+    The first append of a session compacts the previous sessions'
+    superseded heartbeats.  Every append opens the path and takes the
+    exclusive lock (reopening if a compaction replaced the file while
+    it waited), terminates a torn tail left by a killed writer
+    (appending onto it would glue two records into one unparsable
+    line), writes its one line and closes, which drops the lock.
+    """
 
     def __init__(self, root: PathLike, sweep_id: str) -> None:
         self.sweep_id = sweep_id
         self.path = journal_path(root, sweep_id)
         #: Set when the disk filled up — appends become no-ops.
         self.dead = False
-        self._tail_checked = False
+        self._compacted = False
 
     def __repr__(self) -> str:
         return f"<SweepJournal {self.sweep_id} at {self.path}>"
 
-    def _repair_tail(self, fd: int) -> None:
-        """Terminate a torn tail before the session's first append.
-
-        A crash mid-append can leave the file ending in a partial
-        record with no newline.  Appending the next record directly
-        after it would glue two records onto one unparsable line —
-        losing the *new* record too.  Writing a lone newline first
-        confines the damage to the already-lost fragment.
-        """
-        if self._tail_checked:
-            return
-        self._tail_checked = True
-        try:
+    def _append(self, line: bytes, durable: bool) -> None:
+        if not self._compacted:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            compact_journal(self.path)
+            self._compacted = True
+        with _open_locked(self.path) as handle:
+            fd = handle.fileno()
             size = os.fstat(fd).st_size
-            if size > 0 and os.pread(fd, 1, size - 1) != b"\n":
+            if size and os.pread(fd, 1, size - 1) != b"\n":
                 os.write(fd, b"\n")
-        except OSError:
-            pass  # pread unsupported or racing writer: appends still work
+            failpoints.fire(
+                SITE_APPEND_PRE_WRITE,
+                data=line,
+                writer=lambda prefix: (os.write(fd, prefix), os.fsync(fd)),
+            )
+            os.write(fd, line)
+            if durable:
+                os.fsync(fd)
+            failpoints.fire(SITE_APPEND_POST_WRITE)
 
-    def _append(self, record: Dict[str, Any]) -> None:
+    def emit(self, event: str, **fields: Any) -> None:
+        """Append one record (durable kinds: fsynced, errors raise)."""
         if self.dead:
             return
-        line = (json.dumps(record, sort_keys=False) + "\n").encode("utf-8")
+        durable = event in DURABLE_EVENTS
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            # A single os.write() on an O_APPEND descriptor per record: a
-            # crash tears at most the last line (which load_journal skips),
-            # and concurrent settlers — the local executor and a cluster
-            # master flushing agent results into the same journal — cannot
-            # interleave bytes *within* a row the way a buffered writer
-            # splitting one line across flushes could.
-            fd = os.open(
-                self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
-            )
-            try:
-                # The kernel grows a file page by page inside one
-                # write(), so a tail check racing another process's
-                # append can see half a line and add a spurious blank
-                # one.  Appenders serialise on the file; closing the
-                # descriptor drops the lock.
-                try:
-                    fcntl.flock(fd, fcntl.LOCK_EX)
-                except OSError:
-                    pass  # no lock support here: appends still work
-                self._repair_tail(fd)
-                failpoints.fire(
-                    SITE_APPEND_PRE_WRITE,
-                    data=line,
-                    writer=lambda prefix: (
-                        os.write(fd, prefix),
-                        os.fsync(fd),
-                    ),
+            record = {"event": event, "ts": time.time(), **fields}
+            self._append((json.dumps(record) + "\n").encode("utf-8"), durable)
+        except (OSError, TypeError, ValueError) as error:
+            if isinstance(error, OSError) and out_of_space(error):
+                self.dead = True
+                warn_degraded(
+                    "sweep journal",
+                    f"{error} — sweep continues without journaling "
+                    f"(resume will rely on the result cache)",
                 )
-                os.write(fd, line)
-                os.fsync(fd)
-                failpoints.fire(SITE_APPEND_POST_WRITE)
-            finally:
-                os.close(fd)
-        except OSError as error:
-            if not out_of_space(error):
+            elif durable:
                 raise
-            self.dead = True
-            warn_degraded(
-                "sweep journal",
-                f"{error} — sweep continues without journaling "
-                f"(resume will rely on the result cache)",
-            )
 
-    def begin(self, argv: Optional[List[str]], digests: List[str]) -> None:
-        """Record the sweep's start (idempotent across resumes).
-
-        A resumed sweep appends nothing here: the original ``begin``
-        already carries the command line and digest set, and appending
-        another would only bloat the file.
-        """
-        if self.path.exists():
-            state = load_journal(self.path)
-            if state is not None and state.sweep_id == self.sweep_id:
-                return
-        self._append(
-            {
-                "event": "begin",
-                "version": JOURNAL_VERSION,
-                "sweep_id": self.sweep_id,
-                "argv": list(argv) if argv else [],
-                "total": len(set(digests)),
-                "digests": sorted(set(digests)),
-                "created_at": time.time(),
-            }
+    def begin(
+        self,
+        argv: Optional[List[str]],
+        digests: List[str],
+        jobs: int = 1,
+        obs_level: str = "off",
+    ) -> None:
+        """Record a session's start (every session writes one)."""
+        self.emit(
+            "sweep_begin",
+            version=JOURNAL_VERSION,
+            sweep_id=self.sweep_id,
+            total=len(set(digests)),
+            jobs=jobs,
+            obs_level=obs_level,
+            argv=list(argv) if argv else [],
         )
 
     def record_run(
@@ -242,50 +263,44 @@ class SweepJournal:
         label: str,
         status: str,
         payload: Dict[str, Any],
+        index: int = -1,
         error: Optional[str] = None,
         duration_s: float = 0.0,
         attempts: int = 1,
         poisoned: bool = False,
     ) -> None:
         """Append one finished (or settled-failed) row."""
-        self._append(
-            {
-                "event": "run",
-                "digest": digest,
-                "kind": kind,
-                "label": label,
-                "status": status,
-                "payload": payload,
-                "error": error,
-                "duration_s": duration_s,
-                "attempts": attempts,
-                "poisoned": poisoned,
-                "recorded_at": time.time(),
-            }
+        self.emit(
+            "run_settled",
+            index=index,
+            digest=digest,
+            kind=kind,
+            label=label,
+            status=status,
+            duration_s=duration_s,
+            attempts=attempts,
+            poisoned=poisoned,
+            error=error,
+            payload=payload,
         )
 
-    def end(self, status: str) -> None:
-        """Append the terminal record: ``complete`` or ``interrupted``."""
-        self._append(
-            {"event": "end", "status": status, "recorded_at": time.time()}
-        )
+    def end(self, status: str, settled: int = 0) -> None:
+        """Append the session's terminal record."""
+        self.emit("sweep_end", status=status, settled=settled)
 
 
-def load_journal(path: PathLike) -> Optional[JournalState]:
-    """Replay one journal file into a :class:`JournalState`.
+def read_records(path: PathLike) -> List[Dict[str, Any]]:
+    """Every readable record of one journal, in append order.
 
-    Returns ``None`` when the file is missing or contains no readable
-    ``begin`` record.  Unparsable lines (torn tail after a crash) are
-    skipped; later records win, so the state reflects the newest
-    attempt at each row.
+    Unparsable lines (a torn tail after a crash, a scribble) are
+    skipped; everything before them stands.  A missing file reads as
+    no records.
     """
-    path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        lines = Path(path).read_bytes().decode("utf-8", "replace").splitlines()
     except OSError:
-        return None
-    state = JournalState(path=path)
-    saw_begin = False
+        return []
+    records: List[Dict[str, Any]] = []
     for line in lines:
         line = line.strip()
         if not line:
@@ -293,64 +308,52 @@ def load_journal(path: PathLike) -> Optional[JournalState]:
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
-            continue  # torn tail or scribble — everything before it stands
-        if not isinstance(record, dict):
             continue
-        event = record.get("event")
-        if event == "begin":
-            saw_begin = True
-            state.sweep_id = str(record.get("sweep_id", ""))
-            state.argv = [str(part) for part in record.get("argv", [])]
-            state.total = int(record.get("total", 0))
-            state.digests = [str(d) for d in record.get("digests", [])]
-            state.created_at = float(record.get("created_at", 0.0))
-            state.status = "in-progress"
-        elif event == "run":
-            digest = record.get("digest")
-            if isinstance(digest, str):
-                state.runs[digest] = record
-                state.status = "in-progress"
-                state.updated_at = float(record.get("recorded_at", 0.0))
-        elif event == "end":
-            state.status = str(record.get("status", "complete"))
-            state.updated_at = float(record.get("recorded_at", 0.0))
-    if not saw_begin:
-        return None
-    return state
+        if isinstance(record, dict) and "event" in record:
+            records.append(record)
+    return records
 
 
-def list_journals(root: PathLike) -> List[JournalState]:
+def load_journal(path: PathLike) -> Optional[SweepProgress]:
+    """Fold one journal into its :class:`SweepProgress`, or ``None``
+    when the file is missing or holds no readable ``sweep_begin``."""
+    progress = replay_events(read_records(path))
+    return progress if progress.sweep_id else None
+
+
+def list_journals(root: PathLike) -> List[SweepProgress]:
     """All readable journals under ``root``, newest activity first."""
     root = Path(root)
     if not root.is_dir():
         return []
-    states = []
-    for path in sorted(root.glob("*.jsonl")):
-        if path.name.endswith(".events.jsonl"):
-            continue  # a sweep's progress event stream, not a journal
-        state = load_journal(path)
-        if state is not None:
-            states.append(state)
-    states.sort(key=lambda s: max(s.created_at, s.updated_at), reverse=True)
-    return states
+    states = [load_journal(path) for path in sorted(root.glob("*.jsonl"))]
+    found = [state for state in states if state is not None]
+    found.sort(key=lambda state: state.updated_at, reverse=True)
+    return found
 
 
-def find_journal(root: PathLike, sweep_id: str) -> JournalState:
-    """The journal for ``sweep_id`` (exact or unique-prefix match)."""
+def find_journal(root: PathLike, sweep_id: Optional[str]) -> SweepProgress:
+    """The journal for ``sweep_id`` (exact or unique-prefix match;
+    ``None`` picks the most recently active sweep)."""
     root = Path(root)
-    exact = load_journal(journal_path(root, sweep_id))
-    if exact is not None:
-        return exact
-    matches = [
-        state for state in list_journals(root)
-        if state.sweep_id.startswith(sweep_id)
-    ]
+    if sweep_id is not None:
+        exact = load_journal(journal_path(root, sweep_id))
+        if exact is not None:
+            return exact
+    known = list_journals(root)
+    if sweep_id is None:
+        if known:
+            return known[0]
+        raise ConfigurationError(
+            f"no sweep journals under {root} (a sweep writes one whenever "
+            "it has a cache or a journal directory)"
+        )
+    matches = [state for state in known if state.sweep_id.startswith(sweep_id)]
     if len(matches) == 1:
         return matches[0]
     if not matches:
-        known = [state.sweep_id for state in list_journals(root)]
         hint = (
-            f"; known sweeps: {', '.join(known)}"
+            f"; known sweeps: {', '.join(state.sweep_id for state in known)}"
             if known
             else " (no journals yet)"
         )
@@ -366,19 +369,17 @@ def find_journal(root: PathLike, sweep_id: str) -> JournalState:
 
 def journal_status_rows(root: PathLike) -> List[Dict[str, Any]]:
     """One row per journal for ``repro sweep-status --journal``."""
-    now = time.time()
     rows = []
     for state in list_journals(root):
-        stamp = max(state.created_at, state.updated_at)
         rows.append(
             {
                 "sweep_id": state.sweep_id,
                 "status": state.status,
                 "total": state.total,
                 "completed": state.completed,
-                "pending": state.pending,
+                "pending": state.outstanding,
                 "poisoned": state.poisoned,
-                "age_s": 0.0 if not stamp else round(max(0.0, now - stamp), 1),
+                "age_s": round(state.age_s, 1),
                 "command": " ".join(state.argv) if state.argv else "?",
             }
         )

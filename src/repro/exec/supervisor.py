@@ -96,10 +96,8 @@ class Supervision:
     heartbeat_timeout: float = 30.0
     #: Where heartbeat files live (default: a private temp dir).
     heartbeat_dir: Optional[Path] = None
-    #: Journaling: ``None`` = auto (journal when a cache is present),
-    #: ``True``/``False`` force it on/off.
-    journal: Optional[bool] = None
-    #: Journal directory override (default: ``<cache root>/journals``).
+    #: Journal directory (default: ``<cache root>/journals``; without
+    #: a cache or this directory the sweep is not journaled).
     journal_dir: Optional[Path] = None
     #: The command line to record for ``repro sweep-resume``.
     argv: Optional[List[str]] = None
@@ -325,13 +323,13 @@ class SupervisedPool:
         jobs: int,
         options: Supervision,
         context,
-        bus=None,
+        journal=None,
         obs_level: str = "off",
         digests: Optional[Dict[int, str]] = None,
     ) -> None:
         self.options = options
         self.context = context
-        self.bus = bus
+        self.journal = journal
         self.obs_level = obs_level
         self.digests = digests or {}
         self._last_heartbeat = 0.0
@@ -355,9 +353,9 @@ class SupervisedPool:
             self.heartbeat_dir = Path(self._own_heartbeat_dir)
 
     def _emit(self, event: str, **fields) -> None:
-        """Forward one progress event to the sweep bus (if any)."""
-        if self.bus is not None:
-            self.bus.emit(event, **fields)
+        """Journal one progress event (if the sweep is journaled)."""
+        if self.journal is not None:
+            self.journal.emit(event, **fields)
 
     # -- lifecycle -----------------------------------------------------
     def _spawn_worker(self) -> _WorkerHandle:
@@ -586,7 +584,7 @@ class SupervisedPool:
 
     def _emit_heartbeat(self) -> None:
         """Emit an aggregate progress heartbeat at most once a second."""
-        if self.bus is None:
+        if self.journal is None:
             return
         now = time.monotonic()
         if now - self._last_heartbeat < 1.0:
@@ -639,7 +637,7 @@ def attempt_serial(
     options: Supervision,
     obs=None,
     obs_level: str = "off",
-    bus=None,
+    journal=None,
     index: Optional[int] = None,
     digest: Optional[str] = None,
 ) -> Dict[str, Any]:
@@ -650,15 +648,15 @@ def attempt_serial(
     Above ``off``, ``obs_level`` captures the run exactly as a worker
     does (``obs`` is then unused: the caller adopts the outcome's
     artifact, so snapshots are never taken twice); at ``off`` the run
-    threads ``obs`` through.  ``bus``/``index``/``digest`` add progress
-    events for the serial path.
+    threads ``obs`` through.  ``journal``/``index``/``digest`` journal
+    progress events for the serial path.
     """
     attempt = 0
     while True:
         attempt += 1
         start = time.perf_counter()
-        if bus is not None:
-            bus.emit(
+        if journal is not None:
+            journal.emit(
                 "run_leased",
                 index=index,
                 digest=digest,
@@ -689,8 +687,8 @@ def attempt_serial(
                     "attempt": attempt,
                 }
             delay = options.backoff_delay(attempt)
-            if bus is not None:
-                bus.emit(
+            if journal is not None:
+                journal.emit(
                     "run_retried",
                     index=index,
                     digest=digest,

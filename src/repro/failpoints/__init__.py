@@ -1,9 +1,10 @@
 """Deterministic failpoints for the execution stack.
 
 A *failpoint* is a named site at an I/O boundary — ``cache.write
-.pre_rename``, ``journal.append.post_write``, ``events.emit`` — where
-a fault can be injected on demand: a hard crash, a partial (torn)
-write, an exception of a chosen kind, a disk-full error, or a delay.
+.pre_rename``, ``journal.append.post_write``, ``worker.result
+.pre_put`` — where a fault can be injected on demand: a hard crash, a
+partial (torn) write, an exception of a chosen kind, a disk-full
+error, or a delay.
 Sites are declared where they live (``register_site`` at module
 import) and triggered inline with :func:`fire`, which is a single
 dict lookup when no failpoints are armed — the zero-cost-when-off
@@ -13,7 +14,7 @@ Activation is environment-driven so forked/spawned workers and
 subprocesses inherit it::
 
     REPRO_FAILPOINTS="journal.append.pre_write=torn:9"
-    REPRO_FAILPOINTS="cache.write.pre_rename=crash@2;events.emit=delay:5"
+    REPRO_FAILPOINTS="cache.write.pre_rename=crash@2;worker.result.pre_put=delay:5"
 
 Grammar (rules joined with ``;``)::
 
@@ -123,7 +124,6 @@ SITE_MODULES = (
     "repro.exec.journal",
     "repro.exec.executor",
     "repro.exec.supervisor",
-    "repro.obs.events",
     "repro.obs.store",
     "repro.cluster.protocol",
     "repro.cluster.client",

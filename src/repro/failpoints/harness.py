@@ -1,13 +1,13 @@
 """Crash-consistency harness: ``repro chaos``.
 
 Every store in the execution stack — result cache, sweep journal,
-progress event stream, obs artifact store, the cluster RPC plane —
+obs artifact store, the cluster RPC plane —
 claims to survive being killed at its worst moment.  This harness
 *collects* on those claims.  For each scenario it runs the same small
 reference sweep three ways:
 
 1. **baseline** — fault-free, in a clean cache: the ground truth
-   (``rows.json`` bytes, the settled-events digest, every cached
+   (``rows.json`` bytes, the settled digest, every cached
    payload);
 2. **faulted** — identical command, with one failpoint armed via
    ``REPRO_FAILPOINTS`` (:mod:`repro.failpoints`): the process is
@@ -20,10 +20,10 @@ and then asserts the recovery invariants:
 
 * the recovered ``rows.json`` is **byte-identical** to the baseline's
   — no settled result lost, no wrong value served;
-* the settled-events digest (:func:`~repro.obs.events
-  .settled_events_digest`) over the scenario's accumulated event
-  stream equals the baseline's — every row settled exactly once with
-  the same outcome, however many attempts it took;
+* the settled digest (:meth:`~repro.obs.events.SweepProgress
+  .settled_digest`) of the scenario's journal, folded over every
+  session, equals the baseline's — every row settled with the same
+  outcome, however many attempts it took;
 * every cached payload that exists agrees with the baseline's for the
   same digest — a corrupt object is quarantined and re-executed, never
   served.
@@ -33,8 +33,8 @@ as subprocesses and inject the fault into the chosen party (client,
 agent, or master), including killing an agent mid-push and letting a
 clean replacement finish the sweep.
 
-``--quick`` runs the CI-smoke subset (cache, journal, events, one
-cluster RPC); the full set also covers the obs store, the worker
+``--quick`` runs the CI-smoke subset (cache, journal, one cluster
+RPC); the full set also covers the obs store, the worker
 pool, ENOSPC degradation, and a corrupt-cache round trip.  See
 ``docs/chaos_testing.md``.
 """
@@ -56,12 +56,8 @@ from typing import Any, Dict, IO, List, Optional, Sequence, Tuple
 from repro import failpoints
 from repro.errors import ReproError
 from repro.exec.cache import ResultCache
+from repro.exec.journal import journal_root, list_journals
 from repro.integrity import QUARANTINE_SUBDIR
-from repro.obs.events import (
-    list_event_streams,
-    load_events,
-    settled_events_digest,
-)
 
 __all__ = ["ChaosError", "Scenario", "chaos_plan", "run_chaos"]
 
@@ -71,8 +67,8 @@ class ChaosError(ReproError):
 
 
 #: The reference sweep every scenario runs: small enough to finish in
-#: well under a second per run, rich enough to exercise cache, journal,
-#: events, and obs-store writes for three distinct rows.
+#: well under a second per run, rich enough to exercise cache, journal
+#: and obs-store writes for three distinct rows.
 SWEEP_SCALE = 50
 SWEEP_VALUES: Tuple[int, ...] = (4, 8, 12)
 
@@ -98,9 +94,6 @@ class Scenario:
     respawn_agent: bool = False
     #: Acceptable exit codes for the faulted run.
     expect: Tuple[int, ...] = (0, 2, _CRASH)
-    #: False when the fault degrades the event stream itself (ENOSPC
-    #: on the bus): rows must still converge, the digest cannot.
-    check_events: bool = True
     #: Corruption round trip instead of a failpoint (spec unused).
     corrupt_cache: bool = False
 
@@ -137,9 +130,9 @@ def chaos_plan(quick: bool = False) -> List[Scenario]:
             expect=(_CRASH,),
         ),
         Scenario(
-            "events-emit-torn",
-            "events.emit=torn:7",
-            "progress event stream torn mid-record, then killed",
+            "journal-leased-torn",
+            "journal.append.pre_write=torn:7@2",
+            "advisory run_leased record torn mid-write, then killed",
             quick=True,
             expect=(_CRASH,),
         ),
@@ -208,11 +201,10 @@ def chaos_plan(quick: bool = False) -> List[Scenario]:
             expect=(_CRASH,),
         ),
         Scenario(
-            "events-enospc",
-            "events.emit=enospc",
-            "disk full on the event bus: advisory stream goes dark",
+            "journal-enospc",
+            "journal.append.pre_write=enospc",
+            "disk full at the first journal record: journal goes dark",
             expect=(0,),
-            check_events=False,
         ),
         Scenario(
             "worker-crash-once",
@@ -350,10 +342,10 @@ class Baseline:
 
 
 def _settled_digest(cache_dir: Path) -> str:
-    events: List[Dict[str, Any]] = []
-    for stream in list_event_streams(cache_dir / "journals"):
-        events.extend(load_events(stream))
-    return settled_events_digest(events)
+    return " ".join(
+        state.settled_digest()
+        for state in list_journals(journal_root(cache_dir))
+    )
 
 
 def _cache_payloads(cache_dir: Path) -> Dict[str, Any]:
@@ -396,13 +388,12 @@ def _assert_converged(
             f"{scenario.name}: recovered rows differ from the fault-free "
             f"baseline — a settled result was lost or corrupted"
         )
-    if scenario.check_events:
-        settled = _settled_digest(cache)
-        if settled != baseline.settled:
-            raise ChaosError(
-                f"{scenario.name}: settled-events digest diverged "
-                f"({settled[:12]} != {baseline.settled[:12]})"
-            )
+    settled = _settled_digest(cache)
+    if settled != baseline.settled:
+        raise ChaosError(
+            f"{scenario.name}: settled digest diverged "
+            f"({settled[:12]} != {baseline.settled[:12]})"
+        )
     for digest, payload in _cache_payloads(cache).items():
         expected = baseline.payloads.get(digest)
         if expected is not None and payload != expected:
@@ -472,7 +463,7 @@ def _run_corruption(
     record = json.loads(victim.read_text())
     record.setdefault("payload", {})["corrupted"] = True  # checksum now lies
     victim.write_text(json.dumps(record) + "\n")
-    # Remove the journal + event stream so only the cache can answer —
+    # Remove the journal so only the cache can answer —
     # the corrupt object must be caught by its checksum, not masked.
     shutil.rmtree(cache / "journals", ignore_errors=True)
     rerun = _run(cmd, _base_env())
@@ -591,7 +582,7 @@ def _run_cluster(
         for agent in agents:
             _stop(agent)
         _stop(master)
-    # The master owns the cache/journal/events for submitted sweeps.
+    # The master owns the cache and journal for submitted sweeps.
     _assert_converged(scenario, baseline, cache, rows)
 
 

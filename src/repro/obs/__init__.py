@@ -284,12 +284,7 @@ class Observability:
 
 from repro.obs.events import (  # noqa: E402 — re-export
     PROGRESS_SCHEMA,
-    SweepEventBus,
     SweepProgress,
-    events_path,
-    list_event_streams,
-    load_events,
-    load_progress,
     render_progress,
     replay_events,
     settled_events_digest,
@@ -315,7 +310,6 @@ __all__ = [
     "PROGRESS_SCHEMA",
     "PhaseProfiler",
     "RunObservation",
-    "SweepEventBus",
     "SweepProgress",
     "Tally",
     "TimeSeries",
@@ -326,10 +320,6 @@ __all__ = [
     "capture_run",
     "chrome_trace_events",
     "convert_jsonl_to_chrome",
-    "events_path",
-    "list_event_streams",
-    "load_events",
-    "load_progress",
     "read_jsonl",
     "render_progress",
     "replay_events",

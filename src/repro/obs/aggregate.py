@@ -13,11 +13,14 @@ Accepted sources (auto-detected):
   schema ``repro-obs-artifact/1``) — one run's stored telemetry;
 * a **metrics document** (``--metrics FILE`` output:
   ``{"level": ..., "runs": [...]}``) — a whole session;
-* an **obs-overhead document** (``BENCH_obs_overhead.json``: a list of
-  per-level rows) — and, generically, any JSON list of flat dicts;
+* an **obs-overhead document** (the per-level rows
+  ``benchmarks/test_bench_obs_overhead.py`` prints and writes under its
+  temporary directory; its < 5 % contract currently fails) — and,
+  generically, any JSON list of flat dicts;
 * a **sweep id** (when the argument is not a file): resolved through
-  the journal beside the result cache, loading every settled run's
-  stored artifact from the obs artifact store.
+  the journal beside the result cache, loading the stored artifact of
+  every digest the sweep settled ok (executed, cached or resumed) from
+  the obs artifact store.
 
 Flattening: every numeric leaf of every run snapshot becomes one key,
 ``<run label>/<metric>.<field>`` (row lists become
@@ -227,9 +230,14 @@ def _load_sweep(
 
     state = find_journal(journal_root(cache_root), sweep_id)
     store = ObsArtifactStore(cache_root)
+    digests = sorted(
+        digest
+        for digest, row in state.settled.items()
+        if row["status"] == "ok"
+    )
     runs: List[Dict[str, Any]] = []
     missing = 0
-    for digest in sorted(state.runs):
+    for digest in digests:
         artifact = store.get(digest)
         if artifact is None:
             missing += 1
@@ -238,7 +246,7 @@ def _load_sweep(
     if not runs:
         raise ConfigurationError(
             f"sweep {state.sweep_id} has no stored obs artifacts "
-            f"({missing} of {len(state.runs)} runs missing) — re-run it "
+            f"({missing} of {len(digests)} runs missing) — re-run it "
             "with --obs-level metrics to populate the store"
         )
     runs.sort(key=lambda run: str(run.get("label", "")))

@@ -1,29 +1,31 @@
-"""Sweep-scope progress events: the live observability bus.
+"""Sweep-scope progress events: the vocabulary and fold of the journal.
 
 While the per-run telemetry of :mod:`repro.obs` answers "what did one
 simulation do", a week-long parameter study needs the *sweep* itself
 to be observable: which rows are done, which worker holds which run,
-how often retries fire, and when the grid will finish.  The
-:class:`SweepEventBus` gives every journaled sweep an **append-only
-``<sweep_id>.events.jsonl``** file beside its journal, onto which the
-executor and the supervised pool emit structured progress events as
-they happen:
+how often retries fire, and when the grid will finish.  Every record
+of a journaled sweep — the durable rows a resume depends on and the
+advisory progress events alike — is one line of the sweep's journal,
+``<journal_root>/<sweep_id>.jsonl``, written by the one writer
+:class:`~repro.exec.journal.SweepJournal` (durability, locking, torn
+tails and disk-full behaviour are described there):
 
 ===================  ====================================================
 event                emitted when
 ===================  ====================================================
-``sweep_begin``      the executor opens the sweep (total, argv, jobs)
+``sweep_begin``      a session opens the sweep (total, argv, jobs) [d]
 ``cache_hit``        a row is served from the result cache at plan time
-``journal_hit``      a row is recovered from a prior journal (resume)
+``journal_hit``      a row is recovered from a prior session (resume)
 ``artifact_hit``     a cached row's obs artifact was reused
 ``artifact_miss``    a cached row lacked its obs artifact (re-executed)
 ``worker_spawned``   the pool starts a worker process
 ``worker_died``      a worker is reaped (death / timeout / hung)
 ``run_leased``       a run is dispatched to a worker (or runs in-process)
 ``run_retried``      a transient failure is re-queued with backoff
-``run_settled``      a run reaches its final state (ok / error / poison)
+``run_settled``      a run reaches its final state (ok / error / poison),
+                     with its payload [d]
 ``heartbeat``        ~1/s while the pool is draining (in-flight counts)
-``sweep_end``        the sweep completes or is gracefully interrupted
+``sweep_end``        the session completes or is gracefully interrupted [d]
 ``agent_registered`` a cluster agent joins the master (cores, host)
 ``agent_died``       an agent misses its heartbeat timeout (or leaves)
 ``lease_granted``    the master leases a batch of rows to an agent
@@ -31,64 +33,40 @@ event                emitted when
 ``result_pushed``    an agent pushes a settled row back to the master
 ===================  ====================================================
 
-The five ``agent_*``/``lease_*``/``result_pushed`` events are emitted
-only by a ``repro master`` (see :mod:`repro.cluster.master` and
-docs/distributed_execution.md); purely local sweeps never produce
-them, and :func:`replay_events` folds them into the ``agents`` table
-of the progress snapshot.
+[d] marks the durable records.  The five ``agent_*``/``lease_*``/
+``result_pushed`` events are emitted only by a ``repro master`` (see
+:mod:`repro.cluster.master` and docs/distributed_execution.md);
+purely local sweeps never produce them, and :func:`replay_events`
+folds them into the ``agents`` table of the progress snapshot.
 
-Because heartbeats dominate the stream byte count on long sweeps, the
-bus **compacts consecutive heartbeat events on reopen** (keeping the
-latest per emitting source) before appending a new session's events —
-see :func:`compact_heartbeat_lines`.  Compaction never changes what
-:func:`replay_events` folds to, only how many superseded heartbeat
-lines the file retains.
+Because heartbeats dominate the line count of long sweeps, the writer
+**compacts consecutive heartbeats on reopen** (keeping the latest per
+emitting source) — see :func:`compact_heartbeat_lines`.  Compaction
+never changes what :func:`replay_events` folds to.
 
-The bus is *advisory*: appends are flushed (so ``tail -f`` and
-``repro sweep-status --follow`` see them immediately and they survive
-a killed process) but not fsynced, emission failures are swallowed,
-and :func:`load_events` tolerates a torn tail exactly like the sweep
-journal — observability must never be able to fail a sweep.
-
-:func:`replay_events` folds an event stream into a
-:class:`SweepProgress` snapshot — the one schema shared by
-``repro sweep-status --json``, the ``--follow`` live renderer, and
-``repro obs-top``.
+:func:`replay_events` folds a journal's records into a
+:class:`SweepProgress` — the one state behind resume, ``repro
+sweep-status`` (``--journal``, ``--json``, ``--follow``), ``repro
+sweep-resume``, ``repro obs-diff`` and the chaos digest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
-
-from repro import failpoints
-from repro.integrity import out_of_space, warn_degraded
-
-PathLike = Union[str, Path]
-
-#: Failpoint site inside the advisory emit path — injected errors
-#: must be swallowed here; that *is* the invariant under test.
-SITE_EVENTS_EMIT = failpoints.register_site(
-    "events.emit",
-    "inside SweepEventBus.emit, before the flush (torn-capable)",
-)
-
-#: Event-stream format version (bumped on incompatible changes).
-EVENTS_VERSION = 1
-
-#: Filename suffix distinguishing event streams from journals in the
-#: shared journal directory.
-EVENTS_SUFFIX = ".events.jsonl"
+from typing import Any, Dict, Iterable, List, Optional
 
 
-def events_path(root: PathLike, sweep_id: str) -> Path:
-    """The event-stream file for ``sweep_id`` under journal ``root``."""
-    return Path(root) / f"{sweep_id}{EVENTS_SUFFIX}"
+def __getattr__(name: str) -> Any:
+    # ``SweepEventBus`` is a second name for the journal's writer, bound
+    # lazily: repro.exec.journal imports this module.
+    if name == "SweepEventBus":
+        from repro.exec.journal import SweepJournal
+
+        return SweepJournal
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _heartbeat_source(record: Dict[str, Any]) -> str:
@@ -98,7 +76,7 @@ def _heartbeat_source(record: Dict[str, Any]) -> str:
 
 
 def compact_heartbeat_lines(lines: List[str]) -> List[str]:
-    """Drop superseded heartbeats from a raw event-stream line list.
+    """Drop superseded heartbeats from a raw journal line list.
 
     Within each maximal run of *consecutive* heartbeat lines, only the
     latest heartbeat per emitting source (worker pool or cluster
@@ -135,171 +113,17 @@ def compact_heartbeat_lines(lines: List[str]) -> List[str]:
     return compacted
 
 
-def compact_events_file(path: PathLike) -> bool:
-    """Atomically compact one stream's heartbeats; True if it shrank.
-
-    Rewrites via a temp file + ``os.replace`` so a concurrent reader
-    never sees a half-written stream.  Never raises: the stream is
-    advisory, so any I/O error leaves the file as-is.
-    """
-    path = Path(path)
-    try:
-        raw = path.read_text()
-    except OSError:
-        return False
-    lines = raw.splitlines(keepends=True)
-    compacted = compact_heartbeat_lines(lines)
-    if len(compacted) == len(lines):
-        return False
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        tmp.write_text("".join(compacted))
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        return False
-    return True
-
-
-class SweepEventBus:
-    """Append-only, flush-per-event writer for one sweep's progress.
-
-    Opens lazily on the first emit and never raises: a full disk or a
-    vanished directory degrades to a silent no-op, because the bus is
-    telemetry, not state — the journal alone remains authoritative.
-    """
-
-    def __init__(self, root: PathLike, sweep_id: str) -> None:
-        self.sweep_id = sweep_id
-        self.path = events_path(root, sweep_id)
-        self._handle = None
-        self._dead = False
-        self.emitted = 0
-
-    def __repr__(self) -> str:
-        return f"<SweepEventBus {self.sweep_id} at {self.path}>"
-
-    def emit(self, event: str, **fields: Any) -> None:
-        """Append one event record (never raises)."""
-        if self._dead:
-            return
-        record: Dict[str, Any] = {"event": event, "ts": time.time()}
-        record.update(fields)
-        try:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                torn = False
-                if self.path.exists() and self.path.stat().st_size > 0:
-                    # Bound the stream's growth across resumes: drop
-                    # the previous sessions' superseded heartbeats
-                    # before appending new events.
-                    compact_events_file(self.path)
-                    # A previous writer may have been killed mid-append;
-                    # start a fresh line so its torn tail cannot swallow
-                    # this session's first event.
-                    with self.path.open("rb") as tail:
-                        tail.seek(-1, 2)
-                        torn = tail.read(1) != b"\n"
-                self._handle = self.path.open("a")
-                if torn:
-                    self._handle.write("\n")
-            line = json.dumps(record) + "\n"
-            failpoints.fire(
-                SITE_EVENTS_EMIT,
-                data=line.encode("utf-8"),
-                writer=lambda prefix: (
-                    self._handle.write(prefix.decode("utf-8", "ignore")),
-                    self._handle.flush(),
-                ),
-            )
-            self._handle.write(line)
-            self._handle.flush()
-            self.emitted += 1
-        except (OSError, ValueError, TypeError) as error:
-            self._dead = True  # advisory stream: stop trying, keep sweeping
-            if out_of_space(error):
-                warn_degraded(
-                    "sweep event stream",
-                    f"{error} — sweep continues without progress events",
-                )
-
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:
-                pass
-            self._handle = None
-
-
-def load_events(path: PathLike) -> List[Dict[str, Any]]:
-    """All readable events of one stream, in append order.
-
-    Mirrors :func:`repro.exec.journal.load_journal`'s torn-tail
-    tolerance: unparsable lines (a crash mid-append) are skipped and
-    everything before them stands.  A missing file is an empty stream.
-    """
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError:
-        return []
-    events: List[Dict[str, Any]] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn tail or scribble — everything before it stands
-        if isinstance(record, dict) and "event" in record:
-            events.append(record)
-    return events
-
-
-def list_event_streams(root: PathLike) -> List[Path]:
-    """Every event-stream file under ``root``, sorted by name."""
-    root = Path(root)
-    if not root.is_dir():
-        return []
-    return sorted(root.glob(f"*{EVENTS_SUFFIX}"))
-
-
 def settled_events_digest(events: Iterable[Dict[str, Any]]) -> str:
-    """Order-independent digest of a stream's *settled* outcomes.
+    """Order-independent digest of a journal's *settled* outcomes.
 
-    Hashes the sorted set of ``(digest, status, poisoned)`` triples
-    from ``run_settled``, ``cache_hit``, and ``journal_hit`` events —
-    the fields that are functions of the work, not of scheduling — so
-    ``jobs=1`` and ``jobs=4`` executions of the same sweep agree even
-    though their events interleave differently.
+    The :meth:`SweepProgress.settled_digest` of the records' fold: the
+    ``(digest, status, poisoned)`` of every settled row — fields that
+    are functions of the work, not of scheduling — so ``jobs=1`` and
+    ``jobs=4`` executions of the same sweep agree even though their
+    records interleave differently, and a cache hit digests like the
+    fresh run that filled the cache.
     """
-    triples = set()
-    for record in events:
-        kind = record.get("event")
-        if kind == "run_settled":
-            triples.add(
-                (
-                    str(record.get("digest", "")),
-                    str(record.get("status", "")),
-                    bool(record.get("poisoned", False)),
-                )
-            )
-        elif kind == "cache_hit":
-            triples.add((str(record.get("digest", "")), "ok", False))
-        elif kind == "journal_hit":
-            triples.add(
-                (
-                    str(record.get("digest", "")),
-                    str(record.get("status", "ok")),
-                    bool(record.get("poisoned", False)),
-                )
-            )
-    canonical = json.dumps(sorted(triples), separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return replay_events(events).settled_digest()
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +138,7 @@ PROGRESS_SCHEMA = "repro-sweep-progress/2"
 
 @dataclass
 class SweepProgress:
-    """Everything :func:`replay_events` recovers from one stream."""
+    """Everything :func:`replay_events` recovers from one journal."""
 
     sweep_id: str = ""
     #: "in-flight" | "complete" | "interrupted" | "unknown"
@@ -322,7 +146,8 @@ class SweepProgress:
     total: int = 0
     jobs: int = 1
     argv: List[str] = field(default_factory=list)
-    #: digest -> final outcome row for every settled digest.
+    #: digest -> final outcome row for every settled digest; rows a
+    #: session executed carry their ``payload`` and ``error``.
     settled: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     cache_hits: int = 0
     resumed: int = 0
@@ -357,6 +182,39 @@ class SweepProgress:
     @property
     def pending(self) -> int:
         return max(0, self.total - len(self.settled))
+
+    @property
+    def outstanding(self) -> int:
+        """Rows a resume still owes: settled neither ok nor poisoned
+        (retryable errors count)."""
+        done = sum(
+            1 for row in self.settled.values()
+            if row["status"] == "ok" or row["poisoned"]
+        )
+        return max(0, self.total - done)
+
+    def resumable(self) -> Dict[str, Dict[str, Any]]:
+        """Rows a resume may reuse without the cache: ok or poisoned
+        rows journaled with their payload.
+
+        Transient errors (retries exhausted, worker killed, timeout)
+        are deliberately *not* reusable — a resume retries them.
+        """
+        return {
+            digest: row
+            for digest, row in self.settled.items()
+            if "payload" in row and (row["status"] == "ok" or row["poisoned"])
+        }
+
+    def settled_digest(self) -> str:
+        """Order-independent digest of every settled row's
+        ``(digest, status, poisoned)``."""
+        triples = sorted(
+            (digest, row["status"], row["poisoned"])
+            for digest, row in self.settled.items()
+        )
+        canonical = json.dumps(triples, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     @property
     def rate_per_s(self) -> float:
@@ -429,10 +287,10 @@ class SweepProgress:
 
 
 def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
-    """Fold an event stream into its current :class:`SweepProgress`.
+    """Fold a journal's records into its current :class:`SweepProgress`.
 
-    Tolerates overlap from resumed sweeps (the same stream accumulates
-    every attempt): later events win, settles are keyed by digest, and
+    Tolerates overlap from resumed sweeps (the same journal accumulates
+    every session): later events win, settles are keyed by digest, and
     a fresh ``sweep_begin`` clears the transient in-flight state.
     """
     progress = SweepProgress()
@@ -530,6 +388,9 @@ def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
                     "attempts": int(record.get("attempts", 1)),
                     "duration_s": float(record.get("duration_s", 0.0)),
                 }
+                if "payload" in record:
+                    progress.settled[digest]["payload"] = record["payload"]
+                    progress.settled[digest]["error"] = record.get("error")
             if ts:
                 progress.settle_times.append(ts)
         elif kind == "heartbeat":
@@ -609,16 +470,8 @@ def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
     return progress
 
 
-def load_progress(root: PathLike, sweep_id: str) -> SweepProgress:
-    """Replay the event stream for ``sweep_id`` under journal ``root``."""
-    progress = replay_events(load_events(events_path(root, sweep_id)))
-    if not progress.sweep_id:
-        progress.sweep_id = sweep_id
-    return progress
-
-
 # ----------------------------------------------------------------------
-# Rendering (sweep-status --follow / obs-top)
+# Rendering (sweep-status)
 # ----------------------------------------------------------------------
 def _format_duration(seconds: Optional[float]) -> str:
     if seconds is None:

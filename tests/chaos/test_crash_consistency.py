@@ -44,7 +44,6 @@ class TestPlan:
             "cache.write.pre_rename",
             "journal.append.pre_write",
             "journal.append.post_write",
-            "events.emit",
             "cluster.client.post_send",
         } <= covered
 

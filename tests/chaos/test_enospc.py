@@ -1,8 +1,8 @@
 """Graceful ENOSPC/EDQUOT degradation (satellite of the failpoint PR).
 
-A full disk must never fail a sweep: the cache, journal, event
-stream, and obs store are accelerators/observers, so each degrades to
-a no-op with a single warning.  Genuine I/O errors, by contrast, must
+A full disk must never fail a sweep: the cache, journal and obs store
+are accelerators/observers, so each degrades to a no-op with a single
+warning.  Genuine I/O errors, by contrast, must
 still propagate — silence is only for running out of space.
 """
 
@@ -12,7 +12,6 @@ from repro import failpoints
 from repro.exec.cache import ResultCache
 from repro.exec.journal import SweepJournal, load_journal
 from repro.integrity import reset_warnings, warn_degraded
-from repro.obs.events import SweepEventBus
 from repro.obs.store import ObsArtifactStore
 
 DIGEST = "ab" * 32
@@ -62,13 +61,27 @@ class TestJournalDegradation:
 
 class TestEventBusDegradation:
     def test_enospc_darkens_the_stream_once(self, tmp_path, capsys):
-        failpoints.install("events.emit=enospc")
-        bus = SweepEventBus(tmp_path, "sweep01")
-        bus.emit("sweep_begin", total=1)  # must not raise
-        assert bus._dead
-        bus.emit("heartbeat")  # silent no-op
+        """ENOSPC on an advisory record darkens the whole journal,
+        durable records included, with one warning."""
+        failpoints.install("journal.append.pre_write=enospc")
+        journal = SweepJournal(tmp_path, "sweep01")
+        journal.emit("heartbeat", workers={})  # must not raise
+        assert journal.dead
+        failpoints.install("")
+        journal.begin(["sweep"], [DIGEST])  # silent no-op
+        journal.emit("heartbeat")
+        assert load_journal(journal.path) is None
         err = capsys.readouterr().err
-        assert err.count("sweep event stream degraded") == 1
+        assert err.count("sweep journal degraded") == 1
+
+    def test_advisory_io_error_is_swallowed_durable_raises(self, tmp_path):
+        failpoints.install("journal.append.pre_write=error:io")
+        journal = SweepJournal(tmp_path, "sweep01")
+        journal.emit("run_leased", index=0)  # swallowed
+        assert not journal.dead
+        failpoints.install("journal.append.pre_write=error:io")
+        with pytest.raises(OSError):
+            journal.begin(["sweep"], [DIGEST])
 
 
 class TestObsStoreDegradation:

@@ -86,7 +86,6 @@ class TestRegistry:
             "cluster.client.post_send",
             "cluster.client.pre_send",
             "cluster.sweep.post_submit",
-            "events.emit",
             "executor.persist.post",
             "executor.persist.pre",
             "journal.append.post_write",

@@ -1,11 +1,11 @@
-"""Torn mid-record tails: journal and event stream (satellite of the
-failpoint PR).
+"""Torn mid-record tails in the sweep journal.
 
 A crash inside an append may persist only a prefix of the record.
-These tests tear real files with ``torn:<bytes>`` failpoints and then
-demand the recovery contract: everything before the tear stands, the
-torn fragment is skipped *and isolated* (the next session's first
-append must not glue onto it), and folding/compacting the stream is
+These tests tear real files with ``torn:<bytes>`` failpoints — on
+durable rows and on advisory progress records — and then demand the
+recovery contract: everything before the tear stands, the torn
+fragment is skipped *and isolated* (the next session's first append
+must not glue onto it), and folding/compacting the journal is
 equivalent before and after.
 """
 
@@ -14,14 +14,13 @@ import json
 import pytest
 
 from repro import failpoints
-from repro.exec.journal import SweepJournal, load_journal
-from repro.obs.events import (
-    SweepEventBus,
-    compact_events_file,
-    load_events,
-    replay_events,
-    settled_events_digest,
+from repro.exec.journal import (
+    SweepJournal,
+    compact_journal,
+    load_journal,
+    read_records,
 )
+from repro.obs.events import replay_events, settled_events_digest
 
 PAYLOAD = {"num_stations": 4, "admitted": 7}
 DIGEST_A = "a" * 64
@@ -50,7 +49,7 @@ class TestJournalTornTail:
         assert not raw.endswith(b"\n")  # a genuine mid-record tear
         state = load_journal(journal.path)
         assert state is not None  # begin record still stands
-        assert state.runs == {}  # the torn run is gone, nothing else
+        assert state.settled == {}  # the torn run is gone, nothing else
 
     def test_resume_append_does_not_glue_onto_the_tear(
         self, tmp_path, crash
@@ -69,8 +68,8 @@ class TestJournalTornTail:
         _record(resumed, DIGEST_A)
         _record(resumed, DIGEST_B)
         state = load_journal(resumed.path)
-        assert set(state.runs) == {DIGEST_A, DIGEST_B}
-        assert state.runs[DIGEST_A]["payload"] == PAYLOAD
+        assert set(state.settled) == {DIGEST_A, DIGEST_B}
+        assert state.settled[DIGEST_A]["payload"] == PAYLOAD
         # Exactly one line (the fragment) is unparsable.
         lines = resumed.path.read_text().splitlines()
         bad = [line for line in lines if _unparsable(line)]
@@ -92,15 +91,15 @@ class TestJournalTornTail:
             _record(journal, DIGEST_A)
         # Zero torn bytes: the record is simply absent, the file clean.
         state = load_journal(journal.path)
-        assert state.runs == {}
+        assert state.settled == {}
         resumed = SweepJournal(tmp_path, "sweep01")
         _record(resumed, DIGEST_A)
-        assert set(load_journal(resumed.path).runs) == {DIGEST_A}
+        assert set(load_journal(resumed.path).settled) == {DIGEST_A}
 
 
 class TestEventStreamTornTail:
     def _build_torn_stream(self, root, crash):
-        bus = SweepEventBus(root, "sweep01")
+        bus = SweepJournal(root, "sweep01")
         bus.emit("sweep_begin", sweep_id="sweep01", total=2, jobs=1)
         for _ in range(3):
             bus.emit("heartbeat", active=1, queued=1)
@@ -110,22 +109,18 @@ class TestEventStreamTornTail:
         )
         for _ in range(2):
             bus.emit("heartbeat", active=1, queued=0)
-        failpoints.install("events.emit=torn:7")
+        failpoints.install("journal.append.pre_write=torn:7")
         with pytest.raises(crash):
-            bus.emit(
-                "run_settled",
-                digest=DIGEST_B, index=1, status="ok", poisoned=False,
-            )
+            bus.emit("heartbeat", active=1, queued=0)
         failpoints.install("")
-        bus.close()
         return bus.path
 
     def test_torn_tail_is_skipped_not_fatal(self, tmp_path, crash):
         path = self._build_torn_stream(tmp_path, crash)
         assert not path.read_bytes().endswith(b"\n")
-        events = load_events(path)
+        events = read_records(path)
         kinds = [event["event"] for event in events]
-        assert kinds.count("run_settled") == 1  # the torn one is gone
+        assert kinds.count("heartbeat") == 5  # the torn one is gone
         progress = replay_events(events)
         assert set(progress.settled) == {DIGEST_A}
 
@@ -133,12 +128,12 @@ class TestEventStreamTornTail:
         self, tmp_path, crash
     ):
         path = self._build_torn_stream(tmp_path, crash)
-        before_events = load_events(path)
+        before_events = read_records(path)
         before_digest = settled_events_digest(before_events)
         before_fold = replay_events(before_events).to_dict()
         torn_tail = path.read_bytes().splitlines()[-1]
-        assert compact_events_file(path)  # heartbeats did compact
-        after_events = load_events(path)
+        assert compact_journal(path)  # heartbeats did compact
+        after_events = read_records(path)
         after_digest = settled_events_digest(after_events)
         after_fold = replay_events(after_events).to_dict()
         assert after_digest == before_digest
@@ -148,15 +143,14 @@ class TestEventStreamTornTail:
 
     def test_reopen_after_tear_starts_a_fresh_line(self, tmp_path, crash):
         path = self._build_torn_stream(tmp_path, crash)
-        resumed = SweepEventBus(tmp_path, "sweep01")
+        resumed = SweepJournal(tmp_path, "sweep01")
         resumed.emit(
             "run_settled",
             digest=DIGEST_B, index=1, status="ok", poisoned=False,
         )
-        resumed.close()
-        progress = replay_events(load_events(path))
+        progress = replay_events(read_records(path))
         assert set(progress.settled) == {DIGEST_A, DIGEST_B}
-        digest = settled_events_digest(load_events(path))
+        digest = settled_events_digest(read_records(path))
         # The recovered stream settles both rows ok — same digest as a
         # never-torn stream carrying the same outcomes.
         clean = settled_events_digest(

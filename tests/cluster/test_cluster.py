@@ -19,17 +19,17 @@ import pytest
 from repro.errors import ClusterError, ConfigurationError
 from repro.exec.cache import ResultCache
 from repro.exec.executor import execute
-from repro.exec.journal import journal_path, journal_root, load_journal
+from repro.exec.journal import (
+    journal_path,
+    journal_root,
+    load_journal,
+    read_records,
+)
 from repro.exec.spec import RunSpec, experiment_spec, register_kind, spec_digest
 from repro.exec.supervisor import Supervision
 from repro.obs import Observability
 from repro.obs.aggregate import diff_metrics, load_metrics_source
-from repro.obs.events import (
-    events_path,
-    load_events,
-    replay_events,
-    settled_events_digest,
-)
+from repro.obs.events import replay_events, settled_events_digest
 from repro.obs.store import ObsArtifactStore
 from repro.cluster.agent import ClusterAgent
 from repro.cluster.client import execute_via_master
@@ -111,8 +111,8 @@ def wait_until(predicate, timeout=30.0, interval=0.05):
 
 
 def master_events(master, sweep_id):
-    return load_events(
-        events_path(journal_root(master.cache.root), sweep_id)
+    return read_records(
+        journal_path(journal_root(master.cache.root), sweep_id)
     )
 
 
@@ -155,12 +155,12 @@ class TestLoopbackDeterminism:
             assert remote[-1].cached  # the duplicate settled by dedup
 
             # Same sweep identity (content-derived) and the same
-            # order-independent settled digest on both event streams.
+            # order-independent settled digest on both journals.
             sweep_id = local[0].sweep_id
             assert remote[0].sweep_id == sweep_id
             local_digest = settled_events_digest(
-                load_events(
-                    events_path(journal_root(local_cache.root), sweep_id)
+                read_records(
+                    journal_path(journal_root(local_cache.root), sweep_id)
                 )
             )
             remote_digest = settled_events_digest(
@@ -354,7 +354,7 @@ class TestFailureAttribution:
             journal = load_journal(
                 journal_path(journal_root(master.cache.root), sweep_id)
             )
-            settled = journal.settled_runs()
+            settled = journal.resumable()
             assert settled[bad["digest"]]["poisoned"]
         finally:
             master.stop()

@@ -1,8 +1,8 @@
-"""Integration tests: event bus + obs artifact store through execute().
+"""Integration tests: sweep journal + obs artifact store through execute().
 
 The sweep-scope observability contract (docs/sweep_observability.md):
 
-* every journaled sweep appends progress events beside its journal;
+* every journaled sweep appends its progress events to its one journal;
 * the *set* of settled outcomes is a function of the work, not the
   scheduling — ``jobs=1`` and ``jobs=4`` agree on the settled digest;
 * with ``--obs-level metrics|trace`` and a cache, per-run telemetry is
@@ -18,15 +18,10 @@ import pytest
 
 from repro.exec import ResultCache, RunSpec, Supervision, execute
 from repro.exec.hashing import canonical_json
-from repro.exec.journal import journal_root
+from repro.exec.journal import journal_root, load_journal, read_records
 from repro.exec.spec import register_kind, spec_digest
 from repro.obs import Observability
-from repro.obs.events import (
-    list_event_streams,
-    load_events,
-    replay_events,
-    settled_events_digest,
-)
+from repro.obs.events import settled_events_digest
 from repro.obs.store import ObsArtifactStore
 
 
@@ -55,35 +50,46 @@ def quiet(**overrides):
     return Supervision(**options)
 
 
-def single_stream(cache_root):
-    streams = list_event_streams(journal_root(cache_root))
-    assert len(streams) == 1
-    return streams[0]
+def single_journal(cache_root):
+    """The one file a journaled sweep writes under ``journals/``."""
+    (path,) = journal_root(cache_root).iterdir()
+    return path
 
 
 class TestEventStream:
-    def test_events_beside_journal(self, tmp_path):
+    def test_one_journal_per_sweep(self, tmp_path):
+        """Every record of a sweep — durable rows and progress events —
+        lands in ``<sweep_id>.jsonl``; nothing else is written beside
+        it, cold or warm."""
         cache = ResultCache(tmp_path)
         records = execute(busy_specs(3), cache=cache, supervision=quiet())
-        stream = single_stream(tmp_path)
-        assert stream.name == f"{records[0].sweep_id}.events.jsonl"
-        events = load_events(stream)
+        path = single_journal(tmp_path)
+        assert path.name == f"{records[0].sweep_id}.jsonl"
+        events = read_records(path)
         kinds = [event["event"] for event in events]
         assert kinds[0] == "sweep_begin"
         assert kinds[-1] == "sweep_end"
         assert kinds.count("run_settled") == 3
         assert kinds.count("run_leased") == 3
+        settled = [e for e in events if e["event"] == "run_settled"]
+        assert [e["payload"]["value"] for e in settled] == [0, 1, 2]
+        execute(busy_specs(3), cache=cache, supervision=quiet())
+        assert single_journal(tmp_path) == path
+        assert not list(tmp_path.rglob("*.events.jsonl"))
+        assert [e["event"] for e in read_records(path)].count(
+            "sweep_end"
+        ) == 2  # every session ends its record, warm ones too
 
     def test_warm_sweep_emits_cache_hits(self, tmp_path):
         cache = ResultCache(tmp_path)
         execute(busy_specs(3), cache=cache, supervision=quiet())
         execute(busy_specs(3), cache=cache, supervision=quiet())
-        events = load_events(single_stream(tmp_path))
+        events = read_records(single_journal(tmp_path))
         assert [e["event"] for e in events].count("cache_hit") == 3
 
     def test_events_off_without_journal(self, tmp_path):
         execute(busy_specs(3), supervision=quiet())  # no cache, no journal
-        assert list_event_streams(journal_root(tmp_path)) == []
+        assert not journal_root(tmp_path).exists()
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_settled_digest_scheduling_independent(self, tmp_path, jobs):
@@ -92,20 +98,20 @@ class TestEventStream:
         execute(
             busy_specs(6), jobs=jobs, cache=cache, supervision=quiet()
         )
-        events = load_events(single_stream(tmp_path / f"cache-{jobs}"))
+        events = read_records(single_journal(tmp_path / f"cache-{jobs}"))
         digest = settled_events_digest(events)
         reference_cache = ResultCache(tmp_path / "reference")
         execute(busy_specs(6), jobs=1, cache=reference_cache,
                 supervision=quiet())
         reference = settled_events_digest(
-            load_events(single_stream(tmp_path / "reference"))
+            read_records(single_journal(tmp_path / "reference"))
         )
         assert digest == reference
 
     def test_progress_replay_of_finished_sweep(self, tmp_path):
         cache = ResultCache(tmp_path)
         execute(busy_specs(4), jobs=2, cache=cache, supervision=quiet())
-        progress = replay_events(load_events(single_stream(tmp_path)))
+        progress = load_journal(single_journal(tmp_path))
         assert progress.status == "complete"
         assert progress.total == 4
         assert progress.completed == 4
@@ -167,7 +173,7 @@ class TestArtifactStore:
         assert [run["label"] for run in obs.runs][:3] == [
             "busy-0", "busy-1", "busy-2",
         ]
-        events = load_events(single_stream(tmp_path))
+        events = read_records(single_journal(tmp_path))
         assert [e["event"] for e in events].count("artifact_hit") == 3
 
     def test_corrupt_artifact_is_miss_and_rewritten(self, tmp_path):
@@ -187,7 +193,7 @@ class TestArtifactStore:
         rebuilt = store.get(victim)
         assert rebuilt is not None
         assert rebuilt["runs"][0]["metrics"]["busy.value"]["value"] == 1
-        events = load_events(single_stream(tmp_path))
+        events = read_records(single_journal(tmp_path))
         assert [e["event"] for e in events].count("artifact_miss") == 1
 
     def test_unobserved_sweep_writes_no_artifacts(self, tmp_path):

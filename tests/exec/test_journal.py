@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -49,23 +50,48 @@ class TestJournalRoundTrip:
         assert state.argv == ["sweep", "--jobs", "2"]
         assert state.total == 3
         assert state.completed == 1
-        assert state.pending == 2
+        assert state.outstanding == 2
         assert state.status == "interrupted"
-        assert state.runs[DIGESTS[0]]["payload"] == {"value": 1}
-        assert state.resume_command == f"repro sweep-resume {journal.sweep_id}"
+        assert state.settled[DIGESTS[0]]["payload"] == {"value": 1}
 
     def test_begin_is_idempotent_across_resumes(self, tmp_path):
+        """Each session announces itself with a ``sweep_begin``; the
+        fold of any number of them is the same sweep."""
+        once = load_journal(make_journal(tmp_path / "once").path)
         make_journal(tmp_path)
         make_journal(tmp_path)  # a resume re-opens the same journal
-        lines = make_journal(tmp_path).path.read_text().splitlines()
-        assert sum(1 for line in lines
-                   if json.loads(line)["event"] == "begin") == 1
+        path = make_journal(tmp_path).path
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["event"] for line in lines] == [
+            "sweep_begin"
+        ] * 3
+        state = load_journal(path)
+        assert (state.sweep_id, state.total, state.argv, state.status) == (
+            once.sweep_id, once.total, once.argv, once.status
+        )
 
     def test_missing_or_beginless_journal_loads_as_none(self, tmp_path):
         assert load_journal(tmp_path / "nope.jsonl") is None
         orphan = tmp_path / "orphan.jsonl"
-        orphan.write_text('{"event": "run", "digest": "xx"}\n')
+        orphan.write_text('{"event": "run_settled", "digest": "xx"}\n')
         assert load_journal(orphan) is None
+
+    def test_only_durable_records_are_fsynced(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd)
+        )
+        journal = make_journal(tmp_path)  # sweep_begin: durable
+        journal.emit("run_leased", index=0)
+        journal.emit("heartbeat", workers={})
+        assert len(synced) == 1
+        journal.record_run(
+            DIGESTS[0], kind="experiment", label="row-0", status="ok",
+            payload={},
+        )
+        journal.end("complete")
+        assert len(synced) == 3
 
 
 class TestCrashSafety:
@@ -76,11 +102,11 @@ class TestCrashSafety:
             payload={"value": 1},
         )
         with journal.path.open("a") as handle:
-            handle.write('{"event": "run", "digest": "d2d2d2d2d2d2d2d2", "st')
+            handle.write('{"event": "run_settled", "digest": "d2d2d2d2", "st')
         state = load_journal(journal.path)
         assert state is not None
         assert state.completed == 1  # the torn row never happened
-        assert DIGESTS[0] in state.runs
+        assert DIGESTS[0] in state.settled
 
     def test_later_records_win(self, tmp_path):
         journal = make_journal(tmp_path)
@@ -93,7 +119,7 @@ class TestCrashSafety:
             payload={"value": 2},
         )
         state = load_journal(journal.path)
-        assert state.runs[DIGESTS[0]]["status"] == "ok"
+        assert state.settled[DIGESTS[0]]["status"] == "ok"
         assert state.completed == 1
 
 
@@ -113,10 +139,10 @@ class TestSettlement:
             status="error", payload={}, error="bad config", poisoned=True,
         )
         state = load_journal(journal.path)
-        settled = state.settled_runs()
+        settled = state.resumable()
         assert set(settled) == {DIGESTS[0], DIGESTS[2]}  # retry the transient
         assert state.poisoned == 1
-        assert state.pending == 1
+        assert state.outstanding == 1
 
 
 class TestListing:

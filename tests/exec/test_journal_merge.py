@@ -3,18 +3,22 @@
 The cluster master and a local executor can flush into the same
 journal file (same cache root, same sweep id) at the same time — as
 can multiple HTTP handler threads pushing agent results.  The append
-path is a single ``os.write`` on an ``O_APPEND`` descriptor, so rows
-from concurrent writers must never tear or interleave, and replaying
-the journal must dedup by digest with the last record winning.
+path is a single ``os.write`` on an ``O_APPEND`` descriptor under an
+exclusive ``flock``, for durable rows and advisory progress events
+alike, so records from concurrent writers must never tear or
+interleave, a heartbeat compaction racing them must lose none, and
+replaying the journal must dedup by digest with the last record
+winning.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import sys
 import threading
 
-from repro.exec.journal import SweepJournal, load_journal
+from repro.exec.journal import SweepJournal, compact_journal, load_journal
 
 
 def _payload(writer: int, row: int):
@@ -24,8 +28,10 @@ def _payload(writer: int, row: int):
 
 
 def _settle_rows(root, sweep_id, writer, count):
+    """Durable settles with advisory records between them."""
     journal = SweepJournal(root, sweep_id)
     for row in range(count):
+        journal.emit("run_leased", index=row, worker=writer, attempt=1)
         journal.record_run(
             f"digest-{writer}-{row}",
             kind="test",
@@ -33,6 +39,16 @@ def _settle_rows(root, sweep_id, writer, count):
             status="ok",
             payload=_payload(writer, row),
         )
+        for _ in range(3):
+            journal.emit("heartbeat", workers={str(writer): None})
+
+
+def _context():
+    return multiprocessing.get_context(
+        "fork"
+        if "fork" in multiprocessing.get_all_start_methods()
+        else "spawn"
+    )
 
 
 class TestConcurrentSettlers:
@@ -46,15 +62,23 @@ class TestConcurrentSettlers:
             )
             for w in range(writers)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the writers finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
 
         # Every line parses (no torn rows) and every row arrived once.
         lines = lead.path.read_text().splitlines()
         records = [json.loads(line) for line in lines]
-        runs = [r for r in records if r["event"] == "run"]
+        runs = [r for r in records if r["event"] == "run_settled"]
+        leases = [r for r in records if r["event"] == "run_leased"]
+        assert len(leases) == writers * rows
         assert len(runs) == writers * rows
         digests = [r["digest"] for r in runs]
         assert len(set(digests)) == writers * rows  # no duplicates
@@ -65,18 +89,14 @@ class TestConcurrentSettlers:
 
         state = load_journal(lead.path)
         assert state is not None
-        assert len(state.runs) == writers * rows
+        assert len(state.resumable()) == writers * rows
         assert state.completed == writers * rows
 
     def test_process_writers_no_torn_or_lost_rows(self, tmp_path):
         writers, rows = 4, 15
         lead = SweepJournal(tmp_path, "procs")
         lead.begin(["t"], [f"digest-{w}-{r}" for w in range(writers) for r in range(rows)])
-        context = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
+        context = _context()
         processes = [
             context.Process(
                 target=_settle_rows, args=(tmp_path, "procs", w, rows)
@@ -93,11 +113,52 @@ class TestConcurrentSettlers:
             json.loads(line)
             for line in lead.path.read_text().splitlines()
         ]
-        runs = [r for r in records if r["event"] == "run"]
+        runs = [r for r in records if r["event"] == "run_settled"]
         assert len(runs) == writers * rows
         assert len({r["digest"] for r in runs}) == writers * rows
         state = load_journal(lead.path)
         assert state.completed == writers * rows
+
+    def test_compaction_racing_process_writers_loses_no_settle(
+        self, tmp_path
+    ):
+        """Compactions rewrite the journal while writers append: every
+        line still parses and every settled row arrives exactly once."""
+        writers, rows = 3, 20
+        lead = SweepJournal(tmp_path, "race")
+        lead.begin(["t"], [f"digest-{w}-{r}" for w in range(writers) for r in range(rows)])
+        context = _context()
+        processes = [
+            context.Process(
+                target=_settle_rows, args=(tmp_path, "race", w, rows)
+            )
+            for w in range(writers)
+        ]
+        for process in processes:
+            process.start()
+        compactions = 0
+        while any(process.is_alive() for process in processes):
+            compactions += compact_journal(lead.path)
+        for process in processes:
+            process.join(timeout=60)
+            assert process.exitcode == 0
+        compactions += compact_journal(lead.path)
+        assert compactions >= 1
+
+        records = [
+            json.loads(line)
+            for line in lead.path.read_text().splitlines()
+        ]
+        runs = [r for r in records if r["event"] == "run_settled"]
+        assert sorted(r["digest"] for r in runs) == sorted(
+            f"digest-{w}-{r}" for w in range(writers) for r in range(rows)
+        )
+        assert [r["event"] for r in records].count("run_leased") == (
+            writers * rows
+        )
+        state = load_journal(lead.path)
+        assert state.completed == writers * rows
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_replay_dedups_by_digest_last_record_wins(self, tmp_path):
         journal = SweepJournal(tmp_path, "dedup")
@@ -111,7 +172,7 @@ class TestConcurrentSettlers:
             payload={"answer": 42}, attempts=2,
         )
         state = load_journal(journal.path)
-        assert len(state.runs) == 1
-        row = state.runs["d1"]
+        assert len(state.settled) == 1
+        row = state.settled["d1"]
         assert row["status"] == "ok" and row["attempts"] == 2
-        assert state.settled_runs()["d1"]["payload"] == {"answer": 42}
+        assert state.resumable()["d1"]["payload"] == {"answer": 42}

@@ -3,7 +3,10 @@
 The contract (docs/resilient_execution.md): interrupt a sweep after N
 rows, resume it, and the final rows are **byte-identical** to an
 uninterrupted sweep — at ``jobs=1`` and ``jobs=4``, with or without
-the result cache (the journal carries payloads itself).
+the result cache (the journal carries payloads itself).  The CLI
+tests drive the same contract end to end: a SIGTERMed ``repro sweep``
+subprocess, ``sweep-status``, a live ``--follow``, ``sweep-resume``
+and ``obs-diff``, all reading the sweep's one journal.
 """
 
 from __future__ import annotations
@@ -12,11 +15,15 @@ import json
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.errors import SweepInterrupted
 from repro.exec import (
     ResultCache,
@@ -24,10 +31,14 @@ from repro.exec import (
     Supervision,
     execute,
     journal_root,
+    journal_status_rows,
     list_journals,
 )
 from repro.exec.hashing import canonical_json
+from repro.exec.journal import journal_path, load_journal, read_records
 from repro.exec.spec import register_kind
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @register_kind("_paced")
@@ -84,16 +95,15 @@ class TestJournalResume:
         )
         journal_dir = tmp_path / "journal"
         shutil.copytree(ref_dir, journal_dir)
-        path = next(
-            path for path in journal_dir.glob("*.jsonl")
-            if not path.name.endswith(".events.jsonl")
-        )
+        (path,) = journal_dir.glob("*.jsonl")
         lines = path.read_text().splitlines(keepends=True)
         kept = [
             line for line in lines
-            if json.loads(line).get("event") != "end"
-        ][:3]  # begin + two rows
-        path.write_text("".join(kept) + '{"event": "run", "digest": "torn')
+            if json.loads(line)["event"] in ("sweep_begin", "run_settled")
+        ][:3]  # the session's begin + two settled rows
+        path.write_text(
+            "".join(kept) + '{"event": "run_settled", "digest": "torn'
+        )
         resumed = execute(
             specs, jobs=jobs,
             supervision=quiet_supervision(journal_dir=journal_dir),
@@ -172,3 +182,137 @@ class TestSignalInterrupt:
         finally:
             timer.cancel()
         assert str(journal_root(cache.root)) in caught.value.journal_path
+
+
+def repro_subprocess(*argv, **popen):
+    """``python -m repro <argv>`` with this checkout's package and no
+    inherited ``REPRO_*`` settings."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(SRC)
+    env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv], env=env, **popen
+    )
+
+
+def wait_for(predicate, proc, timeout=60.0):
+    """Poll ``predicate`` until it holds; fail if ``proc`` exits first."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert proc.poll() is None, f"process exited {proc.returncode} first"
+        assert time.monotonic() < deadline, "condition never reached"
+        time.sleep(0.005)
+
+
+class TestCliKillAndResume:
+    VALUES = ("4", "8", "12", "16", "20", "24")
+
+    def sweep_argv(self, cache, output):
+        return [
+            "sweep", "--scale", "1", "--values", *self.VALUES,
+            "--jobs", "2", "--obs-level", "metrics",
+            "--cache-dir", str(cache), "--output", str(output),
+        ]
+
+    def test_sigterm_then_resume_matches_uninterrupted(self, tmp_path, capsys):
+        ref_cache, int_cache = tmp_path / "ref-cache", tmp_path / "int-cache"
+        assert main(self.sweep_argv(ref_cache, tmp_path / "ref.json")) == 0
+
+        sweep = repro_subprocess(
+            *self.sweep_argv(int_cache, tmp_path / "int.json"),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+
+        def settled_once():
+            return any(
+                record["event"] == "run_settled"
+                for path in journal_root(int_cache).glob("*.jsonl")
+                for record in read_records(path)
+            )
+
+        try:
+            wait_for(settled_once, sweep)
+            sweep.send_signal(signal.SIGTERM)
+            _, err = sweep.communicate(timeout=60)
+        finally:
+            sweep.kill()
+        assert sweep.returncode == 130, err
+
+        capsys.readouterr()
+        assert main(["sweep-status", "--journal",
+                     "--cache-dir", str(int_cache)]) == 0
+        assert "interrupted" in capsys.readouterr().out
+        (row,) = journal_status_rows(journal_root(int_cache))
+        assert row["status"] == "interrupted"
+        assert 0 < row["completed"] < len(self.VALUES)
+        sweep_id = row["sweep_id"]
+        assert main(["sweep-status", sweep_id, "--json",
+                     "--cache-dir", str(int_cache)]) == 0
+        snapshot = json.loads(capsys.readouterr().out)
+        assert snapshot["schema"] == "repro-sweep-progress/2"
+        assert snapshot["status"] == "interrupted"
+
+        # A follower attached before the resume waits for it to end.
+        follow = repro_subprocess(
+            "sweep-status", sweep_id, "--follow", "--interval", "0.1",
+            "--cache-dir", str(int_cache),
+            stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            assert "[interrupted]" in follow.stdout.readline()
+            assert main(["sweep-resume", sweep_id,
+                         "--cache-dir", str(int_cache)]) == 0
+            rest, _ = follow.communicate(timeout=60)
+        finally:
+            follow.kill()
+        assert follow.returncode == 0
+        assert "[complete]" in rest
+
+        assert (tmp_path / "int.json").read_bytes() == (
+            tmp_path / "ref.json"
+        ).read_bytes()
+        assert main(["obs-diff", sweep_id, sweep_id,
+                     "--cache-dir", str(ref_cache),
+                     "--cache-dir-b", str(int_cache)]) == 0
+
+
+class TestCliWarmSubsetSweep:
+    def test_cached_rows_settle_the_sweep(self, tmp_path, capsys):
+        """A sweep answered wholly from a warm cache is complete in its
+        journal: status, resume and obs-diff all see its cached rows."""
+        warm, cold = tmp_path / "warm", tmp_path / "cold"
+
+        def sweep(cache, *values):
+            return main([
+                "sweep", "--scale", "50", "--values", *values,
+                "--obs-level", "metrics", "--cache-dir", str(cache),
+            ])
+
+        assert sweep(warm, "4", "8", "12") == 0
+        assert sweep(warm, "4", "8") == 0
+        assert sweep(cold, "4", "8") == 0
+        ((sweep_id, cold_status),) = [
+            (row["sweep_id"], row["status"])
+            for row in journal_status_rows(journal_root(cold))
+        ]
+        assert cold_status == "complete"
+
+        capsys.readouterr()
+        assert main(["sweep-status", "--journal",
+                     "--cache-dir", str(warm)]) == 0
+        assert sweep_id in capsys.readouterr().out
+        row = next(
+            row for row in journal_status_rows(journal_root(warm))
+            if row["sweep_id"] == sweep_id
+        )
+        assert (row["status"], row["completed"], row["total"],
+                row["pending"]) == ("complete", 2, 2, 0)
+
+        assert main(["sweep-resume", sweep_id, "--cache-dir", str(warm)]) == 0
+        assert "2/2 rows done, 0 pending" in capsys.readouterr().out
+        state = load_journal(journal_path(journal_root(warm), sweep_id))
+        assert state.executed == 0  # every session answered from the cache
+
+        assert main(["obs-diff", sweep_id, sweep_id,
+                     "--cache-dir", str(cold), "--cache-dir-b", str(warm)]) == 0
+        assert "missing" not in capsys.readouterr().out

@@ -1,22 +1,21 @@
-"""Heartbeat compaction: bounded stream growth, identical fold.
+"""Heartbeat compaction: bounded journal growth, identical fold.
 
 A long sweep emits heartbeats every ``heartbeat_interval`` — by far
-the dominant line count in ``<sweep_id>.events.jsonl``.  On reopen
-(resume, or a master restarting) the bus compacts runs of consecutive
-heartbeats down to the latest per source.  The regression bar from
-the issue: :func:`replay_events` must fold to the identical
-:class:`SweepProgress` before and after compaction.
+the dominant line count in ``<sweep_id>.jsonl``.  On reopen (resume,
+or a master restarting) the writer compacts runs of consecutive
+heartbeats down to the latest per source.  The regression bar:
+:func:`replay_events` must fold to the identical
+:class:`SweepProgress` before and after compaction, and a compaction
+must lose no record a concurrent appender writes.
 """
 
 from __future__ import annotations
 
 import json
 
+from repro.exec.journal import SweepJournal, compact_journal, read_records
 from repro.obs.events import (
-    SweepEventBus,
-    compact_events_file,
     compact_heartbeat_lines,
-    load_events,
     replay_events,
     settled_events_digest,
 )
@@ -94,41 +93,53 @@ class TestCompaction:
         assert len(compacted) == 2
 
     def test_replay_folds_identically_before_and_after(self, tmp_path):
-        path = tmp_path / "abc.events.jsonl"
+        path = tmp_path / "abc.jsonl"
         path.write_text("".join(synthetic_stream()))
 
-        before = replay_events(load_events(path))
-        digest_before = settled_events_digest(load_events(path))
+        before = replay_events(read_records(path))
+        digest_before = settled_events_digest(read_records(path))
         raw_before = len(path.read_text().splitlines())
 
-        assert compact_events_file(path) is True
-        after = replay_events(load_events(path))
+        assert compact_journal(path) is True
+        after = replay_events(read_records(path))
         raw_after = len(path.read_text().splitlines())
 
         assert raw_after < raw_before
         assert after.to_dict() == before.to_dict()
-        assert settled_events_digest(load_events(path)) == digest_before
+        assert settled_events_digest(read_records(path)) == digest_before
 
     def test_compaction_is_idempotent(self, tmp_path):
-        path = tmp_path / "abc.events.jsonl"
+        path = tmp_path / "abc.jsonl"
         path.write_text("".join(synthetic_stream()))
-        assert compact_events_file(path) is True
+        assert compact_journal(path) is True
         once = path.read_text()
-        assert compact_events_file(path) is False  # nothing left to drop
+        assert compact_journal(path) is False  # nothing left to drop
         assert path.read_text() == once
 
+    def test_appender_reopens_after_compaction(self, tmp_path):
+        """A writer whose open descriptor a compaction replaced writes
+        its next record into the new file, not the orphaned one."""
+        writer = SweepJournal(tmp_path, "abc")
+        writer.emit("sweep_begin", sweep_id="abc", total=1, jobs=1)
+        for _ in range(5):
+            writer.emit("heartbeat", workers={"0": None})
+        assert compact_journal(writer.path) is True
+        writer.record_run(
+            "d0", kind="test", label="row", status="ok", payload={"v": 1}
+        )
+        kinds = [r["event"] for r in read_records(writer.path)]
+        assert kinds == ["sweep_begin", "heartbeat", "run_settled"]
+
     def test_bus_reopen_compacts_previous_session(self, tmp_path):
-        bus = SweepEventBus(tmp_path, "abc")
+        bus = SweepJournal(tmp_path, "abc")
         bus.emit("sweep_begin", sweep_id="abc", total=1, jobs=1)
         for _ in range(10):
             bus.emit("heartbeat", workers={"0": None})
-        bus.close()
         grown = len(bus.path.read_text().splitlines())
         assert grown == 11
 
-        resumed = SweepEventBus(tmp_path, "abc")
+        resumed = SweepJournal(tmp_path, "abc")
         resumed.emit("sweep_begin", sweep_id="abc", total=1, jobs=1)
-        resumed.close()
         lines = [
             json.loads(line)
             for line in bus.path.read_text().splitlines()

@@ -1,4 +1,5 @@
-"""Unit tests for the sweep progress event bus (repro.obs.events)."""
+"""Unit tests for the sweep journal's progress records and their fold
+(repro.obs.events, written by repro.exec.journal.SweepJournal)."""
 
 from __future__ import annotations
 
@@ -6,14 +7,16 @@ import json
 
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.exec.journal import (
+    SweepJournal,
+    find_journal,
+    list_journals,
+    load_journal,
+    read_records,
+)
 from repro.obs.events import (
-    EVENTS_SUFFIX,
     PROGRESS_SCHEMA,
-    SweepEventBus,
-    events_path,
-    list_event_streams,
-    load_events,
-    load_progress,
     progress_bar,
     render_progress,
     replay_events,
@@ -23,57 +26,56 @@ from repro.obs.events import (
 
 class TestBusAndLoad:
     def test_round_trip(self, tmp_path):
-        bus = SweepEventBus(tmp_path, "abc123")
-        bus.emit("sweep_begin", total=2, jobs=1)
+        bus = SweepJournal(tmp_path, "abc123")
+        bus.emit("sweep_begin", sweep_id="abc123", total=2, jobs=1)
         bus.emit("run_settled", index=0, digest="d0", status="ok")
-        bus.close()
-        events = load_events(events_path(tmp_path, "abc123"))
+        events = read_records(bus.path)
         assert [e["event"] for e in events] == ["sweep_begin", "run_settled"]
         assert all("ts" in e for e in events)
-        assert bus.emitted == 2
 
     def test_missing_file_is_empty_stream(self, tmp_path):
-        assert load_events(tmp_path / "nope.events.jsonl") == []
+        assert read_records(tmp_path / "nope.jsonl") == []
+        assert load_journal(tmp_path / "nope.jsonl") is None
 
     def test_torn_tail_tolerated(self, tmp_path):
-        """Mirror the journal's torn-tail semantics: a crash mid-append
-        loses only the torn line."""
-        bus = SweepEventBus(tmp_path, "torn")
-        bus.emit("sweep_begin", total=3)
+        """A crash mid-append loses only the torn line."""
+        bus = SweepJournal(tmp_path, "torn")
+        bus.emit("sweep_begin", sweep_id="torn", total=3)
         bus.emit("run_settled", index=0, digest="d0", status="ok")
-        bus.close()
-        path = events_path(tmp_path, "torn")
-        with path.open("a") as handle:
+        with bus.path.open("a") as handle:
             handle.write('{"event": "run_settled", "index": 1, "dig')
-        events = load_events(path)
+        events = read_records(bus.path)
         assert [e["event"] for e in events] == ["sweep_begin", "run_settled"]
-        # Appends after the torn line still load (scribble mid-stream).
-        bus2 = SweepEventBus(tmp_path, "torn")
+        # Appends after the torn line still load (scribble mid-journal).
+        bus2 = SweepJournal(tmp_path, "torn")
         bus2.emit("sweep_end", status="complete")
-        bus2.close()
-        events = load_events(path)
+        events = read_records(bus.path)
         assert events[-1]["event"] == "sweep_end"
 
     def test_non_event_lines_skipped(self, tmp_path):
-        path = tmp_path / f"x{EVENTS_SUFFIX}"
+        path = tmp_path / "x.jsonl"
         path.write_text('[1,2]\n{"no_event_key": 1}\n{"event": "heartbeat"}\n')
-        assert [e["event"] for e in load_events(path)] == ["heartbeat"]
+        assert [e["event"] for e in read_records(path)] == ["heartbeat"]
 
     def test_emission_failure_never_raises(self, tmp_path):
+        """Advisory records swallow I/O errors; durable ones raise."""
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
-        bus = SweepEventBus(blocker / "sub", "dead")  # parent is a file
-        bus.emit("sweep_begin", total=1)  # must not raise
-        assert bus.emitted == 0
-        bus.emit("sweep_end")  # dead bus stays silent
-        bus.close()
+        bus = SweepJournal(blocker / "sub", "dead")  # parent is a file
+        bus.emit("heartbeat", workers={})  # advisory: must not raise
+        bus.emit("run_leased", index=0)
+        assert not bus.dead  # not a full disk: durable appends still try
+        with pytest.raises(OSError):
+            bus.begin(["sweep"], ["d0"])
 
-    def test_list_event_streams(self, tmp_path):
-        SweepEventBus(tmp_path, "bbb").emit("sweep_begin")
-        SweepEventBus(tmp_path, "aaa").emit("sweep_begin")
-        (tmp_path / "cc.jsonl").write_text("{}\n")  # a journal, not a stream
-        names = [p.name for p in list_event_streams(tmp_path)]
-        assert names == [f"aaa{EVENTS_SUFFIX}", f"bbb{EVENTS_SUFFIX}"]
+    def test_list_journals(self, tmp_path):
+        SweepJournal(tmp_path, "bbb").begin(["b"], ["d1"])
+        SweepJournal(tmp_path, "aaa").begin(["a"], ["d0"])
+        (tmp_path / "cc.jsonl").write_text('{"event": "heartbeat"}\n')
+        assert {s.sweep_id for s in list_journals(tmp_path)} == {"aaa", "bbb"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "aaa.jsonl", "bbb.jsonl", "cc.jsonl",
+        ]
 
 
 class TestSettledDigest:
@@ -199,11 +201,31 @@ class TestReplay:
         assert len(progress.settled) == 2
         assert progress.resumed == 0
 
-    def test_load_progress_missing_stream(self, tmp_path):
-        progress = load_progress(tmp_path, "nope")
-        assert progress.sweep_id == "nope"
-        assert progress.status == "unknown"
-        assert progress.total == 0
+    def test_load_journal_missing_log(self, tmp_path):
+        assert load_journal(tmp_path / "nope.jsonl") is None
+        with pytest.raises(ConfigurationError, match="no journals yet"):
+            find_journal(tmp_path, "nope")
+
+    def test_resumable_rows_carry_payloads(self):
+        """Resume reuses ok and poisoned rows journaled with their
+        payload; a cache hit (no payload) and a transient error do not
+        qualify, and a later session's settle wins."""
+        events = self.stream() + [
+            {"event": "run_settled", "ts": 12.0, "index": 2, "digest": "d2",
+             "status": "error", "poisoned": False, "payload": {}},
+            {"event": "run_settled", "ts": 12.5, "index": 3, "digest": "d3",
+             "status": "error", "poisoned": True, "payload": {},
+             "error": "bad config"},
+            {"event": "run_settled", "ts": 13.0, "index": 1, "digest": "d1",
+             "status": "ok", "payload": {"value": 1}},
+        ]
+        progress = replay_events(events)
+        resumable = progress.resumable()
+        assert set(resumable) == {"d1", "d3"}
+        assert resumable["d1"]["payload"] == {"value": 1}
+        assert resumable["d3"]["error"] == "bad config"
+        assert progress.outstanding == 1  # d2: a resume retries it
+        assert "payload" not in json.dumps(progress.to_dict())
 
 
 class TestRendering:

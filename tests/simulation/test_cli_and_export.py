@@ -222,7 +222,7 @@ class TestSweepStatus:
         out = capsys.readouterr().out
         assert "0 entries, 0 B on disk" in out
 
-    def _write_stream(self, cache_dir, sweep_id):
+    def _write_journal(self, cache_dir, sweep_id):
         import json
 
         root = cache_dir / "journals"
@@ -235,15 +235,15 @@ class TestSweepStatus:
             {"event": "sweep_end", "ts": 3.0, "status": "complete",
              "settled": 1},
         ]
-        path = root / f"{sweep_id}.events.jsonl"
+        path = root / f"{sweep_id}.jsonl"
         path.write_text(
             "".join(json.dumps(line) + "\n" for line in lines)
         )
 
     def test_sweep_id_unique_prefix_resolves(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"
-        self._write_stream(cache_dir, "aaaa1111")
-        self._write_stream(cache_dir, "bbbb2222")
+        self._write_journal(cache_dir, "aaaa1111")
+        self._write_journal(cache_dir, "bbbb2222")
         code = main(["sweep-status", "aaaa1", "--cache-dir", str(cache_dir)])
         out = capsys.readouterr().out
         assert code == 0
@@ -253,10 +253,47 @@ class TestSweepStatus:
         self, capsys, tmp_path
     ):
         cache_dir = tmp_path / "cache"
-        self._write_stream(cache_dir, "aaaa1111")
-        self._write_stream(cache_dir, "aaaa2222")
+        self._write_journal(cache_dir, "aaaa1111")
+        self._write_journal(cache_dir, "aaaa2222")
         code = main(["sweep-status", "aaaa", "--cache-dir", str(cache_dir)])
         err = capsys.readouterr().err
         assert code == 2
         assert "ambiguous" in err
         assert "aaaa1111" in err and "aaaa2222" in err
+
+    def test_follow_without_id_returns_when_nothing_is_in_flight(
+        self, capsys, tmp_path
+    ):
+        cache_dir = tmp_path / "cache"
+        self._write_journal(cache_dir, "aaaa1111")  # complete
+        code = main(["sweep-status", "--follow", "--interval", "0.01",
+                     "--cache-dir", str(cache_dir)])
+        assert code == 0
+        assert "no in-flight sweeps" in capsys.readouterr().out
+
+    def test_follow_without_id_renders_in_flight_sweeps_to_the_end(
+        self, capsys, tmp_path
+    ):
+        """Every in-flight sweep is rendered; a finished one is left out
+        and a sweep that ends gets its last frame before the return."""
+        import threading
+
+        from repro.exec.journal import SweepJournal
+
+        cache_dir = tmp_path / "cache"
+        self._write_journal(cache_dir, "aaaa1111")  # complete: not shown
+        live = SweepJournal(cache_dir / "journals", "bbbb2222")
+        live.begin(["sweep", "--live"], ["d0"])
+        timer = threading.Timer(0.3, live.end, args=("complete",))
+        timer.start()
+        try:
+            code = main(["sweep-status", "--follow", "--interval", "0.02",
+                         "--cache-dir", str(cache_dir)])
+        finally:
+            timer.cancel()
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "sweep bbbb2222  [in-flight]" in out
+        assert out.rstrip().splitlines()[0].startswith("sweep bbbb2222")
+        assert "sweep bbbb2222  [complete]" in out
+        assert "aaaa1111" not in out
