@@ -36,9 +36,9 @@ where naive whole-run ratios swing by ten.
 
 The sweep-scope rows (``sweep-off`` / ``sweep-metrics``) extend the
 same contract to the executor's observability: a journaled sweep at
-``--obs-level metrics`` carries the sweep journal *and* the obs artifact
-store (per-run capture + content-addressed write,
-docs/sweep_observability.md) and must stay within the same < 5 %
+``--obs-level metrics`` carries the sweep journal *and* per-run
+telemetry (per-run capture, written as the second line of each run's
+cache record, docs/sweep_observability.md) and must stay within the same < 5 %
 budget over the identical sweep at ``off`` (which already pays for
 the journal).  Whole sweeps cannot be interleaved
 interval-by-interval, so the pairing runs both sweeps back to back
@@ -278,7 +278,7 @@ def test_obs_overhead(tmp_path):
         f"metrics level costs {100 * (t_met / t_off - 1):.1f}% "
         f"(contract: < 5%)"
     )
-    # And so is sweep-scope observability (artifact store).
+    # And so is sweep-scope observability (telemetry in cache records).
     assert sweep_met < sweep_off * 1.05, (
         f"sweep at metrics costs {100 * (sweep_met / sweep_off - 1):.1f}% "
         f"over off (contract: < 5%)"

@@ -24,7 +24,7 @@ Commands
                   (docs/chaos_testing.md)
 ``obs-report``    summarise a ``--metrics`` file (or convert a trace)
 ``obs-diff``      per-metric deltas between two telemetry sources
-                  (obs artifacts, sweeps, ``--metrics`` documents,
+                  (cache records, sweeps, ``--metrics`` documents,
                   JSON row lists); nonzero exit on threshold breach
 
 All simulation commands accept ``--scale`` (1 = the paper's full
@@ -87,7 +87,6 @@ from repro.experiments.table4 import run_table4, scaled_table4_stations
 from repro.obs import Observability, convert_jsonl_to_chrome
 from repro.obs.events import render_progress
 from repro.obs.report import format_report, load_metrics
-from repro.obs.store import ObsArtifactStore
 from repro.simulation.config import SimulationConfig
 from repro.sim import sanitize
 from repro.simulation.export import write_csv, write_json
@@ -585,9 +584,7 @@ def cmd_sweep_status(args) -> int:
     if entries:
         print(format_table(cache_status_rows(cache)))
     if args.clear:
-        artifacts = len(ObsArtifactStore(cache.root))
-        removed = cache.clear()
-        print(f"cleared {removed} entries and {artifacts} obs artifacts")
+        print(f"cleared {cache.clear()} entries")
     return 0
 
 
@@ -724,7 +721,7 @@ def cmd_obs_report(args) -> int:
 def cmd_obs_diff(args) -> int:
     """Per-metric deltas between two telemetry sources.  Exit 0 when
     every delta is within the threshold, 3 when any metric breaches it
-    or a sweep side lacks a run's stored artifact (the CI gate's
+    or a sweep side lacks a run's stored telemetry (the CI gate's
     contract)."""
     from repro.obs.aggregate import (
         diff_metrics,
@@ -981,8 +978,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="cache directory (default: $REPRO_CACHE_DIR "
                                "or .repro-cache)")
     p_status.add_argument("--clear", action="store_true",
-                          help="delete every cached entry, and the obs "
-                               "artifacts stored beside it, after reporting")
+                          help="delete every cached entry (telemetry "
+                               "included) after reporting")
     p_status.add_argument("--journal", action="store_true",
                           help="list sweep journals instead: completed / "
                                "pending / poisoned counts per sweep")
@@ -1023,7 +1020,8 @@ def build_parser() -> argparse.ArgumentParser:
                "workflow are documented in docs/observability.md.",
     )
     p_obs.add_argument("metrics_file", nargs="?", default=None,
-                       help="metrics JSON written by --metrics")
+                       help="metrics JSON written by --metrics, or a "
+                            "cache record carrying telemetry")
     p_obs.add_argument("--run", type=int, default=None,
                        help="report only this run index")
     p_obs.add_argument("--trace", default=None, metavar="FILE",
@@ -1035,12 +1033,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff = sub.add_parser(
         "obs-diff",
         help="per-metric deltas between two telemetry sources",
-        epilog="A and B may each be an obs artifact "
-               "(objects/<digest>.obs.json), a --metrics document, any "
+        epilog="A and B may each be a cache record carrying telemetry "
+               "(objects/<d[:2]>/<digest>.json of an observed sweep), a "
+               "--metrics document, any "
                "JSON list of rows (e.g. the rows the telemetry overhead "
                "check prints; its < 5 % contract currently fails), or "
-               "a sweep id resolved through the journal and obs artifact "
-               "store beside --cache-dir (B uses --cache-dir-b when "
+               "a sweep id resolved through the journal and cache records "
+               "in --cache-dir (B uses --cache-dir-b when "
                "given).  Exit 3 when any delta breaches the threshold — "
                "the CI regression contract.  Flattening rules and "
                "threshold semantics are in docs/sweep_observability.md.",
@@ -1073,7 +1072,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(excluded by default: pure noise between "
                              "byte-identical sweeps)")
     p_diff.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="cache whose journals/artifacts resolve "
+                        help="cache whose journals/records resolve "
                              "sweep-id sources (default: $REPRO_CACHE_DIR "
                              "or .repro-cache)")
     p_diff.add_argument("--cache-dir-b", default=None, metavar="DIR",

@@ -12,9 +12,9 @@ byte-identical regardless of which agent (or how many) ran a row.
 
 Telemetry: when the sweep was submitted with ``--obs-level`` above
 ``off``, each run is captured exactly as in a local sweep, and the
-outcome's ``artifact`` (``runs``/``trace``) rides the result push; the
-master persists it through the same ``persist_outcome`` a local
-sweep uses, so its store matches a local observed sweep's.
+outcome's ``artifact`` (``level``/``runs``/``trace``) rides the result
+push; the master persists it through the same ``persist_outcome`` a
+local sweep uses, so its cache records match a local observed sweep's.
 
 Robustness: network calls retry with bounded backoff (a master
 restart mid-sweep costs nothing — leases re-expire and requeue);

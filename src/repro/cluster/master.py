@@ -1,19 +1,18 @@
 """``repro master``: the sweep control plane.
 
 The master is the *authority* side of a distributed sweep: it owns
-the result cache, the sweep journal and the obs artifact store — the
-exact same three stores a local sweep uses, rooted at the same
-``--cache-dir``.  Sweeps arrive over HTTP from
-``--master-url`` clients as lists of canonical spec documents; the
-master plans them with the executor's own
+the result cache and the sweep journal — the exact same two stores a
+local sweep uses, rooted at the same ``--cache-dir``.  Sweeps arrive
+over HTTP from ``--master-url`` clients as lists of canonical spec
+documents; the master plans them with the executor's own
 :func:`~repro.exec.executor.plan_rows` (cache probe, journal resume,
 artifact hit/miss — identical semantics), queues the pending rows,
 and leases them in batches to registered agents.  Every pushed result
 (with its obs artifact, when observed) lands through
 :func:`~repro.exec.executor.persist_outcome`, the same single write
-path the local executor flushes through, so journals, caches and
-artifact stores merge cleanly no matter who settled a row; the records
-reply hands each ok row's artifact back to the client.
+path the local executor flushes through, so journals and caches —
+telemetry included — merge cleanly no matter who settled a row; the
+records reply hands each ok row's artifact back to the client.
 
 Failure attribution (see docs/distributed_execution.md): an agent
 silent past ``heartbeat_timeout`` is dead; its leases expire and
@@ -48,7 +47,6 @@ from repro.exec.journal import (
 )
 from repro.exec.spec import spec_digest
 from repro.exec.supervisor import Supervision
-from repro.obs.store import ObsArtifactStore
 from repro.cluster.protocol import (
     API_PREFIX,
     check_handshake,
@@ -103,20 +101,15 @@ class MasterSweep:
         prior = load_journal(self.journal.path)
         # jobs=0: in a distributed sweep the worker count is the agents'.
         self.journal.begin(argv, digests, jobs=0, obs_level=obs_level)
-        self.store: Optional[ObsArtifactStore] = (
-            ObsArtifactStore(cache.root, level=obs_level)
-            if obs_level != "off"
-            else None
-        )
         self.records, self.pending, self.artifacts = plan_rows(
             specs,
             digests,
             cache,
-            self.store,
             prior.resumable() if prior is not None else {},
             self.journal,
             sweep_id=sweep_id,
             journal_file=str(self.journal.path),
+            obs_level=obs_level,
         )
         #: Lead-index outcome for every executed digest.
         self.outcomes: Dict[int, Dict[str, Any]] = {}
@@ -220,7 +213,9 @@ class MasterSweep:
         # a 500, and the agent's retried push must land cleanly.
         failpoints.fire(SITE_RESULT_PRE_PERSIST)
         if not (
-            isinstance(artifact, dict) and isinstance(artifact.get("runs"), list)
+            isinstance(artifact, dict)
+            and artifact.get("level") == self.obs_level
+            and isinstance(artifact.get("runs"), list)
         ):
             artifact = None
         outcome["artifact"] = artifact
@@ -234,7 +229,6 @@ class MasterSweep:
             outcome,
             self.cache,
             self.journal,
-            self.store,
         )
         self.journal.emit(
             "result_pushed",

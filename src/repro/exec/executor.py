@@ -31,9 +31,10 @@ executor opens one run-observation of its own whose
 whose registry tallies per-run wall-clock and counts runs, cache
 hits, retries, and failures.  Every run of an observed sweep is
 captured where it executes (in-process or in a worker); its outcome
-carries the artifact, :func:`persist_outcome` stores it, and collect
-adopts it from memory (warm hits: the artifact :func:`plan_rows`
-read), so per-run snapshots do not depend on ``jobs`` or the cache.
+carries the artifact, :func:`persist_outcome` stores it in the run's
+cache record, and collect adopts it from memory (warm hits: the
+telemetry :func:`plan_rows` read from the record), so per-run
+snapshots do not depend on ``jobs`` or the cache.
 A single-spec ``execute`` threads the session into the run instead.
 """
 
@@ -60,7 +61,6 @@ from repro.exec.supervisor import (
     attempt_serial,
     pool_context,
 )
-from repro.obs.store import ObsArtifactStore
 from repro.simulation.results import SimulationResult
 
 #: Failpoint sites bracketing the shared settle/persist path.
@@ -171,19 +171,19 @@ def plan_rows(
     specs: Sequence[RunSpec],
     digests: Sequence[str],
     cache: Optional[ResultCache],
-    store: Optional[ObsArtifactStore],
     settled_prior: Dict[str, Dict[str, Any]],
     journal: Optional[SweepJournal],
     sweep_id: str = "",
     journal_file: str = "",
+    obs_level: str = "off",
 ) -> Tuple[
     Dict[int, RunRecord], Dict[str, List[int]], Dict[str, Dict[str, Any]]
 ]:
     """The lease-aware sweep planner: split specs into settled records
     and pending work.
 
-    Probes the result cache, the obs artifact store, and the prior
-    journal rows for every spec, journaling the plan-time events
+    Probes the result cache and the prior journal rows for every spec,
+    journaling the plan-time events
     (``cache_hit``/``journal_hit``/``artifact_hit``/``artifact_miss``).
     Returns ``(records, pending, artifacts)`` where
     ``records`` maps already-settled indices to their
@@ -191,8 +191,8 @@ def plan_rows(
     spec indices wanting it (the first index of each group is the
     *lead* — the one actually dispatched; duplicates are filled at
     collect time), and ``artifacts`` maps each settled digest whose
-    telemetry the store held to ``{"runs", "trace"}`` — read once,
-    here, and adopted from memory at collect.
+    cache record carries telemetry at ``obs_level`` to ``{"runs",
+    "trace"}`` — read once, here, and adopted from memory at collect.
 
     This is the single planning path for both the local executor and
     the cluster master (:mod:`repro.cluster.master`), so a sweep
@@ -202,38 +202,34 @@ def plan_rows(
     pending: Dict[str, List[int]] = {}
     artifacts: Dict[str, Dict[str, Any]] = {}
     emitted: set = set()  # digests whose artifact was already journaled
+    observed = cache is not None and obs_level != "off"
     for index, (spec, digest) in enumerate(zip(specs, digests)):
-        stored = cache.get(digest) if cache is not None else None
         journal_row = settled_prior.get(digest)
-        reusable_journal_row = (
-            journal_row is not None
-            and (store is None or journal_row.get("status") != "ok")
-        )
-        if store is not None and (
-            stored is not None
-            or (journal_row is not None
-                and journal_row.get("status") == "ok")
-        ):
-            artifact = store.get(digest)
-            if artifact is None:
-                # The result is cached (or journaled ok) but its
-                # telemetry is not — a pre-store run, or a
-                # corrupt/torn artifact.  Treat the pair as a miss
-                # and re-execute: runs are deterministic, so the
-                # payload cannot change, and the fresh execute
-                # backfills the artifact.
-                if journal is not None and digest not in emitted:
-                    emitted.add(digest)
-                    journal.emit("artifact_miss", digest=digest, index=index)
+        if not observed:
+            stored = cache.get(digest) if cache is not None else None
+        else:
+            # Telemetry lives only in the cache record: an ok row
+            # whose record lacks it at this level (captured lower,
+            # quarantined, or only journaled) re-executes.  Runs are
+            # deterministic, so the payload cannot change, and the
+            # fresh execute rewrites the whole record.
+            stored, telemetry = cache.get_observed(digest, obs_level)
+            if journal_row is not None and journal_row.get("status") == "ok":
+                journal_row = None
+                settled = True
+            else:
+                settled = stored is not None
+            if journal is not None and settled and digest not in emitted:
+                emitted.add(digest)
+                journal.emit(
+                    "artifact_miss" if telemetry is None else "artifact_hit",
+                    digest=digest,
+                    index=index,
+                )
+            if telemetry is None:
                 stored = None
             else:
-                reusable_journal_row = journal_row is not None
-                artifacts[digest] = {
-                    "runs": artifact["runs"], "trace": artifact.get("trace")
-                }
-                if journal is not None and digest not in emitted:
-                    emitted.add(digest)
-                    journal.emit("artifact_hit", digest=digest, index=index)
+                artifacts[digest] = telemetry
         if stored is not None:
             records[index] = RunRecord(
                 index=index,
@@ -254,7 +250,7 @@ def plan_rows(
                     index=index,
                     label=spec.describe(),
                 )
-        elif reusable_journal_row:
+        elif journal_row is not None:
             row = journal_row
             records[index] = RunRecord(
                 index=index,
@@ -292,21 +288,17 @@ def persist_outcome(
     outcome: Dict[str, Any],
     cache: Optional[ResultCache],
     journal: Optional[SweepJournal],
-    store: Optional[ObsArtifactStore] = None,
 ) -> None:
-    """Flush one settled outcome to the obs store, cache and journal.
+    """Flush one settled outcome to the cache and journal.
 
     The single write path shared by the local executor and the cluster
     master: whoever settles a run — an in-process worker or a remote
     agent pushing its result — the row lands in the same stores with
     the same shape, so caches and journals merge cleanly.  It is the
-    only obs artifact writer: an ok outcome's ``artifact`` is stored
-    before its result is cached.
+    only telemetry writer: an ok outcome's ``artifact`` rides in the
+    same :meth:`ResultCache.put` as its result.
     """
     failpoints.fire(SITE_PERSIST_PRE)
-    artifact = outcome.get("artifact")
-    if store is not None and artifact is not None and outcome["status"] == "ok":
-        store.put(digest, artifact["runs"], artifact.get("trace"))
     if cache is not None and outcome["status"] == "ok":
         cache.put(
             digest,
@@ -317,6 +309,7 @@ def persist_outcome(
                 "payload": outcome["payload"],
                 "duration_s": outcome["duration_s"],
             },
+            outcome.get("artifact"),
         )
     if journal is not None:
         journal.record_run(
@@ -425,12 +418,9 @@ def execute(
         return contextlib.nullcontext()
 
     # An observed sweep captures every run; its artifacts ride the
-    # result cache when there is one.  A single spec keeps threading
-    # the session through (no capture, no store).
+    # result cache records when there is a cache.  A single spec keeps
+    # threading the session through (no capture).
     obs_level = obs.level.value if exec_obs is not None else "off"
-    store: Optional[ObsArtifactStore] = None
-    if cache is not None and exec_obs is not None:
-        store = ObsArtifactStore(cache.root, level=obs_level)
 
     with phase("plan"):
         digests = [spec_digest(spec) for spec in specs]
@@ -445,8 +435,8 @@ def execute(
         sweep_id = journal.sweep_id if journal is not None else ""
         journal_file = str(journal.path) if journal is not None else ""
         records, pending, artifacts = plan_rows(
-            specs, digests, cache, store, settled_prior, journal,
-            sweep_id=sweep_id, journal_file=journal_file,
+            specs, digests, cache, settled_prior, journal,
+            sweep_id=sweep_id, journal_file=journal_file, obs_level=obs_level,
         )
 
     index_digest = {indices[0]: digest for digest, indices in pending.items()}
@@ -457,9 +447,7 @@ def execute(
         """Persist one settled outcome to cache + journal immediately."""
         outcomes[index] = outcome
         digest = index_digest[index]
-        persist_outcome(
-            specs[index], index, digest, outcome, cache, journal, store
-        )
+        persist_outcome(specs[index], index, digest, outcome, cache, journal)
 
     retries = 0
     with phase("execute"), GracefulSignals(

@@ -34,8 +34,8 @@ window is one row, not one sweep.
 
 Telemetry: above ``obs_level="off"`` every run, in a worker or
 in-process, is captured under its own session and its outcome carries
-``artifact = {"runs": [...], "trace": [...] | None}``; the caller
-persists and adopts it (nothing here writes a store).
+``artifact = {"level": ..., "runs": [...], "trace": [...] | None}``;
+the caller persists and adopts it (nothing here writes a store).
 """
 
 from __future__ import annotations
@@ -247,19 +247,26 @@ def _run_captured(
 ) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
     """Run one spec; returns ``(payload, artifact)``.
 
-    Above ``off`` the run executes under its own telemetry session via
-    :func:`repro.obs.store.capture_run` and ``artifact`` holds its
-    snapshots and (at trace level) its trace events; at ``off`` this
-    is a plain :func:`run_spec` threading ``obs`` through (a
-    single-spec execute, which streams straight into the caller's
-    session) and ``artifact`` is ``None``.
+    Above ``off`` the run executes under a fresh single-run telemetry
+    session (memory trace sink) and ``artifact`` holds its level, its
+    snapshots and (at trace level) its trace events; the payload is
+    byte-identical to an unobserved run's, so capture is safe in
+    process, in a worker and on an agent alike.  At ``off`` this is a
+    plain :func:`run_spec` threading ``obs`` through (a single-spec
+    execute, which streams straight into the caller's session) and
+    ``artifact`` is ``None``.
     """
     if obs_level == "off":
         return run_spec(spec, obs=obs), None
-    from repro.obs.store import capture_run
+    from repro.obs import Observability
 
-    payload, runs, trace_events = capture_run(spec, obs_level)
-    return payload, {"runs": runs, "trace": trace_events or None}
+    capture = Observability(level=obs_level)
+    payload = run_spec(spec, obs=capture)
+    trace_events = [event.to_json() for event in capture.memory_events()]
+    capture.finish()
+    return payload, {
+        "level": obs_level, "runs": capture.runs, "trace": trace_events or None
+    }
 
 
 # ----------------------------------------------------------------------

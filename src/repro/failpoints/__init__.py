@@ -124,7 +124,6 @@ SITE_MODULES = (
     "repro.exec.journal",
     "repro.exec.executor",
     "repro.exec.supervisor",
-    "repro.obs.store",
     "repro.cluster.protocol",
     "repro.cluster.client",
     "repro.cluster.agent",

@@ -1,7 +1,7 @@
 """Crash-consistency harness: ``repro chaos``.
 
-Every store in the execution stack — result cache, sweep journal,
-obs artifact store, the cluster RPC plane —
+Every store in the execution stack — result cache (telemetry
+included), sweep journal, the cluster RPC plane —
 claims to survive being killed at its worst moment.  This harness
 *collects* on those claims.  For each scenario it runs the same small
 reference sweep three ways:
@@ -34,7 +34,7 @@ agent, or master), including killing an agent mid-push and letting a
 clean replacement finish the sweep.
 
 ``--quick`` runs the CI-smoke subset (cache, journal, one cluster
-RPC); the full set also covers the obs store, the worker
+RPC); the full set also covers the persist path, the worker
 pool, ENOSPC degradation, and a corrupt-cache round trip.  See
 ``docs/chaos_testing.md``.
 """
@@ -67,8 +67,8 @@ class ChaosError(ReproError):
 
 
 #: The reference sweep every scenario runs: small enough to finish in
-#: well under a second per run, rich enough to exercise cache, journal
-#: and obs-store writes for three distinct rows.
+#: well under a second per run, rich enough to exercise cache writes
+#: (telemetry included) and journal writes for three distinct rows.
 SWEEP_SCALE = 50
 SWEEP_VALUES: Tuple[int, ...] = (4, 8, 12)
 
@@ -192,12 +192,6 @@ def chaos_plan(quick: bool = False) -> List[Scenario]:
             "persist-post-crash",
             "executor.persist.post=crash",
             "killed just after the full persist path for one row",
-            expect=(_CRASH,),
-        ),
-        Scenario(
-            "obs-store-crash",
-            "obs.store.write.pre_rename=crash",
-            "killed mid obs-artifact write: telemetry is redone",
             expect=(_CRASH,),
         ),
         Scenario(
@@ -351,8 +345,7 @@ def _settled_digest(cache_dir: Path) -> str:
 def _cache_payloads(cache_dir: Path) -> Dict[str, Any]:
     payloads: Dict[str, Any] = {}
     for record in ResultCache(cache_dir).entries():
-        if "payload" in record:  # skip obs artifacts sharing the shard
-            payloads[str(record.get("digest", ""))] = record["payload"]
+        payloads[str(record.get("digest", ""))] = record.get("payload")
     return payloads
 
 
@@ -452,17 +445,14 @@ def _run_corruption(
         raise ChaosError(
             f"{scenario.name}: seed run failed: {_tail(seeded.stderr)}"
         )
-    victims = [
-        path
-        for path in sorted((cache / "objects").glob("*/*.json"))
-        if ".obs." not in path.name
-    ]
+    victims = sorted((cache / "objects").glob("*/*.json"))
     if not victims:
         raise ChaosError(f"{scenario.name}: seed run cached nothing")
     victim = victims[0]
-    record = json.loads(victim.read_text())
+    head, _, telemetry = victim.read_text().partition("\n")
+    record = json.loads(head)
     record.setdefault("payload", {})["corrupted"] = True  # checksum now lies
-    victim.write_text(json.dumps(record) + "\n")
+    victim.write_text(json.dumps(record) + "\n" + telemetry)
     # Remove the journal so only the cache can answer —
     # the corrupt object must be caught by its checksum, not masked.
     shutil.rmtree(cache / "journals", ignore_errors=True)

@@ -1,14 +1,14 @@
 """Object integrity + graceful degradation for best-effort stores.
 
-The result cache, sweep journal, event stream, and obs artifact store
-are all *accelerators or observers* of a sweep, not the computation
+The result cache (run telemetry included), sweep journal and event
+stream are all *accelerators or observers* of a sweep, not the computation
 itself — a corrupt object or a full disk must never turn a healthy
 sweep into a wrong or failed one.  This module centralises what every
 such store needs (deliberately dependency-light: it is imported from
 both the ``exec`` and ``obs`` layers, below either):
 
 * :func:`record_checksum` — the self-describing ``checksum`` field
-  every cached result/obs object carries (SHA-256 over the canonical
+  every cached run record carries (SHA-256 over the canonical
   JSON of the record minus the field itself);
 * :func:`quarantine_file` — the move-aside for objects whose checksum
   fails to verify: preserved under ``<root>/quarantine/`` for

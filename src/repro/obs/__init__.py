@@ -224,8 +224,8 @@ class Observability:
         """Fold externally captured run snapshots into this session.
 
         Used by the executor to merge telemetry captured elsewhere —
-        by a sweep run's own capture session, or reloaded from the obs
-        artifact store on a warm cache hit — so the session's metrics
+        by a sweep run's own capture session, or reloaded from its
+        cache record on a warm cache hit — so the session's metrics
         document and trace stream cover every run regardless of where
         (or when) it actually executed.  Snapshots are re-indexed into
         this session's run numbering; trace events are forwarded to
@@ -289,14 +289,8 @@ from repro.obs.events import (  # noqa: E402 — re-export
     replay_events,
     settled_events_digest,
 )
-from repro.obs.store import (  # noqa: E402 — re-export
-    ARTIFACT_SCHEMA,
-    ObsArtifactStore,
-    capture_run,
-)
 
 __all__ = [
-    "ARTIFACT_SCHEMA",
     "BoundedLog",
     "Counter",
     "Gauge",
@@ -304,7 +298,6 @@ __all__ = [
     "JsonlSink",
     "MemorySink",
     "MetricsRegistry",
-    "ObsArtifactStore",
     "ObsLevel",
     "Observability",
     "PROGRESS_SCHEMA",
@@ -317,7 +310,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "UtilizationMatrix",
-    "capture_run",
     "chrome_trace_events",
     "convert_jsonl_to_chrome",
     "read_jsonl",

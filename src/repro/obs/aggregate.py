@@ -9,8 +9,10 @@ questions are one command (and one CI job — breaches exit nonzero).
 
 Accepted sources (auto-detected):
 
-* an **obs artifact** (``objects/<digest>.obs.json``,
-  schema ``repro-obs-artifact/1``) — one run's stored telemetry;
+* a **cache record** carrying telemetry
+  (``objects/<d[:2]>/<digest>.json`` of an observed sweep's run: its
+  second line, verified against the record's ``obs_checksum``) — one
+  run's stored telemetry;
 * a **metrics document** (``--metrics FILE`` output:
   ``{"level": ..., "runs": [...]}``) — a whole session;
 * an **obs-overhead document** (the per-level rows
@@ -18,9 +20,9 @@ Accepted sources (auto-detected):
   temporary directory; its < 5 % contract currently fails) — and,
   generically, any JSON list of flat dicts;
 * a **sweep id** (when the argument is not a file): resolved through
-  the journal beside the result cache, loading the stored artifact of
-  every digest the sweep settled ok (executed, cached or resumed) from
-  the obs artifact store.
+  the journal beside the result cache, loading the telemetry of every
+  digest the sweep settled ok (executed, cached or resumed) from its
+  cache record.
 
 Flattening: every numeric leaf of every run snapshot becomes one key,
 ``<run label>/<metric>.<field>`` (row lists become
@@ -39,9 +41,10 @@ The defaults (both 0) make any difference a breach — the right
 setting for comparing deterministic sweeps, where the expected delta
 is exactly zero.  Keys present on only one side are reported
 (added/removed) but do not breach.  A sweep side whose settled runs
-lack a stored artifact (lost, or quarantined by its checksum) breaches
-once per missing artifact: its runs' keys would otherwise only show up
-as removed, and a zero-delta gate would pass.
+lack stored telemetry (record lost, captured unobserved, or
+quarantined by its checksum) breaches once per missing artifact: its
+runs' keys would otherwise only show up as removed, and a zero-delta
+gate would pass.
 """
 
 from __future__ import annotations
@@ -168,21 +171,34 @@ def load_metrics_source(
 
     Returns ``{"label": ..., "kind": ..., "metrics": {key: value}}``.
     A path that exists is parsed by shape; anything else is treated as
-    a sweep id and resolved through the journal + obs artifact store
-    beside ``cache_root`` (required in that case).
+    a sweep id and resolved through the journal + cache records beside
+    ``cache_root`` (required in that case).
     """
     path = Path(source)
     if path.is_file():
+        from repro.exec.cache import record_telemetry
+
         try:
-            with path.open() as handle:
-                document = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
+            data = path.read_bytes()
+        except OSError as error:
             raise ConfigurationError(
                 f"cannot read metrics source {path}: {error}"
             ) from error
+        try:
+            document = json.loads(data)
+        except ValueError as error:
+            # Two JSON lines: a cache record and its telemetry.
+            document = record_telemetry(data)
+            if document is None:
+                raise ConfigurationError(
+                    f"cannot read metrics source {path}: {error}"
+                ) from error
+            kind = "cache-record"
+        else:
+            kind = _document_kind(document)
         return {
             "label": str(source),
-            "kind": _document_kind(document),
+            "kind": kind,
             "metrics": _flatten_document(document, include_profile),
         }
     if "/" in str(source) or str(source).endswith(".json"):
@@ -197,9 +213,6 @@ def load_metrics_source(
 
 def _document_kind(document: Any) -> str:
     if isinstance(document, dict):
-        schema = document.get("schema")
-        if schema == "repro-obs-artifact/1":
-            return "obs-artifact"
         if isinstance(document.get("runs"), list):
             return "metrics-document"
     if isinstance(document, list):
@@ -211,25 +224,25 @@ def _flatten_document(
     document: Any, include_profile: bool
 ) -> Dict[str, float]:
     kind = _document_kind(document)
-    if kind in ("obs-artifact", "metrics-document"):
+    if kind == "metrics-document":
         return flatten_runs(document["runs"], include_profile=include_profile)
     if kind == "rows":
         return flatten_rows(document)
     raise ConfigurationError(
-        "unrecognised metrics source: expected an obs artifact, a "
-        "--metrics document, or a JSON list of rows"
+        "unrecognised metrics source: expected a cache record carrying "
+        "telemetry, a --metrics document, or a JSON list of rows"
     )
 
 
 def _load_sweep(
     sweep_id: str, cache_root: Path, include_profile: bool
 ) -> Dict[str, Any]:
-    """Resolve a sweep id to the union of its runs' stored artifacts."""
+    """Resolve a sweep id to the union of its runs' stored telemetry."""
+    from repro.exec.cache import ResultCache
     from repro.exec.journal import find_journal, journal_root
-    from repro.obs.store import ObsArtifactStore
 
     state = find_journal(journal_root(cache_root), sweep_id)
-    store = ObsArtifactStore(cache_root)
+    cache = ResultCache(cache_root)
     digests = sorted(
         digest
         for digest, row in state.settled.items()
@@ -238,16 +251,16 @@ def _load_sweep(
     runs: List[Dict[str, Any]] = []
     missing = 0
     for digest in digests:
-        artifact = store.get(digest)
-        if artifact is None:
+        _, telemetry = cache.get_observed(digest, "metrics")
+        if telemetry is None:
             missing += 1
             continue
-        runs.extend(artifact.get("runs", []))
+        runs.extend(telemetry["runs"])
     if not runs:
         raise ConfigurationError(
-            f"sweep {state.sweep_id} has no stored obs artifacts "
+            f"sweep {state.sweep_id} has no stored telemetry "
             f"({missing} of {len(digests)} runs missing) — re-run it "
-            "with --obs-level metrics to populate the store"
+            "with --obs-level metrics to store it in its cache records"
         )
     runs.sort(key=lambda run: str(run.get("label", "")))
     source = {

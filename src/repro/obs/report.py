@@ -23,13 +23,24 @@ _BLOCKS = " ▏▎▍▌▋▊▉█"
 
 
 def load_metrics(path: PathLike) -> Dict[str, Any]:
-    """Read a metrics JSON document written by ``--metrics FILE``."""
+    """Read a metrics JSON document written by ``--metrics FILE``, or
+    the telemetry of a cache record file."""
+    from repro.exec.cache import record_telemetry
+
     target = Path(path)
     try:
-        with target.open() as handle:
-            document = json.load(handle)
-    except (OSError, ValueError) as error:
+        data = target.read_bytes()
+    except OSError as error:
         raise ConfigurationError(f"cannot read metrics {target}: {error}") from error
+    try:
+        document = json.loads(data)
+    except ValueError as error:
+        # Two JSON lines: a cache record and its telemetry.
+        document = record_telemetry(data)
+        if document is None:
+            raise ConfigurationError(
+                f"cannot read metrics {target}: {error}"
+            ) from error
     if not isinstance(document, dict) or "runs" not in document:
         raise ConfigurationError(
             f"{target} is not a metrics document (missing 'runs')"

@@ -1,8 +1,8 @@
 """Graceful ENOSPC/EDQUOT degradation (satellite of the failpoint PR).
 
-A full disk must never fail a sweep: the cache, journal and obs store
-are accelerators/observers, so each degrades to a no-op with a single
-warning.  Genuine I/O errors, by contrast, must
+A full disk must never fail a sweep: the cache (run telemetry
+included) and the journal are accelerators/observers, so each degrades
+to a no-op with a single warning.  Genuine I/O errors, by contrast, must
 still propagate — silence is only for running out of space.
 """
 
@@ -12,7 +12,6 @@ from repro import failpoints
 from repro.exec.cache import ResultCache
 from repro.exec.journal import SweepJournal, load_journal
 from repro.integrity import reset_warnings, warn_degraded
-from repro.obs.store import ObsArtifactStore
 
 DIGEST = "ab" * 32
 RECORD = {
@@ -82,18 +81,6 @@ class TestEventBusDegradation:
         failpoints.install("journal.append.pre_write=error:io")
         with pytest.raises(OSError):
             journal.begin(["sweep"], [DIGEST])
-
-
-class TestObsStoreDegradation:
-    def test_enospc_drops_the_artifact_with_a_warning(
-        self, tmp_path, capsys
-    ):
-        failpoints.install("obs.store.write.pre_rename=enospc")
-        store = ObsArtifactStore(tmp_path, level="metrics")
-        store.put(DIGEST, runs=[{"admitted": 7}])  # must not raise
-        assert store.get(DIGEST) is None  # a miss, to backfill later
-        err = capsys.readouterr().err
-        assert err.count("obs artifact store degraded") == 1
 
 
 class TestWarnDedup:

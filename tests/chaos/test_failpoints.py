@@ -92,10 +92,9 @@ class TestRegistry:
             "journal.append.pre_write",
             "master.registry.pre_expire",
             "master.result.pre_persist",
-            "obs.store.write.pre_rename",
             "worker.result.pre_put",
         }
-        assert expected <= set(sites)
+        assert expected == set(sites)
         # Every site carries a human description for `chaos --list`.
         assert all(sites[name] for name in expected)
 

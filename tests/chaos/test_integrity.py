@@ -11,7 +11,6 @@ from repro.integrity import (
     quarantine_file,
     record_checksum,
 )
-from repro.obs.store import ObsArtifactStore
 
 DIGEST = "ab" * 32
 RECORD = {
@@ -104,15 +103,16 @@ class TestCacheQuarantine:
 
 class TestObsStoreQuarantine:
     def test_corrupt_artifact_is_a_quarantined_miss(self, tmp_path):
-        store = ObsArtifactStore(tmp_path, level="metrics")
-        store.put(DIGEST, runs=[{"admitted": 7}])
-        assert store.get(DIGEST) is not None
-        path = store.artifact_path(DIGEST)
-        artifact = json.loads(path.read_text())
-        artifact["runs"][0]["admitted"] = 9999
-        path.write_text(json.dumps(artifact) + "\n")
-        assert store.get(DIGEST) is None
-        assert store.quarantined == 1
+        """A run's telemetry line failing its record's ``obs_checksum``
+        quarantines the whole record file."""
+        cache = ResultCache(tmp_path)
+        artifact = {"level": "metrics", "runs": [{"admitted": 7}]}
+        path = cache.put(DIGEST, dict(RECORD), artifact)
+        assert cache.get_observed(DIGEST, "metrics")[1] is not None
+        head, telemetry, _ = path.read_text().split("\n")
+        path.write_text(head + "\n" + telemetry.replace("7", "9999") + "\n")
+        assert cache.get_observed(DIGEST, "metrics")[1] is None
+        assert cache.quarantined == 1
         assert not path.exists()
         assert list((tmp_path / QUARANTINE_SUBDIR).iterdir())
 

@@ -30,7 +30,6 @@ from repro.exec.supervisor import Supervision
 from repro.obs import Observability
 from repro.obs.aggregate import diff_metrics, load_metrics_source
 from repro.obs.events import replay_events, settled_events_digest
-from repro.obs.store import ObsArtifactStore
 from repro.cluster.agent import ClusterAgent
 from repro.cluster.client import execute_via_master
 from repro.cluster.master import ClusterMaster
@@ -180,8 +179,9 @@ class TestLoopbackDeterminism:
     @pytest.mark.parametrize("level", ["metrics", "trace"])
     def test_observed_sweep_matches_local_telemetry(self, tmp_path, level):
         """A --master-url sweep adopts the per-run telemetry a local
-        jobs=1 sweep records, and the master's artifact store diffs to
-        zero against a local jobs=2 sweep's."""
+        jobs=1 sweep records, and the telemetry the master persisted
+        into its cache records diffs to zero against a local jobs=2
+        sweep's."""
         specs = [
             experiment_spec(
                 ScaledConfig(scale=50).with_(num_stations=n, access_mean=0.2)
@@ -371,7 +371,8 @@ class TestProtocolGuards:
 
     def test_malformed_artifact_is_dropped(self, tmp_path):
         """A pushed artifact whose ``runs`` is not a list is not stored
-        or handed back; the row itself still settles."""
+        in the row's cache record or handed back; the row itself still
+        settles."""
         spec = echo_specs(1)[0]
         master = start_master(tmp_path)
         try:
@@ -387,12 +388,14 @@ class TestProtocolGuards:
             }
             client.push_result(
                 "a", state["sweep_id"], 0, spec_digest(spec), outcome,
-                {"runs": "not-a-list"},
+                {"level": "metrics", "runs": "not-a-list"},
             )
             rows = client.sweep_records(state["sweep_id"])["records"]
             assert [row["status"] for row in rows] == ["ok"]
             assert "artifact" not in rows[0]
-            assert len(ObsArtifactStore(master.cache.root)) == 0
+            record = master.cache.get(spec_digest(spec))
+            assert record["payload"] == {"doubled": 0}
+            assert "obs_level" not in record
         finally:
             master.stop()
 

@@ -135,8 +135,7 @@ class TestCliWarmCache:
     ):
         """``repro figure8`` cold and then warm at the parallel width
         writes byte-identical CSVs, and ``sweep-status`` reports one
-        cache entry per run, not counting the obs artifacts stored
-        beside the records."""
+        cache entry per run, its telemetry inside it."""
         cache_dir = str(tmp_path / "cache")
         outputs = []
         for name in ("cold", "warm"):

@@ -1,4 +1,4 @@
-"""Integration tests: sweep journal + obs artifact store through execute().
+"""Integration tests: sweep journal + run telemetry through execute().
 
 The sweep-scope observability contract (docs/sweep_observability.md):
 
@@ -6,8 +6,8 @@ The sweep-scope observability contract (docs/sweep_observability.md):
 * the *set* of settled outcomes is a function of the work, not the
   scheduling — ``jobs=1`` and ``jobs=4`` agree on the settled digest;
 * with ``--obs-level metrics|trace`` and a cache, per-run telemetry is
-  persisted content-addressed and reused byte-identically on warm
-  hits; a corrupt artifact is a miss and is rewritten.
+  persisted in the run's cache record and reused byte-identically on
+  warm hits; a corrupt telemetry line is a miss and is rewritten.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.exec.journal import journal_root, load_journal, read_records
 from repro.exec.spec import register_kind, spec_digest
 from repro.obs import Observability
 from repro.obs.events import settled_events_digest
-from repro.obs.store import ObsArtifactStore
 
 
 @register_kind("_busy")
@@ -127,10 +126,9 @@ class TestArtifactStore:
         )
         return records, obs
 
-    def artifact_bytes(self, cache_root, specs):
-        store = ObsArtifactStore(cache_root)
+    def artifact_bytes(self, cache, specs):
         return {
-            spec.label: store.artifact_path(spec_digest(spec)).read_bytes()
+            spec.label: cache.path_for(spec_digest(spec)).read_bytes()
             for spec in specs
         }
 
@@ -140,11 +138,10 @@ class TestArtifactStore:
         cache = ResultCache(tmp_path)
         records, obs = self.observed_execute(specs, cache, jobs=jobs)
         assert all(record.ok for record in records)
-        store = ObsArtifactStore(tmp_path)
-        assert len(store) == 3
+        assert len(cache) == 3
         for spec in specs:
-            artifact = store.get(spec_digest(spec))
-            runs = artifact["runs"]
+            _, telemetry = cache.get_observed(spec_digest(spec), "metrics")
+            runs = telemetry["runs"]
             assert len(runs) == 1
             value = spec.params["value"]
             assert runs[0]["metrics"]["busy.value"]["value"] == value
@@ -165,10 +162,10 @@ class TestArtifactStore:
         specs = busy_specs(3)
         cache = ResultCache(tmp_path)
         self.observed_execute(specs, cache)
-        before = self.artifact_bytes(tmp_path, specs)
+        before = self.artifact_bytes(cache, specs)
         records, obs = self.observed_execute(specs, cache)
         assert all(record.cached for record in records)
-        assert self.artifact_bytes(tmp_path, specs) == before
+        assert self.artifact_bytes(cache, specs) == before
         # The warm session still carries every run's telemetry.
         assert [run["label"] for run in obs.runs][:3] == [
             "busy-0", "busy-1", "busy-2",
@@ -177,20 +174,21 @@ class TestArtifactStore:
         assert [e["event"] for e in events].count("artifact_hit") == 3
 
     def test_corrupt_artifact_is_miss_and_rewritten(self, tmp_path):
-        """Mirror ResultCache corrupt->miss: the row re-executes (same
-        bytes — runs are deterministic) and the artifact is rebuilt."""
+        """A torn telemetry line quarantines its record: the row
+        re-executes (same bytes — runs are deterministic) and the whole
+        record is rewritten."""
         specs = busy_specs(3)
         cache = ResultCache(tmp_path)
         records, _ = self.observed_execute(specs, cache)
         reference_rows = [canonical_json(r.payload) for r in records]
-        store = ObsArtifactStore(tmp_path)
         victim = spec_digest(specs[1])
-        store.artifact_path(victim).write_text("{ torn artifact")
+        path = cache.path_for(victim)
+        path.write_text(path.read_text().splitlines()[0] + "\n{ torn artifact")
         records, _ = self.observed_execute(specs, cache)
         assert [canonical_json(r.payload) for r in records] == reference_rows
         assert records[0].cached and records[2].cached
         assert not records[1].cached  # re-executed to backfill telemetry
-        rebuilt = store.get(victim)
+        _, rebuilt = cache.get_observed(victim, "metrics")
         assert rebuilt is not None
         assert rebuilt["runs"][0]["metrics"]["busy.value"]["value"] == 1
         events = read_records(single_journal(tmp_path))
@@ -199,7 +197,11 @@ class TestArtifactStore:
     def test_unobserved_sweep_writes_no_artifacts(self, tmp_path):
         cache = ResultCache(tmp_path)
         execute(busy_specs(3), cache=cache, supervision=quiet())
-        assert len(ObsArtifactStore(tmp_path)) == 0
+        assert len(cache) == 3
+        for record in cache.entries():
+            assert "obs_level" not in record
+            path = cache.path_for(record["digest"])
+            assert len(path.read_text().splitlines()) == 1
 
     def test_trace_artifacts_round_trip(self, tmp_path):
         specs = busy_specs(2)

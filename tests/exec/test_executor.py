@@ -19,7 +19,6 @@ from repro.exec import (
 )
 from repro.exec.spec import register_kind
 from repro.obs import Observability
-from repro.obs.store import ObsArtifactStore
 from repro.simulation.config import ScaledConfig
 
 
@@ -253,42 +252,40 @@ class TestObsRollup:
             if event.kind == "run"
         ]
         assert instants == list(range(len(OBSERVED_SPECS) + 1))
-        # The stored sidecars are per digest: they keep the capture's 0.
-        store = ObsArtifactStore(tmp_path / "cache", level="trace")
+        # The stored records are per digest: they keep the capture's 0.
+        cache = ResultCache(tmp_path / "cache")
         for spec in OBSERVED_SPECS:
-            trace = store.get(spec_digest(spec))["trace"]
+            trace = cache.get_observed(spec_digest(spec), "trace")[1]["trace"]
             assert [e["args"]["run"] for e in trace if e["kind"] == "run"] == [0]
 
 
 class TestObsStoreIO:
-    """``persist_outcome`` is the artifact store's only writer and
-    ``plan_rows`` its only reader: a fresh row is written once and never
-    read back, a warm row is read once."""
+    """``persist_outcome`` is the only writer of a run's telemetry and
+    ``plan_rows`` its only reader: a row is probed once per sweep and
+    written once when fresh, and an observed plan never takes the
+    line-1-only ``get``."""
 
     @pytest.mark.parametrize("level", ["metrics", "trace"])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_store_io_counts(self, jobs, level, tmp_path, monkeypatch):
         calls = Counter()
-        for name in ("put", "get", "get_trace"):
-            original = getattr(ObsArtifactStore, name)
+        for name in ("put", "get", "get_observed"):
+            original = getattr(ResultCache, name)
 
             def spy(self, *args, _name=name, _original=original):
                 calls[_name] += 1
                 return _original(self, *args)
 
-            monkeypatch.setattr(ObsArtifactStore, name, spy)
+            monkeypatch.setattr(ResultCache, name, spy)
         cache = ResultCache(tmp_path / "cache")
         count = len(OBSERVED_SPECS)
 
         execute(OBSERVED_SPECS, jobs=jobs, cache=cache,
                 obs=Observability(level=level))
-        assert dict(calls) == {"put": count}
+        assert dict(calls) == {"get_observed": count, "put": count}
 
         calls.clear()
         obs = Observability(level=level)
         execute(OBSERVED_SPECS, jobs=jobs, cache=cache, obs=obs)
-        expected = {"get": count}
-        if level == "trace":
-            expected["get_trace"] = count  # one sidecar read per row
-        assert dict(calls) == expected
+        assert dict(calls) == {"get_observed": count}
         assert len(per_run_snapshots(obs)) == count

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
+from repro.exec.cache import ResultCache
 from repro.exec.journal import journal_root, journal_status_rows
 from repro.integrity import record_checksum
 from repro.obs.aggregate import (
@@ -201,19 +203,15 @@ class TestLoadSource:
         assert loaded["metrics"]["r/disk.reads.value"] == 3
 
     def test_obs_artifact(self, tmp_path):
-        path = tmp_path / "a.obs.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": "repro-obs-artifact/1",
-                    "digest": "d",
-                    "level": "metrics",
-                    "runs": [run_snapshot("r", 4)],
-                }
-            )
+        """A cache record carrying telemetry is read through its
+        second line."""
+        path = ResultCache(tmp_path).put(
+            "d" * 64,
+            {"kind": "experiment", "payload": {}},
+            {"level": "metrics", "runs": [run_snapshot("r", 4)]},
         )
         loaded = load_metrics_source(path)
-        assert loaded["kind"] == "obs-artifact"
+        assert loaded["kind"] == "cache-record"
         assert loaded["metrics"]["r/disk.reads.value"] == 4
 
     def test_rows_list(self, tmp_path):
@@ -278,25 +276,28 @@ class TestObsDiffCli:
         root, sweep_id = two_sweeps
         perturbed = tmp_path / "cache-b"
         shutil.copytree(root / "cache-b", perturbed)
-        path = next((perturbed / "objects").glob("*/*.obs.json"))
-        document = json.loads(path.read_text())
+        path = next((perturbed / "objects").glob("*/*.json"))
+        head, line = path.read_text().splitlines()
+        record, telemetry = json.loads(head), json.loads(line)
         metric = next(
             metric
-            for metric in document["runs"][0]["metrics"].values()
+            for metric in telemetry["runs"][0]["metrics"].values()
             if "value" in metric
         )
         metric["value"] += 7
-        # Re-seal: an artifact failing its checksum is quarantined as a
+        # Re-seal: a record failing its checksums is quarantined as a
         # miss, not diffed.
-        document["checksum"] = record_checksum(document)
-        path.write_text(json.dumps(document))
+        line = json.dumps(telemetry, separators=(",", ":"))
+        record["obs_checksum"] = hashlib.sha256(line.encode()).hexdigest()
+        record["checksum"] = record_checksum(record)
+        path.write_text(json.dumps(record) + "\n" + line + "\n")
         assert obs_diff(sweep_id, root / "cache-a", perturbed) == 3
 
     def test_missing_artifact_exits_3(self, two_sweeps, tmp_path, capsys):
         root, sweep_id = two_sweeps
         pruned = tmp_path / "cache-b"
         shutil.copytree(root / "cache-b", pruned)
-        next((pruned / "objects").glob("*/*.obs.json")).unlink()
+        next((pruned / "objects").glob("*/*.json")).unlink()
         assert obs_diff(sweep_id, root / "cache-a", pruned) == 3
         out = capsys.readouterr().out
         assert "1 breach(es)" in out
