@@ -19,9 +19,6 @@ Commands
 ``master``        run the distributed-sweep control plane (leases rows
                   to agents over HTTP; docs/distributed_execution.md)
 ``agent``         run one execution agent against a master
-``chaos``         crash-consistency harness: fault every failpoint
-                  site, resume, demand byte-identical convergence
-                  (docs/chaos_testing.md)
 ``obs-report``    summarise a ``--metrics`` file (or convert a trace)
 ``obs-diff``      per-metric deltas between two telemetry sources
                   (cache records, sweeps, ``--metrics`` documents,
@@ -663,43 +660,6 @@ def cmd_agent(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
-    """Run the crash-consistency harness (lazy import: scenario
-    orchestration costs normal invocations nothing).
-
-    Exit 0 when every scenario converges; exit 3 (the threshold-breach
-    convention shared with obs-diff) when any invariant fails.
-    """
-    from pathlib import Path
-
-    from repro.failpoints.harness import run_chaos
-
-    if args.list:
-        from repro.failpoints.harness import chaos_plan
-
-        rows = [
-            {
-                "scenario": scenario.name,
-                "mode": (
-                    "cluster" if scenario.cluster
-                    else "corruption" if scenario.corrupt_cache
-                    else "local"
-                ),
-                "quick": "yes" if scenario.quick else "",
-                "failpoints": scenario.spec or "(on-disk mutation)",
-            }
-            for scenario in chaos_plan(quick=args.quick)
-        ]
-        print(format_table(rows))
-        return 0
-    failures = run_chaos(
-        quick=args.quick,
-        keep=args.keep,
-        workdir=Path(args.workdir) if args.workdir else None,
-    )
-    return 3 if failures else 0
-
-
 def cmd_obs_report(args) -> int:
     if args.chrome:
         if not args.trace:
@@ -934,30 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="exit after polling an idle master this long "
                               "(default: poll forever)")
     p_agent.set_defaults(func=cmd_agent)
-
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="crash-consistency harness over the failpoint sites",
-        epilog="Each scenario arms one failpoint (crash, torn write, "
-               "ENOSPC, I/O error), runs a reference sweep into a fresh "
-               "cache, resumes fault-free, and asserts byte-identical "
-               "convergence with the baseline.  The failpoint grammar, "
-               "scenario table, and recovery invariants are documented "
-               "in docs/chaos_testing.md; the stores under test in "
-               "docs/resilient_execution.md and "
-               "docs/distributed_execution.md.",
-    )
-    p_chaos.add_argument("--quick", action="store_true",
-                         help="CI-smoke subset: cache, journal, "
-                              "one cluster RPC")
-    p_chaos.add_argument("--list", action="store_true",
-                         help="print the scenario table and exit")
-    p_chaos.add_argument("--keep", action="store_true",
-                         help="keep the scratch directory even on success")
-    p_chaos.add_argument("--workdir", default=None, metavar="DIR",
-                         help="scratch directory (default: a fresh "
-                              "temporary directory)")
-    p_chaos.set_defaults(func=cmd_chaos)
 
     p_status = sub.add_parser(
         "sweep-status",

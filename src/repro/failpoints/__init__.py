@@ -18,20 +18,17 @@ subprocesses inherit it::
 
 Grammar (rules joined with ``;``)::
 
-    site=action[@hit][%probability][!once]
+    site=action[@hit][!once]
 
     action ::= crash | error:<kind> | torn:<bytes> | delay:<ms> | enospc
     kind   ::= io | transient | poison | enospc | edquot
 
 Scheduling is replayable by construction: ``@hit`` fires on exactly
-the N-th evaluation of the site in a process (default ``@1``);
-``%probability`` draws each evaluation from a dedicated per-site RNG
-substream seeded by ``REPRO_FAILPOINTS_SEED`` (the same
-hash-the-stream-name construction as :func:`repro.sim.rng
-.substream_salt`), so a chaos run is reproduced by replaying the same
-spec and seed.  ``!once`` adds a cross-process gate (an ``O_EXCL``
-token file under ``REPRO_FAILPOINTS_GATE``) so a site reached by many
-workers fires in exactly one of them.
+the N-th evaluation of the site in a process (default ``@1``), so a
+fault is reproduced by replaying the same spec.  ``!once`` adds a
+cross-process gate (an ``O_EXCL`` token file under
+``REPRO_FAILPOINTS_GATE``) so a site reached by many workers fires in
+exactly one of them.
 
 Actions:
 
@@ -54,18 +51,17 @@ Actions:
 ``delay:<ms>``
     Sleep — for widening race windows.
 
-See ``docs/chaos_testing.md`` for the harness built on top.
+See ``docs/chaos_testing.md`` for the crash-consistency scenarios
+built on top (``tests/chaos/test_crash_consistency.py``).
 """
 
 from __future__ import annotations
 
 import errno
-import hashlib
 import os
-import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError, ReproError
@@ -74,11 +70,9 @@ __all__ = [
     "CRASH_EXIT_CODE",
     "FAILPOINTS_ENV",
     "GATE_ENV",
-    "SEED_ENV",
     "InjectedFault",
     "InjectedTransientError",
     "active",
-    "discover_sites",
     "fire",
     "install",
     "install_from_env",
@@ -88,8 +82,6 @@ __all__ = [
 
 #: Environment variable holding the failpoint spec string.
 FAILPOINTS_ENV = "REPRO_FAILPOINTS"
-#: Seed for probability-scheduled rules (int, default 0).
-SEED_ENV = "REPRO_FAILPOINTS_SEED"
 #: Directory for ``!once`` cross-process gate tokens.
 GATE_ENV = "REPRO_FAILPOINTS_GATE"
 
@@ -116,21 +108,6 @@ class InjectedTransientError(RuntimeError):
 
 _SITES: Dict[str, str] = {}
 
-#: Modules that declare failpoint sites at import time; imported by
-#: :func:`discover_sites` so the chaos harness can enumerate every
-#: site without guessing.
-SITE_MODULES = (
-    "repro.exec.cache",
-    "repro.exec.journal",
-    "repro.exec.executor",
-    "repro.exec.supervisor",
-    "repro.cluster.protocol",
-    "repro.cluster.client",
-    "repro.cluster.agent",
-    "repro.cluster.master",
-    "repro.cluster.registry",
-)
-
 
 def register_site(name: str, description: str = "") -> str:
     """Declare a failpoint site; returns ``name`` for reuse."""
@@ -141,15 +118,6 @@ def register_site(name: str, description: str = "") -> str:
 def registered_sites() -> Dict[str, str]:
     """Sites registered so far (import modules to populate)."""
     return dict(_SITES)
-
-
-def discover_sites() -> Dict[str, str]:
-    """Import every site-declaring module, then list all sites."""
-    import importlib
-
-    for module in SITE_MODULES:
-        importlib.import_module(module)
-    return registered_sites()
 
 
 # -- spec parsing ------------------------------------------------------
@@ -164,12 +132,9 @@ class Rule:
     arg: Optional[object] = None
     #: Fire on exactly this evaluation (1-based); default 1.
     hit: Optional[int] = None
-    #: Fire each evaluation with this probability (RNG-scheduled).
-    probability: Optional[float] = None
     #: Cross-process once-only gate (token file under GATE_ENV).
     once: bool = False
     hits: int = 0
-    stream: Optional[random.Random] = None
 
     def describe(self) -> str:
         action = self.action
@@ -178,22 +143,12 @@ class Rule:
             if isinstance(arg, float) and arg == int(arg):
                 arg = int(arg)
             action = f"{action}:{arg}"
-        if self.probability is not None:
-            schedule = f"%{self.probability}"
-        elif self.hit is not None:
-            schedule = f"@{self.hit}"
-        else:
-            schedule = ""  # a delay rule fires on every evaluation
+        # A delay rule has no hit: it fires on every evaluation.
+        schedule = "" if self.hit is None else f"@{self.hit}"
         return f"{self.site}={action}{schedule}{'!once' if self.once else ''}"
 
 
-def _substream_seed(seed: int, site: str) -> int:
-    """Per-site RNG seed: same construction as rng.substream_salt."""
-    digest = hashlib.sha256(f"{seed}/failpoints/{site}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
-
-
-def _parse_rule(text: str, seed: int) -> Rule:
+def _parse_rule(text: str) -> Rule:
     if "=" not in text:
         raise ConfigurationError(
             f"failpoint rule {text!r}: expected site=action"
@@ -206,27 +161,7 @@ def _parse_rule(text: str, seed: int) -> Rule:
         once = True
         action_text = action_text[: -len("!once")]
     hit: Optional[int] = None
-    probability: Optional[float] = None
-    if "%" in action_text:
-        action_text, _, prob_text = action_text.partition("%")
-        try:
-            probability = float(prob_text)
-        except ValueError:
-            raise ConfigurationError(
-                f"failpoint rule for {site!r}: bad probability "
-                f"{prob_text!r}"
-            ) from None
-        if not 0.0 < probability <= 1.0:
-            raise ConfigurationError(
-                f"failpoint rule for {site!r}: probability must be in "
-                f"(0, 1], got {probability}"
-            )
     if "@" in action_text:
-        if probability is not None:
-            raise ConfigurationError(
-                f"failpoint rule for {site!r}: @hit and %probability "
-                f"are mutually exclusive"
-            )
         action_text, _, hit_text = action_text.partition("@")
         try:
             hit = int(hit_text)
@@ -281,34 +216,24 @@ def _parse_rule(text: str, seed: int) -> Rule:
             f"failpoint rule for {site!r}: action {name!r} takes no "
             f"argument"
         )
-    if name != "delay" and probability is None and hit is None:
+    if name != "delay" and hit is None:
         hit = 1
     if once and not os.environ.get(GATE_ENV):
         raise ConfigurationError(
             f"failpoint rule for {site!r}: !once needs {GATE_ENV} to "
             f"point at a shared gate directory"
         )
-    rule = Rule(
-        site=site,
-        action=name,
-        arg=arg,
-        hit=hit,
-        probability=probability,
-        once=once,
-    )
-    if probability is not None:
-        rule.stream = random.Random(_substream_seed(seed, site))
-    return rule
+    return Rule(site=site, action=name, arg=arg, hit=hit, once=once)
 
 
-def parse_spec(spec: str, seed: int = 0) -> Dict[str, Rule]:
+def parse_spec(spec: str) -> Dict[str, Rule]:
     """Parse a ``REPRO_FAILPOINTS`` spec string into rules by site."""
     rules: Dict[str, Rule] = {}
     for chunk in spec.replace(",", ";").split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        rule = _parse_rule(chunk, seed)
+        rule = _parse_rule(chunk)
         rules[rule.site] = rule
     return rules
 
@@ -322,7 +247,7 @@ _LOCK = threading.Lock()
 _exit: Callable[[int], None] = os._exit
 
 
-def install(spec: Optional[str] = None, seed: Optional[int] = None) -> None:
+def install(spec: Optional[str] = None) -> None:
     """Arm failpoints from ``spec`` (or the environment).
 
     Passing ``spec=None`` re-reads :data:`FAILPOINTS_ENV`; an empty
@@ -331,9 +256,7 @@ def install(spec: Optional[str] = None, seed: Optional[int] = None) -> None:
     """
     if spec is None:
         spec = os.environ.get(FAILPOINTS_ENV, "")
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV, "0") or "0")
-    rules = parse_spec(spec, seed) if spec else {}
+    rules = parse_spec(spec) if spec else {}
     with _LOCK:
         _ACTIVE.clear()
         _ACTIVE.update(rules)
@@ -425,10 +348,6 @@ def fire(
         rule.hits += 1
         if rule.hit is not None and rule.hits != rule.hit:
             return
-        if rule.probability is not None:
-            assert rule.stream is not None
-            if rule.stream.random() >= rule.probability:
-                return
         if rule.once and not _claim_gate(site):
             return
     _trigger(rule, data, writer)

@@ -33,7 +33,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     Tally,
     TimeSeries,
-    TimeWeighted,
     UtilizationMatrix,
 )
 from repro.obs.profiler import PhaseProfiler
@@ -306,7 +305,6 @@ __all__ = [
     "SweepProgress",
     "Tally",
     "TimeSeries",
-    "TimeWeighted",
     "TraceEvent",
     "Tracer",
     "UtilizationMatrix",

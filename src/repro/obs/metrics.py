@@ -10,8 +10,6 @@ Instruments
 * :class:`Counter` — monotonically increasing count.
 * :class:`Gauge` — a value that goes up and down; tracks min/max.
 * :class:`Tally` — streaming sample statistics (Welford).
-* :class:`TimeWeighted` — time-weighted statistics of a piecewise
-  constant signal, driven by an arbitrary ``clock`` callable.
 * :class:`Histogram` — fixed-bin histogram with approximate quantiles.
 * :class:`TimeSeries` — a bounded ``(t, value)`` series with uniform
   decimation when full (the stride doubles; memory stays bounded).
@@ -27,7 +25,7 @@ deterministic, JSON-serialisable snapshot of everything it owns.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -150,78 +148,6 @@ class Tally:
             "min": self.minimum if self.count else 0.0,
             "max": self.maximum if self.count else 0.0,
             "total": self.total,
-        }
-
-
-class TimeWeighted:
-    """Time-weighted statistics of a piecewise-constant signal.
-
-    Call :meth:`record` every time the signal changes level; the mean
-    weights each level by how long it persisted.  The observation
-    clock is any zero-argument callable returning the current time
-    (a simulation clock, an interval counter, ``time.monotonic``...).
-    """
-
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        name: str = "",
-        initial: float = 0.0,
-    ) -> None:
-        self.clock = clock
-        self.name = name or "timeweighted"
-        self.level = initial
-        self._area = 0.0
-        self._last_change = clock()
-        self._start = self._last_change
-        self.minimum = initial
-        self.maximum = initial
-
-    def __repr__(self) -> str:
-        return f"<TimeWeighted {self.name} level={self.level:.6g} mean={self.mean:.6g}>"
-
-    def record(self, level: float) -> None:
-        """The signal changes to ``level`` at the current time."""
-        now = self.clock()
-        self._area += self.level * (now - self._last_change)
-        self._last_change = now
-        self.level = level
-        if level < self.minimum:
-            self.minimum = level
-        if level > self.maximum:
-            self.maximum = level
-
-    @property
-    def elapsed(self) -> float:
-        """Total observation window so far."""
-        return self.clock() - self._start
-
-    @property
-    def mean(self) -> float:
-        """Time-weighted mean of the signal over the window."""
-        elapsed = self.elapsed
-        if elapsed <= 0:
-            return self.level
-        area = self._area + self.level * (self.clock() - self._last_change)
-        return area / elapsed
-
-    def reset(self) -> None:
-        """Restart the observation window at the current level."""
-        now = self.clock()
-        self._area = 0.0
-        self._last_change = now
-        self._start = now
-        self.minimum = self.level
-        self.maximum = self.level
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "type": "time_weighted",
-            "level": self.level,
-            "mean": self.mean,
-            "min": self.minimum,
-            "max": self.maximum,
-            "elapsed": self.elapsed,
         }
 
 
@@ -506,15 +432,6 @@ class MetricsRegistry:
     def tally(self, name: str, **labels) -> Tally:
         return self._get(name, labels, Tally)
 
-    def time_weighted(
-        self, name: str, clock: Callable[[], float], initial: float = 0.0, **labels
-    ) -> TimeWeighted:
-        return self._get(
-            name,
-            labels,
-            lambda key: TimeWeighted(clock, name=key, initial=initial),
-        )
-
     def histogram(
         self, name: str, low: float, high: float, bins: int = 20, **labels
     ) -> Histogram:
@@ -546,14 +463,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def family(self, name: str) -> Dict[str, Any]:
-        """All instruments of metric ``name``, keyed by rendered label."""
-        return {
-            _render_key(key): inst
-            for key, inst in self._instruments.items()
-            if key[0] == name
-        }
-
     def __iter__(self) -> Iterator[Tuple[str, Any]]:
         for key in sorted(self._instruments):
             yield _render_key(key), self._instruments[key]

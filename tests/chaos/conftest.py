@@ -2,13 +2,16 @@
 
 Every test here runs with a *disarmed* failpoint registry on entry and
 exit, and crashes are simulated by swapping the ``os._exit`` primitive
-for an exception the test can catch — the real harness (``repro
-chaos``) is where processes actually die.
+for an exception the test can catch — the crash-consistency scenarios
+(``test_crash_consistency.py``) are where processes actually die.
 """
+
+import importlib
 
 import pytest
 
 from repro import failpoints, integrity
+from tests.test_src_imports import package_modules
 
 
 class FakeCrash(BaseException):
@@ -26,11 +29,7 @@ class FakeCrash(BaseException):
 
 @pytest.fixture(autouse=True)
 def _disarmed(monkeypatch):
-    for var in (
-        failpoints.FAILPOINTS_ENV,
-        failpoints.SEED_ENV,
-        failpoints.GATE_ENV,
-    ):
+    for var in (failpoints.FAILPOINTS_ENV, failpoints.GATE_ENV):
         monkeypatch.delenv(var, raising=False)
     failpoints.install("")
     integrity.reset_warnings()
@@ -48,3 +47,14 @@ def crash(monkeypatch):
 
     monkeypatch.setattr(failpoints, "_exit", _exit)
     return FakeCrash
+
+
+@pytest.fixture(scope="session")
+def declared_sites():
+    """Every failpoint site the package declares.  A site registers
+    when its module is imported, so import every package module (but
+    the ``python -m repro`` entry point), then read the registry."""
+    for module in package_modules():
+        if module != "repro.__main__":
+            importlib.import_module(module)
+    return failpoints.registered_sites()

@@ -15,10 +15,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     Tally,
     TimeSeries,
-    TimeWeighted,
     UtilizationMatrix,
 )
-from tests.oracles.kernel import Simulation
 
 
 class TestCounterAndGauge:
@@ -80,44 +78,6 @@ class TestTally:
         tally.reset()
         assert tally.count == 0
         assert tally.mean == 0.0
-
-
-class TestTimeWeighted:
-    def test_mean_weights_by_duration(self):
-        clock = {"now": 0.0}
-        tw = TimeWeighted(clock=lambda: clock["now"], initial=0.0)
-        clock["now"] = 4.0
-        tw.record(10.0)  # level 0 for 4s
-        clock["now"] = 8.0
-        # level 10 for 4s → mean (0*4 + 10*4) / 8 = 5
-        assert tw.mean == pytest.approx(5.0)
-        assert tw.maximum == 10.0
-
-    def test_mean_weights_by_duration_on_simulation_clock(self):
-        sim = Simulation()
-        tw = TimeWeighted(clock=lambda: sim.now, initial=0.0)
-        sim.schedule(2.0, lambda _: tw.record(10.0))
-        sim.schedule(6.0, lambda _: tw.record(0.0))
-        sim.schedule(10.0, lambda _: None)
-        sim.run()
-        # 0 for 2s, 10 for 4s, 0 for 4s over 10s -> mean 4.0
-        assert tw.mean == pytest.approx(4.0)
-        assert tw.maximum == 10.0
-
-    def test_tracks_current_level(self):
-        tw = TimeWeighted(clock=lambda: 0.0, initial=3.0)
-        assert tw.level == 3.0
-        tw.record(7.0)
-        assert tw.level == 7.0
-
-    def test_reset_restarts_window(self):
-        clock = {"now": 0.0}
-        tw = TimeWeighted(clock=lambda: clock["now"], initial=5.0)
-        clock["now"] = 4.0
-        tw.reset()
-        clock["now"] = 8.0
-        assert tw.mean == pytest.approx(5.0)
-        assert tw.elapsed == pytest.approx(4.0)
 
 
 class TestHistogram:
@@ -218,17 +178,6 @@ class TestRegistry:
         a = registry.gauge("x", disk=1, tier="ssd")
         b = registry.gauge("x", tier="ssd", disk=1)
         assert a is b
-
-    def test_family_collects_per_device_instruments(self):
-        registry = MetricsRegistry()
-        for disk in range(3):
-            registry.counter("disk.reads", disk=disk).inc(disk)
-        family = registry.family("disk.reads")
-        assert set(family) == {
-            "disk.reads{disk=0}", "disk.reads{disk=1}", "disk.reads{disk=2}"
-        }
-        assert registry.counter("other").name == "other"
-        assert len(registry.family("other")) == 1
 
     def test_snapshot_is_sorted_and_json_serialisable(self):
         registry = MetricsRegistry()

@@ -5,8 +5,10 @@ package does not ship ``tests/``, so an import of the test oracles from
 the package would work in a checkout and break on install.  It needs
 nothing beyond the standard library, so it declares no runtime
 dependency.  No module imports another module's underscore-prefixed
-names.  And every module is reachable from the CLI: a model only the
-tests call belongs in ``tests/oracles/``.
+names.  No module imports ``subprocess``: a harness that drives
+``repro`` subprocesses belongs in ``tests/``.  And every module is
+reachable from the CLI: a model only the tests call belongs in
+``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -52,6 +54,20 @@ def test_package_imports_only_the_standard_library():
     assert offenders == []
 
 
+def test_no_package_module_imports_subprocess():
+    """The package runs simulations and sweeps in its own processes
+    (worker pools spawn through ``multiprocessing``); driving real
+    ``repro`` subprocesses, as the crash-consistency scenarios do, is
+    test code."""
+    offenders = [
+        f"{path.relative_to(PACKAGE_ROOT.parent)}: {module}"
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        for module in imported_modules(path)
+        if module.split(".")[0] == "subprocess"
+    ]
+    assert offenders == []
+
+
 def test_entry_points_load_without_numpy():
     """The CLI, the cluster roles and the executor leave numpy unloaded,
     so no process pays for importing it."""
@@ -73,8 +89,8 @@ def test_entry_points_load_without_numpy():
 
 #: Modules the CLI imports only inside the functions that need them:
 #: the entry-point shim, the cluster roles (``master`` / ``agent`` and
-#: ``--master-url``), the chaos harness, ``obs-diff``, and the fault
-#: coordinators a run builds only when it injects faults.
+#: ``--master-url``), ``obs-diff``, and the fault coordinators a run
+#: builds only when it injects faults.
 LAZILY_IMPORTED = {
     "repro.__main__",
     "repro.cluster",
@@ -83,7 +99,6 @@ LAZILY_IMPORTED = {
     "repro.cluster.master",
     "repro.cluster.protocol",
     "repro.cluster.registry",
-    "repro.failpoints.harness",
     "repro.faults",
     "repro.faults.coordinator",
     "repro.faults.injector",
