@@ -46,7 +46,7 @@ from repro.exec.journal import (
     sweep_id_for,
 )
 from repro.exec.spec import spec_digest
-from repro.exec.supervisor import Supervision
+from repro.exec.supervisor import Supervision, synthetic_failure
 from repro.cluster.protocol import (
     API_PREFIX,
     check_handshake,
@@ -268,17 +268,9 @@ class MasterSweep:
                 )
             else:
                 spec = self.specs[row.index]
-                outcome = {
-                    "status": "error",
-                    "payload": {},
-                    "error": (
-                        f"{reason} (spec {spec.describe()!r}, attempt "
-                        f"{row.attempt}/{self.options.max_attempts})\n"
-                    ),
-                    "poison": False,
-                    "duration_s": 0.0,
-                    "attempt": row.attempt,
-                }
+                outcome = synthetic_failure(
+                    spec, reason, row.attempt, self.options.max_attempts
+                )
                 self.outcomes[row.index] = outcome
                 persist_outcome(
                     spec,
@@ -478,12 +470,7 @@ class ClusterMaster:
 
     def api_heartbeat(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         agent_id = str(doc.get("agent", ""))
-        alive = self.registry.heartbeat(agent_id, time.time())
-        with self._lock:
-            for sweep in self.sweeps.values():
-                if not sweep.ended and alive:
-                    sweep.journal.emit("heartbeat", agent=agent_id)
-        return {"ok": alive}
+        return {"ok": self.registry.heartbeat(agent_id, time.time())}
 
     def api_lease(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         agent_id = str(doc.get("agent", ""))

@@ -6,7 +6,8 @@ same command after a crash computes the same sweep id and finds the
 same journal.  The journal is an **append-only JSONL file** at
 ``<journal_root>/<sweep_id>.jsonl`` holding every record of the sweep
 in the order it happened (the vocabulary is the table in
-:mod:`repro.obs.events`).  Records come in two strengths:
+:mod:`repro.obs.events`); nothing ever truncates or rewrites it.
+Records come in two strengths:
 
 * **durable** — ``sweep_begin`` (command line, row count; one per
   session), ``run_settled`` (one per finished digest, carrying the full
@@ -14,9 +15,9 @@ in the order it happened (the vocabulary is the table in
   (clean completion or graceful interruption, one per session).  Each
   is fsynced before the append returns, and an I/O error raises;
 * **advisory** — every other progress event (cache and journal hits,
-  leases, retries, workers, heartbeats, cluster agents).  Written the
-  same way but not fsynced, and an error is swallowed: progress
-  telemetry must never fail a sweep.
+  leases, retries, workers, cluster agents).  Written the same way
+  but not fsynced, and an error is swallowed: progress telemetry must
+  never fail a sweep.
 
 Every append is a single ``os.write`` of one ``\\n``-terminated line on
 an ``O_APPEND`` descriptor, under an exclusive ``flock``, so concurrent
@@ -53,11 +54,7 @@ from repro import failpoints
 from repro.errors import ConfigurationError
 from repro.exec.hashing import digest_document
 from repro.integrity import out_of_space, warn_degraded
-from repro.obs.events import (
-    SweepProgress,
-    compact_heartbeat_lines,
-    replay_events,
-)
+from repro.obs.events import SweepProgress, replay_events
 
 PathLike = Union[str, Path]
 
@@ -109,83 +106,26 @@ def _flock(fd: int, operation: int) -> None:
         pass  # no lock support here: single-write appends still work
 
 
-def _names_path(fd: int, path: Path) -> bool:
-    """Whether ``fd`` is still the file at ``path`` (a compaction
-    replaces the file, leaving older descriptors on the old inode)."""
-    try:
-        return os.fstat(fd).st_ino == os.stat(path).st_ino
-    except FileNotFoundError:
-        return False
-
-
 def _open_locked(path: Path):
-    """``path`` opened for append and exclusively locked, reopened until
-    the locked descriptor still names ``path``."""
-    while True:
+    """``path`` opened for append and exclusively locked (its directory
+    is made on the first append that finds it missing)."""
+    try:
         handle = open(path, "a+b", buffering=0)
-        _flock(handle.fileno(), fcntl.LOCK_EX)
-        if _names_path(handle.fileno(), path):
-            return handle
-        handle.close()
-
-
-def _compact_locked(path: Path) -> bool:
-    """Drop superseded heartbeats from ``path``; True if it was replaced.
-
-    The caller holds the appenders' lock on ``path``'s current file.
-    The rewrite goes through an fsynced temp file and ``os.replace``,
-    so the journal is never half-written, and bytes it keeps (a torn
-    tail included) are kept exactly.  Appenders blocked on the old file
-    see that it no longer names the path and reopen (see
-    :class:`SweepJournal`), so no concurrent record is lost.  Any I/O
-    error leaves the journal as it was.
-    """
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        text = path.read_bytes().decode("utf-8", "surrogateescape")
-        lines = text.splitlines(keepends=True)
-        compacted = compact_heartbeat_lines(lines)
-        if len(compacted) == len(lines):
-            return False
-        with open(tmp, "wb") as handle:
-            handle.write("".join(compacted).encode("utf-8", "surrogateescape"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        return False
-    return True
-
-
-def compact_journal(path: PathLike) -> bool:
-    """Compact one journal's heartbeats in place; True if it shrank.
-
-    Safe against concurrent appenders (it takes their lock).  Never
-    raises: any I/O error leaves the journal as it was.
-    """
-    path = Path(path)
-    if not path.is_file():
-        return False
-    try:
-        with _open_locked(path):
-            return _compact_locked(path)
-    except OSError:
-        return False
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle = open(path, "a+b", buffering=0)
+    _flock(handle.fileno(), fcntl.LOCK_EX)
+    return handle
 
 
 class SweepJournal:
     """Append-only writer for one sweep's journal file.
 
-    The first append of a session compacts the previous sessions'
-    superseded heartbeats.  Every append opens the path and takes the
-    exclusive lock (reopening if a compaction replaced the file while
-    it waited), terminates a torn tail left by a killed writer
-    (appending onto it would glue two records into one unparsable
-    line), writes its one line and closes, which drops the lock.
+    Every append opens the path and takes the exclusive lock,
+    terminates a torn tail left by a killed writer (appending onto it
+    would glue two records into one unparsable line), writes its one
+    line and closes, which drops the lock.  Nothing ever rewrites the
+    file.
     """
 
     def __init__(self, root: PathLike, sweep_id: str) -> None:
@@ -193,16 +133,11 @@ class SweepJournal:
         self.path = journal_path(root, sweep_id)
         #: Set when the disk filled up — appends become no-ops.
         self.dead = False
-        self._compacted = False
 
     def __repr__(self) -> str:
         return f"<SweepJournal {self.sweep_id} at {self.path}>"
 
     def _append(self, line: bytes, durable: bool) -> None:
-        if not self._compacted:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            compact_journal(self.path)
-            self._compacted = True
         with _open_locked(self.path) as handle:
             fd = handle.fileno()
             size = os.fstat(fd).st_size

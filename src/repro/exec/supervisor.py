@@ -15,10 +15,11 @@ The bare ``Pool.imap_unordered`` executor had three blind spots:
 * **per-worker mailboxes** — each worker owns a size-1 task queue, so
   the parent always knows *exactly* which task a dead worker held and
   can re-dispatch it (a shared task queue loses that attribution);
-* **heartbeat files** — each worker's daemon thread touches a JSON
-  heartbeat every ``heartbeat_interval`` seconds; a busy worker whose
-  heartbeat goes stale past ``heartbeat_timeout`` is declared hung,
-  killed, and its task re-dispatched;
+* **heartbeat files** — each worker's daemon thread touches an empty
+  heartbeat file every ``heartbeat_interval`` seconds (only its mtime
+  is read); a busy worker whose heartbeat goes stale past
+  ``heartbeat_timeout`` is declared hung, killed, and its task
+  re-dispatched;
 * **wall-clock timeouts** — ``run_timeout`` bounds any single attempt;
 * **bounded retries** — transient failures (worker death, timeout,
   non-:class:`~repro.errors.ReproError` exceptions) retry up to
@@ -40,7 +41,6 @@ the caller persists and adopts it (nothing here writes a store).
 
 from __future__ import annotations
 
-import json
 import os
 import queue
 import signal
@@ -155,23 +155,32 @@ def classify_failure(error: BaseException) -> bool:
     return isinstance(error, ReproError)
 
 
+def synthetic_failure(
+    spec: RunSpec,
+    reason: str,
+    attempt: int,
+    max_attempts: int,
+    duration_s: float = 0.0,
+) -> Dict[str, Any]:
+    """The outcome of an attempt whose executor never answered (a
+    reaped worker, an expired cluster lease): a transient error naming
+    the reason, the spec and the attempt."""
+    return {
+        "status": "error",
+        "payload": {},
+        "error": (
+            f"{reason} (spec {spec.describe()!r}, attempt "
+            f"{attempt}/{max_attempts})\n"
+        ),
+        "poison": False,
+        "duration_s": duration_s,
+        "attempt": attempt,
+    }
+
+
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _write_heartbeat(path: Path, task_index: Optional[int]) -> None:
-    """Atomically refresh one worker's heartbeat file."""
-    try:
-        temp = path.with_name(f".{path.name}.tmp")
-        temp.write_text(
-            json.dumps(
-                {"pid": os.getpid(), "task": task_index, "time": time.time()}
-            )
-        )
-        os.replace(temp, path)
-    except OSError:
-        pass  # a missed beat is indistinguishable from a slow one
-
-
 def _supervised_worker(
     worker_id: int,
     mailbox,
@@ -196,12 +205,14 @@ def _supervised_worker(
     except (ValueError, OSError):
         pass
     beat_path = Path(heartbeat_path)
-    state: Dict[str, Optional[int]] = {"task": None}
     stop_beating = threading.Event()
 
     def _beat() -> None:
         while not stop_beating.is_set():
-            _write_heartbeat(beat_path, state["task"])
+            try:
+                beat_path.touch()
+            except OSError:
+                pass  # a missed beat is indistinguishable from a slow one
             stop_beating.wait(heartbeat_interval)
 
     threading.Thread(
@@ -212,7 +223,6 @@ def _supervised_worker(
         if task is None:
             break
         index, spec, attempt = task
-        state["task"] = index
         start = time.perf_counter()
         try:
             payload, artifact = _run_captured(spec, obs_level)
@@ -236,7 +246,6 @@ def _supervised_worker(
                 "duration_s": time.perf_counter() - start,
                 "attempt": attempt,
             }
-        state["task"] = None
         failpoints.fire(SITE_WORKER_PRE_RESULT)
         results.put(outcome)
     stop_beating.set()
@@ -339,7 +348,6 @@ class SupervisedPool:
         self.journal = journal
         self.obs_level = obs_level
         self.digests = digests or {}
-        self._last_heartbeat = 0.0
         self.pending: List[_PendingTask] = [
             _PendingTask(index=index, spec=spec) for index, spec in tasks
         ]
@@ -369,7 +377,7 @@ class SupervisedPool:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         mailbox = self.context.Queue(maxsize=1)
-        heartbeat_path = self.heartbeat_dir / f"worker-{worker_id}.json"
+        heartbeat_path = self.heartbeat_dir / f"worker-{worker_id}.beat"
         process = self.context.Process(
             target=_supervised_worker,
             args=(
@@ -460,24 +468,6 @@ class SupervisedPool:
             return None
         return self._settle(outcome)
 
-    def _synthetic_failure(
-        self, task: _PendingTask, reason: str
-    ) -> Dict[str, Any]:
-        """A structured outcome for a task whose worker never answered."""
-        return {
-            "index": task.index,
-            "status": "error",
-            "payload": {},
-            "error": (
-                f"{reason} (spec {task.spec.describe()!r}, attempt "
-                f"{task.attempt}/{self.options.max_attempts})\n"
-            ),
-            "poison": False,
-            "duration_s": time.monotonic() - task.dispatched_at
-            if task.dispatched_at else 0.0,
-            "attempt": task.attempt,
-        }
-
     def _reap(self, worker: _WorkerHandle, reason: str) -> Optional[Dict[str, Any]]:
         """Kill/cull a misbehaving worker; retry or settle its task."""
         task = worker.task
@@ -497,8 +487,11 @@ class SupervisedPool:
         self.workers.remove(worker)
         if task is None or task.index in self.settled:
             return None
-        task.dispatched_at = worker.dispatched_at
-        return self._retry_or_settle(task, self._synthetic_failure(task, reason))
+        outcome = synthetic_failure(
+            task.spec, reason, task.attempt, self.options.max_attempts,
+            duration_s=time.monotonic() - worker.dispatched_at,
+        )
+        return self._retry_or_settle(task, {"index": task.index, **outcome})
 
     def _check_health(self) -> Iterator[Dict[str, Any]]:
         """Detect dead, timed-out, and hung workers."""
@@ -585,30 +578,8 @@ class SupervisedPool:
                         yield settled
                 for settled in self._check_health():
                     yield settled
-                self._emit_heartbeat()
         finally:
             self._shutdown()
-
-    def _emit_heartbeat(self) -> None:
-        """Emit an aggregate progress heartbeat at most once a second."""
-        if self.journal is None:
-            return
-        now = time.monotonic()
-        if now - self._last_heartbeat < 1.0:
-            return
-        self._last_heartbeat = now
-        self._emit(
-            "heartbeat",
-            settled=len(self.settled),
-            total=self.total,
-            retries=self.retries,
-            workers={
-                str(w.worker_id): (
-                    w.task.index if w.task is not None else None
-                )
-                for w in self.workers
-            },
-        )
 
     def _shutdown(self) -> None:
         for worker in self.workers:

@@ -62,7 +62,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import ConfigurationError, ReproError
 
@@ -72,7 +72,6 @@ __all__ = [
     "GATE_ENV",
     "InjectedFault",
     "InjectedTransientError",
-    "active",
     "fire",
     "install",
     "install_from_env",
@@ -135,17 +134,6 @@ class Rule:
     #: Cross-process once-only gate (token file under GATE_ENV).
     once: bool = False
     hits: int = 0
-
-    def describe(self) -> str:
-        action = self.action
-        if self.arg is not None:
-            arg = self.arg
-            if isinstance(arg, float) and arg == int(arg):
-                arg = int(arg)
-            action = f"{action}:{arg}"
-        # A delay rule has no hit: it fires on every evaluation.
-        schedule = "" if self.hit is None else f"@{self.hit}"
-        return f"{self.site}={action}{schedule}{'!once' if self.once else ''}"
 
 
 def _parse_rule(text: str) -> Rule:
@@ -265,17 +253,6 @@ def install(spec: Optional[str] = None) -> None:
 def install_from_env() -> None:
     """(Re)arm from ``REPRO_FAILPOINTS`` — called at import."""
     install(None)
-
-
-def active() -> bool:
-    """True when any failpoint is armed in this process."""
-    return bool(_ACTIVE)
-
-
-def active_rules() -> List[Rule]:
-    """The armed rules (for status/diagnostic output)."""
-    with _LOCK:
-        return list(_ACTIVE.values())
 
 
 def _claim_gate(site: str) -> bool:

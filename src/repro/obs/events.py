@@ -24,7 +24,6 @@ event                emitted when
 ``run_retried``      a transient failure is re-queued with backoff
 ``run_settled``      a run reaches its final state (ok / error / poison),
                      with its payload [d]
-``heartbeat``        ~1/s while the pool is draining (in-flight counts)
 ``sweep_end``        the session completes or is gracefully interrupted [d]
 ``agent_registered`` a cluster agent joins the master (cores, host)
 ``agent_died``       an agent misses its heartbeat timeout (or leaves)
@@ -39,10 +38,12 @@ event                emitted when
 purely local sweeps never produce them, and :func:`replay_events`
 folds them into the ``agents`` table of the progress snapshot.
 
-Because heartbeats dominate the line count of long sweeps, the writer
-**compacts consecutive heartbeats on reopen** (keeping the latest per
-emitting source) — see :func:`compact_heartbeat_lines`.  Compaction
-never changes what :func:`replay_events` folds to.
+Liveness is not history: worker and agent heartbeats never reach the
+journal (the pool watches heartbeat files, the master its agent
+registry), so every record is a state change and the fold stays exact
+from those alone.  A record of a kind the fold does not know — such as
+a ``heartbeat`` line in a journal an older version wrote — folds to
+nothing.
 
 :func:`replay_events` folds a journal's records into a
 :class:`SweepProgress` — the one state behind resume, ``repro
@@ -67,50 +68,6 @@ def __getattr__(name: str) -> Any:
 
         return SweepJournal
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _heartbeat_source(record: Dict[str, Any]) -> str:
-    """The emitting source of a heartbeat: an agent id or "local"."""
-    agent = record.get("agent")
-    return str(agent) if agent else "local"
-
-
-def compact_heartbeat_lines(lines: List[str]) -> List[str]:
-    """Drop superseded heartbeats from a raw journal line list.
-
-    Within each maximal run of *consecutive* heartbeat lines, only the
-    latest heartbeat per emitting source (worker pool or cluster
-    agent) is kept — every earlier one is shadowed by it in any fold.
-    Non-heartbeat lines act as barriers and are preserved byte-for-
-    byte, as are unparsable lines (a torn tail stays torn, exactly
-    where it was).  The result folds to the same
-    :class:`SweepProgress` as the input.
-    """
-    compacted: List[str] = []
-    #: source -> position in ``compacted`` of its pending heartbeat.
-    pending: Dict[str, int] = {}
-    for line in lines:
-        record: Optional[Dict[str, Any]] = None
-        stripped = line.strip()
-        if stripped:
-            try:
-                parsed = json.loads(stripped)
-                if isinstance(parsed, dict):
-                    record = parsed
-            except json.JSONDecodeError:
-                record = None
-        if record is not None and record.get("event") == "heartbeat":
-            source = _heartbeat_source(record)
-            slot = pending.get(source)
-            if slot is not None:
-                compacted[slot] = line  # newer shadows older, in place
-            else:
-                pending[source] = len(compacted)
-                compacted.append(line)
-        else:
-            pending.clear()  # barrier: the run of heartbeats ends here
-            compacted.append(line)
-    return compacted
 
 
 def settled_events_digest(events: Iterable[Dict[str, Any]]) -> str:
@@ -286,6 +243,16 @@ class SweepProgress:
         }
 
 
+def _release(progress: SweepProgress, index: int, ts: float) -> None:
+    """Take run ``index`` out of flight and idle the worker holding it."""
+    leased = progress.in_flight.pop(index, None)
+    if leased is None:
+        return
+    info = progress.workers.get(leased.get("worker"))
+    if info is not None and info.get("task") == index:
+        info.update({"task": None, "last_ts": ts})
+
+
 def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
     """Fold a journal's records into its current :class:`SweepProgress`.
 
@@ -362,18 +329,10 @@ def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
                 )
         elif kind == "run_retried":
             progress.retries += 1
-            index = int(record.get("index", -1))
-            progress.in_flight.pop(index, None)
+            _release(progress, int(record.get("index", -1)), ts)
         elif kind == "run_settled":
-            index = int(record.get("index", -1))
+            _release(progress, int(record.get("index", -1)), ts)
             digest = str(record.get("digest", ""))
-            leased = progress.in_flight.pop(index, None)
-            if leased is not None:
-                worker = leased.get("worker")
-                if isinstance(worker, int) and worker in progress.workers:
-                    info = progress.workers[worker]
-                    if info.get("task") == index:
-                        info.update({"task": None, "last_ts": ts})
             status = str(record.get("status", "error"))
             poisoned = bool(record.get("poisoned", False))
             progress.executed += 1
@@ -393,22 +352,6 @@ def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
                     progress.settled[digest]["error"] = record.get("error")
             if ts:
                 progress.settle_times.append(ts)
-        elif kind == "heartbeat":
-            agent = record.get("agent")
-            if agent:
-                info = progress.agents.setdefault(
-                    str(agent), {"state": "alive", "leased": 0, "settled": 0}
-                )
-                info["last_ts"] = ts
-            for worker_key, task in (record.get("workers") or {}).items():
-                try:
-                    worker = int(worker_key)
-                except (TypeError, ValueError):
-                    continue
-                info = progress.workers.setdefault(
-                    worker, {"state": "alive", "task": None}
-                )
-                info.update({"task": task, "last_ts": ts})
         elif kind == "agent_registered":
             agent = str(record.get("agent", ""))
             if agent:

@@ -59,7 +59,7 @@ from repro.errors import ConfigurationError, SanitizeError
 SANITIZE_MODES = ("off", "check", "strict")
 
 #: Environment override applied when a config leaves sanitize "off" —
-#: lets CI run an entire existing suite under ``strict`` without
+#: lets a test run an entire existing suite under ``strict`` without
 #: touching any config (see docs/resilient_execution.md).
 SANITIZE_ENV = "REPRO_SANITIZE"
 

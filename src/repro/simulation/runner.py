@@ -342,10 +342,10 @@ def effective_sanitize_mode(config: SimulationConfig) -> str:
     """The sanitize mode a run should actually use.
 
     The config field wins when set; when it is left at ``"off"`` the
-    ``REPRO_SANITIZE`` environment variable may raise it (CI uses this
-    to run the whole golden suite under ``strict`` without touching
-    configs — the field is excluded from cache keys, so this cannot
-    fork the cache either way).
+    ``REPRO_SANITIZE`` environment variable may raise it (the test
+    suite uses this to run the whole golden suite under ``strict``
+    without touching configs — the field is excluded from cache keys,
+    so this cannot fork the cache either way).
     """
     if config.sanitize != "off":
         return config.sanitize

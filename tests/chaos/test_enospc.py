@@ -64,11 +64,11 @@ class TestEventBusDegradation:
         durable records included, with one warning."""
         failpoints.install("journal.append.pre_write=enospc")
         journal = SweepJournal(tmp_path, "sweep01")
-        journal.emit("heartbeat", workers={})  # must not raise
+        journal.emit("run_leased", index=0)  # must not raise
         assert journal.dead
         failpoints.install("")
         journal.begin(["sweep"], [DIGEST])  # silent no-op
-        journal.emit("heartbeat")
+        journal.emit("run_leased", index=1)
         assert load_journal(journal.path) is None
         err = capsys.readouterr().err
         assert err.count("sweep journal degraded") == 1

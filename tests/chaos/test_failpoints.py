@@ -10,8 +10,19 @@ from repro.failpoints import (
     CRASH_EXIT_CODE,
     InjectedFault,
     InjectedTransientError,
+    Rule,
     parse_spec,
 )
+
+
+def naps_of(monkeypatch, site):
+    """The sleeps one evaluation of ``site`` takes: ``[]`` unless a
+    delay rule is armed there."""
+    naps = []
+    with monkeypatch.context() as patch:
+        patch.setattr(failpoints.time, "sleep", naps.append)
+        failpoints.fire(site)
+    return naps
 
 
 class TestParsing:
@@ -43,7 +54,7 @@ class TestParsing:
 
     def test_describe_round_trips_the_shape(self):
         rule = parse_spec("s=torn:9@2")["s"]
-        assert rule.describe() == "s=torn:9@2"
+        assert rule == Rule(site="s", action="torn", arg=9, hit=2)
 
     @pytest.mark.parametrize(
         "spec",
@@ -101,8 +112,9 @@ class TestRegistry:
 
 class TestFiring:
     def test_zero_cost_when_off(self):
+        failpoints.install("cache.write.pre_rename=error:io")
         failpoints.install("")
-        assert not failpoints.active()
+        # Disarmed: the site that would raise does nothing.
         assert failpoints.fire("cache.write.pre_rename") is None
         assert failpoints.fire("never.registered.site") is None
 
@@ -122,13 +134,13 @@ class TestFiring:
             "--cache-dir", str(tmp_path / "off-cache"),
             "--output", str(tmp_path / "rows-off.json"),
         ]) == 0
-        assert not failpoints.active()
+        assert naps_of(monkeypatch, "journal.append.pre_write") == []
         assert main(sweep + [
             "--cache-dir", str(tmp_path / "on-cache"),
             "--output", str(tmp_path / "rows-on.json"),
             "--failpoints", "journal.append.pre_write=delay:1",
         ]) == 0
-        assert failpoints.active()
+        assert naps_of(monkeypatch, "journal.append.pre_write") == [0.001]
         assert (tmp_path / "rows-on.json").read_bytes() == (
             tmp_path / "rows-off.json"
         ).read_bytes()
@@ -193,13 +205,16 @@ class TestFiring:
         failpoints.fire("s")
         assert list(tmp_path.glob("*.fired"))
 
-    def test_install_from_env(self, monkeypatch):
+    def test_install_from_env(self, monkeypatch, crash):
         monkeypatch.setenv(failpoints.FAILPOINTS_ENV, "a=crash@3;b=delay:10")
         failpoints.install_from_env()
-        described = sorted(
-            rule.describe() for rule in failpoints.active_rules()
-        )
-        assert described == ["a=crash@3", "b=delay:10"]
+        assert naps_of(monkeypatch, "b") == [0.01]
+        failpoints.fire("a")
+        failpoints.fire("a")
+        with pytest.raises(crash):
+            failpoints.fire("a")  # the third evaluation crashes
         monkeypatch.delenv(failpoints.FAILPOINTS_ENV)
         failpoints.install_from_env()
-        assert not failpoints.active()
+        assert naps_of(monkeypatch, "b") == []
+        for _ in range(3):
+            failpoints.fire("a")  # disarmed: never crashes

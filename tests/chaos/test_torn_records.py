@@ -5,8 +5,7 @@ These tests tear real files with ``torn:<bytes>`` failpoints — on
 durable rows and on advisory progress records — and then demand the
 recovery contract: everything before the tear stands, the torn
 fragment is skipped *and isolated* (the next session's first append
-must not glue onto it), and folding/compacting the journal is
-equivalent before and after.
+must not glue onto it).
 """
 
 import json
@@ -14,12 +13,7 @@ import json
 import pytest
 
 from repro import failpoints
-from repro.exec.journal import (
-    SweepJournal,
-    compact_journal,
-    load_journal,
-    read_records,
-)
+from repro.exec.journal import SweepJournal, load_journal, read_records
 from repro.obs.events import replay_events, settled_events_digest
 
 PAYLOAD = {"num_stations": 4, "admitted": 7}
@@ -102,16 +96,16 @@ class TestEventStreamTornTail:
         bus = SweepJournal(root, "sweep01")
         bus.emit("sweep_begin", sweep_id="sweep01", total=2, jobs=1)
         for _ in range(3):
-            bus.emit("heartbeat", active=1, queued=1)
+            bus.emit("run_leased", index=0, worker=None, attempt=1)
         bus.emit(
             "run_settled",
             digest=DIGEST_A, index=0, status="ok", poisoned=False,
         )
         for _ in range(2):
-            bus.emit("heartbeat", active=1, queued=0)
+            bus.emit("run_leased", index=1, worker=None, attempt=1)
         failpoints.install("journal.append.pre_write=torn:7")
         with pytest.raises(crash):
-            bus.emit("heartbeat", active=1, queued=0)
+            bus.emit("run_leased", index=1, worker=None, attempt=1)
         failpoints.install("")
         return bus.path
 
@@ -120,26 +114,9 @@ class TestEventStreamTornTail:
         assert not path.read_bytes().endswith(b"\n")
         events = read_records(path)
         kinds = [event["event"] for event in events]
-        assert kinds.count("heartbeat") == 5  # the torn one is gone
+        assert kinds.count("run_leased") == 5  # the torn one is gone
         progress = replay_events(events)
         assert set(progress.settled) == {DIGEST_A}
-
-    def test_replay_fold_equivalence_after_compaction(
-        self, tmp_path, crash
-    ):
-        path = self._build_torn_stream(tmp_path, crash)
-        before_events = read_records(path)
-        before_digest = settled_events_digest(before_events)
-        before_fold = replay_events(before_events).to_dict()
-        torn_tail = path.read_bytes().splitlines()[-1]
-        assert compact_journal(path)  # heartbeats did compact
-        after_events = read_records(path)
-        after_digest = settled_events_digest(after_events)
-        after_fold = replay_events(after_events).to_dict()
-        assert after_digest == before_digest
-        assert after_fold == before_fold
-        # The tear survives compaction byte-for-byte, where it was.
-        assert path.read_bytes().splitlines()[-1] == torn_tail
 
     def test_reopen_after_tear_starts_a_fresh_line(self, tmp_path, crash):
         path = self._build_torn_stream(tmp_path, crash)

@@ -162,10 +162,11 @@ class TestLoopbackDeterminism:
                     journal_path(journal_root(local_cache.root), sweep_id)
                 )
             )
-            remote_digest = settled_events_digest(
-                master_events(master, sweep_id)
-            )
-            assert local_digest == remote_digest
+            remote_events = master_events(master, sweep_id)
+            assert local_digest == settled_events_digest(remote_events)
+            # Agent liveness stays in the registry, out of the journal.
+            kinds = {record["event"] for record in remote_events}
+            assert "lease_granted" in kinds and "heartbeat" not in kinds
 
             # Byte-identical cached results under both roots.
             for record in local:

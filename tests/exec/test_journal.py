@@ -84,7 +84,7 @@ class TestJournalRoundTrip:
         )
         journal = make_journal(tmp_path)  # sweep_begin: durable
         journal.emit("run_leased", index=0)
-        journal.emit("heartbeat", workers={})
+        journal.emit("run_leased", index=1)
         assert len(synced) == 1
         journal.record_run(
             DIGESTS[0], kind="experiment", label="row-0", status="ok",

@@ -19,6 +19,7 @@ import pytest
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.exec import RunSpec, Supervision, execute
+from repro.exec.journal import read_records
 from repro.exec.spec import register_kind
 from repro.exec.supervisor import classify_failure
 
@@ -39,6 +40,17 @@ def _suicide_kind(spec, obs=None):
 def _sleep_kind(spec, obs=None):
     time.sleep(float(spec.params.get("seconds", 60.0)))
     return {"slept": True}
+
+
+@register_kind("_stop_once")
+def _stop_once_kind(spec, obs=None):
+    """Hangs its first attempt: the worker stops itself (SIGSTOP), its
+    heartbeat thread included.  The gate file lets the retry through."""
+    gate = Path(spec.params["gate"])
+    if not gate.exists():
+        gate.write_text("stopped")
+        os.kill(os.getpid(), signal.SIGSTOP)
+    return {"gate": gate.read_text()}
 
 
 @register_kind("_flaky_once")
@@ -129,6 +141,35 @@ class TestTimeouts:
     def test_run_timeout_validated(self):
         with pytest.raises(ConfigurationError):
             Supervision(run_timeout=-1.0)
+
+
+class TestHungWorker:
+    def test_silent_heartbeat_reaps_and_retries(self, tmp_path):
+        """A stopped worker neither answers nor exits: only its silent
+        heartbeat file gives it away (the run timeout is a backstop
+        far beyond the heartbeat timeout)."""
+        gate = tmp_path / "gate"
+        frozen = RunSpec(
+            kind="_stop_once", params={"gate": str(gate)}, label="frozen"
+        )
+        specs = [frozen] + _echo_specs(2)
+        records = execute(
+            specs,
+            jobs=2,
+            supervision=fast_supervision(
+                heartbeat_timeout=0.5,
+                run_timeout=20.0,
+                journal_dir=tmp_path / "journals",
+            ),
+        )
+        assert records[0].ok and records[0].attempts == 2
+        assert records[0].payload == {"gate": "stopped"}
+        assert [r.payload["value"] for r in records[1:]] == [0, 1]
+        journal = read_records(records[0].journal_path)
+        reasons = [r["reason"] for r in journal if r["event"] == "worker_died"]
+        assert any("heartbeat silent" in reason for reason in reasons)
+        # Liveness stays out of the sweep journal.
+        assert "heartbeat" not in {r["event"] for r in journal}
 
 
 class TestRetries:

@@ -54,15 +54,15 @@ class TestBusAndLoad:
 
     def test_non_event_lines_skipped(self, tmp_path):
         path = tmp_path / "x.jsonl"
-        path.write_text('[1,2]\n{"no_event_key": 1}\n{"event": "heartbeat"}\n')
-        assert [e["event"] for e in read_records(path)] == ["heartbeat"]
+        path.write_text('[1,2]\n{"no_event_key": 1}\n{"event": "run_leased"}\n')
+        assert [e["event"] for e in read_records(path)] == ["run_leased"]
 
     def test_emission_failure_never_raises(self, tmp_path):
         """Advisory records swallow I/O errors; durable ones raise."""
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
         bus = SweepJournal(blocker / "sub", "dead")  # parent is a file
-        bus.emit("heartbeat", workers={})  # advisory: must not raise
+        bus.emit("run_leased", index=0)  # advisory: must not raise
         bus.emit("run_leased", index=0)
         assert not bus.dead  # not a full disk: durable appends still try
         with pytest.raises(OSError):
@@ -71,7 +71,7 @@ class TestBusAndLoad:
     def test_list_journals(self, tmp_path):
         SweepJournal(tmp_path, "bbb").begin(["b"], ["d1"])
         SweepJournal(tmp_path, "aaa").begin(["a"], ["d0"])
-        (tmp_path / "cc.jsonl").write_text('{"event": "heartbeat"}\n')
+        (tmp_path / "cc.jsonl").write_text('{"event": "run_leased"}\n')
         assert {s.sweep_id for s in list_journals(tmp_path)} == {"aaa", "bbb"}
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "aaa.jsonl", "bbb.jsonl", "cc.jsonl",
@@ -201,6 +201,19 @@ class TestReplay:
         assert len(progress.settled) == 2
         assert progress.resumed == 0
 
+    def test_retry_frees_the_worker(self):
+        """A retried run leaves its worker idle: no later record (the
+        journal holds no heartbeats) would otherwise correct it."""
+        events = self.stream()[:6] + [
+            {"event": "run_retried", "ts": 11.2, "index": 1, "attempt": 1,
+             "delay_s": 0.5},
+        ]
+        progress = replay_events(events)
+        assert progress.workers[0]["task"] is None
+        assert progress.workers[0]["last_ts"] == 11.2
+        assert progress.workers[1]["task"] == 2  # untouched
+        assert "w0:idle" in render_progress(progress.to_dict())
+
     def test_load_journal_missing_log(self, tmp_path):
         assert load_journal(tmp_path / "nope.jsonl") is None
         with pytest.raises(ConfigurationError, match="no journals yet"):
@@ -249,3 +262,7 @@ class TestRendering:
     def test_render_empty_snapshot(self):
         text = render_progress(replay_events([]).to_dict())
         assert "[unknown]" in text
+        # Kinds the fold does not know fold to nothing; older journals
+        # still hold heartbeat records.
+        unknown = [{"event": "heartbeat"}, {"event": "no_such_kind"}]
+        assert replay_events(unknown).to_dict() == replay_events([]).to_dict()
