@@ -51,6 +51,7 @@ from repro.exec import (
     ResultCache,
     Supervision,
     cache_status_rows,
+    code_salt,
     execute,
     experiment_spec,
     find_journal,
@@ -597,6 +598,17 @@ def cmd_sweep_resume(args) -> int:
         print(
             f"sweep-resume: journal {state.sweep_id} predates command "
             "recording; re-run the original command instead",
+            file=sys.stderr,
+        )
+        return 2
+    salt = code_salt()
+    if state.code_salt and state.code_salt != salt:
+        # The replay would key every row with the new salt: a different
+        # sweep, leaving this one interrupted for good.
+        print(
+            f"sweep-resume: journal {state.sweep_id} was recorded under code "
+            f"salt {state.code_salt}, this code's salt is {salt}; re-run the "
+            "original command to start the sweep afresh",
             file=sys.stderr,
         )
         return 2

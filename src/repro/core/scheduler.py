@@ -287,7 +287,7 @@ class StaggeredStripingPolicy(StoragePolicy):
         self.intervals_advanced += 1
         faults = self.faults
         if faults is not None:
-            faults.begin_interval(interval)
+            faults.begin_interval(interval, self)
         releases = self._lane_releases
         if releases and releases[0][0] <= interval:
             self._process_lane_releases(interval)
@@ -299,7 +299,7 @@ class StaggeredStripingPolicy(StoragePolicy):
         if self._queue:
             self._admission_pass(interval)
         if faults is not None:
-            faults.settle(interval)
+            faults.settle(interval, self)
         completions = self._completions
         if completions and completions[0][0] <= interval:
             finished = self._process_completions(interval)

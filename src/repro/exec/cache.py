@@ -43,7 +43,6 @@ behaviour at the atomic-write boundary is testable via the
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -55,6 +54,7 @@ from repro.integrity import (
     out_of_space,
     quarantine_file,
     record_checksum,
+    sha256,
     warn_degraded,
 )
 
@@ -91,7 +91,7 @@ def _telemetry(record: Dict[str, Any], line: bytes) -> Optional[Dict[str, Any]]:
     """The telemetry ``line`` holds, or ``None`` unless it matches the
     record's ``obs_checksum``."""
     line = line.rstrip(b"\n")
-    if record.get("obs_checksum") != hashlib.sha256(line).hexdigest():
+    if record.get("obs_checksum") != sha256(line).hexdigest():
         return None
     try:
         telemetry = json.loads(line)
@@ -244,7 +244,7 @@ class ResultCache:
                 telemetry["trace"] = artifact.get("trace") or []
             line = json.dumps(telemetry, separators=(",", ":")).encode("utf-8")
             payload["obs_level"] = artifact["level"]
-            payload["obs_checksum"] = hashlib.sha256(line).hexdigest()
+            payload["obs_checksum"] = sha256(line).hexdigest()
             line += b"\n"
         payload["checksum"] = record_checksum(payload)
         # Insertion order is part of the payload: a cache hit must

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import json
 import os
 from functools import lru_cache
@@ -26,6 +25,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
+from repro.integrity import sha256
 
 #: Bump when the hashing scheme itself changes shape.
 HASH_SCHEME_VERSION = 1
@@ -81,7 +81,7 @@ def _source_digest() -> str:
     import repro
 
     root = Path(repro.__file__).resolve().parent
-    digest = hashlib.sha256()
+    digest = sha256()
     for path in sorted(root.rglob("*.py")):
         digest.update(path.relative_to(root).as_posix().encode())
         digest.update(b"\0")
@@ -104,4 +104,4 @@ def code_salt() -> str:
 
 def digest_document(document: Any) -> str:
     """SHA-256 hex digest of a canonicalised document."""
-    return hashlib.sha256(canonical_json(document).encode()).hexdigest()
+    return sha256(canonical_json(document).encode()).hexdigest()

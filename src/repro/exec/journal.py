@@ -9,11 +9,12 @@ in the order it happened (the vocabulary is the table in
 :mod:`repro.obs.events`); nothing ever truncates or rewrites it.
 Records come in two strengths:
 
-* **durable** — ``sweep_begin`` (command line, row count; one per
-  session), ``run_settled`` (one per finished digest, carrying the full
-  payload, so resume works even with ``--no-cache``) and ``sweep_end``
-  (clean completion or graceful interruption, one per session).  Each
-  is fsynced before the append returns, and an I/O error raises;
+* **durable** — ``sweep_begin`` (command line, row count, code salt;
+  one per session), ``run_settled`` (one per finished digest, carrying
+  the full payload, so resume works even with ``--no-cache``) and
+  ``sweep_end`` (clean completion or graceful interruption, one per
+  session).  Each is fsynced before the append returns, and an I/O
+  error raises;
 * **advisory** — every other progress event (cache and journal hits,
   leases, retries, workers, cluster agents).  Written the same way
   but not fsynced, and an error is swallowed: progress telemetry must
@@ -52,7 +53,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro import failpoints
 from repro.errors import ConfigurationError
-from repro.exec.hashing import digest_document
+from repro.exec.hashing import code_salt, digest_document
 from repro.integrity import out_of_space, warn_degraded
 from repro.obs.events import SweepProgress, replay_events
 
@@ -179,7 +180,12 @@ class SweepJournal:
         jobs: int = 1,
         obs_level: str = "off",
     ) -> None:
-        """Record a session's start (every session writes one)."""
+        """Record a session's start (every session writes one).
+
+        The code salt is the one every spec digest of the session was
+        keyed with: replaying ``argv`` under another salt computes other
+        digests, hence another sweep.
+        """
         self.emit(
             "sweep_begin",
             version=JOURNAL_VERSION,
@@ -188,6 +194,7 @@ class SweepJournal:
             jobs=jobs,
             obs_level=obs_level,
             argv=list(argv) if argv else [],
+            code_salt=code_salt(),
         )
 
     def record_run(

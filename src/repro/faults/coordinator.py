@@ -46,6 +46,11 @@ intervals.  :meth:`next_change` reports the injector's next event as
 its next change, the policies skip to it on the next-event clock, and
 :meth:`skip` books the skipped intervals in bulk (:meth:`verify_skip`
 proves the span quiet under ``--sanitize``).
+
+The policy that owns a coordinator (``policy.faults``) passes itself
+into both passes.  The coordinator takes what it needs of the policy at
+build time (its storage, the catalog) and keeps no reference to it, so
+a finished run is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -194,7 +199,6 @@ class FaultCoordinator(_CoordinatorBase):
             injector, array.num_disks, redundancy, parity_group,
             rebuild_rate, on_fault, obs=obs,
         )
-        self.policy = policy
         self.array = array
         self.pool = policy.disk_manager.pool
         self.fragment_cylinders = fragment_cylinders
@@ -216,7 +220,7 @@ class FaultCoordinator(_CoordinatorBase):
     # ------------------------------------------------------------------
     # Pass 1: before admission
     # ------------------------------------------------------------------
-    def begin_interval(self, interval: int) -> None:
+    def begin_interval(self, interval: int, policy) -> None:
         """Drop last interval's fault holds, apply transitions, and
         advance rebuilds."""
         pool = self.pool
@@ -324,13 +328,13 @@ class FaultCoordinator(_CoordinatorBase):
     # ------------------------------------------------------------------
     # Pass 2: after admission
     # ------------------------------------------------------------------
-    def settle(self, interval: int) -> None:
+    def settle(self, interval: int, policy) -> None:
         """Resolve every read that landed on a failed drive."""
         degraded = self._degraded
         if not degraded:
             return
         owners_by_slot = self.pool._owners
-        active = self.policy._active
+        active = policy._active
         num_disks = self.num_disks
         offset = self.pool.stride * interval
         for disk, survivors in degraded:
@@ -354,7 +358,7 @@ class FaultCoordinator(_CoordinatorBase):
                 ):
                     self.reconstructions += 1
                 elif self.on_fault == "abort":
-                    self._abort(display, interval)
+                    self._abort(policy, display)
                 else:
                     self.hiccups += 1
 
@@ -375,14 +379,14 @@ class FaultCoordinator(_CoordinatorBase):
             pool.hold(z, halves)
         return True
 
-    def _abort(self, display, interval: int) -> None:
+    def _abort(self, policy, display) -> None:
         """Cancel the display; its request re-enters the queue head.
 
         The closed-loop station is still waiting on this request, so
         dropping it would stall the station forever — the redisplay
         starts from the beginning once re-admitted (the viewer sees a
         restart, not a freeze)."""
-        self.policy.abort_display(display)
+        policy.abort_display(display)
         self.aborts += 1
 
 
@@ -414,8 +418,8 @@ class ClusterFaultCoordinator(_CoordinatorBase):
             injector, clusters.num_disks, redundancy, parity_group,
             rebuild_rate, on_fault, obs=obs,
         )
-        self.policy = policy
         self.clusters = clusters
+        self.catalog = policy.catalog
         # cluster index -> its currently failed member drives.
         self._down_members: Dict[int, Set[int]] = {}
         # cluster index -> half-slot·intervals of rebuild work left.
@@ -437,12 +441,12 @@ class ClusterFaultCoordinator(_CoordinatorBase):
     # ------------------------------------------------------------------
     # Pass 1: before event retirement / admission
     # ------------------------------------------------------------------
-    def begin_interval(self, interval: int) -> None:
+    def begin_interval(self, interval: int, policy) -> None:
         due = self.injector.peek()
         if due is not None and due <= interval:
             for event in self.injector.pop_due(interval):
                 if event.kind == FAIL:
-                    self._apply_failure(event.disk, interval)
+                    self._apply_failure(event.disk, interval, policy)
                 else:
                     self._apply_repair(event.disk, interval)
         if self._rebuild_debt:
@@ -472,7 +476,7 @@ class ClusterFaultCoordinator(_CoordinatorBase):
         )
         self._verify_quiet(sanitizer, start, stop, quiet)
 
-    def _apply_failure(self, disk: int, interval: int) -> None:
+    def _apply_failure(self, disk: int, interval: int, policy) -> None:
         index = disk // self.clusters.degree
         cluster = self.clusters.clusters[index]
         self.failures += 1
@@ -490,9 +494,9 @@ class ClusterFaultCoordinator(_CoordinatorBase):
             # cluster serves nothing until its drives are repaired.
             cluster.available = False
             self.clusters.evict_all(index)
-            self._cancel_incoming_copies(index, interval)
+            self._cancel_incoming_copies(policy, index)
             if cluster.activity == "display" and self.on_fault == "abort":
-                self._abort_display(index, interval)
+                self._abort_display(policy, index, interval)
 
     def _apply_repair(self, disk: int, interval: int) -> None:
         index = disk // self.clusters.degree
@@ -516,7 +520,7 @@ class ClusterFaultCoordinator(_CoordinatorBase):
             # Each resident object spreads num_subobjects fragments on
             # every member drive; a fragment write is one full slot.
             debt = 2 * sum(
-                self.policy.catalog.get(object_id).num_subobjects
+                self.catalog.get(object_id).num_subobjects
                 for object_id in sorted(cluster.resident)
             )
             if debt > 0:
@@ -553,7 +557,7 @@ class ClusterFaultCoordinator(_CoordinatorBase):
     # ------------------------------------------------------------------
     # Pass 2: after admission
     # ------------------------------------------------------------------
-    def settle(self, interval: int) -> None:
+    def settle(self, interval: int, policy) -> None:
         """Charge each degraded cluster's active display interval."""
         if not self._down_members:
             return
@@ -570,9 +574,8 @@ class ClusterFaultCoordinator(_CoordinatorBase):
     # ------------------------------------------------------------------
     # Cancellation plumbing
     # ------------------------------------------------------------------
-    def _cancel_incoming_copies(self, index: int, interval: int) -> None:
+    def _cancel_incoming_copies(self, policy, index: int) -> None:
         """Void in-flight clone/materialise writes onto a dead cluster."""
-        policy = self.policy
         for _t, seq, kind, cluster_index, payload in list(policy._events):
             if cluster_index != index or seq in policy._cancelled_seqs:
                 continue
@@ -582,9 +585,8 @@ class ClusterFaultCoordinator(_CoordinatorBase):
                     policy._mat_pending.discard(payload)
                 self.background_disruptions += 1
 
-    def _abort_display(self, index: int, interval: int) -> None:
+    def _abort_display(self, policy, index: int, interval: int) -> None:
         """Cancel the cluster's active display; requeue its request."""
-        policy = self.policy
         cluster = self.clusters.clusters[index]
         for _t, seq, kind, cluster_index, payload in list(policy._events):
             if (

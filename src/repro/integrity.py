@@ -7,6 +7,8 @@ sweep into a wrong or failed one.  This module centralises what every
 such store needs (deliberately dependency-light: it is imported from
 both the ``exec`` and ``obs`` layers, below either):
 
+* :func:`sha256` — the package's one SHA-256 constructor, CPython's
+  builtin one, so hashing maps no OpenSSL;
 * :func:`record_checksum` — the self-describing ``checksum`` field
   every cached run record carries (SHA-256 over the canonical
   JSON of the record minus the field itself);
@@ -23,7 +25,6 @@ both the ``exec`` and ``obs`` layers, below either):
 from __future__ import annotations
 
 import errno
-import hashlib
 import json
 import os
 import sys
@@ -37,8 +38,20 @@ __all__ = [
     "quarantine_file",
     "record_checksum",
     "reset_warnings",
+    "sha256",
     "warn_degraded",
 ]
+
+# CPython's builtin SHA-256, as random.py takes its SHA-512: importing
+# hashlib maps OpenSSL's libcrypto (about 3.4 MB resident) into every
+# process, and the digests are the same bytes.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:  # an interpreter built without the builtin
+        from hashlib import sha256
 
 
 def record_checksum(record: Dict[str, Any]) -> str:
@@ -51,7 +64,7 @@ def record_checksum(record: Dict[str, Any]) -> str:
     """
     body = {key: value for key, value in record.items() if key != "checksum"}
     canonical = json.loads(json.dumps(body))
-    return hashlib.sha256(
+    return sha256(
         json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
 

@@ -13,7 +13,8 @@ tails and disk-full behaviour are described there):
 ===================  ====================================================
 event                emitted when
 ===================  ====================================================
-``sweep_begin``      a session opens the sweep (total, argv, jobs) [d]
+``sweep_begin``      a session opens the sweep (total, argv, jobs,
+                     code salt) [d]
 ``cache_hit``        a row is served from the result cache at plan time
 ``journal_hit``      a row is recovered from a prior session (resume)
 ``artifact_hit``     a cached row's obs artifact was reused
@@ -53,11 +54,12 @@ sweep-resume``, ``repro obs-diff`` and the chaos digest.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
+
+from repro.integrity import sha256
 
 
 def __getattr__(name: str) -> Any:
@@ -103,6 +105,9 @@ class SweepProgress:
     total: int = 0
     jobs: int = 1
     argv: List[str] = field(default_factory=list)
+    #: The code salt of the latest session that recorded one ("" for a
+    #: journal written before sessions recorded it).
+    code_salt: str = ""
     #: digest -> final outcome row for every settled digest; rows a
     #: session executed carry their ``payload`` and ``error``.
     settled: Dict[str, Dict[str, Any]] = field(default_factory=dict)
@@ -171,7 +176,7 @@ class SweepProgress:
             for digest, row in self.settled.items()
         )
         canonical = json.dumps(triples, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256(canonical.encode("utf-8")).hexdigest()
 
     @property
     def rate_per_s(self) -> float:
@@ -273,6 +278,9 @@ def replay_events(events: Iterable[Dict[str, Any]]) -> SweepProgress:
             argv = record.get("argv")
             if argv:
                 progress.argv = [str(part) for part in argv]
+            salt = record.get("code_salt")
+            if salt:
+                progress.code_salt = str(salt)
             if not progress.started_at and ts:
                 progress.started_at = ts
             progress.status = "in-flight"

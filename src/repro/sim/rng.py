@@ -9,12 +9,12 @@ by an explicit, seedable stream so experiments are reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from bisect import bisect_left
 from typing import List, Optional, Sequence
 
+from repro.integrity import sha256
 from repro.sim import sanitize
 
 
@@ -26,7 +26,7 @@ def substream_salt(name: str) -> int:
     small hand-picked integers passed to :meth:`RandomStream.fork` —
     effectively collision-free between names.
     """
-    digest = hashlib.sha256(name.encode("utf-8")).digest()
+    digest = sha256(name.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
 
 

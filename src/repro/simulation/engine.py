@@ -108,9 +108,6 @@ class IntervalEngine:
         # so windowed blocked/offered counts cover the same cohort.
         self._blocked_issued: List[int] = []
         if self._is_open:
-            # Instance-bound dispatch: the open step carries deadline
-            # bookkeeping the closed hot path must not pay for.
-            self.step = self._step_open
             if obs is not None:
                 registry = obs.registry
                 self._c_offered = registry.counter("workload.offered")
@@ -123,6 +120,11 @@ class IntervalEngine:
 
     def step(self) -> List[Completion]:
         """Advance exactly one interval; return its completions."""
+        # Dispatched here, not bound on the instance: a bound method
+        # stored on the engine would make it a reference cycle that
+        # only the cyclic collector frees.
+        if self._is_open:
+            return self._step_open()
         t = self.interval
         for request in self.stations.ready_requests(t):
             self.policy.submit(request, t)

@@ -20,7 +20,7 @@ transitions:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.vdr.clusters import Cluster, ClusterArray
@@ -33,10 +33,12 @@ class MRTReplication:
     ----------
     clusters:
         The cluster array (provides the copy directory).
-    frequency_of:
-        Callable returning an object's access count.
-    is_pinned:
-        Callable returning whether an object must keep >= 1 copy.
+    frequencies:
+        Object id -> access count (absent = 0), owned and updated by
+        the VDR policy.
+    pins:
+        Object id -> pin count (absent = 0); an object pinned at least
+        once must keep >= 1 copy.
     threshold:
         Waiting requests per existing copy needed to trigger a new
         replica (1 = replicate whenever any request would still wait).
@@ -45,15 +47,15 @@ class MRTReplication:
     def __init__(
         self,
         clusters: ClusterArray,
-        frequency_of: Callable[[int], int],
-        is_pinned: Callable[[int], bool],
+        frequencies: Dict[int, int],
+        pins: Dict[int, int],
         threshold: int = 1,
     ) -> None:
         if threshold < 1:
             raise ConfigurationError(f"threshold must be >= 1, got {threshold}")
         self.clusters = clusters
-        self.frequency_of = frequency_of
-        self.is_pinned = is_pinned
+        self.frequencies = frequencies
+        self.pins = pins
         self.threshold = threshold
         self.replicas_created = 0
 
@@ -74,7 +76,7 @@ class MRTReplication:
     def copy_value(self, object_id: int) -> float:
         """Value of one replica: frequency spread over its copies."""
         copies = max(1, self.clusters.copy_count(object_id))
-        return self.frequency_of(object_id) / copies
+        return self.frequencies.get(object_id, 0) / copies
 
     def cluster_value(self, cluster: Cluster) -> float:
         """Value of a cluster's content (max over its copies)."""
@@ -86,8 +88,9 @@ class MRTReplication:
         """A cluster is evictable when dropping its content never
         removes the last copy of a pinned object."""
         for object_id in cluster.resident:
-            if self.clusters.copy_count(object_id) <= 1 and self.is_pinned(
-                object_id
+            if (
+                self.clusters.copy_count(object_id) <= 1
+                and self.pins.get(object_id, 0) > 0
             ):
                 return False
         return True

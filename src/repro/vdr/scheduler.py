@@ -89,10 +89,12 @@ class VirtualReplicationPolicy(StoragePolicy):
         self.interval_length = interval_length
         self._pins: Dict[int, int] = {}
         self._frequency: Dict[int, int] = {}
+        # The dicts themselves, not closures over the policy: a closure
+        # would make the policy a reference cycle.
         self.replication = MRTReplication(
             clusters,
-            frequency_of=lambda oid: self._frequency.get(oid, 0),
-            is_pinned=lambda oid: self._pins.get(oid, 0) > 0,
+            frequencies=self._frequency,
+            pins=self._pins,
             threshold=replication_threshold,
         )
         self.replication_source = replication_source
@@ -214,12 +216,12 @@ class VirtualReplicationPolicy(StoragePolicy):
         """One interval: retire activities, drive tertiary, admit."""
         self.intervals_advanced += 1
         if self.faults is not None:
-            self.faults.begin_interval(interval)
+            self.faults.begin_interval(interval, self)
         completions = self._retire_events(interval)
         self._drive_tertiary(interval)
         self._admission_pass(interval)
         if self.faults is not None:
-            self.faults.settle(interval)
+            self.faults.settle(interval, self)
         if interval < self._tertiary_busy_until:
             self.tertiary_busy_intervals += 1
         self.queue_length_sum += len(self._queue)

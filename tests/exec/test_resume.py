@@ -34,7 +34,7 @@ from repro.exec import (
     journal_status_rows,
     list_journals,
 )
-from repro.exec.hashing import canonical_json
+from repro.exec.hashing import CODE_SALT_ENV, canonical_json
 from repro.exec.journal import journal_path, load_journal, read_records
 from repro.exec.spec import register_kind
 
@@ -316,3 +316,40 @@ class TestCliWarmSubsetSweep:
         assert main(["obs-diff", sweep_id, sweep_id,
                      "--cache-dir", str(cold), "--cache-dir-b", str(warm)]) == 0
         assert "missing" not in capsys.readouterr().out
+
+
+class TestCliResumeUnderAnotherSalt:
+    """A journal records the code salt its digests were keyed with: a
+    resume under another salt would replay the command as a different
+    sweep and leave this one interrupted for good."""
+
+    def first_sweep(self, cache, monkeypatch):
+        monkeypatch.setenv(CODE_SALT_ENV, "salt-a")
+        assert main(["sweep", "--scale", "50", "--values", "4", "8",
+                     "--cache-dir", str(cache)]) == 0
+        (row,) = journal_status_rows(journal_root(cache))
+        return row["sweep_id"]
+
+    def test_refuses_before_simulating(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        sweep_id = self.first_sweep(cache, monkeypatch)
+        files = sorted(path for path in cache.rglob("*"))
+        monkeypatch.setenv(CODE_SALT_ENV, "salt-b")
+        capsys.readouterr()
+        assert main(["sweep-resume", sweep_id, "--cache-dir", str(cache)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "salt-a" in line and "salt-b" in line
+        assert sorted(path for path in cache.rglob("*")) == files
+
+    def test_journal_without_salt_resumes(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        sweep_id = self.first_sweep(cache, monkeypatch)
+        path = journal_path(journal_root(cache), sweep_id)
+        records = read_records(path)
+        for record in records:
+            record.pop("code_salt", None)
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        monkeypatch.setenv(CODE_SALT_ENV, "salt-b")
+        assert main(["sweep-resume", sweep_id, "--cache-dir", str(cache)]) == 0
+        # The replay ran under the new salt: a second sweep.
+        assert len(journal_status_rows(journal_root(cache))) == 2

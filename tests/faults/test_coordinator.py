@@ -129,11 +129,11 @@ class TestCompetingReads:
         faults = FaultCoordinator(
             policy, injector, redundancy="mirror", on_fault=on_fault,
         )
-        faults.begin_interval(0)
+        faults.begin_interval(0, policy)
         pool.claim(0, 9, halves=1)
         pool.claim(0, 10, halves=1)
         pool.claim(1, "other", halves=1)
-        faults.settle(0)
+        faults.settle(0, policy)
         return pool, faults, aborted
 
     def test_owners_of_a_failed_slot_compete_in_repr_order(self):
@@ -146,7 +146,7 @@ class TestCompetingReads:
         assert pool.owners_of(1) == {"other": 1}
         assert pool.free_halves(1) == 0
         assert pool.claimed_halves(1) - sum(pool.owners_of(1).values()) == 1
-        faults.begin_interval(1)
+        faults.begin_interval(1, None)  # the striping begin pass reads no policy
         assert pool.owners_of(1) == {"other": 1}
         assert pool.free_halves(1) == 1
 
@@ -172,9 +172,9 @@ class TestMirrorReadAround:
         totals = dict(reads=0, reconstructions=0, other=0)
         settle = FaultCoordinator.settle
 
-        def audited_settle(self, interval):
+        def audited_settle(self, interval, policy):
             pool = self.pool
-            active = self.policy._active
+            active = policy._active
             reads = [
                 (disk, halves)
                 for disk in self.array.failed_disks()
@@ -185,7 +185,7 @@ class TestMirrorReadAround:
             ]
             before = (self.reconstructions, self.hiccups, self.aborts)
             held_before = len(pool._held)
-            settle(self, interval)
+            settle(self, interval, policy)
             reconstructed, hiccuped, aborted = (
                 after - was for after, was in zip(
                     (self.reconstructions, self.hiccups, self.aborts), before
@@ -253,7 +253,7 @@ class TestQuietSpans:
         faults.skip(10)
         assert (faults._intervals, faults._healthy_disk_sum) == (10, 40)
         t = 10
-        faults.begin_interval(t)
+        faults.begin_interval(t, policy)
         assert faults.degraded_intervals == 1
         while not faults.rebuilds_completed:
             # Down, then rebuilding: every interval is stepped.
@@ -262,11 +262,11 @@ class TestQuietSpans:
             faults.verify_skip(sanitizer, t + 1, t + 2)
             assert sanitizer.total > before
             t += 1
-            faults.begin_interval(t)
+            faults.begin_interval(t, policy)
         assert faults.rebuild_intervals == 3
         # The last rebuild write holds its slot through this interval.
         assert pool._held and faults.next_change(t) == t + 1
-        faults.begin_interval(t + 1)
+        faults.begin_interval(t + 1, policy)
         assert not pool._held
         assert faults.next_change(t + 1) == NEVER
         before = sanitizer.total
@@ -331,7 +331,7 @@ class TestSimpleStripingSurvivors:
         held_by_reader = held_by_other = spare = 0
         settle = FaultCoordinator.settle
 
-        def probing_settle(self, interval):
+        def probing_settle(self, interval, policy):
             nonlocal held_by_reader, held_by_other, spare
             pool = self.pool
             for disk in self.array.failed_disks():
@@ -340,7 +340,7 @@ class TestSimpleStripingSurvivors:
                         disk, self.redundancy, self.num_disks,
                         self.parity_group, self.array.is_failed,
                     )
-                    if owner not in self.policy._active or not survivors:
+                    if owner not in policy._active or not survivors:
                         continue
                     for survivor in survivors:
                         slot = pool.slot_at(survivor, interval)
@@ -350,7 +350,7 @@ class TestSimpleStripingSurvivors:
                             held_by_reader += 1
                         else:
                             held_by_other += 1
-            settle(self, interval)
+            settle(self, interval, policy)
 
         monkeypatch.setattr(FaultCoordinator, "settle", probing_settle)
         points = run_faults_grid(

@@ -6,9 +6,10 @@ the package would work in a checkout and break on install.  It needs
 nothing beyond the standard library, so it declares no runtime
 dependency.  No module imports another module's underscore-prefixed
 names.  No module imports ``subprocess``: a harness that drives
-``repro`` subprocesses belongs in ``tests/``.  And every module is
+``repro`` subprocesses belongs in ``tests/``.  Every module is
 reachable from the CLI: a model only the tests call belongs in
-``tests/oracles/``.
+``tests/oracles/``.  And a simulation process maps no OpenSSL: the
+package hashes with CPython's builtin SHA-256.
 """
 
 from __future__ import annotations
@@ -43,13 +44,20 @@ def test_no_package_module_imports_tests():
     assert offenders == []
 
 
+#: CPython's builtin SHA-256 (``repro.integrity.sha256``) is ``_sha256``
+#: on 3.10-3.11 and ``_sha2`` from 3.12; the package tries both, and each
+#: interpreter's ``sys.stdlib_module_names`` names only its own.
+BUILTIN_SHA256 = {"_sha2", "_sha256"}
+
+
 def test_package_imports_only_the_standard_library():
     """Lazy imports inside functions count too."""
+    allowed = sys.stdlib_module_names | BUILTIN_SHA256 | {"repro"}
     offenders = [
         f"{path.relative_to(PACKAGE_ROOT.parent)}: {module}"
         for path in sorted(PACKAGE_ROOT.rglob("*.py"))
         for module in imported_modules(path)
-        if module.split(".")[0] not in sys.stdlib_module_names | {"repro"}
+        if module.split(".")[0] not in allowed
     ]
     assert offenders == []
 
@@ -83,6 +91,43 @@ def test_entry_points_load_without_numpy():
         capture_output=True,
         text=True,
         timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_simulation_processes_map_no_openssl():
+    """Building and running simulations, closed and open, faulted and
+    not, hashes with the builtin SHA-256 and never imports ``hashlib``
+    or ``ssl``, which map OpenSSL's libcrypto into the process."""
+    code = (
+        "import sys\n"
+        "import repro, repro.experiments.figure8, repro.experiments.open_workload\n"
+        "import repro.exec.hashing\n"
+        "from repro.experiments import open_workload\n"
+        "from repro.simulation import runner\n"
+        "from repro.simulation.config import ScaledConfig\n"
+        "base = open_workload.base_config(10)\n"
+        "rate = 0.8 * open_workload.nominal_capacity_rate(base)\n"
+        "configs = [\n"
+        "    ScaledConfig(scale=10, technique='staggered'),\n"
+        "    open_workload.cell_config(base, 'staggered', rate).with_(\n"
+        "        redundancy='mirror', fail_at=((0, 5),)),\n"
+        "    ScaledConfig(scale=10, technique='vdr', redundancy='mirror',\n"
+        "                 fail_at=((0, 5),)),\n"
+        "]\n"
+        "for config in configs:\n"
+        "    runner.build_engine(config).run(20, 200)\n"
+        "repro.exec.hashing.digest_document({'seed': 1})\n"
+        "loaded = sorted({'_hashlib', 'hashlib', 'ssl'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT.parent))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
 

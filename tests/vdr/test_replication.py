@@ -15,8 +15,8 @@ def build(threshold=1, frequencies=None, pinned=None):
     pinned = pinned or set()
     policy = MRTReplication(
         array,
-        frequency_of=lambda oid: frequencies.get(oid, 0),
-        is_pinned=lambda oid: oid in pinned,
+        frequencies=frequencies,
+        pins={oid: 1 for oid in pinned},
         threshold=threshold,
     )
     return array, policy
