@@ -79,19 +79,18 @@ class DiskManager:
     def place_object(self, obj: MediaObject, start_disk: Optional[int] = None) -> int:
         """Place ``obj`` on the drives; returns its start drive.
 
-        Storage is charged per drive using the exact fragment counts
-        of the stride layout.  Placement is atomic: when any drive
-        lacks the room, :class:`~repro.errors.CapacityError` is raised
-        and the layout, the array and the next start drive are left as
-        they were.
+        Storage is charged to every drive at once, from the exact
+        fragment counts of the stride layout.  Placement is atomic:
+        when any drive lacks the room,
+        :class:`~repro.errors.CapacityError` is raised and the layout,
+        the array and the next start drive are left as they were.
         """
         automatic = start_disk is None
         if automatic:
             start_disk = self._next_start
         self.layout.place(obj, start_disk)
-        counts = self.layout.fragment_counts(obj.object_id)
         try:
-            self.array.store_all([c * self.fragment_cylinders for c in counts])
+            self.array.store_all(self._charges(obj.object_id))
         except CapacityError:
             self.layout.remove(obj.object_id)
             raise
@@ -105,10 +104,17 @@ class DiskManager:
         """Remove ``object_id``'s fragments and reclaim its storage."""
         if not self.layout.is_placed(object_id):
             raise LayoutError(f"object {object_id} is not placed")
-        for disk, fragments in enumerate(self.layout.fragment_counts(object_id)):
-            if fragments:
-                self.array.evict(disk, fragments * self.fragment_cylinders)
+        self.array.evict_all(self._charges(object_id))
         self.layout.remove(object_id)
+
+    def _charges(self, object_id: int) -> List[int]:
+        """Cylinders the placed object holds on each drive: its fresh
+        fragment-count vector, scaled only when a fragment spans more
+        than one cylinder."""
+        counts = self.layout.fragment_counts(object_id)
+        if self.fragment_cylinders == 1:
+            return counts
+        return [c * self.fragment_cylinders for c in counts]
 
     def start_disk(self, object_id: int) -> int:
         """Start drive of a placed object."""

@@ -262,7 +262,7 @@ class FaultCoordinator(_CoordinatorBase):
         recomputed from the drives' own flags, the debts and the
         pool's holds."""
         quiet = (
-            not any(state.failed for state in self.array.disks)
+            not any(self.array._down)
             and not self._rebuild_debt
             and not self.pool._held
         )

@@ -9,14 +9,13 @@ the quantities the paper's simulation depends on.
 """
 
 from repro.hardware.disk import DiskModel, SABRE_DISK, TABLE3_DISK
-from repro.hardware.disk_array import DiskArray, DiskState
+from repro.hardware.disk_array import DiskArray
 from repro.hardware.memory import minimum_display_memory
 from repro.hardware.tertiary import TertiaryDevice
 
 __all__ = [
     "DiskArray",
     "DiskModel",
-    "DiskState",
     "SABRE_DISK",
     "TABLE3_DISK",
     "TertiaryDevice",

@@ -11,21 +11,12 @@ the cylinders occupied by resident fragments and which drives are down.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from itertools import repeat
+from operator import add, sub
 from typing import List, Optional, Sequence
 
 from repro.errors import CapacityError, ConfigurationError, FaultError
 from repro.hardware.disk import DiskModel
-
-
-@dataclass
-class DiskState:
-    """Mutable per-drive state: storage used and whether it is down."""
-
-    index: int
-    used_cylinders: float = 0.0
-    #: True while the drive is down (failed, not yet rebuilt).
-    failed: bool = False
 
 
 class DiskArray:
@@ -35,6 +26,10 @@ class DiskArray:
 
     * cumulative storage accounting with capacity checks;
     * failure state (which drives are down, what each failure lost).
+
+    The per-drive state is two flat length-``D`` lists, used cylinders
+    and down flags, so placing or evicting an object charges the whole
+    count vector at once instead of calling into each drive.
     """
 
     def __init__(self, model: DiskModel, num_disks: int) -> None:
@@ -42,7 +37,11 @@ class DiskArray:
             raise ConfigurationError(f"num_disks must be >= 1, got {num_disks}")
         self.model = model
         self.num_disks = num_disks
-        self.disks: List[DiskState] = [DiskState(index=i) for i in range(num_disks)]
+        self._used: List[float] = [0.0] * num_disks
+        #: ``_down[d]`` is True while drive ``d`` is down (failed, not
+        #: yet rebuilt).
+        self._down: List[bool] = [False] * num_disks
+        self._limit = model.num_cylinders + 1e-9
         # Incrementally maintained aggregates: a version counter bumped
         # by every state change the sanitize sweep inspects, and the
         # sorted failed-drive indices (so "which drives are down?" never
@@ -62,50 +61,52 @@ class DiskArray:
     # ------------------------------------------------------------------
     def used_cylinders(self, disk: int) -> float:
         """Cylinders currently occupied on drive ``disk``."""
-        return self.disks[disk].used_cylinders
+        return self._used[disk]
 
     def observe_storage(self, registry, prefix: str = "disk.storage_cylinders") -> None:
         """Record per-drive used cylinders into a
         :class:`repro.obs.metrics.MetricsRegistry` gauge family."""
-        for disk in self.disks:
-            registry.gauge(prefix, disk=disk.index).set(disk.used_cylinders)
+        for disk, used in enumerate(self._used):
+            registry.gauge(prefix, disk=disk).set(used)
 
-    def store(self, disk: int, cylinders: float) -> None:
-        """Occupy ``cylinders`` on drive ``disk`` (raises on overflow)."""
-        self._check_room(disk, cylinders)
-        self.disks[disk].used_cylinders += cylinders
-        self._version += 1
-
-    def store_all(self, cylinders: Sequence[float]) -> None:
-        """Occupy ``cylinders[d]`` on every drive ``d`` at once.
+    def store_all(self, charges: Sequence[float]) -> None:
+        """Occupy ``charges[d]`` cylinders on every drive ``d`` at once;
+        ``charges`` has length ``D``.
 
         Every drive is checked before any is charged, so an overflow
-        raises :class:`CapacityError` with the array unchanged.
+        raises :class:`CapacityError`, naming the first drive that
+        lacks the room, with the array unchanged.
         """
-        charges = [(d, c) for d, c in enumerate(cylinders) if c]
-        for disk, amount in charges:
-            self._check_room(disk, amount)
-        for disk, amount in charges:
-            self.disks[disk].used_cylinders += amount
+        used = list(map(add, self._used, charges))
+        if max(used) > self._limit:
+            for disk, (held, amount) in enumerate(zip(self._used, charges)):
+                if amount and held + amount > self._limit:
+                    raise CapacityError(
+                        f"disk {disk} overflow: {held:.2f} + "
+                        f"{amount:.2f} > {self.model.num_cylinders}"
+                    )
+        self._used = used
         self._version += 1
 
-    def _check_room(self, disk: int, cylinders: float) -> None:
-        used = self.disks[disk].used_cylinders
-        if used + cylinders > self.model.num_cylinders + 1e-9:
-            raise CapacityError(
-                f"disk {disk} overflow: {used:.2f} + "
-                f"{cylinders:.2f} > {self.model.num_cylinders}"
-            )
+    def evict_all(self, charges: Sequence[float]) -> None:
+        """Free ``charges[d]`` cylinders on every drive ``d`` at once;
+        ``charges`` has length ``D``.
 
-    def evict(self, disk: int, cylinders: float) -> None:
-        """Free ``cylinders`` on drive ``disk``."""
-        state = self.disks[disk]
-        if cylinders > state.used_cylinders + 1e-9:
-            raise CapacityError(
-                f"disk {disk} underflow: evicting {cylinders:.2f} from "
-                f"{state.used_cylinders:.2f}"
-            )
-        state.used_cylinders = max(0.0, state.used_cylinders - cylinders)
+        Every drive is checked before any is refunded, so an underflow
+        raises :class:`CapacityError`, naming the first drive that
+        holds too little, with the array unchanged.  A refund within
+        the tolerance of a drive's usage clamps it to zero.
+        """
+        used = list(map(sub, self._used, charges))
+        if min(used) < 0.0:
+            for disk, (held, amount) in enumerate(zip(self._used, charges)):
+                if amount > held + 1e-9:
+                    raise CapacityError(
+                        f"disk {disk} underflow: evicting {amount:.2f} "
+                        f"from {held:.2f}"
+                    )
+            used = list(map(max, repeat(0.0), used))
+        self._used = used
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -118,13 +119,12 @@ class DiskArray:
         *logical* placement bookkeeping is untouched: the returned
         cylinder count is exactly the rebuild work.
         """
-        state = self.disks[disk]
-        if state.failed:
+        if self._down[disk]:
             raise FaultError(f"disk {disk} is already failed")
-        state.failed = True
+        self._down[disk] = True
         bisect.insort(self._failed, disk)
         self._version += 1
-        return state.used_cylinders
+        return self._used[disk]
 
     def repair(self, disk: int) -> None:
         """Bring drive ``disk`` back online (hardware replaced).
@@ -132,16 +132,15 @@ class DiskArray:
         Restoring its data is the rebuild process's job
         (:mod:`repro.faults`).
         """
-        state = self.disks[disk]
-        if not state.failed:
+        if not self._down[disk]:
             raise FaultError(f"disk {disk} is not failed")
-        state.failed = False
+        self._down[disk] = False
         self._failed.remove(disk)
         self._version += 1
 
     def is_failed(self, disk: int) -> bool:
         """True while drive ``disk`` is down."""
-        return self.disks[disk].failed
+        return self._down[disk]
 
     @property
     def version(self) -> int:
@@ -174,18 +173,14 @@ class DiskArray:
         if self._verified_clean_version == self._version:
             return
         violations_before = sanitizer.total
-        failed_recount: List[int] = []
-        for state in self.disks:
-            if state.failed:
-                failed_recount.append(state.index)
+        for disk, used in enumerate(self._used):
             sanitizer.expect(
-                -1e-9 <= state.used_cylinders
-                <= self.model.num_cylinders + 1e-9,
+                -1e-9 <= used <= self._limit,
                 "storage_bounds",
-                f"disk {state.index} used_cylinders "
-                f"{state.used_cylinders} outside [0, "
+                f"disk {disk} used_cylinders {used} outside [0, "
                 f"{self.model.num_cylinders}]",
             )
+        failed_recount = [disk for disk, down in enumerate(self._down) if down]
         sanitizer.expect(
             failed_recount == self._failed,
             "occ_index",

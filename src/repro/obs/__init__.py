@@ -206,10 +206,16 @@ class Observability:
         return run
 
     def finish_run(self, run: Optional[RunObservation], result=None) -> None:
-        """Snapshot a finished run and surface its profile on ``result``."""
+        """Snapshot a finished run and surface its profile on ``result``.
+
+        The run's flushers are dropped once the snapshot is taken: they
+        are bound methods of components that hold ``run``, so keeping
+        them would leave each finished run a cycle for the collector.
+        """
         if run is None:
             return
         snapshot = run.snapshot()
+        run._flushers.clear()
         self.runs.append(snapshot)
         if result is not None:
             result.profile = run.profiler.totals()

@@ -232,7 +232,7 @@ class TestQuietSpans:
 
     def test_quiet_until_the_next_event_then_degraded(self):
         array = DiskArray(model=TABLE3_DISK, num_disks=4)
-        array.store(2, 3.0)  # drive 2's loss is 6 half-slot writes
+        array.store_all([0, 0, 3.0, 0])  # drive 2's loss is 6 half-slot writes
         pool = SlotPool(num_disks=4, stride=1)
         policy = SimpleNamespace(
             disk_manager=SimpleNamespace(array=array, pool=pool), _active={},

@@ -86,8 +86,9 @@ def test_slot_pool_index_matches_brute_force(num_disks, operations):
 @given(st.integers(min_value=1, max_value=10), ops)
 @settings(max_examples=120, deadline=None)
 def test_disk_array_counts_match_brute_force(num_disks, operations):
-    """The array's sorted failed-drive list must match a rescan of the
-    drives' flags after arbitrary fail/repair (rebuild) sequences."""
+    """The array's sorted failed-drive list must match a rescan of
+    every drive's ``is_failed`` after arbitrary fail/repair (rebuild)
+    sequences."""
     array = DiskArray(model=TABLE3_DISK, num_disks=num_disks)
     for kind, disk, _owner, _halves in operations:
         disk %= num_disks
@@ -98,7 +99,7 @@ def test_disk_array_counts_match_brute_force(num_disks, operations):
                 array.repair(disk)
         except FaultError:
             pass
-        failed = [state.index for state in array.disks if state.failed]
+        failed = [d for d in range(num_disks) if array.is_failed(d)]
         assert array.failed_count == len(failed)
         assert array.failed_disks() == failed
 
@@ -180,6 +181,6 @@ def test_sanitize_sweep_cross_checks_the_failed_list():
     array.verify_invariants(sanitizer, interval=0)
     assert sanitizer.total == 0
     array._failed.reverse()
-    array.store(0, 1.0)  # a real mutation re-arms the sweep
+    array.store_all([1.0, 0, 0, 0, 0, 0])  # a real mutation re-arms the sweep
     array.verify_invariants(sanitizer, interval=1)
     assert sanitizer.counts == {"occ_index": 1}

@@ -11,6 +11,7 @@ and the ``k = D`` placement of virtual data replication.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List
 
 import pytest
@@ -19,10 +20,11 @@ from hypothesis import strategies as st
 
 from repro.analysis.skew import disks_used_by_object, skew_profile
 from repro.core.disk_manager import DiskManager
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import CapacityError, ConfigurationError, FaultError
 from repro.hardware.disk import TABLE3_DISK
 from repro.hardware.disk_array import DiskArray
 from repro.media.layout import StripingLayout, stride_fragment_counts
+from repro.sim.sanitize import Sanitizer
 from repro.simulation.config import ScaledConfig
 from repro.simulation.runner import build_engine
 from tests.conftest import make_object
@@ -169,7 +171,9 @@ class TestAtomicPlacement:
         manager = DiskManager(array=array, stride=1, fragment_cylinders=2)
         manager.place_object(make_object(0, num_subobjects=4, degree=2))
         # Fill drive 5 so the next object's fragments there cannot fit.
-        array.store(5, TABLE3_DISK.num_cylinders - array.used_cylinders(5) - 1)
+        array.store_all(
+            only(5, TABLE3_DISK.num_cylinders - array.used_cylinders(5) - 1, 10)
+        )
         before = used_cylinders(array)
         version = array.version
         obj = make_object(1, num_subobjects=6, degree=3)  # drives 1..8
@@ -179,8 +183,15 @@ class TestAtomicPlacement:
         assert used_cylinders(array) == before
         assert array.version == version
         # The failed placement consumed no start drive.
-        array.evict(5, array.used_cylinders(5))
+        array.evict_all(only(5, array.used_cylinders(5), 10))
         assert manager.place_object(obj) == 1
+
+
+def only(disk: int, cylinders: float, num_disks: int) -> List[float]:
+    """A charge vector holding ``cylinders`` on ``disk`` alone."""
+    charges = [0.0] * num_disks
+    charges[disk] = cylinders
+    return charges
 
 
 def used_cylinders(array: DiskArray) -> List[int]:
@@ -236,3 +247,154 @@ def test_storage_profile_matches_walk_after_evict_and_replace(fields):
     manager.place_object(objects[1], start_disk=starts[0])
     assert manager.start_disk(a) == starts[1]
     assert used_cylinders(manager.array) == _storage_oracle(manager)
+
+
+def first_overflow(used, charges, capacity):
+    """The overflow message of a drive-by-drive room check in drive
+    order, or ``None`` when every drive has the room."""
+    for disk, (held, amount) in enumerate(zip(used, charges)):
+        if amount and held + amount > capacity + 1e-9:
+            return f"disk {disk} overflow: {held:.2f} + {amount:.2f} > {capacity}"
+    return None
+
+
+@st.composite
+def accounting_runs(draw):
+    """A small array and a sequence of placements, evictions, drive
+    failures and repairs, and over-large refunds.  Capacities are small
+    so that placements overflow often."""
+    d = draw(st.integers(min_value=1, max_value=32))
+    k = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=d),
+            st.sampled_from([s for s in range(1, d + 1) if d % s == 0]),
+        )
+    )
+    setup = {
+        "num_disks": d,
+        "stride": k,
+        "fragment_cylinders": draw(st.sampled_from([1, 2, 3])),
+        "placement_alignment": draw(st.integers(min_value=1, max_value=d)),
+        "capacity": draw(st.integers(min_value=1, max_value=80)),
+    }
+    drive = st.integers(min_value=0, max_value=d - 1)
+    steps = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("place"),
+                    st.integers(min_value=1, max_value=40),
+                    st.integers(min_value=1, max_value=d),
+                    st.one_of(st.none(), st.integers(0, 2 * d)),
+                ),
+                st.tuples(st.just("evict"), st.integers(0, 63)),
+                st.tuples(st.just("fail"), drive),
+                st.tuples(st.just("repair"), drive),
+                st.tuples(
+                    st.just("refund"),
+                    st.lists(drive, min_size=1, max_size=3),
+                    st.sampled_from([1e-10, 1e-6, 1.0, 7.5]),
+                ),
+            ),
+            max_size=30,
+        )
+    )
+    return setup, steps
+
+
+@given(accounting_runs())
+@settings(max_examples=300, deadline=None)
+def test_vector_accounting_matches_the_walk_after_any_sequence(run):
+    """Whole-vector storage accounting against the per-fragment walk.
+
+    After every placement, eviction, failure and repair each drive's
+    used cylinders equal ``fragment_cylinders`` times the walked counts
+    of the objects placed on it.  An overflowing placement raises the
+    message of a drive-by-drive room check (first overflowing drive in
+    drive order) and leaves the layout, the usage, the next start drive
+    and the array version as they were; so does an underflowing
+    ``evict_all``, naming the first drive that holds too little, and a
+    refund inside the tolerance clamps to zero.
+    """
+    setup, steps = run
+    d = setup["num_disks"]
+    capacity = setup["capacity"]
+    model = dataclasses.replace(TABLE3_DISK, num_cylinders=capacity)
+    array = DiskArray(model=model, num_disks=d)
+    manager = DiskManager(
+        array=array,
+        stride=setup["stride"],
+        fragment_cylinders=setup["fragment_cylinders"],
+        placement_alignment=setup["placement_alignment"],
+    )
+    failed = set()
+    next_id = 0
+    for step in steps:
+        kind = step[0]
+        before = used_cylinders(array)
+        placed = manager.layout.placed_objects()
+        next_start = manager._next_start
+        version = array.version
+        if kind == "place":
+            _, n, m, start = step
+            obj = make_object(next_id, num_subobjects=n, degree=m)
+            next_id += 1
+            p = next_start if start is None else start
+            charges = [
+                c * manager.fragment_cylinders
+                for c in walk_counts(d, manager.stride, n, m, p)
+            ]
+            message = first_overflow(before, charges, capacity)
+            if message is None:
+                assert manager.place_object(obj, start) == p % d
+            else:
+                with pytest.raises(CapacityError) as raised:
+                    manager.place_object(obj, start)
+                assert str(raised.value) == message
+                assert manager.layout.placed_objects() == placed
+                assert used_cylinders(array) == before
+                assert manager._next_start == next_start
+                assert array.version == version
+        elif kind == "evict" and placed:
+            manager.evict_object(placed[step[1] % len(placed)])
+        elif kind == "fail":
+            disk = step[1]
+            if disk in failed:
+                with pytest.raises(FaultError):
+                    array.fail(disk)
+            else:
+                assert array.fail(disk) == before[disk]
+                failed.add(disk)
+        elif kind == "repair":
+            disk = step[1]
+            if disk in failed:
+                array.repair(disk)
+                failed.discard(disk)
+            else:
+                with pytest.raises(FaultError):
+                    array.repair(disk)
+        elif kind == "refund":
+            _, short, extra = step
+            charges = list(before)
+            for disk in short:
+                charges[disk] = before[disk] + extra
+            if extra > 1e-9:
+                first = min(short)
+                with pytest.raises(CapacityError) as raised:
+                    array.evict_all(charges)
+                assert str(raised.value) == (
+                    f"disk {first} underflow: evicting "
+                    f"{charges[first]:.2f} from {before[first]:.2f}"
+                )
+                assert used_cylinders(array) == before
+                assert array.version == version
+            else:
+                array.evict_all(charges)
+                assert used_cylinders(array) == [0.0] * d
+                # Put the refunded storage back for the oracle.
+                array.store_all(before)
+        assert used_cylinders(array) == _storage_oracle(manager)
+        assert [x for x in range(d) if array.is_failed(x)] == sorted(failed)
+        sanitizer = Sanitizer(mode="check")
+        array.verify_invariants(sanitizer, interval=0)
+        assert sanitizer.total == 0

@@ -18,6 +18,7 @@ import weakref
 import pytest
 
 from repro.experiments import open_workload
+from repro.obs import Observability
 from repro.simulation import runner
 from repro.simulation.config import ScaledConfig
 
@@ -66,5 +67,45 @@ def test_del_engine_frees_the_run_without_the_cyclic_collector(name):
         found = gc.collect()
     finally:
         gc.enable()
+    assert alive == []
+    assert found == 0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_an_observed_run_is_freed_without_the_cyclic_collector(name, monkeypatch):
+    """The instrumented components hand bound methods to the run's
+    observation as snapshot-time flushers while holding that
+    observation; the session drops them once it has taken the
+    snapshot, so a metrics-level ``run_experiment`` leaves no cycle."""
+    config = CASES[name]
+    runner.cached_catalog(config)
+    built = {}
+    build_engine = runner.build_engine
+
+    def recording_build_engine(*args, **kwargs):
+        engine = build_engine(*args, **kwargs)
+        built["engine"] = weakref.ref(engine)
+        built["policy"] = weakref.ref(engine.policy)
+        built["observation"] = weakref.ref(engine.obs)
+        if config.faults_enabled:
+            built["coordinator"] = weakref.ref(engine.policy.faults)
+        return engine
+
+    monkeypatch.setattr(runner, "build_engine", recording_build_engine)
+    session = Observability(level="metrics")
+    gc.collect()
+    gc.disable()
+    try:
+        result = runner.run_experiment(config, obs=session)
+        alive = sorted(part for part, ref in built.items() if ref() is not None)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert sorted(built) == sorted(
+        ["engine", "policy", "observation"]
+        + (["coordinator"] if config.faults_enabled else [])
+    )
+    assert result.observation is session.runs[0]
+    assert session.runs[0]["metrics"]
     assert alive == []
     assert found == 0
