@@ -13,7 +13,7 @@ test oracle (``tests/oracles/physical.py``).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.core.virtual_disks import SlotPool
 from repro.errors import CapacityError, ConfigurationError, LayoutError
@@ -79,26 +79,64 @@ class DiskManager:
     def place_object(self, obj: MediaObject, start_disk: Optional[int] = None) -> int:
         """Place ``obj`` on the drives; returns its start drive.
 
-        Storage is charged to every drive at once, from the exact
-        fragment counts of the stride layout.  Placement is atomic:
-        when any drive lacks the room,
-        :class:`~repro.errors.CapacityError` is raised and the layout,
-        the array and the next start drive are left as they were.
+        The one-object case of :meth:`place_objects`: the object takes
+        ``start_disk``, or else the next start drive in turn.
         """
-        automatic = start_disk is None
-        if automatic:
-            start_disk = self._next_start
-        self.layout.place(obj, start_disk)
+        starts = None if start_disk is None else [start_disk]
+        return self.place_objects([obj], starts)[0]
+
+    def place_objects(
+        self,
+        objects: Sequence[MediaObject],
+        starts: Optional[Sequence[int]] = None,
+    ) -> List[int]:
+        """Place ``objects`` in order; returns their start drives.
+
+        Without ``starts`` the objects take successive start drives
+        from the next one in turn, ``placement_alignment`` apart, and
+        the next start drive moves past them; ``starts`` gives each
+        object's start drive instead and leaves the next one alone.
+
+        Storage is charged once, with the sum of the objects' fragment
+        counts from the stride layout.  Placement is atomic: when any
+        drive lacks the room, :class:`~repro.errors.CapacityError` is
+        raised as placing the objects one by one would raise it (the
+        first object that overflows, naming its first drive that lacks
+        the room), and the layout, the array and the next start drive
+        are left as they were.
+        """
+        if not objects:
+            return []
+        num_disks = self.array.num_disks
+        next_start = self._next_start
+        if starts is None:
+            step = self.placement_alignment
+            starts = [
+                (next_start + i * step) % num_disks for i in range(len(objects))
+            ]
+            next_start = (next_start + len(objects) * step) % num_disks
+        layout = self.layout
+        placed: List[int] = []
         try:
-            self.array.store_all(self._charges(obj.object_id))
-        except CapacityError:
-            self.layout.remove(obj.object_id)
+            for obj, start in zip(objects, starts):
+                layout.place(obj, start)
+                placed.append(obj.object_id)
+            charges = [self._charges(object_id) for object_id in placed]
+            total = (
+                charges[0] if len(charges) == 1
+                else list(map(sum, zip(*charges)))
+            )
+            try:
+                self.array.store_all(total)
+            except CapacityError:
+                self.array.check_room(charges)
+                raise
+        except (CapacityError, LayoutError):
+            for object_id in placed:
+                layout.remove(object_id)
             raise
-        if automatic:
-            self._next_start = (
-                self._next_start + self.placement_alignment
-            ) % self.array.num_disks
-        return start_disk % self.array.num_disks
+        self._next_start = next_start
+        return [start % num_disks for start in starts]
 
     def evict_object(self, object_id: int) -> None:
         """Remove ``object_id``'s fragments and reclaim its storage."""

@@ -218,14 +218,25 @@ class StaggeredStripingPolicy(StoragePolicy):
     # StoragePolicy interface
     # ------------------------------------------------------------------
     def preload(self, object_ids: List[int]) -> None:
-        """Place and mark resident without tertiary cost (warm start)."""
-        for object_id in object_ids:
-            obj = self.catalog.get(object_id)
-            if obj.size - self.object_manager.free_capacity > 1e-6:
+        """Place and mark resident without tertiary cost (warm start).
+
+        Each object in turn must fit the object manager's free
+        capacity; the list is then placed in one batch
+        (:meth:`~repro.core.disk_manager.DiskManager.place_objects`)
+        and marked resident.  A preload that does not fit changes
+        nothing.
+        """
+        objects = [self.catalog.get(object_id) for object_id in object_ids]
+        capacity = self.object_manager.capacity
+        used = self.object_manager.used
+        for obj in objects:
+            if obj.size - (capacity - used) > 1e-6:
                 raise ConfigurationError(
-                    f"preload overflows disk capacity at object {object_id}"
+                    f"preload overflows disk capacity at object {obj.object_id}"
                 )
-            self.disk_manager.place_object(obj)
+            used += obj.size
+        self.disk_manager.place_objects(objects)
+        for object_id in object_ids:
             self.object_manager.add_resident(object_id)
 
     def submit(self, request: Request, interval: int) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 from itertools import repeat
 from operator import add, sub
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.errors import CapacityError, ConfigurationError, FaultError
 from repro.hardware.disk import DiskModel
@@ -79,14 +79,29 @@ class DiskArray:
         """
         used = list(map(add, self._used, charges))
         if max(used) > self._limit:
-            for disk, (held, amount) in enumerate(zip(self._used, charges)):
-                if amount and held + amount > self._limit:
-                    raise CapacityError(
-                        f"disk {disk} overflow: {held:.2f} + "
-                        f"{amount:.2f} > {self.model.num_cylinders}"
-                    )
+            self.check_room((charges,))
         self._used = used
         self._version += 1
+
+    def check_room(self, charge_vectors: Iterable[Sequence[float]]) -> None:
+        """Raise the :class:`CapacityError` that storing each vector of
+        ``charge_vectors`` in turn with :meth:`store_all` would raise:
+        the first vector that overflows, naming its first drive that
+        lacks the room.  Returns when every vector fits.
+
+        Changes nothing: the walk charges a copy of the usage.  A batch
+        that charged its summed vector at once calls this when that
+        sum overflows, to report the overflow one vector at a time.
+        """
+        held = self._used
+        for charges in charge_vectors:
+            for disk, (before, amount) in enumerate(zip(held, charges)):
+                if amount and before + amount > self._limit:
+                    raise CapacityError(
+                        f"disk {disk} overflow: {before:.2f} + "
+                        f"{amount:.2f} > {self.model.num_cylinders}"
+                    )
+            held = list(map(add, held, charges))
 
     def evict_all(self, charges: Sequence[float]) -> None:
         """Free ``charges[d]`` cylinders on every drive ``d`` at once;

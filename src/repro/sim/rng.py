@@ -12,19 +12,22 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 from repro.integrity import sha256
 from repro.sim import sanitize
 
 
+@lru_cache(maxsize=4096)
 def substream_salt(name: str) -> int:
     """A stable integer salt for a named substream.
 
     Derived from SHA-256 of the name, so it is identical across
     interpreter runs and ``PYTHONHASHSEED`` values, and — unlike the
     small hand-picked integers passed to :meth:`RandomStream.fork` —
-    effectively collision-free between names.
+    effectively collision-free between names.  Memoised per process:
+    a fault injector names one substream per drive.
     """
     digest = sha256(name.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF

@@ -121,6 +121,14 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"degree {self.degree} exceeds {self.num_disks} disks"
             )
+        if (
+            self.technique != "vdr"
+            and self.stride is not None
+            and not 1 <= self.stride <= self.num_disks
+        ):
+            raise ConfigurationError(
+                f"stride must be in 1..{self.num_disks}, got {self.stride}"
+            )
         if self.technique in ("simple", "vdr") and self.num_disks % self.degree:
             raise ConfigurationError(
                 f"{self.technique} needs D divisible by M: "

@@ -189,8 +189,11 @@ def build_faults(config: SimulationConfig, policy: StoragePolicy, obs=None):
 
     A no-op returning ``None`` when :attr:`SimulationConfig.
     faults_enabled` is false — fault-free runs build exactly the
-    pre-fault system and stay byte-identical to the seed.
+    pre-fault system and stay byte-identical to the seed.  Such a
+    run never imports :mod:`repro.faults`.
     """
+    if not config.faults_enabled:
+        return None
     from repro.faults import build_coordinator
 
     coordinator = build_coordinator(config, policy, obs=obs)

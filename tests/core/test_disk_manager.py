@@ -61,6 +61,16 @@ class TestPlacement:
         with pytest.raises(ConfigurationError):
             DiskManager(array=array, stride=1, placement_alignment=0)
 
+    def test_batch_with_a_placed_object_changes_nothing(self, manager):
+        manager.place_object(make_object(0, num_subobjects=4, degree=2))
+        before = [manager.array.used_cylinders(d) for d in range(10)]
+        batch = [make_object(i, num_subobjects=4, degree=2) for i in (1, 2, 0)]
+        with pytest.raises(LayoutError):
+            manager.place_objects(batch)
+        assert manager.layout.placed_objects() == [0]
+        assert [manager.array.used_cylinders(d) for d in range(10)] == before
+        assert manager.place_object(batch[0]) == 1
+
 
 def _laned(display_id, obj, slots, ready, degree_halves=None):
     """A display whose lanes sit on ``slots`` from ``ready`` on, set by

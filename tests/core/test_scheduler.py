@@ -9,7 +9,7 @@ from repro.core.disk_manager import DiskManager
 from repro.core.object_manager import ObjectManager
 from repro.core.scheduler import StaggeredStripingPolicy
 from repro.core.tertiary_manager import TertiaryManager
-from repro.errors import SanitizeError, SchedulingError
+from repro.errors import ConfigurationError, SanitizeError, SchedulingError
 from repro.hardware.disk import TABLE3_DISK
 from repro.hardware.disk_array import DiskArray
 from repro.hardware.tertiary import TertiaryDevice
@@ -117,6 +117,19 @@ class TestSingleDisplay:
         policy = build_policy(with_tertiary=False)
         with pytest.raises(SchedulingError):
             policy.submit(request(1, 0), interval=0)
+
+
+class TestPreload:
+    def test_preload_overflow_names_the_object_and_changes_nothing(self):
+        policy = build_policy(num_objects=4, capacity_objects=2)
+        with pytest.raises(ConfigurationError) as raised:
+            policy.preload([0, 1, 2, 3])
+        assert str(raised.value) == "preload overflows disk capacity at object 2"
+        assert policy.object_manager.resident_objects() == []
+        assert policy.object_manager.used == 0.0
+        assert policy.disk_manager.layout.placed_objects() == []
+        policy.preload([2, 3])
+        assert policy.disk_manager.start_disk(2) == 0
 
 
 class TestConcurrency:

@@ -11,7 +11,9 @@ and the ``k = D`` placement of virtual data replication.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+from itertools import repeat
 from typing import List
 
 import pytest
@@ -260,7 +262,8 @@ def first_overflow(used, charges, capacity):
 
 @st.composite
 def accounting_runs(draw):
-    """A small array and a sequence of placements, evictions, drive
+    """A small array and a sequence of placements (one object, or a
+    batch with automatic or given start drives), evictions, drive
     failures and repairs, and over-large refunds.  Capacities are small
     so that placements overflow often."""
     d = draw(st.integers(min_value=1, max_value=32))
@@ -286,6 +289,18 @@ def accounting_runs(draw):
                     st.integers(min_value=1, max_value=40),
                     st.integers(min_value=1, max_value=d),
                     st.one_of(st.none(), st.integers(0, 2 * d)),
+                ),
+                st.tuples(
+                    st.just("batch"),
+                    st.lists(
+                        st.tuples(
+                            st.integers(min_value=1, max_value=40),
+                            st.integers(min_value=1, max_value=d),
+                            st.integers(0, 2 * d),
+                        ),
+                        max_size=6,
+                    ),
+                    st.booleans(),
                 ),
                 st.tuples(st.just("evict"), st.integers(0, 63)),
                 st.tuples(st.just("fail"), drive),
@@ -314,7 +329,11 @@ def test_vector_accounting_matches_the_walk_after_any_sequence(run):
     drive order) and leaves the layout, the usage, the next start drive
     and the array version as they were; so does an underflowing
     ``evict_all``, naming the first drive that holds too little, and a
-    refund inside the tolerance clamps to zero.
+    refund inside the tolerance clamps to zero.  A batch placement
+    ends where placing its objects one by one (on a copy of the
+    manager) ends: the same start drives, next start drive and usage;
+    when that walk overflows, the batch raises its message and changes
+    nothing.
     """
     setup, steps = run
     d = setup["num_disks"]
@@ -355,6 +374,32 @@ def test_vector_accounting_matches_the_walk_after_any_sequence(run):
                 assert used_cylinders(array) == before
                 assert manager._next_start == next_start
                 assert array.version == version
+        elif kind == "batch":
+            _, shapes, given = step
+            objects = [
+                make_object(next_id + i, num_subobjects=n, degree=m)
+                for i, (n, m, _) in enumerate(shapes)
+            ]
+            next_id += len(shapes)
+            starts = [start for _, _, start in shapes] if given else None
+            serial = copy.deepcopy(manager)
+            try:
+                expected = [
+                    serial.place_object(obj, start)
+                    for obj, start in zip(objects, starts or repeat(None))
+                ]
+            except CapacityError as walk:
+                with pytest.raises(CapacityError) as raised:
+                    manager.place_objects(objects, starts)
+                assert str(raised.value) == str(walk)
+                assert manager.layout.placed_objects() == placed
+                assert used_cylinders(array) == before
+                assert manager._next_start == next_start
+                assert array.version == version
+            else:
+                assert manager.place_objects(objects, starts) == expected
+                assert manager._next_start == serial._next_start
+                assert used_cylinders(array) == used_cylinders(serial.array)
         elif kind == "evict" and placed:
             manager.evict_object(placed[step[1] % len(placed)])
         elif kind == "fail":

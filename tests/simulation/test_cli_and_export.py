@@ -134,6 +134,16 @@ class TestCLI:
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--technique", "raid"])
 
+    def test_stride_outside_one_to_d_fails_before_running(self, capsys):
+        code = main([
+            "run", "--technique", "staggered", "--stride", "0",
+            "--scale", "10",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "repro run: stride must be in 1..100, got 0\n"
+
     def test_uniform_flag(self, capsys):
         code = main([
             "run", "--scale", "50", "--technique", "simple",

@@ -104,3 +104,18 @@ class TestValidation:
 
     def test_describe_mentions_technique(self):
         assert "vdr" in PaperConfig(technique="vdr").describe()
+
+    @pytest.mark.parametrize("technique", ["simple", "staggered"])
+    @pytest.mark.parametrize("stride", [0, -1, 1001])
+    def test_stride_outside_one_to_d_rejected(self, technique, stride):
+        with pytest.raises(ConfigurationError) as raised:
+            PaperConfig(technique=technique, stride=stride)
+        assert str(raised.value) == f"stride must be in 1..1000, got {stride}"
+
+    @pytest.mark.parametrize("technique", ["simple", "staggered"])
+    def test_stride_of_d_accepted(self, technique):
+        config = PaperConfig(technique=technique, stride=1000)
+        assert config.effective_stride == 1000
+
+    def test_vdr_ignores_the_stride(self):
+        assert PaperConfig(technique="vdr", stride=0).stride == 0

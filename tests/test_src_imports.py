@@ -20,6 +20,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 
 PACKAGE_ROOT = Path(repro.__file__).resolve().parent
@@ -191,6 +193,43 @@ def test_lazy_imports_are_imported_somewhere():
     }
     named |= {module.rsplit(".", 1)[0] for module in named}
     assert sorted(LAZILY_IMPORTED - named - {"repro.__main__"}) == []
+
+
+@pytest.mark.parametrize(
+    "faults", ["mttf=400.0", "fail_at=((0, 5),)"], ids=["mttf", "fail_at"]
+)
+def test_fault_free_runs_leave_the_fault_package_unloaded(faults):
+    """Building and stepping a fault-free engine, staggered or VDR,
+    imports no ``repro.faults`` module; a config that injects faults
+    loads all of them."""
+    fault_modules = sorted(
+        module for module in package_modules()
+        if module.split(".")[:2] == ["repro", "faults"]
+    )
+    code = (
+        "import sys\n"
+        "from repro.simulation import runner\n"
+        "from repro.simulation.config import ScaledConfig\n"
+        f"fault_modules = {fault_modules!r}\n"
+        "def loaded():\n"
+        "    return [m for m in fault_modules if m in sys.modules]\n"
+        "for technique in ('staggered', 'vdr'):\n"
+        "    config = ScaledConfig(scale=50, technique=technique)\n"
+        "    runner.build_engine(config).run(20, 200)\n"
+        "    assert loaded() == [], loaded()\n"
+        f"config = ScaledConfig(scale=50, technique='staggered', {faults})\n"
+        "runner.build_engine(config).run(20, 200)\n"
+        "assert loaded() == fault_modules, loaded()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def imported_private_names(path: Path):
