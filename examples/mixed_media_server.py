@@ -2,11 +2,11 @@
 """A mixed-media video server on staggered striping (§3.2, Figure 5).
 
 Builds the paper's Figure 5 database — Y at 80 mbps (M=4), X at
-60 mbps (M=3), Z at 40 mbps (M=2) — on 12 drives with stride 1,
-prints the placement grid exactly as the paper draws it, then serves
-concurrent displays of all three media types through the scheduler,
-demonstrating that one system handles heterogeneous bandwidths with a
-single fragment size and interval length.
+60 mbps (M=3), Z at 40 mbps (M=2) — on 12 drives with stride 1, places
+each object at the paper's start drive, then serves concurrent
+displays of all three media types through the scheduler, demonstrating
+that one system handles heterogeneous bandwidths with a single
+fragment size and interval length.
 
 Run:  python examples/mixed_media_server.py
 """
@@ -17,26 +17,29 @@ from repro.core.admission import AdmissionMode
 from repro.core.disk_manager import DiskManager
 from repro.core.object_manager import ObjectManager
 from repro.core.scheduler import StaggeredStripingPolicy
-from repro.experiments.layouts import figure5_grid, grid_to_text
 from repro.hardware.disk import TABLE3_DISK
 from repro.hardware.disk_array import DiskArray
-from repro.media.catalog import build_mixed_catalog
+from repro.media.catalog import Catalog
+from repro.media.objects import FragmentAddress, MediaObject, MediaType
 from repro.simulation.policy import Request
 
 
 def main() -> None:
-    print("Figure 5 placement (D=12, k=1):\n")
-    print(grid_to_text(figure5_grid(6)))
-
-    catalog = build_mixed_catalog(
-        specs=[
-            {"name": "Y-hdtv", "display_bandwidth": 80.0, "num_subobjects": 24},
-            {"name": "X-video", "display_bandwidth": 60.0, "num_subobjects": 24},
-            {"name": "Z-lowres", "display_bandwidth": 40.0, "num_subobjects": 24},
-        ],
-        fragment_size=TABLE3_DISK.cylinder_capacity,
-        disk_bandwidth=20.0,
-    )
+    media = [
+        MediaType("Y-hdtv", 80.0),
+        MediaType("X-video", 60.0),
+        MediaType("Z-lowres", 40.0),
+    ]
+    catalog = Catalog([
+        MediaObject(
+            object_id=object_id,
+            media_type=media_type,
+            num_subobjects=24,
+            degree=media_type.degree_of_declustering(20.0),
+            fragment_size=TABLE3_DISK.cylinder_capacity,
+        )
+        for object_id, media_type in enumerate(media)
+    ])
     array = DiskArray(model=TABLE3_DISK, num_disks=12)
     disk_manager = DiskManager(array=array, stride=1, placement_alignment=1)
     object_manager = ObjectManager(catalog, capacity=catalog.total_size)
@@ -48,9 +51,16 @@ def main() -> None:
         admission_mode=AdmissionMode.FRAGMENTED,
     )
     # Place the three objects at the paper's drives: Y@0, X@4, Z@7.
+    print("Figure 5 placement (D=12, k=1), subobject 0:")
     for object_id, start in ((0, 0), (1, 4), (2, 7)):
-        disk_manager.place_object(catalog.get(object_id), start_disk=start)
+        obj = catalog.get(object_id)
+        disk_manager.place_object(obj, start_disk=start)
         object_manager.add_resident(object_id)
+        drives = [
+            disk_manager.layout.disk_of(FragmentAddress(object_id, 0, j))
+            for j in range(obj.degree)
+        ]
+        print(f"  {obj.media_type.name:9s} M={obj.degree}: drives {drives}")
 
     names = {obj.object_id: obj.media_type.name for obj in catalog}
     print("\nServing one display of each media type concurrently:")

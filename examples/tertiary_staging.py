@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Materialising objects from tertiary store (§3.2.4).
 
-Shows the cost of the tape layout decision: an object recorded
-*sequentially* forces the tertiary device to reposition at every
-subobject boundary, while the paper's *fragment-ordered* recording
-streams with one reposition.  Then runs a cold-start server (nothing
-preloaded) and reports how the tertiary queue drains.
+Runs a cold-start server (nothing preloaded) whose objects are
+recorded on tape in the paper's *fragment-ordered* layout, and reports
+how the tertiary device stages the hot set onto the disks.  (The
+sequential-vs-fragment-ordered comparison is asserted by
+``tests/integration/test_experiments.py::TestTertiaryExperiments``.)
 
 Run:  python examples/tertiary_staging.py
 """
@@ -13,21 +13,11 @@ Run:  python examples/tertiary_staging.py
 from __future__ import annotations
 
 from repro import ScaledConfig, run_experiment
-from repro.analysis.reporting import format_table
-from repro.experiments.tertiary import layout_cost_rows, simulated_comparison
 from repro.media.tape_layout import TapeOrder
 
 
 def main() -> None:
-    print("Per-object materialisation cost (full-scale object, 40 mbps "
-          "tertiary, 5 s repositions):\n")
-    print(format_table(layout_cost_rows()))
-
-    print("\nSimulated cold-ish server under each tape order "
-          "(uniform access, database 10x disk capacity):\n")
-    print(format_table(simulated_comparison(scale=50, num_stations=6)))
-
-    print("\nCold start at 1/50 scale (no preload, fragment-ordered):")
+    print("Cold start at 1/50 scale (no preload, fragment-ordered):")
     config = ScaledConfig(
         scale=50,
         technique="staggered",

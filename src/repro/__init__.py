@@ -21,8 +21,10 @@ Layers (see DESIGN.md for the full inventory):
 * :mod:`repro.vdr` — the virtual-data-replication baseline.
 * :mod:`repro.workload` / :mod:`repro.simulation` — closed-loop
   stations and the interval-stepped engine.
-* :mod:`repro.analysis` — the closed-form models of §3.
-* :mod:`repro.experiments` — scripts regenerating every table/figure.
+* :mod:`repro.experiments` — the Figure 8 / Table 4, open-workload and
+  fault grids the CLI runs; :mod:`repro.analysis` — their table
+  formatting.  §3's closed forms and the Figure 1/3/4/5 drivers are test
+  oracles (``tests/oracles/``).
 """
 
 from repro.simulation.config import PaperConfig, ScaledConfig, SimulationConfig

@@ -1,46 +1,6 @@
-"""Closed-form analytical models from §3 of the paper.
+"""Reporting helpers shared by the CLI and the telemetry reports.
 
-These reproduce the paper's back-of-envelope numbers independently of
-the simulator: effective bandwidth vs fragment size, worst-case
-display-initiation latency, Equation 1's memory requirement, and the
-stride/data-skew arithmetic of §3.2.2.
+The §3 closed forms (effective bandwidth vs fragment size, initiation
+latency, Equation 1's memory, the stride/skew arithmetic) have no
+production caller: they are test oracles (``tests/oracles/``).
 """
-
-from repro.analysis.bandwidth import (
-    bandwidth_table,
-    effective_bandwidth,
-    wasted_fraction,
-)
-from repro.analysis.latency import (
-    expected_contiguous_wait,
-    worst_case_initiation_delay,
-)
-from repro.analysis.memory import fragmentation_buffer_demand, minimum_memory
-from repro.analysis.seek_buffering import (
-    average_overhead_bandwidth,
-    buffering_table,
-    max_bandwidth_for_buffer,
-)
-from repro.analysis.skew import (
-    disks_used_by_object,
-    is_perfectly_balanced,
-    skew_profile,
-    stride_is_skew_free,
-)
-
-__all__ = [
-    "average_overhead_bandwidth",
-    "bandwidth_table",
-    "buffering_table",
-    "disks_used_by_object",
-    "effective_bandwidth",
-    "expected_contiguous_wait",
-    "fragmentation_buffer_demand",
-    "is_perfectly_balanced",
-    "max_bandwidth_for_buffer",
-    "minimum_memory",
-    "skew_profile",
-    "stride_is_skew_free",
-    "wasted_fraction",
-    "worst_case_initiation_delay",
-]

@@ -128,11 +128,6 @@ class ClusterRegistry:
             info.settled += 1
             info.last_seen = now
 
-    def holds(self, agent_id: str, key: LeaseKey) -> bool:
-        with self._lock:
-            info = self._agents.get(agent_id)
-            return info is not None and key in info.leases
-
     def goodbye(self, agent_id: str) -> List[LeaseKey]:
         """A clean departure: the agent's leases requeue immediately."""
         with self._lock:
@@ -171,7 +166,3 @@ class ClusterRegistry:
     def agents(self) -> List[AgentInfo]:
         with self._lock:
             return list(self._agents.values())
-
-    def alive_count(self) -> int:
-        with self._lock:
-            return sum(1 for info in self._agents.values() if info.alive)

@@ -94,11 +94,6 @@ class ObjectManager:
         """Accesses recorded for the object so far."""
         return self._state[object_id].frequency
 
-    @property
-    def free_capacity(self) -> float:
-        """Megabits of unoccupied disk storage."""
-        return self.capacity - self.used
-
     def hit_rate(self) -> float:
         """Fraction of accesses that found the object resident."""
         total = self.hits + self.misses

@@ -22,15 +22,6 @@ class ConfigurationError(ReproError):
     """
 
 
-class SimulationError(ReproError):
-    """A simulation component was driven incorrectly.
-
-    Examples: asking the tertiary device about a request that has not
-    started service, or holding for a negative duration in the DES
-    kernel the tests use as an oracle.
-    """
-
-
 class SchedulingError(ReproError):
     """The striping scheduler reached an inconsistent state.
 

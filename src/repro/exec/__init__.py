@@ -40,7 +40,7 @@ from repro.exec.journal import (
     sweep_id_for,
 )
 from repro.exec.retry import RetryPolicy, retry_call
-from repro.exec.spec import RunSpec, derive_seed, experiment_spec, spec_digest
+from repro.exec.spec import RunSpec, experiment_spec, spec_digest
 from repro.exec.supervisor import Supervision, SupervisedPool
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "canonical",
     "canonical_json",
     "code_salt",
-    "derive_seed",
     "execute",
     "experiment_spec",
     "find_journal",

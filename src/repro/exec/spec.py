@@ -11,13 +11,12 @@ nor the workers repeat it.
 
 Each kind maps to a registered function ``fn(spec, obs) -> payload``
 where the payload is a JSON-able dict (cacheable, byte-comparable).
-Kinds living in experiment modules are imported lazily to avoid
-circular imports and so worker processes resolve them on demand.
+A kind is registered when the module defining it is imported
+(:func:`register_kind`); fork-started workers inherit the registry.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
@@ -25,9 +24,6 @@ from repro.errors import ConfigurationError
 from repro.exec.hashing import HASH_SCHEME_VERSION, canonical, code_salt, digest_document
 from repro.simulation.config import SimulationConfig
 
-#: Mask keeping derived seeds in the positive 63-bit range
-#: (mirrors :meth:`repro.sim.rng.RandomStream.fork`).
-_SEED_MASK = 0x7FFF_FFFF_FFFF_FFFF
 
 
 @dataclass(frozen=True)
@@ -79,17 +75,6 @@ def spec_digest(spec: RunSpec) -> str:
     )
 
 
-def derive_seed(base_seed: int, index: int) -> int:
-    """A per-run seed independent of every other index's stream.
-
-    Deterministic in ``(base_seed, index)`` and independent of worker
-    scheduling order; uses the same arithmetic as
-    :meth:`repro.sim.rng.RandomStream.fork` so run ``i`` of a sweep
-    gets the stream ``RandomStream(base_seed).fork(i + 1)`` would.
-    """
-    return (base_seed * 1_000_003 + index + 1) & _SEED_MASK
-
-
 def experiment_spec(config: SimulationConfig, label: str = "") -> RunSpec:
     """The common case: one :func:`run_experiment` call as a spec."""
     return RunSpec(kind="experiment", config=config, label=label)
@@ -101,13 +86,6 @@ def experiment_spec(config: SimulationConfig, label: str = "") -> RunSpec:
 KindFn = Callable[[RunSpec, Any], Dict[str, Any]]
 
 _KINDS: Dict[str, KindFn] = {}
-
-#: Modules that register non-core kinds on import (lazy to avoid
-#: cycles: experiment modules import the executor, not vice versa).
-_KIND_HOMES = {
-    "mixed_media": "repro.experiments.mixed_media",
-    "fairness": "repro.experiments.mixed_media",
-}
 
 
 def register_kind(name: str) -> Callable[[KindFn], KindFn]:
@@ -121,9 +99,7 @@ def register_kind(name: str) -> Callable[[KindFn], KindFn]:
 
 
 def resolve_kind(name: str) -> KindFn:
-    """The run function for ``name``, importing its home module if needed."""
-    if name not in _KINDS and name in _KIND_HOMES:
-        importlib.import_module(_KIND_HOMES[name])
+    """The run function registered for ``name``."""
     try:
         return _KINDS[name]
     except KeyError:

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.exec import execute, experiment_spec, records_to_results
 from repro.simulation.config import PaperConfig, ScaledConfig, SimulationConfig
 from repro.simulation.results import SimulationResult
-from repro.simulation.runner import run_experiment
 
 #: The paper's three access-distribution means and their labels.
 PAPER_MEANS = {10.0: "highly skewed", 20.0: "skewed", 43.5: "uniform"}
@@ -76,20 +75,6 @@ def point_from_result(
         tertiary_utilization=stats.get("tertiary_utilization", 0.0),
         mean_latency_s=result.mean_startup_latency_seconds,
     )
-
-
-def run_point(
-    config: SimulationConfig,
-    technique: str,
-    mean: float,
-    stations: int,
-    obs=None,
-) -> Figure8Point:
-    """Run one (technique, mean, stations) cell."""
-    result = run_experiment(
-        point_config(config, technique, mean, stations), obs=obs
-    )
-    return point_from_result(result, technique, mean, stations)
 
 
 def run_figure8(

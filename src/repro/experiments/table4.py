@@ -16,13 +16,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.exec import execute, experiment_spec, records_to_results
-from repro.experiments.figure8 import (
-    base_config,
-    point_config,
-    point_from_result,
-    scaled_means,
-)
+from repro.experiments.figure8 import base_config, point_config, scaled_means
 from repro.simulation.config import SimulationConfig
+from repro.simulation.results import improvement_percent
 
 #: The paper's station counts for Table 4.
 PAPER_TABLE4_STATIONS = [16, 64, 128, 256]
@@ -78,26 +74,18 @@ def run_table4(
         experiment_spec(point_config(config, technique, mean, count))
         for count, mean, technique in cells
     ]
-    results = records_to_results(
+    results = dict(zip(cells, records_to_results(
         execute(specs, jobs=jobs, cache=cache, obs=obs, supervision=supervision)
-    )
-    points = {
-        cell: point_from_result(result, cell[2], cell[1], cell[0])
-        for cell, result in zip(cells, results)
-    }
+    )))
     rows: List[Dict] = []
     for count in stations:
         row: Dict = {"stations": count}
         for mean in means:
-            striping = points[(count, mean, "simple")]
-            vdr = points[(count, mean, "vdr")]
-            if vdr.throughput_per_hour > 0:
-                improvement = (
-                    striping.throughput_per_hour / vdr.throughput_per_hour - 1.0
-                ) * 100.0
-            else:
-                improvement = float("inf")
-            row[f"mean_{mean:g}_improvement_pct"] = round(improvement, 2)
+            striping = results[(count, mean, "simple")]
+            vdr = results[(count, mean, "vdr")]
+            row[f"mean_{mean:g}_improvement_pct"] = round(
+                improvement_percent(striping, vdr), 2
+            )
             row[f"mean_{mean:g}_striping"] = round(striping.throughput_per_hour, 1)
             row[f"mean_{mean:g}_vdr"] = round(vdr.throughput_per_hour, 1)
         rows.append(row)

@@ -1,5 +1,5 @@
-"""Hardware models: magnetic disks, the disk array, tertiary storage
-and buffer memory.  The delivery network is assumed sufficient, as in
+"""Hardware models: magnetic disks, the disk array and tertiary
+storage.  The delivery network is assumed sufficient, as in
 the paper, and is not modelled.
 
 All devices are parameterised analytic models — the paper itself only
@@ -10,7 +10,6 @@ the quantities the paper's simulation depends on.
 
 from repro.hardware.disk import DiskModel, SABRE_DISK, TABLE3_DISK
 from repro.hardware.disk_array import DiskArray
-from repro.hardware.memory import minimum_display_memory
 from repro.hardware.tertiary import TertiaryDevice
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "SABRE_DISK",
     "TABLE3_DISK",
     "TertiaryDevice",
-    "minimum_display_memory",
 ]

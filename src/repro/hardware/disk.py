@@ -21,12 +21,11 @@ IMPRIMIS Sabre drive used for the §3.1 numeric example, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro import units
 from repro.errors import ConfigurationError
-from repro.sim.rng import RandomStream
 
 
 @dataclass(frozen=True)
@@ -134,45 +133,6 @@ class DiskModel:
         """
         fragment = self.fragment_size(fragment_cylinders)
         return fragment / self.service_time(fragment_cylinders)
-
-    def wasted_fraction(self, fragment_cylinders: int = 1) -> float:
-        """Fraction of an activation spent on seeks and latency."""
-        service = self.service_time(fragment_cylinders)
-        overhead = service - fragment_cylinders * self.cylinder_read_time
-        return overhead / service
-
-    # ------------------------------------------------------------------
-    # Seek-time curve
-    # ------------------------------------------------------------------
-    def seek_time(self, distance: int) -> float:
-        """Seek time for a head move of ``distance`` cylinders.
-
-        Linear interpolation anchored at ``min_seek`` for a
-        one-cylinder move and ``max_seek`` for a full-stroke move.
-        ``distance == 0`` costs nothing.
-        """
-        if distance < 0:
-            raise ConfigurationError(f"seek distance must be >= 0, got {distance}")
-        if distance == 0:
-            return 0.0
-        full_stroke = max(self.num_cylinders - 1, 1)
-        if distance >= full_stroke:
-            return self.max_seek
-        if full_stroke == 1:
-            return self.max_seek
-        span = self.max_seek - self.min_seek
-        return self.min_seek + span * (distance - 1) / (full_stroke - 1)
-
-    def sample_reposition(self, stream: RandomStream) -> float:
-        """Draw a random reposition delay in ``[min_seek, T_switch]``.
-
-        Uniform random target cylinder plus uniform rotational
-        latency — the stochastic counterpart of step 1 of the §3.1
-        activation protocol.
-        """
-        distance = stream.randint(0, self.num_cylinders - 1)
-        latency = stream.uniform(0.0, self.max_latency)
-        return self.seek_time(distance) + latency
 
 
 def disk_for_effective_bandwidth(

@@ -13,11 +13,7 @@ The data model follows Table 2 of the paper:
 """
 
 from repro.media.catalog import Catalog, build_uniform_catalog
-from repro.media.layout import (
-    StripingLayout,
-    simple_striping_layout,
-    staggered_layout,
-)
+from repro.media.layout import StripingLayout
 from repro.media.objects import FragmentAddress, MediaObject, MediaType
 from repro.media.tape_layout import TapeLayout, TapeOrder
 
@@ -30,6 +26,4 @@ __all__ = [
     "TapeLayout",
     "TapeOrder",
     "build_uniform_catalog",
-    "simple_striping_layout",
-    "staggered_layout",
 ]

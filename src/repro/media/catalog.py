@@ -9,7 +9,7 @@ paper's "database resides permanently on the tertiary storage device".
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.media.objects import MediaObject, MediaType
@@ -53,10 +53,6 @@ class Catalog:
         """Aggregate database size in megabits."""
         return sum(obj.size for obj in self._objects.values())
 
-    def max_degree(self) -> int:
-        """Largest degree of declustering in the database."""
-        return max(obj.degree for obj in self._objects.values())
-
 
 def build_uniform_catalog(
     num_objects: int,
@@ -80,37 +76,4 @@ def build_uniform_catalog(
         )
         for i in range(num_objects)
     ]
-    return Catalog(objects)
-
-
-def build_mixed_catalog(
-    specs: Sequence[Dict],
-    fragment_size: float,
-    disk_bandwidth: float,
-    first_id: int = 0,
-) -> Catalog:
-    """Build a mixed-media database (§3.2, Figure 5 style).
-
-    Each spec is a dict with keys ``name``, ``display_bandwidth``,
-    ``num_subobjects``, and optional ``count`` (default 1).  Degrees
-    of declustering are derived from ``disk_bandwidth``.
-    """
-    objects: List[MediaObject] = []
-    next_id = first_id
-    for spec in specs:
-        media = MediaType(
-            name=spec["name"], display_bandwidth=spec["display_bandwidth"]
-        )
-        degree = media.degree_of_declustering(disk_bandwidth)
-        for _ in range(int(spec.get("count", 1))):
-            objects.append(
-                MediaObject(
-                    object_id=next_id,
-                    media_type=media,
-                    num_subobjects=spec["num_subobjects"],
-                    degree=degree,
-                    fragment_size=fragment_size,
-                )
-            )
-            next_id += 1
     return Catalog(objects)

@@ -14,12 +14,9 @@ Special cases:
   used by **virtual data replication** (one object per physical
   cluster).
 
-The module also implements the §3.2.2 *data-skew* analysis: the set of
-start-drive residues an object visits is ``{p + i*k mod D}``, which is
-uniform over a coset of size ``D / gcd(D, k)``; relatively prime
-``D, k`` (in particular ``k = 1``) guarantee no skew.
-
-Per-drive fragment counts come from that residue view in closed form
+The start-drive residues an object visits are ``{p + i*k mod D}``,
+uniform over a coset of size ``D / gcd(D, k)`` (§3.2.2).  Per-drive
+fragment counts come from that residue view in closed form
 (:func:`stride_fragment_counts`): the start drive ``p`` only rotates
 the counts, so the ``p = 0`` counts are computed once per
 ``(D, k, n, M)`` and every placement returns a rotated copy of them
@@ -28,11 +25,10 @@ rather than walking all ``n * M`` fragments.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import accumulate
 from operator import sub
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.errors import ConfigurationError, LayoutError
 from repro.media.objects import FragmentAddress, MediaObject
@@ -159,24 +155,9 @@ class StripingLayout:
         p = self._start_disk[address.object_id]
         return (p + address.subobject * self.stride + address.fragment) % self.num_disks
 
-    def subobject_disks(self, object_id: int, subobject: int) -> List[int]:
-        """The ``M`` consecutive drives holding one subobject."""
-        obj = self._objects[object_id]
-        first = self.disk_of(FragmentAddress(object_id, subobject, 0))
-        return [(first + j) % self.num_disks for j in range(obj.degree)]
-
     # ------------------------------------------------------------------
-    # Analysis (§3.2.2)
+    # Storage
     # ------------------------------------------------------------------
-    def disks_used(self, object_id: int) -> int:
-        """Number of distinct drives the object touches.
-
-        For strides ``k <= M`` this is ``min(D, (n-1)*k + M)`` — e.g.
-        the paper's D=100, 25-subobject, M=4, k=1 object spans 28
-        drives; larger strides leave gaps between subobjects.
-        """
-        return sum(1 for c in self.fragment_counts(object_id) if c)
-
     def fragment_counts(self, object_id: int) -> List[int]:
         """Fragments of the object stored per drive (length ``D``)."""
         obj = self._objects[object_id]
@@ -187,77 +168,3 @@ class StripingLayout:
             obj.degree,
             self._start_disk[object_id],
         )
-
-    def total_fragment_counts(self) -> List[int]:
-        """Fragments per drive across all placed objects."""
-        counts = [0] * self.num_disks
-        for object_id in self._objects:
-            counts = [
-                a + b for a, b in zip(counts, self.fragment_counts(object_id))
-            ]
-        return counts
-
-    def skew(self, object_id: int) -> float:
-        """Relative storage skew: ``(max - min) / mean`` fragment count
-        over the drives the object actually uses."""
-        counts = [c for c in self.fragment_counts(object_id) if c > 0]
-        mean = sum(counts) / len(counts)
-        return (max(counts) - min(counts)) / mean if mean else 0.0
-
-    def residue_classes(self) -> int:
-        """Distinct start-drive residues an object visits:
-        ``D / gcd(D, k)``."""
-        return self.num_disks // math.gcd(self.num_disks, self.stride)
-
-    def is_skew_free_count(self, num_subobjects: int) -> bool:
-        """§3.2.2 rule: per-drive load is perfectly balanced when the
-        subobject count is a multiple of ``D / gcd(D, k)``."""
-        return num_subobjects % self.residue_classes() == 0
-
-
-def simple_striping_layout(num_disks: int, degree: int) -> StripingLayout:
-    """Simple striping: stride equals the degree of declustering, so
-    subobjects rotate over ``R = D / M`` non-overlapping physical
-    clusters (§3.1, Figure 1)."""
-    if degree < 1:
-        raise ConfigurationError(f"degree must be >= 1, got {degree}")
-    if num_disks % degree != 0:
-        raise ConfigurationError(
-            f"simple striping needs D divisible by M: D={num_disks}, M={degree}"
-        )
-    return StripingLayout(num_disks=num_disks, stride=degree)
-
-
-def staggered_layout(num_disks: int, stride: int = 1) -> StripingLayout:
-    """Staggered striping with an arbitrary stride (default 1, the
-    skew-free choice)."""
-    return StripingLayout(num_disks=num_disks, stride=stride)
-
-
-def render_layout(
-    layout: StripingLayout,
-    object_ids: Sequence[int],
-    labels: Dict[int, str],
-    num_subobjects: int,
-) -> List[List[str]]:
-    """Render placement rows like the paper's Figures 1, 4, and 5.
-
-    Returns ``num_subobjects`` rows of ``D`` cells; cell text is
-    ``"<label><i>.<j>"`` (e.g. ``"X2.1"``) or ``""`` for empty.
-    Raises :class:`LayoutError` if two fragments collide in one cell
-    for the same subobject row (which would indicate a bad placement).
-    """
-    rows: List[List[str]] = [[""] * layout.num_disks for _ in range(num_subobjects)]
-    for object_id in object_ids:
-        label = labels[object_id]
-        obj = layout.object(object_id)
-        for i in range(min(num_subobjects, obj.num_subobjects)):
-            for j in range(obj.degree):
-                disk = layout.disk_of(FragmentAddress(object_id, i, j))
-                if rows[i][disk]:
-                    raise LayoutError(
-                        f"cell collision at row {i} disk {disk}: "
-                        f"{rows[i][disk]} vs {label}{i}.{j}"
-                    )
-                rows[i][disk] = f"{label}{i}.{j}"
-    return rows

@@ -37,12 +37,6 @@ class TapeLayout:
 
     order: TapeOrder
 
-    def repositions(self, obj: MediaObject) -> int:
-        """Head repositions incurred while materialising ``obj``."""
-        if self.order is TapeOrder.FRAGMENT_ORDERED:
-            return 1
-        return obj.num_subobjects
-
     def service_time(self, obj: MediaObject, device: TertiaryDevice) -> float:
         """Total device time to materialise ``obj``."""
         if self.order is TapeOrder.FRAGMENT_ORDERED:
@@ -52,12 +46,6 @@ class TapeLayout:
     def effective_bandwidth(self, obj: MediaObject, device: TertiaryDevice) -> float:
         """Useful mbps delivered during a materialisation of ``obj``."""
         return obj.size / self.service_time(obj, device)
-
-    def wasted_fraction(self, obj: MediaObject, device: TertiaryDevice) -> float:
-        """Fraction of device time spent repositioning (wasteful work)."""
-        total = self.service_time(obj, device)
-        useful = device.transfer_time(obj.size)
-        return (total - useful) / total if total > 0 else 0.0
 
 
 def materialization_write_degree(

@@ -179,11 +179,6 @@ class Observability:
         """True at metrics level or above."""
         return self.level is not ObsLevel.OFF
 
-    @property
-    def tracing(self) -> bool:
-        """True only at trace level."""
-        return self.level is ObsLevel.TRACE
-
     # ------------------------------------------------------------------
     # Run lifecycle
     # ------------------------------------------------------------------

@@ -130,15 +130,6 @@ class Tally:
         """Sample standard deviation."""
         return math.sqrt(self.variance)
 
-    def reset(self) -> None:
-        """Discard all observations."""
-        self.count = 0
-        self.total = 0.0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
     def snapshot(self) -> Dict[str, Any]:
         return {
             "type": "tally",
@@ -325,11 +316,6 @@ class UtilizationMatrix:
             f"<UtilizationMatrix {self.name} devices={self.num_devices} "
             f"intervals={self.intervals}>"
         )
-
-    def mark(self, device: int) -> None:
-        """Device ``device`` is busy in the current interval."""
-        self._window_busy[device] += 1
-        self._total_busy[device] += 1
 
     def mark_many(self, devices) -> None:
         """Mark every device in ``devices`` busy (hot-path bulk form)."""

@@ -63,10 +63,3 @@ class PhaseProfiler:
             }
             for name in sorted(self.seconds)
         }
-
-    def merge(self, other: "PhaseProfiler") -> None:
-        """Fold another profiler's totals into this one."""
-        for name, elapsed in other.seconds.items():
-            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-        for name, count in other.counts.items():
-            self.counts[name] = self.counts.get(name, 0) + count

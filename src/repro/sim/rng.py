@@ -82,14 +82,6 @@ class RandomStream:
             raise ValueError(f"exponential mean must be > 0, got {mean}")
         return self._rng.expovariate(1.0 / mean)
 
-    def choice(self, seq: Sequence) -> object:
-        """Uniform choice from a non-empty sequence."""
-        return self._rng.choice(seq)
-
-    def shuffle(self, items: List) -> None:
-        """In-place Fisher-Yates shuffle."""
-        self._rng.shuffle(items)
-
 
 def geometric_success_probability(mean: float) -> float:
     """Success probability ``p`` for a geometric with ``mean = (1-p)/p``."""

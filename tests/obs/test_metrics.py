@@ -72,13 +72,6 @@ class TestTally:
         assert tally.mean == 0.0
         assert tally.variance == 0.0
 
-    def test_reset(self):
-        tally = Tally()
-        tally.record(5.0)
-        tally.reset()
-        assert tally.count == 0
-        assert tally.mean == 0.0
-
 
 class TestHistogram:
     def test_bins_and_quantiles(self):
@@ -141,10 +134,10 @@ class TestUtilizationMatrix:
     def test_busy_fractions(self):
         matrix = UtilizationMatrix(num_devices=4, window=2)
         # Device 0 busy both intervals, device 1 busy one of two.
-        matrix.mark(0)
-        matrix.mark(1)
+        matrix.mark_many([0])
+        matrix.mark_many([1])
         matrix.tick(0.0)
-        matrix.mark(0)
+        matrix.mark_many([0])
         matrix.tick(1.0)
         assert matrix.rows == [(1.0, [1.0, 0.5, 0.0, 0.0])]
         assert matrix.utilization() == [1.0, 0.5, 0.0, 0.0]
@@ -152,7 +145,7 @@ class TestUtilizationMatrix:
     def test_row_merging_doubles_window(self):
         matrix = UtilizationMatrix(num_devices=1, window=1, max_rows=4)
         for i in range(64):
-            matrix.mark(0)
+            matrix.mark_many([0])
             matrix.tick(float(i))
         assert len(matrix.rows) < 4
         assert matrix.window > 1

@@ -34,7 +34,13 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterator, List, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import ReproError
+
+
+class SimulationError(ReproError):
+    """The kernel was driven incorrectly: a negative or infinite hold,
+    a process that yields something other than a hold, or a re-entrant
+    run."""
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,16 @@
 The scheduler admits a low-bandwidth display onto logical half-disks
 (:func:`repro.core.lowbw.degree_in_halves`); this oracle spells out the
 half-interval schedule the paper draws for two such objects and checks
-that both streams are delivered continuously.
+that both streams are delivered continuously, and gives the rounding
+waste of whole-drive vs half-drive allocation (§3.2.3's 25% → 0%
+example).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -102,3 +105,52 @@ def validate_figure7_schedule(actions: List[HalfIntervalAction]) -> None:
             raise ConfigurationError(
                 f"stream {stream} is not continuous: {halves[:6]}..."
             )
+
+
+def whole_disk_waste(display_bandwidth: float, disk_bandwidth: float) -> float:
+    """Fraction of the claimed drives' bandwidth wasted when the
+    request must use an integral number of *whole* drives.
+
+    The paper's example: 30 mbps over 20 mbps drives claims 2 drives
+    (40 mbps) and wastes 25%.
+    """
+    if display_bandwidth <= 0 or disk_bandwidth <= 0:
+        raise ConfigurationError("bandwidths must be > 0")
+    drives = math.ceil(display_bandwidth / disk_bandwidth - 1e-9)
+    allocated = drives * disk_bandwidth
+    return (allocated - display_bandwidth) / allocated
+
+
+def half_disk_waste(display_bandwidth: float, disk_bandwidth: float) -> float:
+    """Waste with an integral number of *logical half-disks*.
+
+    The paper's example: ``B_display = 3/2 B_disk`` fits exactly in 3
+    half-disks with no rounding loss.
+    """
+    if display_bandwidth <= 0 or disk_bandwidth <= 0:
+        raise ConfigurationError("bandwidths must be > 0")
+    half = disk_bandwidth / 2.0
+    halves = math.ceil(display_bandwidth / half - 1e-9)
+    allocated = halves * half
+    return (allocated - display_bandwidth) / allocated
+
+
+def rounding_waste_rows(
+    disk_bandwidth: float = 20.0,
+    bandwidths: Sequence[float] = (5.0, 10.0, 30.0, 45.0, 50.0, 70.0, 100.0),
+) -> List[Dict]:
+    """Whole-drive vs half-drive allocation waste per display rate."""
+    return [
+        {
+            "display_mbps": display,
+            "whole_disks": math.ceil(display / disk_bandwidth - 1e-9),
+            "whole_disk_waste_pct": round(
+                whole_disk_waste(display, disk_bandwidth) * 100.0, 2
+            ),
+            "half_disks": math.ceil(display / (disk_bandwidth / 2) - 1e-9),
+            "half_disk_waste_pct": round(
+                half_disk_waste(display, disk_bandwidth) * 100.0, 2
+            ),
+        }
+        for display in bandwidths
+    ]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.hardware.disk import DiskModel
 from repro.sim.rng import RandomStream
+from tests.oracles.seek_buffering import sample_reposition
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def hiccup_rate_over_switches(
             disk,
             buffer_level=buffer_level,
             consumption_rate=consumption_rate,
-            reposition_time=min(disk.t_switch, disk.sample_reposition(stream)),
+            reposition_time=min(disk.t_switch, sample_reposition(disk, stream)),
             sector_size=sector_size,
         )
         if outcome.underrun:

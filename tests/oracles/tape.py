@@ -5,7 +5,8 @@ With the fragment-ordered tape layout the device writes
 (:func:`repro.media.tape_layout.materialization_write_degree`).  The
 materialisation path charges the device time in closed form
 (:meth:`repro.media.tape_layout.TapeLayout.service_time`); this oracle
-spells out the batches so the tests can check the paper's example.
+spells out the batches so the tests can check the paper's example,
+and counts the repositions and the wasted device time of each order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,26 @@ from __future__ import annotations
 from typing import List
 
 from repro.errors import ConfigurationError
+from repro.hardware.tertiary import TertiaryDevice
 from repro.media.objects import FragmentAddress, MediaObject
+from repro.media.tape_layout import TapeLayout, TapeOrder
+
+
+def repositions(layout: TapeLayout, obj: MediaObject) -> int:
+    """Head repositions incurred while materialising ``obj``: one for a
+    fragment-ordered recording, one per subobject for a sequential one."""
+    if layout.order is TapeOrder.FRAGMENT_ORDERED:
+        return 1
+    return obj.num_subobjects
+
+
+def wasted_fraction(
+    layout: TapeLayout, obj: MediaObject, device: TertiaryDevice
+) -> float:
+    """Fraction of device time spent repositioning (wasteful work)."""
+    total = layout.service_time(obj, device)
+    useful = device.transfer_time(obj.size)
+    return (total - useful) / total if total > 0 else 0.0
 
 
 def recording_schedule(

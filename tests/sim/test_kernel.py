@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
-from tests.oracles.kernel import Simulation, hold
+from tests.oracles.kernel import Simulation, SimulationError, hold
 
 
 @pytest.fixture

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.sim.rng import (
@@ -158,14 +156,3 @@ def test_discrete_sampler_rejects_bad_pmf(stream):
         DiscreteSampler([], stream)
     with pytest.raises(ValueError):
         DiscreteSampler([0.5, -0.5, 1.0], stream)
-
-
-def test_shuffle_and_choice_deterministic():
-    a = RandomStream(seed=3)
-    b = RandomStream(seed=3)
-    items_a = list(range(10))
-    items_b = list(range(10))
-    a.shuffle(items_a)
-    b.shuffle(items_b)
-    assert items_a == items_b
-    assert a.choice([1, 2, 3]) == b.choice([1, 2, 3])

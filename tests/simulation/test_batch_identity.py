@@ -26,7 +26,6 @@ from repro.core.admission import AdmissionMode
 from repro.core.disk_manager import DiskManager
 from repro.core.object_manager import ObjectManager
 from repro.core.scheduler import StaggeredStripingPolicy
-from repro.experiments.mixed_media import build_mixed_system
 from repro.hardware.disk import TABLE3_DISK
 from repro.hardware.disk_array import DiskArray
 from repro.media.catalog import Catalog
@@ -36,6 +35,7 @@ from repro.simulation.config import ScaledConfig
 from repro.simulation.policy import Request
 from repro.simulation.runner import build_engine, run_experiment
 from tests.conftest import make_object
+from tests.oracles.mixed_media import build_mixed_system
 from tests.oracles.scalar import arm_scalar_admission
 
 

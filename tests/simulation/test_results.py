@@ -88,3 +88,23 @@ class TestImprovement:
         vdr = make_result(completed=0)
         assert improvement_percent(striping, vdr) == float("inf")
         assert improvement_percent(make_result(), vdr) == 0.0
+
+    def test_table4_rows_use_the_metric_at_zero_baseline(self, monkeypatch):
+        """Table 4's cells go through :func:`improvement_percent`: with
+        VDR at zero throughput a positive striping cell reads ``inf``
+        and an idle one ``0.0`` (0/0 is no improvement)."""
+        from repro.experiments import table4
+
+        completed = {("simple", 1): 0, ("vdr", 1): 0,
+                     ("simple", 2): 10, ("vdr", 2): 0}
+        monkeypatch.setattr(table4, "execute", lambda specs, **_: specs)
+        monkeypatch.setattr(table4, "records_to_results", lambda specs: [
+            make_result(completed=completed[
+                spec.config.technique, spec.config.num_stations
+            ])
+            for spec in specs
+        ])
+        rows = table4.run_table4(scale=50, stations=[1, 2], means=[1.0])
+        assert [row["mean_1_improvement_pct"] for row in rows] == [
+            0.0, float("inf"),
+        ]

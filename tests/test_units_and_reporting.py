@@ -27,7 +27,6 @@ class TestErrors:
     def test_hierarchy(self):
         for exc in (
             errors.ConfigurationError,
-            errors.SimulationError,
             errors.SchedulingError,
             errors.CapacityError,
             errors.LayoutError,
