@@ -8,12 +8,14 @@ same supervised retry/poison machinery a local pool would.  The
 network is a transport, never a semantic: a sweep executed by one
 local worker, two loopback agents, or agents joining and dying
 mid-sweep produces byte-identical cached results and an identical
-order-independent ``settled_events_digest``.
+order-independent settled digest
+(:meth:`~repro.obs.events.SweepProgress.settled_digest`).
 
 Roles (see docs/distributed_execution.md):
 
 * :mod:`repro.cluster.master` — ``repro master``: an HTTP control
-  plane (stdlib ``http.server``; no new dependency) that plans sweeps
+  plane (HTTP/1.1 over ``socketserver``; no new dependency, and no
+  ``http.server``, so no OpenSSL mapped) that plans sweeps
   with the executor's own :func:`~repro.exec.executor.plan_rows`,
   leases pending rows to agents, detects dead agents by heartbeat
   timeout, and persists pushed results through
@@ -23,8 +25,8 @@ Roles (see docs/distributed_execution.md):
   attempt loop, and pushes outcomes (plus obs artifacts) back;
 * :mod:`repro.cluster.client` — the ``--master-url`` path of ordinary
   sweep commands: submit the plan, poll progress, fetch records;
-* :mod:`repro.cluster.protocol` — the JSON wire format and the
-  retrying HTTP client both sides share;
+* :mod:`repro.cluster.protocol` — the JSON wire format, the HTTP/1.1
+  framing both ends share, and the retrying plain-socket client;
 * :mod:`repro.cluster.registry` — the master's agent/lease table and
   the heartbeat-timeout failure attribution.
 

@@ -21,18 +21,23 @@ budget lasts, then settle as structured synthetic failures — the
 supervisor's ladder, one level up.  Deterministic failures arrive
 already poisoned and quarantine exactly as locally.
 
-The server is stdlib ``http.server`` (``ThreadingHTTPServer``): no
-new dependency, good enough for a control plane whose requests are
-small JSON documents a few times a second per agent.
+The server is a ``socketserver.ThreadingTCPServer`` that speaks the
+slice of HTTP/1.1 the control plane uses (see
+:mod:`repro.cluster.protocol`): one request per connection, JSON
+bodies framed by ``Content-Length``, bounded head reads and a read
+timeout.  It loads no ``http.server``, so the master maps no OpenSSL;
+a thread per connection is plenty for requests that are small JSON
+documents a few times a second per agent.
 """
 
 from __future__ import annotations
 
 import json
+import socketserver
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import failpoints
@@ -50,6 +55,10 @@ from repro.exec.supervisor import Supervision, synthetic_failure
 from repro.cluster.protocol import (
     API_PREFIX,
     check_handshake,
+    content_length,
+    frame,
+    read_body,
+    read_head,
     spec_from_wire,
 )
 from repro.cluster.registry import ClusterRegistry
@@ -67,6 +76,10 @@ DEFAULT_POLL_INTERVAL = 0.2
 
 #: Default rows per lease batch.
 DEFAULT_LEASE_BATCH = 2
+
+#: Seconds a connection may stall while its request is read or its
+#: reply written: a silent peer frees its handler thread after this.
+READ_TIMEOUT = 30.0
 
 
 @dataclass
@@ -354,10 +367,7 @@ class ClusterMaster:
         #: sweep_id -> MasterSweep, in submission order (dict is ordered).
         self.sweeps: Dict[str, MasterSweep] = {}
         self._stop = threading.Event()
-        self.server = ThreadingHTTPServer(
-            (host, port), _make_handler(self)
-        )
-        self.server.daemon_threads = True
+        self.server = _Server((host, port), _make_handler(self))
         self._threads: List[threading.Thread] = []
 
     # -- lifecycle -----------------------------------------------------
@@ -608,45 +618,61 @@ class ClusterMaster:
         return {"ok": True}
 
 
+class _Server(socketserver.ThreadingTCPServer):
+    """A thread per connection; rebinds a port in TIME_WAIT."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+
+def _request_line(line: str) -> Tuple[str, str]:
+    """``(method, path)`` of an HTTP/1.x request line."""
+    parts = line.split(" ")
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise ValueError(f"malformed request line {line[:80]!r}")
+    return parts[0], parts[1]
+
+
 def _make_handler(master: ClusterMaster):
     """The request handler class bound to one master instance."""
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
+    class Handler(socketserver.StreamRequestHandler):
+        timeout = READ_TIMEOUT
 
-        def log_message(self, format, *args):  # noqa: A002 — stdlib name
-            pass  # the sweep journal is the log; stderr chatter helps no one
-
-        def _reply(self, code: int, document: Dict[str, Any]) -> None:
-            body = json.dumps(document).encode("utf-8")
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _route(self, method: str) -> None:
-            if not self.path.startswith(API_PREFIX + "/"):
-                self._reply(404, {"error": "unknown endpoint"})
-                return
-            endpoint = self.path[len(API_PREFIX) + 1:]
-            document: Dict[str, Any] = {}
-            if method == "POST":
-                length = int(self.headers.get("Content-Length") or 0)
-                if length:
-                    try:
-                        document = json.loads(
-                            self.rfile.read(length).decode("utf-8")
-                        )
-                    except (ValueError, UnicodeDecodeError):
-                        self._reply(400, {"error": "malformed JSON body"})
-                        return
+        def handle(self) -> None:
             try:
-                self._reply(200, self._dispatch(method, endpoint, document))
+                code, document = self._answer()
+                body = json.dumps(document).encode("utf-8")
+                self.wfile.write(
+                    frame(f"HTTP/1.1 {code} {HTTPStatus(code).phrase}", body)
+                )
+            except OSError:
+                pass  # the peer stalled, reset or hung up: drop it
+
+        def _answer(self) -> Tuple[int, Dict[str, Any]]:
+            try:
+                start, headers = read_head(self.rfile)
+                method, path = _request_line(start)
+                length = content_length(headers) if method == "POST" else 0
+            except ValueError as error:
+                return 400, {"error": str(error)}
+            body = read_body(self.rfile, length)
+            if not path.startswith(API_PREFIX + "/"):
+                return 404, {"error": "unknown endpoint"}
+            document: Dict[str, Any] = {}
+            if body:
+                try:
+                    document = json.loads(body.decode("utf-8"))
+                except ValueError:
+                    return 400, {"error": "malformed JSON body"}
+            try:
+                return 200, self._dispatch(
+                    method, path[len(API_PREFIX) + 1:], document
+                )
             except ClusterError as error:
-                self._reply(409, {"error": str(error)})
+                return 409, {"error": str(error)}
             except Exception as error:  # noqa: BLE001 — server must answer
-                self._reply(500, {"error": f"{type(error).__name__}: {error}"})
+                return 500, {"error": f"{type(error).__name__}: {error}"}
 
         def _dispatch(
             self, method: str, endpoint: str, doc: Dict[str, Any]
@@ -666,7 +692,7 @@ def _make_handler(master: ClusterMaster):
                     return master.api_submit(doc)
                 if endpoint == "shutdown":
                     return master.api_shutdown()
-            else:
+            elif method == "GET":
                 if endpoint == "status":
                     return master.api_status()
                 parts = endpoint.split("/")
@@ -679,11 +705,5 @@ def _make_handler(master: ClusterMaster):
                 ):
                     return master.api_sweep_records(parts[1])
             raise ClusterError(f"unknown endpoint {method} {endpoint!r}")
-
-        def do_POST(self) -> None:  # noqa: N802 — stdlib API
-            self._route("POST")
-
-        def do_GET(self) -> None:  # noqa: N802 — stdlib API
-            self._route("GET")
 
     return Handler

@@ -11,18 +11,24 @@ talk across a mismatch: digests computed under different code
 versions can never match, so a mixed-version cluster would silently
 re-execute (and mis-cache) everything rather than fail loudly.
 
-Transport is stdlib ``urllib.request`` with bounded exponential
-backoff on connection errors and 5xx responses — agents must survive
-a master restart without losing their leases' results.
+Transport is HTTP/1.1 over plain ``socket`` connections, one request
+per connection (``Connection: close``), JSON bodies framed by
+``Content-Length``.  Both ends live here and in
+:mod:`repro.cluster.master`, and the control plane is ``http://``
+only, so neither side loads ``http.client``, ``urllib.request`` or
+``ssl``, and no cluster process maps OpenSSL.  The client retries
+with bounded exponential backoff on connection errors, short or
+malformed replies and 5xx responses — agents must survive a master
+restart without losing their leases' results.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import urllib.error
-import urllib.request
-from typing import Any, Dict, List, Optional
+import socket
+from typing import Any, BinaryIO, Dict, List, Optional, Tuple
+from urllib.parse import urlsplit
 
 from repro import failpoints
 from repro.errors import ClusterError
@@ -129,18 +135,105 @@ def check_handshake(doc: Dict[str, Any]) -> Optional[str]:
     return None
 
 
+#: Bounds on one message head, as ``http.client`` and ``http.server``
+#: set them: no start or header line over ``MAX_LINE`` bytes, and at
+#: most ``MAX_HEADERS`` header lines.
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
+#: Most bytes one read of a body asks for, so that memory follows the
+#: bytes that arrive, not the length a peer declares.
+READ_CHUNK = 1 << 20
+
+
+def _read_line(rfile: BinaryIO) -> str:
+    line = rfile.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise ValueError(f"line over {MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise ValueError("connection closed inside a message head")
+    return line.decode("latin-1").rstrip("\r\n")
+
+
+def read_head(rfile: BinaryIO) -> Tuple[str, Dict[str, str]]:
+    """One message's start line and its headers, names lower-cased.
+
+    Raises :class:`ValueError` on a line over :data:`MAX_LINE` bytes,
+    more than :data:`MAX_HEADERS` headers, a header line without a
+    colon, or a peer that closed inside the head.
+    """
+    start = _read_line(rfile)
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = _read_line(rfile)
+        if not line:
+            return start, headers
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise ValueError(f"malformed header line {line[:80]!r}")
+        headers[name.strip().lower()] = value.strip()
+    raise ValueError(f"more than {MAX_HEADERS} headers")
+
+
+def content_length(headers: Dict[str, str]) -> int:
+    """The body length a head declares; :class:`ValueError` when it is
+    missing, negative or not an integer."""
+    text = headers.get("content-length", "")
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"bad or missing Content-Length {text!r}")
+    return int(text)
+
+
+def read_body(rfile: BinaryIO, length: int) -> bytes:
+    """Exactly ``length`` body bytes; :class:`ConnectionError` when the
+    peer closes first."""
+    body = bytearray()
+    while len(body) < length:
+        chunk = rfile.read(min(length - len(body), READ_CHUNK))
+        if not chunk:
+            raise ConnectionError(
+                f"peer closed after {len(body)} of {length} body bytes"
+            )
+        body += chunk
+    return bytes(body)
+
+
+def frame(start: str, body: bytes, *headers: str) -> bytes:
+    """One HTTP/1.1 message: ``start``, ``headers``, and a JSON body
+    framed by ``Content-Length`` on a ``Connection: close`` exchange."""
+    head = "\r\n".join((
+        start,
+        *headers,
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        "Connection: close",
+        "",
+        "",
+    ))
+    return head.encode("latin-1") + body
+
+
+def _error_detail(body: bytes) -> str:
+    try:
+        document = json.loads(body)
+    except ValueError:
+        return ""
+    return str(document.get("error", "")) if isinstance(document, dict) else ""
+
+
 class _RetryableTransport(Exception):
     """A transport failure worth another attempt (5xx, connection)."""
 
 
 class MasterClient:
-    """A retrying JSON-over-HTTP client for one master URL.
+    """A retrying JSON-over-HTTP client for one ``http://`` master URL.
 
     Shared by agents and the ``--master-url`` sweep client.  Requests
-    retry on connection errors and 5xx responses with exponential
-    backoff; 4xx responses carry a structured ``error`` field and are
-    raised immediately as :class:`ClusterError` (retrying a rejected
-    handshake cannot help).
+    retry on connection errors, short or malformed replies and 5xx
+    responses with exponential backoff; 4xx responses carry a
+    structured ``error`` field and are raised immediately as
+    :class:`ClusterError` (retrying a rejected handshake cannot help).
+    A URL that is not ``http://host[:port]`` is refused at construction.
     """
 
     def __init__(
@@ -151,6 +244,18 @@ class MasterClient:
         backoff_base: float = 0.2,
     ) -> None:
         self.base_url = base_url.rstrip("/")
+        parts = urlsplit(self.base_url)
+        try:
+            port = 80 if parts.port is None else parts.port
+        except ValueError:  # a port that is not a number in 0..65535
+            port = None
+        if parts.scheme != "http" or not parts.hostname or port is None:
+            raise ClusterError(
+                f"master URL {base_url!r} is not http://host[:port]"
+            )
+        self.address = (parts.hostname, port)
+        self._host = parts.netloc
+        self._prefix = parts.path + API_PREFIX
         self.timeout = timeout
         self.retries = retries
         self.backoff_base = backoff_base
@@ -164,55 +269,56 @@ class MasterClient:
     def __repr__(self) -> str:
         return f"<MasterClient {self.base_url}>"
 
+    def _exchange(self, request: bytes) -> Tuple[int, str, bytes]:
+        """Send ``request`` on a fresh connection; the reply's status
+        code, reason phrase and body."""
+        with socket.create_connection(
+            self.address, timeout=self.timeout
+        ) as sock:
+            sock.sendall(request)
+            with sock.makefile("rb") as rfile:
+                status, headers = read_head(rfile)
+                version, _, rest = status.partition(" ")
+                code, _, reason = rest.partition(" ")
+                if not version.startswith("HTTP/"):
+                    raise ValueError(f"malformed status line {status[:80]!r}")
+                return (
+                    int(code),
+                    reason,
+                    read_body(rfile, content_length(headers)),
+                )
+
     def call(
         self, endpoint: str, payload: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
         """POST ``payload`` (or GET when ``None``) to ``endpoint``."""
-        url = f"{self.base_url}{API_PREFIX}/{endpoint.lstrip('/')}"
-        body = (
-            None
-            if payload is None
-            else json.dumps(payload).encode("utf-8")
+        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+        method = "GET" if payload is None else "POST"
+        request = frame(
+            f"{method} {self._prefix}/{endpoint.lstrip('/')} HTTP/1.1",
+            body,
+            f"Host: {self._host}",
         )
 
         def once() -> Dict[str, Any]:
-            request = urllib.request.Request(
-                url,
-                data=body,
-                headers={"Content-Type": "application/json"},
-                method="GET" if body is None else "POST",
-            )
             try:
                 failpoints.fire(SITE_CLIENT_PRE_SEND)
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout
-                ) as response:
-                    reply = json.loads(response.read().decode("utf-8"))
-                # An error injected here lands after the master
-                # processed the request: the retry that follows is a
-                # duplicate delivery the endpoint must tolerate.
-                failpoints.fire(SITE_CLIENT_POST_SEND)
-                return reply
-            except urllib.error.HTTPError as error:
-                detail = ""
-                try:
-                    detail = str(
-                        json.loads(error.read().decode("utf-8")).get(
-                            "error", ""
-                        )
-                    )
-                except (ValueError, OSError):
-                    pass
-                if 400 <= error.code < 500:
-                    raise ClusterError(
-                        f"master rejected {endpoint}: "
-                        f"{detail or error.reason} (HTTP {error.code})"
-                    ) from None
-                raise _RetryableTransport(
-                    f"HTTP {error.code}: {detail or error.reason}"
-                ) from None
-            except (urllib.error.URLError, OSError, ValueError) as error:
+                code, reason, reply = self._exchange(request)
+                if code == 200:
+                    document = json.loads(reply)
+                    # An error injected here lands after the master
+                    # processed the request: the retry that follows is
+                    # a duplicate delivery the endpoint must tolerate.
+                    failpoints.fire(SITE_CLIENT_POST_SEND)
+                    return document
+            except (OSError, ValueError) as error:
                 raise _RetryableTransport(str(error)) from None
+            detail = _error_detail(reply) or reason
+            if 400 <= code < 500:
+                raise ClusterError(
+                    f"master rejected {endpoint}: {detail} (HTTP {code})"
+                )
+            raise _RetryableTransport(f"HTTP {code}: {detail}")
 
         try:
             return retry_call(

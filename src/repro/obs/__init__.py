@@ -46,7 +46,6 @@ from repro.obs.trace import (
     convert_jsonl_to_chrome,
     read_jsonl,
     write_chrome_trace,
-    write_jsonl,
 )
 
 PathLike = Union[str, Path]
@@ -287,7 +286,6 @@ from repro.obs.events import (  # noqa: E402 — re-export
     SweepProgress,
     render_progress,
     replay_events,
-    settled_events_digest,
 )
 
 __all__ = [
@@ -314,7 +312,5 @@ __all__ = [
     "read_jsonl",
     "render_progress",
     "replay_events",
-    "settled_events_digest",
     "write_chrome_trace",
-    "write_jsonl",
 ]

@@ -72,19 +72,6 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def settled_events_digest(events: Iterable[Dict[str, Any]]) -> str:
-    """Order-independent digest of a journal's *settled* outcomes.
-
-    The :meth:`SweepProgress.settled_digest` of the records' fold: the
-    ``(digest, status, poisoned)`` of every settled row — fields that
-    are functions of the work, not of scheduling — so ``jobs=1`` and
-    ``jobs=4`` executions of the same sweep agree even though their
-    records interleave differently, and a cache hit digests like the
-    fresh run that filled the cache.
-    """
-    return replay_events(events).settled_digest()
-
-
 # ----------------------------------------------------------------------
 # Replay: events -> progress snapshot
 # ----------------------------------------------------------------------

@@ -188,17 +188,6 @@ class Tracer:
         self.sink.close()
 
 
-def write_jsonl(events: List[TraceEvent], path: PathLike) -> Path:
-    """Write ``events`` to ``path`` in the JSONL trace format."""
-    sink = JsonlSink(path)
-    try:
-        for event in events:
-            sink.write(event)
-    finally:
-        sink.close()
-    return Path(path)
-
-
 def read_jsonl(path: PathLike) -> List[TraceEvent]:
     """Parse a JSONL trace back into :class:`TraceEvent` records."""
     events: List[TraceEvent] = []

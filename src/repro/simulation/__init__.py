@@ -9,7 +9,7 @@ baseline (:mod:`repro.vdr.scheduler`).
 
 from repro.simulation.config import PaperConfig, ScaledConfig, SimulationConfig
 from repro.simulation.engine import IntervalEngine
-from repro.simulation.export import read_rows, write_csv, write_json
+from repro.simulation.export import write_csv, write_json
 from repro.simulation.policy import Completion, Request, StoragePolicy
 from repro.simulation.results import SimulationResult
 from repro.simulation.runner import run_experiment, run_sweep
@@ -23,7 +23,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "StoragePolicy",
-    "read_rows",
     "run_experiment",
     "run_sweep",
     "write_csv",

@@ -12,13 +12,13 @@ faster — see DESIGN.md's substitution table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro import units
 from repro.errors import ConfigurationError
 from repro.hardware.disk import DiskModel, disk_for_effective_bandwidth
+from repro.media.objects import MediaType
 from repro.media.tape_layout import TapeOrder
 
 
@@ -261,10 +261,10 @@ class SimulationConfig:
 
     @property
     def degree(self) -> int:
-        """Degree of declustering ``M``."""
-        return max(
-            1, math.ceil(self.display_bandwidth / self.disk_bandwidth - 1e-9)
-        )
+        """Degree of declustering ``M`` of the configured media type."""
+        return MediaType(
+            "configured", self.display_bandwidth
+        ).degree_of_declustering(self.disk_bandwidth)
 
     @property
     def effective_stride(self) -> int:

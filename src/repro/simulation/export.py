@@ -56,15 +56,3 @@ def _jsonable(value):
     if hasattr(value, "__dict__"):
         return vars(value)
     return str(value)
-
-
-def read_rows(path: PathLike) -> List[Dict]:
-    """Read rows back from a ``.csv`` or ``.json`` export."""
-    target = Path(path)
-    if target.suffix == ".json":
-        with target.open() as handle:
-            return json.load(handle)
-    if target.suffix == ".csv":
-        with target.open(newline="") as handle:
-            return [dict(row) for row in csv.DictReader(handle)]
-    raise ConfigurationError(f"unknown export format: {target.suffix!r}")

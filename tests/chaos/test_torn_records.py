@@ -14,7 +14,8 @@ import pytest
 
 from repro import failpoints
 from repro.exec.journal import SweepJournal, load_journal, read_records
-from repro.obs.events import replay_events, settled_events_digest
+from repro.obs.events import replay_events
+from tests.helpers import settled_events_digest
 
 PAYLOAD = {"num_stations": 4, "admitted": 7}
 DIGEST_A = "a" * 64

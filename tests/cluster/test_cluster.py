@@ -5,8 +5,9 @@ agents, and agents dying mid-sweep must all produce byte-identical
 cached results and the same order-independent settled-events digest.
 Agents here are :class:`ClusterAgent` instances on daemon threads
 (``handle_signals=False`` — signal handlers only work on the main
-thread), talking real HTTP to a real ``ThreadingHTTPServer`` on a
-kernel-assigned loopback port.
+thread), talking real HTTP to a real :class:`ClusterMaster` (a
+``socketserver.ThreadingTCPServer``) on a kernel-assigned loopback
+port.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ from repro.exec.spec import RunSpec, experiment_spec, register_kind, spec_digest
 from repro.exec.supervisor import Supervision
 from repro.obs import Observability
 from repro.obs.aggregate import diff_metrics, load_metrics_source
-from repro.obs.events import replay_events, settled_events_digest
+from repro.obs.events import replay_events
 from repro.cluster.agent import ClusterAgent
 from repro.cluster.client import execute_via_master
 from repro.cluster.master import ClusterMaster
 from repro.cluster.protocol import MasterClient, spec_to_wire
 from repro.simulation.config import ScaledConfig
+from tests.helpers import settled_events_digest
 
 
 @register_kind("cluster_echo")

@@ -21,7 +21,7 @@ from repro.exec.hashing import canonical_json
 from repro.exec.journal import journal_root, load_journal, read_records
 from repro.exec.spec import register_kind, spec_digest
 from repro.obs import Observability
-from repro.obs.events import settled_events_digest
+from tests.helpers import settled_events_digest
 
 
 @register_kind("_busy")

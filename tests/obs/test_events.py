@@ -20,8 +20,8 @@ from repro.obs.events import (
     progress_bar,
     render_progress,
     replay_events,
-    settled_events_digest,
 )
+from tests.helpers import settled_events_digest
 
 
 class TestBusAndLoad:

@@ -17,8 +17,8 @@ from repro.obs.trace import (
     convert_jsonl_to_chrome,
     read_jsonl,
     write_chrome_trace,
-    write_jsonl,
 )
+from tests.helpers import write_jsonl
 
 
 class TestBoundedLog:

@@ -8,7 +8,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
-from repro.simulation.export import read_rows, write_csv, write_json
+from repro.simulation.export import write_csv, write_json
+from tests.helpers import read_rows
 
 
 class TestExport:

@@ -9,8 +9,9 @@ names.  No module imports ``subprocess``: a harness that drives
 ``repro`` subprocesses belongs in ``tests/``.  Every module is
 reachable from the CLI, and every definition has a caller in the
 package (or a one-line reason on :data:`UNCALLED`): a model only the
-tests call belongs in ``tests/oracles/``.  And a simulation process
-maps no OpenSSL: the package hashes with CPython's builtin SHA-256.
+tests call belongs in ``tests/oracles/``.  And no simulation or sweep
+process maps OpenSSL: the package hashes with CPython's builtin
+SHA-256, and the cluster speaks HTTP over plain sockets.
 """
 
 from __future__ import annotations
@@ -65,6 +66,32 @@ def test_package_imports_only_the_standard_library():
         for path in sorted(PACKAGE_ROOT.rglob("*.py"))
         for module in imported_modules(path)
         if module.split(".")[0] not in allowed
+    ]
+    assert offenders == []
+
+
+#: Modules that map OpenSSL's libssl or libcrypto, or (``email``) come
+#: in only with the stdlib HTTP client and server.  The cluster speaks
+#: HTTP over plain sockets (``repro.cluster.protocol``), and the package
+#: hashes with the builtin SHA-256.
+OPENSSL_MODULES = (
+    "ssl", "http.client", "http.server", "urllib.request", "urllib.error",
+    "email",
+)
+
+
+def test_package_imports_no_openssl_module():
+    """Lazy imports count too.  ``hashlib`` is allowed only as
+    ``repro/integrity.py``'s fallback for an interpreter built without
+    the builtin SHA-256."""
+    offenders = [
+        f"{path.relative_to(PACKAGE_ROOT.parent)}: {module}"
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        for module in imported_modules(path)
+        if any(module == banned or module.startswith(banned + ".")
+               for banned in OPENSSL_MODULES)
+        or (module.split(".")[0] == "hashlib"
+            and path != PACKAGE_ROOT / "integrity.py")
     ]
     assert offenders == []
 
@@ -131,6 +158,59 @@ def test_simulation_processes_map_no_openssl():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT.parent))
     result = subprocess.run(
         [sys.executable, "-S", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_sweep_processes_map_no_openssl(tmp_path):
+    """A local sweep through the result cache, then the same rows
+    through a loopback master, a thread-hosted agent and a
+    ``master_url`` client, load none of the modules that map OpenSSL
+    or carry the stdlib HTTP client and server."""
+    code = (
+        "import sys, threading\n"
+        "from pathlib import Path\n"
+        "from repro.cluster.agent import ClusterAgent\n"
+        "from repro.cluster.master import ClusterMaster\n"
+        "from repro.exec import ResultCache, Supervision, executor, experiment_spec\n"
+        "from repro.simulation.config import ScaledConfig\n"
+        "work = Path(sys.argv[1])\n"
+        "def options(**extra):\n"
+        "    return Supervision(heartbeat_dir=work / 'beats',\n"
+        "                       handle_signals=False, **extra)\n"
+        "specs = [experiment_spec(ScaledConfig(scale=50, num_stations=n))\n"
+        "         for n in (2, 3)]\n"
+        "local = executor.execute(specs, jobs=1, cache=ResultCache(work / 'local'),\n"
+        "                         supervision=options())\n"
+        "master = ClusterMaster(port=0, cache_dir=str(work / 'master'),\n"
+        "                       options=options())\n"
+        "master.start()\n"
+        "agent = ClusterAgent(master.url, agent_id='a', jobs=1,\n"
+        "                     options=options(), handle_signals=False)\n"
+        "thread = threading.Thread(target=agent.run, daemon=True)\n"
+        "thread.start()\n"
+        "try:\n"
+        "    remote = executor.execute(\n"
+        "        specs, supervision=options(master_url=master.url))\n"
+        "finally:\n"
+        "    agent.stop()\n"
+        "    thread.join(60)\n"
+        "    master.stop()\n"
+        "assert not thread.is_alive(), 'agent did not stop'\n"
+        "assert [r.payload for r in remote] == [r.payload for r in local]\n"
+        "assert all(r.ok for r in local)\n"
+        "banned = {'_hashlib', 'hashlib', '_ssl', 'ssl', 'http.client',\n"
+        "          'http.server', 'urllib.request', 'email'}\n"
+        "loaded = sorted(banned & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT.parent))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(tmp_path)],
         env=env,
         capture_output=True,
         text=True,
@@ -322,18 +402,12 @@ UNCALLED: Dict[str, str] = {
         "test isolation: clears the warn-once set between tests",
     "repro.media.layout:StripingLayout.disk_of":
         "§3.2's fragment address; the layout figures and examples read placements by it",
-    "repro.media.objects:MediaType.degree_of_declustering":
-        "M = ceil(B_display / B_disk); the mixed-media oracle and example derive degrees by it",
     "repro.obs.events:__getattr__":
         "bench/layers.py; removed by the benchmark PR",
-    "repro.obs.events:settled_events_digest":
-        "scheduling-independent sweep digest the determinism and chaos tests compare",
-    "repro.obs.trace:write_jsonl":
-        "batch form of JsonlSink; the trace tests write their fixtures with it",
+    "repro.obs.events:SweepProgress.settled_digest":
+        "scheduling-independent sweep digest the determinism, cluster and chaos tests compare",
     "repro.sim.sanitize:current_sanitizer":
         "read-only observer of the active run's sanitizer",
-    "repro.simulation.export:read_rows":
-        "reads a CSV/JSON export back; the CLI and export tests round-trip through it",
     "repro.simulation.policy:Completion.service_intervals":
         "delivery span the M/M/c oracle and examples/interactive_vcr.py read",
 }
