@@ -21,14 +21,16 @@ Roles (see docs/distributed_execution.md):
   timeout, and persists pushed results through
   :func:`~repro.exec.executor.persist_outcome`;
 * :mod:`repro.cluster.agent` — ``repro agent``: registers, leases
-  batches, executes them with the existing supervised pool / serial
-  attempt loop, and pushes outcomes (plus obs artifacts) back;
+  batches, executes them through the local executor's dispatch path
+  (:func:`~repro.exec.supervisor.run_tasks`), and pushes outcomes
+  (plus obs artifacts) back;
 * :mod:`repro.cluster.client` — the ``--master-url`` path of ordinary
   sweep commands: submit the plan, poll progress, fetch records;
 * :mod:`repro.cluster.protocol` — the JSON wire format, the HTTP/1.1
   framing both ends share, and the retrying plain-socket client;
-* :mod:`repro.cluster.registry` — the master's agent/lease table and
-  the heartbeat-timeout failure attribution.
+* :mod:`repro.cluster.registry` — the master's agent table: liveness
+  and heartbeat-timeout expiry only (who holds which row is recorded
+  once, in each sweep's lease table).
 
 Everything here imports lazily from the executor's point of view: the
 default local path never pays for this package.

@@ -1,14 +1,14 @@
 """``repro agent``: the execution side of a distributed sweep.
 
 An agent is deliberately thin: it registers with a master, leases
-batches of rows, runs them through the **existing** supervised
-machinery — :func:`~repro.exec.supervisor.attempt_serial` for one
-local worker, a :class:`~repro.exec.supervisor.SupervisedPool` for
-several — and pushes each outcome back the moment it settles, so the
-master's crash-safety window stays one row, exactly like a local
-sweep.  The agent itself caches nothing and journals nothing: the
-master is the single authority, which is what makes results
-byte-identical regardless of which agent (or how many) ran a row.
+batches of rows, runs them through the local executor's own dispatch
+path, :func:`~repro.exec.supervisor.run_tasks` (in process for one
+local worker, a supervised pool for several), and pushes each outcome
+back the moment it settles, so the master's crash-safety window stays
+one row, exactly like a local sweep.  The agent itself caches nothing
+and journals nothing: the master is the single authority, which is
+what makes results byte-identical regardless of which agent (or how
+many) ran a row.
 
 Telemetry: when the sweep was submitted with ``--obs-level`` above
 ``off``, each run is captured exactly as in a local sweep, and the
@@ -34,14 +34,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import failpoints
 from repro.errors import ClusterError
 from repro.exec.spec import RunSpec, spec_digest
-from repro.exec.supervisor import (
-    GracefulSignals,
-    SupervisedPool,
-    Supervision,
-    attempt_serial,
-    pool_context,
-)
-from repro.cluster.protocol import MasterClient, spec_from_wire
+from repro.exec.supervisor import GracefulSignals, Supervision, run_tasks
+from repro.cluster.protocol import POLL_INTERVAL, MasterClient, spec_from_wire
 
 
 #: Failpoint site between executing a leased row and pushing its
@@ -76,7 +70,7 @@ class ClusterAgent:
         self.options = options if options is not None else Supervision()
         self.max_batch = max_batch
         self.handle_signals = handle_signals
-        self.poll_interval = 0.2
+        self.poll_interval = POLL_INTERVAL
         self.heartbeat_interval = self.options.heartbeat_interval
         self.executed = 0
         self._stop = threading.Event()
@@ -142,31 +136,17 @@ class ClusterAgent:
                     f"{computed[:12]}… (code-version skew?)"
                 )
         results = []
-        if self.jobs == 1 or len(rows) <= 1:
-            for index in sorted(specs):
-                if self._stop.is_set():
-                    break
-                outcome = attempt_serial(
-                    specs[index], self.options, obs_level=obs_level
-                )
-                outcome["attempt"] += base_attempt[index]
-                results.append((index, digests[index], outcome))
-        else:
-            tasks = [(index, specs[index]) for index in sorted(specs)]
-            pool = SupervisedPool(
-                tasks,
-                self.jobs,
-                self.options,
-                pool_context(),
-                obs_level=obs_level,
-                digests=digests,
-            )
-            for outcome in pool.run():
-                index = outcome["index"]
-                outcome["attempt"] += base_attempt[index]
-                results.append((index, digests[index], outcome))
-                if self._stop.is_set():
-                    pool.request_stop()
+        for outcome in run_tasks(
+            [(index, specs[index]) for index in sorted(specs)],
+            self.jobs,
+            self.options,
+            self._stop.is_set,
+            digests,
+            obs_level=obs_level,
+        ):
+            index = outcome["index"]
+            outcome["attempt"] += base_attempt[index]
+            results.append((index, digests[index], outcome))
         return results
 
     def _push(

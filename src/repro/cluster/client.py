@@ -20,15 +20,12 @@ master's cache) reattaches to it.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Sequence
+from typing import Any, List, Sequence
 
 from repro import failpoints
 from repro.errors import ClusterError, SweepInterrupted
 from repro.exec.supervisor import GracefulSignals, Supervision
-from repro.cluster.protocol import MasterClient, spec_to_wire
-
-#: Seconds between sweep-state polls.
-POLL_INTERVAL = 0.2
+from repro.cluster.protocol import POLL_INTERVAL, MasterClient, spec_to_wire
 
 #: Failpoint site after sweep submission: a client crash here leaves
 #: the sweep running master-side; re-running the command must
@@ -96,8 +93,3 @@ def execute_via_master(
         )
         obs.finish_run(exec_obs)
     return records
-
-
-def sweep_state(master_url: str, sweep_id: str) -> Dict[str, Any]:
-    """One sweep's master-side state (for status tooling)."""
-    return MasterClient(master_url).sweep_state(sweep_id)

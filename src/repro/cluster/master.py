@@ -14,12 +14,16 @@ path the local executor flushes through, so journals and caches —
 telemetry included — merge cleanly no matter who settled a row; the
 records reply hands each ok row's artifact back to the client.
 
-Failure attribution (see docs/distributed_execution.md): an agent
-silent past ``heartbeat_timeout`` is dead; its leases expire and
-requeue with ``attempt + 1`` while the sweep's ``max_attempts``
-budget lasts, then settle as structured synthetic failures — the
-supervisor's ladder, one level up.  Deterministic failures arrive
-already poisoned and quarantine exactly as locally.
+Failure attribution (see docs/distributed_execution.md): each
+sweep's :attr:`MasterSweep.leased` is the one record of which agent
+holds which row; the registry knows only who is alive.  An agent
+silent past ``heartbeat_timeout`` is dead, and under the master lock
+the rows it holds expire and requeue with ``attempt + 1`` while the
+sweep's ``max_attempts`` budget lasts, then settle as structured
+synthetic failures — the supervisor's ladder, one level up.  An
+agent that says goodbye or re-registers has its rows requeued the
+same way, at once.  Deterministic failures arrive already poisoned
+and quarantine exactly as locally.
 
 The server is a ``socketserver.ThreadingTCPServer`` that speaks the
 slice of HTTP/1.1 the control plane uses (see
@@ -36,6 +40,7 @@ import json
 import socketserver
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from http import HTTPStatus
 from typing import Any, Dict, List, Optional, Tuple
@@ -54,6 +59,7 @@ from repro.exec.spec import spec_digest
 from repro.exec.supervisor import Supervision, synthetic_failure
 from repro.cluster.protocol import (
     API_PREFIX,
+    POLL_INTERVAL,
     check_handshake,
     content_length,
     frame,
@@ -70,9 +76,6 @@ SITE_RESULT_PRE_PERSIST = failpoints.register_site(
     "master.result.pre_persist",
     "result push received, nothing persisted yet",
 )
-
-#: How often agents should poll for leases when idle, seconds.
-DEFAULT_POLL_INTERVAL = 0.2
 
 #: Default rows per lease batch.
 DEFAULT_LEASE_BATCH = 2
@@ -130,7 +133,8 @@ class MasterSweep:
             _QueuedRow(index=indices[0], digest=digest)
             for digest, indices in self.pending.items()
         ]
-        #: index -> (row, agent_id) for rows currently leased out.
+        #: index -> (row, agent_id) for rows currently leased out: the
+        #: master's only record of who holds a row.
         self.leased: Dict[int, Tuple[_QueuedRow, str]] = {}
         self.ended = False
         if self.complete:
@@ -254,15 +258,16 @@ class MasterSweep:
             self._end()
         return True
 
-    def requeue(self, keys: List[int], agent_id: str, reason: str) -> None:
-        """Expire leases: retry within budget, else settle a failure."""
-        expired: List[int] = []
-        for index in keys:
-            entry = self.leased.pop(index, None)
-            if entry is None:
-                continue
-            row, _holder = entry
-            expired.append(index)
+    def requeue(self, agent_id: str, reason: str) -> None:
+        """Expire every lease ``agent_id`` holds: retry within budget,
+        else settle a failure."""
+        expired = [
+            index
+            for index, (_row, holder) in self.leased.items()
+            if holder == agent_id
+        ]
+        for index in expired:
+            row, _holder = self.leased.pop(index)
             if row.attempt < self.options.max_attempts:
                 self.queue.append(
                     _QueuedRow(
@@ -354,7 +359,6 @@ class ClusterMaster:
         cache_dir: Optional[str] = None,
         options: Optional[Supervision] = None,
         lease_batch: int = DEFAULT_LEASE_BATCH,
-        poll_interval: float = DEFAULT_POLL_INTERVAL,
     ) -> None:
         from repro.exec.cache import resolve_cache_dir
 
@@ -362,7 +366,6 @@ class ClusterMaster:
         self.cache = ResultCache(resolve_cache_dir(cache_dir))
         self.registry = ClusterRegistry(self.options.heartbeat_timeout)
         self.lease_batch = lease_batch
-        self.poll_interval = poll_interval
         self._lock = threading.Lock()
         #: sweep_id -> MasterSweep, in submission order (dict is ordered).
         self.sweeps: Dict[str, MasterSweep] = {}
@@ -419,33 +422,26 @@ class ClusterMaster:
         """One expiry pass; returns the ids of agents declared dead."""
         now = time.time() if now is None else now
         died = self.registry.expire(now)
-        stale = self.registry.collect_stale()
-        dead_ids: List[str] = []
         with self._lock:
-            for key in stale:
-                sweep = self.sweeps.get(key[0])
-                if sweep is not None:
-                    sweep.requeue([key[1]], "?", "agent re-registered")
-            for info, leases in died:
-                dead_ids.append(info.agent_id)
-                silent = now - info.last_seen
-                reason = (
+            for info in died:
+                self._release(
+                    info.agent_id,
                     f"agent {info.agent_id} heartbeat silent for "
-                    f"{silent:.1f}s (dead?)"
+                    f"{now - info.last_seen:.1f}s (dead?)",
+                    died=True,
                 )
-                by_sweep: Dict[str, List[int]] = {}
-                for sweep_id, index in leases:
-                    by_sweep.setdefault(sweep_id, []).append(index)
-                for sweep in self.sweeps.values():
-                    if not sweep.ended:
-                        sweep.journal.emit(
-                            "agent_died", agent=info.agent_id, reason=reason
-                        )
-                for sweep_id, indexes in by_sweep.items():
-                    sweep = self.sweeps.get(sweep_id)
-                    if sweep is not None:
-                        sweep.requeue(indexes, info.agent_id, reason)
-        return dead_ids
+        return [info.agent_id for info in died]
+
+    def _release(self, agent_id: str, reason: str, died: bool) -> None:
+        """Requeue every row the sweeps record as held by ``agent_id``;
+        when it ``died``, first journal that on every sweep in flight.
+        The caller holds the master lock."""
+        for sweep in self.sweeps.values():
+            if sweep.ended:
+                continue  # every row settled: nothing is held
+            if died:
+                sweep.journal.emit("agent_died", agent=agent_id, reason=reason)
+            sweep.requeue(agent_id, reason)
 
     # -- API operations (called by the HTTP handler) --------------------
     def api_register(self, doc: Dict[str, Any]) -> Dict[str, Any]:
@@ -455,13 +451,15 @@ class ClusterMaster:
         agent_id = str(doc.get("agent", ""))
         if not agent_id:
             raise ClusterError("register needs an agent id")
-        info = self.registry.register(
-            agent_id,
-            int(doc.get("cores", 1)),
-            str(doc.get("host", "")),
-            time.time(),
-        )
         with self._lock:
+            # Rows a previous incarnation held can never be pushed now.
+            self._release(agent_id, "agent re-registered", died=False)
+            info = self.registry.register(
+                agent_id,
+                int(doc.get("cores", 1)),
+                str(doc.get("host", "")),
+                time.time(),
+            )
             for sweep in self.sweeps.values():
                 if not sweep.ended:
                     sweep.journal.emit(
@@ -473,7 +471,7 @@ class ClusterMaster:
         return {
             "ok": True,
             "agent": agent_id,
-            "poll_interval": self.poll_interval,
+            "poll_interval": POLL_INTERVAL,
             "heartbeat_interval": self.options.heartbeat_interval,
             "batch": self.lease_batch,
         }
@@ -485,21 +483,18 @@ class ClusterMaster:
     def api_lease(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         agent_id = str(doc.get("agent", ""))
         max_batch = max(1, int(doc.get("max_batch", self.lease_batch)))
-        if not self.registry.heartbeat(agent_id, time.time()):
-            raise ClusterError(
-                f"unknown or dead agent {agent_id!r}: re-register first"
-            )
         with self._lock:
+            # Checked under the lock, so no row is leased to an agent
+            # whose death or departure has already been requeued.
+            if not self.registry.heartbeat(agent_id, time.time()):
+                raise ClusterError(
+                    f"unknown or dead agent {agent_id!r}: re-register first"
+                )
             for sweep in self.sweeps.values():
                 if sweep.ended or not sweep.queue:
                     continue
                 rows = sweep.lease_batch(agent_id, max_batch)
                 if rows:
-                    self.registry.grant(
-                        agent_id,
-                        [(sweep.sweep_id, row["index"]) for row in rows],
-                        time.time(),
-                    )
                     return {
                         "sweep_id": sweep.sweep_id,
                         "obs_level": sweep.obs_level,
@@ -521,22 +516,15 @@ class ClusterMaster:
             accepted = sweep.push_result(
                 agent_id, index, outcome, doc.get("artifact")
             )
-        self.registry.release(agent_id, (sweep_id, index), time.time())
+        if accepted:  # a re-pushed duplicate settles nothing
+            self.registry.settle(agent_id, time.time())
         return {"ok": True, "accepted": accepted}
 
     def api_goodbye(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         agent_id = str(doc.get("agent", ""))
-        leases = self.registry.goodbye(agent_id)
         with self._lock:
-            by_sweep: Dict[str, List[int]] = {}
-            for sweep_id, index in leases:
-                by_sweep.setdefault(sweep_id, []).append(index)
-            for sweep_id, indexes in by_sweep.items():
-                sweep = self.sweeps.get(sweep_id)
-                if sweep is not None:
-                    sweep.requeue(
-                        indexes, agent_id, f"agent {agent_id} left"
-                    )
+            if self.registry.goodbye(agent_id):
+                self._release(agent_id, f"agent {agent_id} left", died=True)
         return {"ok": True}
 
     def api_submit(self, doc: Dict[str, Any]) -> Dict[str, Any]:
@@ -596,6 +584,11 @@ class ClusterMaster:
                 sweep_id: sweep.state_document()
                 for sweep_id, sweep in self.sweeps.items()
             }
+            held = Counter(
+                holder
+                for sweep in self.sweeps.values()
+                for _row, holder in sweep.leased.values()
+            )
         return {
             "url": self.url,
             "cache_root": str(self.cache.root),
@@ -605,7 +598,7 @@ class ClusterMaster:
                     "state": info.state,
                     "cores": info.cores,
                     "host": info.host,
-                    "leases": len(info.leases),
+                    "leases": held[info.agent_id],
                     "settled": info.settled,
                 }
                 for info in self.registry.agents()
@@ -665,18 +658,21 @@ def _make_handler(master: ClusterMaster):
                     document = json.loads(body.decode("utf-8"))
                 except ValueError:
                     return 400, {"error": "malformed JSON body"}
+            endpoint = path[len(API_PREFIX) + 1:]
             try:
-                return 200, self._dispatch(
-                    method, path[len(API_PREFIX) + 1:], document
-                )
+                reply = self._dispatch(method, endpoint, document)
             except ClusterError as error:
                 return 409, {"error": str(error)}
             except Exception as error:  # noqa: BLE001 — server must answer
                 return 500, {"error": f"{type(error).__name__}: {error}"}
+            if reply is None:
+                return 404, {"error": f"unknown endpoint {method} {endpoint!r}"}
+            return 200, reply
 
         def _dispatch(
             self, method: str, endpoint: str, doc: Dict[str, Any]
-        ) -> Dict[str, Any]:
+        ) -> Optional[Dict[str, Any]]:
+            """The endpoint's reply; ``None`` when no endpoint matches."""
             if method == "POST":
                 if endpoint == "register":
                     return master.api_register(doc)
@@ -704,6 +700,6 @@ def _make_handler(master: ClusterMaster):
                     and parts[2] == "records"
                 ):
                     return master.api_sweep_records(parts[1])
-            raise ClusterError(f"unknown endpoint {method} {endpoint!r}")
+            return None
 
     return Handler

@@ -59,6 +59,11 @@ PROTOCOL_VERSION = 1
 #: URL prefix every endpoint lives under.
 API_PREFIX = "/api/v1"
 
+#: Seconds between polls: an idle agent's lease requests (the master
+#: hands it out at register) and a ``--master-url`` client's
+#: sweep-state requests.
+POLL_INTERVAL = 0.2
+
 #: Config fields whose canonical (JSON) form needs coercing back to
 #: the richer in-memory type when a config is rebuilt from the wire.
 _TUPLE_FIELDS = ("mmpp_rates", "mmpp_sojourn")

@@ -1,31 +1,26 @@
-"""The master's agent/lease table: who is alive, who holds what.
+"""The master's agent table: who is alive.
 
 Failure attribution mirrors :class:`~repro.exec.supervisor
 .SupervisedPool`'s heartbeat model one level up: where the pool
 watches per-worker heartbeat *files*, the master watches per-agent
 heartbeat *requests*.  An agent silent past ``heartbeat_timeout`` is
-declared dead, every lease it held **expires**, and the expired rows
-flow through exactly the pool's retry ladder — requeue with
-``attempt + 1`` while the attempt budget lasts, settle a structured
-synthetic failure when it is exhausted.  Poison never reaches this
-path: a deterministic failure settles the moment its result is
-pushed, identical to local quarantine.
+declared dead.  The registry keeps liveness only: which rows an agent
+holds is recorded once, in each sweep's lease table
+(:attr:`~repro.cluster.master.MasterSweep.leased`), and the master
+requeues them when the agent dies, leaves or re-registers.
 
 The registry is pure bookkeeping — no sockets, no threads — so the
-attribution logic is testable without a running master.  All methods
+liveness logic is testable without a running master.  All methods
 take ``now`` explicitly for the same reason.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro import failpoints
-
-#: Lease key: (sweep_id, spec index).
-LeaseKey = Tuple[str, int]
 
 #: Failpoint site at the top of the expiry scan — a ``delay:<ms>``
 #: here widens the race between a slow agent's late push and the
@@ -48,8 +43,7 @@ class AgentInfo:
     last_seen: float = 0.0
     #: "alive" | "dead" | "left"
     state: str = "alive"
-    #: Leases the agent currently holds.
-    leases: List[LeaseKey] = field(default_factory=list)
+    #: Rows the agent's accepted pushes settled.
     settled: int = 0
 
     @property
@@ -64,18 +58,12 @@ class ClusterRegistry:
         self.heartbeat_timeout = heartbeat_timeout
         self._lock = threading.Lock()
         self._agents: Dict[str, AgentInfo] = {}
-        #: Leases orphaned by re-registration, drained by collect_stale().
-        self._stale: List[LeaseKey] = []
 
     def register(
         self, agent_id: str, cores: int, host: str, now: float
     ) -> AgentInfo:
-        """Add (or revive) an agent; re-registration is idempotent.
-
-        A re-registering agent (it restarted faster than the timeout
-        fired) drops its stale leases — :meth:`expire` reclaims them
-        on the next sweep-side pass via :meth:`collect_stale`.
-        """
+        """Add (or revive) an agent; a re-registration starts a fresh
+        entry (the master requeues what the previous one held)."""
         with self._lock:
             info = AgentInfo(
                 agent_id=agent_id,
@@ -84,12 +72,6 @@ class ClusterRegistry:
                 registered_at=now,
                 last_seen=now,
             )
-            previous = self._agents.get(agent_id)
-            if previous is not None and previous.leases:
-                # Stale leases from the previous incarnation; hand
-                # them back for requeue.
-                info.leases = []
-                self._stale.extend(previous.leases)
             self._agents[agent_id] = info
             return info
 
@@ -107,61 +89,39 @@ class ClusterRegistry:
             info.last_seen = now
             return True
 
-    def grant(self, agent_id: str, keys: List[LeaseKey], now: float) -> bool:
-        """Record ``keys`` as leased to ``agent_id``."""
-        with self._lock:
-            info = self._agents.get(agent_id)
-            if info is None or not info.alive:
-                return False
-            info.leases.extend(keys)
-            info.last_seen = now
-            return True
-
-    def release(self, agent_id: str, key: LeaseKey, now: float) -> None:
-        """The agent settled one leased row (result pushed)."""
+    def settle(self, agent_id: str, now: float) -> None:
+        """The agent pushed a result the master accepted."""
         with self._lock:
             info = self._agents.get(agent_id)
             if info is None:
                 return
-            if key in info.leases:
-                info.leases.remove(key)
             info.settled += 1
             info.last_seen = now
 
-    def goodbye(self, agent_id: str) -> List[LeaseKey]:
-        """A clean departure: the agent's leases requeue immediately."""
+    def goodbye(self, agent_id: str) -> bool:
+        """A clean departure; True when the agent was alive until now."""
         with self._lock:
             info = self._agents.get(agent_id)
-            if info is None:
-                return []
+            if info is None or not info.alive:
+                return False
             info.state = "left"
-            leases, info.leases = info.leases, []
-            return leases
+            return True
 
-    def expire(self, now: float) -> List[Tuple[AgentInfo, List[LeaseKey]]]:
-        """Declare agents silent past the timeout dead.
+    def expire(self, now: float) -> List[AgentInfo]:
+        """Declare agents silent past the timeout dead and return them.
 
-        Returns ``(agent, expired leases)`` pairs — the caller (the
-        master's sweep table) requeues or settles each lease and emits
-        the ``agent_died``/``lease_expired`` events.
+        The caller (the master) requeues or settles the rows its sweeps
+        record as theirs and emits the ``agent_died``/``lease_expired``
+        events.
         """
         failpoints.fire(SITE_REGISTRY_PRE_EXPIRE)
-        died: List[Tuple[AgentInfo, List[LeaseKey]]] = []
+        died: List[AgentInfo] = []
         with self._lock:
             for info in self._agents.values():
-                if not info.alive:
-                    continue
-                if now - info.last_seen > self.heartbeat_timeout:
+                if info.alive and now - info.last_seen > self.heartbeat_timeout:
                     info.state = "dead"
-                    leases, info.leases = info.leases, []
-                    died.append((info, leases))
+                    died.append(info)
         return died
-
-    def collect_stale(self) -> List[LeaseKey]:
-        """Drain leases orphaned by agent re-registration."""
-        with self._lock:
-            stale, self._stale[:] = list(self._stale), []
-            return stale
 
     def agents(self) -> List[AgentInfo]:
         with self._lock:

@@ -2,9 +2,10 @@
 
 :func:`execute` takes a list of :class:`~repro.exec.spec.RunSpec`,
 probes the result cache *and* the sweep journal, deduplicates
-identical specs, runs the misses — in-process for ``jobs == 1``,
-across a :class:`~repro.exec.supervisor.SupervisedPool` otherwise —
-and returns one :class:`RunRecord` per spec **in spec order**,
+identical specs, runs the misses through
+:func:`~repro.exec.supervisor.run_tasks` — in-process for
+``jobs == 1``, across a supervised worker pool otherwise — and
+returns one :class:`RunRecord` per spec **in spec order**,
 regardless of worker scheduling.
 
 Robustness (see docs/resilient_execution.md):
@@ -54,13 +55,7 @@ from repro.exec.journal import (
     sweep_id_for,
 )
 from repro.exec.spec import RunSpec, spec_digest
-from repro.exec.supervisor import (
-    GracefulSignals,
-    SupervisedPool,
-    Supervision,
-    attempt_serial,
-    pool_context,
-)
+from repro.exec.supervisor import GracefulSignals, Supervision, run_tasks
 from repro.simulation.results import SimulationResult
 
 #: Failpoint sites bracketing the shared settle/persist path.
@@ -442,49 +437,25 @@ def execute(
     index_digest = {indices[0]: digest for digest, indices in pending.items()}
     tasks = [(indices[0], specs[indices[0]]) for indices in pending.values()]
     outcomes: Dict[int, Dict[str, Any]] = {}
-
-    def flush(index: int, outcome: Dict[str, Any]) -> None:
-        """Persist one settled outcome to cache + journal immediately."""
-        outcomes[index] = outcome
-        digest = index_digest[index]
-        persist_outcome(specs[index], index, digest, outcome, cache, journal)
-
-    retries = 0
     with phase("execute"), GracefulSignals(
         enabled=supervision.handle_signals and bool(tasks)
     ) as signals:
-        if jobs == 1 or len(tasks) <= 1:
-            for index, spec in tasks:
-                if signals.triggered is not None:
-                    break
-                outcome = attempt_serial(
-                    spec,
-                    supervision,
-                    obs=obs,
-                    obs_level=obs_level,
-                    journal=journal,
-                    index=index,
-                    digest=index_digest[index],
-                )
-                retries += outcome["attempt"] - 1
-                flush(index, outcome)
-        elif tasks:
-            pool = SupervisedPool(
-                tasks,
-                jobs,
-                supervision,
-                pool_context(),
-                journal=journal,
-                obs_level=obs_level,
-                digests=index_digest,
+        for outcome in run_tasks(
+            tasks,
+            jobs,
+            supervision,
+            lambda: signals.triggered is not None,
+            index_digest,
+            journal=journal,
+            obs=obs,
+            obs_level=obs_level,
+        ):
+            # Each settled row reaches the cache and journal at once.
+            index = outcome["index"]
+            outcomes[index] = outcome
+            persist_outcome(
+                specs[index], index, index_digest[index], outcome, cache, journal
             )
-            for outcome in pool.run():
-                flush(outcome["index"], outcome)
-                if signals.triggered is not None:
-                    pool.request_stop()
-            if signals.triggered is not None:
-                pool.request_stop()
-            retries = pool.retries
 
     interrupted = signals.triggered if tasks else None
 
@@ -523,7 +494,9 @@ def execute(
                 sum(1 for record in records.values() if record.resumed)
             )
             registry.counter("exec.executed").inc(len(outcomes))
-            registry.counter("exec.retries").inc(retries)
+            registry.counter("exec.retries").inc(
+                sum(outcome["attempt"] - 1 for outcome in outcomes.values())
+            )
             registry.counter("exec.failures").inc(
                 sum(1 for record in records.values() if not record.ok)
             )

@@ -29,9 +29,12 @@ The bare ``Pool.imap_unordered`` executor had three blind spots:
   fail identically, so they settle immediately and are quarantined in
   the journal (a resume will not re-run them either).
 
-Outcomes are yielded *as they settle*, so the executor can flush each
-row to the cache and journal the moment it exists — the crash-safety
-window is one row, not one sweep.
+:func:`run_tasks` is the one dispatch path, used by the local
+executor and by a cluster agent alike: in process for one job, across
+the pool otherwise, under one retry rule.  Outcomes are yielded *as
+they settle*, so the executor can flush each row to the cache and
+journal the moment it exists — the crash-safety window is one row,
+not one sweep.
 
 Telemetry: above ``obs_level="off"`` every run, in a worker or
 in-process, is captured under its own session and its outcome carries
@@ -50,7 +53,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import failpoints
 from repro.errors import ConfigurationError, ReproError
@@ -222,33 +225,76 @@ def _supervised_worker(
         task = mailbox.get()
         if task is None:
             break
-        index, spec, attempt = task
-        start = time.perf_counter()
-        try:
-            payload, artifact = _run_captured(spec, obs_level)
-            outcome = {
-                "index": index,
-                "status": "ok",
-                "payload": payload,
-                "error": None,
-                "poison": False,
-                "duration_s": time.perf_counter() - start,
-                "attempt": attempt,
-                "artifact": artifact,
-            }
-        except Exception as error:  # noqa: BLE001 — failure capture is the point
-            outcome = {
-                "index": index,
-                "status": "error",
-                "payload": {},
-                "error": traceback.format_exc(),
-                "poison": classify_failure(error),
-                "duration_s": time.perf_counter() - start,
-                "attempt": attempt,
-            }
+        outcome = _attempt(*task, obs_level)
         failpoints.fire(SITE_WORKER_PRE_RESULT)
         results.put(outcome)
     stop_beating.set()
+
+
+def _attempt(
+    index: int, spec: RunSpec, attempt: int, obs_level: str, obs=None
+) -> Dict[str, Any]:
+    """One attempt at one task, in a worker or in process: ok with its
+    payload and artifact, or an error with its traceback and whether
+    it poisons the spec."""
+    start = time.perf_counter()
+    try:
+        payload, artifact = _run_captured(spec, obs_level, obs=obs)
+    except Exception as error:  # noqa: BLE001 — failure capture is the point
+        return {
+            "index": index,
+            "status": "error",
+            "payload": {},
+            "error": traceback.format_exc(),
+            "poison": classify_failure(error),
+            "duration_s": time.perf_counter() - start,
+            "attempt": attempt,
+        }
+    return {
+        "index": index,
+        "status": "ok",
+        "payload": payload,
+        "error": None,
+        "poison": False,
+        "duration_s": time.perf_counter() - start,
+        "attempt": attempt,
+        "artifact": artifact,
+    }
+
+
+def _retry_delay(
+    options: Supervision,
+    outcome: Dict[str, Any],
+    journal,
+    digest: Optional[str],
+    draining: bool,
+) -> Optional[float]:
+    """The one retry rule, in process and in the pool alike.
+
+    ``None`` when ``outcome`` settles: it succeeded, it is poisoned,
+    its attempt budget is spent, or the sweep is draining.  Otherwise
+    the backoff before the next attempt, journaled as ``run_retried``
+    with the error's last line.
+    """
+    attempt = outcome["attempt"]
+    if (
+        outcome["status"] == "ok"
+        or outcome["poison"]
+        or attempt >= options.max_attempts
+        or draining
+    ):
+        return None
+    delay = options.backoff_delay(attempt)
+    if journal is not None:
+        journal.emit(
+            "run_retried",
+            index=outcome["index"],
+            digest=digest,
+            attempt=attempt,
+            delay_s=round(delay, 3),
+            reason=(outcome.get("error") or "").strip().rsplit("\n", 1)[-1][:200],
+        )
+    return delay
 
 
 def _run_captured(
@@ -356,7 +402,6 @@ class SupervisedPool:
         self.results = context.Queue()
         self.workers: List[_WorkerHandle] = []
         self.settled: Dict[int, Dict[str, Any]] = {}
-        self.retries = 0
         self.stop_requested = False
         self._next_worker_id = 0
         self._own_heartbeat_dir: Optional[str] = None
@@ -434,39 +479,30 @@ class SupervisedPool:
                 attempt=task.attempt,
             )
 
-    def _settle(self, outcome: Dict[str, Any]) -> Dict[str, Any]:
-        self.settled[outcome["index"]] = outcome
-        return outcome
-
     def _retry_or_settle(
         self, task: _PendingTask, outcome: Dict[str, Any]
     ) -> Optional[Dict[str, Any]]:
-        """Re-queue a transient failure, or settle it when out of
-        budget (poison settles immediately)."""
-        if outcome["status"] == "ok" or outcome["poison"]:
-            return self._settle(outcome)
-        if task.attempt < self.options.max_attempts and not self.stop_requested:
-            self.retries += 1
-            delay = self.options.backoff_delay(task.attempt)
-            error = outcome.get("error") or ""
-            self._emit(
-                "run_retried",
+        """Re-queue a failure with backoff, or settle the outcome (see
+        :func:`_retry_delay`)."""
+        delay = _retry_delay(
+            self.options,
+            outcome,
+            self.journal,
+            self.digests.get(task.index),
+            self.stop_requested,
+        )
+        if delay is None:
+            self.settled[task.index] = outcome
+            return outcome
+        self.pending.append(
+            _PendingTask(
                 index=task.index,
-                digest=self.digests.get(task.index),
-                attempt=task.attempt,
-                delay_s=round(delay, 3),
-                reason=error.strip().rsplit("\n", 1)[-1][:200],
+                spec=task.spec,
+                attempt=task.attempt + 1,
+                not_before=time.monotonic() + delay,
             )
-            self.pending.append(
-                _PendingTask(
-                    index=task.index,
-                    spec=task.spec,
-                    attempt=task.attempt + 1,
-                    not_before=time.monotonic() + delay,
-                )
-            )
-            return None
-        return self._settle(outcome)
+        )
+        return None
 
     def _reap(self, worker: _WorkerHandle, reason: str) -> Optional[Dict[str, Any]]:
         """Kill/cull a misbehaving worker; retry or settle its task."""
@@ -608,73 +644,72 @@ class SupervisedPool:
 
 
 # ----------------------------------------------------------------------
-# Serial supervision (jobs == 1)
+# The one dispatch path
 # ----------------------------------------------------------------------
-def attempt_serial(
-    spec: RunSpec,
+def run_tasks(
+    tasks: List[Tuple[int, RunSpec]],
+    jobs: int,
     options: Supervision,
+    stopping: Callable[[], bool],
+    digests: Dict[int, str],
+    journal=None,
     obs=None,
     obs_level: str = "off",
-    journal=None,
-    index: Optional[int] = None,
-    digest: Optional[str] = None,
-) -> Dict[str, Any]:
-    """The in-process analogue of one supervised task: same retry and
-    poison semantics, no preemption (a hung run hangs; use workers for
-    timeout enforcement).
+) -> Iterator[Dict[str, Any]]:
+    """Yield each task's settled outcome, ``"index"`` included.
 
-    Above ``off``, ``obs_level`` captures the run exactly as a worker
-    does (``obs`` is then unused: the caller adopts the outcome's
-    artifact, so snapshots are never taken twice); at ``off`` the run
-    threads ``obs`` through.  ``journal``/``index``/``digest`` journal
-    progress events for the serial path.
+    The dispatch unit of the local executor and of a cluster agent.
+    With ``jobs == 1`` or a single task the tasks run in process, one
+    after another, with no preemption (a hung run hangs; workers
+    enforce timeouts); otherwise they run on a
+    :class:`SupervisedPool`.  Both apply :func:`_retry_delay`.  Once
+    ``stopping()`` reads true, no further task starts and no failure
+    is retried: in-flight runs drain and settle.
+
+    Above ``off``, ``obs_level`` captures each run as a worker does
+    (``obs`` is then unused: the caller adopts the outcome's artifact);
+    at ``off`` an in-process run threads ``obs`` through.  With a
+    ``journal``, ``run_leased`` and ``run_retried`` progress events
+    name each task by ``digests[index]``.
     """
-    attempt = 0
-    while True:
-        attempt += 1
-        start = time.perf_counter()
-        if journal is not None:
-            journal.emit(
-                "run_leased",
-                index=index,
-                digest=digest,
-                label=spec.describe(),
-                worker=None,
-                attempt=attempt,
-            )
-        try:
-            payload, artifact = _run_captured(spec, obs_level, obs=obs)
-            return {
-                "status": "ok",
-                "payload": payload,
-                "error": None,
-                "poison": False,
-                "duration_s": time.perf_counter() - start,
-                "attempt": attempt,
-                "artifact": artifact,
-            }
-        except Exception as error:  # noqa: BLE001 — failure capture is the point
-            poison = classify_failure(error)
-            if poison or attempt >= options.max_attempts:
-                return {
-                    "status": "error",
-                    "payload": {},
-                    "error": traceback.format_exc(),
-                    "poison": poison,
-                    "duration_s": time.perf_counter() - start,
-                    "attempt": attempt,
-                }
-            delay = options.backoff_delay(attempt)
+    if jobs > 1 and len(tasks) > 1:
+        pool = SupervisedPool(
+            tasks,
+            jobs,
+            options,
+            pool_context(),
+            journal=journal,
+            obs_level=obs_level,
+            digests=digests,
+        )
+        for outcome in pool.run():
+            yield outcome
+            if stopping():
+                pool.request_stop()
+        return
+    for index, spec in tasks:
+        if stopping():
+            return
+        attempt = 1
+        while True:
             if journal is not None:
                 journal.emit(
-                    "run_retried",
+                    "run_leased",
                     index=index,
-                    digest=digest,
+                    digest=digests[index],
+                    label=spec.describe(),
+                    worker=None,
                     attempt=attempt,
-                    delay_s=round(delay, 3),
-                    reason=f"{type(error).__name__}: {error}"[:200],
                 )
+            outcome = _attempt(index, spec, attempt, obs_level, obs)
+            delay = _retry_delay(
+                options, outcome, journal, digests[index], stopping()
+            )
+            if delay is None:
+                break
             time.sleep(delay)
+            attempt += 1
+        yield outcome
 
 
 # ----------------------------------------------------------------------

@@ -27,9 +27,11 @@ event                emitted when
                      with its payload [d]
 ``sweep_end``        the session completes or is gracefully interrupted [d]
 ``agent_registered`` a cluster agent joins the master (cores, host)
-``agent_died``       an agent misses its heartbeat timeout (or leaves)
+``agent_died``       an agent misses its heartbeat timeout, or says
+                     goodbye while the sweep is in flight
 ``lease_granted``    the master leases a batch of rows to an agent
-``lease_expired``    a dead agent's lease is reclaimed (rows requeue)
+``lease_expired``    a dead, departed or re-registered agent's leases
+                     are reclaimed (rows requeue)
 ``result_pushed``    an agent pushes a settled row back to the master
 ===================  ====================================================
 

@@ -308,6 +308,44 @@ class TestFailureAttribution:
         finally:
             master.stop()
 
+    def test_departing_agent_is_journaled_and_its_rows_requeue(self, tmp_path):
+        specs = echo_specs(4)
+        master = start_master(tmp_path)
+        try:
+            client = MasterClient(master.url)
+            state = client.submit_sweep(
+                [spec_to_wire(s) for s in specs], ["t"], "off"
+            )
+            sweep_id = state["sweep_id"]
+
+            # An agent leases two rows and says goodbye mid-sweep.
+            client.register("leaver", cores=1, host="test")
+            lease = client.lease("leaver", 2)
+            leaver_rows = sorted(row["index"] for row in lease["rows"])
+            client.goodbye("leaver")
+            died = [
+                (record["agent"], record["reason"])
+                for record in master_events(master, sweep_id)
+                if record["event"] == "agent_died"
+            ]
+            assert died == [("leaver", "agent leaver left")]
+            assert client.sweep_state(sweep_id)["leased"] == 0
+
+            thread = agent_thread(master, "healthy")
+            wait_until(lambda: client.sweep_state(sweep_id)["complete"])
+            thread.join(timeout=10.0)
+
+            rows = client.sweep_records(sweep_id)["records"]
+            assert [row["status"] for row in rows] == ["ok"] * 4
+            assert [
+                row["index"] for row in rows if row["attempts"] == 2
+            ] == leaver_rows
+            progress = replay_events(master_events(master, sweep_id))
+            assert progress.agents["leaver"]["state"] == "dead"
+            assert progress.agents["healthy"]["settled"] == 4
+        finally:
+            master.stop()
+
     def test_exhausted_attempts_settle_structured_failure(self, tmp_path):
         specs = echo_specs(2)
         master = start_master(tmp_path, max_attempts=1)

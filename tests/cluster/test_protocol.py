@@ -176,6 +176,31 @@ class TestMasterWire:
         assert b"Connection: close\r\n" in reply
         assert MasterClient(master.url).call("status")["agents"] == []
 
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /api/v1/nope HTTP/1.1\r\n\r\n",
+            b"PUT /api/v1/status HTTP/1.1\r\n\r\n",
+            b"GET /api/v1/sweeps/x/records/more HTTP/1.1\r\n\r\n",
+            b"POST /api/v1/nope HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+        ],
+        ids=["get", "put", "deep-get", "post"],
+    )
+    def test_unknown_endpoint_under_the_api_is_404(self, master, request_bytes):
+        reply = raw_exchange(master, request_bytes)
+        assert reply.startswith(b"HTTP/1.1 404 Not Found\r\n")
+        assert b"unknown endpoint" in reply
+
+    def test_unknown_sweep_and_rejected_handshake_stay_409(self, master):
+        reply = raw_exchange(master, b"GET /api/v1/sweeps/nope HTTP/1.1\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 409 Conflict\r\n")
+        stale = json.dumps(
+            dict(handshake_document(), protocol=PROTOCOL_VERSION + 1, agent="x")
+        ).encode()
+        reply = raw_exchange(master, post(f"Content-Length: {len(stale)}\r\n", stale))
+        assert reply.startswith(b"HTTP/1.1 409 Conflict\r\n")
+        assert b"protocol version mismatch" in reply
+
     def test_well_formed_post_is_dispatched(self, master):
         reply = raw_exchange(
             master, post(f"Content-Length: {len(REGISTER)}\r\n")

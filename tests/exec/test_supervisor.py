@@ -63,6 +63,20 @@ def _flaky_once_kind(spec, obs=None):
     return {"ok": True, "marker": str(marker)}
 
 
+class TransientBlip(Exception):
+    """A transient failure whose class is not a builtin."""
+
+
+@register_kind("_blip_once")
+def _blip_once_kind(spec, obs=None):
+    """Raises :class:`TransientBlip` until its marker file exists."""
+    marker = Path(spec.params["marker"])
+    if not marker.exists():
+        marker.write_text("attempted")
+        raise TransientBlip("blip, try again")
+    return {"ok": True}
+
+
 @register_kind("_deterministic_failure")
 def _deterministic_failure_kind(spec, obs=None):
     raise ConfigurationError("this spec can never succeed")
@@ -188,6 +202,33 @@ class TestRetries:
         specs = [RunSpec(kind="_flaky_once", params={"marker": str(marker)})]
         records = execute(specs, jobs=1, supervision=fast_supervision())
         assert records[0].ok and records[0].attempts == 2
+
+    def test_serial_and_pool_journal_the_same_retry_reason(self, tmp_path):
+        """One retry rule: the in-process path and the pool both
+        journal the last line of the failure's traceback."""
+        reasons = {}
+        for jobs in (1, 2):
+            marker = tmp_path / f"marker-{jobs}"
+            specs = [
+                RunSpec(kind="_blip_once", params={"marker": str(marker)})
+            ] + _echo_specs(2)
+            journals = tmp_path / f"journals-{jobs}"
+            records = execute(
+                specs,
+                jobs=jobs,
+                supervision=fast_supervision(journal_dir=journals),
+            )
+            assert all(record.ok for record in records)
+            assert records[0].attempts == 2
+            (path,) = journals.glob("*.jsonl")
+            reasons[jobs] = [
+                record["reason"]
+                for record in read_records(path)
+                if record["event"] == "run_retried"
+            ]
+        assert len(reasons[1]) == 1
+        assert reasons[1][0].endswith("TransientBlip: blip, try again")
+        assert reasons[1] == reasons[2]
 
     def test_retry_budget_is_bounded(self, tmp_path):
         """A spec that always fails transiently settles as an error

@@ -338,6 +338,24 @@ def test_no_package_module_imports_a_private_name():
     assert offenders == []
 
 
+def test_supervised_pool_is_built_only_by_the_dispatch_path():
+    """The local executor and the cluster agent both dispatch through
+    ``repro.exec.supervisor.run_tasks``: no other module builds a
+    worker pool of its own."""
+    sites = [
+        f"{path.relative_to(PACKAGE_ROOT.parent)}"
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        for node in ast.walk(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        )
+        if isinstance(node, ast.Call)
+        and "SupervisedPool" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        )
+    ]
+    assert sites == ["repro/exec/supervisor.py"]
+
+
 def test_physical_replay_is_only_a_test_oracle():
     """The drive-by-drive replay of the pool's schedules lives in
     ``tests/oracles/physical.py``; the package keeps one half-slot
